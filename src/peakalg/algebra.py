@@ -9,15 +9,22 @@ Span and membership questions are answered by exact sparse Gaussian
 elimination with a fixed pivot rule: the pivot of a reduced vector is its
 lexicographically least support key, and candidate vectors are processed
 in the order given.  This makes every coordinate vector reproducible.
+
+Every algebra of the package is the span of the class sums of a partition
+of one group (by descent set, peak set, signed composition, or a count of
+one of these).  ClassAlgebra is that construction, once: class binning
+for coordinates, the structure cube of the class sums, products on
+coordinates, multiplication tables and saturation ranks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .perms import GROUPS, Perm, compose, identity, in_group
+from .perms import GROUPS, Perm, compose, group_elements, identity, in_group
 
 
 class NotInSpan:
@@ -187,14 +194,8 @@ def linear_combine(pairs) -> AlgElem:
     out = {}
     for c, elem in pairs:
         first._same_frame(elem)
-        if c == 0:
-            continue
-        for w, x in elem.terms.items():
-            s = out.get(w, 0) + c * x
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
+        if c != 0:
+            add_multiple(out, c, elem.terms)
     return AlgElem._raw(first.group, first.n, out)
 
 
@@ -251,11 +252,58 @@ class CoordVector:
         return {lab: c for lab, c in zip(self.labels, self.coords) if c != 0}
 
 
-class SpanSolver:
-    """Incremental echelon form of a list of AlgElems, with bookkeeping to
-    express members of the span in the original list."""
+def add_multiple(vec: dict, c, row: dict):
+    """vec += c * row in place, dropping the entries that cancel."""
+    for k, x in row.items():
+        s = vec.get(k, 0) + c * x
+        if s == 0:
+            vec.pop(k, None)
+        else:
+            vec[k] = s
+
+
+class Echelon:
+    """Incremental echelon form of sparse rational rows (dicts).  The pivot
+    of a reduced row is its least key; a row may carry a combination dict
+    that is reduced alongside it."""
+
+    def __init__(self, rows=()):
+        self.pivots = []  # (pivot key, normalized row, normalized combination)
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, vec: dict, combo: dict | None = None):
+        for key, pvec, pcombo in self.pivots:
+            c = vec.get(key)
+            if not c:
+                continue
+            add_multiple(vec, -c, pvec)
+            if combo is not None:
+                add_multiple(combo, -c, pcombo)
+
+    def add(self, row: dict, combo: dict | None = None) -> bool:
+        """Reduce row against the span and keep it; True if the rank grew."""
+        vec = {k: v for k, v in row.items() if v != 0}
+        self.reduce(vec, combo)
+        if not vec:
+            return False
+        key = min(vec)
+        inv = Fraction(1) / Fraction(vec[key])
+        scaled = {k: inv * v for k, v in vec.items()}
+        self.pivots.append((key, scaled, {i: inv * c for i, c in (combo or {}).items()}))
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+class SpanSolver(Echelon):
+    """Echelon form of a list of AlgElems, with bookkeeping to express
+    members of the span in the original list."""
 
     def __init__(self, basis, labels=None):
+        super().__init__()
         basis = list(basis)
         if labels is None:
             labels = tuple(range(len(basis)))
@@ -266,48 +314,14 @@ class SpanSolver:
                 if (b.group, b.n) != frame:
                     raise ValueError("mixed ambient groups in span")
         self.size = len(basis)
-        self.pivots = []  # (pivot key, reduced vector, combination over basis)
         for idx, b in enumerate(basis):
-            vec = dict(b.terms)
-            combo = {idx: Fraction(1)}
-            self._reduce(vec, combo)
-            if vec:
-                self._install(vec, combo)
-
-    def _reduce(self, vec: dict, combo: dict):
-        for key, pvec, pcombo in self.pivots:
-            c = vec.get(key)
-            if not c:
-                continue
-            for w, x in pvec.items():
-                s = vec.get(w, 0) - c * x
-                if s == 0:
-                    vec.pop(w, None)
-                else:
-                    vec[w] = s
-            for i, x in pcombo.items():
-                s = combo.get(i, 0) - c * x
-                if s == 0:
-                    combo.pop(i, None)
-                else:
-                    combo[i] = s
-
-    def _install(self, vec: dict, combo: dict):
-        key = min(vec)
-        inv = Fraction(1) / Fraction(vec[key])
-        vec = {w: inv * c for w, c in vec.items()}
-        combo = {i: inv * c for i, c in combo.items()}
-        self.pivots.append((key, vec, combo))
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+            self.add(b.terms, {idx: Fraction(1)})
 
     def coords(self, target: AlgElem):
         """CoordVector of target over the original basis, or NOT_IN_SPAN."""
         vec = dict(target.terms)
         combo: dict = {}
-        self._reduce(vec, combo)
+        self.reduce(vec, combo)
         if vec:
             return NOT_IN_SPAN
         out = [Fraction(0)] * self.size
@@ -332,14 +346,6 @@ def span_rank(elems) -> int:
     return SpanSolver(elems).rank
 
 
-def spans_match(first, second) -> bool:
-    """Exact equality of two spans (mutual containment by rank)."""
-    first, second = list(first), list(second)
-    r1 = span_rank(first)
-    r2 = span_rank(second)
-    return r1 == r2 == span_rank(first + second)
-
-
 def exact_det(rows) -> Fraction:
     """Determinant of a square matrix of rationals, by exact elimination."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -361,6 +367,218 @@ def exact_det(rows) -> Fraction:
                 factor = m[r][col] * inv
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return det
+
+
+# ---------------------------------------------------------------------------
+# class-partition algebras
+
+
+def bin_classes(terms: dict, class_of, size):
+    """Class binning: the coefficients of terms per class, as a dict in
+    order of first appearance, or None unless terms is constant on each
+    class it touches and covers all size(class) members of it."""
+    seen: dict = {}
+    for w, c in terms.items():
+        k = class_of(w)
+        prev = seen.get(k)
+        if prev is None:
+            seen[k] = [c, 1]
+        elif prev[0] == c:
+            prev[1] += 1
+        else:
+            return None
+    for k, (c, count) in seen.items():
+        if count != size(k):
+            return None
+    return {k: c for k, (c, _) in seen.items()}
+
+
+class ClassAlgebra:
+    """The span of the class sums of a partition of one group.
+
+    key maps a group element to its class label and labels lists every
+    class in table order; classes, when given, is the partition already
+    binned (label -> members).  Coordinates are
+    {label: coefficient} dicts; the class sums have disjoint supports, so
+    binning reads them off exactly."""
+
+    def __init__(self, group: str, n: int, key, labels, classes=None):
+        self.group = group
+        self.n = n
+        self.class_of = key
+        self.labels = tuple(labels)
+        if classes is None:
+            classes = {lab: [] for lab in self.labels}
+            for w in group_elements(group, n):
+                classes[key(w)].append(w)
+        self.classes = {lab: tuple(classes[lab]) for lab in self.labels}
+        self.sizes = {lab: len(ws) for lab, ws in self.classes.items()}
+
+    @property
+    def basis(self) -> list:
+        """(label, class sum) pairs in label order."""
+        return [
+            (lab, AlgElem.class_sum(self.group, self.n, ws)) for lab, ws in self.classes.items()
+        ]
+
+    def coords(self, a: AlgElem):
+        """Coordinates of a over the class sums, or None off the span."""
+        if (a.group, a.n) != (self.group, self.n):
+            raise ValueError(f"element of {a.group}_{a.n} is not in Q{self.group}_{self.n}")
+        return bin_classes(a.terms, self.class_of, self.sizes.__getitem__)
+
+    def vector(self, a: AlgElem):
+        """coords(a) as a list in label order, or None off the span."""
+        coords = self.coords(a)
+        return None if coords is None else [coords.get(lab, 0) for lab in self.labels]
+
+    def element(self, coords: dict) -> AlgElem:
+        """The element with the given coordinates."""
+        terms = {}
+        for lab, c in coords.items():
+            if c != 0:
+                for w in self.classes[lab]:
+                    terms[w] = c
+        return AlgElem._raw(self.group, self.n, terms)
+
+    def coarsen(self, f) -> "ClassAlgebra":
+        """The span of the unions of the classes with equal f(label)."""
+        merged: dict = {}
+        for lab, ws in self.classes.items():
+            merged.setdefault(f(lab), []).extend(ws)
+        key = self.class_of
+        return ClassAlgebra(self.group, self.n, lambda w: f(key(w)), sorted(merged), merged)
+
+    @cached_property
+    def cube(self) -> dict:
+        """(label, label) -> coordinates of the product of the two class
+        sums, by counting compositions.  Building it is the closure check:
+        it raises ArithmeticError when a product leaves the span."""
+        lookup = {w: lab for lab, ws in self.classes.items() for w in ws}
+        cube = {}
+        for l1, c1 in self.classes.items():
+            for l2, c2 in self.classes.items():
+                counts: dict = {}
+                for v in c2:
+                    for w in c1:
+                        key = compose(w, v)
+                        counts[key] = counts.get(key, 0) + 1
+                coords = bin_classes(counts, lookup.__getitem__, self.sizes.__getitem__)
+                if coords is None:
+                    raise ArithmeticError(
+                        f"class sums {l1} * {l2} leave the span in {self.group}_{self.n}"
+                    )
+                cube[(l1, l2)] = coords
+        return cube
+
+    def product(self, c1: dict, c2: dict) -> dict:
+        """Coordinates of the product of two elements given by coordinates."""
+        cube = self.cube
+        out: dict = {}
+        for l1, a in c1.items():
+            for l2, b in c2.items():
+                if a != 0 and b != 0:
+                    add_multiple(out, a * b, cube[(l1, l2)])
+        return out
+
+    def table(self, name: str, label_text) -> "StructureTable":
+        """Multiplication table on the class sums, read from the cube."""
+        cube, labels = self.cube, self.labels
+        cells = [
+            [tuple(normalize_coord(cube[(l1, l2)].get(lab, 0)) for lab in labels) for l2 in labels]
+            for l1 in labels
+        ]
+        return StructureTable(name=name, labels=list(label_text), cells=cells)
+
+    def saturate(self, seeds) -> int:
+        """Rank of the algebra generated by the seed coordinates (pass the
+        unit among the seeds for the unital one)."""
+        span = Echelon()
+        basis = [s for s in seeds if span.add(s)]
+        frontier = list(basis)
+        while frontier:
+            new = []
+            for f in frontier:
+                for b in list(basis):
+                    prod = self.product(f, b)
+                    if span.add(prod):
+                        basis.append(prod)
+                        new.append(prod)
+            frontier = new
+        return span.rank
+
+    def saturate_ideal(self, seed: dict, algebra_coords) -> int:
+        """Rank of the two-sided ideal that the seed generates inside the
+        span of algebra_coords."""
+        span = Echelon([seed])
+        frontier = [seed]
+        while frontier:
+            new = []
+            for f in frontier:
+                for g in algebra_coords:
+                    for prod in (self.product(f, g), self.product(g, f)):
+                        if span.add(prod):
+                            new.append(prod)
+            frontier = new
+        return span.rank
+
+
+def pair_coords(component: dict, left: ClassAlgebra, right: ClassAlgebra):
+    """Coordinates of a tensor component {(u, v): c} over the tensor
+    products of the class sums of left and right, or None."""
+    return bin_classes(
+        component,
+        lambda uv: (left.class_of(uv[0]), right.class_of(uv[1])),
+        lambda k: left.sizes[k[0]] * right.sizes[k[1]],
+    )
+
+
+def normalize_coord(c):
+    frac = Fraction(c)
+    return int(frac) if frac.denominator == 1 else frac
+
+
+@dataclass
+class StructureTable:
+    """Multiplication table of a finite-dimensional algebra on an ordered
+    spanning set: cell (i, j) holds the coordinates of basis_i * basis_j."""
+
+    name: str
+    labels: list
+    cells: list  # cells[i][j] = tuple of coordinates, same order as labels
+    blocks: tuple = field(default=())  # optional display partition of labels
+
+    def cell(self, i: int, j: int) -> tuple:
+        return self.cells[i][j]
+
+    def to_csv(self) -> str:
+        import csv
+        import io
+
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow([self.name] + list(self.labels))
+        for lab, row in zip(self.labels, self.cells):
+            writer.writerow([lab] + ["(" + ",".join(map(str, c)) + ")" for c in row])
+        return buf.getvalue()
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "labels": list(self.labels),
+            "cells": [[[str(Fraction(x)) for x in cell] for cell in row] for row in self.cells],
+        }
+
+    def pretty(self) -> str:
+        cols = [self.name] + list(self.labels)
+        rows = [cols]
+        for lab, row in zip(self.labels, self.cells):
+            rows.append([lab] + ["(" + ",".join(map(str, c)) + ")" for c in row])
+        widths = [max(len(str(r[i])) for r in rows) for i in range(len(cols))]
+        lines = []
+        for r in rows:
+            lines.append("  ".join(str(x).ljust(w) for x, w in zip(r, widths)))
+        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

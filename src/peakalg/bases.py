@@ -8,30 +8,32 @@ generator-label bitmasks of peakalg.perms, and are interchangeable with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import NOT_IN_SPAN, AlgElem, SpanSolver
+from .algebra import AlgElem, ClassAlgebra, Echelon, StructureTable, normalize_coord
 from .perms import (
     GROUP_OF_TYPE,
     GeneratorSet,
     _label_token,
     _valid_label_mask,
     descent_mask,
-    group_elements,
 )
 
 
 @lru_cache(maxsize=None)
+def descent_algebra(ctype: str, n: int) -> ClassAlgebra:
+    """The descent algebra of type ctype on the Y-basis: classes by
+    descent-set bitmask, every subset of the generators a label."""
+    return ClassAlgebra(
+        GROUP_OF_TYPE[ctype], n, lambda w: descent_mask(w, ctype), _all_masks(ctype, n)
+    )
+
+
 def descent_classes(ctype: str, n: int) -> dict:
     """Bitmask -> tuple of group elements with that descent set.  Every
     subset of the generators occurs as a key (possibly empty for no
     subset: descent classes partition the whole group)."""
-    classes: dict = {m: [] for m in _all_masks(ctype, n)}
-    for w in group_elements(GROUP_OF_TYPE[ctype], n):
-        classes[descent_mask(w, ctype)].append(w)
-    return {m: tuple(ws) for m, ws in classes.items()}
+    return descent_algebra(ctype, n).classes
 
 
 def _all_masks(ctype: str, n: int) -> tuple:
@@ -77,11 +79,7 @@ def x_basis(ctype: str, n: int, J) -> AlgElem:
 
 def y_label_elements(ctype: str, n: int) -> list:
     """Ordered (mask, Y_J) pairs, masks ascending."""
-    group = GROUP_OF_TYPE[ctype]
-    return [
-        (m, AlgElem.class_sum(group, n, ws))
-        for m, ws in sorted(descent_classes(ctype, n).items())
-    ]
+    return descent_algebra(ctype, n).basis
 
 
 def x_label_elements(ctype: str, n: int) -> list:
@@ -90,37 +88,12 @@ def x_label_elements(ctype: str, n: int) -> list:
 
 def descent_coordinates(a: AlgElem, ctype: str):
     """Coordinates of a in the Y-basis (mask -> coefficient), or None if a
-    is not constant on some descent class, i.e. lies outside the descent
-    algebra.  Exact, by direct class binning."""
-    if a.group != GROUP_OF_TYPE[ctype]:
-        raise ValueError(f"element of {a.group}_{a.n} has no type-{ctype} descents")
-    classes = descent_classes(ctype, a.n)
-    seen: dict = {}
-    for w, c in a.terms.items():
-        m = descent_mask(w, ctype)
-        prev = seen.get(m)
-        if prev is None:
-            seen[m] = [c, 1]
-        elif prev[0] == c:
-            prev[1] += 1
-        else:
-            return None
-    for m, (c, count) in seen.items():
-        if count != len(classes[m]):
-            return None
-    return {m: c for m, (c, _) in seen.items()}
+    lies outside the descent algebra."""
+    return descent_algebra(ctype, a.n).coords(a)
 
 
 def from_descent_coordinates(ctype: str, n: int, coords: dict) -> AlgElem:
-    group = GROUP_OF_TYPE[ctype]
-    classes = descent_classes(ctype, n)
-    terms = {}
-    for m, c in coords.items():
-        if c == 0:
-            continue
-        for w in classes[m]:
-            terms[w] = c
-    return AlgElem._raw(group, n, terms)
+    return descent_algebra(ctype, n).element(coords)
 
 
 def x_to_y_coords(coords: dict) -> dict:
@@ -164,31 +137,7 @@ def descent_span_rank(elems, ctype: str) -> int:
         if coords is None:
             raise ValueError("element outside the descent algebra")
         rows.append(coords)
-    return coord_rank(rows)
-
-
-def coord_rank(rows) -> int:
-    """Rank of sparse coordinate dictionaries over the rationals."""
-    pivots = []  # (key, normalized row)
-    rank = 0
-    for row in rows:
-        vec = {k: v for k, v in row.items() if v != 0}
-        for key, pvec in pivots:
-            c = vec.get(key)
-            if not c:
-                continue
-            for k, x in pvec.items():
-                s = vec.get(k, 0) - c * x
-                if s == 0:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = s
-        if vec:
-            key = min(vec)
-            inv = Fraction(1) / Fraction(vec[key])
-            pivots.append((key, {k: inv * v for k, v in vec.items()}))
-            rank += 1
-    return rank
+    return Echelon(rows).rank
 
 
 # ---------------------------------------------------------------------------
@@ -260,53 +209,6 @@ def comp_refines(alpha, beta) -> bool:
 # ---------------------------------------------------------------------------
 # structure constants
 
-@dataclass
-class StructureTable:
-    """Multiplication table of a finite-dimensional algebra on an ordered
-    spanning set: cell (i, j) holds the coordinates of basis_i * basis_j."""
-
-    name: str
-    labels: list
-    cells: list  # cells[i][j] = tuple of coordinates, same order as labels
-    blocks: tuple = field(default=())  # optional display partition of labels
-
-    def cell(self, i: int, j: int) -> tuple:
-        return self.cells[i][j]
-
-    def to_csv(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([self.name] + list(self.labels))
-        for lab, row in zip(self.labels, self.cells):
-            writer.writerow([lab] + ["(" + ",".join(map(str, c)) + ")" for c in row])
-        return buf.getvalue()
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "labels": list(self.labels),
-            "cells": [[[str(Fraction(x)) for x in cell] for cell in row] for row in self.cells],
-        }
-
-    def pretty(self) -> str:
-        cols = [self.name] + list(self.labels)
-        rows = [cols]
-        for lab, row in zip(self.labels, self.cells):
-            rows.append([lab] + ["(" + ",".join(map(str, c)) + ")" for c in row])
-        widths = [max(len(str(r[i])) for r in rows) for i in range(len(cols))]
-        lines = []
-        for r in rows:
-            lines.append("  ".join(str(x).ljust(w) for x, w in zip(r, widths)))
-        return "\n".join(lines)
-
-
-def _normalize_coord(c):
-    frac = Fraction(c)
-    return int(frac) if frac.denominator == 1 else frac
-
 
 def structure_constants(
     ctype: str, n: int, basis_kind: str = "Y", *, deep: bool = False
@@ -322,35 +224,22 @@ def structure_constants(
         raise CapExceeded(
             f"structure constants for type {ctype} capped at rank {cap}"
         )
-    if basis_kind == "Y":
-        elems = y_label_elements(ctype, n)
-    elif basis_kind == "X":
-        elems = x_label_elements(ctype, n)
-    else:
+    if basis_kind not in ("Y", "X"):
         raise ValueError(f"unknown basis kind {basis_kind!r}")
-    labels = [_subset_text(ctype, m) for m, _ in elems]
-    solver = SpanSolver([e for _, e in elems], labels=tuple(labels))
+    alg = descent_algebra(ctype, n)
+    name = f"Sigma({ctype}_{n})[{basis_kind}]"
+    labels = [_subset_text(ctype, m) for m in alg.labels]
+    if basis_kind == "Y":
+        return alg.table(name, labels)
     cells = []
-    for mi, yi in elems:
+    for mi in alg.labels:
         row = []
-        for mj, yj in elems:
-            coords = solver.coords(yi * yj)
-            if coords is NOT_IN_SPAN:
-                raise ArithmeticError(
-                    f"product {labels[_index_of(elems, mi)]} * "
-                    f"{labels[_index_of(elems, mj)]} left the span: "
-                    f"descent algebra closure fails"
-                )
-            row.append(tuple(_normalize_coord(c) for c in coords))
+        for mj in alg.labels:
+            y = alg.product(x_to_y_coords({mi: 1}), x_to_y_coords({mj: 1}))
+            x = y_to_x_coords(y)
+            row.append(tuple(normalize_coord(x.get(m, 0)) for m in alg.labels))
         cells.append(row)
-    return StructureTable(name=f"Sigma({ctype}_{n})[{basis_kind}]", labels=labels, cells=cells)
-
-
-def _index_of(elems, mask):
-    for i, (m, _) in enumerate(elems):
-        if m == mask:
-            return i
-    raise KeyError(mask)
+    return StructureTable(name=name, labels=labels, cells=cells)
 
 
 def _subset_text(ctype: str, mask: int) -> str:
@@ -358,95 +247,7 @@ def _subset_text(ctype: str, mask: int) -> str:
     return "{" + ",".join(toks) + "}"
 
 
-@lru_cache(maxsize=None)
 def structure_cube(ctype: str, n: int) -> dict:
-    """(mask_J, mask_K) -> Y-coordinates of Y_J * Y_K.  Computing the cube
-    doubles as the closure check: the product must be constant on every
-    descent class."""
-    from .perms import compose
-
-    classes = sorted(descent_classes(ctype, n).items())
-    mask_of = {}
-    for m, ws in classes:
-        for w in ws:
-            mask_of[w] = m
-    sizes = {m: len(ws) for m, ws in classes}
-    cube = {}
-    for m1, c1 in classes:
-        for m2, c2 in classes:
-            counts: dict = {}
-            for v in c2:
-                for w in c1:
-                    key = compose(w, v)
-                    counts[key] = counts.get(key, 0) + 1
-            out: dict = {}
-            tally: dict = {}
-            for w, c in counts.items():
-                m = mask_of[w]
-                if m in out:
-                    if out[m] != c:
-                        raise ArithmeticError(
-                            f"Sigma({ctype}_{n}) closure fails at ({bin(m1)}, {bin(m2)})"
-                        )
-                    tally[m] += 1
-                else:
-                    out[m] = c
-                    tally[m] = 1
-            for m, seen in tally.items():
-                if seen != sizes[m]:
-                    raise ArithmeticError(
-                        f"Sigma({ctype}_{n}) closure fails at ({bin(m1)}, {bin(m2)})"
-                    )
-            cube[(m1, m2)] = out
-    return cube
-
-
-def descent_coord_product(ctype: str, n: int, c1: dict, c2: dict) -> dict:
-    """Product of two descent-algebra elements given by Y-coordinates."""
-    cube = structure_cube(ctype, n)
-    out: dict = {}
-    for m1, a in c1.items():
-        if a == 0:
-            continue
-        for m2, b in c2.items():
-            if b == 0:
-                continue
-            ab = a * b
-            for m, c in cube[(m1, m2)].items():
-                s = out.get(m, 0) + ab * c
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-    return out
-
-
-class CoordSpan:
-    """Incremental rank tracking for sparse coordinate dictionaries."""
-
-    def __init__(self):
-        self.pivots = []
-
-    def add(self, row: dict) -> bool:
-        """Reduce row against the span; returns True if the rank grew."""
-        vec = {k: v for k, v in row.items() if v != 0}
-        for key, pvec in self.pivots:
-            c = vec.get(key)
-            if not c:
-                continue
-            for k, x in pvec.items():
-                s = vec.get(k, 0) - c * x
-                if s == 0:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = s
-        if not vec:
-            return False
-        key = min(vec)
-        inv = Fraction(1) / Fraction(vec[key])
-        self.pivots.append((key, {k: inv * v for k, v in vec.items()}))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    """(mask_J, mask_K) -> Y-coordinates of Y_J * Y_K; building it is the
+    closure check of the descent algebra."""
+    return descent_algebra(ctype, n).cube

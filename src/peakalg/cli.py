@@ -1,7 +1,9 @@
 """Command-line front end: build tables, run verification suites, and
 import/export group-algebra elements as JSON.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or cap error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or cap error
+(a malformed PEAKALG_CAP among them), 3 a check raised an unexpected
+exception (its status in the report is "error").
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .perms import CapExceeded
+from .perms import CapExceeded, parse_cap_env
 
 
 def _write_out(text: str, out: str | None):
@@ -46,7 +48,7 @@ def cmd_table(args) -> int:
         from .bases import structure_constants
 
         ctype = {"SigA": "A", "SigB": "B", "SigD": "D"}[args.algebra]
-        table = structure_constants(ctype, args.n, "Y")
+        table = structure_constants(ctype, args.n, "Y", deep=args.deep)
     if args.format == "csv":
         _write_out(table.to_csv(), args.out)
     elif args.format == "json":
@@ -64,6 +66,8 @@ def cmd_verify(args) -> int:
         _write_out(report.to_json(include_times=args.times), args.out)
     else:
         _write_out(report.pretty(), args.out)
+    if report.errored:
+        return 3
     return 0 if report.passed else 1
 
 
@@ -229,6 +233,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        parse_cap_env()  # a malformed PEAKALG_CAP is a usage error
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,19 +11,11 @@ the degree-lowering maps restrict with simple casework formulas.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
-from .algebra import AlgElem
-from .bases import (
-    CoordSpan,
-    StructureTable,
-    _normalize_coord,
-    descent_coord_product,
-    descent_coordinates,
-    from_descent_coordinates,
-    x_basis,
-    x_to_y_coords,
-)
+from .algebra import AlgElem, ClassAlgebra, Echelon, StructureTable, normalize_coord
+from .bases import descent_algebra, descent_coordinates, x_basis, x_to_y_coords
 from .maps import (
     Node,
     DiagramSpec,
@@ -35,13 +27,7 @@ from .maps import (
     x0_basis,
     y0_basis,
 )
-from .peak import (
-    from_peak_coordinates,
-    interior_peak_classes,
-    peak_classes,
-    peak_coordinates,
-    peak_elements,
-)
+from .peak import interior_peak_algebra, peak_algebra, peak_coordinates
 from .perms import group_elements
 from .reporting import CheckFailure
 
@@ -55,6 +41,34 @@ def _popcount(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the count algebras: unions of classes with equal label size
+
+
+@lru_cache(maxsize=None)
+def sol_algebra(n: int) -> ClassAlgebra:
+    """Descent-count sums y_0..y_n (type B), labels j."""
+    return descent_algebra("B", n).coarsen(_popcount)
+
+
+@lru_cache(maxsize=None)
+def i0_number_algebra(n: int) -> ClassAlgebra:
+    """Ideal sums y0_1..y0_n, label j-1 = #(J minus {0})."""
+    return descent_algebra("B", n).coarsen(lambda m: _popcount(m & ~1))
+
+
+@lru_cache(maxsize=None)
+def wp_algebra(n: int) -> ClassAlgebra:
+    """Peak-count sums p_0..p_{n//2}, labels j."""
+    return peak_algebra(n).coarsen(_popcount)
+
+
+@lru_cache(maxsize=None)
+def wp_interior_algebra(n: int) -> ClassAlgebra:
+    """Interior sums p0_1..p0_{(n+1)//2}, label j-1 interior peaks."""
+    return interior_peak_algebra(n).coarsen(_popcount)
+
+
+# ---------------------------------------------------------------------------
 # graded builders
 
 
@@ -62,9 +76,7 @@ def y_number(n: int, j: int) -> AlgElem:
     """Sum of the signed permutations with exactly j type-B descents."""
     if not 0 <= j <= n:
         raise ValueError(f"descent count {j} out of range 0..{n}")
-    return from_descent_coordinates(
-        "B", n, {m: 1 for m in range(1 << n) if _popcount(m) == j}
-    )
+    return sol_algebra(n).element({j: 1})
 
 
 def x_number(n: int, j: int) -> AlgElem:
@@ -103,21 +115,14 @@ def peak_number(n: int, j: int) -> AlgElem:
     """p_j: sum of the permutations with exactly j peaks."""
     if not 0 <= j <= n // 2:
         raise ValueError(f"peak count {j} out of range 0..{n // 2}")
-    return from_peak_coordinates(
-        n, {m: 1 for m in peak_classes(n) if _popcount(m) == j}
-    )
+    return wp_algebra(n).element({j: 1})
 
 
 def interior_peak_number(n: int, j: int) -> AlgElem:
     """Interior p_j: sum of the permutations with j-1 interior peaks."""
     if not 1 <= j <= (n + 1) // 2:
         raise ValueError(f"index {j} out of range 1..{(n + 1) // 2}")
-    terms = {}
-    for m, us in interior_peak_classes(n).items():
-        if _popcount(m) == j - 1:
-            for u in us:
-                terms[u] = 1
-    return AlgElem._raw("S", n, terms)
+    return wp_interior_algebra(n).element({j - 1: 1})
 
 
 BUILDERS = {
@@ -160,76 +165,30 @@ def wp_interior_family(n: int) -> list:
 
 def descent_number_coordinates(a: AlgElem) -> list | None:
     """Coordinates over y_0..y_n, or None."""
-    ycoords = descent_coordinates(a, "B")
-    if ycoords is None:
-        return None
-    out = [0] * (a.n + 1)
-    seen = [False] * (a.n + 1)
-    for m in range(1 << a.n):
-        j = _popcount(m)
-        c = ycoords.get(m, 0)
-        if seen[j]:
-            if out[j] != c:
-                return None
-        else:
-            out[j], seen[j] = c, True
-    return out
+    return sol_algebra(a.n).vector(a)
 
 
 def i0_number_coordinates(a: AlgElem) -> list | None:
     """Coordinates over the ideal sums y0_1..y0_n, or None."""
-    ycoords = descent_coordinates(a, "B")
-    if ycoords is None:
-        return None
-    n = a.n
-    out = [0] * (n + 1)  # index j = 1..n
-    seen = [False] * (n + 1)
-    for m in range(1 << n):
-        j = _popcount(m) if m & 1 else _popcount(m) + 1
-        c = ycoords.get(m, 0)
-        if seen[j]:
-            if out[j] != c:
-                return None
-        else:
-            out[j], seen[j] = c, True
-    return out[1:]
+    return i0_number_algebra(a.n).vector(a)
 
 
 def peak_number_coordinates(a: AlgElem) -> list | None:
     """Coordinates over p_0..p_{n//2}, or None."""
-    pcoords = peak_coordinates(a)
-    if pcoords is None:
-        return None
-    out = [0] * (a.n // 2 + 1)
-    seen = [False] * (a.n // 2 + 1)
-    for m in peak_classes(a.n):
-        j = _popcount(m)
-        c = pcoords.get(m, 0)
-        if seen[j]:
-            if out[j] != c:
-                return None
-        else:
-            out[j], seen[j] = c, True
-    return out
+    return wp_algebra(a.n).vector(a)
 
 
 def interior_number_coordinates(a: AlgElem) -> list | None:
     """Coordinates over the interior sums p0_1..p0_{(n+1)//2}, or None."""
-    pcoords = peak_coordinates(a)
-    if pcoords is None:
-        return None
-    top = (a.n + 1) // 2
-    out = [0] * (top + 1)
-    seen = [False] * (top + 1)
-    for m in peak_classes(a.n):
-        j = _popcount(m) if m & 2 else _popcount(m) + 1
-        c = pcoords.get(m, 0)
-        if seen[j]:
-            if out[j] != c:
-                return None
-        else:
-            out[j], seen[j] = c, True
-    return out[1:]
+    return wp_interior_algebra(a.n).vector(a)
+
+
+def _sol_coords(a: AlgElem):
+    return sol_algebra(a.n).coords(a)
+
+
+def _wp_coords(a: AlgElem):
+    return wp_algebra(a.n).coords(a)
 
 
 # ---------------------------------------------------------------------------
@@ -289,63 +248,55 @@ def pi_peak_number_formula(n: int, j: int) -> AlgElem:
 
 
 def _pad(prefix: int, coords, suffix: int) -> tuple:
-    return tuple([0] * prefix + [_normalize_coord(c) for c in coords] + [0] * suffix)
+    return tuple([0] * prefix + [normalize_coord(c) for c in coords] + [0] * suffix)
+
+
+def _block_table(name: str, fine: ClassAlgebra, head, tail) -> StructureTable:
+    """Table of a count family and its ideal family, each a (family,
+    coarse algebra) pair inside fine.  Products are taken on fine
+    coordinates; pure head products are written in the head block,
+    anything touching the ideal in the tail block."""
+    (head_family, head_alg), (tail_family, tail_alg) = head, tail
+    every = head_family + tail_family
+    k, m = len(head_family), len(tail_family)
+    coords = [fine.coords(e) for _, e in every]
+    cells = []
+    for i, (labi, _) in enumerate(every):
+        row = []
+        for j, (labj, _) in enumerate(every):
+            prod = fine.element(fine.product(coords[i], coords[j]))
+            if i < k and j < k:
+                vec, where, before, after = head_alg.vector(prod), "count span", 0, m
+            else:
+                vec, where, before, after = tail_alg.vector(prod), "ideal", k, 0
+            if vec is None:
+                raise CheckFailure(f"{labi} * {labj} left the {where}")
+            row.append(_pad(before, vec, after))
+        cells.append(row)
+    labels = [lab for lab, _ in every]
+    return StructureTable(name=name, labels=labels, cells=cells, blocks=(k, m))
 
 
 def whp_table(n: int) -> StructureTable:
     """Multiplication table of the span of the peak-count and interior
     sums: pure peak-count products are written in the p-block, anything
     touching the ideal in the interior block."""
-    ps = wp_family(n)
-    pints = wp_interior_family(n)
-    labels = [lab for lab, _ in ps] + [lab for lab, _ in pints]
-    k, m = len(ps), len(pints)
-    cells = []
-    for i, (labi, ei) in enumerate(ps + pints):
-        row = []
-        for j, (labj, ej) in enumerate(ps + pints):
-            prod = ei * ej
-            if i < k and j < k:
-                coords = peak_number_coordinates(prod)
-                if coords is None:
-                    raise CheckFailure(f"{labi} * {labj} left the peak-count span")
-                row.append(_pad(0, coords, m))
-            else:
-                coords = interior_number_coordinates(prod)
-                if coords is None:
-                    raise CheckFailure(f"{labi} * {labj} left the interior ideal")
-                row.append(_pad(k, coords, 0))
-        cells.append(row)
-    return StructureTable(name=f"whp_{n}", labels=labels, cells=cells, blocks=(k, m))
+    return _block_table(
+        f"whp_{n}",
+        peak_algebra(n),
+        (wp_family(n), wp_algebra(n)),
+        (wp_interior_family(n), wp_interior_algebra(n)),
+    )
 
 
 def solhat_table(n: int) -> StructureTable:
     """The type-B analog, on the descent-count and ideal sums."""
-    ys = sol_family(n)
-    y0s = i0_number_family(n)
-    labels = [lab for lab, _ in ys] + [lab for lab, _ in y0s]
-    k, m = len(ys), len(y0s)
-    coords_of = {
-        lab: descent_coordinates(e, "B") for lab, e in ys + y0s
-    }
-    cells = []
-    for i, (labi, _) in enumerate(ys + y0s):
-        row = []
-        for j, (labj, _) in enumerate(ys + y0s):
-            prod_coords = descent_coord_product("B", n, coords_of[labi], coords_of[labj])
-            prod = from_descent_coordinates("B", n, prod_coords)
-            if i < k and j < k:
-                coords = descent_number_coordinates(prod)
-                if coords is None:
-                    raise CheckFailure(f"{labi} * {labj} left the descent-count span")
-                row.append(_pad(0, coords, m))
-            else:
-                coords = i0_number_coordinates(prod)
-                if coords is None:
-                    raise CheckFailure(f"{labi} * {labj} left the ideal sums")
-                row.append(_pad(k, coords, 0))
-        cells.append(row)
-    return StructureTable(name=f"solhat_{n}", labels=labels, cells=cells, blocks=(k, m))
+    return _block_table(
+        f"solhat_{n}",
+        descent_algebra("B", n),
+        (sol_family(n), sol_algebra(n)),
+        (i0_number_family(n), i0_number_algebra(n)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +342,11 @@ def check_builder_relations(n: int):
         raise CheckFailure(f"sum of interior p_j is not the full sum at n={n}")
     # rewritten forms: y0_j over #(J \ {0}) = j-1, interior p_j over #(F \ {1}) = j-1
     for j in range(1, n + 1):
-        direct = from_descent_coordinates(
-            "B", n, {m: 1 for m in range(1 << n) if _popcount(m & ~1) == j - 1}
-        )
-        if y0_number(n, j) != direct:
+        if y0_number(n, j) != i0_number_algebra(n).element({j - 1: 1}):
             raise CheckFailure(f"y0_{j} rewritten form fails at n={n}")
+    peaks = peak_algebra(n)
     for j in range(1, (n + 1) // 2 + 1):
-        direct = from_peak_coordinates(
-            n, {m: 1 for m in peak_classes(n) if _popcount(m & ~2) == j - 1}
-        )
+        direct = peaks.element({m: 1 for m in peaks.labels if _popcount(m & ~2) == j - 1})
         if interior_peak_number(n, j) != direct:
             raise CheckFailure(f"interior p_{j} rewritten form fails at n={n}")
 
@@ -432,11 +379,7 @@ def check_beta_number_forms(n: int):
         if beta_map(x_number(n, j)) != beta_x_number_formula(n, j):
             raise CheckFailure(f"beta(x_{j}) casework fails at n={n}")
     # kernel of the restriction is spanned by x_n
-    span = CoordSpan()
-    rank = 0
-    for j in range(n + 1):
-        if span.add({m: c for m, c in enumerate(descent_number_coordinates(beta_map(y_number(n, j))))}):
-            rank += 1
+    rank = Echelon(_sol_coords(beta_map(y_number(n, j))) for j in range(n + 1)).rank
     if rank != n:
         raise CheckFailure(f"restricted beta rank {rank} != {n} at n={n}")
     if beta_map(x_number(n, n)):
@@ -455,77 +398,44 @@ def check_ker_beta2_on_sol(n: int):
     for j in (n, n - 1):
         if beta2_map(x_number(n, j)):
             raise CheckFailure(f"beta^2(x_{j}) != 0 at n={n}")
-    span = CoordSpan()
-    rank = 0
+    rows = []
     for j in range(n + 1):
-        img = descent_number_coordinates(beta2_map(y_number(n, j)))
+        img = _sol_coords(beta2_map(y_number(n, j)))
         if img is None:
             raise CheckFailure("beta^2 image left the descent-count span")
-        if span.add({m: c for m, c in enumerate(img)}):
-            rank += 1
+        rows.append(img)
+    rank = Echelon(rows).rank
     if rank != n - 1:
         raise CheckFailure(f"beta^2 restricted rank {rank} != {n - 1} at n={n}")
-    pair = CoordSpan()
-    for j in (n, n - 1):
-        pair.add({m: c for m, c in enumerate(descent_number_coordinates(x_number(n, j)))})
-    if pair.rank != 2:
+    if Echelon(_sol_coords(x_number(n, j)) for j in (n, n - 1)).rank != 2:
         raise CheckFailure("x_n, x_{n-1} are dependent")
-
-
-def _family_dims(rows) -> int:
-    span = CoordSpan()
-    for row in rows:
-        span.add(row)
-    return span.rank
 
 
 def check_graded_dimensions(n: int):
     """dims: joint peak span n, peak-count span n//2+1, interior span
     (n+1)//2; type B: 2n, n+1, n."""
-    p_rows = [
-        {m: c for m, c in enumerate(peak_number_coordinates(e))} for _, e in wp_family(n)
-    ]
-    pi_rows = [
-        {("i", m): c for m, c in enumerate(interior_number_coordinates(e))}
-        for _, e in wp_interior_family(n)
-    ]
-    if _family_dims(p_rows) != n // 2 + 1:
-        raise CheckFailure(f"peak-count span dimension wrong at n={n}")
-    if _family_dims(pi_rows) != (n + 1) // 2:
-        raise CheckFailure(f"interior span dimension wrong at n={n}")
-    joint = [
-        {m: c for m, c in (peak_coordinates(e) or {}).items()}
-        for _, e in wp_family(n) + wp_interior_family(n)
-    ]
-    if _family_dims(joint) != n:
-        raise CheckFailure(f"joint span dimension != {n} at n={n}")
-    y_rows = [
-        {m: c for m, c in (descent_coordinates(e, "B") or {}).items()}
-        for _, e in sol_family(n) + i0_number_family(n)
-    ]
-    if _family_dims(y_rows) != 2 * n:
+    check_wp_dimensions(n)
+    y_rows = [descent_coordinates(e, "B") or {} for _, e in sol_family(n) + i0_number_family(n)]
+    if Echelon(y_rows).rank != 2 * n:
         raise CheckFailure(f"type-B joint span dimension != {2 * n} at n={n}")
-
-
-def _product_coords(n: int, c1: dict, c2: dict) -> dict:
-    return descent_coord_product("B", n, c1, c2)
 
 
 def check_solhat_closure(n: int):
     """Closure, commutativity, the ideal property and generation for the
     type-B graded spans (cost grows with |B_n|^2; rank 5 is deep)."""
-    ys = [(lab, descent_coordinates(e, "B")) for lab, e in sol_family(n)]
-    y0s = [(lab, descent_coordinates(e, "B")) for lab, e in i0_number_family(n)]
+    alg = descent_algebra("B", n)
+    ys = [(lab, alg.coords(e)) for lab, e in sol_family(n)]
+    y0s = [(lab, alg.coords(e)) for lab, e in i0_number_family(n)]
     every = ys + y0s
     for i, (labi, ci) in enumerate(every):
         for labj, cj in every[i:]:
-            prod = _product_coords(n, ci, cj)
-            opp = _product_coords(n, cj, ci)
+            prod = alg.product(ci, cj)
+            opp = alg.product(cj, ci)
             if prod != opp:
                 raise CheckFailure(f"{labi} and {labj} do not commute at n={n}")
-            elem = from_descent_coordinates("B", n, prod)
-            in_sol = descent_number_coordinates(elem) is not None
-            in_ideal = i0_number_coordinates(elem) is not None
+            elem = alg.element(prod)
+            in_sol = sol_algebra(n).coords(elem) is not None
+            in_ideal = i0_number_algebra(n).coords(elem) is not None
             if not (in_sol or in_ideal):
                 # general members decompose as sol + ideal; solve by
                 # subtracting the sol part read off the bit0-free masks
@@ -536,14 +446,14 @@ def check_solhat_closure(n: int):
                 raise CheckFailure(f"{labi} * {labj} left the ideal at n={n}")
     # generation: y_1 generates the descent-count span, y0_1 the ideal,
     # both together the joint span
-    unit = descent_coordinates(y_number(n, 0), "B")
-    gen_y = descent_coordinates(y_number(n, 1), "B")
-    gen_y0 = descent_coordinates(y0_number(n, 1), "B")
-    if _saturate(n, [unit, gen_y]) != n + 1:
+    unit = alg.coords(y_number(n, 0))
+    gen_y = alg.coords(y_number(n, 1))
+    gen_y0 = alg.coords(y0_number(n, 1))
+    if alg.saturate([unit, gen_y]) != n + 1:
         raise CheckFailure(f"y_1 does not generate the descent-count span at n={n}")
-    if _saturate(n, [unit, gen_y, gen_y0]) != 2 * n:
+    if alg.saturate([unit, gen_y, gen_y0]) != 2 * n:
         raise CheckFailure(f"y_1, y0_1 do not generate the joint span at n={n}")
-    if _saturate_ideal(n, gen_y0, [c for _, c in every]) != n:
+    if alg.saturate_ideal(gen_y0, [c for _, c in every]) != n:
         raise CheckFailure(f"y0_1 does not generate the ideal at n={n}")
 
 
@@ -577,46 +487,6 @@ def _solhat_membership(n: int, ycoords: dict):
     return a, b[1 : n + 1]
 
 
-def _saturate(n: int, seeds: list) -> int:
-    """Rank of the unital algebra generated by the seed coordinates."""
-    span = CoordSpan()
-    basis = []
-    frontier = []
-    for s in seeds:
-        if span.add(s):
-            basis.append(s)
-            frontier.append(s)
-    while frontier:
-        new = []
-        for f in frontier:
-            for b in list(basis):
-                prod = _product_coords(n, f, b)
-                if span.add(prod):
-                    basis.append(prod)
-                    new.append(prod)
-        frontier = new
-    return span.rank
-
-
-def _saturate_ideal(n: int, seed: dict, algebra_coords: list) -> int:
-    """Rank of the two-sided ideal generated by the seed inside the span
-    of the given coordinates."""
-    span = CoordSpan()
-    basis = [seed]
-    span.add(seed)
-    frontier = [seed]
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in algebra_coords:
-                for prod in (_product_coords(n, f, g), _product_coords(n, g, f)):
-                    if span.add(prod):
-                        basis.append(prod)
-                        new.append(prod)
-        frontier = new
-    return span.rank
-
-
 def check_whp_closure(n: int):
     """Closure, commutativity, ideal property and generation on the peak
     side (everything runs inside QS_n)."""
@@ -635,87 +505,17 @@ def check_whp_closure(n: int):
             elif peak_number_coordinates(prod) is None:
                 raise CheckFailure(f"{labi} * {labj} left the peak-count span at n={n}")
     # generation by p_1 and interior p_1
-    rows = lambda e: peak_coordinates(e)
-    unit = rows(peak_number(n, 0))
-    gen_p = rows(peak_number(n, 1))
-    gen_pi = rows(interior_peak_number(n, 1))
-    if _saturate_peak(n, [unit, gen_p]) != n // 2 + 1:
+    alg = peak_algebra(n)
+    unit = alg.coords(peak_number(n, 0))
+    gen_p = alg.coords(peak_number(n, 1))
+    gen_pi = alg.coords(interior_peak_number(n, 1))
+    if alg.saturate([unit, gen_p]) != n // 2 + 1:
         raise CheckFailure(f"p_1 does not generate the peak-count span at n={n}")
-    if _saturate_peak(n, [unit, gen_p, gen_pi]) != n:
+    if alg.saturate([unit, gen_p, gen_pi]) != n:
         raise CheckFailure(f"p_1, interior p_1 do not generate the joint span at n={n}")
-    algebra = [rows(e) for _, e in every]
-    if _saturate_peak_ideal(n, gen_pi, algebra) != (n + 1) // 2:
+    algebra = [alg.coords(e) for _, e in every]
+    if alg.saturate_ideal(gen_pi, algebra) != (n + 1) // 2:
         raise CheckFailure(f"interior p_1 does not generate the ideal at n={n}")
-
-
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _peak_cube(n: int) -> dict:
-    """(F, G) -> peak coordinates of P_F * P_G."""
-    elems = peak_elements(n)
-    cube = {}
-    for mf, pf in elems:
-        for mg, pg in elems:
-            coords = peak_coordinates(pf * pg)
-            if coords is None:
-                raise ArithmeticError("peak algebra closure fails")
-            cube[(mf, mg)] = coords
-    return cube
-
-
-def _peak_coord_product(n: int, c1: dict, c2: dict) -> dict:
-    cube = _peak_cube(n)
-    out: dict = {}
-    for m1, a in c1.items():
-        if a == 0:
-            continue
-        for m2, b in c2.items():
-            if b == 0:
-                continue
-            ab = a * b
-            for m, c in cube[(m1, m2)].items():
-                s = out.get(m, 0) + ab * c
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-    return out
-
-
-def _saturate_peak(n: int, seeds: list) -> int:
-    span = CoordSpan()
-    basis, frontier = [], []
-    for s in seeds:
-        if span.add(s):
-            basis.append(s)
-            frontier.append(s)
-    while frontier:
-        new = []
-        for f in frontier:
-            for b in list(basis):
-                prod = _peak_coord_product(n, f, b)
-                if span.add(prod):
-                    basis.append(prod)
-                    new.append(prod)
-        frontier = new
-    return span.rank
-
-
-def _saturate_peak_ideal(n: int, seed: dict, algebra_coords: list) -> int:
-    span = CoordSpan()
-    span.add(seed)
-    frontier = [seed]
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in algebra_coords:
-                for prod in (_peak_coord_product(n, f, g), _peak_coord_product(n, g, f)):
-                    if span.add(prod):
-                        new.append(prod)
-        frontier = new
-    return span.rank
 
 
 # ---------------------------------------------------------------------------
@@ -726,34 +526,14 @@ def sbexact_diagram(n: int) -> DiagramSpec:
     """0 -> span{x_n, x_{n-1}} -> descent-count span -> (two ranks down)
     -> 0 over the analogous peak-count row, vertical sign forgetting."""
 
-    def sol_coords(a: AlgElem):
-        c = descent_number_coordinates(a)
-        return None if c is None else {i: x for i, x in enumerate(c)}
-
-    def wp_coords(a: AlgElem):
-        c = peak_number_coordinates(a)
-        return None if c is None else {i: x for i, x in enumerate(c)}
-
     all_p = sum((peak_number(n, i) for i in range(n // 2 + 1)), AlgElem.zero("S", n))
     nodes = {
-        "K": Node("K", [("x_n", x_number(n, n)), ("x_n1", x_number(n, n - 1))], sol_coords),
-        "sol": Node("sol", sol_family(n), sol_coords),
-        "sol2": Node(
-            "sol2",
-            [(f"y_{j}", y_number(n - 2, j)) for j in range(n - 1)],
-            lambda a: (lambda c: None if c is None else {i: x for i, x in enumerate(c)})(
-                descent_number_coordinates(a)
-            ),
-        ),
-        "k": Node("k", [("sum_p", all_p)], wp_coords),
-        "wp": Node("wp", wp_family(n), wp_coords),
-        "wp2": Node(
-            "wp2",
-            [(f"p_{j}", peak_number(n - 2, j)) for j in range((n - 2) // 2 + 1)],
-            lambda a: (lambda c: None if c is None else {i: x for i, x in enumerate(c)})(
-                peak_number_coordinates(a)
-            ),
-        ),
+        "K": Node("K", [("x_n", x_number(n, n)), ("x_n1", x_number(n, n - 1))], _sol_coords),
+        "sol": Node("sol", sol_family(n), _sol_coords),
+        "sol2": Node("sol2", sol_family(n - 2), _sol_coords),
+        "k": Node("k", [("sum_p", all_p)], _wp_coords),
+        "wp": Node("wp", wp_family(n), _wp_coords),
+        "wp2": Node("wp2", wp_family(n - 2), _wp_coords),
     }
     arrows = {
         "inc": ("K", "sol", lambda a: a),
@@ -804,7 +584,7 @@ def chi_x_number_coords(n: int, j: int) -> dict:
 
 
 def _from_d_x_coords(n: int, xcoords: dict) -> AlgElem:
-    return from_descent_coordinates("D", n, x_to_y_coords(xcoords))
+    return descent_algebra("D", n).element(x_to_y_coords(xcoords))
 
 
 def check_type_d_numbers(n: int):
@@ -831,9 +611,9 @@ def check_type_d_numbers(n: int):
         imgs_x0.append(descent_coordinates(got, "D"))
     if chi(x_number(n, n)) != chi(x0_number(n, n)):
         raise CheckFailure(f"fold images of x_n and x0_n differ at n={n}")
-    if _family_dims(imgs_x) != n + 1:
+    if Echelon(imgs_x).rank != n + 1:
         raise CheckFailure(f"rank of fold images of x_j != {n + 1}")
-    if _family_dims(imgs_x0) != n:
+    if Echelon(imgs_x0).rank != n:
         raise CheckFailure(f"rank of fold images of x0_j != {n}")
     witness = (
         chi(x_number(n, n - 1))
@@ -842,7 +622,7 @@ def check_type_d_numbers(n: int):
     )
     if witness:
         raise CheckFailure(f"second fold relation fails at n={n}")
-    if _family_dims(imgs_x + imgs_x0) != 2 * n - 1:
+    if Echelon(imgs_x + imgs_x0).rank != 2 * n - 1:
         raise CheckFailure(f"joint rank of fold images != {2 * n - 1}")
 
 
@@ -852,14 +632,8 @@ def check_type_d_numbers(n: int):
 
 def a_descent_number(n: int, j: int) -> AlgElem:
     """Sum of the unsigned permutations with j type-A descents."""
-    from .bases import descent_classes
-
-    terms = {}
-    for m, us in descent_classes("A", n).items():
-        if _popcount(m) == j:
-            for u in us:
-                terms[u] = 1
-    return AlgElem._raw("S", n, terms)
+    alg = descent_algebra("A", n)
+    return alg.element({m: 1 for m in alg.labels if _popcount(m) == j})
 
 
 def loday_witness(kind: str, n_max: int = 6):
@@ -881,20 +655,12 @@ def loday_witness(kind: str, n_max: int = 6):
 def check_wp_dimensions(n: int):
     """Peak-side dimensions alone (valid to rank 8): joint span n, count
     span n//2 + 1, interior span (n+1)//2, with the single relation."""
-    p_rows = [
-        {m: c for m, c in enumerate(peak_number_coordinates(e))} for _, e in wp_family(n)
-    ]
-    pi_rows = [
-        {("i", m): c for m, c in enumerate(interior_number_coordinates(e))}
-        for _, e in wp_interior_family(n)
-    ]
-    if _family_dims(p_rows) != n // 2 + 1:
+    p_rows = [_wp_coords(e) for _, e in wp_family(n)]
+    pi_rows = [wp_interior_algebra(n).coords(e) for _, e in wp_interior_family(n)]
+    if Echelon(p_rows).rank != n // 2 + 1:
         raise CheckFailure(f"peak-count span dimension wrong at n={n}")
-    if _family_dims(pi_rows) != (n + 1) // 2:
+    if Echelon(pi_rows).rank != (n + 1) // 2:
         raise CheckFailure(f"interior span dimension wrong at n={n}")
-    joint = [
-        dict((peak_coordinates(e) or {}).items())
-        for _, e in wp_family(n) + wp_interior_family(n)
-    ]
-    if _family_dims(joint) != n:
+    joint = [peak_coordinates(e) or {} for _, e in wp_family(n) + wp_interior_family(n)]
+    if Echelon(joint).rank != n:
         raise CheckFailure(f"joint span dimension != {n} at n={n}")

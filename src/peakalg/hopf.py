@@ -13,10 +13,29 @@ are only module coalgebras over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
-from .algebra import AlgElem
+from .algebra import AlgElem, pair_coords
+from .bases import (
+    descent_algebra,
+    descent_coordinates,
+    descent_span_rank,
+    subset_to_pseudo_comp,
+    x_basis,
+    y_basis,
+    y_to_x_coords,
+)
+from .mr import signed_compositions, stilde_basis, t_algebra
+from .peak import (
+    interior_peak_algebra,
+    interior_peak_coordinates,
+    interior_peak_elements,
+    peak_algebra,
+    peak_basis,
+    peak_coordinates,
+    peak_elements,
+)
 from .perms import Perm, compose, inverse
 from .reporting import CheckFailure
 
@@ -143,11 +162,6 @@ class Tensor2:
     def bidegree(self, p: int) -> dict:
         return {k: c for k, c in self.terms.items() if len(k[0]) == p}
 
-    def sides(self, p: int):
-        """The bidegree-(p, n-p) component as a pair-of-AlgElem list is
-        not canonical; instead expose the raw term dict."""
-        return self.bidegree(p)
-
     def map_sides(self, f, g) -> "Tensor2":
         """Apply linear maps to the two sides (monomial by monomial,
         memoized per distinct monomial)."""
@@ -242,8 +256,6 @@ def check_counit(w: Perm):
 
 
 def _i0_coords(a: AlgElem):
-    from .bases import descent_coordinates, y_to_x_coords
-
     if a.n == 0:  # the empty rank is the unit coefficient line
         return {0: a.coeff(())} if a else {}
     y = descent_coordinates(a, "B")
@@ -255,46 +267,19 @@ def _i0_coords(a: AlgElem):
     return x
 
 
-def _pint_coords(a: AlgElem):
-    from .peak import interior_peak_coordinates
-
-    if a.n == 0:
-        return {0: a.coeff(())} if a else {}
-    return interior_peak_coordinates(a)
-
-
-def _sola_coords(a: AlgElem):
-    from .bases import descent_coordinates
-
-    return descent_coordinates(a, "A")
-
-
-def _solb_coords(a: AlgElem):
-    from .bases import descent_coordinates
-
-    return descent_coordinates(a, "B")
-
-
-def _omega_coords(a: AlgElem):
-    from .mr import tclass_coordinates
-
-    return tclass_coordinates(a)
-
-
-def _peak_family_coords(a: AlgElem):
-    from .peak import peak_coordinates
-
-    return peak_coordinates(a)
+def _class_coords(factory):
+    """Membership test of a graded family of class algebras."""
+    return lambda a: factory(a.n).coords(a)
 
 
 FAMILY_TESTS = {
     "QS": lambda a: {} if a.group == "S" else None,
     "QB": lambda a: {} if a.group in ("B", "S") else None,
-    "SolA": _sola_coords,
-    "SolB": _solb_coords,
-    "OmegaB": _omega_coords,
-    "Peak": _peak_family_coords,
-    "PeakIdeal": _pint_coords,
+    "SolA": _class_coords(partial(descent_algebra, "A")),
+    "SolB": _class_coords(partial(descent_algebra, "B")),
+    "OmegaB": _class_coords(t_algebra),
+    "Peak": _class_coords(peak_algebra),
+    "PeakIdeal": _class_coords(interior_peak_algebra),
     "I0": _i0_coords,
 }
 
@@ -351,80 +336,14 @@ class GradedElem:
 # tensor-component membership by pair binning
 
 
-def _pair_coords(component: dict, key_left, key_right, size_left, size_right):
-    """Coordinates of a bidegree component over a partition basis pair,
-    or None when some class pair is not uniformly covered."""
-    seen: dict = {}
-    for (u, v), c in component.items():
-        k = (key_left(u), key_right(v))
-        prev = seen.get(k)
-        if prev is None:
-            seen[k] = [c, 1]
-        elif prev[0] == c:
-            prev[1] += 1
-        else:
-            return None
-    for (kl, kr), (c, count) in seen.items():
-        if count != size_left[kl] * size_right[kr]:
-            return None
-    return {k: c for k, (c, _) in seen.items()}
-
-
-def _descent_sizes(ctype: str, n: int) -> dict:
-    from .bases import descent_classes
-
-    return {m: len(ws) for m, ws in descent_classes(ctype, n).items()}
-
-
-def tensor_descent_pair_coords(t2: Tensor2, p: int, ctype: str):
-    from .perms import descent_mask
-
-    comp = t2.bidegree(p)
-    q = t2.n - p
-    return _pair_coords(
-        comp,
-        lambda u: descent_mask(u, ctype),
-        lambda v: descent_mask(v, ctype),
-        _descent_sizes(ctype, p),
-        _descent_sizes(ctype, q),
-    )
-
-
-def tensor_peak_pair_coords(t2: Tensor2, p: int, *, interior: bool = False):
-    from .peak import interior_peak_classes, peak_classes
-    from .perms import interior_peak_mask, peak_mask
-
-    comp = t2.bidegree(p)
-    q = t2.n - p
-    classes = interior_peak_classes if interior else peak_classes
-    key = interior_peak_mask if interior else peak_mask
-    return _pair_coords(
-        comp,
-        key,
-        key,
-        {m: len(ws) for m, ws in classes(p).items()},
-        {m: len(ws) for m, ws in classes(q).items()},
-    )
-
-
-def tensor_tclass_pair_coords(t2: Tensor2, p: int):
-    from .mr import mr_class_of, t_classes
-
-    comp = t2.bidegree(p)
-    q = t2.n - p
-    return _pair_coords(
-        comp,
-        mr_class_of,
-        mr_class_of,
-        {a: len(ws) for a, ws in t_classes(p).items()},
-        {a: len(ws) for a, ws in t_classes(q).items()},
-    )
+def tensor_coords(t2: Tensor2, p: int, factory):
+    """Pair binning of the bidegree-(p, n-p) component of t2 over the class
+    algebras factory(p) and factory(n - p); None off their tensor span."""
+    return pair_coords(t2.bidegree(p), factory(p), factory(t2.n - p))
 
 
 def _double_y_to_x(coords: dict) -> dict:
     """Moebius inversion on both labels of (maskL, maskR) -> c."""
-    from .bases import y_to_x_coords
-
     by_right: dict = {}
     for (ml, mr), c in coords.items():
         by_right.setdefault(mr, {})[ml] = c
@@ -445,7 +364,7 @@ def _double_y_to_x(coords: dict) -> dict:
 def tensor_i0_pair_coords(t2: Tensor2, p: int):
     """X-basis pair coordinates restricted to the canonical ideal on both
     sides (degree-0 sides count as the unit line)."""
-    ycoords = tensor_descent_pair_coords(t2, p, "B")
+    ycoords = tensor_coords(t2, p, partial(descent_algebra, "B"))
     if ycoords is None:
         return None
     xcoords = _double_y_to_x(ycoords)
@@ -461,8 +380,6 @@ def tensor_i0_pair_coords(t2: Tensor2, p: int):
 
 
 def x_of_pseudo_mask(p: int, mask: int) -> AlgElem:
-    from .bases import x_basis
-
     if p == 0:
         return AlgElem.unit("B", 0)
     return x_basis("B", p, mask)
@@ -470,16 +387,12 @@ def x_of_pseudo_mask(p: int, mask: int) -> AlgElem:
 
 def x0_of_mask(q: int, mask: int) -> AlgElem:
     """X_{{0} u J} in rank q; the empty rank is the unit."""
-    from .bases import x_basis
-
     if q == 0:
         return AlgElem.unit("B", 0)
     return x_basis("B", q, mask | 1)
 
 
 def xa_of_mask(p: int, mask: int) -> AlgElem:
-    from .bases import x_basis
-
     if p == 0:
         return AlgElem.unit("S", 0)
     return x_basis("A", p, mask)
@@ -506,27 +419,7 @@ def _b_masks(p: int):
     return list(range(1 << p))
 
 
-def _interior_masks(p: int):
-    from .perms import interior_sparse_masks
-
-    return list(interior_sparse_masks(p)) if p > 0 else [0]
-
-
-def _peak_masks(p: int):
-    from .perms import sparse_masks
-
-    return list(sparse_masks(p)) if p > 0 else [0]
-
-
-def _signed_comps(p: int):
-    from .mr import signed_compositions
-
-    return signed_compositions(p)
-
-
 def _stilde(p: int, alpha) -> AlgElem:
-    from .mr import stilde_basis
-
     if p == 0:
         return AlgElem.unit("B", 0)
     return stilde_basis(p, alpha)
@@ -538,8 +431,6 @@ def _stilde(p: int, alpha) -> AlgElem:
 
 def check_sola_star(dmax: int):
     """Concatenation formula for the type-A X-basis under shuffles."""
-    from .bases import x_basis
-
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
             for m1 in _a_masks(p):
@@ -553,8 +444,6 @@ def check_sola_star(dmax: int):
 
 
 def check_i0_star(dmax: int):
-    from .bases import x_basis
-
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
             for m1 in _a_masks(p):
@@ -570,8 +459,6 @@ def check_i0_star(dmax: int):
 
 def check_solb_module_star(dmax: int):
     """Pseudo-composition times ideal generator concatenates."""
-    from .bases import x_basis
-
     for p in range(0, dmax):
         for q in range(1, dmax - p + 1):
             for m1 in _b_masks(p):
@@ -590,12 +477,10 @@ def check_solb_module_star(dmax: int):
 
 
 def check_omega_star(dmax: int):
-    from .mr import stilde_basis
-
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
-            for a1 in _signed_comps(p):
-                for a2 in _signed_comps(q):
+            for a1 in signed_compositions(p):
+                for a2 in signed_compositions(q):
                     got = external_product(_stilde(p, a1), _stilde(q, a2))
                     want = stilde_basis(p + q, a1 + a2)
                     if got != want:
@@ -604,8 +489,6 @@ def check_omega_star(dmax: int):
 
 def check_coproduct_generators(dmax: int):
     """The degreewise-split coproducts of all the one-part generators."""
-    from .bases import x_basis
-
     for m in range(1, dmax + 1):
         # type A: X_(m) is the identity class
         got = coproduct(xa_of_mask(m, 0))
@@ -652,46 +535,32 @@ def check_coproduct_generators(dmax: int):
 
 def check_delta_closures(dmax: int):
     """Componentwise membership of the coproduct in family x family."""
-    from .bases import x_basis
-    from .peak import interior_peak_elements, peak_elements
-    from .mr import stilde_basis
 
+    def in_classes(factory):
+        return lambda t2, p: tensor_coords(t2, p, factory)
+
+    families = (
+        ("type-A", lambda n: [(f"mask {bin(m)}", x_basis("A", n, m)) for m in _a_masks(n)],
+         in_classes(partial(descent_algebra, "A"))),
+        ("type-B", lambda n: [(f"mask {bin(m)}", x_basis("B", n, m)) for m in _b_masks(n)],
+         in_classes(partial(descent_algebra, "B"))),
+        ("ideal", lambda n: [(f"mask {bin(m)}", x0_of_mask(n, m)) for m in _a_masks(n)],
+         tensor_i0_pair_coords),
+        ("MR", lambda n: [(a, stilde_basis(n, a)) for a in signed_compositions(n)],
+         in_classes(t_algebra)),
+        ("peak", lambda n: [(bin(m), e) for m, e in peak_elements(n)], in_classes(peak_algebra)),
+        ("interior", lambda n: [(bin(m), e) for m, e in interior_peak_elements(n)],
+         in_classes(interior_peak_algebra)),
+    )
     for n in range(1, dmax + 1):
-        for m in _a_masks(n):
-            t2 = coproduct(x_basis("A", n, m))
-            for p in range(n + 1):
-                if tensor_descent_pair_coords(t2, p, "A") is None:
-                    raise CheckFailure(f"type-A coproduct closure fails at mask {bin(m)}")
-        for m in _b_masks(n):
-            t2 = coproduct(x_basis("B", n, m))
-            for p in range(n + 1):
-                if tensor_descent_pair_coords(t2, p, "B") is None:
-                    raise CheckFailure(f"type-B coproduct closure fails at mask {bin(m)}")
-        for m in _a_masks(n):
-            t2 = coproduct(x0_of_mask(n, m))
-            for p in range(n + 1):
-                if tensor_i0_pair_coords(t2, p) is None:
-                    raise CheckFailure(f"ideal coproduct closure fails at mask {bin(m)}")
-        for alpha in _signed_comps(n):
-            t2 = coproduct(stilde_basis(n, alpha))
-            for p in range(n + 1):
-                if tensor_tclass_pair_coords(t2, p) is None:
-                    raise CheckFailure(f"MR coproduct closure fails at {alpha}")
-        for fm, pf in peak_elements(n):
-            t2 = coproduct(pf)
-            for p in range(n + 1):
-                if tensor_peak_pair_coords(t2, p) is None:
-                    raise CheckFailure(f"peak coproduct closure fails at {bin(fm)}")
-        for fm, pf in interior_peak_elements(n):
-            t2 = coproduct(pf)
-            for p in range(n + 1):
-                if tensor_peak_pair_coords(t2, p, interior=True) is None:
-                    raise CheckFailure(f"interior coproduct closure fails at {bin(fm)}")
+        for name, family, test in families:
+            for label, a in family(n):
+                t2 = coproduct(a)
+                if any(test(t2, p) is None for p in range(n + 1)):
+                    raise CheckFailure(f"{name} coproduct closure fails at {label}")
 
 
 def check_pint_star_closure(dmax: int):
-    from .peak import interior_peak_coordinates, interior_peak_elements
-
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
             for fm, pf in interior_peak_elements(p):
@@ -704,12 +573,6 @@ def check_pint_star_closure(dmax: int):
 
 
 def check_peak_module_star(dmax: int):
-    from .peak import (
-        interior_peak_elements,
-        peak_coordinates,
-        peak_elements,
-    )
-
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
             for fm, pf in peak_elements(p):
@@ -724,8 +587,6 @@ def check_peak_module_star(dmax: int):
 def check_peak_not_closed_witness():
     """The classical failure: the square of the one-peak class of rank 2
     is a two-term Y sum outside the rank-4 peak span."""
-    from .bases import y_basis
-    from .peak import peak_basis, peak_coordinates
 
     prod = external_product(peak_basis(2, 0b10), peak_basis(2, 0b10))
     want = y_basis("A", 4, 0b1110) + y_basis("A", 4, 0b1010)
@@ -738,14 +599,11 @@ def check_peak_not_closed_witness():
 def check_theta_hopf(dmax: int):
     """The descents-to-peaks transforms respect both the shuffle product
     and the coproduct."""
-    from .bases import x_basis
     from .maps import theta, theta_pm
-    from .mr import stilde_basis
-
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
-            for a1 in _signed_comps(p):
-                for a2 in _signed_comps(q):
+            for a1 in signed_compositions(p):
+                for a2 in signed_compositions(q):
                     left = theta_pm(external_product(_stilde(p, a1), _stilde(q, a2)))
                     right = external_product(theta_pm(_stilde(p, a1)), theta_pm(_stilde(q, a2)))
                     if left != right:
@@ -759,7 +617,7 @@ def check_theta_hopf(dmax: int):
                             f"transform breaks shuffles at masks {bin(m1)}, {bin(m2)}"
                         )
     for n in range(1, dmax + 1):
-        for alpha in _signed_comps(n):
+        for alpha in signed_compositions(n):
             a = stilde_basis(n, alpha)
             if coproduct(theta_pm(a)) != coproduct(a).map_sides(theta_pm, theta_pm):
                 raise CheckFailure(f"type-B transform breaks the coproduct at {alpha}")
@@ -772,7 +630,6 @@ def check_theta_hopf(dmax: int):
 def check_beta_via_coproduct(dmax: int):
     """The degree drop equals pairing the coproduct's left leg against
     the functional dual to the one-part generator of rank 1."""
-    from .bases import x_basis
     from .maps import beta_map
 
     for n in range(1, dmax + 1):
@@ -789,9 +646,7 @@ def check_beta_via_coproduct(dmax: int):
 
 def check_module_morphisms(dmax: int):
     """The degree drops are morphisms of right modules over the ideals."""
-    from .bases import x_basis
     from .maps import beta_map, pi_map
-    from .peak import interior_peak_elements, peak_elements
 
     def beta_graded(a):
         return AlgElem.zero("B", 0) if a.n == 0 else beta_map(a)
@@ -830,8 +685,6 @@ def check_module_morphisms(dmax: int):
 def check_delta_internal_compat(dmax: int):
     """On the type-A descent algebra the coproduct respects the internal
     product componentwise."""
-    from .bases import x_basis
-
     for n in range(1, dmax + 1):
         elems = [x_basis("A", n, m) for m in _a_masks(n)]
         deltas = [coproduct(e) for e in elems]
@@ -846,7 +699,6 @@ def check_delta_internal_compat(dmax: int):
 def check_free_module(dmax: int):
     """The products generator * ideal monomials are exactly the X-basis:
     the type-B descent algebra is a free right module over the ideal."""
-    from .bases import descent_span_rank, subset_to_pseudo_comp, x_basis
 
     for n in range(1, dmax + 1):
         elems = []
@@ -892,8 +744,6 @@ def check_i0_sola_isomorphism(dmax: int):
     graded structure constants on corresponding generators: products
     concatenate labels identically, and the generator coproducts split
     with the same (all-one) coefficients over matching bidegrees."""
-    from .bases import descent_coordinates, x_basis, y_to_x_coords
-
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
             for m1 in _a_masks(p):

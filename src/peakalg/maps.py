@@ -14,20 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgElem, exact_det, push_forward
+from .algebra import AlgElem, Echelon, exact_det, push_forward
 from .bases import (
-    coord_rank,
+    descent_algebra,
     descent_coordinates,
-    from_descent_coordinates,
     x_basis,
     x_to_y_coords,
     y_basis,
     y_to_x_coords,
 )
 from .peak import (
-    from_peak_coordinates,
+    interior_peak_algebra,
     interior_peak_basis,
     interior_peak_coordinates,
+    peak_algebra,
     peak_coordinates,
     pi_map,
 )
@@ -123,7 +123,7 @@ def phi_on_y(n: int, jmask: int) -> AlgElem:
     coords = {
         fm: 1 << _popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0
     }
-    return from_peak_coordinates(n, coords)
+    return peak_algebra(n).element(coords)
 
 
 def phi_on_x(n: int, jmask: int) -> AlgElem:
@@ -131,7 +131,7 @@ def phi_on_x(n: int, jmask: int) -> AlgElem:
     window = jmask | (jmask << 1)
     scale = 1 << _popcount(jmask)
     coords = {fm: scale for fm in sparse_masks(n) if fm & ~window == 0}
-    return from_peak_coordinates(n, coords)
+    return peak_algebra(n).element(coords)
 
 
 def phi_on_x0(n: int, jmask: int) -> AlgElem:
@@ -145,7 +145,7 @@ def phi_on_x0(n: int, jmask: int) -> AlgElem:
     for fm in interior_sparse_masks(n):
         if fm & ~window == 0:
             out[fm] = scale
-    return _from_interior_coords(n, out)
+    return interior_peak_algebra(n).element(out)
 
 
 def phi_on_y0(n: int, jmask: int) -> AlgElem:
@@ -157,15 +157,7 @@ def phi_on_y0(n: int, jmask: int) -> AlgElem:
     for fm in interior_sparse_masks(n):
         if fm & ~window == 0:
             out[fm] = 1 << (1 + _popcount(fm))
-    return _from_interior_coords(n, out)
-
-
-def _from_interior_coords(n: int, coords: dict) -> AlgElem:
-    out = AlgElem.zero("S", n)
-    for fm, c in coords.items():
-        if c:
-            out += interior_peak_basis(n, fm).scale(c)
-    return out
+    return interior_peak_algebra(n).element(out)
 
 
 PSI_CASES = ("plain", "one", "oneprime", "both")
@@ -189,7 +181,7 @@ def psi_on_y(n: int, jmask: int, case: str) -> AlgElem:
     if case == "plain":
         window = jmask ^ (jmask << 1)
         coords = {fm: 1 << _popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0}
-        return from_peak_coordinates(n, coords)
+        return peak_algebra(n).element(coords)
     if case in ("one", "oneprime"):
         window = jmask ^ (jmask << 1)
         coords = {}
@@ -197,10 +189,10 @@ def psi_on_y(n: int, jmask: int, case: str) -> AlgElem:
             if fm & 2 and (fm & ~2) & ~window == 0 and not fm & 4:
                 # fm = {1} u F with F sparse avoiding 1 and 2, F inside window
                 coords[fm] = 1 << _popcount(fm & ~2)
-        return from_peak_coordinates(n, coords)
+        return peak_algebra(n).element(coords)
     window = jmask ^ (4 | (jmask << 1))
     coords = {fm: 1 << _popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0}
-    return from_peak_coordinates(n, coords)
+    return peak_algebra(n).element(coords)
 
 
 def psi_on_x(n: int, jmask: int, case: str) -> AlgElem:
@@ -218,7 +210,7 @@ def psi_on_x(n: int, jmask: int, case: str) -> AlgElem:
         window = jmask | (jmask << 1) | 6
         scale = 1 << (_popcount(jmask) + 1)
     coords = {fm: scale for fm in sparse_masks(n) if fm & ~window == 0}
-    return from_peak_coordinates(n, coords)
+    return peak_algebra(n).element(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +250,7 @@ def beta_map(a: AlgElem) -> AlgElem:
     for m, c in coords.items():
         sign, m2 = beta_y_label(m)
         out[m2] = out.get(m2, 0) + sign * c
-    return from_descent_coordinates("B", a.n - 1, out)
+    return descent_algebra("B", a.n - 1).element(out)
 
 
 def beta2_map(a: AlgElem) -> AlgElem:
@@ -276,7 +268,7 @@ def gamma_map(a: AlgElem) -> AlgElem:
         m2 = gamma_x_label(m)
         if m2 is not None:
             out[m2] = out.get(m2, 0) + c
-    return from_descent_coordinates("B", a.n - 2, x_to_y_coords(out))
+    return descent_algebra("B", a.n - 2).element(x_to_y_coords(out))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +374,7 @@ class Node:
     coords: object  # callable AlgElem -> dict | None
 
     def rank(self) -> int:
-        return coord_rank([self._coords_or_fail(e) for _, e in self.family])
+        return Echelon(self._coords_or_fail(e) for _, e in self.family).rank
 
     def _coords_or_fail(self, elem: AlgElem) -> dict:
         c = self.coords(elem)
@@ -464,12 +456,8 @@ def verify_diagram(spec: DiagramSpec) -> list:
             r_src = src_node.rank()
             r_mid = mid_node.rank()
             r_out = out_node.rank()
-            r_in = coord_rank(
-                [mid_node._coords_or_fail(f(e)) for _, e in src_node.family]
-            )
-            r_img = coord_rank(
-                [out_node._coords_or_fail(g(e)) for _, e in mid_node.family]
-            )
+            r_in = Echelon(mid_node._coords_or_fail(f(e)) for _, e in src_node.family).rank
+            r_img = Echelon(out_node._coords_or_fail(g(e)) for _, e in mid_node.family).rank
             if r_in != r_src:
                 raise CheckFailure(f"{inc_name} is not injective ({r_in} < {r_src})")
             if r_img != r_out:
@@ -488,9 +476,7 @@ def verify_diagram(spec: DiagramSpec) -> list:
         def check_surjective(name=name):
             src, dst, f = spec.arrows[name]
             dst_node = spec.nodes[dst]
-            rank = coord_rank(
-                [dst_node._coords_or_fail(f(e)) for _, e in spec.nodes[src].family]
-            )
+            rank = Echelon(dst_node._coords_or_fail(f(e)) for _, e in spec.nodes[src].family).rank
             if rank != dst_node.rank():
                 raise CheckFailure(f"{name} is not onto {dst}")
 
@@ -651,9 +637,9 @@ def right_ideal_check(generator: AlgElem, algebra_family, ideal_family, coordize
         if c is None:
             raise CheckFailure(f"{what}: ideal family member {label} rejected")
         ideal_rows.append(c)
-    r_prod = coord_rank(products)
-    r_ideal = coord_rank(ideal_rows)
-    r_union = coord_rank(products + ideal_rows)
+    r_prod = Echelon(products).rank
+    r_ideal = Echelon(ideal_rows).rank
+    r_union = Echelon(products + ideal_rows).rank
     if not (r_prod == r_ideal == r_union):
         raise CheckFailure(
             f"{what}: span ranks differ (products {r_prod}, ideal {r_ideal}, union {r_union})"

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import AlgElem
+from .algebra import AlgElem, ClassAlgebra
 from .bases import comp_complement, comp_to_subset, y_label_elements
 from .perms import group_elements
 from .reporting import CheckFailure
@@ -171,11 +171,13 @@ def mr_class_of(w) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def t_algebra(n: int) -> ClassAlgebra:
+    """The Mantaci-Reutenauer algebra on the T-class sums."""
+    return ClassAlgebra("B", n, mr_class_of, signed_compositions(n))
+
+
 def t_classes(n: int) -> dict:
-    classes: dict = {alpha: [] for alpha in signed_compositions(n)}
-    for w in group_elements("B", n):
-        classes[mr_class_of(w)].append(w)
-    return {alpha: tuple(ws) for alpha, ws in classes.items()}
+    return t_algebra(n).classes
 
 
 def t_basis(n: int, alpha) -> AlgElem:
@@ -251,23 +253,7 @@ def mr_basis(kind: str, n: int, alpha) -> AlgElem:
 
 def tclass_coordinates(a: AlgElem):
     """Coordinates over the T-class sums, or None outside the span."""
-    if a.group != "B":
-        raise ValueError("T-class coordinates require an element of QB_n")
-    classes = t_classes(a.n)
-    seen: dict = {}
-    for w, c in a.terms.items():
-        alpha = mr_class_of(w)
-        prev = seen.get(alpha)
-        if prev is None:
-            seen[alpha] = [c, 1]
-        elif prev[0] == c:
-            prev[1] += 1
-        else:
-            return None
-    for alpha, (c, count) in seen.items():
-        if count != len(classes[alpha]):
-            return None
-    return {alpha: c for alpha, (c, _) in seen.items()}
+    return t_algebra(a.n).coords(a)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +354,10 @@ def check_order_sums(n: int):
 
 
 def check_omega_closure(n: int):
-    """Every product of T-class sums stays in the T-span, and the type-B
-    descent algebra embeds (every Y_J is a T-combination)."""
-    classes = t_classes(n)
-    elems = [(alpha, AlgElem.class_sum("B", n, ws)) for alpha, ws in classes.items()]
-    for alpha, ta in elems:
-        for beta, tb in elems:
-            if tclass_coordinates(ta * tb) is None:
-                raise CheckFailure(f"T_{alpha} * T_{beta} leaves the span at n={n}")
+    """Every product of T-class sums stays in the T-span (building the
+    structure cube bins each one), and the type-B descent algebra embeds
+    (every Y_J is a T-combination)."""
+    t_algebra(n).cube
     for m, yj in y_label_elements("B", n):
         if tclass_coordinates(yj) is None:
             raise CheckFailure(f"Y at mask {bin(m)} is not a T-combination at n={n}")

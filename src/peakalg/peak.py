@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import NOT_IN_SPAN, AlgElem, SpanSolver
-from .bases import StructureTable, _normalize_coord, y_label_elements
+from .algebra import AlgElem, ClassAlgebra, SpanSolver, StructureTable
+from .bases import y_label_elements
 from .perms import (
     PeakIndex,
-    group_elements,
     interior_peak_mask,
     interior_sparse_masks,
     lambda_interior_mask,
@@ -28,19 +27,15 @@ from .reporting import CheckFailure, run_check
 
 
 @lru_cache(maxsize=None)
-def peak_classes(n: int) -> dict:
-    classes: dict = {m: [] for m in sparse_masks(n)}
-    for u in group_elements("S", n):
-        classes[peak_mask(u)].append(u)
-    return {m: tuple(us) for m, us in classes.items()}
+def peak_algebra(n: int) -> ClassAlgebra:
+    """The peak algebra on the P-basis, labels in table order."""
+    return ClassAlgebra("S", n, peak_mask, sparse_masks(n))
 
 
 @lru_cache(maxsize=None)
-def interior_peak_classes(n: int) -> dict:
-    classes: dict = {m: [] for m in interior_sparse_masks(n)}
-    for u in group_elements("S", n):
-        classes[interior_peak_mask(u)].append(u)
-    return {m: tuple(us) for m, us in classes.items()}
+def interior_peak_algebra(n: int) -> ClassAlgebra:
+    """The interior-peak ideal on the interior P-basis."""
+    return ClassAlgebra("S", n, interior_peak_mask, interior_sparse_masks(n))
 
 
 def _as_peak_mask(n: int, F, *, interior: bool = False) -> int:
@@ -68,8 +63,8 @@ def _forms_agree(n: int) -> bool:
     of the lambda operators)."""
     y_elems = dict(y_label_elements("A", n))
     for masks, classes, lam in (
-        (sparse_masks(n), peak_classes(n), lambda_mask),
-        (interior_sparse_masks(n), interior_peak_classes(n), lambda_interior_mask),
+        (sparse_masks(n), peak_algebra(n).classes, lambda_mask),
+        (interior_sparse_masks(n), interior_peak_algebra(n).classes, lambda_interior_mask),
     ):
         by_fiber: dict = {m: AlgElem.zero("S", n) for m in masks}
         for jm, yj in y_elems.items():
@@ -84,26 +79,23 @@ def peak_basis(n: int, F) -> AlgElem:
     """P_F: sum of the permutations with peak set F."""
     mask = _as_peak_mask(n, F)
     _forms_agree(n)
-    return AlgElem.class_sum("S", n, peak_classes(n)[mask])
+    return AlgElem.class_sum("S", n, peak_algebra(n).classes[mask])
 
 
 def interior_peak_basis(n: int, F) -> AlgElem:
     """Interior P_F: sum of the permutations with interior peak set F."""
     mask = _as_peak_mask(n, F, interior=True)
     _forms_agree(n)
-    return AlgElem.class_sum("S", n, interior_peak_classes(n)[mask])
+    return AlgElem.class_sum("S", n, interior_peak_algebra(n).classes[mask])
 
 
 def peak_elements(n: int) -> list:
     """(mask, P_F) pairs in table order: by cardinality, then members."""
-    return [(m, AlgElem.class_sum("S", n, peak_classes(n)[m])) for m in sparse_masks(n)]
+    return peak_algebra(n).basis
 
 
 def interior_peak_elements(n: int) -> list:
-    return [
-        (m, AlgElem.class_sum("S", n, interior_peak_classes(n)[m]))
-        for m in interior_sparse_masks(n)
-    ]
+    return interior_peak_algebra(n).basis
 
 
 @lru_cache(maxsize=None)
@@ -120,54 +112,11 @@ def interior_peak_solver(n: int) -> SpanSolver:
 
 def peak_coordinates(a: AlgElem):
     """P-basis coordinates by class binning, or None outside the span."""
-    if a.group != "S":
-        raise ValueError("peak coordinates require an element of QS_n")
-    seen: dict = {}
-    for w, c in a.terms.items():
-        m = peak_mask(w)
-        prev = seen.get(m)
-        if prev is None:
-            seen[m] = [c, 1]
-        elif prev[0] == c:
-            prev[1] += 1
-        else:
-            return None
-    classes = peak_classes(a.n)
-    for m, (c, count) in seen.items():
-        if count != len(classes[m]):
-            return None
-    return {m: c for m, (c, _) in seen.items()}
+    return peak_algebra(a.n).coords(a)
 
 
 def interior_peak_coordinates(a: AlgElem):
-    if a.group != "S":
-        raise ValueError("peak coordinates require an element of QS_n")
-    seen: dict = {}
-    for w, c in a.terms.items():
-        m = interior_peak_mask(w)
-        prev = seen.get(m)
-        if prev is None:
-            seen[m] = [c, 1]
-        elif prev[0] == c:
-            prev[1] += 1
-        else:
-            return None
-    classes = interior_peak_classes(a.n)
-    for m, (c, count) in seen.items():
-        if count != len(classes[m]):
-            return None
-    return {m: c for m, (c, _) in seen.items()}
-
-
-def from_peak_coordinates(n: int, coords: dict) -> AlgElem:
-    terms = {}
-    classes = peak_classes(n)
-    for m, c in coords.items():
-        if c == 0:
-            continue
-        for u in classes[m]:
-            terms[u] = c
-    return AlgElem._raw("S", n, terms)
+    return interior_peak_algebra(a.n).coords(a)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +140,9 @@ def pi_map(a: AlgElem, *, coords=None) -> AlgElem:
     if n < 2:
         raise ValueError("projection needs rank >= 2")
     if coords is None:
-        cv = peak_solver(n).coords(a)
-        if cv is NOT_IN_SPAN:
+        coords = peak_coordinates(a)
+        if coords is None:
             raise ValueError("element is not in the peak algebra")
-        coords = dict(zip(cv.labels, cv.coords))
     out: dict = {}
     for m, c in coords.items():
         if c == 0:
@@ -204,7 +152,7 @@ def pi_map(a: AlgElem, *, coords=None) -> AlgElem:
             continue
         m2, sign = image
         out[m2] = out.get(m2, 0) + sign * c
-    return from_peak_coordinates(n - 2, out)
+    return peak_algebra(n - 2).element(out)
 
 
 # ---------------------------------------------------------------------------
@@ -216,40 +164,22 @@ def peak_mask_text(mask: int) -> str:
 
 def peak_table(n: int) -> StructureTable:
     """Multiplication table of the peak algebra on the P-basis."""
-    elems = peak_elements(n)
-    labels = [peak_mask_text(m) for m, _ in elems]
-    solver = peak_solver(n)
-    cells = []
-    for _, pf in elems:
-        row = []
-        for _, pg in elems:
-            cv = solver.coords(pf * pg)
-            if cv is NOT_IN_SPAN:
-                raise ArithmeticError("peak algebra closure fails")
-            row.append(tuple(_normalize_coord(c) for c in cv))
-        cells.append(row)
-    return StructureTable(name=f"P_{n}", labels=labels, cells=cells)
+    alg = peak_algebra(n)
+    return alg.table(f"P_{n}", [peak_mask_text(m) for m in alg.labels])
 
 
 def check_closure(n: int):
-    """Every product P_F * P_G lies in span{P_F}; names the failing pair."""
-    elems = peak_elements(n)
-    solver = peak_solver(n)
-    for mf, pf in elems:
-        for mg, pg in elems:
-            if solver.coords(pf * pg) is NOT_IN_SPAN:
-                raise CheckFailure(
-                    f"P_{peak_mask_text(mf)} * P_{peak_mask_text(mg)} not in P_{n}"
-                )
+    """Every product P_F * P_G lies in span{P_F}: building the structure
+    cube bins each product and raises on the first one off the span."""
+    return peak_algebra(n).cube
 
 
 def check_two_sided_ideal(n: int):
     """P * interior-P and interior-P * P land in the interior span."""
-    solver = interior_peak_solver(n)
     for mf, pf in peak_elements(n):
         for mg, pg in interior_peak_elements(n):
             for name, prod in (("left", pf * pg), ("right", pg * pf)):
-                if solver.coords(prod) is NOT_IN_SPAN:
+                if interior_peak_coordinates(prod) is None:
                     raise CheckFailure(
                         f"{name} product P_{peak_mask_text(mf)} with interior "
                         f"P_{peak_mask_text(mg)} leaves the ideal at n={n}"
@@ -279,12 +209,10 @@ def check_unitriangular(n: int):
     max-of-symmetric-difference total order (= integer order on masks)."""
     from .maps import phi_on_x  # late import; maps builds on this module
 
-    solver = peak_solver(n)
     for fm in sparse_masks(n):
-        cv = solver.coords(phi_on_x(n, fm >> 1))
-        if cv is NOT_IN_SPAN:
+        coords = peak_coordinates(phi_on_x(n, fm >> 1))
+        if coords is None:
             raise CheckFailure(f"image of X at F={peak_mask_text(fm)} outside P_{n}")
-        coords = dict(zip(cv.labels, cv.coords))
         if not coords.get(fm):
             raise CheckFailure(f"diagonal coefficient vanishes at F={peak_mask_text(fm)}")
         above = [peak_mask_text(g) for g, c in coords.items() if g > fm and c]

@@ -41,31 +41,31 @@ class CapExceeded(ValueError):
     """Requested rank is above the configured enumeration/BFS cap."""
 
 
-def _parse_cap_env() -> dict:
+def parse_cap_env() -> dict:
     """PEAKALG_CAP is either a bare integer (all enumeration caps) or a
-    comma list like "S=8,B=6,BFS=7"."""
+    comma list like "S=8,B=6,BFS=7".  Any other item (an unknown key, a
+    value that is not a non-negative integer) raises ValueError."""
     raw = os.environ.get("PEAKALG_CAP", "").strip()
-    out = {}
     if not raw:
-        return out
-    if raw.isdigit():
-        for g in GROUPS:
-            out[g] = int(raw)
-        return out
+        return {}
+    if raw.isdecimal():
+        return {g: int(raw) for g in GROUPS}
+    out = {}
     for item in raw.split(","):
         key, _, val = item.partition("=")
-        key = key.strip().upper()
-        if key in (*GROUPS, "BFS") and val.strip().lstrip("-").isdigit():
-            out[key] = int(val)
+        key, val = key.strip().upper(), val.strip()
+        if key not in (*GROUPS, "BFS") or not val.isdecimal():
+            raise ValueError(f"malformed PEAKALG_CAP item {item.strip()!r}")
+        out[key] = int(val)
     return out
 
 
 def enum_cap(group: str) -> int:
-    return _parse_cap_env().get(group, _DEFAULT_ENUM_CAPS[group])
+    return parse_cap_env().get(group, _DEFAULT_ENUM_CAPS[group])
 
 
 def bfs_cap() -> int:
-    return _parse_cap_env().get("BFS", _DEFAULT_BFS_CAP)
+    return parse_cap_env().get("BFS", _DEFAULT_BFS_CAP)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Check results for the verification suites.
 
-A check either passes or fails; failures carry a human-readable witness
-(the offending pair, label, or identity).  Reports serialize to JSON with
-wall times stripped by default so that repeated runs and different worker
-counts produce byte-identical output.
+A check passes, fails, or errors; failures carry a human-readable witness
+(the offending pair, label, or identity), errors the type and message of
+an unexpected exception raised by the check body.  Reports serialize to
+JSON with wall times stripped by default so that repeated runs and
+different worker counts produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class CheckFailure(Exception):
 @dataclass
 class CheckResult:
     check_id: str
-    status: str  # "pass" or "fail"
+    status: str  # "pass", "fail" or "error"
     witness: str = ""
     wall_ms: float = 0.0
 
@@ -36,6 +37,10 @@ def run_check(check_id: str, fn) -> CheckResult:
     except (CheckFailure, AssertionError, ArithmeticError, ValueError) as exc:
         ms = 1000.0 * (time.perf_counter() - t0)
         return CheckResult(check_id, "fail", witness=str(exc), wall_ms=ms)
+    except Exception as exc:
+        ms = 1000.0 * (time.perf_counter() - t0)
+        witness = f"{type(exc).__name__}: {exc}"
+        return CheckResult(check_id, "error", witness=witness, wall_ms=ms)
     ms = 1000.0 * (time.perf_counter() - t0)
     return CheckResult(check_id, "pass", wall_ms=ms)
 
@@ -49,12 +54,12 @@ class VerifyReport:
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
 
+    @property
+    def errored(self) -> bool:
+        return any(c.status == "error" for c in self.checks)
+
     def first_failure(self):
         return next((c for c in self.checks if not c.ok), None)
-
-    def merged_sorted(self) -> "VerifyReport":
-        out = VerifyReport(self.suite, sorted(self.checks, key=lambda c: c.check_id))
-        return out
 
     def to_json(self, *, include_times: bool = False) -> str:
         body = {
@@ -75,7 +80,7 @@ class VerifyReport:
     def pretty(self) -> str:
         lines = [f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}"]
         for c in sorted(self.checks, key=lambda c: c.check_id):
-            mark = "ok " if c.ok else "FAIL"
+            mark = {"pass": "ok ", "fail": "FAIL"}.get(c.status, "ERR ")
             line = f"  [{mark}] {c.check_id} ({c.wall_ms:.0f} ms)"
             if c.witness:
                 line += f" -- {c.witness}"

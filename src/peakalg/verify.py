@@ -367,7 +367,7 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
 
 def suite_ideals(n_max: int, deep: bool = False) -> list:
     from . import maps
-    from .algebra import NOT_IN_SPAN, express_in_span
+    from .algebra import NOT_IN_SPAN, Echelon, express_in_span
     from .bases import y_basis, y_label_elements, descent_span_rank
     from .peak import interior_peak_basis, interior_peak_coordinates, interior_peak_elements
     from .perms import fibonacci
@@ -429,9 +429,7 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
                     if c is None:
                         raise CheckFailure(f"image leaves the interior ideal at n={n}")
                     rows.append(c)
-                from .bases import coord_rank
-
-                if coord_rank(rows) != fibonacci(n - 1):
+                if Echelon(rows).rank != fibonacci(n - 1):
                     raise CheckFailure(f"image is not all of the interior ideal at n={n}")
 
     checks.append(run_check("ideals/images-onto-interior", images_onto_interior))

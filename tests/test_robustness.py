@@ -1,0 +1,99 @@
+"""The runner keeps its report when a check body raises, malformed size
+caps are rejected, and `table --deep` reaches the structure constants."""
+
+import json
+
+import pytest
+
+import peakalg.bases
+import peakalg.verify
+from peakalg.cli import main
+from peakalg.perms import bfs_cap, enum_cap
+from peakalg.reporting import VerifyReport, run_check
+
+
+def _raise_key_error():
+    return {}["missing"]
+
+
+def _raise_type_error():
+    return len(3)
+
+
+@pytest.mark.parametrize(
+    "body, witness",
+    [
+        (_raise_key_error, "KeyError: 'missing'"),
+        (_raise_type_error, "TypeError: object of type 'int' has no len()"),
+    ],
+)
+def test_unexpected_exception_is_an_error(body, witness):
+    result = run_check("demo/raises", body)
+    assert result.status == "error"
+    assert result.witness == witness
+    report = VerifyReport("demo", [run_check("demo/ok", lambda: None), result])
+    assert not report.passed and report.errored
+    data = json.loads(report.to_json())
+    assert data["passed"] is False
+    assert data["checks"][1] == {"id": "demo/raises", "status": "error", "witness": witness}
+    assert "[ERR ] demo/raises" in report.pretty()
+
+
+def test_failure_is_not_an_error():
+    report = VerifyReport("demo", [run_check("demo/fails", lambda: 1 / 0)])
+    assert report.checks[0].status == "fail"
+    assert not report.passed and not report.errored
+
+
+def _suite_with_error(n_max, deep=False):
+    return [
+        run_check("boom/ok", lambda: None),
+        run_check("boom/key-error", _raise_key_error),
+        run_check("boom/type-error", _raise_type_error),
+    ]
+
+
+def test_verify_exit_code_3_keeps_the_report(capsys, monkeypatch):
+    monkeypatch.setitem(peakalg.verify.SUITES, "boom", _suite_with_error)
+    code = main(["verify", "--suite", "boom", "--format", "json"])
+    assert code == 3
+    data = json.loads(capsys.readouterr().out)
+    assert [c["status"] for c in data["checks"]] == ["error", "pass", "error"]
+
+
+@pytest.mark.parametrize("value", ["S=abc", "B=-3", "Q=4", "S=8,,B=6", "-3", "S"])
+def test_malformed_cap_rejected(value, monkeypatch, capsys):
+    monkeypatch.setenv("PEAKALG_CAP", value)
+    with pytest.raises(ValueError, match="PEAKALG_CAP"):
+        enum_cap("S")
+    with pytest.raises(ValueError, match="PEAKALG_CAP"):
+        bfs_cap()
+    assert main(["table", "--algebra", "P", "--n", "2"]) == 2
+    assert "PEAKALG_CAP" in capsys.readouterr().err
+
+
+def test_wellformed_caps_accepted(monkeypatch):
+    monkeypatch.setenv("PEAKALG_CAP", " s=5 , BFS=0 ")
+    assert enum_cap("S") == 5 and enum_cap("B") == 7 and bfs_cap() == 0
+    monkeypatch.setenv("PEAKALG_CAP", "4")
+    assert enum_cap("D") == 4 and bfs_cap() == 6
+
+
+def test_table_passes_deep_through(monkeypatch, capsys):
+    seen = {}
+
+    def fake(ctype, n, basis_kind="Y", *, deep=False):
+        seen.update(ctype=ctype, n=n, deep=deep)
+        return peakalg.bases.StructureTable(name="fake", labels=[], cells=[])
+
+    monkeypatch.setattr(peakalg.bases, "structure_constants", fake)
+    assert main(["table", "--algebra", "SigB", "--n", "5", "--deep", "--format", "csv"]) == 0
+    assert seen == {"ctype": "B", "n": 5, "deep": True}
+
+
+@pytest.mark.deep
+def test_table_sigd_rank_5_deep(capsys):
+    assert main(["table", "--algebra", "SigD", "--n", "5", "--deep", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["name"] == "Sigma(D_5)[Y]"
+    assert len(data["labels"]) == len(data["cells"]) == 32
