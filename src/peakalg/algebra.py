@@ -414,6 +414,11 @@ class ClassAlgebra:
         self.classes = {lab: tuple(classes[lab]) for lab in self.labels}
         self.sizes = {lab: len(ws) for lab, ws in self.classes.items()}
 
+    @cached_property
+    def label_of(self) -> dict:
+        """Group element -> the label of its class."""
+        return {w: lab for lab, ws in self.classes.items() for w in ws}
+
     @property
     def basis(self) -> list:
         """(label, class sum) pairs in label order."""
@@ -454,7 +459,7 @@ class ClassAlgebra:
         """(label, label) -> coordinates of the product of the two class
         sums, by counting compositions.  Building it is the closure check:
         it raises ArithmeticError when a product leaves the span."""
-        lookup = {w: lab for lab, ws in self.classes.items() for w in ws}
+        lookup = self.label_of
         cube = {}
         for l1, c1 in self.classes.items():
             for l2, c2 in self.classes.items():
@@ -528,7 +533,7 @@ def pair_coords(component: dict, left: ClassAlgebra, right: ClassAlgebra):
     products of the class sums of left and right, or None."""
     return bin_classes(
         component,
-        lambda uv: (left.class_of(uv[0]), right.class_of(uv[1])),
+        lambda uv: (left.label_of[uv[0]], right.label_of[uv[1]]),
         lambda k: left.sizes[k[0]] * right.sizes[k[1]],
     )
 

@@ -29,6 +29,14 @@ def descent_algebra(ctype: str, n: int) -> ClassAlgebra:
     )
 
 
+@lru_cache(maxsize=None)
+def canonical_ideal_algebra(n: int) -> ClassAlgebra:
+    """The canonical ideal of the type-B descent algebra, spanned by the
+    X_{{0} u J}: classes by descent set less 0, so the class of J sums
+    Y_J and Y_{{0} u J}, and X_{{0} u J} sums the classes of the I <= J."""
+    return descent_algebra("B", n).coarsen(lambda m: m & ~1)
+
+
 def descent_classes(ctype: str, n: int) -> dict:
     """Bitmask -> tuple of group elements with that descent set.  Every
     subset of the generators occurs as a key (possibly empty for no

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 
-from .algebra import AlgElem, pair_coords
+from .algebra import AlgElem, add_multiple, pair_coords
 from .bases import (
+    canonical_ideal_algebra,
     descent_algebra,
     descent_coordinates,
     descent_span_rank,
@@ -36,7 +37,7 @@ from .peak import (
     peak_coordinates,
     peak_elements,
 )
-from .perms import Perm, compose, inverse
+from .perms import Perm, compose, identity, inverse
 from .reporting import CheckFailure
 
 
@@ -100,13 +101,15 @@ def coproduct_split(w: Perm, p: int):
     """The unique (shuffle, left block, right block) triple with
     w = (block pair) * shuffle^{-1}: the positions holding values of
     absolute value <= p, in order, form the left block."""
-    n = len(w)
-    left_pos = [i for i, v in enumerate(w) if abs(v) <= p]
-    right_pos = [i for i, v in enumerate(w) if abs(v) > p]
-    xi = tuple(i + 1 for i in left_pos) + tuple(i + 1 for i in right_pos)
-    w1 = tuple(w[i] for i in left_pos)
-    w2 = tuple(w[i] - p if w[i] > 0 else w[i] + p for i in right_pos)
-    return xi, w1, w2
+    left_pos, right_pos, w1, w2 = [], [], [], []
+    for i, v in enumerate(w, 1):
+        if -p <= v <= p:
+            left_pos.append(i)
+            w1.append(v)
+        else:
+            right_pos.append(i)
+            w2.append(v - p if v > 0 else v + p)
+    return tuple(left_pos + right_pos), tuple(w1), tuple(w2)
 
 
 def check_split_reassembly(w: Perm):
@@ -161,34 +164,6 @@ class Tensor2:
 
     def bidegree(self, p: int) -> dict:
         return {k: c for k, c in self.terms.items() if len(k[0]) == p}
-
-    def map_sides(self, f, g) -> "Tensor2":
-        """Apply linear maps to the two sides (monomial by monomial,
-        memoized per distinct monomial)."""
-        out: dict = {}
-        fcache: dict = {}
-        gcache: dict = {}
-        for (u, v), c in self.terms.items():
-            fu = fcache.get(u)
-            if fu is None:
-                fu = fcache[u] = f(AlgElem.monomial(self.group, len(u), u))
-            gv = gcache.get(v)
-            if gv is None:
-                gv = gcache[v] = g(AlgElem.monomial(self.group, len(v), v))
-            for u2, cu in fu.terms.items():
-                ccu = c * cu
-                for v2, cv in gv.terms.items():
-                    key = (u2, v2)
-                    s = out.get(key, 0) + ccu * cv
-                    if s == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        deg = 0
-        for u2, v2 in out:
-            deg = len(u2) + len(v2)
-            break
-        return Tensor2(self.group, deg if out else self.n, out)
 
     def componentwise_internal(self, other: "Tensor2") -> "Tensor2":
         """Internal product in each tensor factor; mismatched bidegrees
@@ -255,16 +230,15 @@ def check_counit(w: Perm):
 # graded families
 
 
-def _i0_coords(a: AlgElem):
-    if a.n == 0:  # the empty rank is the unit coefficient line
-        return {0: a.coeff(())} if a else {}
-    y = descent_coordinates(a, "B")
-    if y is None:
-        return None
-    x = y_to_x_coords(y)
-    if any(not m & 1 for m in x):
-        return None
-    return x
+# name -> the family's class algebra in each degree
+FAMILIES = {
+    "SolA": partial(descent_algebra, "A"),
+    "SolB": partial(descent_algebra, "B"),
+    "I0": canonical_ideal_algebra,
+    "OmegaB": t_algebra,
+    "Peak": peak_algebra,
+    "PeakIdeal": interior_peak_algebra,
+}
 
 
 def _class_coords(factory):
@@ -275,12 +249,7 @@ def _class_coords(factory):
 FAMILY_TESTS = {
     "QS": lambda a: {} if a.group == "S" else None,
     "QB": lambda a: {} if a.group in ("B", "S") else None,
-    "SolA": _class_coords(partial(descent_algebra, "A")),
-    "SolB": _class_coords(partial(descent_algebra, "B")),
-    "OmegaB": _class_coords(t_algebra),
-    "Peak": _class_coords(peak_algebra),
-    "PeakIdeal": _class_coords(interior_peak_algebra),
-    "I0": _i0_coords,
+    **{name: _class_coords(factory) for name, factory in FAMILIES.items()},
 }
 
 
@@ -333,46 +302,144 @@ class GradedElem:
 
 
 # ---------------------------------------------------------------------------
-# tensor-component membership by pair binning
+# Hopf data on class coordinates
+#
+# Every family is closed under the coproduct; the shuffle products below
+# land in the family that SHUFFLE_TARGETS names, and each transform is
+# multiplication by a fixed element of its family.  So the coproduct of a
+# class sum, the shuffle of two class sums and the transform of a class
+# sum are computed once, at element level, and binned; binning raises
+# CheckFailure off the span, which makes building the data the
+# element-level closure check.  The identities then run on coordinate
+# dicts: class sums of one algebra have disjoint supports, and so have
+# their tensor products, so equal coordinates mean equal elements.
+
+# (left, right) -> the family their shuffle products land in; the type-B
+# descent algebra and the peak algebra are only modules over the ideals
+SHUFFLE_TARGETS = {
+    ("SolA", "SolA"): "SolA",
+    ("SolB", "I0"): "SolB",
+    ("OmegaB", "OmegaB"): "OmegaB",
+    ("Peak", "PeakIdeal"): "Peak",
+}
+
+# family -> the descents-to-peaks transform on it, by its name in maps
+TRANSFORMS = {"SolA": "theta", "OmegaB": "theta_pm"}
+
+# family -> its name in the closure witness
+_CLOSURE_NAMES = {
+    "SolA": "type-A",
+    "SolB": "type-B",
+    "I0": "ideal",
+    "OmegaB": "MR",
+    "Peak": "peak",
+    "PeakIdeal": "interior",
+}
 
 
-def tensor_coords(t2: Tensor2, p: int, factory):
-    """Pair binning of the bidegree-(p, n-p) component of t2 over the class
-    algebras factory(p) and factory(n - p); None off their tensor span."""
-    return pair_coords(t2.bidegree(p), factory(p), factory(t2.n - p))
+def _bin(alg, a: AlgElem, witness: str) -> dict:
+    coords = alg.coords(a)
+    if coords is None:
+        raise CheckFailure(witness)
+    return coords
 
 
-def _double_y_to_x(coords: dict) -> dict:
-    """Moebius inversion on both labels of (maskL, maskR) -> c."""
-    by_right: dict = {}
-    for (ml, mr), c in coords.items():
-        by_right.setdefault(mr, {})[ml] = c
-    mid: dict = {}
-    for mr, vec in by_right.items():
-        for ml, c in y_to_x_coords(vec).items():
-            mid[(ml, mr)] = c
-    by_left: dict = {}
-    for (ml, mr), c in mid.items():
-        by_left.setdefault(ml, {})[mr] = c
+def _label_text(lab) -> str:
+    return str(lab) if isinstance(lab, tuple) else bin(lab)
+
+
+def _family_coords(family: str, n: int, elems) -> dict:
+    """Bin each (key, element) pair of a spanning family in degree n into
+    class coordinates: key -> coordinates."""
+    alg = FAMILIES[family](n)
+    return {key: _bin(alg, a, f"{key} is outside {family} in degree {n}") for key, a in elems}
+
+
+def _images(f, src, dst, what: str) -> dict:
+    """label -> coordinates over dst of f applied to the class sum of src."""
+    return {
+        lab: _bin(dst, f(c), f"{what} of the class {_label_text(lab)} leaves the span")
+        for lab, c in src.basis
+    }
+
+
+@lru_cache(maxsize=None)
+def coproduct_coords(family: str, n: int) -> dict:
+    """label -> coproduct of the class sum, keyed (p, left label, right
+    label) over the class sums of the family in degrees p and n - p."""
+    factory = FAMILIES[family]
+    out = {}
+    for lab, c in factory(n).basis:
+        t2 = coproduct(c)
+        coords = {}
+        for p in range(n + 1):
+            pc = pair_coords(t2.bidegree(p), factory(p), factory(n - p))
+            if pc is None:
+                raise CheckFailure(
+                    f"{_CLOSURE_NAMES[family]} coproduct closure fails at {_label_text(lab)}"
+                )
+            for (l1, l2), x in pc.items():
+                coords[(p, l1, l2)] = x
+        out[lab] = coords
+    return out
+
+
+@lru_cache(maxsize=None)
+def shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
+    """(left label, right label) -> shuffle product of the two class sums,
+    over the class sums of SHUFFLE_TARGETS[(left, right)] in degree p + q."""
+    target = SHUFFLE_TARGETS[(left, right)]
+    alg = FAMILIES[target](p + q)
+    rights = FAMILIES[right](q).basis
+    return {
+        (l1, l2): _bin(
+            alg,
+            external_product(c1, c2),
+            f"shuffle of {left} {_label_text(l1)} and {right} {_label_text(l2)} leaves {target}",
+        )
+        for l1, c1 in FAMILIES[left](p).basis
+        for l2, c2 in rights
+    }
+
+
+@lru_cache(maxsize=None)
+def transform_coords(family: str, n: int) -> dict:
+    """label -> the transform of the class sum, over the same class sums."""
+    from . import maps
+
+    alg = FAMILIES[family](n)
+    return _images(getattr(maps, TRANSFORMS[family]), alg, alg, TRANSFORMS[family])
+
+
+def _apply(rows: dict, coords: dict) -> dict:
+    """The linear map given on class sums by rows, applied to coordinates."""
     out: dict = {}
-    for ml, vec in by_left.items():
-        for mr, c in y_to_x_coords(vec).items():
-            out[(ml, mr)] = c
-    return {k: c for k, c in out.items() if c}
+    for lab, c in coords.items():
+        add_multiple(out, c, rows[lab])
+    return out
 
 
-def tensor_i0_pair_coords(t2: Tensor2, p: int):
-    """X-basis pair coordinates restricted to the canonical ideal on both
-    sides (degree-0 sides count as the unit line)."""
-    ycoords = tensor_coords(t2, p, partial(descent_algebra, "B"))
-    if ycoords is None:
-        return None
-    xcoords = _double_y_to_x(ycoords)
-    q = t2.n - p
-    for ml, mr in xcoords:
-        if (p > 0 and not ml & 1) or (q > 0 and not mr & 1):
-            return None
-    return xcoords
+def _shuffle(left: str, right: str, p: int, q: int, x: dict, y: dict) -> dict:
+    """Coordinates of the shuffle product of x (left, degree p) and y
+    (right, degree q)."""
+    table = shuffle_coords(left, right, p, q)
+    out: dict = {}
+    for l1, a in x.items():
+        for l2, b in y.items():
+            add_multiple(out, a * b, table[(l1, l2)])
+    return out
+
+
+def _map_tensor(t: dict, n: int, rows) -> dict:
+    """f x f on tensor coordinates keyed (p, l1, l2) of total degree n,
+    where rows(d) gives f in degree d: the left side, then the right."""
+    mid: dict = {}
+    for (p, l1, l2), c in t.items():
+        add_multiple(mid, c, {(p, k1, l2): a for k1, a in rows(p)[l1].items()})
+    out: dict = {}
+    for (p, k1, l2), c in mid.items():
+        add_multiple(out, c, {(p, k1, k2): b for k2, b in rows(n - p)[l2].items()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +561,6 @@ def check_coproduct_generators(dmax: int):
         got = coproduct(xa_of_mask(m, 0))
         want = Tensor2.zero("S", m)
         for i in range(m + 1):
-            from .perms import identity
-
             want.add_term(identity(i), identity(m - i), 1)
         if got != want:
             raise CheckFailure(f"type-A generator coproduct fails at degree {m}")
@@ -534,30 +599,11 @@ def check_coproduct_generators(dmax: int):
 
 
 def check_delta_closures(dmax: int):
-    """Componentwise membership of the coproduct in family x family."""
-
-    def in_classes(factory):
-        return lambda t2, p: tensor_coords(t2, p, factory)
-
-    families = (
-        ("type-A", lambda n: [(f"mask {bin(m)}", x_basis("A", n, m)) for m in _a_masks(n)],
-         in_classes(partial(descent_algebra, "A"))),
-        ("type-B", lambda n: [(f"mask {bin(m)}", x_basis("B", n, m)) for m in _b_masks(n)],
-         in_classes(partial(descent_algebra, "B"))),
-        ("ideal", lambda n: [(f"mask {bin(m)}", x0_of_mask(n, m)) for m in _a_masks(n)],
-         tensor_i0_pair_coords),
-        ("MR", lambda n: [(a, stilde_basis(n, a)) for a in signed_compositions(n)],
-         in_classes(t_algebra)),
-        ("peak", lambda n: [(bin(m), e) for m, e in peak_elements(n)], in_classes(peak_algebra)),
-        ("interior", lambda n: [(bin(m), e) for m, e in interior_peak_elements(n)],
-         in_classes(interior_peak_algebra)),
-    )
+    """Componentwise membership of the coproduct in family x family: the
+    coproduct of every class sum of every family, binned."""
     for n in range(1, dmax + 1):
-        for name, family, test in families:
-            for label, a in family(n):
-                t2 = coproduct(a)
-                if any(test(t2, p) is None for p in range(n + 1)):
-                    raise CheckFailure(f"{name} coproduct closure fails at {label}")
+        for family in FAMILIES:
+            coproduct_coords(family, n)
 
 
 def check_pint_star_closure(dmax: int):
@@ -599,31 +645,53 @@ def check_peak_not_closed_witness():
 def check_theta_hopf(dmax: int):
     """The descents-to-peaks transforms respect both the shuffle product
     and the coproduct."""
-    from .maps import theta, theta_pm
+    stilde = {
+        n: _family_coords("OmegaB", n, ((a, _stilde(n, a)) for a in signed_compositions(n)))
+        for n in range(1, dmax + 1)
+    }
+    xa = {
+        n: _family_coords("SolA", n, ((m, xa_of_mask(n, m)) for m in _a_masks(n)))
+        for n in range(1, dmax + 1)
+    }
+    bases = {"OmegaB": stilde, "SolA": xa}
+    images = {
+        family: {
+            n: {k: _apply(transform_coords(family, n), x) for k, x in basis[n].items()}
+            for n in basis
+        }
+        for family, basis in bases.items()
+    }
+
+    def breaks_shuffles(family, p, q, k1, k2):
+        basis, image = bases[family], images[family]
+        prod = _shuffle(family, family, p, q, basis[p][k1], basis[q][k2])
+        left = _apply(transform_coords(family, p + q), prod)
+        return left != _shuffle(family, family, p, q, image[p][k1], image[q][k2])
+
+    def breaks_coproduct(family, n, k):
+        cop = coproduct_coords(family, n)
+        left = _apply(cop, images[family][n][k])
+        delta = _apply(cop, bases[family][n][k])
+        return left != _map_tensor(delta, n, partial(transform_coords, family))
+
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
-            for a1 in signed_compositions(p):
-                for a2 in signed_compositions(q):
-                    left = theta_pm(external_product(_stilde(p, a1), _stilde(q, a2)))
-                    right = external_product(theta_pm(_stilde(p, a1)), theta_pm(_stilde(q, a2)))
-                    if left != right:
+            for a1 in stilde[p]:
+                for a2 in stilde[q]:
+                    if breaks_shuffles("OmegaB", p, q, a1, a2):
                         raise CheckFailure(f"type-B transform breaks shuffles at {a1}, {a2}")
-            for m1 in _a_masks(p):
-                for m2 in _a_masks(q):
-                    left = theta(external_product(xa_of_mask(p, m1), xa_of_mask(q, m2)))
-                    right = external_product(theta(xa_of_mask(p, m1)), theta(xa_of_mask(q, m2)))
-                    if left != right:
+            for m1 in xa[p]:
+                for m2 in xa[q]:
+                    if breaks_shuffles("SolA", p, q, m1, m2):
                         raise CheckFailure(
                             f"transform breaks shuffles at masks {bin(m1)}, {bin(m2)}"
                         )
     for n in range(1, dmax + 1):
-        for alpha in signed_compositions(n):
-            a = stilde_basis(n, alpha)
-            if coproduct(theta_pm(a)) != coproduct(a).map_sides(theta_pm, theta_pm):
+        for alpha in stilde[n]:
+            if breaks_coproduct("OmegaB", n, alpha):
                 raise CheckFailure(f"type-B transform breaks the coproduct at {alpha}")
-        for m in _a_masks(n):
-            a = x_basis("A", n, m)
-            if coproduct(theta(a)) != coproduct(a).map_sides(theta, theta):
+        for m in xa[n]:
+            if breaks_coproduct("SolA", n, m):
                 raise CheckFailure(f"transform breaks the coproduct at mask {bin(m)}")
 
 
@@ -632,15 +700,22 @@ def check_beta_via_coproduct(dmax: int):
     the functional dual to the one-part generator of rank 1."""
     from .maps import beta_map
 
+    # eta((1)) = 1, eta((-1)) = -1, summed over each rank-1 class
+    eta = {
+        lab: sum(1 if u == (1,) else -1 for u in ws)
+        for lab, ws in descent_algebra("B", 1).classes.items()
+    }
     for n in range(1, dmax + 1):
-        for m in _b_masks(n):
-            a = x_basis("B", n, m)
-            comp = coproduct(a).bidegree(1)
-            out = AlgElem.zero("B", n - 1)
-            for (u, v), c in comp.items():
-                eta = 1 if u == (1,) else -1  # eta((1)) = 1, eta((-1)) = -1
-                out += AlgElem.monomial("B", n - 1, v, c * eta)
-            if out != beta_map(a):
+        drops = _images(beta_map, descent_algebra("B", n), descent_algebra("B", n - 1), "the drop")
+        paired: dict = {}
+        for lab, t in coproduct_coords("SolB", n).items():
+            row = paired[lab] = {}
+            for (p, l1, l2), c in t.items():
+                if p == 1:
+                    add_multiple(row, eta[l1] * c, {l2: 1})
+        xs = _family_coords("SolB", n, ((m, x_basis("B", n, m)) for m in _b_masks(n)))
+        for m, x in xs.items():
+            if _apply(paired, x) != _apply(drops, x):
                 raise CheckFailure(f"coproduct form of the drop fails at mask {bin(m)}")
 
 
@@ -648,35 +723,44 @@ def check_module_morphisms(dmax: int):
     """The degree drops are morphisms of right modules over the ideals."""
     from .maps import beta_map, pi_map
 
-    def beta_graded(a):
-        return AlgElem.zero("B", 0) if a.n == 0 else beta_map(a)
+    betas = {
+        n: _images(beta_map, descent_algebra("B", n), descent_algebra("B", n - 1), "the drop")
+        for n in range(1, dmax + 1)
+    }
+    pis = {
+        n: _images(pi_map, peak_algebra(n), peak_algebra(n - 2), "the projection")
+        for n in range(2, dmax + 1)
+    }
 
-    def pi_graded(a):
-        return AlgElem.zero("S", max(a.n - 2, 0)) if a.n < 2 else pi_map(a)
+    def drop(rows, n, x):
+        # a drop below its lowest degree vanishes
+        return _apply(rows[n], x) if n in rows else {}
 
-    def same(left, right):
-        # a vanishing drop has no home degree, so zeros compare loosely
-        return left == right or (not left and not right)
-
+    xb = {
+        p: _family_coords("SolB", p, ((m, x_of_pseudo_mask(p, m)) for m in _b_masks(p)))
+        for p in range(0, dmax)
+    }
+    x0 = {
+        q: _family_coords("I0", q, ((m, x0_of_mask(q, m)) for m in _a_masks(q)))
+        for q in range(1, dmax + 1)
+    }
     for p in range(0, dmax):
         for q in range(1, dmax - p + 1):
-            for m1 in _b_masks(p):
-                a = x_of_pseudo_mask(p, m1)
-                for m2 in _a_masks(q):
-                    m = x0_of_mask(q, m2)
-                    if not same(
-                        beta_graded(external_product(a, m)),
-                        external_product(beta_graded(a), m),
-                    ):
+            for m1, a in xb[p].items():
+                da = drop(betas, p, a)
+                for m2, m in x0[q].items():
+                    left = drop(betas, p + q, _shuffle("SolB", "I0", p, q, a, m))
+                    right = _shuffle("SolB", "I0", p - 1, q, da, m) if da else {}
+                    if left != right:
                         raise CheckFailure(
                             f"drop is not a module morphism at masks {bin(m1)}, {bin(m2)}"
                         )
-            for fm, pf in peak_elements(p) if p else [(0, AlgElem.unit("S", 0))]:
-                for gm, pg in interior_peak_elements(q):
-                    if not same(
-                        pi_graded(external_product(pf, pg)),
-                        external_product(pi_graded(pf), pg),
-                    ):
+            for fm in peak_algebra(p).labels:
+                df = drop(pis, p, {fm: 1})
+                for gm in interior_peak_algebra(q).labels:
+                    left = drop(pis, p + q, shuffle_coords("Peak", "PeakIdeal", p, q)[(fm, gm)])
+                    right = _shuffle("Peak", "PeakIdeal", p - 2, q, df, {gm: 1}) if df else {}
+                    if left != right:
                         raise CheckFailure(
                             f"projection is not a module morphism at {bin(fm)}, {bin(gm)}"
                         )
@@ -686,14 +770,45 @@ def check_delta_internal_compat(dmax: int):
     """On the type-A descent algebra the coproduct respects the internal
     product componentwise."""
     for n in range(1, dmax + 1):
-        elems = [x_basis("A", n, m) for m in _a_masks(n)]
-        deltas = [coproduct(e) for e in elems]
+        alg = descent_algebra("A", n)
+        cop = coproduct_coords("SolA", n)
+        elems = list(
+            _family_coords("SolA", n, ((m, x_basis("A", n, m)) for m in _a_masks(n))).values()
+        )
+        deltas = [_by_bidegree(_apply(cop, e)) for e in elems]
         for i, a in enumerate(elems):
             for j, b in enumerate(elems):
-                if coproduct(a * b) != deltas[i].componentwise_internal(deltas[j]):
+                left = _apply(cop, alg.product(a, b))
+                if left != _componentwise_internal(deltas[i], deltas[j], n):
                     raise CheckFailure(
                         f"internal compatibility fails at degree {n}, pair ({i},{j})"
                     )
+
+
+def _by_bidegree(t: dict) -> dict:
+    out: dict = {}
+    for (p, l1, l2), c in t.items():
+        out.setdefault(p, {})[(l1, l2)] = c
+    return out
+
+
+def _componentwise_internal(s: dict, t: dict, n: int) -> dict:
+    """Internal product in each tensor factor of type-A tensor coordinates
+    grouped by bidegree (read from the structure cubes); mismatched
+    bidegrees annihilate."""
+    out: dict = {}
+    for p, sp in s.items():
+        tp = t.get(p)
+        if not tp:
+            continue
+        left_cube = descent_algebra("A", p).cube
+        right_cube = descent_algebra("A", n - p).cube
+        for (l1, l2), c in sp.items():
+            for (k1, k2), d in tp.items():
+                right = right_cube[(l2, k2)]
+                for a1, x in left_cube[(l1, k1)].items():
+                    add_multiple(out, c * d * x, {(p, a1, a2): y for a2, y in right.items()})
+    return out
 
 
 def check_free_module(dmax: int):
@@ -707,10 +822,8 @@ def check_free_module(dmax: int):
                 [i for i in range(n) if mask >> i & 1], n
             )
             prod = x_of_pseudo_mask(parts[0], 0)
-            acc = parts[0]
             for part in parts[1:]:
                 prod = external_product(prod, x0_of_mask(part, 0))
-                acc += part
             if prod != x_basis("B", n, mask):
                 raise CheckFailure(f"monomial product is not X at mask {bin(mask)}")
             elems.append(prod)

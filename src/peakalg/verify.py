@@ -368,7 +368,13 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
 def suite_ideals(n_max: int, deep: bool = False) -> list:
     from . import maps
     from .algebra import NOT_IN_SPAN, Echelon, express_in_span
-    from .bases import y_basis, y_label_elements, descent_span_rank
+    from .bases import (
+        descent_algebra,
+        descent_span_rank,
+        y_basis,
+        y_label_elements,
+        y_to_x_coords,
+    )
     from .peak import interior_peak_basis, interior_peak_coordinates, interior_peak_elements
     from .perms import fibonacci
 
@@ -393,17 +399,17 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
     checks.append(run_check("ideals/drops-multiplicative", beta_gamma_multiplicative))
 
     def canonical_two_sided():
-        from .maps import x_support_coords
-
+        # products on Y coordinates from the structure cube (building it is
+        # the element-level closure check); an ideal element has bit 0 in
+        # every X label
         for n in range(1, _cap(n_max, 4 if not deep else 5) + 1):
-            allowed = frozenset((m | 1) for m in maps.canonical_ideal_labels(n))
-            coords = x_support_coords("B", allowed)
-            ideal = [e for _, e in maps.canonical_ideal_basis(n)]
-            algebra = [yj for _, yj in y_label_elements("B", n)]
-            for a in algebra:
+            alg = descent_algebra("B", n)
+            ideal = [alg.coords(e) for _, e in maps.canonical_ideal_basis(n)]
+            for j in alg.labels:
                 for x0 in ideal:
-                    if coords(a * x0) is None or coords(x0 * a) is None:
-                        raise CheckFailure(f"canonical ideal not two-sided at n={n}")
+                    for prod in (alg.product({j: 1}, x0), alg.product(x0, {j: 1})):
+                        if any(not m & 1 for m in y_to_x_coords(prod)):
+                            raise CheckFailure(f"canonical ideal not two-sided at n={n}")
 
     checks.append(run_check("ideals/canonical-two-sided", canonical_two_sided))
 

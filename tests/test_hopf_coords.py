@@ -1,0 +1,366 @@
+"""The Hopf checks on class coordinates against their element-level form.
+
+peakalg.hopf evaluates check_theta_hopf, check_delta_internal_compat,
+check_beta_via_coproduct, check_delta_closures and check_module_morphisms
+on coordinates read from cached Hopf data.  The element-level bodies they
+replaced live here as the reference: every group element of every basis
+element goes through coproduct_split and compose.  Both paths must agree,
+and the cached data must equal the binned element-level results cell by
+cell.
+"""
+
+from functools import partial
+
+import pytest
+
+from peakalg import hopf, maps
+from peakalg.algebra import AlgElem, pair_coords
+from peakalg.bases import descent_algebra, x_basis, y_to_x_coords
+from peakalg.hopf import (
+    FAMILIES,
+    SHUFFLE_TARGETS,
+    TRANSFORMS,
+    Tensor2,
+    _a_masks,
+    _b_masks,
+    _stilde,
+    coproduct,
+    coproduct_coords,
+    external_product,
+    shuffle_coords,
+    transform_coords,
+    x0_of_mask,
+    x_of_pseudo_mask,
+    xa_of_mask,
+)
+from peakalg.mr import signed_compositions, stilde_basis, t_algebra
+from peakalg.peak import (
+    interior_peak_algebra,
+    interior_peak_elements,
+    peak_algebra,
+    peak_elements,
+)
+from peakalg.reporting import CheckFailure
+
+# ---------------------------------------------------------------------------
+# the element-level reference
+
+
+def map_sides(t2: Tensor2, f, g) -> Tensor2:
+    """Apply linear maps to the two sides (monomial by monomial, memoized
+    per distinct monomial)."""
+    out: dict = {}
+    fcache: dict = {}
+    gcache: dict = {}
+    for (u, v), c in t2.terms.items():
+        fu = fcache.get(u)
+        if fu is None:
+            fu = fcache[u] = f(AlgElem.monomial(t2.group, len(u), u))
+        gv = gcache.get(v)
+        if gv is None:
+            gv = gcache[v] = g(AlgElem.monomial(t2.group, len(v), v))
+        for u2, cu in fu.terms.items():
+            ccu = c * cu
+            for v2, cv in gv.terms.items():
+                key = (u2, v2)
+                s = out.get(key, 0) + ccu * cv
+                if s == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+    deg = 0
+    for u2, v2 in out:
+        deg = len(u2) + len(v2)
+        break
+    return Tensor2(t2.group, deg if out else t2.n, out)
+
+
+def tensor_coords(t2: Tensor2, p: int, factory):
+    return pair_coords(t2.bidegree(p), factory(p), factory(t2.n - p))
+
+
+def _double_y_to_x(coords: dict) -> dict:
+    """Moebius inversion on both labels of (maskL, maskR) -> c."""
+    by_right: dict = {}
+    for (ml, mr), c in coords.items():
+        by_right.setdefault(mr, {})[ml] = c
+    mid: dict = {}
+    for mr, vec in by_right.items():
+        for ml, c in y_to_x_coords(vec).items():
+            mid[(ml, mr)] = c
+    by_left: dict = {}
+    for (ml, mr), c in mid.items():
+        by_left.setdefault(ml, {})[mr] = c
+    out: dict = {}
+    for ml, vec in by_left.items():
+        for mr, c in y_to_x_coords(vec).items():
+            out[(ml, mr)] = c
+    return {k: c for k, c in out.items() if c}
+
+
+def tensor_i0_pair_coords(t2: Tensor2, p: int):
+    """X-basis pair coordinates restricted to the canonical ideal on both
+    sides (degree-0 sides count as the unit line)."""
+    ycoords = tensor_coords(t2, p, partial(descent_algebra, "B"))
+    if ycoords is None:
+        return None
+    xcoords = _double_y_to_x(ycoords)
+    q = t2.n - p
+    for ml, mr in xcoords:
+        if (p > 0 and not ml & 1) or (q > 0 and not mr & 1):
+            return None
+    return xcoords
+
+
+def reference_delta_closures(dmax: int):
+    def in_classes(factory):
+        return lambda t2, p: tensor_coords(t2, p, factory)
+
+    families = (
+        ("type-A", lambda n: [(f"mask {bin(m)}", x_basis("A", n, m)) for m in _a_masks(n)],
+         in_classes(partial(descent_algebra, "A"))),
+        ("type-B", lambda n: [(f"mask {bin(m)}", x_basis("B", n, m)) for m in _b_masks(n)],
+         in_classes(partial(descent_algebra, "B"))),
+        ("ideal", lambda n: [(f"mask {bin(m)}", x0_of_mask(n, m)) for m in _a_masks(n)],
+         tensor_i0_pair_coords),
+        ("MR", lambda n: [(a, stilde_basis(n, a)) for a in signed_compositions(n)],
+         in_classes(t_algebra)),
+        ("peak", lambda n: [(bin(m), e) for m, e in peak_elements(n)], in_classes(peak_algebra)),
+        ("interior", lambda n: [(bin(m), e) for m, e in interior_peak_elements(n)],
+         in_classes(interior_peak_algebra)),
+    )
+    for n in range(1, dmax + 1):
+        for name, family, test in families:
+            for label, a in family(n):
+                t2 = coproduct(a)
+                if any(test(t2, p) is None for p in range(n + 1)):
+                    raise CheckFailure(f"{name} coproduct closure fails at {label}")
+
+
+def reference_theta_hopf(dmax: int):
+    theta, theta_pm = maps.theta, maps.theta_pm
+    for p in range(1, dmax):
+        for q in range(1, dmax - p + 1):
+            for a1 in signed_compositions(p):
+                for a2 in signed_compositions(q):
+                    left = theta_pm(external_product(_stilde(p, a1), _stilde(q, a2)))
+                    right = external_product(theta_pm(_stilde(p, a1)), theta_pm(_stilde(q, a2)))
+                    if left != right:
+                        raise CheckFailure(f"type-B transform breaks shuffles at {a1}, {a2}")
+            for m1 in _a_masks(p):
+                for m2 in _a_masks(q):
+                    left = theta(external_product(xa_of_mask(p, m1), xa_of_mask(q, m2)))
+                    right = external_product(theta(xa_of_mask(p, m1)), theta(xa_of_mask(q, m2)))
+                    if left != right:
+                        raise CheckFailure(
+                            f"transform breaks shuffles at masks {bin(m1)}, {bin(m2)}"
+                        )
+    for n in range(1, dmax + 1):
+        for alpha in signed_compositions(n):
+            a = stilde_basis(n, alpha)
+            if coproduct(theta_pm(a)) != map_sides(coproduct(a), theta_pm, theta_pm):
+                raise CheckFailure(f"type-B transform breaks the coproduct at {alpha}")
+        for m in _a_masks(n):
+            a = x_basis("A", n, m)
+            if coproduct(theta(a)) != map_sides(coproduct(a), theta, theta):
+                raise CheckFailure(f"transform breaks the coproduct at mask {bin(m)}")
+
+
+def reference_beta_via_coproduct(dmax: int):
+    for n in range(1, dmax + 1):
+        for m in _b_masks(n):
+            a = x_basis("B", n, m)
+            comp = coproduct(a).bidegree(1)
+            out = AlgElem.zero("B", n - 1)
+            for (u, v), c in comp.items():
+                eta = 1 if u == (1,) else -1  # eta((1)) = 1, eta((-1)) = -1
+                out += AlgElem.monomial("B", n - 1, v, c * eta)
+            if out != maps.beta_map(a):
+                raise CheckFailure(f"coproduct form of the drop fails at mask {bin(m)}")
+
+
+def reference_module_morphisms(dmax: int):
+    def beta_graded(a):
+        return AlgElem.zero("B", 0) if a.n == 0 else maps.beta_map(a)
+
+    def pi_graded(a):
+        return AlgElem.zero("S", max(a.n - 2, 0)) if a.n < 2 else maps.pi_map(a)
+
+    def same(left, right):
+        # a vanishing drop has no home degree, so zeros compare loosely
+        return left == right or (not left and not right)
+
+    for p in range(0, dmax):
+        for q in range(1, dmax - p + 1):
+            for m1 in _b_masks(p):
+                a = x_of_pseudo_mask(p, m1)
+                for m2 in _a_masks(q):
+                    m = x0_of_mask(q, m2)
+                    if not same(
+                        beta_graded(external_product(a, m)),
+                        external_product(beta_graded(a), m),
+                    ):
+                        raise CheckFailure(
+                            f"drop is not a module morphism at masks {bin(m1)}, {bin(m2)}"
+                        )
+            for fm, pf in peak_elements(p) if p else [(0, AlgElem.unit("S", 0))]:
+                for gm, pg in interior_peak_elements(q):
+                    if not same(
+                        pi_graded(external_product(pf, pg)),
+                        external_product(pi_graded(pf), pg),
+                    ):
+                        raise CheckFailure(
+                            f"projection is not a module morphism at {bin(fm)}, {bin(gm)}"
+                        )
+
+
+def reference_delta_internal_compat(dmax: int):
+    for n in range(1, dmax + 1):
+        elems = [x_basis("A", n, m) for m in _a_masks(n)]
+        deltas = [coproduct(e) for e in elems]
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                if coproduct(a * b) != deltas[i].componentwise_internal(deltas[j]):
+                    raise CheckFailure(
+                        f"internal compatibility fails at degree {n}, pair ({i},{j})"
+                    )
+
+
+PAIRS = {
+    "check_theta_hopf": reference_theta_hopf,
+    "check_delta_internal_compat": reference_delta_internal_compat,
+    "check_beta_via_coproduct": reference_beta_via_coproduct,
+    "check_delta_closures": reference_delta_closures,
+    "check_module_morphisms": reference_module_morphisms,
+}
+
+
+def clear_hopf_data():
+    for cached in (coproduct_coords, shuffle_coords, transform_coords):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_hopf_data():
+    """Rebuild the cached Hopf data around a test that alters maps or the
+    cache itself."""
+    clear_hopf_data()
+    yield
+    clear_hopf_data()
+
+
+# ---------------------------------------------------------------------------
+# both paths, and the data cell by cell
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_both_paths_pass(name):
+    PAIRS[name](4)
+    getattr(hopf, name)(4)
+
+
+def tensor_element(family: str, n: int, coords: dict) -> dict:
+    """The Tensor2 terms of tensor coordinates keyed (p, left, right)."""
+    terms: dict = {}
+    for (p, l1, l2), c in coords.items():
+        for u in FAMILIES[family](p).classes[l1]:
+            for v in FAMILIES[family](n - p).classes[l2]:
+                terms[(u, v)] = c
+    return terms
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_coproduct_data_matches_elements(family):
+    for n in range(0, 5):
+        alg = FAMILIES[family](n)
+        data = coproduct_coords(family, n)
+        assert list(data) == list(alg.labels)
+        for lab, c in alg.basis:
+            assert tensor_element(family, n, data[lab]) == coproduct(c).terms, (n, lab)
+
+
+@pytest.mark.parametrize("pair", sorted(SHUFFLE_TARGETS))
+def test_shuffle_data_matches_elements(pair):
+    left, right = pair
+    target = FAMILIES[SHUFFLE_TARGETS[pair]]
+    for p in range(0, 4):
+        for q in range(1, 5 - p):
+            data = shuffle_coords(left, right, p, q)
+            for l1, c1 in FAMILIES[left](p).basis:
+                for l2, c2 in FAMILIES[right](q).basis:
+                    got = target(p + q).element(data[(l1, l2)])
+                    assert got == external_product(c1, c2), (p, q, l1, l2)
+
+
+@pytest.mark.parametrize("family", sorted(TRANSFORMS))
+def test_transform_data_matches_elements(family):
+    transform = getattr(maps, TRANSFORMS[family])
+    for n in range(0, 5):
+        alg = FAMILIES[family](n)
+        data = transform_coords(family, n)
+        for lab, c in alg.basis:
+            assert alg.element(data[lab]) == transform(c), (n, lab)
+
+
+def test_canonical_ideal_classes_span_the_x0_basis():
+    from peakalg.bases import canonical_ideal_algebra
+
+    for n in range(1, 5):
+        alg = canonical_ideal_algebra(n)
+        assert len(alg.labels) == 1 << (n - 1)
+        for m in _a_masks(n):
+            assert alg.coords(x0_of_mask(n, m)) is not None
+        assert alg.coords(x_basis("B", n, 0)) is None
+
+
+# ---------------------------------------------------------------------------
+# mutations
+
+
+def _broken_in_degree(f, degree):
+    return lambda a: f(a).scale(2) if a.n == degree else f(a)
+
+
+@pytest.mark.parametrize("name, degree", [("theta_pm", 3), ("theta", 2)])
+def test_broken_transform_fails_both_paths(name, degree, monkeypatch, fresh_hopf_data):
+    monkeypatch.setattr(maps, name, _broken_in_degree(getattr(maps, name), degree))
+    with pytest.raises(CheckFailure) as element_level:
+        reference_theta_hopf(3)
+    with pytest.raises(CheckFailure) as coordinates:
+        hopf.check_theta_hopf(3)
+    assert str(coordinates.value) == str(element_level.value)
+
+
+def test_broken_theta_pm_witness(monkeypatch, fresh_hopf_data):
+    monkeypatch.setattr(maps, "theta_pm", _broken_in_degree(maps.theta_pm, 3))
+    with pytest.raises(CheckFailure, match=r"shuffles at \(1,\), \(1, 1\)"):
+        hopf.check_theta_hopf(3)
+
+
+@pytest.mark.parametrize(
+    "family, check",
+    [
+        ("OmegaB", hopf.check_theta_hopf),
+        ("SolA", hopf.check_delta_internal_compat),
+        ("SolB", hopf.check_beta_via_coproduct),
+    ],
+)
+def test_perturbed_coproduct_coordinate_fails(family, check, fresh_hopf_data):
+    data = coproduct_coords(family, 3)
+    alg = FAMILIES[family](3)
+    lab = alg.labels[-1]
+    key = next(k for k in data[lab] if k[0] == 1)
+    data[lab][key] += 1
+    # the cell-by-cell comparison sees the change ...
+    assert tensor_element(family, 3, data[lab]) != coproduct(dict(alg.basis)[lab]).terms
+    # ... and so does the check that reads the data
+    with pytest.raises(CheckFailure):
+        check(3)
+    # the element-level reference does not read the cache
+    PAIRS[check.__name__](3)
+
+
+@pytest.mark.deep
+def test_theta_hopf_rank_5_against_the_element_level():
+    reference_theta_hopf(5)
+    hopf.check_theta_hopf(5)
