@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .perms import GROUPS, Perm, compose, group_elements, identity, in_group
+from .reporting import CheckFailure
 
 
 class NotInSpan:
@@ -432,6 +433,13 @@ class ClassAlgebra:
             raise ValueError(f"element of {a.group}_{a.n} is not in Q{self.group}_{self.n}")
         return bin_classes(a.terms, self.class_of, self.sizes.__getitem__)
 
+    def binned(self, a: AlgElem, witness: str) -> dict:
+        """coords(a), raising CheckFailure(witness) off the span."""
+        coords = self.coords(a)
+        if coords is None:
+            raise CheckFailure(witness)
+        return coords
+
     def vector(self, a: AlgElem):
         """coords(a) as a list in label order, or None off the span."""
         coords = self.coords(a)
@@ -538,6 +546,30 @@ def pair_coords(component: dict, left: ClassAlgebra, right: ClassAlgebra):
     )
 
 
+def label_text(lab) -> str:
+    """A class label as witness text: compositions as tuples, masks in binary."""
+    return str(lab) if isinstance(lab, tuple) else bin(lab)
+
+
+def class_images(f, src: ClassAlgebra, dst: ClassAlgebra, what: str) -> dict:
+    """The rows of a linear map f from src to dst: label -> coordinates
+    over dst of f applied to the class sum of src.  Each image is computed
+    at element level and binned, so building the rows checks that f lands
+    in dst (CheckFailure naming the class otherwise)."""
+    return {
+        lab: dst.binned(f(c), f"{what} of the class {label_text(lab)} leaves the span")
+        for lab, c in src.basis
+    }
+
+
+def apply_rows(rows: dict, coords: dict) -> dict:
+    """The linear map given on class sums by rows, applied to coordinates."""
+    out: dict = {}
+    for lab, c in coords.items():
+        add_multiple(out, c, rows[lab])
+    return out
+
+
 def normalize_coord(c):
     frac = Fraction(c)
     return int(frac) if frac.denominator == 1 else frac
@@ -609,16 +641,40 @@ def elem_to_json(a: AlgElem) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def elem_from_json(data) -> AlgElem:
+    """The element of a JSON object {"group", "n", "terms"}; each term is
+    {"perm": [ints], "coeff": an integer or an exact "p/q" string}.
+    Raises ValueError naming the first defect."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"a JSON element must be an object, not {type(data).__name__}")
+    for key in ("group", "n", "terms"):
+        if key not in data:
+            raise ValueError(f"JSON element has no {key!r}")
+    n, items = data["n"], data["terms"]
+    if not (_is_int(n) and n >= 0):
+        raise ValueError(f"'n' must be a non-negative integer, not {n!r}")
+    if not isinstance(items, list):
+        raise ValueError(f"'terms' must be a list, not {type(items).__name__}")
     terms = {}
-    for item in data["terms"]:
-        w = tuple(item["perm"])
+    for item in items:
+        if not (isinstance(item, dict) and "perm" in item and "coeff" in item):
+            raise ValueError(f"term {item!r} needs a 'perm' and a 'coeff'")
+        perm, coeff = item["perm"], item["coeff"]
+        if not (isinstance(perm, list) and all(_is_int(x) for x in perm)):
+            raise ValueError(f"perm {perm!r} is not a list of integers")
+        if not (_is_int(coeff) or isinstance(coeff, str)):
+            raise ValueError(f'coefficient {coeff!r} must be an integer or an exact "p/q" string')
+        w = tuple(perm)
         if w in terms:
             raise ValueError(f"duplicate term {w}")
-        terms[w] = coeff_from_str(item["coeff"])
-    return AlgElem(data["group"], int(data["n"]), terms)
+        terms[w] = coeff_from_str(coeff)
+    return AlgElem(data["group"], n, terms)
 
 
 def elem_to_json_str(a: AlgElem) -> str:

@@ -2,8 +2,9 @@
 import/export group-algebra elements as JSON.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or cap error
-(a malformed PEAKALG_CAP among them), 3 a check raised an unexpected
-exception (its status in the report is "error").
+(a malformed PEAKALG_CAP or JSON element, or an out-of-range number,
+among them), 3 a check raised an unexpected exception (its status in the
+report is "error").
 """
 
 from __future__ import annotations
@@ -163,6 +164,22 @@ def cmd_apply(args) -> int:
     return 0
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than lo (argparse names the
+    flag when it rejects a value and exits 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, not {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peakalg",
@@ -173,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", help="emit a multiplication table")
     t.add_argument("--algebra", choices=sorted(TABLE_CAPS), required=True)
-    t.add_argument("--n", type=int, required=True)
+    t.add_argument("--n", type=_int_at_least(0), required=True)
     t.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
     t.add_argument("--deep", action="store_true")
     t.add_argument("--out")
@@ -183,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     from .verify import SUITES
 
     v.add_argument("--suite", choices=["all", *sorted(SUITES)], default="all")
-    v.add_argument("--n-max", type=int, default=4)
+    v.add_argument("--n-max", type=_int_at_least(0), default=4)
     v.add_argument("--deep", action="store_true")
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=_int_at_least(1), default=1)
     v.add_argument("--format", choices=("json", "pretty"), default="pretty")
     v.add_argument("--times", action="store_true", help="include wall times in JSON")
     v.add_argument("--out")
@@ -214,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     e.add_argument("--group", choices=("S", "B", "D"), default="S")
-    e.add_argument("--n", type=int, required=True)
+    e.add_argument("--n", type=_int_at_least(0), required=True)
     e.add_argument("--label", help="generator subset, e.g. \"{0,2}\" or \"{1',1}\"")
     e.add_argument("--alpha", help="signed composition, e.g. \"(2,-1,1)\"")
     e.add_argument("--j", type=int, help="graded index for y/x/y0/x0/p/pint")

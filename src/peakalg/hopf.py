@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 
-from .algebra import AlgElem, add_multiple, pair_coords
+from .algebra import AlgElem, add_multiple, apply_rows, class_images, label_text, pair_coords
 from .bases import (
     canonical_ideal_algebra,
     descent_algebra,
@@ -324,7 +324,7 @@ SHUFFLE_TARGETS = {
 }
 
 # family -> the descents-to-peaks transform on it, by its name in maps
-TRANSFORMS = {"SolA": "theta", "OmegaB": "theta_pm"}
+TRANSFORMS = {"SolA": "theta", "SolB": "theta_pm", "OmegaB": "theta_pm"}
 
 # family -> its name in the closure witness
 _CLOSURE_NAMES = {
@@ -337,30 +337,11 @@ _CLOSURE_NAMES = {
 }
 
 
-def _bin(alg, a: AlgElem, witness: str) -> dict:
-    coords = alg.coords(a)
-    if coords is None:
-        raise CheckFailure(witness)
-    return coords
-
-
-def _label_text(lab) -> str:
-    return str(lab) if isinstance(lab, tuple) else bin(lab)
-
-
 def _family_coords(family: str, n: int, elems) -> dict:
     """Bin each (key, element) pair of a spanning family in degree n into
     class coordinates: key -> coordinates."""
     alg = FAMILIES[family](n)
-    return {key: _bin(alg, a, f"{key} is outside {family} in degree {n}") for key, a in elems}
-
-
-def _images(f, src, dst, what: str) -> dict:
-    """label -> coordinates over dst of f applied to the class sum of src."""
-    return {
-        lab: _bin(dst, f(c), f"{what} of the class {_label_text(lab)} leaves the span")
-        for lab, c in src.basis
-    }
+    return {key: alg.binned(a, f"{key} is outside {family} in degree {n}") for key, a in elems}
 
 
 @lru_cache(maxsize=None)
@@ -376,7 +357,7 @@ def coproduct_coords(family: str, n: int) -> dict:
             pc = pair_coords(t2.bidegree(p), factory(p), factory(n - p))
             if pc is None:
                 raise CheckFailure(
-                    f"{_CLOSURE_NAMES[family]} coproduct closure fails at {_label_text(lab)}"
+                    f"{_CLOSURE_NAMES[family]} coproduct closure fails at {label_text(lab)}"
                 )
             for (l1, l2), x in pc.items():
                 coords[(p, l1, l2)] = x
@@ -392,10 +373,9 @@ def shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
     alg = FAMILIES[target](p + q)
     rights = FAMILIES[right](q).basis
     return {
-        (l1, l2): _bin(
-            alg,
+        (l1, l2): alg.binned(
             external_product(c1, c2),
-            f"shuffle of {left} {_label_text(l1)} and {right} {_label_text(l2)} leaves {target}",
+            f"shuffle of {left} {label_text(l1)} and {right} {label_text(l2)} leaves {target}",
         )
         for l1, c1 in FAMILIES[left](p).basis
         for l2, c2 in rights
@@ -408,15 +388,7 @@ def transform_coords(family: str, n: int) -> dict:
     from . import maps
 
     alg = FAMILIES[family](n)
-    return _images(getattr(maps, TRANSFORMS[family]), alg, alg, TRANSFORMS[family])
-
-
-def _apply(rows: dict, coords: dict) -> dict:
-    """The linear map given on class sums by rows, applied to coordinates."""
-    out: dict = {}
-    for lab, c in coords.items():
-        add_multiple(out, c, rows[lab])
-    return out
+    return class_images(getattr(maps, TRANSFORMS[family]), alg, alg, TRANSFORMS[family])
 
 
 def _shuffle(left: str, right: str, p: int, q: int, x: dict, y: dict) -> dict:
@@ -656,7 +628,7 @@ def check_theta_hopf(dmax: int):
     bases = {"OmegaB": stilde, "SolA": xa}
     images = {
         family: {
-            n: {k: _apply(transform_coords(family, n), x) for k, x in basis[n].items()}
+            n: {k: apply_rows(transform_coords(family, n), x) for k, x in basis[n].items()}
             for n in basis
         }
         for family, basis in bases.items()
@@ -665,13 +637,13 @@ def check_theta_hopf(dmax: int):
     def breaks_shuffles(family, p, q, k1, k2):
         basis, image = bases[family], images[family]
         prod = _shuffle(family, family, p, q, basis[p][k1], basis[q][k2])
-        left = _apply(transform_coords(family, p + q), prod)
+        left = apply_rows(transform_coords(family, p + q), prod)
         return left != _shuffle(family, family, p, q, image[p][k1], image[q][k2])
 
     def breaks_coproduct(family, n, k):
         cop = coproduct_coords(family, n)
-        left = _apply(cop, images[family][n][k])
-        delta = _apply(cop, bases[family][n][k])
+        left = apply_rows(cop, images[family][n][k])
+        delta = apply_rows(cop, bases[family][n][k])
         return left != _map_tensor(delta, n, partial(transform_coords, family))
 
     for p in range(1, dmax):
@@ -706,7 +678,8 @@ def check_beta_via_coproduct(dmax: int):
         for lab, ws in descent_algebra("B", 1).classes.items()
     }
     for n in range(1, dmax + 1):
-        drops = _images(beta_map, descent_algebra("B", n), descent_algebra("B", n - 1), "the drop")
+        src, dst = descent_algebra("B", n), descent_algebra("B", n - 1)
+        drops = class_images(beta_map, src, dst, "the drop")
         paired: dict = {}
         for lab, t in coproduct_coords("SolB", n).items():
             row = paired[lab] = {}
@@ -715,7 +688,7 @@ def check_beta_via_coproduct(dmax: int):
                     add_multiple(row, eta[l1] * c, {l2: 1})
         xs = _family_coords("SolB", n, ((m, x_basis("B", n, m)) for m in _b_masks(n)))
         for m, x in xs.items():
-            if _apply(paired, x) != _apply(drops, x):
+            if apply_rows(paired, x) != apply_rows(drops, x):
                 raise CheckFailure(f"coproduct form of the drop fails at mask {bin(m)}")
 
 
@@ -724,17 +697,19 @@ def check_module_morphisms(dmax: int):
     from .maps import beta_map, pi_map
 
     betas = {
-        n: _images(beta_map, descent_algebra("B", n), descent_algebra("B", n - 1), "the drop")
+        n: class_images(
+            beta_map, descent_algebra("B", n), descent_algebra("B", n - 1), "the drop"
+        )
         for n in range(1, dmax + 1)
     }
     pis = {
-        n: _images(pi_map, peak_algebra(n), peak_algebra(n - 2), "the projection")
+        n: class_images(pi_map, peak_algebra(n), peak_algebra(n - 2), "the projection")
         for n in range(2, dmax + 1)
     }
 
     def drop(rows, n, x):
         # a drop below its lowest degree vanishes
-        return _apply(rows[n], x) if n in rows else {}
+        return apply_rows(rows[n], x) if n in rows else {}
 
     xb = {
         p: _family_coords("SolB", p, ((m, x_of_pseudo_mask(p, m)) for m in _b_masks(p)))
@@ -775,10 +750,10 @@ def check_delta_internal_compat(dmax: int):
         elems = list(
             _family_coords("SolA", n, ((m, x_basis("A", n, m)) for m in _a_masks(n))).values()
         )
-        deltas = [_by_bidegree(_apply(cop, e)) for e in elems]
+        deltas = [_by_bidegree(apply_rows(cop, e)) for e in elems]
         for i, a in enumerate(elems):
             for j, b in enumerate(elems):
-                left = _apply(cop, alg.product(a, b))
+                left = apply_rows(cop, alg.product(a, b))
                 if left != _componentwise_internal(deltas[i], deltas[j], n):
                     raise CheckFailure(
                         f"internal compatibility fails at degree {n}, pair ({i},{j})"

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgElem, Echelon, exact_det, push_forward
+from .algebra import AlgElem, Echelon, apply_rows, exact_det, push_forward
 from .bases import (
     descent_algebra,
     descent_coordinates,
@@ -649,16 +649,17 @@ def right_ideal_check(generator: AlgElem, algebra_family, ideal_family, coordize
 def theta_pm_ideal_matrix(n: int):
     """Rows of the type-B transform restricted to the canonical ideal, in
     X0 coordinates: entry [alpha][beta] is the coefficient of X0_beta in
-    the image of X0_alpha.  Returns (labels, matrix)."""
+    the image of X0_alpha.  Returns (labels, matrix).  The images are read
+    on Y coordinates from the cached rows of the transform on the type-B
+    descent classes (building them checks that it stays in the algebra)."""
+    from .hopf import transform_coords
+
+    transform = transform_coords("SolB", n)
     labels = canonical_ideal_labels(n)
     index = {m: i for i, m in enumerate(labels)}
     rows = []
     for m in labels:
-        image = theta_pm(x0_basis(n, m))
-        ycoords = descent_coordinates(image, "B")
-        if ycoords is None:
-            raise CheckFailure("transform image left the descent algebra")
-        xcoords = y_to_x_coords(ycoords)
+        xcoords = y_to_x_coords(apply_rows(transform, x_to_y_coords({m | 1: 1})))
         row = [Fraction(0)] * len(labels)
         for xm, c in xcoords.items():
             if not xm & 1:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import AlgElem, ClassAlgebra
+from .algebra import AlgElem, ClassAlgebra, apply_rows
 from .bases import comp_complement, comp_to_subset, y_label_elements
 from .perms import group_elements
 from .reporting import CheckFailure
@@ -300,23 +300,49 @@ def phi_on_stilde_formula(n: int, alpha) -> AlgElem:
     return _y_interval_sum(n, u_comp(alpha), o_comp(alpha))
 
 
+@lru_cache(maxsize=None)
+def stilde_coords(n: int) -> dict:
+    """alpha -> coordinates of the S-tilde class sum of alpha over the
+    T-class sums, each binned once."""
+    alg = t_algebra(n)
+    return {
+        alpha: alg.binned(
+            stilde_basis(n, alpha), f"the S-tilde class of {alpha} is not a T-combination"
+        )
+        for alpha in signed_compositions(n)
+    }
+
+
+@lru_cache(maxsize=None)
+def _x0_tcoords(n: int, mask: int):
+    """T-coordinates of X_{{0} u J}, binned once per label (None off the span)."""
+    from .maps import x0_basis
+
+    return t_algebra(n).coords(x0_basis(n, mask))
+
+
 def bstilde_product(n: int, alpha) -> AlgElem:
     """The increasing-class sum times the S-tilde class sum collapses to
     the X0 element of the absolute composition; asserted, with the
-    cardinality bookkeeping of the counting argument."""
-    from .maps import x0_generator, x0_basis
+    cardinality bookkeeping of the counting argument, and returned.  The
+    product is read on T-coordinates: the S-tilde class sum, binned, under
+    the cached rows of the type-B transform theta_pm, which multiplies by
+    the increasing-class sum."""
+    from .hopf import transform_coords
+    from .maps import x0_basis, x0_generator
 
+    coords = stilde_coords(n).get(tuple(alpha))
+    if coords is None:
+        raise ValueError(f"{alpha} is not a signed composition of {n}")
     gen = x0_generator(n)
     if len(gen) != 1 << n:
         raise CheckFailure(f"increasing class has size {len(gen)} != 2^{n}")
-    prod = gen * stilde_basis(n, alpha)
     mask = 0
     for j in comp_to_subset(abs_comp(alpha), n):
         mask |= 1 << j
-    expect = x0_basis(n, mask)
-    if prod != expect:
+    if apply_rows(transform_coords("OmegaB", n), coords) != _x0_tcoords(n, mask):
         raise CheckFailure(f"product with the S-tilde class of {alpha} is wrong")
-    return prod
+    return x0_basis(n, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,22 @@ def _cap(n_max: int, hard: int) -> int:
     return min(n_max, hard)
 
 
+def _check_multiplicative(f, src, dst, what: str, witness):
+    """The linear map f from the class algebra src to dst is
+    multiplicative, read on class coordinates: its rows (the image of
+    every class sum, binned in dst, which checks that f lands there)
+    applied to each cell of the structure cube of src equal the product
+    in dst of the two rows.  witness(l1, l2) names the first failing pair."""
+    from .algebra import apply_rows, class_images
+
+    rows = class_images(f, src, dst, what)
+    cube = src.cube
+    for l1 in src.labels:
+        for l2 in src.labels:
+            if apply_rows(rows, cube[(l1, l2)]) != dst.product(rows[l1], rows[l2]):
+                raise CheckFailure(witness(l1, l2))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -151,7 +167,6 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 def suite_peaks(n_max: int, deep: bool = False) -> list:
     from . import peak as peakmod
     from .perms import fibonacci
-    from .algebra import SpanSolver
 
     checks = []
     for n in range(1, _cap(n_max, 6) + 1):
@@ -198,7 +213,7 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
 
 def suite_chi(n_max: int, deep: bool = False) -> list:
     from . import maps
-    from .bases import descent_span_rank, x_label_elements, y_label_elements
+    from .bases import descent_algebra, descent_span_rank, x_label_elements, y_label_elements
 
     checks = []
 
@@ -233,14 +248,13 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
 
     def multiplicative():
         for n in range(2, _cap(n_max, 4) + 1):
-            elems = y_label_elements("B", n)
-            imgs = {m: maps.chi(yj) for m, yj in elems}
-            for m1, a in elems:
-                for m2, b in elems:
-                    if maps.chi(a * b) != imgs[m1] * imgs[m2]:
-                        raise CheckFailure(
-                            f"fold not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})"
-                        )
+            _check_multiplicative(
+                maps.chi,
+                descent_algebra("B", n),
+                descent_algebra("D", n),
+                "the fold",
+                lambda m1, m2: f"fold not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})",
+            )
 
     checks.append(run_check("chi/multiplicative", multiplicative))
 
@@ -265,7 +279,7 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
 
 def suite_phi(n_max: int, deep: bool = False) -> list:
     from . import maps
-    from .bases import x_label_elements, y_label_elements
+    from .bases import descent_algebra, x_label_elements, y_label_elements
 
     checks = []
 
@@ -307,19 +321,17 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
     checks.append(run_check("phi/increasing-class-image", generator_image))
 
     def multiplicative():
-        from .bases import y_label_elements
-
         for ctype, mapper, lo in (("B", maps.phi, 1), ("D", maps.psi, 2)):
             for n in range(lo, _cap(n_max, 4) + 1):
-                elems = y_label_elements(ctype, n)
-                images = {m: mapper(yj) for m, yj in elems}
-                for m1, a in elems:
-                    for m2, b in elems:
-                        if mapper(a * b) != images[m1] * images[m2]:
-                            raise CheckFailure(
-                                f"not multiplicative at {ctype}, n={n}, "
-                                f"({bin(m1)}, {bin(m2)})"
-                            )
+                _check_multiplicative(
+                    mapper,
+                    descent_algebra(ctype, n),
+                    descent_algebra("A", n),
+                    "sign forgetting",
+                    lambda m1, m2: (
+                        f"not multiplicative at {ctype}, n={n}, ({bin(m1)}, {bin(m2)})"
+                    ),
+                )
 
     checks.append(run_check("phi/multiplicative", multiplicative))
     return checks
@@ -382,19 +394,21 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
 
     def beta_gamma_multiplicative():
         for n in range(2, _cap(n_max, 4) + 1):
-            elems = y_label_elements("B", n)
-            imgs = {m: maps.beta_map(yj) for m, yj in elems}
-            for m1, a in elems:
-                for m2, b in elems:
-                    if maps.beta_map(a * b) != imgs[m1] * imgs[m2]:
-                        raise CheckFailure(f"degree drop not multiplicative at n={n}")
+            _check_multiplicative(
+                maps.beta_map,
+                descent_algebra("B", n),
+                descent_algebra("B", n - 1),
+                "the drop",
+                lambda m1, m2: f"degree drop not multiplicative at n={n}",
+            )
         for n in range(3, _cap(n_max, 4) + 1):
-            elems = y_label_elements("D", n)
-            imgs = {m: maps.gamma_map(yj) for m, yj in elems}
-            for m1, a in elems:
-                for m2, b in elems:
-                    if maps.gamma_map(a * b) != imgs[m1] * imgs[m2]:
-                        raise CheckFailure(f"type-D drop not multiplicative at n={n}")
+            _check_multiplicative(
+                maps.gamma_map,
+                descent_algebra("D", n),
+                descent_algebra("B", n - 2),
+                "the type-D drop",
+                lambda m1, m2: f"type-D drop not multiplicative at n={n}",
+            )
 
     checks.append(run_check("ideals/drops-multiplicative", beta_gamma_multiplicative))
 
@@ -621,8 +635,9 @@ def suite_mr(n_max: int, deep: bool = False) -> list:
 
 
 def suite_theta(n_max: int, deep: bool = False) -> list:
-    from . import maps, mr
-    from .bases import comp_to_subset, x_basis, y_label_elements
+    from . import hopf, maps, mr
+    from .algebra import AlgElem, apply_rows, class_images
+    from .bases import descent_algebra, x_basis, y_label_elements
     from .peak import (
         interior_peak_basis,
         interior_peak_coordinates,
@@ -630,18 +645,17 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
         peak_elements,
     )
     from .perms import interior_sparse_masks
-    from .algebra import AlgElem
 
     checks = []
 
     def type_b_form():
+        # the identity of mr/increasing-class-products, read on T-coordinates
         for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
             for alpha in mr.signed_compositions(n):
-                mask = 0
-                for j in comp_to_subset(mr.abs_comp(alpha), n):
-                    mask |= 1 << j
-                if maps.theta_pm(mr.stilde_basis(n, alpha)) != maps.x0_basis(n, mask):
-                    raise CheckFailure(f"type-B transform value wrong at {alpha}")
+                try:
+                    mr.bstilde_product(n, alpha)
+                except CheckFailure:
+                    raise CheckFailure(f"type-B transform value wrong at {alpha}") from None
 
     checks.append(run_check("theta/type-b-values", type_b_form))
 
@@ -662,10 +676,17 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
     checks.append(run_check("theta/type-a-values", type_a_form))
 
     def square():
+        # on the T-coordinates of the S-tilde class sums, with the sign
+        # forgetting rows from T-classes to type-A descent classes
         for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
-            for alpha in mr.signed_compositions(n):
-                a = mr.stilde_basis(n, alpha)
-                if maps.phi(maps.theta_pm(a)) != maps.theta(maps.phi(a)):
+            phi_rows = class_images(
+                maps.phi, mr.t_algebra(n), descent_algebra("A", n), "sign forgetting"
+            )
+            theta_pm_rows = hopf.transform_coords("OmegaB", n)
+            theta_rows = hopf.transform_coords("SolA", n)
+            for alpha, a in mr.stilde_coords(n).items():
+                left = apply_rows(phi_rows, apply_rows(theta_pm_rows, a))
+                if left != apply_rows(theta_rows, apply_rows(phi_rows, a)):
                     raise CheckFailure(f"transform square fails at {alpha}")
 
     checks.append(run_check("theta/square-with-sign-forgetting", square))

@@ -1,12 +1,16 @@
 """The runner keeps its report when a check body raises, malformed size
-caps are rejected, and `table --deep` reaches the structure constants."""
+caps, JSON elements and numeric arguments are rejected with exit 2, and
+`table --deep` reaches the structure constants."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
 import peakalg.bases
 import peakalg.verify
+from peakalg.algebra import AlgElem, elem_from_json
 from peakalg.cli import main
 from peakalg.perms import bfs_cap, enum_cap
 from peakalg.reporting import VerifyReport, run_check
@@ -97,3 +101,57 @@ def test_table_sigd_rank_5_deep(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["name"] == "Sigma(D_5)[Y]"
     assert len(data["labels"]) == len(data["cells"]) == 32
+
+
+@pytest.mark.parametrize(
+    "text, defect",
+    [
+        ('{"group": "B", "n": 2, "terms": 5}', "'terms' must be a list"),
+        ("[1, 2]", "must be an object, not list"),
+        ('{"group": "B", "n": 2}', "no 'terms'"),
+        ('{"group": "B", "n": -1, "terms": []}', "'n' must be a non-negative integer"),
+        ('{"group": "B", "n": 2, "terms": [{"perm": [1, 2]}]}', "needs a 'perm' and a 'coeff'"),
+        ('{"group": "B", "n": 2, "terms": [{"coeff": "1"}]}', "needs a 'perm' and a 'coeff'"),
+        ('{"group": "B", "n": 2, "terms": [7]}', "needs a 'perm' and a 'coeff'"),
+        ('{"group": "B", "n": 2, "terms": [{"perm": "12", "coeff": "1"}]}', "not a list of int"),
+        ('{"group": "B", "n": 2, "terms": [{"perm": [1, 2.0], "coeff": "1"}]}', "not a list"),
+        ('{"group": "B", "n": 2, "terms": [{"perm": [1, 2], "coeff": 0.1}]}', "coefficient 0.1"),
+        ('{"group": "B", "n": 2, "terms": [{"perm": [1, 2], "coeff": true}]}', "coefficient True"),
+    ],
+)
+def test_malformed_json_element_exits_2(text, defect, tmp_path, capsys):
+    src = tmp_path / "elem.json"
+    src.write_text(text)
+    assert main(["apply", "--map", "phi", "--in", str(src)]) == 2
+    assert defect in capsys.readouterr().err
+    with pytest.raises(ValueError, match=re.escape(defect)):
+        elem_from_json(json.loads(text))
+
+
+def test_exact_json_coefficients_accepted():
+    terms = [{"perm": [1, 2], "coeff": 3}, {"perm": [-2, 1], "coeff": "-3/2"}]
+    data = {"group": "B", "n": 2, "terms": terms}
+    assert elem_from_json(data) == AlgElem("B", 2, {(1, 2): 3, (-2, 1): Fraction(-3, 2)})
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--jobs", "0"], "--jobs"),
+        (["verify", "--jobs", "-3"], "--jobs"),
+        (["verify", "--suite", "peaks", "--n-max", "-2"], "--n-max"),
+        (["table", "--algebra", "P", "--n", "-1"], "--n"),
+        (["table", "--algebra", "P", "--n", "two"], "--n"),
+        (["export", "identity", "--n", "-1"], "--n"),
+    ],
+)
+def test_out_of_range_numbers_exit_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_rank_0_table_still_valid(capsys):
+    assert main(["table", "--algebra", "P", "--n", "0", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("P_0")
