@@ -225,9 +225,9 @@ def structure_constants(
     X-basis.  Raises if any product leaves the span: running this *is* the
     closure check for the descent algebra.  Exhaustive caps: type A up to
     rank 6, types B and D up to 4 (5 with deep=True)."""
-    from .perms import CapExceeded
+    from .perms import STRUCTURE_CAPS, CapExceeded
 
-    cap = 6 if ctype == "A" else (5 if deep else 4)
+    cap = STRUCTURE_CAPS[ctype][deep]
     if n > cap:
         raise CapExceeded(
             f"structure constants for type {ctype} capped at rank {cap}"

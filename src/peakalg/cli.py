@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .perms import CapExceeded, parse_cap_env
+from .perms import STRUCTURE_CAPS, CapExceeded, parse_cap_env
 
 
 def _write_out(text: str, out: str | None):
@@ -24,8 +24,13 @@ def _write_out(text: str, out: str | None):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-TABLE_CAPS = {"P": 6, "whp": 6, "solB": 4, "SigA": 6, "SigB": 4, "SigD": 4}
-TABLE_CAPS_DEEP = {"P": 6, "whp": 6, "solB": 5, "SigA": 6, "SigB": 5, "SigD": 5}
+def _table_caps(deep: bool) -> dict:
+    sig = {f"Sig{ctype}": caps[deep] for ctype, caps in STRUCTURE_CAPS.items()}
+    return {"P": 6, "whp": 6, "solB": sig["SigB"], **sig}
+
+
+TABLE_CAPS = _table_caps(False)
+TABLE_CAPS_DEEP = _table_caps(True)
 
 
 def cmd_table(args) -> int:

@@ -16,27 +16,25 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 
-from .algebra import AlgElem, add_multiple, apply_rows, class_images, label_text, pair_coords
+from .algebra import (
+    AlgElem,
+    Echelon,
+    add_multiple,
+    apply_rows,
+    class_images,
+    label_text,
+    pair_coords,
+)
 from .bases import (
     canonical_ideal_algebra,
     descent_algebra,
-    descent_coordinates,
-    descent_span_rank,
     subset_to_pseudo_comp,
     x_basis,
+    x_to_y_coords,
     y_basis,
-    y_to_x_coords,
 )
-from .mr import signed_compositions, stilde_basis, t_algebra
-from .peak import (
-    interior_peak_algebra,
-    interior_peak_coordinates,
-    interior_peak_elements,
-    peak_algebra,
-    peak_basis,
-    peak_coordinates,
-    peak_elements,
-)
+from .mr import stilde_basis, stilde_coords, t_algebra
+from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordinates
 from .perms import Perm, compose, identity, inverse
 from .reporting import CheckFailure
 
@@ -319,8 +317,10 @@ class GradedElem:
 SHUFFLE_TARGETS = {
     ("SolA", "SolA"): "SolA",
     ("SolB", "I0"): "SolB",
+    ("I0", "I0"): "I0",
     ("OmegaB", "OmegaB"): "OmegaB",
     ("Peak", "PeakIdeal"): "Peak",
+    ("PeakIdeal", "PeakIdeal"): "PeakIdeal",
 }
 
 # family -> the descents-to-peaks transform on it, by its name in maps
@@ -337,11 +337,14 @@ _CLOSURE_NAMES = {
 }
 
 
-def _family_coords(family: str, n: int, elems) -> dict:
-    """Bin each (key, element) pair of a spanning family in degree n into
-    class coordinates: key -> coordinates."""
-    alg = FAMILIES[family](n)
-    return {key: alg.binned(a, f"{key} is outside {family} in degree {n}") for key, a in elems}
+def _x_coords(family: str, n: int) -> dict:
+    """label -> coordinates of the X-basis element of the label over the
+    class sums in degree n: X_J sums the classes of the I inside J (for I0
+    the labels are the even masks and X0_J = X_{{0} u J}), and OmegaB
+    takes the S-tilde class sums."""
+    if family == "OmegaB":
+        return stilde_coords(n)
+    return {lab: x_to_y_coords({lab: 1}) for lab in FAMILIES[family](n).labels}
 
 
 @lru_cache(maxsize=None)
@@ -438,11 +441,8 @@ def xa_of_mask(p: int, mask: int) -> AlgElem:
 
 
 def concat_mask_ordinary(p: int, m1: int, m2: int) -> int:
-    """Label of the concatenated ordinary compositions."""
-    if p == 0:
-        return m2
-    if m2 is None:
-        return m1
+    """Label of the concatenated compositions: m1, the cut at p and m2
+    shifted by p (at p = 0 the cut is 0, the pseudo-composition bit)."""
     return m1 | (1 << p) | (m2 << p)
 
 
@@ -468,62 +468,52 @@ def _stilde(p: int, alpha) -> AlgElem:
 # the section-by-section checks
 
 
+def _check_concat(left: str, right: str, dmax: int, p0: int, concat, witness):
+    """The X-basis elements (S-tilde for OmegaB) concatenate under the
+    shuffle product, read on the cached shuffle table: X_J1 * X_J2 is the
+    X-basis element of concat(p, J1, J2), for p from p0 and q from 1 up to
+    total degree dmax.  witness(p, q, J1, J2) names the first failing pair."""
+    target = SHUFFLE_TARGETS[(left, right)]
+    for p in range(p0, dmax):
+        for q in range(1, dmax - p + 1):
+            want = _x_coords(target, p + q)
+            for l1, x in _x_coords(left, p).items():
+                for l2, y in _x_coords(right, q).items():
+                    if _shuffle(left, right, p, q, x, y) != want[concat(p, l1, l2)]:
+                        raise CheckFailure(witness(p, q, l1, l2))
+
+
+def _masks_witness(what: str):
+    return lambda p, q, m1, m2: f"{what} fails at p={p}, q={q}, masks {bin(m1)},{bin(m2)}"
+
+
 def check_sola_star(dmax: int):
     """Concatenation formula for the type-A X-basis under shuffles."""
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for m1 in _a_masks(p):
-                for m2 in _a_masks(q):
-                    got = external_product(xa_of_mask(p, m1), xa_of_mask(q, m2))
-                    want = x_basis("A", p + q, concat_mask_ordinary(p, m1, m2))
-                    if got != want:
-                        raise CheckFailure(
-                            f"type-A concat fails at p={p}, q={q}, masks {bin(m1)},{bin(m2)}"
-                        )
+    _check_concat(
+        "SolA", "SolA", dmax, 1, concat_mask_ordinary, _masks_witness("type-A concat")
+    )
 
 
 def check_i0_star(dmax: int):
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for m1 in _a_masks(p):
-                for m2 in _a_masks(q):
-                    got = external_product(x0_of_mask(p, m1), x0_of_mask(q, m2))
-                    want_mask = (m1 | 1) | (1 << p) | (m2 << p)
-                    want = x_basis("B", p + q, want_mask)
-                    if got != want:
-                        raise CheckFailure(
-                            f"ideal concat fails at p={p}, q={q}, masks {bin(m1)},{bin(m2)}"
-                        )
+    _check_concat("I0", "I0", dmax, 1, concat_mask_ordinary, _masks_witness("ideal concat"))
 
 
 def check_solb_module_star(dmax: int):
     """Pseudo-composition times ideal generator concatenates."""
-    for p in range(0, dmax):
-        for q in range(1, dmax - p + 1):
-            for m1 in _b_masks(p):
-                for m2 in _a_masks(q):
-                    got = external_product(x_of_pseudo_mask(p, m1), x0_of_mask(q, m2))
-                    if p == 0:
-                        want_mask = m2 | 1
-                    else:
-                        want_mask = m1 | (1 << p) | (m2 << p)
-                    want = x_basis("B", p + q, want_mask)
-                    if got != want:
-                        raise CheckFailure(
-                            f"type-B module concat fails at p={p}, q={q}, "
-                            f"masks {bin(m1)},{bin(m2)}"
-                        )
+    _check_concat(
+        "SolB", "I0", dmax, 0, concat_mask_ordinary, _masks_witness("type-B module concat")
+    )
 
 
 def check_omega_star(dmax: int):
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for a1 in signed_compositions(p):
-                for a2 in signed_compositions(q):
-                    got = external_product(_stilde(p, a1), _stilde(q, a2))
-                    want = stilde_basis(p + q, a1 + a2)
-                    if got != want:
-                        raise CheckFailure(f"S-tilde concat fails at {a1} * {a2}")
+    _check_concat(
+        "OmegaB",
+        "OmegaB",
+        dmax,
+        1,
+        lambda p, a1, a2: a1 + a2,
+        lambda p, q, a1, a2: f"S-tilde concat fails at {a1} * {a2}",
+    )
 
 
 def check_coproduct_generators(dmax: int):
@@ -578,28 +568,20 @@ def check_delta_closures(dmax: int):
             coproduct_coords(family, n)
 
 
-def check_pint_star_closure(dmax: int):
+def _build_shuffles(left: str, right: str, dmax: int):
+    """Build the shuffle tables up to total degree dmax: binning every
+    product of class sums is the closure check."""
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
-            for fm, pf in interior_peak_elements(p):
-                for gm, pg in interior_peak_elements(q):
-                    prod = external_product(pf, pg)
-                    if interior_peak_coordinates(prod) is None:
-                        raise CheckFailure(
-                            f"interior shuffle closure fails at {bin(fm)} * {bin(gm)}"
-                        )
+            shuffle_coords(left, right, p, q)
+
+
+def check_pint_star_closure(dmax: int):
+    _build_shuffles("PeakIdeal", "PeakIdeal", dmax)
 
 
 def check_peak_module_star(dmax: int):
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for fm, pf in peak_elements(p):
-                for gm, pg in interior_peak_elements(q):
-                    prod = external_product(pf, pg)
-                    if peak_coordinates(prod) is None:
-                        raise CheckFailure(
-                            f"peak module closure fails at {bin(fm)} * {bin(gm)}"
-                        )
+    _build_shuffles("Peak", "PeakIdeal", dmax)
 
 
 def check_peak_not_closed_witness():
@@ -617,14 +599,8 @@ def check_peak_not_closed_witness():
 def check_theta_hopf(dmax: int):
     """The descents-to-peaks transforms respect both the shuffle product
     and the coproduct."""
-    stilde = {
-        n: _family_coords("OmegaB", n, ((a, _stilde(n, a)) for a in signed_compositions(n)))
-        for n in range(1, dmax + 1)
-    }
-    xa = {
-        n: _family_coords("SolA", n, ((m, xa_of_mask(n, m)) for m in _a_masks(n)))
-        for n in range(1, dmax + 1)
-    }
+    stilde = {n: _x_coords("OmegaB", n) for n in range(1, dmax + 1)}
+    xa = {n: _x_coords("SolA", n) for n in range(1, dmax + 1)}
     bases = {"OmegaB": stilde, "SolA": xa}
     images = {
         family: {
@@ -686,8 +662,7 @@ def check_beta_via_coproduct(dmax: int):
             for (p, l1, l2), c in t.items():
                 if p == 1:
                     add_multiple(row, eta[l1] * c, {l2: 1})
-        xs = _family_coords("SolB", n, ((m, x_basis("B", n, m)) for m in _b_masks(n)))
-        for m, x in xs.items():
+        for m, x in _x_coords("SolB", n).items():
             if apply_rows(paired, x) != apply_rows(drops, x):
                 raise CheckFailure(f"coproduct form of the drop fails at mask {bin(m)}")
 
@@ -711,14 +686,8 @@ def check_module_morphisms(dmax: int):
         # a drop below its lowest degree vanishes
         return apply_rows(rows[n], x) if n in rows else {}
 
-    xb = {
-        p: _family_coords("SolB", p, ((m, x_of_pseudo_mask(p, m)) for m in _b_masks(p)))
-        for p in range(0, dmax)
-    }
-    x0 = {
-        q: _family_coords("I0", q, ((m, x0_of_mask(q, m)) for m in _a_masks(q)))
-        for q in range(1, dmax + 1)
-    }
+    xb = {p: _x_coords("SolB", p) for p in range(0, dmax)}
+    x0 = {q: _x_coords("I0", q) for q in range(1, dmax + 1)}
     for p in range(0, dmax):
         for q in range(1, dmax - p + 1):
             for m1, a in xb[p].items():
@@ -747,9 +716,7 @@ def check_delta_internal_compat(dmax: int):
     for n in range(1, dmax + 1):
         alg = descent_algebra("A", n)
         cop = coproduct_coords("SolA", n)
-        elems = list(
-            _family_coords("SolA", n, ((m, x_basis("A", n, m)) for m in _a_masks(n))).values()
-        )
+        elems = list(_x_coords("SolA", n).values())
         deltas = [_by_bidegree(apply_rows(cop, e)) for e in elems]
         for i, a in enumerate(elems):
             for j, b in enumerate(elems):
@@ -788,21 +755,22 @@ def _componentwise_internal(s: dict, t: dict, n: int) -> dict:
 
 def check_free_module(dmax: int):
     """The products generator * ideal monomials are exactly the X-basis:
-    the type-B descent algebra is a free right module over the ideal."""
-
+    the type-B descent algebra is a free right module over the ideal.
+    Both the type-B generator X_(p) and the ideal generator X0_(q) are the
+    class sum of the empty label, so each monomial is a chain of shuffles
+    read from the cached table."""
     for n in range(1, dmax + 1):
-        elems = []
-        for mask in _b_masks(n):
-            parts = subset_to_pseudo_comp(
-                [i for i in range(n) if mask >> i & 1], n
-            )
-            prod = x_of_pseudo_mask(parts[0], 0)
-            for part in parts[1:]:
-                prod = external_product(prod, x0_of_mask(part, 0))
-            if prod != x_basis("B", n, mask):
+        rows = []
+        for mask, x in _x_coords("SolB", n).items():
+            first, *rest = subset_to_pseudo_comp([i for i in range(n) if mask >> i & 1], n)
+            prod, degree = {0: 1}, first
+            for part in rest:
+                prod = _shuffle("SolB", "I0", degree, part, prod, {0: 1})
+                degree += part
+            if prod != x:
                 raise CheckFailure(f"monomial product is not X at mask {bin(mask)}")
-            elems.append(prod)
-        if descent_span_rank(elems, "B") != 1 << n:
+            rows.append(prod)
+        if Echelon(rows).rank != 1 << n:
             raise CheckFailure(f"module monomials are dependent at degree {n}")
 
 
@@ -827,40 +795,26 @@ def check_shuffle_coefficients(dmax: int, exhaustive_to: int = 5):
                         raise CheckFailure(f"shuffle terms collide at {u}, {v}")
 
 
+def _first_difference(a: dict, b: dict):
+    """The first key of a, then of b, whose values differ, or None."""
+    return next((k for k in [*a, *b] if a.get(k) != b.get(k)), None)
+
+
 def check_i0_sola_isomorphism(dmax: int):
     """The canonical ideal and the type-A descent algebra carry the same
-    graded structure constants on corresponding generators: products
-    concatenate labels identically, and the generator coproducts split
-    with the same (all-one) coefficients over matching bidegrees."""
+    graded structure constants: their class labels coincide, and so do
+    their cached shuffle and coproduct tables, cell by cell."""
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
-            for m1 in _a_masks(p):
-                for m2 in _a_masks(q):
-                    want = concat_mask_ordinary(p, m1, m2)
-                    got_a = external_product(xa_of_mask(p, m1), xa_of_mask(q, m2))
-                    coords_a = y_to_x_coords(descent_coordinates(got_a, "A"))
-                    got_i = external_product(x0_of_mask(p, m1), x0_of_mask(q, m2))
-                    coords_i = y_to_x_coords(descent_coordinates(got_i, "B"))
-                    if coords_a != {want: 1}:
-                        raise CheckFailure(f"type-A product constants differ at {bin(want)}")
-                    if coords_i != {want | 1: 1}:
-                        raise CheckFailure(f"ideal product constants differ at {bin(want)}")
-    for m in range(1, dmax + 1):
-        t_a = coproduct(xa_of_mask(m, 0))
-        t_i = coproduct(x0_of_mask(m, 0))
-        for i in range(m + 1):
-            j = m - i
-            comp_a = t_a.bidegree(i)
-            comp_i = t_i.bidegree(i)
-            want_a = {}
-            for u in xa_of_mask(i, 0).terms:
-                for v in xa_of_mask(j, 0).terms:
-                    want_a[(u, v)] = 1
-            want_i = {}
-            for u in x0_of_mask(i, 0).terms:
-                for v in x0_of_mask(j, 0).terms:
-                    want_i[(u, v)] = 1
-            if comp_a != want_a or comp_i != want_i:
+            cell = _first_difference(
+                shuffle_coords("SolA", "SolA", p, q), shuffle_coords("I0", "I0", p, q)
+            )
+            if cell is not None:
                 raise CheckFailure(
-                    f"generator coproducts differ at degree {m}, split {i}+{j}"
+                    f"shuffle constants differ at {bin(cell[0])} * {bin(cell[1])}, "
+                    f"p={p}, q={q}"
                 )
+    for m in range(1, dmax + 1):
+        lab = _first_difference(coproduct_coords("SolA", m), coproduct_coords("I0", m))
+        if lab is not None:
+            raise CheckFailure(f"coproduct constants differ at degree {m}, label {bin(lab)}")

@@ -163,13 +163,6 @@ def phi_on_y0(n: int, jmask: int) -> AlgElem:
 PSI_CASES = ("plain", "one", "oneprime", "both")
 
 
-def _psi_case_mask(jmask: int, case: str) -> int:
-    if jmask & 3:
-        raise ValueError("residual subset J must sit inside {2,...,n-1}")
-    bits = {"plain": 0, "one": 2, "oneprime": 1, "both": 3}[case]
-    return jmask | bits
-
-
 def psi_on_y(n: int, jmask: int, case: str) -> AlgElem:
     """Image of the type-D basis element Y with residual subset J in
     {2,...,n-1} and case tag: plain / one (1 in the label) / oneprime
@@ -224,11 +217,6 @@ def beta_y_label(jmask: int):
     return (1, jmask >> 1)
 
 
-def beta_x_label(jmask: int):
-    """New label of X_J one rank down, or None when the image is 0."""
-    return None if jmask & 1 else jmask >> 1
-
-
 def gamma_x_label(jmask: int):
     """Type D: X_J two ranks down into type B, or None (1' or 1 in J)."""
     return None if jmask & 3 else jmask >> 2
@@ -245,6 +233,8 @@ def beta_map(a: AlgElem) -> AlgElem:
     """Drop generator 0: the type-B descent algebra onto rank n-1."""
     if a.group != "B":
         raise ValueError("beta acts on the type-B descent algebra")
+    if a.n < 1:
+        raise ValueError("beta needs rank >= 1")
     coords = _descent_coords_or_raise(a, "B")
     out: dict = {}
     for m, c in coords.items():
@@ -262,6 +252,8 @@ def gamma_map(a: AlgElem) -> AlgElem:
     type-B one two ranks down."""
     if a.group != "D":
         raise ValueError("gamma acts on the type-D descent algebra")
+    if a.n < 2:
+        raise ValueError("gamma needs rank >= 2")
     xcoords = y_to_x_coords(_descent_coords_or_raise(a, "D"))
     out: dict = {}
     for m, c in xcoords.items():

@@ -34,7 +34,10 @@ GROUP_OF_TYPE = {"A": "S", "B": "B", "D": "D"}
 TYPE_OF_GROUP = {"S": "A", "B": "B", "D": "D"}
 
 _DEFAULT_ENUM_CAPS = {"S": 8, "B": 7, "D": 7}
-_DEFAULT_BFS_CAP = 6
+DEFAULT_BFS_CAP = 6
+#: rank cap of the full structure constants of each Coxeter type,
+#: (default, deep); PEAKALG_CAP does not move it
+STRUCTURE_CAPS = {"A": (6, 6), "B": (4, 5), "D": (4, 5)}
 
 
 class CapExceeded(ValueError):
@@ -65,7 +68,7 @@ def enum_cap(group: str) -> int:
 
 
 def bfs_cap() -> int:
-    return parse_cap_env().get("BFS", _DEFAULT_BFS_CAP)
+    return parse_cap_env().get("BFS", DEFAULT_BFS_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +177,6 @@ def coxeter_generators(ctype: str, n: int) -> list:
     if ctype not in COXETER_TYPES:
         raise ValueError(f"unknown Coxeter type {ctype!r}")
     return gens
-
-
-def generator_labels(ctype: str, n: int) -> tuple:
-    return tuple(label for label, _ in coxeter_generators(ctype, n))
 
 
 # ---------------------------------------------------------------------------

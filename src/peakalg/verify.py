@@ -13,10 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .reporting import CheckFailure, VerifyReport, run_check
 
-BFS_SUITE_CAP = 6
 ELEMENT_CAP = 5  # element-level exhaustive closed-form checks
-CUBE_CAP = 4  # full structure-constant level for types B and D
-CUBE_CAP_DEEP = 5
 
 
 def _cap(n_max: int, hard: int) -> int:
@@ -77,7 +74,7 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
         for ctype in ("A", "B", "D"):
             group = perms.GROUP_OF_TYPE[ctype]
             lo = 2 if ctype == "D" else 1
-            for n in range(lo, _cap(n_max, BFS_SUITE_CAP) + 1):
+            for n in range(lo, _cap(n_max, perms.DEFAULT_BFS_CAP) + 1):
                 for w in perms.group_elements(group, n):
                     if perms.descent_mask(w, ctype) != perms.length_descent_mask(w, ctype):
                         raise CheckFailure(f"descents disagree with lengths at {ctype}, {w}")
@@ -129,7 +126,7 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
     def partition_and_inverse():
         for ctype in ("A", "B", "D"):
             lo = 2 if ctype == "D" else 1
-            for n in range(lo, _cap(n_max, BFS_SUITE_CAP) + 1):
+            for n in range(lo, _cap(n_max, perms.DEFAULT_BFS_CAP) + 1):
                 if perms.GROUP_OF_TYPE[ctype] in ("B", "D") and n > 5:
                     continue
                 classes = bases.descent_classes(ctype, n)
@@ -146,11 +143,10 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
     checks.append(run_check("descents/partition-and-xy-inverse", partition_and_inverse))
 
     def closure_tables():
-        for n in range(1, _cap(n_max, 6) + 1):
+        for n in range(1, _cap(n_max, perms.STRUCTURE_CAPS["A"][deep]) + 1):
             bases.structure_constants("A", n, "Y")
-        cube_cap = CUBE_CAP_DEEP if deep else CUBE_CAP
         for ctype, lo in (("B", 1), ("D", 2)):
-            for n in range(lo, _cap(n_max, cube_cap) + 1):
+            for n in range(lo, _cap(n_max, perms.STRUCTURE_CAPS[ctype][deep]) + 1):
                 table = bases.structure_constants(ctype, n, "Y", deep=deep)
                 for row in table.cells:
                     for cell in row:
@@ -170,7 +166,7 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
 
     checks = []
     for n in range(1, _cap(n_max, 6) + 1):
-        checks.extend(peakmod.verify_peak_theorems(n, closure_cap=6, ideal_cap=5))
+        checks.extend(peakmod.verify_peak_theorems(n))
 
     def dims():
         for n in range(1, 9):
@@ -182,17 +178,14 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
     checks.append(run_check("peaks/dimensions-to-8", dims))
 
     def pi_multiplicative():
-        from .peak import peak_elements, pi_map
-
         for n in range(2, _cap(n_max, 4) + 1):
-            elems = peak_elements(n)
-            imgs = {m: pi_map(p) for m, p in elems}
-            for m1, a in elems:
-                for m2, b in elems:
-                    if pi_map(a * b) != imgs[m1] * imgs[m2]:
-                        raise CheckFailure(
-                            f"projection not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})"
-                        )
+            _check_multiplicative(
+                peakmod.pi_map,
+                peakmod.peak_algebra(n),
+                peakmod.peak_algebra(n - 2),
+                "the projection",
+                lambda m1, m2: f"projection not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})",
+            )
 
     checks.append(run_check("peaks/projection-multiplicative", pi_multiplicative))
 
@@ -388,7 +381,7 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
         y_to_x_coords,
     )
     from .peak import interior_peak_basis, interior_peak_coordinates, interior_peak_elements
-    from .perms import fibonacci
+    from .perms import STRUCTURE_CAPS, fibonacci
 
     checks = []
 
@@ -416,7 +409,7 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
         # products on Y coordinates from the structure cube (building it is
         # the element-level closure check); an ideal element has bit 0 in
         # every X label
-        for n in range(1, _cap(n_max, 4 if not deep else 5) + 1):
+        for n in range(1, _cap(n_max, STRUCTURE_CAPS["B"][deep]) + 1):
             alg = descent_algebra("B", n)
             ideal = [alg.coords(e) for _, e in maps.canonical_ideal_basis(n)]
             for j in alg.labels:
@@ -497,6 +490,7 @@ def suite_exactseq(n_max: int, deep: bool = False) -> list:
 
 def suite_commutative(n_max: int, deep: bool = False) -> list:
     from . import commutative as comm
+    from .perms import STRUCTURE_CAPS
 
     checks = []
     for n in range(2, _cap(n_max, 6) + 1):
@@ -525,8 +519,7 @@ def suite_commutative(n_max: int, deep: bool = False) -> list:
         checks.append(
             run_check(f"commutative/whp-table/n={n}", lambda n=n: comm.whp_table(n))
         )
-    cube_cap = CUBE_CAP_DEEP if deep else CUBE_CAP
-    for n in range(2, _cap(n_max, cube_cap) + 1):
+    for n in range(2, _cap(n_max, STRUCTURE_CAPS["B"][deep]) + 1):
         checks.append(
             run_check(
                 f"commutative/solhat-closure/n={n}", lambda n=n: comm.check_solhat_closure(n)

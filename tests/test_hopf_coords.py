@@ -1,12 +1,13 @@
 """The Hopf checks on class coordinates against their element-level form.
 
 peakalg.hopf evaluates check_theta_hopf, check_delta_internal_compat,
-check_beta_via_coproduct, check_delta_closures and check_module_morphisms
-on coordinates read from cached Hopf data.  The element-level bodies they
-replaced live here as the reference: every group element of every basis
-element goes through coproduct_split and compose.  Both paths must agree,
-and the cached data must equal the binned element-level results cell by
-cell.
+check_beta_via_coproduct, check_delta_closures, check_module_morphisms,
+the four concatenation checks, the two shuffle closures, the ideal/type-A
+isomorphism and the free-module check on coordinates read from cached
+Hopf data.  The element-level bodies they replaced live here as the
+reference: every group element of every basis element goes through
+coproduct_split and compose.  Both paths must agree, and the cached data
+must equal the binned element-level results cell by cell.
 """
 
 from functools import partial
@@ -15,7 +16,14 @@ import pytest
 
 from peakalg import hopf, maps
 from peakalg.algebra import AlgElem, pair_coords
-from peakalg.bases import descent_algebra, x_basis, y_to_x_coords
+from peakalg.bases import (
+    descent_algebra,
+    descent_coordinates,
+    descent_span_rank,
+    subset_to_pseudo_comp,
+    x_basis,
+    y_to_x_coords,
+)
 from peakalg.hopf import (
     FAMILIES,
     SHUFFLE_TARGETS,
@@ -24,6 +32,7 @@ from peakalg.hopf import (
     _a_masks,
     _b_masks,
     _stilde,
+    concat_mask_ordinary,
     coproduct,
     coproduct_coords,
     external_product,
@@ -36,8 +45,10 @@ from peakalg.hopf import (
 from peakalg.mr import signed_compositions, stilde_basis, t_algebra
 from peakalg.peak import (
     interior_peak_algebra,
+    interior_peak_coordinates,
     interior_peak_elements,
     peak_algebra,
+    peak_coordinates,
     peak_elements,
 )
 from peakalg.reporting import CheckFailure
@@ -226,12 +237,158 @@ def reference_delta_internal_compat(dmax: int):
                     )
 
 
+def reference_sola_star(dmax: int):
+    for p in range(1, dmax):
+        for q in range(1, dmax - p + 1):
+            for m1 in _a_masks(p):
+                for m2 in _a_masks(q):
+                    got = external_product(xa_of_mask(p, m1), xa_of_mask(q, m2))
+                    want = x_basis("A", p + q, concat_mask_ordinary(p, m1, m2))
+                    if got != want:
+                        raise CheckFailure(
+                            f"type-A concat fails at p={p}, q={q}, masks {bin(m1)},{bin(m2)}"
+                        )
+
+
+def reference_i0_star(dmax: int):
+    for p in range(1, dmax):
+        for q in range(1, dmax - p + 1):
+            for m1 in _a_masks(p):
+                for m2 in _a_masks(q):
+                    got = external_product(x0_of_mask(p, m1), x0_of_mask(q, m2))
+                    want_mask = (m1 | 1) | (1 << p) | (m2 << p)
+                    want = x_basis("B", p + q, want_mask)
+                    if got != want:
+                        raise CheckFailure(
+                            f"ideal concat fails at p={p}, q={q}, masks {bin(m1)},{bin(m2)}"
+                        )
+
+
+def reference_solb_module_star(dmax: int):
+    for p in range(0, dmax):
+        for q in range(1, dmax - p + 1):
+            for m1 in _b_masks(p):
+                for m2 in _a_masks(q):
+                    got = external_product(x_of_pseudo_mask(p, m1), x0_of_mask(q, m2))
+                    if p == 0:
+                        want_mask = m2 | 1
+                    else:
+                        want_mask = m1 | (1 << p) | (m2 << p)
+                    want = x_basis("B", p + q, want_mask)
+                    if got != want:
+                        raise CheckFailure(
+                            f"type-B module concat fails at p={p}, q={q}, "
+                            f"masks {bin(m1)},{bin(m2)}"
+                        )
+
+
+def reference_omega_star(dmax: int):
+    for p in range(1, dmax):
+        for q in range(1, dmax - p + 1):
+            for a1 in signed_compositions(p):
+                for a2 in signed_compositions(q):
+                    got = external_product(_stilde(p, a1), _stilde(q, a2))
+                    want = stilde_basis(p + q, a1 + a2)
+                    if got != want:
+                        raise CheckFailure(f"S-tilde concat fails at {a1} * {a2}")
+
+
+def reference_pint_star_closure(dmax: int):
+    for p in range(1, dmax):
+        for q in range(1, dmax - p + 1):
+            for fm, pf in interior_peak_elements(p):
+                for gm, pg in interior_peak_elements(q):
+                    prod = external_product(pf, pg)
+                    if interior_peak_coordinates(prod) is None:
+                        raise CheckFailure(
+                            f"interior shuffle closure fails at {bin(fm)} * {bin(gm)}"
+                        )
+
+
+def reference_peak_module_star(dmax: int):
+    for p in range(1, dmax):
+        for q in range(1, dmax - p + 1):
+            for fm, pf in peak_elements(p):
+                for gm, pg in interior_peak_elements(q):
+                    prod = external_product(pf, pg)
+                    if peak_coordinates(prod) is None:
+                        raise CheckFailure(
+                            f"peak module closure fails at {bin(fm)} * {bin(gm)}"
+                        )
+
+
+def reference_free_module(dmax: int):
+    for n in range(1, dmax + 1):
+        elems = []
+        for mask in _b_masks(n):
+            parts = subset_to_pseudo_comp(
+                [i for i in range(n) if mask >> i & 1], n
+            )
+            prod = x_of_pseudo_mask(parts[0], 0)
+            for part in parts[1:]:
+                prod = external_product(prod, x0_of_mask(part, 0))
+            if prod != x_basis("B", n, mask):
+                raise CheckFailure(f"monomial product is not X at mask {bin(mask)}")
+            elems.append(prod)
+        if descent_span_rank(elems, "B") != 1 << n:
+            raise CheckFailure(f"module monomials are dependent at degree {n}")
+
+
+def reference_i0_sola_isomorphism(dmax: int):
+    for p in range(1, dmax):
+        for q in range(1, dmax - p + 1):
+            for m1 in _a_masks(p):
+                for m2 in _a_masks(q):
+                    want = concat_mask_ordinary(p, m1, m2)
+                    got_a = external_product(xa_of_mask(p, m1), xa_of_mask(q, m2))
+                    coords_a = y_to_x_coords(descent_coordinates(got_a, "A"))
+                    got_i = external_product(x0_of_mask(p, m1), x0_of_mask(q, m2))
+                    coords_i = y_to_x_coords(descent_coordinates(got_i, "B"))
+                    if coords_a != {want: 1}:
+                        raise CheckFailure(f"type-A product constants differ at {bin(want)}")
+                    if coords_i != {want | 1: 1}:
+                        raise CheckFailure(f"ideal product constants differ at {bin(want)}")
+    for m in range(1, dmax + 1):
+        t_a = coproduct(xa_of_mask(m, 0))
+        t_i = coproduct(x0_of_mask(m, 0))
+        for i in range(m + 1):
+            j = m - i
+            comp_a = t_a.bidegree(i)
+            comp_i = t_i.bidegree(i)
+            want_a = {}
+            for u in xa_of_mask(i, 0).terms:
+                for v in xa_of_mask(j, 0).terms:
+                    want_a[(u, v)] = 1
+            want_i = {}
+            for u in x0_of_mask(i, 0).terms:
+                for v in x0_of_mask(j, 0).terms:
+                    want_i[(u, v)] = 1
+            if comp_a != want_a or comp_i != want_i:
+                raise CheckFailure(
+                    f"generator coproducts differ at degree {m}, split {i}+{j}"
+                )
+
+
+# check name -> the element-level body it replaced
 PAIRS = {
     "check_theta_hopf": reference_theta_hopf,
     "check_delta_internal_compat": reference_delta_internal_compat,
     "check_beta_via_coproduct": reference_beta_via_coproduct,
     "check_delta_closures": reference_delta_closures,
     "check_module_morphisms": reference_module_morphisms,
+}
+
+# the checks that read the shuffle tables in place of element-level
+# concatenation, closure, isomorphism and free-module loops
+SHUFFLE_PAIRS = {
+    "check_sola_star": reference_sola_star,
+    "check_i0_star": reference_i0_star,
+    "check_solb_module_star": reference_solb_module_star,
+    "check_omega_star": reference_omega_star,
+    "check_pint_star_closure": reference_pint_star_closure,
+    "check_peak_module_star": reference_peak_module_star,
+    "check_free_module": reference_free_module,
+    "check_i0_sola_isomorphism": reference_i0_sola_isomorphism,
 }
 
 
@@ -257,6 +414,13 @@ def fresh_hopf_data():
 def test_both_paths_pass(name):
     PAIRS[name](4)
     getattr(hopf, name)(4)
+
+
+@pytest.mark.parametrize("dmax", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.deep)])
+@pytest.mark.parametrize("name", sorted(SHUFFLE_PAIRS))
+def test_both_shuffle_paths_pass(name, dmax):
+    SHUFFLE_PAIRS[name](dmax)
+    getattr(hopf, name)(dmax)
 
 
 def tensor_element(family: str, n: int, coords: dict) -> dict:
@@ -364,3 +528,28 @@ def test_perturbed_coproduct_coordinate_fails(family, check, fresh_hopf_data):
 def test_theta_hopf_rank_5_against_the_element_level():
     reference_theta_hopf(5)
     hopf.check_theta_hopf(5)
+
+
+def _perturb_first_cell(table: dict):
+    """Add 1 to the first coordinate of the first cell of a cached table."""
+    cell = next(iter(table.values()))
+    key = next(iter(cell))
+    cell[key] += 1
+
+
+def test_perturbed_i0_shuffle_cell_fails(fresh_hopf_data):
+    _perturb_first_cell(shuffle_coords("I0", "I0", 1, 2))
+    for name in ("check_i0_star", "check_i0_sola_isomorphism"):
+        with pytest.raises(CheckFailure):
+            getattr(hopf, name)(3)
+        # the element-level reference does not read the cache
+        SHUFFLE_PAIRS[name](3)
+
+
+def test_perturbed_i0_coproduct_cell_fails_the_isomorphism(fresh_hopf_data):
+    data = coproduct_coords("I0", 2)
+    _perturb_first_cell(data)
+    assert data != coproduct_coords("SolA", 2)
+    with pytest.raises(CheckFailure, match="coproduct constants differ at degree 2"):
+        hopf.check_i0_sola_isomorphism(3)
+    reference_i0_sola_isomorphism(3)

@@ -1,8 +1,8 @@
 """The map and transform checks on class coordinates against their
 element-level form.
 
-peakalg.verify evaluates the multiplicativity of chi, phi, psi, beta and
-gamma on rows (the binned image of every class sum) and structure cubes,
+peakalg.verify evaluates the multiplicativity of chi, phi, psi, beta,
+gamma and the peak projection on rows (the binned image of every class sum) and structure cubes,
 and the type-B transform identities on the cached rows of theta/theta_pm;
 maps.theta_pm_ideal_matrix reads the theta_pm rows on the type-B descent
 classes.  The element-level bodies they replaced live here as the
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from peakalg import maps, mr, verify
+from peakalg import maps, mr, peak, verify
 from peakalg.algebra import exact_det
 from peakalg.bases import (
     comp_to_subset,
@@ -74,6 +74,18 @@ def reference_drops_multiplicative(n_max):
                 for m2, b in elems:
                     if drop(a * b) != imgs[m1] * imgs[m2]:
                         raise CheckFailure(f"{what} not multiplicative at n={n}")
+
+
+def reference_pi_multiplicative(n_max):
+    for n in range(2, min(n_max, 4) + 1):
+        elems = peak.peak_elements(n)
+        imgs = {m: peak.pi_map(p) for m, p in elems}
+        for m1, a in elems:
+            for m2, b in elems:
+                if peak.pi_map(a * b) != imgs[m1] * imgs[m2]:
+                    raise CheckFailure(
+                        f"projection not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})"
+                    )
 
 
 def reference_bstilde_product(n, alpha):
@@ -153,6 +165,7 @@ PAIRS = {
     "chi/multiplicative": reference_chi_multiplicative,
     "phi/multiplicative": reference_phi_multiplicative,
     "ideals/drops-multiplicative": reference_drops_multiplicative,
+    "peaks/projection-multiplicative": reference_pi_multiplicative,
     "mr/increasing-class-products": reference_increasing_class_products,
     "theta/type-b-values": reference_type_b_values,
     "theta/square-with-sign-forgetting": reference_square,
@@ -227,6 +240,25 @@ def test_chi_wrong_on_one_class_fails_both_paths(monkeypatch):
     monkeypatch.setattr(maps, "chi", _chi_wrong_on_one_class(3, 0b010))
     witness = element_witness(reference_chi_multiplicative, 3)
     result = coordinate_check("chi/multiplicative", 3)
+    assert result.status == "fail"
+    assert result.witness == witness
+
+
+def test_pi_wrong_on_one_class_fails_both_paths(monkeypatch):
+    # pi plus, linearly, pi of P_{} of rank 3 per unit of one member of
+    # that class: pi doubled on that class sum only
+    n = 3
+    w0 = peak.peak_algebra(n).classes[0][0]
+    extra = peak.pi_map(peak.peak_basis(n, 0))
+    pi_map = peak.pi_map
+
+    def broken(a):
+        c = a.coeff(w0)
+        return pi_map(a) + extra.scale(c) if c else pi_map(a)
+
+    monkeypatch.setattr(peak, "pi_map", broken)
+    witness = element_witness(reference_pi_multiplicative, 3)
+    result = coordinate_check("peaks/projection-multiplicative", 3)
     assert result.status == "fail"
     assert result.witness == witness
 

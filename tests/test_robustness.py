@@ -1,5 +1,6 @@
 """The runner keeps its report when a check body raises, malformed size
-caps, JSON elements and numeric arguments are rejected with exit 2, and
+caps, JSON elements and numeric arguments are rejected with exit 2, a
+degree drop below its rank exits 2 naming the rank it needs, and
 `table --deep` reaches the structure constants."""
 
 import json
@@ -150,6 +151,21 @@ def test_out_of_range_numbers_exit_2(argv, flag, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "map_name, group, n, perm, need",
+    [
+        ("beta", "B", 0, [], "beta needs rank >= 1"),
+        ("gamma", "D", 1, [1], "gamma needs rank >= 2"),
+        ("beta2", "B", 1, [1], "beta needs rank >= 1"),
+    ],
+)
+def test_drop_below_its_rank_exits_2(map_name, group, n, perm, need, tmp_path, capsys):
+    src = tmp_path / "elem.json"
+    src.write_text(json.dumps({"group": group, "n": n, "terms": [{"perm": perm, "coeff": 1}]}))
+    assert main(["apply", "--map", map_name, "--in", str(src)]) == 2
+    assert need in capsys.readouterr().err
 
 
 def test_rank_0_table_still_valid(capsys):
