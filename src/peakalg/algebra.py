@@ -401,7 +401,9 @@ class ClassAlgebra:
     class in table order; classes, when given, is the partition already
     binned (label -> members).  Coordinates are
     {label: coefficient} dicts; the class sums have disjoint supports, so
-    binning reads them off exactly."""
+    binning reads them off exactly.  A coarsening (see coarsen) keeps its
+    parent and its fibres (label -> the parent labels merged into it), and
+    reads its structure cube from the parent's."""
 
     def __init__(self, group: str, n: int, key, labels, classes=None):
         self.group = group
@@ -414,6 +416,8 @@ class ClassAlgebra:
                 classes[key(w)].append(w)
         self.classes = {lab: tuple(classes[lab]) for lab in self.labels}
         self.sizes = {lab: len(ws) for lab, ws in self.classes.items()}
+        self.parent = None
+        self.fibres = None
 
     @cached_property
     def label_of(self) -> dict:
@@ -454,19 +458,49 @@ class ClassAlgebra:
                     terms[w] = c
         return AlgElem._raw(self.group, self.n, terms)
 
-    def coarsen(self, f) -> "ClassAlgebra":
-        """The span of the unions of the classes with equal f(label)."""
-        merged: dict = {}
-        for lab, ws in self.classes.items():
-            merged.setdefault(f(lab), []).extend(ws)
+    def coarsen(self, f, labels=None) -> "ClassAlgebra":
+        """The span of the unions of the classes with equal f(label), in
+        the table order labels (sorted images by default).  Its cube is
+        read from this algebra's cube, not from the group."""
+        fibres: dict = {}
+        for lab in self.labels:
+            fibres.setdefault(f(lab), []).append(lab)
+        if labels is None:
+            labels = sorted(fibres)
+        else:
+            labels = tuple(labels)
+            seen = set()
+            for lab in labels:
+                if lab not in fibres:
+                    raise ValueError(f"no class maps to the label {lab!r}")
+                if lab in seen:
+                    raise ValueError(f"the label {lab!r} is listed twice")
+                seen.add(lab)
+            missing = [lab for lab in fibres if lab not in seen]
+            if missing:
+                raise ValueError(f"the label {missing[0]!r} is not listed")
+        merged = {g: [w for lab in ls for w in self.classes[lab]] for g, ls in fibres.items()}
         key = self.class_of
-        return ClassAlgebra(self.group, self.n, lambda w: f(key(w)), sorted(merged), merged)
+        coarse = ClassAlgebra(self.group, self.n, lambda w: f(key(w)), labels, merged)
+        coarse.parent = self
+        coarse.fibres = {g: tuple(fibres[g]) for g in coarse.labels}
+        return coarse
 
     @cached_property
     def cube(self) -> dict:
         """(label, label) -> coordinates of the product of the two class
-        sums, by counting compositions.  Building it is the closure check:
-        it raises ArithmeticError when a product leaves the span."""
+        sums.  Building it is the closure check: it raises ArithmeticError
+        when a product leaves the span."""
+        if self.parent is None:
+            return self._enumerated_cube()
+        return self._coarsened_cube()
+
+    def _closure_error(self, l1, l2) -> ArithmeticError:
+        return ArithmeticError(f"class sums {l1} * {l2} leave the span in {self.group}_{self.n}")
+
+    def _enumerated_cube(self) -> dict:
+        """The cube by counting compositions of group elements and binning
+        each product."""
         lookup = self.label_of
         cube = {}
         for l1, c1 in self.classes.items():
@@ -478,10 +512,32 @@ class ClassAlgebra:
                         counts[key] = counts.get(key, 0) + 1
                 coords = bin_classes(counts, lookup.__getitem__, self.sizes.__getitem__)
                 if coords is None:
-                    raise ArithmeticError(
-                        f"class sums {l1} * {l2} leave the span in {self.group}_{self.n}"
-                    )
+                    raise self._closure_error(l1, l2)
                 cube[(l1, l2)] = coords
+        return cube
+
+    def _coarsened_cube(self) -> dict:
+        """The cube at label level: the product of two merged class sums is
+        the sum of the parent's cells over the two fibres, and, as every
+        parent class is non-empty, it lies in the span exactly when that
+        sum is constant on every fibre."""
+        fine, fibres = self.parent.cube, self.fibres
+        cube = {}
+        for g1, ls1 in fibres.items():
+            for g2, ls2 in fibres.items():
+                total: dict = {}
+                for l1 in ls1:
+                    for l2 in ls2:
+                        add_multiple(total, 1, fine[(l1, l2)])
+                coords = {}
+                for g, ls in fibres.items():
+                    values = {total.get(lab, 0) for lab in ls}
+                    if len(values) > 1:
+                        raise self._closure_error(g1, g2)
+                    c = values.pop()
+                    if c != 0:
+                        coords[g] = c
+                cube[(g1, g2)] = coords
         return cube
 
     def product(self, c1: dict, c2: dict) -> dict:

@@ -13,9 +13,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import AlgElem, ClassAlgebra, SpanSolver, StructureTable
-from .bases import y_label_elements
+from .bases import descent_algebra
 from .perms import (
     PeakIndex,
+    group_elements,
     interior_peak_mask,
     interior_sparse_masks,
     lambda_interior_mask,
@@ -28,14 +29,17 @@ from .reporting import CheckFailure, run_check
 
 @lru_cache(maxsize=None)
 def peak_algebra(n: int) -> ClassAlgebra:
-    """The peak algebra on the P-basis, labels in table order."""
-    return ClassAlgebra("S", n, peak_mask, sparse_masks(n))
+    """The peak algebra on the P-basis, labels in table order: the peak
+    set of u is Lambda(Des(u)), so each peak class is a union of descent
+    classes of the type-A descent algebra."""
+    return descent_algebra("A", n).coarsen(lambda_mask, sparse_masks(n))
 
 
 @lru_cache(maxsize=None)
 def interior_peak_algebra(n: int) -> ClassAlgebra:
-    """The interior-peak ideal on the interior P-basis."""
-    return ClassAlgebra("S", n, interior_peak_mask, interior_sparse_masks(n))
+    """The interior-peak ideal on the interior P-basis, likewise a
+    coarsening of the type-A descent algebra."""
+    return descent_algebra("A", n).coarsen(lambda_interior_mask, interior_sparse_masks(n))
 
 
 def _as_peak_mask(n: int, F, *, interior: bool = False) -> int:
@@ -58,19 +62,18 @@ def _as_peak_mask(n: int, F, *, interior: bool = False) -> int:
 
 @lru_cache(maxsize=None)
 def _forms_agree(n: int) -> bool:
-    """The class-sum and descent-class-sum forms of every P_F and every
-    interior P_F coincide (binning by Peak vs summing Y_J over the fibers
-    of the lambda operators)."""
-    y_elems = dict(y_label_elements("A", n))
-    for masks, classes, lam in (
-        (sparse_masks(n), peak_algebra(n).classes, lambda_mask),
-        (interior_sparse_masks(n), interior_peak_algebra(n).classes, lambda_interior_mask),
+    """The peak and interior-peak classes, read as fibres of the lambda
+    operators over the descent classes, are the classes binned element by
+    element by peak set and by interior peak set."""
+    for alg, key in (
+        (peak_algebra(n), peak_mask),
+        (interior_peak_algebra(n), interior_peak_mask),
     ):
-        by_fiber: dict = {m: AlgElem.zero("S", n) for m in masks}
-        for jm, yj in y_elems.items():
-            by_fiber[lam(jm)] += yj
-        for m in masks:
-            if by_fiber[m] != AlgElem.class_sum("S", n, classes[m]):
+        binned: dict = {}
+        for u in group_elements("S", n):
+            binned.setdefault(key(u), set()).add(u)
+        for m in sorted(set(binned) | set(alg.labels)):
+            if binned.get(m) != set(alg.classes.get(m, ())):
                 raise AssertionError(f"peak-basis forms disagree at n={n}, F mask {bin(m)}")
     return True
 

@@ -106,7 +106,7 @@ def compose(u: Perm, v: Perm) -> Perm:
     """(u * v)_i = sgn(v_i) * u_{|v_i|}; apply v first, then u."""
     if len(u) != len(v):
         raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
-    return tuple(u[j - 1] if j > 0 else -u[-j - 1] for j in v)
+    return tuple([u[j - 1] if j > 0 else -u[-j - 1] for j in v])
 
 
 def inverse(w: Perm) -> Perm:

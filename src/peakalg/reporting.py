@@ -78,7 +78,8 @@ class VerifyReport:
         return json.dumps(body, indent=2)
 
     def pretty(self) -> str:
-        lines = [f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}"]
+        verdict = "PASS" if self.passed else "FAIL"
+        lines = [f"suite {self.suite}: {verdict if self.checks else 'no checks at these ranks'}"]
         for c in sorted(self.checks, key=lambda c: c.check_id):
             mark = {"pass": "ok ", "fail": "FAIL"}.get(c.status, "ERR ")
             line = f"  [{mark}] {c.check_id} ({c.wall_ms:.0f} ms)"

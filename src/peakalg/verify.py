@@ -20,6 +20,19 @@ def _cap(n_max: int, hard: int) -> int:
     return min(n_max, hard)
 
 
+def _ranks(lo: int, n_max: int, hard: int) -> range:
+    """The ranks lo..min(n_max, hard) of a check, possibly none."""
+    return range(lo, _cap(n_max, hard) + 1)
+
+
+def _add_ranged(checks: list, check_id: str, body, *ranks):
+    """Run body as check_id unless every one of its rank ranges is empty:
+    a check that runs over no rank checks nothing, so it gets no entry,
+    just as a per-rank check gets none beyond its cap."""
+    if any(ranks):
+        checks.append(run_check(check_id, body))
+
+
 def _check_multiplicative(f, src, dst, what: str, witness):
     """The linear map f from the class algebra src to dst is
     multiplicative, read on class coordinates: its rows (the image of
@@ -70,16 +83,20 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 
     checks.append(run_check("descents/fibonacci-counts", fib_counts))
 
+    bfs_ranks = {
+        ctype: _ranks(2 if ctype == "D" else 1, n_max, perms.DEFAULT_BFS_CAP)
+        for ctype in ("A", "B", "D")
+    }
+
     def oracle():
         for ctype in ("A", "B", "D"):
             group = perms.GROUP_OF_TYPE[ctype]
-            lo = 2 if ctype == "D" else 1
-            for n in range(lo, _cap(n_max, perms.DEFAULT_BFS_CAP) + 1):
+            for n in bfs_ranks[ctype]:
                 for w in perms.group_elements(group, n):
                     if perms.descent_mask(w, ctype) != perms.length_descent_mask(w, ctype):
                         raise CheckFailure(f"descents disagree with lengths at {ctype}, {w}")
 
-    checks.append(run_check("descents/length-oracle", oracle))
+    _add_ranged(checks, "descents/length-oracle", oracle, *bfs_ranks.values())
 
     def associativity():
         group = perms.group_elements("B", 3)
@@ -92,8 +109,10 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 
     checks.append(run_check("descents/composition-associative-B3", associativity))
 
+    sign_ranks = _ranks(1, n_max, 4)
+
     def involutions():
-        for n in range(1, _cap(n_max, 4) + 1):
+        for n in sign_ranks:
             full = (1 << n) - 1
             for w in perms.group_elements("B", n):
                 if perms.descent_mask(perms.sigma(w), "B") != full ^ perms.descent_mask(w, "B"):
@@ -105,7 +124,7 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
                     if perms.rho_element(perms.rho_element(w)) != w:
                         raise CheckFailure(f"leading flip is not an involution at {w}")
 
-    checks.append(run_check("descents/sign-maps", involutions))
+    _add_ranged(checks, "descents/sign-maps", involutions, sign_ranks)
 
     def peak_realization():
         for n in range(1, 9):
@@ -125,8 +144,7 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 
     def partition_and_inverse():
         for ctype in ("A", "B", "D"):
-            lo = 2 if ctype == "D" else 1
-            for n in range(lo, _cap(n_max, perms.DEFAULT_BFS_CAP) + 1):
+            for n in bfs_ranks[ctype]:
                 if perms.GROUP_OF_TYPE[ctype] in ("B", "D") and n > 5:
                     continue
                 classes = bases.descent_classes(ctype, n)
@@ -140,13 +158,20 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
                     if back != {m: 1}:
                         raise CheckFailure(f"X/Y inversion fails at {ctype}, {bin(m)}")
 
-    checks.append(run_check("descents/partition-and-xy-inverse", partition_and_inverse))
+    _add_ranged(
+        checks, "descents/partition-and-xy-inverse", partition_and_inverse, *bfs_ranks.values()
+    )
+
+    closure_ranks = {
+        ctype: _ranks(lo, n_max, perms.STRUCTURE_CAPS[ctype][deep])
+        for ctype, lo in (("A", 1), ("B", 1), ("D", 2))
+    }
 
     def closure_tables():
-        for n in range(1, _cap(n_max, perms.STRUCTURE_CAPS["A"][deep]) + 1):
+        for n in closure_ranks["A"]:
             bases.structure_constants("A", n, "Y")
-        for ctype, lo in (("B", 1), ("D", 2)):
-            for n in range(lo, _cap(n_max, perms.STRUCTURE_CAPS[ctype][deep]) + 1):
+        for ctype in ("B", "D"):
+            for n in closure_ranks[ctype]:
                 table = bases.structure_constants(ctype, n, "Y", deep=deep)
                 for row in table.cells:
                     for cell in row:
@@ -156,7 +181,7 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
                                     f"non-integer or negative constant in {table.name}"
                                 )
 
-    checks.append(run_check("descents/structure-closure", closure_tables))
+    _add_ranged(checks, "descents/structure-closure", closure_tables, *closure_ranks.values())
     return checks
 
 
@@ -177,8 +202,10 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
 
     checks.append(run_check("peaks/dimensions-to-8", dims))
 
+    low_ranks = _ranks(2, n_max, 4)
+
     def pi_multiplicative():
-        for n in range(2, _cap(n_max, 4) + 1):
+        for n in low_ranks:
             _check_multiplicative(
                 peakmod.pi_map,
                 peakmod.peak_algebra(n),
@@ -187,7 +214,7 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
                 lambda m1, m2: f"projection not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})",
             )
 
-    checks.append(run_check("peaks/projection-multiplicative", pi_multiplicative))
+    _add_ranged(checks, "peaks/projection-multiplicative", pi_multiplicative, low_ranks)
 
     def noncommutative():
         t = peakmod.peak_table(4)
@@ -197,10 +224,10 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
     checks.append(run_check("peaks/noncommutative-witness", noncommutative))
 
     def tables():
-        for n in range(2, _cap(n_max, 4) + 1):
+        for n in low_ranks:
             peakmod.peak_table(n)
 
-    checks.append(run_check("peaks/tables-build", tables))
+    _add_ranged(checks, "peaks/tables-build", tables, low_ranks)
     return checks
 
 
@@ -209,9 +236,11 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
     from .bases import descent_algebra, descent_span_rank, x_label_elements, y_label_elements
 
     checks = []
+    element_ranks = _ranks(2, n_max, ELEMENT_CAP)
+    low_ranks = _ranks(2, n_max, 4)
 
     def closed_forms():
-        for n in range(2, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             for m, yj in y_label_elements("B", n):
                 if maps.chi(yj) != maps.chi_on_y(n, m):
                     raise CheckFailure(f"fold Y closed form fails at n={n}, {bin(m)}")
@@ -219,10 +248,10 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
                 if maps.chi(xj) != maps.chi_on_x(n, m):
                     raise CheckFailure(f"fold X closed form fails at n={n}, {bin(m)}")
 
-    checks.append(run_check("chi/closed-forms", closed_forms))
+    _add_ranged(checks, "chi/closed-forms", closed_forms, element_ranks)
 
     def image():
-        for n in range(2, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             fams = [
                 maps.imchi_basis(n, m, i)
                 for m in range(0, 1 << n, 4)
@@ -237,10 +266,10 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
             if (1 << n) - r != 1 << (n - 2):
                 raise CheckFailure(f"fold image codimension wrong at n={n}")
 
-    checks.append(run_check("chi/image-three-classes", image))
+    _add_ranged(checks, "chi/image-three-classes", image, element_ranks)
 
     def multiplicative():
-        for n in range(2, _cap(n_max, 4) + 1):
+        for n in low_ranks:
             _check_multiplicative(
                 maps.chi,
                 descent_algebra("B", n),
@@ -249,12 +278,12 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
                 lambda m1, m2: f"fold not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})",
             )
 
-    checks.append(run_check("chi/multiplicative", multiplicative))
+    _add_ranged(checks, "chi/multiplicative", multiplicative, low_ranks)
 
     def support_counts():
         from .perms import descent_mask, group_elements
 
-        for n in range(2, _cap(n_max, 4) + 1):
+        for n in low_ranks:
             count = sum(
                 1
                 for w in group_elements("D", n)
@@ -263,7 +292,7 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
             if len(maps.imchi_basis(n, 0, 2)) != count:
                 raise CheckFailure(f"middle-class support count wrong at n={n}")
 
-    checks.append(run_check("chi/class-support-counts", support_counts))
+    _add_ranged(checks, "chi/class-support-counts", support_counts, low_ranks)
 
     for n in range(3, _cap(n_max, ELEMENT_CAP) + 1):
         checks.extend(maps.verify_diagram(maps.bd_triangles(n)))
@@ -275,9 +304,10 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
     from .bases import descent_algebra, x_label_elements, y_label_elements
 
     checks = []
+    element_ranks = _ranks(1, n_max, ELEMENT_CAP)
 
     def closed_forms():
-        for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             for m, yj in y_label_elements("B", n):
                 if maps.phi(yj) != maps.phi_on_y(n, m):
                     raise CheckFailure(f"sign-forgetting Y form fails at n={n}, {bin(m)}")
@@ -285,37 +315,38 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
                 if maps.phi(xj) != maps.phi_on_x(n, m):
                     raise CheckFailure(f"sign-forgetting X form fails at n={n}, {bin(m)}")
 
-    checks.append(run_check("phi/closed-forms", closed_forms))
+    _add_ranged(checks, "phi/closed-forms", closed_forms, element_ranks)
 
     def ideal_forms():
-        for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             for m in maps.canonical_ideal_labels(n):
                 if maps.phi(maps.x0_basis(n, m)) != maps.phi_on_x0(n, m):
                     raise CheckFailure(f"ideal X form fails at n={n}, {bin(m)}")
                 if maps.phi(maps.y0_basis(n, m)) != maps.phi_on_y0(n, m):
                     raise CheckFailure(f"ideal Y form fails at n={n}, {bin(m)}")
 
-    checks.append(run_check("phi/ideal-closed-forms", ideal_forms))
+    _add_ranged(checks, "phi/ideal-closed-forms", ideal_forms, element_ranks)
 
     def kernel_symmetry():
-        for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             full = (1 << n) - 1
             for m in range(1 << n):
                 if maps.phi_on_y(n, m) != maps.phi_on_y(n, full ^ m):
                     raise CheckFailure(f"complement symmetry fails at n={n}, {bin(m)}")
 
-    checks.append(run_check("phi/complement-symmetry", kernel_symmetry))
+    _add_ranged(checks, "phi/complement-symmetry", kernel_symmetry, element_ranks)
 
     def generator_image():
-        for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             if maps.phi(maps.x0_generator(n)) != maps.interior_peak_generator(n).scale(2):
                 raise CheckFailure(f"increasing-class image wrong at n={n}")
 
-    checks.append(run_check("phi/increasing-class-image", generator_image))
+    _add_ranged(checks, "phi/increasing-class-image", generator_image, element_ranks)
+    mult_ranks = {"B": _ranks(1, n_max, 4), "D": _ranks(2, n_max, 4)}
 
     def multiplicative():
-        for ctype, mapper, lo in (("B", maps.phi, 1), ("D", maps.psi, 2)):
-            for n in range(lo, _cap(n_max, 4) + 1):
+        for ctype, mapper in (("B", maps.phi), ("D", maps.psi)):
+            for n in mult_ranks[ctype]:
                 _check_multiplicative(
                     mapper,
                     descent_algebra(ctype, n),
@@ -326,7 +357,7 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
                     ),
                 )
 
-    checks.append(run_check("phi/multiplicative", multiplicative))
+    _add_ranged(checks, "phi/multiplicative", multiplicative, *mult_ranks.values())
     return checks
 
 
@@ -336,9 +367,10 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
 
     CASE = {0: "plain", 1: "oneprime", 2: "one", 3: "both"}
     checks = []
+    element_ranks = _ranks(2, n_max, ELEMENT_CAP)
 
     def closed_forms():
-        for n in range(2, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             for m, yj in y_label_elements("D", n):
                 if maps.psi(yj) != maps.psi_on_y(n, m & ~3, CASE[m & 3]):
                     raise CheckFailure(f"type-D Y form fails at n={n}, {bin(m)}")
@@ -346,27 +378,28 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
                 if maps.psi(xj) != maps.psi_on_x(n, m & ~3, CASE[m & 3]):
                     raise CheckFailure(f"type-D X form fails at n={n}, {bin(m)}")
 
-    checks.append(run_check("psi/closed-forms", closed_forms))
+    _add_ranged(checks, "psi/closed-forms", closed_forms, element_ranks)
 
     def fork_equality():
-        for n in range(2, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             for m in range(0, 1 << n, 4):
                 if maps.psi_on_y(n, m, "one") != maps.psi_on_y(n, m, "oneprime"):
                     raise CheckFailure(f"fork images differ at n={n}, {bin(m)}")
 
-    checks.append(run_check("psi/fork-equality", fork_equality))
+    _add_ranged(checks, "psi/fork-equality", fork_equality, element_ranks)
+    flip_ranks = _ranks(2, n_max, 4)
 
     def rho_invariance():
         from .perms import group_elements
 
-        for n in range(2, _cap(n_max, 4) + 1):
+        for n in flip_ranks:
             for w in group_elements("D", n):
                 if maps.psi(maps.rho_map(maps.AlgElem.monomial("D", n, w))) != maps.psi(
                     maps.AlgElem.monomial("D", n, w)
                 ):
                     raise CheckFailure(f"leading flip changes the image at {w}")
 
-    checks.append(run_check("psi/flip-invariance", rho_invariance))
+    _add_ranged(checks, "psi/flip-invariance", rho_invariance, flip_ranks)
     return checks
 
 
@@ -384,9 +417,11 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
     from .perms import STRUCTURE_CAPS, fibonacci
 
     checks = []
+    drop_ranks = {"beta": _ranks(2, n_max, 4), "gamma": _ranks(3, n_max, 4)}
+    element_ranks = _ranks(2, n_max, ELEMENT_CAP)
 
     def beta_gamma_multiplicative():
-        for n in range(2, _cap(n_max, 4) + 1):
+        for n in drop_ranks["beta"]:
             _check_multiplicative(
                 maps.beta_map,
                 descent_algebra("B", n),
@@ -394,7 +429,7 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
                 "the drop",
                 lambda m1, m2: f"degree drop not multiplicative at n={n}",
             )
-        for n in range(3, _cap(n_max, 4) + 1):
+        for n in drop_ranks["gamma"]:
             _check_multiplicative(
                 maps.gamma_map,
                 descent_algebra("D", n),
@@ -403,13 +438,16 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
                 lambda m1, m2: f"type-D drop not multiplicative at n={n}",
             )
 
-    checks.append(run_check("ideals/drops-multiplicative", beta_gamma_multiplicative))
+    _add_ranged(
+        checks, "ideals/drops-multiplicative", beta_gamma_multiplicative, *drop_ranks.values()
+    )
+    canonical_ranks = _ranks(1, n_max, STRUCTURE_CAPS["B"][deep])
 
     def canonical_two_sided():
         # products on Y coordinates from the structure cube (building it is
         # the element-level closure check); an ideal element has bit 0 in
         # every X label
-        for n in range(1, _cap(n_max, STRUCTURE_CAPS["B"][deep]) + 1):
+        for n in canonical_ranks:
             alg = descent_algebra("B", n)
             ideal = [alg.coords(e) for _, e in maps.canonical_ideal_basis(n)]
             for j in alg.labels:
@@ -418,10 +456,10 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
                         if any(not m & 1 for m in y_to_x_coords(prod)):
                             raise CheckFailure(f"canonical ideal not two-sided at n={n}")
 
-    checks.append(run_check("ideals/canonical-two-sided", canonical_two_sided))
+    _add_ranged(checks, "ideals/canonical-two-sided", canonical_two_sided, canonical_ranks)
 
     def kernel_spans():
-        for n in range(2, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             for m in maps.canonical_ideal_labels(n):
                 if maps.beta_map(maps.x0_basis(n, m)):
                     raise CheckFailure(f"ideal element survives the drop at n={n}")
@@ -429,10 +467,10 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
             if descent_span_rank(imgs, "B") != 1 << (n - 1):
                 raise CheckFailure(f"drop is not onto at n={n}")
 
-    checks.append(run_check("ideals/kernel-of-drop", kernel_spans))
+    _add_ranged(checks, "ideals/kernel-of-drop", kernel_spans, element_ranks)
 
     def images_onto_interior():
-        for n in range(2, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             interior = [e for _, e in interior_peak_elements(n)]
             for family in (maps.canonical_ideal_basis(n), maps.ker_beta2_basis(n)):
                 rows = []
@@ -445,7 +483,7 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
                 if Echelon(rows).rank != fibonacci(n - 1):
                     raise CheckFailure(f"image is not all of the interior ideal at n={n}")
 
-    checks.append(run_check("ideals/images-onto-interior", images_onto_interior))
+    _add_ranged(checks, "ideals/images-onto-interior", images_onto_interior, element_ranks)
 
     def no_intermediate_morphism():
         for n in range(3, 21):
@@ -618,12 +656,14 @@ def suite_mr(n_max: int, deep: bool = False) -> list:
             run_check(f"mr/phi-onto/n={n}", lambda n=n: mr.check_phi_onto_descent_algebra(n))
         )
 
+    element_ranks = _ranks(1, n_max, ELEMENT_CAP)
+
     def key_products():
-        for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             for alpha in mr.signed_compositions(n):
                 mr.bstilde_product(n, alpha)
 
-    checks.append(run_check("mr/increasing-class-products", key_products))
+    _add_ranged(checks, "mr/increasing-class-products", key_products, element_ranks)
     return checks
 
 
@@ -640,20 +680,22 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
     from .perms import interior_sparse_masks
 
     checks = []
+    element_ranks = _ranks(1, n_max, ELEMENT_CAP)
+    interior_ranks = _ranks(2, n_max, ELEMENT_CAP)
 
     def type_b_form():
         # the identity of mr/increasing-class-products, read on T-coordinates
-        for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             for alpha in mr.signed_compositions(n):
                 try:
                     mr.bstilde_product(n, alpha)
                 except CheckFailure:
                     raise CheckFailure(f"type-B transform value wrong at {alpha}") from None
 
-    checks.append(run_check("theta/type-b-values", type_b_form))
+    _add_ranged(checks, "theta/type-b-values", type_b_form, element_ranks)
 
     def type_a_form():
-        for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             for mm in range(1 << (n - 1)):
                 mask = mm << 1
                 window = mask | (mask << 1)
@@ -666,12 +708,12 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
                 if maps.theta(x_basis("A", n, mask)) != want:
                     raise CheckFailure(f"transform value wrong at mask {bin(mask)}")
 
-    checks.append(run_check("theta/type-a-values", type_a_form))
+    _add_ranged(checks, "theta/type-a-values", type_a_form, element_ranks)
 
     def square():
         # on the T-coordinates of the S-tilde class sums, with the sign
         # forgetting rows from T-classes to type-A descent classes
-        for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             phi_rows = class_images(
                 maps.phi, mr.t_algebra(n), descent_algebra("A", n), "sign forgetting"
             )
@@ -682,44 +724,44 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
                 if left != apply_rows(theta_rows, apply_rows(phi_rows, a)):
                     raise CheckFailure(f"transform square fails at {alpha}")
 
-    checks.append(run_check("theta/square-with-sign-forgetting", square))
+    _add_ranged(checks, "theta/square-with-sign-forgetting", square, element_ranks)
 
     def bijective():
-        for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in element_ranks:
             maps.check_theta_pm_bijective(n)
 
-    checks.append(run_check("theta/bijective-on-ideal", bijective))
+    _add_ranged(checks, "theta/bijective-on-ideal", bijective, element_ranks)
 
     def bijective_downstairs():
         from .algebra import span_rank
         from .perms import fibonacci
 
-        for n in range(2, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in interior_ranks:
             imgs = [maps.theta(p) for _, p in interior_peak_elements(n)]
             if span_rank(imgs) != fibonacci(n - 1):
                 raise CheckFailure(
                     f"restricted transform is not bijective on the interior ideal at n={n}"
                 )
 
-    checks.append(run_check("theta/bijective-on-interior", bijective_downstairs))
+    _add_ranged(checks, "theta/bijective-on-interior", bijective_downstairs, interior_ranks)
 
     def images():
         from .algebra import span_rank
         from .perms import fibonacci
 
-        for n in range(2, _cap(n_max, ELEMENT_CAP) + 1):
+        for n in interior_ranks:
             imgs = [maps.theta(yj) for _, yj in y_label_elements("A", n)]
             ideal = [e for _, e in interior_peak_elements(n)]
             if span_rank(imgs) != fibonacci(n - 1) or span_rank(imgs + ideal) != fibonacci(n - 1):
                 raise CheckFailure(f"transform image is not the interior ideal at n={n}")
 
-    checks.append(run_check("theta/image-is-interior-ideal", images))
+    _add_ranged(checks, "theta/image-is-interior-ideal", images, interior_ranks)
+    principal_ranks = _ranks(3, n_max, 5 if deep else 4)
 
     def principal():
         from .maps import x_support_coords
 
-        top = _cap(n_max, 5) if deep else _cap(n_max, 4)
-        for n in range(3, top + 1):
+        for n in principal_ranks:
             gen_p = maps.interior_peak_generator(n)
             maps.right_ideal_check(
                 gen_p,
@@ -754,7 +796,7 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
                 f"canonical ideal of the Mantaci-Reutenauer algebra, n={n}",
             )
 
-    checks.append(run_check("theta/principal-right-ideals", principal))
+    _add_ranged(checks, "theta/principal-right-ideals", principal, principal_ranks)
     return checks
 
 
@@ -845,13 +887,14 @@ def suite_words(n_max: int, deep: bool = False) -> list:
     nontrivial = words.Alphabet(("a", "b", "c"), {"a": "b", "b": "a", "c": "c"})
     trivial = words.Alphabet(("a", "b", "c"))
     checks = []
+    symmetrizer_ranks = _ranks(1, n_max, 4)
 
     def symmetrizers():
-        for n in range(1, _cap(n_max, 4) + 1):
+        for n in symmetrizer_ranks:
             words.check_symmetrizer_identity(n, nontrivial)
             words.check_symmetrizer_identity(n, trivial)
 
-    checks.append(run_check("words/symmetrizer-identity", symmetrizers))
+    _add_ranged(checks, "words/symmetrizer-identity", symmetrizers, symmetrizer_ranks)
 
     def brackets():
         for n in range(1, _cap(n_max + 1, 5) + 1):
@@ -871,12 +914,13 @@ def suite_words(n_max: int, deep: bool = False) -> list:
         )
     )
 
-    def convolution():
-        for p, q in ((1, 1), (1, 2), (2, 1)):
-            if p + q <= _cap(n_max + 1, 3):
-                words.check_convolution(p, q, nontrivial)
+    degrees = [(p, q) for p, q in ((1, 1), (1, 2), (2, 1)) if p + q <= _cap(n_max + 1, 3)]
 
-    checks.append(run_check("words/convolution", convolution))
+    def convolution():
+        for p, q in degrees:
+            words.check_convolution(p, q, nontrivial)
+
+    _add_ranged(checks, "words/convolution", convolution, degrees)
     return checks
 
 
