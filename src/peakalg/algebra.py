@@ -402,8 +402,9 @@ class ClassAlgebra:
     binned (label -> members).  Coordinates are
     {label: coefficient} dicts; the class sums have disjoint supports, so
     binning reads them off exactly.  A coarsening (see coarsen) keeps its
-    parent and its fibres (label -> the parent labels merged into it), and
-    reads its structure cube from the parent's."""
+    parent and its fibres (label -> the parent labels merged into it),
+    reads its structure cube from the parent's, and translates coordinates
+    to and from the parent's by lift and spread."""
 
     def __init__(self, group: str, n: int, key, labels, classes=None):
         self.group = group
@@ -529,16 +530,30 @@ class ClassAlgebra:
                 for l1 in ls1:
                     for l2 in ls2:
                         add_multiple(total, 1, fine[(l1, l2)])
-                coords = {}
-                for g, ls in fibres.items():
-                    values = {total.get(lab, 0) for lab in ls}
-                    if len(values) > 1:
-                        raise self._closure_error(g1, g2)
-                    c = values.pop()
-                    if c != 0:
-                        coords[g] = c
+                coords = self.lift(total)
+                if coords is None:
+                    raise self._closure_error(g1, g2)
                 cube[(g1, g2)] = coords
         return cube
+
+    def lift(self, parent_coords: dict):
+        """The coordinates of a coarsening read from its parent's
+        coordinates, or None unless these are constant on every fibre
+        (that is, off the span)."""
+        coords = {}
+        for g, ls in self.fibres.items():
+            values = {parent_coords.get(lab, 0) for lab in ls}
+            if len(values) > 1:
+                return None
+            c = values.pop()
+            if c != 0:
+                coords[g] = c
+        return coords
+
+    def spread(self, coords: dict) -> dict:
+        """The parent's coordinates of the element with the given
+        coordinates of a coarsening: each value spread over its fibre."""
+        return {lab: c for g, c in coords.items() if c != 0 for lab in self.fibres[g]}
 
     def product(self, c1: dict, c2: dict) -> dict:
         """Coordinates of the product of two elements given by coordinates."""
@@ -590,6 +605,25 @@ class ClassAlgebra:
                             new.append(prod)
             frontier = new
         return span.rank
+
+
+def two_sided_failure(rows: dict, ideal: ClassAlgebra, witness):
+    """Check that the span of a coarsening ideal is a two-sided ideal of
+    the span of rows (label -> coordinates in the parent of ideal): each
+    product of a row with a class sum of ideal, on either side, is read on
+    the parent's cube and must lift.  Returns witness(side, row label,
+    ideal label) for the first product that does not, else None."""
+    parent = ideal.parent
+    for lab, row in rows.items():
+        for g in ideal.labels:
+            member = ideal.spread({g: 1})
+            for side, prod in (
+                ("left", parent.product(row, member)),
+                ("right", parent.product(member, row)),
+            ):
+                if ideal.lift(prod) is None:
+                    return witness(side, lab, g)
+    return None
 
 
 def pair_coords(component: dict, left: ClassAlgebra, right: ClassAlgebra):

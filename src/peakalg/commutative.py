@@ -7,6 +7,12 @@ sums as a two-sided ideal.  Forgetting signs carries this picture to the
 peak algebra: sums of permutations with a fixed number of peaks (interior
 peaks) span a commutative subalgebra (an ideal of their joint span), and
 the degree-lowering maps restrict with simple casework formulas.
+
+Each count algebra is a coarsening of the type-B descent algebra or of the
+peak algebra, by the size of a label (less its first generator for the
+ideal sums).  Products of count sums are read on the parent's cube and
+lifted back through the fibres, so one closure check and one table
+builder serve both sides.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ from math import comb
 from .algebra import AlgElem, ClassAlgebra, Echelon, StructureTable, normalize_coord
 from .bases import descent_algebra, descent_coordinates, x_basis, x_to_y_coords
 from .maps import (
-    Node,
     DiagramSpec,
-    beta_map,
+    Node,
     beta2_map,
+    beta_map,
     chi,
+    exact_square,
     phi,
     pi_map,
     x0_basis,
@@ -64,8 +71,15 @@ def wp_algebra(n: int) -> ClassAlgebra:
 
 @lru_cache(maxsize=None)
 def wp_interior_algebra(n: int) -> ClassAlgebra:
-    """Interior sums p0_1..p0_{(n+1)//2}, label j-1 interior peaks."""
-    return interior_peak_algebra(n).coarsen(_popcount)
+    """Interior sums p0_1..p0_{(n+1)//2}, label j-1 = #(F minus {1})
+    interior peaks: the peak-side twin of i0_number_algebra."""
+    return peak_algebra(n).coarsen(lambda m: _popcount(m & ~2))
+
+
+def _count_rows(name: str, alg: ClassAlgebra, first: int) -> list:
+    """(name_j, parent coordinates) of the class sums of a count algebra,
+    numbered from first."""
+    return [(f"{name}_{lab + first}", alg.spread({lab: 1})) for lab in alg.labels]
 
 
 # ---------------------------------------------------------------------------
@@ -90,25 +104,22 @@ def x_number(n: int, j: int) -> AlgElem:
     return out
 
 
-def y0_number(n: int, j: int) -> AlgElem:
-    """Sum of the ideal elements Y_{{0} u J} + Y_J over #J = j-1."""
+def _ideal_number(n: int, j: int, basis) -> AlgElem:
+    """Sum of the ideal elements basis(n, J) over J inside [n-1], #J = j-1."""
     if not 1 <= j <= n:
         raise ValueError(f"index {j} out of range 1..{n}")
-    out = AlgElem.zero("B", n)
-    for m in range(0, 1 << n, 2):
-        if _popcount(m) == j - 1:
-            out += y0_basis(n, m)
-    return out
+    masks = (m for m in range(0, 1 << n, 2) if _popcount(m) == j - 1)
+    return sum((basis(n, m) for m in masks), AlgElem.zero("B", n))
+
+
+def y0_number(n: int, j: int) -> AlgElem:
+    """Sum of the ideal elements Y_{{0} u J} + Y_J over #J = j-1."""
+    return _ideal_number(n, j, y0_basis)
 
 
 def x0_number(n: int, j: int) -> AlgElem:
-    if not 1 <= j <= n:
-        raise ValueError(f"index {j} out of range 1..{n}")
-    out = AlgElem.zero("B", n)
-    for m in range(0, 1 << n, 2):
-        if _popcount(m) == j - 1:
-            out += x0_basis(n, m)
-    return out
+    """Sum of the ideal elements X_{{0} u J} over #J = j-1."""
+    return _ideal_number(n, j, x0_basis)
 
 
 def peak_number(n: int, j: int) -> AlgElem:
@@ -252,26 +263,26 @@ def _pad(prefix: int, coords, suffix: int) -> tuple:
 
 
 def _block_table(name: str, fine: ClassAlgebra, head, tail) -> StructureTable:
-    """Table of a count family and its ideal family, each a (family,
-    coarse algebra) pair inside fine.  Products are taken on fine
-    coordinates; pure head products are written in the head block,
-    anything touching the ideal in the tail block."""
-    (head_family, head_alg), (tail_family, tail_alg) = head, tail
-    every = head_family + tail_family
-    k, m = len(head_family), len(tail_family)
-    coords = [fine.coords(e) for _, e in every]
+    """Table of a count algebra and its ideal, each a (name, coarsening of
+    fine, first index) triple.  Products are taken on fine coordinates and
+    lifted: pure head products in the head block, anything touching the
+    ideal in the tail block."""
+    (_, head_alg, _), (_, tail_alg, _) = head, tail
+    every = _count_rows(*head) + _count_rows(*tail)
+    k, m = len(head_alg.labels), len(tail_alg.labels)
     cells = []
-    for i, (labi, _) in enumerate(every):
+    for i, (labi, ci) in enumerate(every):
         row = []
-        for j, (labj, _) in enumerate(every):
-            prod = fine.element(fine.product(coords[i], coords[j]))
+        for j, (labj, cj) in enumerate(every):
+            prod = fine.product(ci, cj)
             if i < k and j < k:
-                vec, where, before, after = head_alg.vector(prod), "count span", 0, m
+                alg, where, before, after = head_alg, "count span", 0, m
             else:
-                vec, where, before, after = tail_alg.vector(prod), "ideal", k, 0
-            if vec is None:
+                alg, where, before, after = tail_alg, "ideal", k, 0
+            coords = alg.lift(prod)
+            if coords is None:
                 raise CheckFailure(f"{labi} * {labj} left the {where}")
-            row.append(_pad(before, vec, after))
+            row.append(_pad(before, [coords.get(lab, 0) for lab in alg.labels], after))
         cells.append(row)
     labels = [lab for lab, _ in every]
     return StructureTable(name=name, labels=labels, cells=cells, blocks=(k, m))
@@ -284,8 +295,8 @@ def whp_table(n: int) -> StructureTable:
     return _block_table(
         f"whp_{n}",
         peak_algebra(n),
-        (wp_family(n), wp_algebra(n)),
-        (wp_interior_family(n), wp_interior_algebra(n)),
+        ("p", wp_algebra(n), 0),
+        ("p0", wp_interior_algebra(n), 1),
     )
 
 
@@ -294,8 +305,8 @@ def solhat_table(n: int) -> StructureTable:
     return _block_table(
         f"solhat_{n}",
         descent_algebra("B", n),
-        (sol_family(n), sol_algebra(n)),
-        (i0_number_family(n), i0_number_algebra(n)),
+        ("y", sol_algebra(n), 0),
+        ("y0", i0_number_algebra(n), 1),
     )
 
 
@@ -306,47 +317,31 @@ def solhat_table(n: int) -> StructureTable:
 def check_builder_relations(n: int):
     """The binomial change of spanning sets, the all-group sums, and the
     rewritten forms of the ideal sums."""
-    group_sum_b = AlgElem.class_sum("B", n, group_elements("B", n))
-    group_sum_s = AlgElem.class_sum("S", n, group_elements("S", n))
-    for j in range(n + 1):
-        expect = AlgElem.zero("B", n)
-        for i in range(j + 1):
-            c = _choose(n - i, j - i)
-            if c:
-                expect += y_number(n, i).scale(c)
-        if x_number(n, j) != expect:
-            raise CheckFailure(f"x_{j} != binomial sum of y_i at n={n}")
-    for j in range(1, n + 1):
-        expect = AlgElem.zero("B", n)
-        for i in range(1, j + 1):
-            c = _choose(n - i, j - i)
-            if c:
-                expect += y0_number(n, i).scale(c)
-        if x0_number(n, j) != expect:
-            raise CheckFailure(f"x0_{j} != binomial sum of y0_i at n={n}")
+    for x, y, lo, tag in ((x_number, y_number, 0, ""), (x0_number, y0_number, 1, "0")):
+        for j in range(lo, n + 1):
+            terms = (y(n, i).scale(_choose(n - i, j - i)) for i in range(lo, j + 1))
+            if x(n, j) != sum(terms, AlgElem.zero("B", n)):
+                raise CheckFailure(f"x{tag}_{j} != binomial sum of y{tag}_i at n={n}")
     if x_number(n, n) != x0_number(n, n):
         raise CheckFailure(f"x_n != x0_n at n={n}")
-    if sum((y_number(n, j) for j in range(n + 1)), AlgElem.zero("B", n)) != group_sum_b:
-        raise CheckFailure(f"sum of y_j is not the full group sum at n={n}")
-    if sum((y0_number(n, j) for j in range(1, n + 1)), AlgElem.zero("B", n)) != group_sum_b:
-        raise CheckFailure(f"sum of y0_j is not the full group sum at n={n}")
-    if sum((peak_number(n, j) for j in range(n // 2 + 1)), AlgElem.zero("S", n)) != group_sum_s:
-        raise CheckFailure(f"sum of p_j is not the full symmetric group sum at n={n}")
-    if (
-        sum(
-            (interior_peak_number(n, j) for j in range(1, (n + 1) // 2 + 1)),
-            AlgElem.zero("S", n),
-        )
-        != group_sum_s
+    for family, group, what in (
+        (sol_family(n), "B", "y_j is not the full group sum"),
+        (i0_number_family(n), "B", "y0_j is not the full group sum"),
+        (wp_family(n), "S", "p_j is not the full symmetric group sum"),
+        (wp_interior_family(n), "S", "interior p_j is not the full sum"),
     ):
-        raise CheckFailure(f"sum of interior p_j is not the full sum at n={n}")
-    # rewritten forms: y0_j over #(J \ {0}) = j-1, interior p_j over #(F \ {1}) = j-1
+        total = AlgElem.class_sum(group, n, group_elements(group, n))
+        if sum((e for _, e in family), AlgElem.zero(group, n)) != total:
+            raise CheckFailure(f"sum of {what} at n={n}")
+    # rewritten forms: y0_j over #(J \ {0}) = j-1 against the sums of the
+    # Y_{{0} u J} + Y_J, interior p_j over #(F \ {1}) = j-1 against the
+    # classes of j-1 interior peaks
     for j in range(1, n + 1):
         if y0_number(n, j) != i0_number_algebra(n).element({j - 1: 1}):
             raise CheckFailure(f"y0_{j} rewritten form fails at n={n}")
-    peaks = peak_algebra(n)
+    interior = interior_peak_algebra(n)
     for j in range(1, (n + 1) // 2 + 1):
-        direct = peaks.element({m: 1 for m in peaks.labels if _popcount(m & ~2) == j - 1})
+        direct = interior.element({m: 1 for m in interior.labels if _popcount(m) == j - 1})
         if interior_peak_number(n, j) != direct:
             raise CheckFailure(f"interior p_{j} rewritten form fails at n={n}")
 
@@ -420,102 +415,59 @@ def check_graded_dimensions(n: int):
         raise CheckFailure(f"type-B joint span dimension != {2 * n} at n={n}")
 
 
+def _check_count_closure(n: int, fine: ClassAlgebra, head, tail, names):
+    """Closure, commutativity, the ideal property and generation for a
+    count algebra and its ideal, each a (name, coarsening of fine, first
+    index) triple, read on the cube of fine: every product of two of their
+    class sums lifts to the count algebra, or to the ideal when it touches
+    the ideal.  names = (count span, ideal, ideal generator) for the
+    witnesses."""
+    (_, head_alg, _), (_, tail_alg, _) = head, tail
+    head_span, tail_span, tail_gen = names
+    every = _count_rows(*head) + _count_rows(*tail)
+    k, m = len(head_alg.labels), len(tail_alg.labels)
+    for i, (labi, ci) in enumerate(every):
+        for j in range(i, len(every)):
+            labj, cj = every[j]
+            prod = fine.product(ci, cj)
+            if prod != fine.product(cj, ci):
+                raise CheckFailure(f"{labi} and {labj} do not commute at n={n}")
+            alg, where = (head_alg, head_span) if j < k else (tail_alg, tail_span)
+            if alg.lift(prod) is None:
+                raise CheckFailure(f"{labi} * {labj} left the {where} at n={n}")
+    # generation: the first count sum generates the count span, the first
+    # ideal sum the ideal, both together the joint span (the two spans
+    # meet in the line of the group sum)
+    (_, unit), (gen, gen_coords), (_, gen0) = every[0], every[1], every[k]
+    if fine.saturate([unit, gen_coords]) != k:
+        raise CheckFailure(f"{gen} does not generate the {head_span} at n={n}")
+    if fine.saturate([unit, gen_coords, gen0]) != k + m - 1:
+        raise CheckFailure(f"{gen}, {tail_gen} do not generate the joint span at n={n}")
+    if fine.saturate_ideal(gen0, [c for _, c in every]) != m:
+        raise CheckFailure(f"{tail_gen} does not generate the ideal at n={n}")
+
+
 def check_solhat_closure(n: int):
     """Closure, commutativity, the ideal property and generation for the
     type-B graded spans (cost grows with |B_n|^2; rank 5 is deep)."""
-    alg = descent_algebra("B", n)
-    ys = [(lab, alg.coords(e)) for lab, e in sol_family(n)]
-    y0s = [(lab, alg.coords(e)) for lab, e in i0_number_family(n)]
-    every = ys + y0s
-    for i, (labi, ci) in enumerate(every):
-        for labj, cj in every[i:]:
-            prod = alg.product(ci, cj)
-            opp = alg.product(cj, ci)
-            if prod != opp:
-                raise CheckFailure(f"{labi} and {labj} do not commute at n={n}")
-            elem = alg.element(prod)
-            in_sol = sol_algebra(n).coords(elem) is not None
-            in_ideal = i0_number_algebra(n).coords(elem) is not None
-            if not (in_sol or in_ideal):
-                # general members decompose as sol + ideal; solve by
-                # subtracting the sol part read off the bit0-free masks
-                if _solhat_membership(n, prod) is None:
-                    raise CheckFailure(f"{labi} * {labj} left the joint span at n={n}")
-            touches_ideal = labi.startswith("y0") or labj.startswith("y0")
-            if touches_ideal and not in_ideal:
-                raise CheckFailure(f"{labi} * {labj} left the ideal at n={n}")
-    # generation: y_1 generates the descent-count span, y0_1 the ideal,
-    # both together the joint span
-    unit = alg.coords(y_number(n, 0))
-    gen_y = alg.coords(y_number(n, 1))
-    gen_y0 = alg.coords(y0_number(n, 1))
-    if alg.saturate([unit, gen_y]) != n + 1:
-        raise CheckFailure(f"y_1 does not generate the descent-count span at n={n}")
-    if alg.saturate([unit, gen_y, gen_y0]) != 2 * n:
-        raise CheckFailure(f"y_1, y0_1 do not generate the joint span at n={n}")
-    if alg.saturate_ideal(gen_y0, [c for _, c in every]) != n:
-        raise CheckFailure(f"y0_1 does not generate the ideal at n={n}")
-
-
-def _solhat_membership(n: int, ycoords: dict):
-    """Decompose Y-coordinates as a sol + ideal combination (canonical:
-    the last ideal coordinate is zero); None if impossible."""
-    a = [None] * (n + 1)
-    b = [None] * (n + 2)
-    b[n] = 0
-    c0 = {}
-    c1 = {}
-    for m in range(1 << n):
-        c = ycoords.get(m, 0)
-        p = _popcount(m)
-        if m & 1:
-            if c1.setdefault(p, c) != c:
-                return None
-        else:
-            if c0.setdefault(p, c) != c:
-                return None
-    a[n] = c1.get(n, 0)
-    for p in range(n - 1, -1, -1):
-        a[p] = c0.get(p, 0) - b[p + 1]
-        b[p] = c1.get(p, 0) - a[p] if p >= 1 else None
-    for p in range(0, n):
-        if c0.get(p, 0) != a[p] + b[p + 1]:
-            return None
-    for p in range(1, n + 1):
-        if c1.get(p, 0) != a[p] + b[p]:
-            return None
-    return a, b[1 : n + 1]
+    _check_count_closure(
+        n,
+        descent_algebra("B", n),
+        ("y", sol_algebra(n), 0),
+        ("y0", i0_number_algebra(n), 1),
+        ("descent-count span", "ideal", "y0_1"),
+    )
 
 
 def check_whp_closure(n: int):
-    """Closure, commutativity, ideal property and generation on the peak
-    side (everything runs inside QS_n)."""
-    ps = wp_family(n)
-    pints = wp_interior_family(n)
-    every = ps + pints
-    for i, (labi, ei) in enumerate(every):
-        for labj, ej in every[i:]:
-            prod = ei * ej
-            if prod != ej * ei:
-                raise CheckFailure(f"{labi} and {labj} do not commute at n={n}")
-            touches_ideal = labi.startswith("p0") or labj.startswith("p0")
-            if touches_ideal:
-                if interior_number_coordinates(prod) is None:
-                    raise CheckFailure(f"{labi} * {labj} left the interior ideal at n={n}")
-            elif peak_number_coordinates(prod) is None:
-                raise CheckFailure(f"{labi} * {labj} left the peak-count span at n={n}")
-    # generation by p_1 and interior p_1
-    alg = peak_algebra(n)
-    unit = alg.coords(peak_number(n, 0))
-    gen_p = alg.coords(peak_number(n, 1))
-    gen_pi = alg.coords(interior_peak_number(n, 1))
-    if alg.saturate([unit, gen_p]) != n // 2 + 1:
-        raise CheckFailure(f"p_1 does not generate the peak-count span at n={n}")
-    if alg.saturate([unit, gen_p, gen_pi]) != n:
-        raise CheckFailure(f"p_1, interior p_1 do not generate the joint span at n={n}")
-    algebra = [alg.coords(e) for _, e in every]
-    if alg.saturate_ideal(gen_pi, algebra) != (n + 1) // 2:
-        raise CheckFailure(f"interior p_1 does not generate the ideal at n={n}")
+    """The same on the peak side, read on the cube of the peak algebra."""
+    _check_count_closure(
+        n,
+        peak_algebra(n),
+        ("p", wp_algebra(n), 0),
+        ("p0", wp_interior_algebra(n), 1),
+        ("peak-count span", "interior ideal", "interior p_1"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,35 +477,21 @@ def check_whp_closure(n: int):
 def sbexact_diagram(n: int) -> DiagramSpec:
     """0 -> span{x_n, x_{n-1}} -> descent-count span -> (two ranks down)
     -> 0 over the analogous peak-count row, vertical sign forgetting."""
-
     all_p = sum((peak_number(n, i) for i in range(n // 2 + 1)), AlgElem.zero("S", n))
-    nodes = {
-        "K": Node("K", [("x_n", x_number(n, n)), ("x_n1", x_number(n, n - 1))], _sol_coords),
-        "sol": Node("sol", sol_family(n), _sol_coords),
-        "sol2": Node("sol2", sol_family(n - 2), _sol_coords),
-        "k": Node("k", [("sum_p", all_p)], _wp_coords),
-        "wp": Node("wp", wp_family(n), _wp_coords),
-        "wp2": Node("wp2", wp_family(n - 2), _wp_coords),
-    }
-    arrows = {
-        "inc": ("K", "sol", lambda a: a),
-        "beta2": ("sol", "sol2", beta2_map),
-        "phi_top": ("K", "k", phi),
-        "phi_mid": ("sol", "wp", phi),
-        "phi_bot": ("sol2", "wp2", phi),
-        "inc_low": ("k", "wp", lambda a: a),
-        "pi": ("wp", "wp2", pi_map),
-    }
-    return DiagramSpec(
-        name=f"sbexact/n={n}",
-        nodes=nodes,
-        arrows=arrows,
-        path_equalities=[
-            (("inc", "phi_mid"), ("phi_top", "inc_low")),
-            (("beta2", "phi_bot"), ("phi_mid", "pi")),
+    return exact_square(
+        f"sbexact/n={n}",
+        [
+            Node("K", [("x_n", x_number(n, n)), ("x_n1", x_number(n, n - 1))], _sol_coords),
+            Node("sol", sol_family(n), _sol_coords),
+            Node("sol2", sol_family(n - 2), _sol_coords),
         ],
-        exact_rows=[("inc", "beta2"), ("inc_low", "pi")],
-        surjections=["phi_top", "phi_mid", "phi_bot"],
+        [
+            Node("k", [("sum_p", all_p)], _wp_coords),
+            Node("wp", wp_family(n), _wp_coords),
+            Node("wp2", wp_family(n - 2), _wp_coords),
+        ],
+        ("beta2", beta2_map),
+        ("phi", phi),
     )
 
 
@@ -639,15 +577,14 @@ def a_descent_number(n: int, j: int) -> AlgElem:
 def loday_witness(kind: str, n_max: int = 6):
     """Smallest rank at which the peak-count span (kind 'p') or interior
     span (kind 'pint') escapes the span of the type-A descent-count sums;
-    returns (n, offending label) or None if none found up to n_max."""
-    from .algebra import SpanSolver
-
+    returns (n, offending label) or None if none found up to n_max.  The
+    count sums are a coarsening of the type-A descent algebra, so a member
+    is one exactly when its type-A coordinates lift."""
     for n in range(2, n_max + 1):
-        basis = [a_descent_number(n, j) for j in range(n)]
-        solver = SpanSolver(basis)
-        family = wp_family(n) if kind == "p" else wp_interior_family(n)
-        for lab, e in family:
-            if not solver.contains(e):
+        counts = descent_algebra("A", n).coarsen(_popcount)
+        side = ("p", wp_algebra(n), 0) if kind == "p" else ("p0", wp_interior_algebra(n), 1)
+        for lab, row in _count_rows(*side):
+            if counts.lift(peak_algebra(n).spread(row)) is None:
                 return (n, lab)
     return None
 

@@ -21,14 +21,17 @@ from .bases import (
     x_basis,
     x_to_y_coords,
     y_basis,
+    y_label_elements,
     y_to_x_coords,
 )
 from .peak import (
     interior_peak_algebra,
     interior_peak_basis,
     interior_peak_coordinates,
+    interior_peak_elements,
     peak_algebra,
     peak_coordinates,
+    peak_elements,
     pi_map,
 )
 from .perms import (
@@ -500,89 +503,86 @@ def x_support_coords(ctype: str, allowed: frozenset):
     return coords
 
 
+def exact_square(name: str, upper: list, lower: list, drop: tuple, down: tuple) -> DiagramSpec:
+    """Two exact rows 0 -> K -> M -> M2 -> 0 over 0 -> k -> N -> N2 -> 0,
+    each given as its three Nodes: the upper row is an inclusion and the
+    degree drop = (name, map), the lower row an inclusion and the
+    projection pi.  The vertical arrows are the map down = (name, map) on
+    K and M, and sign forgetting on M2."""
+    (top, mid, bot), (low_top, low_mid, low_bot) = upper, lower
+    drop_name, v = drop[0], down[0]
+    arrows = {
+        "inc": (top.name, mid.name, lambda a: a),
+        drop_name: (mid.name, bot.name, drop[1]),
+        f"{v}_top": (top.name, low_top.name, down[1]),
+        f"{v}_mid": (mid.name, low_mid.name, down[1]),
+        "phi_bot": (bot.name, low_bot.name, phi),
+        "inc_low": (low_top.name, low_mid.name, lambda a: a),
+        "pi": (low_mid.name, low_bot.name, pi_map),
+    }
+    return DiagramSpec(
+        name=name,
+        nodes={node.name: node for node in upper + lower},
+        arrows=arrows,
+        path_equalities=[
+            (("inc", f"{v}_mid"), (f"{v}_top", "inc_low")),
+            ((drop_name, "phi_bot"), (f"{v}_mid", "pi")),
+        ],
+        exact_rows=[("inc", drop_name), ("inc_low", "pi")],
+        surjections=[f"{v}_top", f"{v}_mid", "phi_bot"],
+    )
+
+
+def _peak_row(n: int) -> list:
+    """0 -> interior peaks -> peaks_n -> peaks_{n-2} -> 0 as Nodes."""
+    return [
+        Node("Pint", interior_peak_elements(n), interior_peak_coordinates),
+        Node("P", peak_elements(n), peak_coordinates),
+        Node("P2", peak_elements(n - 2), peak_coordinates),
+    ]
+
+
+def _descent_row(ctype: str, kernel: str, n: int, ideal: list) -> list:
+    """0 -> ideal -> Sol(ctype_n) -> Sol(B_{n-2}) as Nodes."""
+    allowed = frozenset(m for m, _ in ideal)
+    return [
+        Node(kernel, ideal, x_support_coords(ctype, allowed)),
+        Node(f"Sol{ctype}", y_label_elements(ctype, n), descent_node_coords(ctype)),
+        Node("SolB2", y_label_elements("B", n - 2), descent_node_coords("B")),
+    ]
+
+
 def bexact_diagram(n: int) -> DiagramSpec:
     """Rows 0 -> ker(beta^2) -> Sol(B_n) -> Sol(B_{n-2}) -> 0 over
     0 -> interior peaks -> peaks_n -> peaks_{n-2} -> 0, with the
     sign-forgetting map as the vertical arrows."""
-    from .peak import interior_peak_elements, peak_elements
-
-    i01 = ker_beta2_basis(n)
-    allowed = frozenset(m for m, _ in i01)
-    nodes = {
-        "I01": Node("I01", i01, x_support_coords("B", allowed)),
-        "SolB": Node("SolB", _y_family("B", n), descent_node_coords("B")),
-        "SolB2": Node("SolB2", _y_family("B", n - 2), descent_node_coords("B")),
-        "Pint": Node("Pint", interior_peak_elements(n), interior_peak_coordinates),
-        "P": Node("P", peak_elements(n), peak_coordinates),
-        "P2": Node("P2", peak_elements(n - 2), peak_coordinates),
-    }
-    arrows = {
-        "inc": ("I01", "SolB", lambda a: a),
-        "beta2": ("SolB", "SolB2", beta2_map),
-        "phi_top": ("I01", "Pint", phi),
-        "phi_mid": ("SolB", "P", phi),
-        "phi_bot": ("SolB2", "P2", phi),
-        "inc_low": ("Pint", "P", lambda a: a),
-        "pi": ("P", "P2", pi_map),
-    }
-    return DiagramSpec(
-        name=f"bexact/n={n}",
-        nodes=nodes,
-        arrows=arrows,
-        path_equalities=[
-            (("inc", "phi_mid"), ("phi_top", "inc_low")),
-            (("beta2", "phi_bot"), ("phi_mid", "pi")),
-        ],
-        exact_rows=[("inc", "beta2"), ("inc_low", "pi")],
-        surjections=["phi_top", "phi_mid", "phi_bot"],
+    return exact_square(
+        f"bexact/n={n}",
+        _descent_row("B", "I01", n, ker_beta2_basis(n)),
+        _peak_row(n),
+        ("beta2", beta2_map),
+        ("phi", phi),
     )
 
 
 def dexact_diagram(n: int) -> DiagramSpec:
     """The type-D analog, with the two leftmost generators dropped."""
-    from .peak import interior_peak_elements, peak_elements
-
-    ideal = d_ideal_basis(n)
-    allowed = frozenset(m for m, _ in ideal)
-    nodes = {
-        "Iprime": Node("Iprime", ideal, x_support_coords("D", allowed)),
-        "SolD": Node("SolD", _y_family("D", n), descent_node_coords("D")),
-        "SolB2": Node("SolB2", _y_family("B", n - 2), descent_node_coords("B")),
-        "Pint": Node("Pint", interior_peak_elements(n), interior_peak_coordinates),
-        "P": Node("P", peak_elements(n), peak_coordinates),
-        "P2": Node("P2", peak_elements(n - 2), peak_coordinates),
-    }
-    arrows = {
-        "inc": ("Iprime", "SolD", lambda a: a),
-        "gamma": ("SolD", "SolB2", gamma_map),
-        "psi_top": ("Iprime", "Pint", psi),
-        "psi_mid": ("SolD", "P", psi),
-        "phi_bot": ("SolB2", "P2", phi),
-        "inc_low": ("Pint", "P", lambda a: a),
-        "pi": ("P", "P2", pi_map),
-    }
-    return DiagramSpec(
-        name=f"dexact/n={n}",
-        nodes=nodes,
-        arrows=arrows,
-        path_equalities=[
-            (("inc", "psi_mid"), ("psi_top", "inc_low")),
-            (("gamma", "phi_bot"), ("psi_mid", "pi")),
-        ],
-        exact_rows=[("inc", "gamma"), ("inc_low", "pi")],
-        surjections=["psi_top", "psi_mid", "phi_bot"],
+    return exact_square(
+        f"dexact/n={n}",
+        _descent_row("D", "Iprime", n, d_ideal_basis(n)),
+        _peak_row(n),
+        ("gamma", gamma_map),
+        ("psi", psi),
     )
 
 
 def bd_triangles(n: int) -> DiagramSpec:
     """The fold through type D composed with the projections: psi after
     chi is phi, and gamma after chi is the double degree drop."""
-    from .peak import peak_elements
-
     nodes = {
-        "SolB": Node("SolB", _y_family("B", n), descent_node_coords("B")),
-        "SolD": Node("SolD", _y_family("D", n), descent_node_coords("D")),
-        "SolB2": Node("SolB2", _y_family("B", n - 2), descent_node_coords("B")),
+        "SolB": Node("SolB", y_label_elements("B", n), descent_node_coords("B")),
+        "SolD": Node("SolD", y_label_elements("D", n), descent_node_coords("D")),
+        "SolB2": Node("SolB2", y_label_elements("B", n - 2), descent_node_coords("B")),
         "P": Node("P", peak_elements(n), peak_coordinates),
     }
     arrows = {
@@ -601,12 +601,6 @@ def bd_triangles(n: int) -> DiagramSpec:
             (("chi", "gamma"), ("beta2",)),
         ],
     )
-
-
-def _y_family(ctype: str, n: int) -> list:
-    from .bases import y_label_elements
-
-    return y_label_elements(ctype, n)
 
 
 # ---------------------------------------------------------------------------

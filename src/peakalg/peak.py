@@ -6,13 +6,26 @@ sparse sets F is a unital subalgebra of the descent algebra of dimension
 the Fibonacci number f_n.  The interior-peak sums (peaks at 1 excluded)
 span a two-sided ideal of dimension f_{n-1}, which is the kernel of the
 degree-lowering projection onto the peak algebra two ranks down.
+
+Both are coarsenings of the type-A descent algebra, so the ideal property
+is read on its cube (algebra.two_sided_failure), and the quotient on
+labels: the projection's rows and the interior class sums lifted to
+P-coordinates.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import AlgElem, ClassAlgebra, SpanSolver, StructureTable
+from .algebra import (
+    AlgElem,
+    ClassAlgebra,
+    Echelon,
+    SpanSolver,
+    StructureTable,
+    apply_rows,
+    two_sided_failure,
+)
 from .bases import descent_algebra
 from .perms import (
     PeakIndex,
@@ -135,6 +148,12 @@ def pi_label(mask: int):
     return (mask >> 2, 1)
 
 
+def _pi_row(mask: int) -> dict:
+    """The projection of P_F as coordinates two ranks down."""
+    image = pi_label(mask)
+    return {} if image is None else {image[0]: image[1]}
+
+
 def pi_map(a: AlgElem, *, coords=None) -> AlgElem:
     """Project the peak algebra in rank n onto rank n-2: P_F goes to
     P_{F-2}, to -P_{(F-1)-2} when 1 is in F, and to 0 when 2 is in F.
@@ -146,16 +165,7 @@ def pi_map(a: AlgElem, *, coords=None) -> AlgElem:
         coords = peak_coordinates(a)
         if coords is None:
             raise ValueError("element is not in the peak algebra")
-    out: dict = {}
-    for m, c in coords.items():
-        if c == 0:
-            continue
-        image = pi_label(m)
-        if image is None:
-            continue
-        m2, sign = image
-        out[m2] = out.get(m2, 0) + sign * c
-    return peak_algebra(n - 2).element(out)
+    return peak_algebra(n - 2).element(apply_rows({m: _pi_row(m) for m in coords}, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -178,31 +188,38 @@ def check_closure(n: int):
 
 
 def check_two_sided_ideal(n: int):
-    """P * interior-P and interior-P * P land in the interior span."""
-    for mf, pf in peak_elements(n):
-        for mg, pg in interior_peak_elements(n):
-            for name, prod in (("left", pf * pg), ("right", pg * pf)):
-                if interior_peak_coordinates(prod) is None:
-                    raise CheckFailure(
-                        f"{name} product P_{peak_mask_text(mf)} with interior "
-                        f"P_{peak_mask_text(mg)} leaves the ideal at n={n}"
-                    )
+    """P * interior-P and interior-P * P land in the interior span, read
+    on the type-A cube of which both are coarsenings."""
+    peaks = peak_algebra(n)
+    failure = two_sided_failure(
+        {m: peaks.spread({m: 1}) for m in peaks.labels},
+        interior_peak_algebra(n),
+        lambda side, mf, mg: (
+            f"{side} product P_{peak_mask_text(mf)} with interior "
+            f"P_{peak_mask_text(mg)} leaves the ideal at n={n}"
+        ),
+    )
+    if failure:
+        raise CheckFailure(failure)
 
 
 def check_quotient(n: int):
-    """The projection is onto rank n-2 with kernel exactly the ideal."""
+    """The projection is onto rank n-2 with kernel exactly the ideal, on
+    labels: its rows come from pi_label, and each interior class sum is
+    lifted from type-A to P coordinates."""
     from .perms import fibonacci
 
-    elems = peak_elements(n)
-    images = [pi_map(p) for _, p in elems]
-    img_rank = SpanSolver([a for a in images if a]).rank
+    peaks, interior = peak_algebra(n), interior_peak_algebra(n)
+    rows = {m: _pi_row(m) for m in peaks.labels}
+    img_rank = Echelon(rows.values()).rank
     if img_rank != fibonacci(n - 2):
         raise CheckFailure(f"image rank {img_rank} != f_{n - 2}")
     # the ideal sits in the kernel, and by dimensions fills it
-    for mg, pg in interior_peak_elements(n):
-        if pi_map(pg):
+    for mg in interior.labels:
+        coords = peaks.lift(interior.spread({mg: 1}))
+        if coords is None or apply_rows(rows, coords):
             raise CheckFailure(f"interior P_{peak_mask_text(mg)} not killed")
-    if fibonacci(n) - img_rank != len(interior_sparse_masks(n)):
+    if fibonacci(n) - img_rank != len(interior.labels):
         raise CheckFailure("kernel dimension is not f_{n-1}")
 
 
@@ -226,7 +243,7 @@ def check_unitriangular(n: int):
 
 
 CLOSURE_CAP = 6  # peak-algebra closure by the structure cube
-IDEAL_CAP = 5  # two-sided ideal by element-level products
+IDEAL_CAP = 5  # two-sided ideal on the type-A cube
 
 
 def verify_peak_theorems(n: int) -> list:

@@ -405,13 +405,13 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
 
 def suite_ideals(n_max: int, deep: bool = False) -> list:
     from . import maps
-    from .algebra import NOT_IN_SPAN, Echelon, express_in_span
+    from .algebra import NOT_IN_SPAN, Echelon, express_in_span, two_sided_failure
     from .bases import (
+        canonical_ideal_algebra,
         descent_algebra,
         descent_span_rank,
         y_basis,
         y_label_elements,
-        y_to_x_coords,
     )
     from .peak import interior_peak_basis, interior_peak_coordinates, interior_peak_elements
     from .perms import STRUCTURE_CAPS, fibonacci
@@ -444,17 +444,16 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
     canonical_ranks = _ranks(1, n_max, STRUCTURE_CAPS["B"][deep])
 
     def canonical_two_sided():
-        # products on Y coordinates from the structure cube (building it is
-        # the element-level closure check); an ideal element has bit 0 in
-        # every X label
+        # the canonical ideal is a coarsening of the type-B descent algebra:
+        # products with its class sums are read on the type-B cube
         for n in canonical_ranks:
-            alg = descent_algebra("B", n)
-            ideal = [alg.coords(e) for _, e in maps.canonical_ideal_basis(n)]
-            for j in alg.labels:
-                for x0 in ideal:
-                    for prod in (alg.product({j: 1}, x0), alg.product(x0, {j: 1})):
-                        if any(not m & 1 for m in y_to_x_coords(prod)):
-                            raise CheckFailure(f"canonical ideal not two-sided at n={n}")
+            failure = two_sided_failure(
+                {j: {j: 1} for j in descent_algebra("B", n).labels},
+                canonical_ideal_algebra(n),
+                lambda *_: f"canonical ideal not two-sided at n={n}",
+            )
+            if failure:
+                raise CheckFailure(failure)
 
     _add_ranged(checks, "ideals/canonical-two-sided", canonical_two_sided, canonical_ranks)
 
@@ -669,15 +668,16 @@ def suite_mr(n_max: int, deep: bool = False) -> list:
 
 def suite_theta(n_max: int, deep: bool = False) -> list:
     from . import hopf, maps, mr
-    from .algebra import AlgElem, apply_rows, class_images
+    from .algebra import AlgElem, Echelon, apply_rows, class_images
     from .bases import descent_algebra, x_basis, y_label_elements
     from .peak import (
+        interior_peak_algebra,
         interior_peak_basis,
         interior_peak_coordinates,
         interior_peak_elements,
         peak_elements,
     )
-    from .perms import interior_sparse_masks
+    from .perms import fibonacci, interior_sparse_masks
 
     checks = []
     element_ranks = _ranks(1, n_max, ELEMENT_CAP)
@@ -732,28 +732,30 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
 
     _add_ranged(checks, "theta/bijective-on-ideal", bijective, element_ranks)
 
-    def bijective_downstairs():
-        from .algebra import span_rank
-        from .perms import fibonacci
+    def spans_interior(images, n, witness):
+        # the images lie in the interior ideal and span it
+        interior = interior_peak_algebra(n)
+        rows = [interior.coords(a) for a in images]
+        if None in rows or Echelon(rows).rank != fibonacci(n - 1):
+            raise CheckFailure(witness)
 
+    def bijective_downstairs():
         for n in interior_ranks:
-            imgs = [maps.theta(p) for _, p in interior_peak_elements(n)]
-            if span_rank(imgs) != fibonacci(n - 1):
-                raise CheckFailure(
-                    f"restricted transform is not bijective on the interior ideal at n={n}"
-                )
+            spans_interior(
+                [maps.theta(p) for _, p in interior_peak_elements(n)],
+                n,
+                f"restricted transform is not bijective on the interior ideal at n={n}",
+            )
 
     _add_ranged(checks, "theta/bijective-on-interior", bijective_downstairs, interior_ranks)
 
     def images():
-        from .algebra import span_rank
-        from .perms import fibonacci
-
         for n in interior_ranks:
-            imgs = [maps.theta(yj) for _, yj in y_label_elements("A", n)]
-            ideal = [e for _, e in interior_peak_elements(n)]
-            if span_rank(imgs) != fibonacci(n - 1) or span_rank(imgs + ideal) != fibonacci(n - 1):
-                raise CheckFailure(f"transform image is not the interior ideal at n={n}")
+            spans_interior(
+                [maps.theta(yj) for _, yj in y_label_elements("A", n)],
+                n,
+                f"transform image is not the interior ideal at n={n}",
+            )
 
     _add_ranged(checks, "theta/image-is-interior-ideal", images, interior_ranks)
     principal_ranks = _ranks(3, n_max, 5 if deep else 4)
@@ -815,69 +817,32 @@ def suite_hopf(n_max: int, deep: bool = False) -> list:
                 hopf.check_counit(w)
 
     checks.append(run_check("hopf/coassociative-counit-singles", singles))
-    checks.append(run_check("hopf/concat-type-a", lambda: hopf.check_sola_star(dmax)))
-    checks.append(run_check("hopf/concat-ideal", lambda: hopf.check_i0_star(dmax)))
     checks.append(
-        run_check("hopf/concat-type-b-module", lambda: hopf.check_solb_module_star(dmax))
-    )
-    checks.append(run_check("hopf/concat-mr", lambda: hopf.check_omega_star(dmax)))
-    checks.append(
-        run_check(
-            "hopf/generator-coproducts", lambda: hopf.check_coproduct_generators(dmax)
-        )
-    )
-    checks.append(
-        run_check(
-            "hopf/coproduct-closures",
-            lambda: hopf.check_delta_closures(_cap(dmax, 5)),
-        )
-    )
-    checks.append(
-        run_check(
-            "hopf/interior-shuffle-closure", lambda: hopf.check_pint_star_closure(dmax)
-        )
-    )
-    checks.append(
-        run_check("hopf/peak-module-closure", lambda: hopf.check_peak_module_star(dmax))
-    )
-    checks.append(
-        run_check(
-            "hopf/peak-not-closed-witness", hopf.check_peak_not_closed_witness
-        )
-    )
-    checks.append(
-        run_check(
-            "hopf/shuffle-coefficients-distinct",
-            lambda: hopf.check_shuffle_coefficients(_cap(n_max, 6)),
-        )
+        run_check("hopf/peak-not-closed-witness", hopf.check_peak_not_closed_witness)
     )
     theta_cap = _cap(n_max, 5)
-    checks.append(
-        run_check("hopf/transform-morphisms", lambda: hopf.check_theta_hopf(theta_cap))
-    )
-    checks.append(
-        run_check(
-            "hopf/drop-via-coproduct", lambda: hopf.check_beta_via_coproduct(theta_cap)
-        )
-    )
-    checks.append(
-        run_check(
-            "hopf/module-morphisms", lambda: hopf.check_module_morphisms(theta_cap)
-        )
-    )
-    checks.append(
-        run_check(
-            "hopf/internal-coproduct-compat",
-            lambda: hopf.check_delta_internal_compat(theta_cap),
-        )
-    )
-    checks.append(run_check("hopf/free-module", lambda: hopf.check_free_module(theta_cap)))
-    checks.append(
-        run_check(
-            "hopf/ideal-type-a-isomorphism",
-            lambda: hopf.check_i0_sola_isomorphism(_cap(n_max, 5)),
-        )
-    )
+    # (check, body, ceiling d, p0): the body loops over the degrees 1..d, or,
+    # given p0, over the pairs p + q <= d with p >= p0 and q >= 1; a check
+    # that visits no degree gets no entry
+    for name, body, d, p0 in (
+        ("concat-type-a", hopf.check_sola_star, dmax, 1),
+        ("concat-ideal", hopf.check_i0_star, dmax, 1),
+        ("concat-type-b-module", hopf.check_solb_module_star, dmax, 0),
+        ("concat-mr", hopf.check_omega_star, dmax, 1),
+        ("generator-coproducts", hopf.check_coproduct_generators, dmax, None),
+        ("coproduct-closures", hopf.check_delta_closures, theta_cap, None),
+        ("interior-shuffle-closure", hopf.check_pint_star_closure, dmax, 1),
+        ("peak-module-closure", hopf.check_peak_module_star, dmax, 1),
+        ("shuffle-coefficients-distinct", hopf.check_shuffle_coefficients, dmax, 1),
+        ("transform-morphisms", hopf.check_theta_hopf, theta_cap, None),
+        ("drop-via-coproduct", hopf.check_beta_via_coproduct, theta_cap, None),
+        ("module-morphisms", hopf.check_module_morphisms, theta_cap, 0),
+        ("internal-coproduct-compat", hopf.check_delta_internal_compat, theta_cap, None),
+        ("free-module", hopf.check_free_module, theta_cap, None),
+        ("ideal-type-a-isomorphism", hopf.check_i0_sola_isomorphism, theta_cap, None),
+    ):
+        seen = range(1, d + 1) if p0 is None else range(p0, d)
+        _add_ranged(checks, f"hopf/{name}", lambda body=body, d=d: body(d), seen)
     return checks
 
 
