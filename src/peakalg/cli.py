@@ -107,9 +107,7 @@ def _build_element(args):
     if kind in ("P", "Pint"):
         from .peak import interior_peak_basis, peak_basis
 
-        body = (args.label or "{}").strip().strip("{}")
-        members = [int(t) for t in body.split(",") if t.strip()]
-        mask = PeakIndex.from_members(n, members).mask
+        mask = PeakIndex.parse(n, args.label or "{}").mask
         return (peak_basis if kind == "P" else interior_peak_basis)(n, mask)
     if kind in ("T", "S", "Stilde"):
         from .mr import mr_basis

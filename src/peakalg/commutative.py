@@ -198,10 +198,6 @@ def _sol_coords(a: AlgElem):
     return sol_algebra(a.n).coords(a)
 
 
-def _wp_coords(a: AlgElem):
-    return wp_algebra(a.n).coords(a)
-
-
 # ---------------------------------------------------------------------------
 # closed forms for the restricted maps
 
@@ -476,19 +472,20 @@ def check_whp_closure(n: int):
 
 def sbexact_diagram(n: int) -> DiagramSpec:
     """0 -> span{x_n, x_{n-1}} -> descent-count span -> (two ranks down)
-    -> 0 over the analogous peak-count row, vertical sign forgetting."""
-    all_p = sum((peak_number(n, i) for i in range(n // 2 + 1)), AlgElem.zero("S", n))
+    -> 0 over the analogous peak-count row, vertical sign forgetting.  The
+    kernel rows are x_j = sum_i C(n-i, j-i) y_i and the sum of all p_i."""
+    sol, wp = sol_algebra(n), wp_algebra(n)
+    x_rows = [
+        (f"x_{tag}", {i: _choose(n - i, j - i) for i in range(j + 1)})
+        for tag, j in (("n", n), ("n1", n - 1))
+    ]
     return exact_square(
         f"sbexact/n={n}",
+        [Node("K", sol, x_rows), Node("sol", sol), Node("sol2", sol_algebra(n - 2))],
         [
-            Node("K", [("x_n", x_number(n, n)), ("x_n1", x_number(n, n - 1))], _sol_coords),
-            Node("sol", sol_family(n), _sol_coords),
-            Node("sol2", sol_family(n - 2), _sol_coords),
-        ],
-        [
-            Node("k", [("sum_p", all_p)], _wp_coords),
-            Node("wp", wp_family(n), _wp_coords),
-            Node("wp2", wp_family(n - 2), _wp_coords),
+            Node("k", wp, [("sum_p", dict.fromkeys(wp.labels, 1))]),
+            Node("wp", wp),
+            Node("wp2", wp_algebra(n - 2)),
         ],
         ("beta2", beta2_map),
         ("phi", phi),
@@ -592,7 +589,7 @@ def loday_witness(kind: str, n_max: int = 6):
 def check_wp_dimensions(n: int):
     """Peak-side dimensions alone (valid to rank 8): joint span n, count
     span n//2 + 1, interior span (n+1)//2, with the single relation."""
-    p_rows = [_wp_coords(e) for _, e in wp_family(n)]
+    p_rows = [wp_algebra(n).coords(e) for _, e in wp_family(n)]
     pi_rows = [wp_interior_algebra(n).coords(e) for _, e in wp_interior_family(n)]
     if Echelon(p_rows).rank != n // 2 + 1:
         raise CheckFailure(f"peak-count span dimension wrong at n={n}")

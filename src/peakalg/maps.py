@@ -7,6 +7,11 @@ exhaustively.  The degree-lowering maps live on basis coordinates: the
 type-B map drops generator 0, its square and the type-D map drop the two
 leftmost generators, and both descend to the projection of the peak
 algebra two ranks down.
+
+The commutative diagrams and exact rows run on class rows: a node is a
+class algebra (with spanning rows for a subspace), an arrow's rows are the
+binned images of its source's class sums, and every check of a diagram
+reads those rows.
 """
 
 from __future__ import annotations
@@ -14,26 +19,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgElem, Echelon, apply_rows, exact_det, push_forward
+from .algebra import (
+    AlgElem,
+    ClassAlgebra,
+    Echelon,
+    apply_rows,
+    class_images,
+    exact_det,
+    push_forward,
+)
 from .bases import (
     descent_algebra,
     descent_coordinates,
     x_basis,
     x_to_y_coords,
     y_basis,
-    y_label_elements,
     y_to_x_coords,
 )
-from .peak import (
-    interior_peak_algebra,
-    interior_peak_basis,
-    interior_peak_coordinates,
-    interior_peak_elements,
-    peak_algebra,
-    peak_coordinates,
-    peak_elements,
-    pi_map,
-)
+from .peak import interior_peak_algebra, interior_peak_basis, peak_algebra, pi_map
 from .perms import (
     chi_element,
     forget_signs,
@@ -50,6 +53,8 @@ from .reporting import CheckFailure, run_check
 
 def phi(a: AlgElem) -> AlgElem:
     """Forget the signs: QB_n (or QD_n) -> QS_n."""
+    if a.group not in ("B", "D"):
+        raise ValueError("phi acts on elements of QB_n or QD_n")
     return push_forward(forget_signs, a, group="S")
 
 
@@ -333,13 +338,6 @@ def ker_beta2_basis(n: int) -> list:
     ]
 
 
-def d_ideal_basis(n: int) -> list:
-    """Type D: X_J with 1' or 1 in J."""
-    return [
-        (m, x_basis("D", n, m)) for m in range(1 << n) if m & 3
-    ]
-
-
 def imchi_basis(n: int, jmask: int, i: int) -> AlgElem:
     """Spanning elements of the image of the B-to-D fold: for J inside
     {2,...,n-1}, the classes with no leftmost descents, with exactly one
@@ -361,27 +359,19 @@ def imchi_basis(n: int, jmask: int, i: int) -> AlgElem:
 
 @dataclass
 class Node:
-    """A subspace given by a spanning family and an exact coordinatizer
-    (returns None outside the subspace)."""
+    """A node of a diagram: its ambient class algebra and, for a proper
+    subspace only, spanning rows (label, coordinates over the ambient's
+    labels)."""
 
     name: str
-    family: list  # (label, AlgElem)
-    coords: object  # callable AlgElem -> dict | None
-
-    def rank(self) -> int:
-        return Echelon(self._coords_or_fail(e) for _, e in self.family).rank
-
-    def _coords_or_fail(self, elem: AlgElem) -> dict:
-        c = self.coords(elem)
-        if c is None:
-            raise CheckFailure(f"element falls outside node {self.name}")
-        return c
+    algebra: ClassAlgebra
+    rows: list | None = None
 
 
 @dataclass
 class DiagramSpec:
     """A finite diagram of linear maps with asserted path equalities and
-    exact rows.  Arrows are (source node, target node, map)."""
+    exact rows.  Arrows are (source node, target node, element map)."""
 
     name: str
     nodes: dict
@@ -390,117 +380,104 @@ class DiagramSpec:
     exact_rows: list = field(default_factory=list)  # (inclusion arrow, projection arrow)
     surjections: list = field(default_factory=list)  # arrow names
 
-    def arrow_src(self, path):
-        return self.arrows[path[0]][0]
-
-    def apply_path(self, path, elem: AlgElem) -> AlgElem:
-        for name in path:
-            elem = self.arrows[name][2](elem)
-        return elem
-
 
 def verify_diagram(spec: DiagramSpec) -> list:
-    checks = []
+    """The checks of a diagram, on class rows.  The rows of an arrow (the
+    binned image of every class sum of its source's algebra) are built
+    once per map and pair of algebras; every check then applies them to
+    the spanning rows of the nodes and compares, reduces or ranks."""
+    tables, spans = {}, {}
 
-    def check_membership():
-        for name, (src, dst, f) in spec.arrows.items():
-            for label, elem in spec.nodes[src].family:
-                image = f(elem)
-                if spec.nodes[dst].coords(image) is None:
-                    raise CheckFailure(
-                        f"arrow {name} sends {label} outside {dst}"
-                    )
+    def rows_of(name):
+        node = spec.nodes[name]
+        if node.rows is None:
+            return [(lab, {lab: 1}) for lab in node.algebra.labels]
+        labels = set(node.algebra.labels)
+        for label, row in node.rows:
+            if not labels.issuperset(row):
+                raise CheckFailure(f"row {label} of node {name} is off its algebra")
+        return node.rows
 
-    checks.append(run_check(f"diagram/{spec.name}/arrows-land-in-nodes", check_membership))
+    def span(name) -> Echelon:
+        if name not in spans:
+            spans[name] = Echelon(row for _, row in rows_of(name))
+        return spans[name]
+
+    def along(path, rows):
+        for arrow in path:
+            src, dst, f = spec.arrows[arrow]
+            key = (f, spec.nodes[src].algebra, spec.nodes[dst].algebra)
+            if key not in tables:
+                tables[key] = class_images(*key, f"arrow {arrow}")
+            rows = [(label, apply_rows(tables[key], row)) for label, row in rows]
+        return rows
+
+    def landed(arrow) -> Echelon:
+        """The span of the images of the source rows, each checked to lie
+        in the target node."""
+        src, dst, _ = spec.arrows[arrow]
+        images = Echelon()
+        for label, image in along((arrow,), rows_of(src)):
+            rest = dict(image)
+            span(dst).reduce(rest)
+            if rest:
+                raise CheckFailure(f"arrow {arrow} sends {label} outside {dst}")
+            images.add(image)
+        return images
+
+    head = f"diagram/{spec.name}"
+    checks = [run_check(f"{head}/arrows-land-in-nodes", lambda: [landed(a) for a in spec.arrows])]
 
     for path_a, path_b in spec.path_equalities:
-        src = spec.arrow_src(path_a)
-        if src != spec.arrow_src(path_b):
+        src = spec.arrows[path_a[0]][0]
+        if src != spec.arrows[path_b[0]][0]:
             raise ValueError("paths start at different nodes")
+        a, b = "*".join(path_a), "*".join(path_b)
 
-        def check_paths(path_a=path_a, path_b=path_b, src=src):
-            for label, elem in spec.nodes[src].family:
-                if spec.apply_path(path_a, elem) != spec.apply_path(path_b, elem):
-                    raise CheckFailure(
-                        f"paths {'*'.join(path_a)} and {'*'.join(path_b)} "
-                        f"differ on {label}"
-                    )
+        def check_paths(path_a=path_a, path_b=path_b, src=src, a=a, b=b):
+            rows = rows_of(src)
+            for (label, x), (_, y) in zip(along(path_a, rows), along(path_b, rows)):
+                if x != y:
+                    raise CheckFailure(f"paths {a} and {b} differ on {label}")
 
-        checks.append(
-            run_check(
-                f"diagram/{spec.name}/path[{'*'.join(path_a)}=={'*'.join(path_b)}]",
-                check_paths,
-            )
-        )
+        checks.append(run_check(f"{head}/path[{a}=={b}]", check_paths))
 
-    for inc_name, proj_name in spec.exact_rows:
+    for inc, proj in spec.exact_rows:
 
-        def check_exact(inc_name=inc_name, proj_name=proj_name):
-            inc_src, mid, f = spec.arrows[inc_name]
-            mid2, out, g = spec.arrows[proj_name]
+        def check_exact(inc=inc, proj=proj):
+            src, mid, _ = spec.arrows[inc]
+            mid2, out, _ = spec.arrows[proj]
             if mid != mid2:
                 raise ValueError("exact row arrows do not compose")
-            mid_node, out_node = spec.nodes[mid], spec.nodes[out]
-            src_node = spec.nodes[inc_src]
-            # composite vanishes
-            for label, elem in src_node.family:
-                if g(f(elem)):
-                    raise CheckFailure(f"{proj_name}({inc_name}({label})) != 0")
+            for label, image in along((inc, proj), rows_of(src)):
+                if image:
+                    raise CheckFailure(f"{proj}({inc}({label})) != 0")
             # ranks: injective inclusion, surjective projection, and
             # ker(projection) = im(inclusion) by rank-nullity
-            r_src = src_node.rank()
-            r_mid = mid_node.rank()
-            r_out = out_node.rank()
-            r_in = Echelon(mid_node._coords_or_fail(f(e)) for _, e in src_node.family).rank
-            r_img = Echelon(out_node._coords_or_fail(g(e)) for _, e in mid_node.family).rank
+            r_src, r_mid, r_out = (span(name).rank for name in (src, mid, out))
+            r_in, r_img = landed(inc).rank, landed(proj).rank
             if r_in != r_src:
-                raise CheckFailure(f"{inc_name} is not injective ({r_in} < {r_src})")
+                raise CheckFailure(f"{inc} is not injective ({r_in} < {r_src})")
             if r_img != r_out:
-                raise CheckFailure(f"{proj_name} is not onto ({r_img} < {r_out})")
+                raise CheckFailure(f"{proj} is not onto ({r_img} < {r_out})")
             if r_in + r_img != r_mid:
-                raise CheckFailure(
-                    f"row not exact at {mid}: {r_in} + {r_img} != {r_mid}"
-                )
+                raise CheckFailure(f"row not exact at {mid}: {r_in} + {r_img} != {r_mid}")
 
-        checks.append(
-            run_check(f"diagram/{spec.name}/exact-row[{inc_name},{proj_name}]", check_exact)
-        )
+        checks.append(run_check(f"{head}/exact-row[{inc},{proj}]", check_exact))
 
-    for name in spec.surjections:
+    for arrow in spec.surjections:
 
-        def check_surjective(name=name):
-            src, dst, f = spec.arrows[name]
-            dst_node = spec.nodes[dst]
-            rank = Echelon(dst_node._coords_or_fail(f(e)) for _, e in spec.nodes[src].family).rank
-            if rank != dst_node.rank():
-                raise CheckFailure(f"{name} is not onto {dst}")
+        def check_surjective(arrow=arrow):
+            dst = spec.arrows[arrow][1]
+            if landed(arrow).rank != span(dst).rank:
+                raise CheckFailure(f"{arrow} is not onto {dst}")
 
-        checks.append(run_check(f"diagram/{spec.name}/onto[{name}]", check_surjective))
+        checks.append(run_check(f"{head}/onto[{arrow}]", check_surjective))
 
     return checks
 
 # ---------------------------------------------------------------------------
-# node coordinatizers and the standard diagrams
-
-
-def descent_node_coords(ctype: str):
-    return lambda a: descent_coordinates(a, ctype)
-
-
-def x_support_coords(ctype: str, allowed: frozenset):
-    """Coordinates on the X-basis restricted to an allowed label set;
-    None outside the corresponding span."""
-
-    def coords(a: AlgElem):
-        y = descent_coordinates(a, ctype)
-        if y is None:
-            return None
-        x = y_to_x_coords(y)
-        if any(m not in allowed for m in x):
-            return None
-        return x
-
-    return coords
+# the standard diagrams
 
 
 def exact_square(name: str, upper: list, lower: list, drop: tuple, down: tuple) -> DiagramSpec:
@@ -534,21 +511,21 @@ def exact_square(name: str, upper: list, lower: list, drop: tuple, down: tuple) 
 
 
 def _peak_row(n: int) -> list:
-    """0 -> interior peaks -> peaks_n -> peaks_{n-2} -> 0 as Nodes."""
-    return [
-        Node("Pint", interior_peak_elements(n), interior_peak_coordinates),
-        Node("P", peak_elements(n), peak_coordinates),
-        Node("P2", peak_elements(n - 2), peak_coordinates),
-    ]
+    """0 -> interior peaks -> peaks_n -> peaks_{n-2} -> 0 as Nodes; the
+    interior class sums are lifted to P-coordinates."""
+    P, interior = peak_algebra(n), interior_peak_algebra(n)
+    pint = [(m, P.lift(interior.spread({m: 1}))) for m in interior.labels]
+    return [Node("Pint", P, pint), Node("P", P), Node("P2", peak_algebra(n - 2))]
 
 
-def _descent_row(ctype: str, kernel: str, n: int, ideal: list) -> list:
-    """0 -> ideal -> Sol(ctype_n) -> Sol(B_{n-2}) as Nodes."""
-    allowed = frozenset(m for m, _ in ideal)
+def _descent_row(ctype: str, kernel: str, n: int) -> list:
+    """0 -> ideal -> Sol(ctype_n) -> Sol(B_{n-2}) as Nodes, the ideal
+    spanned by the X_J with 0 (1') or 1 in J."""
+    ideal = [(m, x_to_y_coords({m: 1})) for m in range(1 << n) if m & 3]
     return [
-        Node(kernel, ideal, x_support_coords(ctype, allowed)),
-        Node(f"Sol{ctype}", y_label_elements(ctype, n), descent_node_coords(ctype)),
-        Node("SolB2", y_label_elements("B", n - 2), descent_node_coords("B")),
+        Node(kernel, descent_algebra(ctype, n), ideal),
+        Node(f"Sol{ctype}", descent_algebra(ctype, n)),
+        Node("SolB2", descent_algebra("B", n - 2)),
     ]
 
 
@@ -558,7 +535,7 @@ def bexact_diagram(n: int) -> DiagramSpec:
     sign-forgetting map as the vertical arrows."""
     return exact_square(
         f"bexact/n={n}",
-        _descent_row("B", "I01", n, ker_beta2_basis(n)),
+        _descent_row("B", "I01", n),
         _peak_row(n),
         ("beta2", beta2_map),
         ("phi", phi),
@@ -569,7 +546,7 @@ def dexact_diagram(n: int) -> DiagramSpec:
     """The type-D analog, with the two leftmost generators dropped."""
     return exact_square(
         f"dexact/n={n}",
-        _descent_row("D", "Iprime", n, d_ideal_basis(n)),
+        _descent_row("D", "Iprime", n),
         _peak_row(n),
         ("gamma", gamma_map),
         ("psi", psi),
@@ -580,10 +557,10 @@ def bd_triangles(n: int) -> DiagramSpec:
     """The fold through type D composed with the projections: psi after
     chi is phi, and gamma after chi is the double degree drop."""
     nodes = {
-        "SolB": Node("SolB", y_label_elements("B", n), descent_node_coords("B")),
-        "SolD": Node("SolD", y_label_elements("D", n), descent_node_coords("D")),
-        "SolB2": Node("SolB2", y_label_elements("B", n - 2), descent_node_coords("B")),
-        "P": Node("P", peak_elements(n), peak_coordinates),
+        "SolB": Node("SolB", descent_algebra("B", n)),
+        "SolD": Node("SolD", descent_algebra("D", n)),
+        "SolB2": Node("SolB2", descent_algebra("B", n - 2)),
+        "P": Node("P", peak_algebra(n)),
     }
     arrows = {
         "chi": ("SolB", "SolD", chi),
@@ -605,6 +582,22 @@ def bd_triangles(n: int) -> DiagramSpec:
 
 # ---------------------------------------------------------------------------
 # principal right ideals
+
+
+def x_support_coords(ctype: str, allowed: frozenset):
+    """Coordinates on the X-basis restricted to an allowed label set;
+    None outside the corresponding span."""
+
+    def coords(a: AlgElem):
+        y = descent_coordinates(a, ctype)
+        if y is None:
+            return None
+        x = y_to_x_coords(y)
+        if any(m not in allowed for m in x):
+            return None
+        return x
+
+    return coords
 
 
 def right_ideal_check(generator: AlgElem, algebra_family, ideal_family, coordizer, what: str):

@@ -289,6 +289,23 @@ def _label_token(ctype: str, i: int) -> str:
     return "1'" if (ctype == "D" and i == 0) else str(i)
 
 
+def _label_members(text: str, what: str, named=None) -> list:
+    """The members of a label text such as "{0,2}", each token a number or
+    a key of named; ValueError names the label and any other token."""
+    body = text.strip()
+    if body.startswith("{") and body.endswith("}"):
+        body = body[1:-1]
+    members = []
+    for tok in filter(None, (t.strip() for t in body.split(","))):
+        if named and tok in named:
+            members.append(named[tok])
+        elif tok.isdecimal():
+            members.append(int(tok))
+        else:
+            raise ValueError(f"label {text!r}: {tok!r} is not {what}")
+    return members
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """Subset of the Coxeter generators of one type, encoded as a bitmask.
@@ -319,18 +336,8 @@ class GeneratorSet:
 
     @classmethod
     def parse(cls, ctype: str, n: int, text: str) -> "GeneratorSet":
-        body = text.strip()
-        if body.startswith("{") and body.endswith("}"):
-            body = body[1:-1]
-        labels = []
-        for tok in filter(None, (t.strip() for t in body.split(","))):
-            if tok == "1'":
-                if ctype != "D":
-                    raise ValueError("token 1' only valid for type D")
-                labels.append(0)
-            else:
-                labels.append(int(tok))
-        return cls.from_labels(ctype, n, labels)
+        named = {"1'": 0} if ctype == "D" else None
+        return cls.from_labels(ctype, n, _label_members(text, f"a type-{ctype} generator", named))
 
     def labels(self) -> tuple:
         return tuple(i for i in range(self.n) if (self.mask >> i) & 1)
@@ -415,6 +422,10 @@ class PeakIndex:
         for i in members:
             mask |= 1 << i
         return cls(n, mask)
+
+    @classmethod
+    def parse(cls, n: int, text: str) -> "PeakIndex":
+        return cls.from_members(n, _label_members(text, "a peak position"))
 
     def members(self) -> tuple:
         return _mask_members(self.mask)
