@@ -107,7 +107,7 @@ def _build_element(args):
     if kind in ("P", "Pint"):
         from .peak import interior_peak_basis, peak_basis
 
-        mask = PeakIndex.parse(n, args.label or "{}").mask
+        mask = PeakIndex.parse(n, args.label or "{}", interior=kind == "Pint").mask
         return (peak_basis if kind == "P" else interior_peak_basis)(n, mask)
     if kind in ("T", "S", "Stilde"):
         from .mr import mr_basis

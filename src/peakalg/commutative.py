@@ -12,7 +12,8 @@ Each count algebra is a coarsening of the type-B descent algebra or of the
 peak algebra, by the size of a label (less its first generator for the
 ideal sums).  Products of count sums are read on the parent's cube and
 lifted back through the fibres, so one closure check and one table
-builder serve both sides.
+builder serve both sides.  The maps on the count sums are read on their
+rows over the fine classes, like every map check (see maps.landed).
 """
 
 from __future__ import annotations
@@ -20,21 +21,31 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .algebra import AlgElem, ClassAlgebra, Echelon, StructureTable, normalize_coord
-from .bases import descent_algebra, descent_coordinates, x_basis, x_to_y_coords
+from .algebra import (
+    AlgElem,
+    ClassAlgebra,
+    StructureTable,
+    apply_rows,
+    class_images,
+    normalize_coord,
+)
+from .bases import descent_algebra, x_to_y_coords
 from .maps import (
     DiagramSpec,
     Node,
     beta2_map,
     beta_map,
     chi,
+    coarse_node,
     exact_square,
+    landed,
+    node_span,
     phi,
     pi_map,
     x0_basis,
     y0_basis,
 )
-from .peak import interior_peak_algebra, peak_algebra, peak_coordinates
+from .peak import interior_peak_algebra, peak_algebra
 from .perms import group_elements
 from .reporting import CheckFailure
 
@@ -97,11 +108,7 @@ def x_number(n: int, j: int) -> AlgElem:
     """Sum of X_J over the type-B labels of cardinality j."""
     if not 0 <= j <= n:
         raise ValueError(f"label size {j} out of range 0..{n}")
-    out = AlgElem.zero("B", n)
-    for m in range(1 << n):
-        if _popcount(m) == j:
-            out += x_basis("B", n, m)
-    return out
+    return descent_algebra("B", n).element(x_count_coords(n, j))
 
 
 def _ideal_number(n: int, j: int, basis) -> AlgElem:
@@ -192,10 +199,6 @@ def peak_number_coordinates(a: AlgElem) -> list | None:
 def interior_number_coordinates(a: AlgElem) -> list | None:
     """Coordinates over the interior sums p0_1..p0_{(n+1)//2}, or None."""
     return wp_interior_algebra(a.n).vector(a)
-
-
-def _sol_coords(a: AlgElem):
-    return sol_algebra(a.n).coords(a)
 
 
 # ---------------------------------------------------------------------------
@@ -342,38 +345,53 @@ def check_builder_relations(n: int):
             raise CheckFailure(f"interior p_{j} rewritten form fails at n={n}")
 
 
+def x_count_coords(n: int, j: int, ideal: bool = False) -> dict:
+    """Type-B class coordinates of x_j, the sum of the X_J over the labels
+    of size j, or, with ideal, of x0_j, the same over those containing 0."""
+    labels = (m for m in range(1 << n) if _popcount(m) == j and (m & 1 or not ideal))
+    return x_to_y_coords(dict.fromkeys(labels, 1))
+
+
 def check_phi_number_forms(n: int):
     """Sign forgetting on the graded sums matches the closed forms, is
     palindromic, and sends the all-group sums to the stated multiples."""
-    for j in range(n + 1):
-        if phi(y_number(n, j)) != phi_y_number_formula(n, j):
+    sol, target = sol_algebra(n), peak_algebra(n)
+    rows = class_images(phi, sol.parent, target, "sign forgetting")
+    forms = {j: target.coords(phi_y_number_formula(n, j)) for j in sol.labels}
+    for j in sol.labels:
+        if apply_rows(rows, sol.spread({j: 1})) != forms[j]:
             raise CheckFailure(f"phi(y_{j}) closed form fails at n={n}")
+    ideal = i0_number_algebra(n)
     for j in range(1, n + 1):
-        if phi(y0_number(n, j)) != phi_y0_number_formula(n, j):
+        form = target.coords(phi_y0_number_formula(n, j))
+        if apply_rows(rows, ideal.spread({j - 1: 1})) != form:
             raise CheckFailure(f"phi(y0_{j}) closed form fails at n={n}")
-    for j in range(n + 1):
-        if phi_y_number_formula(n, j) != phi_y_number_formula(n, n - j):
+    for j in sol.labels:
+        if forms[j] != forms[n - j]:
             raise CheckFailure(f"phi(y_{j}) != phi(y_{n - j}) at n={n}")
-    all_p = sum((peak_number(n, i) for i in range(n // 2 + 1)), AlgElem.zero("S", n))
-    total = sum((y_number(n, j) for j in range(n + 1)), AlgElem.zero("B", n))
-    weighted = sum((y_number(n, j).scale(j) for j in range(n + 1)), AlgElem.zero("B", n))
-    if phi(total) != all_p.scale(1 << n):
+    # the sum of all p_i is the sum of all peak classes
+    total = apply_rows(rows, sol.spread(dict.fromkeys(sol.labels, 1)))
+    weighted = apply_rows(rows, sol.spread({j: j for j in sol.labels}))
+    if total != dict.fromkeys(target.labels, 1 << n):
         raise CheckFailure(f"phi(sum y_j) != 2^n sum p_i at n={n}")
-    if phi(weighted) != all_p.scale(n * (1 << (n - 1))):
+    if weighted != dict.fromkeys(target.labels, n << (n - 1)):
         raise CheckFailure(f"phi(sum j y_j) != n 2^(n-1) sum p_i at n={n}")
 
 
 def check_beta_number_forms(n: int):
-    for j in range(n + 1):
-        if beta_map(y_number(n, j)) != beta_y_number_formula(n, j):
+    """The degree drop on the graded sums matches the casework; on the
+    descent-count span it has rank n, its kernel spanned by x_n."""
+    sol, low = sol_algebra(n), descent_algebra("B", n - 1)
+    rows = class_images(beta_map, sol.parent, low, "beta")
+    for j in sol.labels:
+        if apply_rows(rows, sol.spread({j: 1})) != low.coords(beta_y_number_formula(n, j)):
             raise CheckFailure(f"beta(y_{j}) casework fails at n={n}")
-        if beta_map(x_number(n, j)) != beta_x_number_formula(n, j):
+        if apply_rows(rows, x_count_coords(n, j)) != low.coords(beta_x_number_formula(n, j)):
             raise CheckFailure(f"beta(x_{j}) casework fails at n={n}")
-    # kernel of the restriction is spanned by x_n
-    rank = Echelon(_sol_coords(beta_map(y_number(n, j))) for j in range(n + 1)).rank
+    rank = landed(rows, coarse_node("sol", sol), Node("SolB1", low), f"beta at n={n}").rank
     if rank != n:
         raise CheckFailure(f"restricted beta rank {rank} != {n} at n={n}")
-    if beta_map(x_number(n, n)):
+    if apply_rows(rows, x_count_coords(n, n)):
         raise CheckFailure(f"beta(x_n) != 0 at n={n}")
 
 
@@ -386,19 +404,14 @@ def check_pi_number_forms(n: int):
 def check_ker_beta2_on_sol(n: int):
     """ker of the double drop inside the descent-count span is exactly
     the span of x_n and x_{n-1}."""
-    for j in (n, n - 1):
-        if beta2_map(x_number(n, j)):
-            raise CheckFailure(f"beta^2(x_{j}) != 0 at n={n}")
-    rows = []
-    for j in range(n + 1):
-        img = _sol_coords(beta2_map(y_number(n, j)))
-        if img is None:
-            raise CheckFailure("beta^2 image left the descent-count span")
-        rows.append(img)
-    rank = Echelon(rows).rank
+    sol, low = sol_algebra(n), descent_algebra("B", n - 2)
+    rows = class_images(beta2_map, sol.parent, low, "beta^2")
+    kernel = Node("K", sol.parent, [(f"x_{j}", x_count_coords(n, j)) for j in (n, n - 1)])
+    landed(rows, kernel, Node("0", low, []), f"beta^2 at n={n}")
+    rank = landed(rows, coarse_node("sol", sol), Node("SolB2", low), f"beta^2 at n={n}").rank
     if rank != n - 1:
         raise CheckFailure(f"beta^2 restricted rank {rank} != {n - 1} at n={n}")
-    if Echelon(_sol_coords(x_number(n, j)) for j in (n, n - 1)).rank != 2:
+    if node_span(kernel).rank != 2:
         raise CheckFailure("x_n, x_{n-1} are dependent")
 
 
@@ -406,8 +419,8 @@ def check_graded_dimensions(n: int):
     """dims: joint peak span n, peak-count span n//2+1, interior span
     (n+1)//2; type B: 2n, n+1, n."""
     check_wp_dimensions(n)
-    y_rows = [descent_coordinates(e, "B") or {} for _, e in sol_family(n) + i0_number_family(n)]
-    if Echelon(y_rows).rank != 2 * n:
+    rows = _count_rows("y", sol_algebra(n), 0) + _count_rows("y0", i0_number_algebra(n), 1)
+    if node_span(Node("joint", descent_algebra("B", n), rows)).rank != 2 * n:
         raise CheckFailure(f"type-B joint span dimension != {2 * n} at n={n}")
 
 
@@ -473,12 +486,10 @@ def check_whp_closure(n: int):
 def sbexact_diagram(n: int) -> DiagramSpec:
     """0 -> span{x_n, x_{n-1}} -> descent-count span -> (two ranks down)
     -> 0 over the analogous peak-count row, vertical sign forgetting.  The
-    kernel rows are x_j = sum_i C(n-i, j-i) y_i and the sum of all p_i."""
+    kernel rows are x_n, x_{n-1} (lifted from the type-B classes) and the
+    sum of all p_i."""
     sol, wp = sol_algebra(n), wp_algebra(n)
-    x_rows = [
-        (f"x_{tag}", {i: _choose(n - i, j - i) for i in range(j + 1)})
-        for tag, j in (("n", n), ("n1", n - 1))
-    ]
+    x_rows = [(f"x_{tag}", sol.lift(x_count_coords(n, j))) for tag, j in (("n", n), ("n1", n - 1))]
     return exact_square(
         f"sbexact/n={n}",
         [Node("K", sol, x_rows), Node("sol", sol), Node("sol2", sol_algebra(n - 2))],
@@ -518,10 +529,6 @@ def chi_x_number_coords(n: int, j: int) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def _from_d_x_coords(n: int, xcoords: dict) -> AlgElem:
-    return descent_algebra("D", n).element(x_to_y_coords(xcoords))
-
-
 def check_type_d_numbers(n: int):
     """The fold's images of the graded type-B sums match the closed
     forms; the x_j images and the x0_j images are separately independent
@@ -529,35 +536,30 @@ def check_type_d_numbers(n: int):
     image of x_n = x0_n there is a second relation, since no subset of
     {2,...,n-1} has n-1 elements and therefore the images of x_{n-1} and
     x0_{n-1} differ exactly by half the image of x_n."""
-    from fractions import Fraction
-
-    imgs_x, imgs_x0 = [], []
-    for j in range(n + 1):
-        expect = _from_d_x_coords(n, chi_x_number_coords(n, j))
-        got = chi(x_number(n, j))
-        if got != expect:
-            raise CheckFailure(f"fold image of x_{j} closed form fails at n={n}")
-        imgs_x.append(descent_coordinates(got, "D"))
-    for j in range(1, n + 1):
-        expect = _from_d_x_coords(n, chi_x0_number_coords(n, j))
-        got = chi(x0_number(n, j))
-        if got != expect:
-            raise CheckFailure(f"fold image of x0_{j} closed form fails at n={n}")
-        imgs_x0.append(descent_coordinates(got, "D"))
-    if chi(x_number(n, n)) != chi(x0_number(n, n)):
+    solb, sold = descent_algebra("B", n), descent_algebra("D", n)
+    rows = class_images(chi, solb, sold, "the fold")
+    xs = [(f"x_{j}", x_count_coords(n, j)) for j in range(n + 1)]
+    x0s = [(f"x0_{j}", x_count_coords(n, j, ideal=True)) for j in range(1, n + 1)]
+    images = {label: apply_rows(rows, row) for label, row in xs + x0s}
+    forms = [(f"x_{j}", chi_x_number_coords(n, j)) for j in range(n + 1)]
+    forms += [(f"x0_{j}", chi_x0_number_coords(n, j)) for j in range(1, n + 1)]
+    for label, form in forms:
+        if images[label] != x_to_y_coords(form):
+            raise CheckFailure(f"fold image of {label} closed form fails at n={n}")
+    if images[f"x_{n}"] != images[f"x0_{n}"]:
         raise CheckFailure(f"fold images of x_n and x0_n differ at n={n}")
-    if Echelon(imgs_x).rank != n + 1:
+
+    def rank(family):
+        return landed(rows, Node("x", solb, family), Node("SolD", sold), "the fold").rank
+
+    if rank(xs) != n + 1:
         raise CheckFailure(f"rank of fold images of x_j != {n + 1}")
-    if Echelon(imgs_x0).rank != n:
+    if rank(x0s) != n:
         raise CheckFailure(f"rank of fold images of x0_j != {n}")
-    witness = (
-        chi(x_number(n, n - 1))
-        - chi(x0_number(n, n - 1))
-        - chi(x_number(n, n)).scale(Fraction(1, 2))
-    )
-    if witness:
+    x, x0, xn = images[f"x_{n - 1}"], images[f"x0_{n - 1}"], images[f"x_{n}"]
+    if any(2 * (x.get(m, 0) - x0.get(m, 0)) != xn.get(m, 0) for m in sold.labels):
         raise CheckFailure(f"second fold relation fails at n={n}")
-    if Echelon(imgs_x + imgs_x0).rank != 2 * n - 1:
+    if rank(xs + x0s) != 2 * n - 1:
         raise CheckFailure(f"joint rank of fold images != {2 * n - 1}")
 
 
@@ -588,13 +590,14 @@ def loday_witness(kind: str, n_max: int = 6):
 
 def check_wp_dimensions(n: int):
     """Peak-side dimensions alone (valid to rank 8): joint span n, count
-    span n//2 + 1, interior span (n+1)//2, with the single relation."""
-    p_rows = [wp_algebra(n).coords(e) for _, e in wp_family(n)]
-    pi_rows = [wp_interior_algebra(n).coords(e) for _, e in wp_interior_family(n)]
-    if Echelon(p_rows).rank != n // 2 + 1:
-        raise CheckFailure(f"peak-count span dimension wrong at n={n}")
-    if Echelon(pi_rows).rank != (n + 1) // 2:
-        raise CheckFailure(f"interior span dimension wrong at n={n}")
-    joint = [peak_coordinates(e) or {} for _, e in wp_family(n) + wp_interior_family(n)]
-    if Echelon(joint).rank != n:
-        raise CheckFailure(f"joint span dimension != {n} at n={n}")
+    span n//2 + 1, interior span (n+1)//2, with the single relation; read
+    on the class sums of the count algebras in peak-class coordinates."""
+    p_rows = _count_rows("p", wp_algebra(n), 0)
+    pi_rows = _count_rows("p0", wp_interior_algebra(n), 1)
+    for rows, dim, what in (
+        (p_rows, n // 2 + 1, "peak-count span dimension wrong"),
+        (pi_rows, (n + 1) // 2, "interior span dimension wrong"),
+        (p_rows + pi_rows, n, f"joint span dimension != {n}"),
+    ):
+        if node_span(Node("span", peak_algebra(n), rows)).rank != dim:
+            raise CheckFailure(f"{what} at n={n}")

@@ -69,6 +69,7 @@ def _joint_group(a: AlgElem, b: AlgElem) -> str:
 
 
 EXTERNAL_DEGREE_CAP = 7
+SHUFFLE_EXHAUSTIVE_TO = 5  # check_shuffle_coefficients tries every pair up to this degree
 
 
 def external_product(a: AlgElem, b: AlgElem) -> AlgElem:
@@ -774,16 +775,16 @@ def check_free_module(dmax: int):
             raise CheckFailure(f"module monomials are dependent at degree {n}")
 
 
-def check_shuffle_coefficients(dmax: int, exhaustive_to: int = 5):
+def check_shuffle_coefficients(dmax: int):
     """Shuffling two single permutations yields all-distinct terms (every
-    coefficient 1); exhaustive on low total degree, sampled above."""
+    coefficient 1); exhaustive to total degree SHUFFLE_EXHAUSTIVE_TO, sampled above."""
     from .perms import group_elements
 
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
             us = group_elements("B", p)
             vs = group_elements("B", q)
-            if p + q > exhaustive_to:
+            if p + q > SHUFFLE_EXHAUSTIVE_TO:
                 us, vs = us[:: max(1, len(us) // 6)], vs[:: max(1, len(vs) // 6)]
             want = len(shuffles(p, q))
             for u in us:

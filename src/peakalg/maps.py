@@ -8,10 +8,10 @@ type-B map drops generator 0, its square and the type-D map drop the two
 leftmost generators, and both descend to the projection of the peak
 algebra two ranks down.
 
-The commutative diagrams and exact rows run on class rows: a node is a
-class algebra (with spanning rows for a subspace), an arrow's rows are the
-binned images of its source's class sums, and every check of a diagram
-reads those rows.
+Every check of a map runs on class rows: a Node is a class algebra (with
+spanning rows for a subspace), a map's rows are the binned images of its
+source's class sums, landed checks that they send one Node into another
+and node_span ranks a Node; the diagrams and exact rows read the same.
 """
 
 from __future__ import annotations
@@ -331,6 +331,11 @@ def canonical_ideal_basis(n: int) -> list:
     return [(m, x0_basis(n, m)) for m in canonical_ideal_labels(n)]
 
 
+def canonical_ideal_node(n: int) -> "Node":
+    """The canonical ideal, spanned by the X_{{0} u J}, as a subspace node."""
+    return x_span_node("canonical ideal", "B", n, [m | 1 for m in canonical_ideal_labels(n)])
+
+
 def ker_beta2_basis(n: int) -> list:
     """X_J with 0 or 1 in J: the kernel of the double degree drop."""
     return [
@@ -338,19 +343,20 @@ def ker_beta2_basis(n: int) -> list:
     ]
 
 
-def imchi_basis(n: int, jmask: int, i: int) -> AlgElem:
-    """Spanning elements of the image of the B-to-D fold: for J inside
-    {2,...,n-1}, the classes with no leftmost descents, with exactly one
-    of 1', 1, and with both."""
+def imchi_row(jmask: int, i: int) -> dict:
+    """Type-D class coordinates spanning the image of the B-to-D fold: for
+    J inside {2,...,n-1}, the classes with no leftmost descents (i = 1),
+    with exactly one of 1', 1 (i = 2), and with both (i = 3)."""
     if jmask & 3:
         raise ValueError("residual subset J must sit inside {2,...,n-1}")
-    if i == 1:
-        return y_basis("D", n, jmask)
-    if i == 2:
-        return y_basis("D", n, jmask | 1) + y_basis("D", n, jmask | 2)
-    if i == 3:
-        return y_basis("D", n, jmask | 3)
-    raise ValueError("class index must be 1, 2 or 3")
+    if i not in (1, 2, 3):
+        raise ValueError("class index must be 1, 2 or 3")
+    return ({jmask: 1}, {jmask | 1: 1, jmask | 2: 1}, {jmask | 3: 1})[i - 1]
+
+
+def imchi_basis(n: int, jmask: int, i: int) -> AlgElem:
+    """The element with the coordinates imchi_row(jmask, i)."""
+    return sum((y_basis("D", n, m) for m in imchi_row(jmask, i)), AlgElem.zero("D", n))
 
 
 # ---------------------------------------------------------------------------
@@ -381,52 +387,72 @@ class DiagramSpec:
     surjections: list = field(default_factory=list)  # arrow names
 
 
+def node_rows(node: Node) -> list:
+    """The spanning rows of a node: one per class sum of its algebra, or
+    its own rows, each checked to lie over the algebra's labels."""
+    if node.rows is None:
+        return [(lab, {lab: 1}) for lab in node.algebra.labels]
+    labels = set(node.algebra.labels)
+    for label, row in node.rows:
+        if row is None or not labels.issuperset(row):
+            raise CheckFailure(f"row {label} of node {node.name} is off its algebra")
+    return node.rows
+
+
+def node_span(node: Node) -> Echelon:
+    """The echelon of a node's rows."""
+    return Echelon(row for _, row in node_rows(node))
+
+
+def landed(f, src: Node, dst: Node, what: str) -> Echelon:
+    """The echelon of the images of the rows of src under the linear map f,
+    each checked to lie in dst.  f acts on elements, and its rows between
+    the two algebras are built here (class_images), or f is those rows."""
+    rows = class_images(f, src.algebra, dst.algebra, what) if callable(f) else f
+    target, images = node_span(dst), Echelon()
+    for label, row in node_rows(src):
+        image = apply_rows(rows, row)
+        if target.add(image):  # off the span of dst
+            raise CheckFailure(f"{what} sends {label} outside {dst.name}")
+        images.add(image)
+    return images
+
+
+def coarse_node(name: str, coarse: ClassAlgebra) -> Node:
+    """The class sums of a coarsening, as a subspace node of its parent."""
+    return Node(name, coarse.parent, [(g, coarse.spread({g: 1})) for g in coarse.labels])
+
+
+def x_span_node(name: str, ctype: str, n: int, labels) -> Node:
+    """The X_J over labels, as a subspace node of the descent algebra."""
+    return Node(name, descent_algebra(ctype, n), [(m, x_to_y_coords({m: 1})) for m in labels])
+
+
 def verify_diagram(spec: DiagramSpec) -> list:
     """The checks of a diagram, on class rows.  The rows of an arrow (the
     binned image of every class sum of its source's algebra) are built
     once per map and pair of algebras; every check then applies them to
-    the spanning rows of the nodes and compares, reduces or ranks."""
-    tables, spans = {}, {}
+    the spanning rows of the nodes and compares, lands or ranks them."""
+    nodes, tables = spec.nodes, {}
 
-    def rows_of(name):
-        node = spec.nodes[name]
-        if node.rows is None:
-            return [(lab, {lab: 1}) for lab in node.algebra.labels]
-        labels = set(node.algebra.labels)
-        for label, row in node.rows:
-            if not labels.issuperset(row):
-                raise CheckFailure(f"row {label} of node {name} is off its algebra")
-        return node.rows
-
-    def span(name) -> Echelon:
-        if name not in spans:
-            spans[name] = Echelon(row for _, row in rows_of(name))
-        return spans[name]
+    def table(arrow) -> dict:
+        src, dst, f = spec.arrows[arrow]
+        key = (f, nodes[src].algebra, nodes[dst].algebra)
+        if key not in tables:
+            tables[key] = class_images(*key, f"arrow {arrow}")
+        return tables[key]
 
     def along(path, rows):
         for arrow in path:
-            src, dst, f = spec.arrows[arrow]
-            key = (f, spec.nodes[src].algebra, spec.nodes[dst].algebra)
-            if key not in tables:
-                tables[key] = class_images(*key, f"arrow {arrow}")
-            rows = [(label, apply_rows(tables[key], row)) for label, row in rows]
+            rows = [(label, apply_rows(table(arrow), row)) for label, row in rows]
         return rows
 
-    def landed(arrow) -> Echelon:
-        """The span of the images of the source rows, each checked to lie
-        in the target node."""
+    def land(arrow) -> Echelon:
         src, dst, _ = spec.arrows[arrow]
-        images = Echelon()
-        for label, image in along((arrow,), rows_of(src)):
-            rest = dict(image)
-            span(dst).reduce(rest)
-            if rest:
-                raise CheckFailure(f"arrow {arrow} sends {label} outside {dst}")
-            images.add(image)
-        return images
+        return landed(table(arrow), nodes[src], nodes[dst], f"arrow {arrow}")
 
     head = f"diagram/{spec.name}"
-    checks = [run_check(f"{head}/arrows-land-in-nodes", lambda: [landed(a) for a in spec.arrows])]
+    checks = [run_check(f"{head}/arrows-land-in-nodes", lambda: [land(a) for a in spec.arrows])]
 
     for path_a, path_b in spec.path_equalities:
         src = spec.arrows[path_a[0]][0]
@@ -435,7 +461,7 @@ def verify_diagram(spec: DiagramSpec) -> list:
         a, b = "*".join(path_a), "*".join(path_b)
 
         def check_paths(path_a=path_a, path_b=path_b, src=src, a=a, b=b):
-            rows = rows_of(src)
+            rows = node_rows(nodes[src])
             for (label, x), (_, y) in zip(along(path_a, rows), along(path_b, rows)):
                 if x != y:
                     raise CheckFailure(f"paths {a} and {b} differ on {label}")
@@ -449,13 +475,13 @@ def verify_diagram(spec: DiagramSpec) -> list:
             mid2, out, _ = spec.arrows[proj]
             if mid != mid2:
                 raise ValueError("exact row arrows do not compose")
-            for label, image in along((inc, proj), rows_of(src)):
+            for label, image in along((inc, proj), node_rows(nodes[src])):
                 if image:
                     raise CheckFailure(f"{proj}({inc}({label})) != 0")
             # ranks: injective inclusion, surjective projection, and
             # ker(projection) = im(inclusion) by rank-nullity
-            r_src, r_mid, r_out = (span(name).rank for name in (src, mid, out))
-            r_in, r_img = landed(inc).rank, landed(proj).rank
+            r_src, r_mid, r_out = (node_span(nodes[name]).rank for name in (src, mid, out))
+            r_in, r_img = land(inc).rank, land(proj).rank
             if r_in != r_src:
                 raise CheckFailure(f"{inc} is not injective ({r_in} < {r_src})")
             if r_img != r_out:
@@ -469,7 +495,7 @@ def verify_diagram(spec: DiagramSpec) -> list:
 
         def check_surjective(arrow=arrow):
             dst = spec.arrows[arrow][1]
-            if landed(arrow).rank != span(dst).rank:
+            if land(arrow).rank != node_span(nodes[dst]).rank:
                 raise CheckFailure(f"{arrow} is not onto {dst}")
 
         checks.append(run_check(f"{head}/onto[{arrow}]", check_surjective))
@@ -521,9 +547,8 @@ def _peak_row(n: int) -> list:
 def _descent_row(ctype: str, kernel: str, n: int) -> list:
     """0 -> ideal -> Sol(ctype_n) -> Sol(B_{n-2}) as Nodes, the ideal
     spanned by the X_J with 0 (1') or 1 in J."""
-    ideal = [(m, x_to_y_coords({m: 1})) for m in range(1 << n) if m & 3]
     return [
-        Node(kernel, descent_algebra(ctype, n), ideal),
+        x_span_node(kernel, ctype, n, [m for m in range(1 << n) if m & 3]),
         Node(f"Sol{ctype}", descent_algebra(ctype, n)),
         Node("SolB2", descent_algebra("B", n - 2)),
     ]

@@ -289,20 +289,18 @@ def _label_token(ctype: str, i: int) -> str:
     return "1'" if (ctype == "D" and i == 0) else str(i)
 
 
-def _label_members(text: str, what: str, named=None) -> list:
-    """The members of a label text such as "{0,2}", each token a number or
-    a key of named; ValueError names the label and any other token."""
+def _label_members(text: str, what: str, allowed: int, named=None) -> list:
+    """The members of a label text such as "{0,2}", each token a number or a
+    key of named and a bit of allowed; ValueError names any other token."""
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
     members = []
     for tok in filter(None, (t.strip() for t in body.split(","))):
-        if named and tok in named:
-            members.append(named[tok])
-        elif tok.isdecimal():
-            members.append(int(tok))
-        else:
+        i = (named or {}).get(tok, int(tok) if tok.isdecimal() else -1)
+        if i < 0 or not (allowed >> i) & 1:
             raise ValueError(f"label {text!r}: {tok!r} is not {what}")
+        members.append(i)
     return members
 
 
@@ -336,8 +334,10 @@ class GeneratorSet:
 
     @classmethod
     def parse(cls, ctype: str, n: int, text: str) -> "GeneratorSet":
+        what = f"a type-{ctype} generator of rank {n}"
         named = {"1'": 0} if ctype == "D" else None
-        return cls.from_labels(ctype, n, _label_members(text, f"a type-{ctype} generator", named))
+        members = _label_members(text, what, _valid_label_mask(ctype, n), named)
+        return cls.from_labels(ctype, n, members)
 
     def labels(self) -> tuple:
         return tuple(i for i in range(self.n) if (self.mask >> i) & 1)
@@ -424,8 +424,13 @@ class PeakIndex:
         return cls(n, mask)
 
     @classmethod
-    def parse(cls, n: int, text: str) -> "PeakIndex":
-        return cls.from_members(n, _label_members(text, "a peak position"))
+    def parse(cls, n: int, text: str, interior: bool = False) -> "PeakIndex":
+        what = f"a peak position of {'an interior peak set of ' if interior else ''}rank {n}"
+        members = _label_members(text, what, (1 << n) - 1 & ~(3 if interior else 1))
+        for i in sorted(members):
+            if i + 1 in members:
+                raise ValueError(f"label {text!r}: peaks {i} and {i + 1} are adjacent")
+        return cls.from_members(n, members)
 
     def members(self) -> tuple:
         return _mask_members(self.mask)

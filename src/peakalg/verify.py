@@ -4,7 +4,9 @@ Each suite bundles the executable theorem checks of one area into
 CheckResults.  Suites take the rank ceiling n_max and a deep flag; checks
 whose spec-level cap is lower than n_max stop at their own cap, and the
 handful of cheap counting checks (Fibonacci dimensions, peak-set
-realization) always run to their stated caps.
+realization) always run to their stated caps.  The checks of a map read
+its class rows: closed forms against rows applied to class coordinates,
+landing and spans through maps.landed and maps.node_span.
 """
 
 from __future__ import annotations
@@ -47,6 +49,15 @@ def _check_multiplicative(f, src, dst, what: str, witness):
         for l2 in src.labels:
             if apply_rows(rows, cube[(l1, l2)]) != dst.product(rows[l1], rows[l2]):
                 raise CheckFailure(witness(l1, l2))
+
+
+def _check_onto(f, src, dst, what: str):
+    """The linear map f (or its rows) sends the rows of the node src into
+    the node dst (maps.landed) and spans it."""
+    from .maps import landed, node_span
+
+    if landed(f, src, dst, what).rank != node_span(dst).rank:
+        raise CheckFailure(f"{what} does not span the {dst.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +244,8 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
 
 def suite_chi(n_max: int, deep: bool = False) -> list:
     from . import maps
-    from .bases import descent_algebra, descent_span_rank, x_label_elements, y_label_elements
+    from .algebra import apply_rows, class_images
+    from .bases import descent_algebra, x_to_y_coords
 
     checks = []
     element_ranks = _ranks(2, n_max, ELEMENT_CAP)
@@ -241,29 +253,27 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
 
     def closed_forms():
         for n in element_ranks:
-            for m, yj in y_label_elements("B", n):
-                if maps.chi(yj) != maps.chi_on_y(n, m):
+            target = descent_algebra("D", n)
+            rows = class_images(maps.chi, descent_algebra("B", n), target, "the fold")
+            for m, row in rows.items():
+                if row != target.coords(maps.chi_on_y(n, m)):
                     raise CheckFailure(f"fold Y closed form fails at n={n}, {bin(m)}")
-            for m, xj in x_label_elements("B", n):
-                if maps.chi(xj) != maps.chi_on_x(n, m):
+            for m in rows:
+                if apply_rows(rows, x_to_y_coords({m: 1})) != target.coords(maps.chi_on_x(n, m)):
                     raise CheckFailure(f"fold X closed form fails at n={n}, {bin(m)}")
 
     _add_ranged(checks, "chi/closed-forms", closed_forms, element_ranks)
 
     def image():
         for n in element_ranks:
-            fams = [
-                maps.imchi_basis(n, m, i)
-                for m in range(0, 1 << n, 4)
-                for i in (1, 2, 3)
-            ]
-            r = descent_span_rank(fams, "D")
+            rows = [((m, i), maps.imchi_row(m, i)) for m in range(0, 1 << n, 4) for i in (1, 2, 3)]
+            three = maps.Node("three-class span", descent_algebra("D", n), rows)
+            r = maps.node_span(three).rank
             if r != 3 << (n - 2):
                 raise CheckFailure(f"three-class span rank wrong at n={n}")
-            img = [maps.chi(yj) for _, yj in y_label_elements("B", n)]
-            if descent_span_rank(img, "D") != r or descent_span_rank(fams + img, "D") != r:
-                raise CheckFailure(f"fold image mismatch at n={n}")
-            if (1 << n) - r != 1 << (n - 2):
+            source = maps.Node("type-B descent algebra", descent_algebra("B", n))
+            _check_onto(maps.chi, source, three, f"the fold at n={n}")
+            if len(three.algebra.labels) - r != 1 << (n - 2):
                 raise CheckFailure(f"fold image codimension wrong at n={n}")
 
     _add_ranged(checks, "chi/image-three-classes", image, element_ranks)
@@ -301,28 +311,37 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
 
 def suite_phi(n_max: int, deep: bool = False) -> list:
     from . import maps
-    from .bases import descent_algebra, x_label_elements, y_label_elements
+    from .algebra import apply_rows, class_images
+    from .bases import descent_algebra, x_to_y_coords
+    from .peak import peak_algebra
 
     checks = []
     element_ranks = _ranks(1, n_max, ELEMENT_CAP)
 
+    def sign_rows(n):
+        return class_images(maps.phi, descent_algebra("B", n), peak_algebra(n), "sign forgetting")
+
     def closed_forms():
         for n in element_ranks:
-            for m, yj in y_label_elements("B", n):
-                if maps.phi(yj) != maps.phi_on_y(n, m):
+            target, rows = peak_algebra(n), sign_rows(n)
+            for m, row in rows.items():
+                if row != target.coords(maps.phi_on_y(n, m)):
                     raise CheckFailure(f"sign-forgetting Y form fails at n={n}, {bin(m)}")
-            for m, xj in x_label_elements("B", n):
-                if maps.phi(xj) != maps.phi_on_x(n, m):
+            for m in rows:
+                if apply_rows(rows, x_to_y_coords({m: 1})) != target.coords(maps.phi_on_x(n, m)):
                     raise CheckFailure(f"sign-forgetting X form fails at n={n}, {bin(m)}")
 
     _add_ranged(checks, "phi/closed-forms", closed_forms, element_ranks)
 
     def ideal_forms():
+        # X0_J = X_{{0} u J} and Y0_J = Y_{{0} u J} + Y_J
         for n in element_ranks:
+            target, rows = peak_algebra(n), sign_rows(n)
             for m in maps.canonical_ideal_labels(n):
-                if maps.phi(maps.x0_basis(n, m)) != maps.phi_on_x0(n, m):
+                x0 = apply_rows(rows, x_to_y_coords({m | 1: 1}))
+                if x0 != target.coords(maps.phi_on_x0(n, m)):
                     raise CheckFailure(f"ideal X form fails at n={n}, {bin(m)}")
-                if maps.phi(maps.y0_basis(n, m)) != maps.phi_on_y0(n, m):
+                if apply_rows(rows, {m | 1: 1, m: 1}) != target.coords(maps.phi_on_y0(n, m)):
                     raise CheckFailure(f"ideal Y form fails at n={n}, {bin(m)}")
 
     _add_ranged(checks, "phi/ideal-closed-forms", ideal_forms, element_ranks)
@@ -337,8 +356,10 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
     _add_ranged(checks, "phi/complement-symmetry", kernel_symmetry, element_ranks)
 
     def generator_image():
+        # the increasing class sum is X_{{0}}
         for n in element_ranks:
-            if maps.phi(maps.x0_generator(n)) != maps.interior_peak_generator(n).scale(2):
+            want = peak_algebra(n).coords(maps.interior_peak_generator(n).scale(2))
+            if apply_rows(sign_rows(n), x_to_y_coords({1: 1})) != want:
                 raise CheckFailure(f"increasing-class image wrong at n={n}")
 
     _add_ranged(checks, "phi/increasing-class-image", generator_image, element_ranks)
@@ -363,7 +384,9 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
 
 def suite_psi(n_max: int, deep: bool = False) -> list:
     from . import maps
-    from .bases import x_label_elements, y_label_elements
+    from .algebra import apply_rows, class_images
+    from .bases import descent_algebra, x_to_y_coords
+    from .peak import peak_algebra
 
     CASE = {0: "plain", 1: "oneprime", 2: "one", 3: "both"}
     checks = []
@@ -371,11 +394,14 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
 
     def closed_forms():
         for n in element_ranks:
-            for m, yj in y_label_elements("D", n):
-                if maps.psi(yj) != maps.psi_on_y(n, m & ~3, CASE[m & 3]):
+            target = peak_algebra(n)
+            rows = class_images(maps.psi, descent_algebra("D", n), target, "sign forgetting")
+            for m, row in rows.items():
+                if row != target.coords(maps.psi_on_y(n, m & ~3, CASE[m & 3])):
                     raise CheckFailure(f"type-D Y form fails at n={n}, {bin(m)}")
-            for m, xj in x_label_elements("D", n):
-                if maps.psi(xj) != maps.psi_on_x(n, m & ~3, CASE[m & 3]):
+            for m in rows:
+                x = apply_rows(rows, x_to_y_coords({m: 1}))
+                if x != target.coords(maps.psi_on_x(n, m & ~3, CASE[m & 3])):
                     raise CheckFailure(f"type-D X form fails at n={n}, {bin(m)}")
 
     _add_ranged(checks, "psi/closed-forms", closed_forms, element_ranks)
@@ -405,15 +431,9 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
 
 def suite_ideals(n_max: int, deep: bool = False) -> list:
     from . import maps
-    from .algebra import NOT_IN_SPAN, Echelon, express_in_span, two_sided_failure
-    from .bases import (
-        canonical_ideal_algebra,
-        descent_algebra,
-        descent_span_rank,
-        y_basis,
-        y_label_elements,
-    )
-    from .peak import interior_peak_basis, interior_peak_coordinates, interior_peak_elements
+    from .algebra import class_images, two_sided_failure
+    from .bases import canonical_ideal_algebra, descent_algebra, y_basis
+    from .peak import interior_peak_algebra, interior_peak_basis
     from .perms import STRUCTURE_CAPS, fibonacci
 
     checks = []
@@ -458,29 +478,21 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
     _add_ranged(checks, "ideals/canonical-two-sided", canonical_two_sided, canonical_ranks)
 
     def kernel_spans():
+        # the canonical ideal lands in the zero subspace; the drop is onto
         for n in element_ranks:
-            for m in maps.canonical_ideal_labels(n):
-                if maps.beta_map(maps.x0_basis(n, m)):
-                    raise CheckFailure(f"ideal element survives the drop at n={n}")
-            imgs = [maps.beta_map(yj) for _, yj in y_label_elements("B", n)]
-            if descent_span_rank(imgs, "B") != 1 << (n - 1):
-                raise CheckFailure(f"drop is not onto at n={n}")
+            solb, low = descent_algebra("B", n), descent_algebra("B", n - 1)
+            rows, what = class_images(maps.beta_map, solb, low, "the drop"), f"the drop at n={n}"
+            maps.landed(rows, maps.canonical_ideal_node(n), maps.Node("0", low, []), what)
+            _check_onto(rows, maps.Node("SolB", solb), maps.Node("SolB1", low), what)
 
     _add_ranged(checks, "ideals/kernel-of-drop", kernel_spans, element_ranks)
 
     def images_onto_interior():
         for n in element_ranks:
-            interior = [e for _, e in interior_peak_elements(n)]
-            for family in (maps.canonical_ideal_basis(n), maps.ker_beta2_basis(n)):
-                rows = []
-                for _, b in family:
-                    img = maps.phi(b)
-                    c = interior_peak_coordinates(img)
-                    if c is None:
-                        raise CheckFailure(f"image leaves the interior ideal at n={n}")
-                    rows.append(c)
-                if Echelon(rows).rank != fibonacci(n - 1):
-                    raise CheckFailure(f"image is not all of the interior ideal at n={n}")
+            interior = maps.coarse_node("interior ideal", interior_peak_algebra(n))
+            ker_beta2 = maps.x_span_node("I01", "B", n, [m for m in range(1 << n) if m & 3])
+            for ideal in (maps.canonical_ideal_node(n), ker_beta2):
+                _check_onto(maps.phi, ideal, interior, f"sign forgetting at n={n}")
 
     _add_ranged(checks, "ideals/images-onto-interior", images_onto_interior, element_ranks)
 
@@ -493,19 +505,13 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
 
     def left_ideal_failure():
         w = y_basis("A", 3, 0b10) * interior_peak_basis(3, 0b100)
-        if (
-            express_in_span(w, [e for _, e in interior_peak_elements(3)])
-            is not NOT_IN_SPAN
-        ):
+        if interior_peak_algebra(3).coords(w) is not None:
             raise CheckFailure("expected left-ideal failure witness is in the span")
         # the canonical ideal is likewise not a left ideal upstairs
-        from .maps import x0_basis, x_support_coords
         from .mr import t_basis
 
-        coordz = x_support_coords(
-            "B", frozenset((m | 1) for m in maps.canonical_ideal_labels(3))
-        )
-        if coordz(t_basis(3, (1, 1, 1)) * x0_basis(3, 0)) is not None:
+        w = t_basis(3, (1, 1, 1)) * maps.x0_basis(3, 0)
+        if canonical_ideal_algebra(3).coords(w) is not None:
             raise CheckFailure("expected type-B left-ideal failure witness is in the span")
 
     checks.append(run_check("ideals/left-ideal-failure-witness", left_ideal_failure))
@@ -668,16 +674,9 @@ def suite_mr(n_max: int, deep: bool = False) -> list:
 
 def suite_theta(n_max: int, deep: bool = False) -> list:
     from . import hopf, maps, mr
-    from .algebra import AlgElem, Echelon, apply_rows, class_images
-    from .bases import descent_algebra, x_basis, y_label_elements
-    from .peak import (
-        interior_peak_algebra,
-        interior_peak_basis,
-        interior_peak_coordinates,
-        interior_peak_elements,
-        peak_elements,
-    )
-    from .perms import fibonacci, interior_sparse_masks
+    from .algebra import apply_rows, class_images
+    from .bases import descent_algebra, x_to_y_coords
+    from .peak import interior_peak_algebra, peak_algebra
 
     checks = []
     element_ranks = _ranks(1, n_max, ELEMENT_CAP)
@@ -695,17 +694,14 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
     _add_ranged(checks, "theta/type-b-values", type_b_form, element_ranks)
 
     def type_a_form():
+        # on the cached rows of the transform over the type-A descent classes
         for n in element_ranks:
-            for mm in range(1 << (n - 1)):
-                mask = mm << 1
+            rows, interior = hopf.transform_coords("SolA", n), interior_peak_algebra(n)
+            for mask in rows:
                 window = mask | (mask << 1)
-                want = AlgElem.zero("S", n)
-                for fm in interior_sparse_masks(n):
-                    if fm & ~window == 0:
-                        want += interior_peak_basis(n, fm).scale(
-                            1 << (1 + bin(mask).count("1"))
-                        )
-                if maps.theta(x_basis("A", n, mask)) != want:
+                scale = 1 << (1 + bin(mask).count("1"))
+                want = interior.spread({fm: scale for fm in interior.labels if fm & ~window == 0})
+                if apply_rows(rows, x_to_y_coords({mask: 1})) != want:
                     raise CheckFailure(f"transform value wrong at mask {bin(mask)}")
 
     _add_ranged(checks, "theta/type-a-values", type_a_form, element_ranks)
@@ -732,71 +728,39 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
 
     _add_ranged(checks, "theta/bijective-on-ideal", bijective, element_ranks)
 
-    def spans_interior(images, n, witness):
-        # the images lie in the interior ideal and span it
-        interior = interior_peak_algebra(n)
-        rows = [interior.coords(a) for a in images]
-        if None in rows or Echelon(rows).rank != fibonacci(n - 1):
-            raise CheckFailure(witness)
+    def interior(n):
+        return maps.coarse_node("interior ideal", interior_peak_algebra(n))
 
     def bijective_downstairs():
         for n in interior_ranks:
-            spans_interior(
-                [maps.theta(p) for _, p in interior_peak_elements(n)],
-                n,
-                f"restricted transform is not bijective on the interior ideal at n={n}",
-            )
+            rows = hopf.transform_coords("SolA", n)
+            _check_onto(rows, interior(n), interior(n), f"the transform at n={n}")
 
     _add_ranged(checks, "theta/bijective-on-interior", bijective_downstairs, interior_ranks)
 
     def images():
         for n in interior_ranks:
-            spans_interior(
-                [maps.theta(yj) for _, yj in y_label_elements("A", n)],
-                n,
-                f"transform image is not the interior ideal at n={n}",
-            )
+            source = maps.Node("SolA", descent_algebra("A", n))
+            rows, what = hopf.transform_coords("SolA", n), f"the transform at n={n}"
+            _check_onto(rows, source, interior(n), what)
 
     _add_ranged(checks, "theta/image-is-interior-ideal", images, interior_ranks)
     principal_ranks = _ranks(3, n_max, 5 if deep else 4)
 
     def principal():
-        from .maps import x_support_coords
-
+        # theta and theta_pm multiply by (twice) the generator: the cached rows
+        # of the transform span its products with the algebra
         for n in principal_ranks:
-            gen_p = maps.interior_peak_generator(n)
-            maps.right_ideal_check(
-                gen_p,
-                y_label_elements("A", n),
-                interior_peak_elements(n),
-                interior_peak_coordinates,
-                f"interior ideal of the descent algebra, n={n}",
-            )
-            maps.right_ideal_check(
-                gen_p,
-                peak_elements(n),
-                interior_peak_elements(n),
-                interior_peak_coordinates,
-                f"interior ideal of the peak algebra, n={n}",
-            )
-            gen_b = maps.x0_generator(n)
-            coordz = x_support_coords(
-                "B", frozenset((m | 1) for m in maps.canonical_ideal_labels(n))
-            )
-            maps.right_ideal_check(
-                gen_b,
-                y_label_elements("B", n),
-                maps.canonical_ideal_basis(n),
-                coordz,
-                f"canonical ideal of the type-B descent algebra, n={n}",
-            )
-            maps.right_ideal_check(
-                gen_b,
-                [(a, mr.t_basis(n, a)) for a in mr.signed_compositions(n)],
-                maps.canonical_ideal_basis(n),
-                coordz,
-                f"canonical ideal of the Mantaci-Reutenauer algebra, n={n}",
-            )
+            canonical, t_alg = maps.canonical_ideal_node(n), mr.t_algebra(n)
+            x0 = [(m, mr._x0_tcoords(n, m)) for m in maps.canonical_ideal_labels(n)]
+            for family, source, ideal in (
+                ("SolA", maps.Node("descent algebra", descent_algebra("A", n)), interior(n)),
+                ("SolA", maps.coarse_node("peak algebra", peak_algebra(n)), interior(n)),
+                ("SolB", maps.Node("type-B descent algebra", descent_algebra("B", n)), canonical),
+                ("OmegaB", maps.Node("MR algebra", t_alg), maps.Node(canonical.name, t_alg, x0)),
+            ):
+                what = f"the transform of the {source.name} at n={n}"
+                _check_onto(hopf.transform_coords(family, n), source, ideal, what)
 
     _add_ranged(checks, "theta/principal-right-ideals", principal, principal_ranks)
     return checks
