@@ -330,9 +330,6 @@ class SpanSolver(Echelon):
             out[i] = -c
         return CoordVector(self.labels, tuple(out))
 
-    def contains(self, target: AlgElem) -> bool:
-        return self.coords(target) is not NOT_IN_SPAN
-
 
 def express_in_span(target: AlgElem, basis, labels=None):
     """Solve target = sum of coords * basis exactly over the rationals.

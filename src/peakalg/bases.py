@@ -11,13 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import AlgElem, ClassAlgebra, Echelon, StructureTable, normalize_coord
-from .perms import (
-    GROUP_OF_TYPE,
-    GeneratorSet,
-    _label_token,
-    _valid_label_mask,
-    descent_mask,
-)
+from .perms import GROUP_OF_TYPE, GeneratorSet, _valid_label_mask, descent_mask, popcount
 
 
 @lru_cache(maxsize=None)
@@ -49,32 +43,16 @@ def _all_masks(ctype: str, n: int) -> tuple:
     return tuple(m for m in range(full + 1) if m | full == full)
 
 
-def _as_mask(ctype: str, n: int, J) -> int:
-    if isinstance(J, GeneratorSet):
-        if (J.ctype, J.n) != (ctype, n):
-            raise ValueError(f"label {J} does not match type {ctype} rank {n}")
-        return J.mask
-    if isinstance(J, int):
-        mask = J
-    else:
-        mask = 0
-        for i in J:
-            mask |= 1 << i
-    if mask & ~_valid_label_mask(ctype, n):
-        raise ValueError(f"subset {bin(mask)} invalid for type {ctype} rank {n}")
-    return mask
-
-
-def y_basis(ctype: str, n: int, J) -> AlgElem:
-    """Y_J: sum over the descent class of J."""
-    mask = _as_mask(ctype, n, J)
+def y_basis(ctype: str, n: int, J: int) -> AlgElem:
+    """Y_J: sum over the descent class of the label mask J."""
+    mask = GeneratorSet(ctype, n, J).mask
     group = GROUP_OF_TYPE[ctype]
     return AlgElem.class_sum(group, n, descent_classes(ctype, n)[mask])
 
 
-def x_basis(ctype: str, n: int, J) -> AlgElem:
+def x_basis(ctype: str, n: int, J: int) -> AlgElem:
     """X_J: sum over elements whose descent set is contained in J."""
-    mask = _as_mask(ctype, n, J)
+    mask = GeneratorSet(ctype, n, J).mask
     group = GROUP_OF_TYPE[ctype]
     classes = descent_classes(ctype, n)
     terms = {}
@@ -125,10 +103,10 @@ def y_to_x_coords(coords: dict) -> dict:
     for jm, c in coords.items():
         if c == 0:
             continue
-        nj = bin(jm).count("1")
+        nj = popcount(jm)
         sub = jm
         while True:
-            sign = -1 if (nj - bin(sub).count("1")) % 2 else 1
+            sign = -1 if (nj - popcount(sub)) % 2 else 1
             out[sub] = out.get(sub, 0) + sign * c
             if sub == 0:
                 break
@@ -236,7 +214,7 @@ def structure_constants(
         raise ValueError(f"unknown basis kind {basis_kind!r}")
     alg = descent_algebra(ctype, n)
     name = f"Sigma({ctype}_{n})[{basis_kind}]"
-    labels = [_subset_text(ctype, m) for m in alg.labels]
+    labels = [GeneratorSet(ctype, n, m).text() for m in alg.labels]
     if basis_kind == "Y":
         return alg.table(name, labels)
     cells = []
@@ -248,11 +226,6 @@ def structure_constants(
             row.append(tuple(normalize_coord(x.get(m, 0)) for m in alg.labels))
         cells.append(row)
     return StructureTable(name=name, labels=labels, cells=cells)
-
-
-def _subset_text(ctype: str, mask: int) -> str:
-    toks = [_label_token(ctype, i) for i in range(mask.bit_length()) if (mask >> i) & 1]
-    return "{" + ",".join(toks) + "}"
 
 
 def structure_cube(ctype: str, n: int) -> dict:

@@ -46,16 +46,12 @@ from .maps import (
     y0_basis,
 )
 from .peak import interior_peak_algebra, peak_algebra
-from .perms import group_elements
+from .perms import group_elements, popcount
 from .reporting import CheckFailure
 
 
 def _choose(a: int, b: int) -> int:
     return comb(a, b) if 0 <= b <= a else 0
-
-
-def _popcount(m: int) -> int:
-    return bin(m).count("1")
 
 
 # ---------------------------------------------------------------------------
@@ -65,26 +61,26 @@ def _popcount(m: int) -> int:
 @lru_cache(maxsize=None)
 def sol_algebra(n: int) -> ClassAlgebra:
     """Descent-count sums y_0..y_n (type B), labels j."""
-    return descent_algebra("B", n).coarsen(_popcount)
+    return descent_algebra("B", n).coarsen(popcount)
 
 
 @lru_cache(maxsize=None)
 def i0_number_algebra(n: int) -> ClassAlgebra:
     """Ideal sums y0_1..y0_n, label j-1 = #(J minus {0})."""
-    return descent_algebra("B", n).coarsen(lambda m: _popcount(m & ~1))
+    return descent_algebra("B", n).coarsen(lambda m: popcount(m & ~1))
 
 
 @lru_cache(maxsize=None)
 def wp_algebra(n: int) -> ClassAlgebra:
     """Peak-count sums p_0..p_{n//2}, labels j."""
-    return peak_algebra(n).coarsen(_popcount)
+    return peak_algebra(n).coarsen(popcount)
 
 
 @lru_cache(maxsize=None)
 def wp_interior_algebra(n: int) -> ClassAlgebra:
     """Interior sums p0_1..p0_{(n+1)//2}, label j-1 = #(F minus {1})
     interior peaks: the peak-side twin of i0_number_algebra."""
-    return peak_algebra(n).coarsen(lambda m: _popcount(m & ~2))
+    return peak_algebra(n).coarsen(lambda m: popcount(m & ~2))
 
 
 def _count_rows(name: str, alg: ClassAlgebra, first: int) -> list:
@@ -115,7 +111,7 @@ def _ideal_number(n: int, j: int, basis) -> AlgElem:
     """Sum of the ideal elements basis(n, J) over J inside [n-1], #J = j-1."""
     if not 1 <= j <= n:
         raise ValueError(f"index {j} out of range 1..{n}")
-    masks = (m for m in range(0, 1 << n, 2) if _popcount(m) == j - 1)
+    masks = (m for m in range(0, 1 << n, 2) if popcount(m) == j - 1)
     return sum((basis(n, m) for m in masks), AlgElem.zero("B", n))
 
 
@@ -340,7 +336,7 @@ def check_builder_relations(n: int):
             raise CheckFailure(f"y0_{j} rewritten form fails at n={n}")
     interior = interior_peak_algebra(n)
     for j in range(1, (n + 1) // 2 + 1):
-        direct = interior.element({m: 1 for m in interior.labels if _popcount(m) == j - 1})
+        direct = interior.element({m: 1 for m in interior.labels if popcount(m) == j - 1})
         if interior_peak_number(n, j) != direct:
             raise CheckFailure(f"interior p_{j} rewritten form fails at n={n}")
 
@@ -348,7 +344,7 @@ def check_builder_relations(n: int):
 def x_count_coords(n: int, j: int, ideal: bool = False) -> dict:
     """Type-B class coordinates of x_j, the sum of the X_J over the labels
     of size j, or, with ideal, of x0_j, the same over those containing 0."""
-    labels = (m for m in range(1 << n) if _popcount(m) == j and (m & 1 or not ideal))
+    labels = (m for m in range(1 << n) if popcount(m) == j and (m & 1 or not ideal))
     return x_to_y_coords(dict.fromkeys(labels, 1))
 
 
@@ -508,7 +504,7 @@ def chi_x0_number_coords(n: int, j: int) -> dict:
     labels of size j containing 1', plus all containing 1."""
     out: dict = {}
     for m in range(1 << n):
-        if _popcount(m) == j:
+        if popcount(m) == j:
             if m & 1:
                 out[m] = out.get(m, 0) + 1
             if m & 2:
@@ -521,9 +517,9 @@ def chi_x_number_coords(n: int, j: int) -> dict:
     plus the both-forks labels with j-1 residual elements."""
     out = chi_x0_number_coords(n, j)
     for m in range(0, 1 << n, 4):
-        if _popcount(m) == j:
+        if popcount(m) == j:
             out[m] = out.get(m, 0) + 1
-        if _popcount(m) == j - 1:
+        if popcount(m) == j - 1:
             key = m | 3
             out[key] = out.get(key, 0) + 1
     return {m: c for m, c in out.items() if c}
@@ -570,7 +566,7 @@ def check_type_d_numbers(n: int):
 def a_descent_number(n: int, j: int) -> AlgElem:
     """Sum of the unsigned permutations with j type-A descents."""
     alg = descent_algebra("A", n)
-    return alg.element({m: 1 for m in alg.labels if _popcount(m) == j})
+    return alg.element({m: 1 for m in alg.labels if popcount(m) == j})
 
 
 def loday_witness(kind: str, n_max: int = 6):
@@ -580,7 +576,7 @@ def loday_witness(kind: str, n_max: int = 6):
     count sums are a coarsening of the type-A descent algebra, so a member
     is one exactly when its type-A coordinates lift."""
     for n in range(2, n_max + 1):
-        counts = descent_algebra("A", n).coarsen(_popcount)
+        counts = descent_algebra("A", n).coarsen(popcount)
         side = ("p", wp_algebra(n), 0) if kind == "p" else ("p0", wp_interior_algebra(n), 1)
         for lab, row in _count_rows(*side):
             if counts.lift(peak_algebra(n).spread(row)) is None:

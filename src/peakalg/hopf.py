@@ -35,7 +35,7 @@ from .bases import (
 )
 from .mr import stilde_basis, stilde_coords, t_algebra
 from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordinates
-from .perms import Perm, compose, identity, inverse
+from .perms import Perm, compose, identity, inverse, members_of
 from .reporting import CheckFailure
 
 
@@ -763,7 +763,7 @@ def check_free_module(dmax: int):
     for n in range(1, dmax + 1):
         rows = []
         for mask, x in _x_coords("SolB", n).items():
-            first, *rest = subset_to_pseudo_comp([i for i in range(n) if mask >> i & 1], n)
+            first, *rest = subset_to_pseudo_comp(members_of(mask), n)
             prod, degree = {0: 1}, first
             for part in rest:
                 prod = _shuffle("SolB", "I0", degree, part, prod, {0: 1})

@@ -41,6 +41,7 @@ from .perms import (
     chi_element,
     forget_signs,
     interior_sparse_masks,
+    popcount,
     rho_element,
     sigma,
     sparse_masks,
@@ -89,10 +90,6 @@ def rho_map(a: AlgElem) -> AlgElem:
 # subset J sits in {2,...,n-1}, i.e. occupies bits >= 2.
 
 
-def _popcount(m: int) -> int:
-    return bin(m).count("1")
-
-
 def chi_on_y(n: int, jmask: int) -> AlgElem:
     """Image in the type-D descent algebra of the type-B basis element
     Y_J, by the four-case closed form."""
@@ -129,7 +126,7 @@ def phi_on_y(n: int, jmask: int) -> AlgElem:
     difference of J and J+1 (type-B label J)."""
     window = jmask ^ (jmask << 1)
     coords = {
-        fm: 1 << _popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0
+        fm: 1 << popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0
     }
     return peak_algebra(n).element(coords)
 
@@ -137,7 +134,7 @@ def phi_on_y(n: int, jmask: int) -> AlgElem:
 def phi_on_x(n: int, jmask: int) -> AlgElem:
     """2^{#J} times the sum of P_F over sparse F inside J u (J+1)."""
     window = jmask | (jmask << 1)
-    scale = 1 << _popcount(jmask)
+    scale = 1 << popcount(jmask)
     coords = {fm: scale for fm in sparse_masks(n) if fm & ~window == 0}
     return peak_algebra(n).element(coords)
 
@@ -148,7 +145,7 @@ def phi_on_x0(n: int, jmask: int) -> AlgElem:
     if jmask & 1:
         raise ValueError("label J must avoid 0; the 0 is implicit")
     window = jmask | (jmask << 1)
-    scale = 1 << (1 + _popcount(jmask))
+    scale = 1 << (1 + popcount(jmask))
     out: dict = {}
     for fm in interior_sparse_masks(n):
         if fm & ~window == 0:
@@ -164,7 +161,7 @@ def phi_on_y0(n: int, jmask: int) -> AlgElem:
     out: dict = {}
     for fm in interior_sparse_masks(n):
         if fm & ~window == 0:
-            out[fm] = 1 << (1 + _popcount(fm))
+            out[fm] = 1 << (1 + popcount(fm))
     return interior_peak_algebra(n).element(out)
 
 
@@ -181,7 +178,7 @@ def psi_on_y(n: int, jmask: int, case: str) -> AlgElem:
         raise ValueError("residual subset J must sit inside {2,...,n-1}")
     if case == "plain":
         window = jmask ^ (jmask << 1)
-        coords = {fm: 1 << _popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0}
+        coords = {fm: 1 << popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0}
         return peak_algebra(n).element(coords)
     if case in ("one", "oneprime"):
         window = jmask ^ (jmask << 1)
@@ -189,10 +186,10 @@ def psi_on_y(n: int, jmask: int, case: str) -> AlgElem:
         for fm in sparse_masks(n):
             if fm & 2 and (fm & ~2) & ~window == 0 and not fm & 4:
                 # fm = {1} u F with F sparse avoiding 1 and 2, F inside window
-                coords[fm] = 1 << _popcount(fm & ~2)
+                coords[fm] = 1 << popcount(fm & ~2)
         return peak_algebra(n).element(coords)
     window = jmask ^ (4 | (jmask << 1))
-    coords = {fm: 1 << _popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0}
+    coords = {fm: 1 << popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0}
     return peak_algebra(n).element(coords)
 
 
@@ -203,13 +200,13 @@ def psi_on_x(n: int, jmask: int, case: str) -> AlgElem:
         raise ValueError("residual subset J must sit inside {2,...,n-1}")
     if case == "plain":
         window = jmask | (jmask << 1)
-        scale = 1 << _popcount(jmask)
+        scale = 1 << popcount(jmask)
     elif case in ("one", "oneprime"):
         window = jmask | (jmask << 1) | 2
-        scale = 1 << _popcount(jmask)
+        scale = 1 << popcount(jmask)
     else:
         window = jmask | (jmask << 1) | 6
-        scale = 1 << (_popcount(jmask) + 1)
+        scale = 1 << (popcount(jmask) + 1)
     coords = {fm: scale for fm in sparse_masks(n) if fm & ~window == 0}
     return peak_algebra(n).element(coords)
 
@@ -678,7 +675,7 @@ def check_theta_pm_bijective(n: int):
     refinements, and a nonzero exact determinant."""
     labels, rows = theta_pm_ideal_matrix(n)
     for i, m in enumerate(labels):
-        parts = _popcount(m) + 1
+        parts = popcount(m) + 1
         if rows[i][i] != (1 << parts):
             raise CheckFailure(
                 f"diagonal at label {bin(m)} is {rows[i][i]}, expected 2^{parts}"

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .algebra import AlgElem, ClassAlgebra, apply_rows
 from .bases import comp_complement, comp_to_subset, y_label_elements
-from .perms import group_elements
+from .perms import group_elements, mask_of
 from .reporting import CheckFailure
 
 
@@ -264,10 +264,7 @@ def phi_on_s_formula(n: int, alpha) -> AlgElem:
     """X indexed by the absolute composition."""
     from .bases import x_basis
 
-    mask = 0
-    for j in comp_to_subset(abs_comp(alpha), n):
-        mask |= 1 << j
-    return x_basis("A", n, mask)
+    return x_basis("A", n, mask_of(comp_to_subset(abs_comp(alpha), n)))
 
 
 def _y_interval_sum(n: int, lo, hi) -> AlgElem:
@@ -283,10 +280,7 @@ def _y_interval_sum(n: int, lo, hi) -> AlgElem:
     extra = sorted(hi_set - lo_set)
     for r in range(len(extra) + 1):
         for chosen in combinations(extra, r):
-            mask = 0
-            for j in lo_set | set(chosen):
-                mask |= 1 << j
-            out += y_basis("A", n, mask)
+            out += y_basis("A", n, mask_of(lo_set | set(chosen)))
     return out
 
 
@@ -337,9 +331,7 @@ def bstilde_product(n: int, alpha) -> AlgElem:
     gen = x0_generator(n)
     if len(gen) != 1 << n:
         raise CheckFailure(f"increasing class has size {len(gen)} != 2^{n}")
-    mask = 0
-    for j in comp_to_subset(abs_comp(alpha), n):
-        mask |= 1 << j
+    mask = mask_of(comp_to_subset(abs_comp(alpha), n))
     if apply_rows(transform_coords("OmegaB", n), coords) != _x0_tcoords(n, mask):
         raise CheckFailure(f"product with the S-tilde class of {alpha} is wrong")
     return x0_basis(n, mask)
@@ -403,12 +395,19 @@ def check_phi_images(n: int):
 
 
 def check_phi_onto_descent_algebra(n: int):
-    """The images of the S-classes span the full type-A descent algebra."""
-    from .bases import descent_span_rank
-    from .maps import phi
+    """The images of the S-classes span the full type-A descent algebra,
+    read on class rows: the S-class sums binned over the T-classes, under
+    the rows of sign forgetting from the T-classes to the descent classes."""
+    from .bases import descent_algebra
+    from .maps import Node, landed, phi
 
-    images = [phi(s_basis(n, alpha)) for alpha in signed_compositions(n)]
-    if descent_span_rank(images, "A") != 1 << (n - 1):
+    alg = t_algebra(n)
+    rows = [
+        (alpha, alg.binned(s_basis(n, alpha), f"the S-class of {alpha} is not a T-combination"))
+        for alpha in signed_compositions(n)
+    ]
+    source, target = Node("S-class span", alg, rows), Node("Sigma_n", descent_algebra("A", n))
+    if landed(phi, source, target, f"sign forgetting at n={n}").rank != 1 << (n - 1):
         raise CheckFailure(f"images do not span the descent algebra at n={n}")
 
 

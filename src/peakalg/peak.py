@@ -34,6 +34,7 @@ from .perms import (
     interior_sparse_masks,
     lambda_interior_mask,
     lambda_mask,
+    mask_text,
     peak_mask,
     sparse_masks,
 )
@@ -55,24 +56,6 @@ def interior_peak_algebra(n: int) -> ClassAlgebra:
     return descent_algebra("A", n).coarsen(lambda_interior_mask, interior_sparse_masks(n))
 
 
-def _as_peak_mask(n: int, F, *, interior: bool = False) -> int:
-    if isinstance(F, PeakIndex):
-        if F.n != n:
-            raise ValueError(f"peak index rank {F.n} != {n}")
-        mask = F.mask
-    elif isinstance(F, int):
-        mask = F
-    else:
-        mask = 0
-        for i in F:
-            mask |= 1 << i
-    universe = interior_sparse_masks(n) if interior else sparse_masks(n)
-    if mask not in universe:
-        kind = "interior peak" if interior else "peak"
-        raise ValueError(f"{bin(mask)} is not a valid {kind} set for rank {n}")
-    return mask
-
-
 @lru_cache(maxsize=None)
 def _forms_agree(n: int) -> bool:
     """The peak and interior-peak classes, read as fibres of the lambda
@@ -91,16 +74,16 @@ def _forms_agree(n: int) -> bool:
     return True
 
 
-def peak_basis(n: int, F) -> AlgElem:
-    """P_F: sum of the permutations with peak set F."""
-    mask = _as_peak_mask(n, F)
+def peak_basis(n: int, F: int) -> AlgElem:
+    """P_F: sum of the permutations with peak set the label mask F."""
+    mask = PeakIndex(n, F).mask
     _forms_agree(n)
     return AlgElem.class_sum("S", n, peak_algebra(n).classes[mask])
 
 
-def interior_peak_basis(n: int, F) -> AlgElem:
+def interior_peak_basis(n: int, F: int) -> AlgElem:
     """Interior P_F: sum of the permutations with interior peak set F."""
-    mask = _as_peak_mask(n, F, interior=True)
+    mask = PeakIndex(n, F).require_interior().mask
     _forms_agree(n)
     return AlgElem.class_sum("S", n, interior_peak_algebra(n).classes[mask])
 
@@ -154,31 +137,26 @@ def _pi_row(mask: int) -> dict:
     return {} if image is None else {image[0]: image[1]}
 
 
-def pi_map(a: AlgElem, *, coords=None) -> AlgElem:
+def pi_map(a: AlgElem) -> AlgElem:
     """Project the peak algebra in rank n onto rank n-2: P_F goes to
     P_{F-2}, to -P_{(F-1)-2} when 1 is in F, and to 0 when 2 is in F.
     Inputs outside span{P_F} are rejected."""
     n = a.n
     if n < 2:
         raise ValueError("projection needs rank >= 2")
+    coords = peak_coordinates(a)
     if coords is None:
-        coords = peak_coordinates(a)
-        if coords is None:
-            raise ValueError("element is not in the peak algebra")
+        raise ValueError("element is not in the peak algebra")
     return peak_algebra(n - 2).element(apply_rows({m: _pi_row(m) for m in coords}, coords))
 
 
 # ---------------------------------------------------------------------------
 # tables and theorem checks
 
-def peak_mask_text(mask: int) -> str:
-    return "{" + ",".join(str(i) for i in range(mask.bit_length()) if (mask >> i) & 1) + "}"
-
-
 def peak_table(n: int) -> StructureTable:
     """Multiplication table of the peak algebra on the P-basis."""
     alg = peak_algebra(n)
-    return alg.table(f"P_{n}", [peak_mask_text(m) for m in alg.labels])
+    return alg.table(f"P_{n}", [mask_text(m) for m in alg.labels])
 
 
 def check_closure(n: int):
@@ -195,8 +173,8 @@ def check_two_sided_ideal(n: int):
         {m: peaks.spread({m: 1}) for m in peaks.labels},
         interior_peak_algebra(n),
         lambda side, mf, mg: (
-            f"{side} product P_{peak_mask_text(mf)} with interior "
-            f"P_{peak_mask_text(mg)} leaves the ideal at n={n}"
+            f"{side} product P_{mask_text(mf)} with interior "
+            f"P_{mask_text(mg)} leaves the ideal at n={n}"
         ),
     )
     if failure:
@@ -218,7 +196,7 @@ def check_quotient(n: int):
     for mg in interior.labels:
         coords = peaks.lift(interior.spread({mg: 1}))
         if coords is None or apply_rows(rows, coords):
-            raise CheckFailure(f"interior P_{peak_mask_text(mg)} not killed")
+            raise CheckFailure(f"interior P_{mask_text(mg)} not killed")
     if fibonacci(n) - img_rank != len(interior.labels):
         raise CheckFailure("kernel dimension is not f_{n-1}")
 
@@ -232,13 +210,13 @@ def check_unitriangular(n: int):
     for fm in sparse_masks(n):
         coords = peak_coordinates(phi_on_x(n, fm >> 1))
         if coords is None:
-            raise CheckFailure(f"image of X at F={peak_mask_text(fm)} outside P_{n}")
+            raise CheckFailure(f"image of X at F={mask_text(fm)} outside P_{n}")
         if not coords.get(fm):
-            raise CheckFailure(f"diagonal coefficient vanishes at F={peak_mask_text(fm)}")
-        above = [peak_mask_text(g) for g, c in coords.items() if g > fm and c]
+            raise CheckFailure(f"diagonal coefficient vanishes at F={mask_text(fm)}")
+        above = [mask_text(g) for g, c in coords.items() if g > fm and c]
         if above:
             raise CheckFailure(
-                f"F={peak_mask_text(fm)}: nonzero above-diagonal terms at {above}"
+                f"F={mask_text(fm)}: nonzero above-diagonal terms at {above}"
             )
 
 

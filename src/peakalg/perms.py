@@ -213,7 +213,7 @@ def iter_group(group: str, n: int, *, cap: int | None = None):
     even_only = group == "D"
     for base in itertools.permutations(range(1, n + 1)):
         for mask in range(1 << n):
-            if even_only and bin(mask).count("1") % 2:
+            if even_only and popcount(mask) % 2:
                 continue
             yield tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(base))
 
@@ -273,7 +273,41 @@ def lambda_interior_mask(jmask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# GeneratorSet / PeakIndex value types
+# the label codec: a set of small non-negative integers as a bitmask
+#
+# Every basis label is such a set: generator subsets J (0 standing for s_0
+# in type B and for the fork 1' in type D) and sparse peak sets F.  This
+# section is the only place that builds, reads, checks or prints the masks.
+
+
+def popcount(mask: int) -> int:
+    return mask.bit_count()
+
+
+def mask_of(members) -> int:
+    mask = 0
+    for i in members:
+        mask |= 1 << i
+    return mask
+
+
+def members_of(mask: int) -> tuple:
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def mask_text(mask: int, token=str) -> str:
+    """Text form of a label, e.g. "{0,2}"; token renders one member."""
+    return "{" + ",".join(token(i) for i in members_of(mask)) + "}"
+
+
+def _check_members(mask: int, allowed: int, what: str, token=str):
+    """ValueError naming the label and its first member outside allowed."""
+    if mask < 0:
+        raise ValueError(f"label mask {mask} is negative")
+    if mask & ~allowed:
+        bad = token(members_of(mask & ~allowed)[0])
+        raise ValueError(f"label {mask_text(mask, token)!r}: {bad!r} is not {what}")
+
 
 def _valid_label_mask(ctype: str, n: int) -> int:
     if ctype == "A":
@@ -285,21 +319,21 @@ def _valid_label_mask(ctype: str, n: int) -> int:
     raise ValueError(f"unknown Coxeter type {ctype!r}")
 
 
-def _label_token(ctype: str, i: int) -> str:
-    return "1'" if (ctype == "D" and i == 0) else str(i)
-
-
-def _label_members(text: str, what: str, allowed: int, named=None) -> list:
-    """The members of a label text such as "{0,2}", each token a number or a
-    key of named and a bit of allowed; ValueError names any other token."""
+def _label_members(text: str, what: str, n: int, named=None) -> list:
+    """The members of a label text such as "{0,2}", each token a key of
+    named or a number below the rank n; ValueError names any other token
+    and a repeated member.  Whether a member belongs to the label's kind
+    is the value type's check."""
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
     members = []
     for tok in filter(None, (t.strip() for t in body.split(","))):
         i = (named or {}).get(tok, int(tok) if tok.isdecimal() else -1)
-        if i < 0 or not (allowed >> i) & 1:
+        if not 0 <= i < n:
             raise ValueError(f"label {text!r}: {tok!r} is not {what}")
+        if i in members:
+            raise ValueError(f"label {text!r}: {tok!r} repeats a member")
         members.append(i)
     return members
 
@@ -320,33 +354,30 @@ class GeneratorSet:
     def __post_init__(self):
         if self.ctype not in COXETER_TYPES:
             raise ValueError(f"unknown Coxeter type {self.ctype!r}")
-        if self.mask & ~_valid_label_mask(self.ctype, self.n):
-            raise ValueError(
-                f"mask {bin(self.mask)} has bits outside type {self.ctype} rank {self.n}"
-            )
+        what = f"a type-{self.ctype} generator of rank {self.n}"
+        _check_members(self.mask, _valid_label_mask(self.ctype, self.n), what, self.token)
 
     @classmethod
     def from_labels(cls, ctype: str, n: int, labels) -> "GeneratorSet":
-        mask = 0
-        for i in labels:
-            mask |= 1 << i
-        return cls(ctype, n, mask)
+        return cls(ctype, n, mask_of(labels))
 
     @classmethod
     def parse(cls, ctype: str, n: int, text: str) -> "GeneratorSet":
         what = f"a type-{ctype} generator of rank {n}"
         named = {"1'": 0} if ctype == "D" else None
-        members = _label_members(text, what, _valid_label_mask(ctype, n), named)
-        return cls.from_labels(ctype, n, members)
+        return cls.from_labels(ctype, n, _label_members(text, what, n, named))
+
+    def token(self, i: int) -> str:
+        return "1'" if (self.ctype == "D" and i == 0) else str(i)
 
     def labels(self) -> tuple:
-        return tuple(i for i in range(self.n) if (self.mask >> i) & 1)
+        return members_of(self.mask)
 
     def text(self) -> str:
-        return "{" + ",".join(_label_token(self.ctype, i) for i in self.labels()) + "}"
+        return mask_text(self.mask, self.token)
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return popcount(self.mask)
 
     def __contains__(self, label: int) -> bool:
         return bool((self.mask >> label) & 1)
@@ -389,17 +420,13 @@ def sparse_masks(n: int) -> tuple:
         for m in range(1 << max(n, 1))
         if not (m & 1) and not (m & (m << 1)) and m < (1 << n)
     ]
-    masks.sort(key=lambda m: (bin(m).count("1"), _mask_members(m)))
+    masks.sort(key=lambda m: (popcount(m), members_of(m)))
     return tuple(masks)
 
 
 @lru_cache(maxsize=None)
 def interior_sparse_masks(n: int) -> tuple:
     return tuple(m for m in sparse_masks(n) if not (m & 2))
-
-
-def _mask_members(mask: int) -> tuple:
-    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 @dataclass(frozen=True)
@@ -411,38 +438,38 @@ class PeakIndex:
     mask: int
 
     def __post_init__(self):
-        if self.mask & 1 or self.mask >= (1 << self.n) or self.mask < 0:
-            raise ValueError(f"mask {bin(self.mask)} out of range for rank {self.n}")
-        if self.mask & (self.mask << 1):
-            raise ValueError(f"mask {bin(self.mask)} has adjacent members")
+        _check_members(self.mask, ((1 << self.n) - 1) & ~1, f"a peak position of rank {self.n}")
+        if self.mask & (self.mask >> 1):
+            i = members_of(self.mask & (self.mask >> 1))[0]
+            raise ValueError(f"label {self.text()!r}: peaks {i} and {i + 1} are adjacent")
 
     @classmethod
     def from_members(cls, n: int, members) -> "PeakIndex":
-        mask = 0
-        for i in members:
-            mask |= 1 << i
-        return cls(n, mask)
+        return cls(n, mask_of(members))
 
     @classmethod
     def parse(cls, n: int, text: str, interior: bool = False) -> "PeakIndex":
         what = f"a peak position of {'an interior peak set of ' if interior else ''}rank {n}"
-        members = _label_members(text, what, (1 << n) - 1 & ~(3 if interior else 1))
-        for i in sorted(members):
-            if i + 1 in members:
-                raise ValueError(f"label {text!r}: peaks {i} and {i + 1} are adjacent")
-        return cls.from_members(n, members)
+        index = cls.from_members(n, _label_members(text, what, n))
+        return index.require_interior() if interior else index
+
+    def require_interior(self) -> "PeakIndex":
+        """This peak set, checked to be an interior one (1 not a member)."""
+        if self.mask & 2:
+            raise ValueError(
+                f"label {self.text()!r}: '1' is not a peak position of an "
+                f"interior peak set of rank {self.n}"
+            )
+        return self
 
     def members(self) -> tuple:
-        return _mask_members(self.mask)
+        return members_of(self.mask)
 
     def text(self) -> str:
-        return "{" + ",".join(map(str, self.members())) + "}"
-
-    def is_interior(self) -> bool:
-        return not (self.mask & 2)
+        return mask_text(self.mask)
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return popcount(self.mask)
 
     def __contains__(self, i: int) -> bool:
         return bool((self.mask >> i) & 1)
@@ -504,11 +531,9 @@ def length_descent_mask(w: Perm, ctype: str) -> int:
     """Descents read off the length function: labels s with l(ws) < l(w)."""
     table = coxeter_length_table(GROUP_OF_TYPE[ctype], len(w))
     lw = table[w]
-    mask = 0
-    for label, g in coxeter_generators(ctype, len(w)):
-        if table[compose(w, g)] < lw:
-            mask |= 1 << label
-    return mask
+    return mask_of(
+        label for label, g in coxeter_generators(ctype, len(w)) if table[compose(w, g)] < lw
+    )
 
 
 def perm_to_text(w: Perm) -> str:

@@ -51,6 +51,24 @@ def _check_multiplicative(f, src, dst, what: str, witness):
                 raise CheckFailure(witness(l1, l2))
 
 
+def _check_closed_forms(f, src, dst, what: str, y_form, x_form, witness):
+    """The linear map f from the descent algebra src to the class algebra
+    dst matches its closed forms on class rows: the row of each Y_J (its
+    image, binned in dst) is y_form(J) binned in dst, and the rows applied
+    to the Y-coordinates of each X_J give x_form(J) binned in dst.
+    witness(kind, J), kind "Y" or "X", names the first failure."""
+    from .algebra import apply_rows, class_images
+    from .bases import x_to_y_coords
+
+    rows = class_images(f, src, dst, what)
+    for m, row in rows.items():
+        if row != dst.coords(y_form(m)):
+            raise CheckFailure(witness("Y", m))
+    for m in rows:
+        if apply_rows(rows, x_to_y_coords({m: 1})) != dst.coords(x_form(m)):
+            raise CheckFailure(witness("X", m))
+
+
 def _check_onto(f, src, dst, what: str):
     """The linear map f (or its rows) sends the rows of the node src into
     the node dst (maps.landed) and spans it."""
@@ -244,8 +262,7 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
 
 def suite_chi(n_max: int, deep: bool = False) -> list:
     from . import maps
-    from .algebra import apply_rows, class_images
-    from .bases import descent_algebra, x_to_y_coords
+    from .bases import descent_algebra
 
     checks = []
     element_ranks = _ranks(2, n_max, ELEMENT_CAP)
@@ -253,14 +270,15 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
 
     def closed_forms():
         for n in element_ranks:
-            target = descent_algebra("D", n)
-            rows = class_images(maps.chi, descent_algebra("B", n), target, "the fold")
-            for m, row in rows.items():
-                if row != target.coords(maps.chi_on_y(n, m)):
-                    raise CheckFailure(f"fold Y closed form fails at n={n}, {bin(m)}")
-            for m in rows:
-                if apply_rows(rows, x_to_y_coords({m: 1})) != target.coords(maps.chi_on_x(n, m)):
-                    raise CheckFailure(f"fold X closed form fails at n={n}, {bin(m)}")
+            _check_closed_forms(
+                maps.chi,
+                descent_algebra("B", n),
+                descent_algebra("D", n),
+                "the fold",
+                lambda m: maps.chi_on_y(n, m),
+                lambda m: maps.chi_on_x(n, m),
+                lambda kind, m: f"fold {kind} closed form fails at n={n}, {bin(m)}",
+            )
 
     _add_ranged(checks, "chi/closed-forms", closed_forms, element_ranks)
 
@@ -323,13 +341,15 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
 
     def closed_forms():
         for n in element_ranks:
-            target, rows = peak_algebra(n), sign_rows(n)
-            for m, row in rows.items():
-                if row != target.coords(maps.phi_on_y(n, m)):
-                    raise CheckFailure(f"sign-forgetting Y form fails at n={n}, {bin(m)}")
-            for m in rows:
-                if apply_rows(rows, x_to_y_coords({m: 1})) != target.coords(maps.phi_on_x(n, m)):
-                    raise CheckFailure(f"sign-forgetting X form fails at n={n}, {bin(m)}")
+            _check_closed_forms(
+                maps.phi,
+                descent_algebra("B", n),
+                peak_algebra(n),
+                "sign forgetting",
+                lambda m: maps.phi_on_y(n, m),
+                lambda m: maps.phi_on_x(n, m),
+                lambda kind, m: f"sign-forgetting {kind} form fails at n={n}, {bin(m)}",
+            )
 
     _add_ranged(checks, "phi/closed-forms", closed_forms, element_ranks)
 
@@ -384,8 +404,7 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
 
 def suite_psi(n_max: int, deep: bool = False) -> list:
     from . import maps
-    from .algebra import apply_rows, class_images
-    from .bases import descent_algebra, x_to_y_coords
+    from .bases import descent_algebra
     from .peak import peak_algebra
 
     CASE = {0: "plain", 1: "oneprime", 2: "one", 3: "both"}
@@ -394,15 +413,15 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
 
     def closed_forms():
         for n in element_ranks:
-            target = peak_algebra(n)
-            rows = class_images(maps.psi, descent_algebra("D", n), target, "sign forgetting")
-            for m, row in rows.items():
-                if row != target.coords(maps.psi_on_y(n, m & ~3, CASE[m & 3])):
-                    raise CheckFailure(f"type-D Y form fails at n={n}, {bin(m)}")
-            for m in rows:
-                x = apply_rows(rows, x_to_y_coords({m: 1}))
-                if x != target.coords(maps.psi_on_x(n, m & ~3, CASE[m & 3])):
-                    raise CheckFailure(f"type-D X form fails at n={n}, {bin(m)}")
+            _check_closed_forms(
+                maps.psi,
+                descent_algebra("D", n),
+                peak_algebra(n),
+                "sign forgetting",
+                lambda m: maps.psi_on_y(n, m & ~3, CASE[m & 3]),
+                lambda m: maps.psi_on_x(n, m & ~3, CASE[m & 3]),
+                lambda kind, m: f"type-D {kind} form fails at n={n}, {bin(m)}",
+            )
 
     _add_ranged(checks, "psi/closed-forms", closed_forms, element_ranks)
 
@@ -677,6 +696,7 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
     from .algebra import apply_rows, class_images
     from .bases import descent_algebra, x_to_y_coords
     from .peak import interior_peak_algebra, peak_algebra
+    from .perms import popcount
 
     checks = []
     element_ranks = _ranks(1, n_max, ELEMENT_CAP)
@@ -699,7 +719,7 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
             rows, interior = hopf.transform_coords("SolA", n), interior_peak_algebra(n)
             for mask in rows:
                 window = mask | (mask << 1)
-                scale = 1 << (1 + bin(mask).count("1"))
+                scale = 1 << (1 + popcount(mask))
                 want = interior.spread({fm: scale for fm in interior.labels if fm & ~window == 0})
                 if apply_rows(rows, x_to_y_coords({mask: 1})) != want:
                     raise CheckFailure(f"transform value wrong at mask {bin(mask)}")
