@@ -373,11 +373,15 @@ def exact_det(rows) -> Fraction:
 
 def bin_classes(terms: dict, class_of, size):
     """Class binning: the coefficients of terms per class, as a dict in
-    order of first appearance, or None unless terms is constant on each
-    class it touches and covers all size(class) members of it."""
+    order of first appearance, or None unless every term has a class
+    (class_of gives None for a term outside the group), and terms is
+    constant on each class it touches and covers all size(class) members
+    of it."""
     seen: dict = {}
     for w, c in terms.items():
         k = class_of(w)
+        if k is None:
+            return None
         prev = seen.get(k)
         if prev is None:
             seen[k] = [c, 1]
@@ -396,17 +400,18 @@ class ClassAlgebra:
 
     key maps a group element to its class label and labels lists every
     class in table order; classes, when given, is the partition already
-    binned (label -> members).  Coordinates are
-    {label: coefficient} dicts; the class sums have disjoint supports, so
-    binning reads them off exactly.  A coarsening (see coarsen) keeps its
-    parent and its fibres (label -> the parent labels merged into it),
-    reads its structure cube from the parent's, and translates coordinates
-    to and from the parent's by lift and spread."""
+    binned (label -> members), and key is then not called.  Coordinates
+    are {label: coefficient} dicts; the class sums have disjoint supports,
+    so binning reads them off exactly.  A coarsening (see coarsen) keeps
+    its parent, its fibres (label -> the parent labels merged into it) and
+    its fibre map (parent label -> its own label), reads its structure
+    cube from the parent's, reads the label of an element through the
+    parent's, and translates coordinates to and from the parent's by lift
+    and spread."""
 
     def __init__(self, group: str, n: int, key, labels, classes=None):
         self.group = group
         self.n = n
-        self.class_of = key
         self.labels = tuple(labels)
         if classes is None:
             classes = {lab: [] for lab in self.labels}
@@ -416,11 +421,23 @@ class ClassAlgebra:
         self.sizes = {lab: len(ws) for lab, ws in self.classes.items()}
         self.parent = None
         self.fibres = None
+        self.fibre_of = None
 
     @cached_property
     def label_of(self) -> dict:
-        """Group element -> the label of its class."""
+        """Group element -> the label of its class, held by an algebra
+        with no parent only: its coarsenings read it through class_of."""
         return {w: lab for lab, ws in self.classes.items() for w in ws}
+
+    @cached_property
+    def class_of(self):
+        """The label of the class of a group element, or None for a term
+        outside the group: the enumerated algebra's label_of, read through
+        the fibre map of each coarsening on the way down."""
+        if self.parent is None:
+            return self.label_of.get
+        parent_of, fibre_of = self.parent.class_of, self.fibre_of.get
+        return lambda w: fibre_of(parent_of(w))
 
     @property
     def basis(self) -> list:
@@ -430,7 +447,8 @@ class ClassAlgebra:
         ]
 
     def coords(self, a: AlgElem):
-        """Coordinates of a over the class sums, or None off the span."""
+        """Coordinates of a over the class sums, or None off the span (a
+        term outside the group is off it)."""
         if (a.group, a.n) != (self.group, self.n):
             raise ValueError(f"element of {a.group}_{a.n} is not in Q{self.group}_{self.n}")
         return bin_classes(a.terms, self.class_of, self.sizes.__getitem__)
@@ -478,10 +496,10 @@ class ClassAlgebra:
             if missing:
                 raise ValueError(f"the label {missing[0]!r} is not listed")
         merged = {g: [w for lab in ls for w in self.classes[lab]] for g, ls in fibres.items()}
-        key = self.class_of
-        coarse = ClassAlgebra(self.group, self.n, lambda w: f(key(w)), labels, merged)
+        coarse = ClassAlgebra(self.group, self.n, None, labels, merged)
         coarse.parent = self
         coarse.fibres = {g: tuple(fibres[g]) for g in coarse.labels}
+        coarse.fibre_of = {lab: g for g, ls in fibres.items() for lab in ls}
         return coarse
 
     @cached_property
@@ -499,7 +517,7 @@ class ClassAlgebra:
     def _enumerated_cube(self) -> dict:
         """The cube by counting compositions of group elements and binning
         each product."""
-        lookup = self.label_of
+        class_of = self.class_of
         cube = {}
         for l1, c1 in self.classes.items():
             for l2, c2 in self.classes.items():
@@ -508,7 +526,7 @@ class ClassAlgebra:
                     for w in c1:
                         key = compose(w, v)
                         counts[key] = counts.get(key, 0) + 1
-                coords = bin_classes(counts, lookup.__getitem__, self.sizes.__getitem__)
+                coords = bin_classes(counts, class_of, self.sizes.__getitem__)
                 if coords is None:
                     raise self._closure_error(l1, l2)
                 cube[(l1, l2)] = coords
@@ -626,11 +644,13 @@ def two_sided_failure(rows: dict, ideal: ClassAlgebra, witness):
 def pair_coords(component: dict, left: ClassAlgebra, right: ClassAlgebra):
     """Coordinates of a tensor component {(u, v): c} over the tensor
     products of the class sums of left and right, or None."""
-    return bin_classes(
-        component,
-        lambda uv: (left.label_of[uv[0]], right.label_of[uv[1]]),
-        lambda k: left.sizes[k[0]] * right.sizes[k[1]],
-    )
+    left_of, right_of = left.class_of, right.class_of
+
+    def pair_of(uv):
+        l1, l2 = left_of(uv[0]), right_of(uv[1])
+        return None if l1 is None or l2 is None else (l1, l2)
+
+    return bin_classes(component, pair_of, lambda k: left.sizes[k[0]] * right.sizes[k[1]])
 
 
 def label_text(lab) -> str:

@@ -414,14 +414,14 @@ def fibonacci(n: int) -> int:
 def sparse_masks(n: int) -> tuple:
     """All bitmasks F of subsets of [n-1] with no two consecutive elements,
     ordered by (cardinality, lexicographic member list).  #sparse_masks(n)
-    is the Fibonacci number f_n."""
-    masks = [
-        m
-        for m in range(1 << max(n, 1))
-        if not (m & 1) and not (m & (m << 1)) and m < (1 << n)
-    ]
-    masks.sort(key=lambda m: (popcount(m), members_of(m)))
-    return tuple(masks)
+    is the Fibonacci number f_n.  The sparse k-subsets a_1 < ... < a_k
+    of [n-1] are the a_i = b_i + i - 1 over the k-subsets b of [n-k], in
+    the same lexicographic order."""
+    return tuple(
+        mask_of(b + i for i, b in enumerate(chosen))
+        for k in range(n // 2 + 1)
+        for chosen in itertools.combinations(range(1, n - k + 1), k)
+    )
 
 
 @lru_cache(maxsize=None)

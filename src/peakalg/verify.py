@@ -78,6 +78,29 @@ def _check_onto(f, src, dst, what: str):
         raise CheckFailure(f"{what} does not span the {dst.name}")
 
 
+def _check_associative(group: str, n: int):
+    """(uv)w = u(vw) for every triple of the rank-n group, read on the
+    table of its products (as indices into the group); a product outside
+    the group fails."""
+    from . import perms
+
+    elements = perms.group_elements(group, n)
+    index = {w: i for i, w in enumerate(elements)}
+    table = []
+    for u in elements:
+        row = [index.get(perms.compose(u, v)) for v in elements]
+        if None in row:
+            v = elements[row.index(None)]
+            raise CheckFailure(f"the product {u} * {v} leaves {group}_{n}")
+        table.append(row)
+    for u, by_u in zip(elements, table):
+        for j, uv in enumerate(by_u):
+            left, right = table[uv], [by_u[vw] for vw in table[j]]  # (uv)w, u(vw) for all w
+            if left != right:
+                k = next(k for k in range(len(left)) if left[k] != right[k])
+                raise CheckFailure(f"associativity fails at {u}, {elements[j]}, {elements[k]}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -127,16 +150,9 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 
     _add_ranged(checks, "descents/length-oracle", oracle, *bfs_ranks.values())
 
-    def associativity():
-        group = perms.group_elements("B", 3)
-        for u in group:
-            for v in group:
-                uv = perms.compose(u, v)
-                for w in group:
-                    if perms.compose(uv, w) != perms.compose(u, perms.compose(v, w)):
-                        raise CheckFailure(f"associativity fails at {u}, {v}, {w}")
-
-    checks.append(run_check("descents/composition-associative-B3", associativity))
+    checks.append(
+        run_check("descents/composition-associative-B3", lambda: _check_associative("B", 3))
+    )
 
     sign_ranks = _ranks(1, n_max, 4)
 

@@ -189,17 +189,29 @@ def convolve_actions(u: Perm, v: Perm, word: tuple, alphabet: Alphabet) -> Tenso
 
 
 def check_right_action(n: int, alphabet: Alphabet):
-    """(t . u) . v = t . (uv) over the whole rank-n signed group."""
+    """(t . u) . v = t . (uv) over the whole rank-n signed group and every
+    word t, read on the table of t . u: each entry is checked to be one
+    word with coefficient 1, and each product uv to be in the group."""
     from .perms import group_elements
 
     words = list(alphabet.words(n))
     group = group_elements("B", n)
+    moved_by = {}  # u -> {word: word . u}
     for u in group:
+        row = moved_by[u] = {}
+        for word in words:
+            moved = act(TensorElem.word(word), u, alphabet).terms
+            if list(moved.values()) != [1]:
+                raise CheckFailure(f"{word} . {u} is not one word: {moved}")
+            (row[word],) = moved
+    for u in group:
+        by_u = moved_by[u]
         for v in group:
-            uv = compose(u, v)
+            by_v, by_uv = moved_by[v], moved_by.get(compose(u, v))
+            if by_uv is None:
+                raise CheckFailure(f"the product {u} * {v} leaves B_{n}")
             for word in words:
-                t = TensorElem.word(word)
-                if act(act(t, u, alphabet), v, alphabet) != act(t, uv, alphabet):
+                if by_v.get(by_u[word]) != by_uv[word]:
                     raise CheckFailure(f"right action law fails at {u}, {v}, {word}")
 
 
