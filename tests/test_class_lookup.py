@@ -28,9 +28,8 @@ def test_a_term_outside_the_group_is_off_the_span():
     assert parent.coords(AlgElem._raw("S", 3, {(2, 1, 3): 1, OUTSIDE: 1})) is None
     for coarse in (peak_algebra(3), wp_algebra(3)):  # a coarsening, and one of a coarsening
         label = coarse.class_of((3, 1, 2))
-        members = coarse.classes[label]
-        assert coarse.coords(swapped(members, (3, 1, 2), (3, 1, 2))) == {label: 1}
-        assert coarse.coords(swapped(members, (3, 1, 2), OUTSIDE)) is None
+        assert coarse.coords(coarse.element({label: 1})) == {label: 1}
+        assert coarse.coords(swapped(coarse.classes[label], (3, 1, 2), OUTSIDE)) is None
     assert peak_algebra(3).class_of(OUTSIDE) is None
 
 
