@@ -658,11 +658,26 @@ def label_text(lab) -> str:
     return str(lab) if isinstance(lab, tuple) else bin(lab)
 
 
+# (map, source, target) -> the rows of the map, for the life of the process
+ROW_TABLES: dict = {}
+
+
 def class_images(f, src: ClassAlgebra, dst: ClassAlgebra, what: str) -> dict:
     """The rows of a linear map f from src to dst: label -> coordinates
-    over dst of f applied to the class sum of src.  Each image is computed
-    at element level and binned, so building the rows checks that f lands
-    in dst (CheckFailure naming the class otherwise)."""
+    over dst of f applied to the class sum of src, built once per (f, src,
+    dst) by element_rows and kept in ROW_TABLES.  A map with an image off
+    the span raises there, naming this caller's what, and stores nothing.
+    The table is shared: no caller may change it."""
+    key = (f, src, dst)
+    if key not in ROW_TABLES:
+        ROW_TABLES[key] = element_rows(f, src, dst, what)
+    return ROW_TABLES[key]
+
+
+def element_rows(f, src: ClassAlgebra, dst: ClassAlgebra, what: str) -> dict:
+    """The rows of f, each image computed at element level and binned, so
+    building them checks that f lands in dst (CheckFailure naming the
+    class otherwise)."""
     return {
         lab: dst.binned(f(c), f"{what} of the class {label_text(lab)} leaves the span")
         for lab, c in src.basis

@@ -17,6 +17,7 @@ from functools import lru_cache, partial
 from itertools import combinations
 
 from .algebra import (
+    ROW_TABLES,
     AlgElem,
     Echelon,
     add_multiple,
@@ -33,9 +34,9 @@ from .bases import (
     x_to_y_coords,
     y_basis,
 )
-from .mr import stilde_basis, stilde_coords, t_algebra
+from .mr import stilde_basis, t_algebra, t_coords
 from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordinates
-from .perms import Perm, compose, identity, inverse, members_of
+from .perms import Perm, compose, inverse, members_of
 from .reporting import CheckFailure
 
 
@@ -344,7 +345,7 @@ def _x_coords(family: str, n: int) -> dict:
     the labels are the even masks and X0_J = X_{{0} u J}), and OmegaB
     takes the S-tilde class sums."""
     if family == "OmegaB":
-        return stilde_coords(n)
+        return t_coords("Stilde", n)
     return {lab: x_to_y_coords({lab: 1}) for lab in FAMILIES[family](n).labels}
 
 
@@ -393,6 +394,16 @@ def transform_coords(family: str, n: int) -> dict:
 
     alg = FAMILIES[family](n)
     return class_images(getattr(maps, TRANSFORMS[family]), alg, alg, TRANSFORMS[family])
+
+
+def _clear_transform_rows(clear=transform_coords.cache_clear):
+    """transform_coords.cache_clear: the row tables of class_images go too,
+    so a transform whose generator was changed in place is built again."""
+    clear()
+    ROW_TABLES.clear()
+
+
+transform_coords.cache_clear = _clear_transform_rows
 
 
 def _shuffle(left: str, right: str, p: int, q: int, x: dict, y: dict) -> dict:
@@ -517,48 +528,31 @@ def check_omega_star(dmax: int):
     )
 
 
+# the one-part generators in degree i, in check order, each with its
+# witness: X_(i) of type A (the identity class), of type B (empty label),
+# X0_(i) of the canonical ideal, and the S-tilde class sums of (i) and (-i)
+GENERATORS = (
+    (partial(xa_of_mask, mask=0), "type-A generator coproduct fails at degree {m}"),
+    (partial(x_of_pseudo_mask, mask=0), "type-B generator coproduct fails at degree {m}"),
+    (partial(x0_of_mask, mask=0), "ideal generator coproduct fails at degree {m}"),
+    (lambda i: _stilde(i, (i,)), "S-tilde generator coproduct fails at degree {m}, sign 1"),
+    (lambda i: _stilde(i, (-i,)), "S-tilde generator coproduct fails at degree {m}, sign -1"),
+)
+
+
 def check_coproduct_generators(dmax: int):
-    """The degreewise-split coproducts of all the one-part generators."""
+    """The degreewise-split coproducts of all the one-part generators: the
+    coproduct of gen(m) is the sum of gen(i) (x) gen(m - i), term by term."""
     for m in range(1, dmax + 1):
-        # type A: X_(m) is the identity class
-        got = coproduct(xa_of_mask(m, 0))
-        want = Tensor2.zero("S", m)
-        for i in range(m + 1):
-            want.add_term(identity(i), identity(m - i), 1)
-        if got != want:
-            raise CheckFailure(f"type-A generator coproduct fails at degree {m}")
-        # type B: X_(m) with empty label
-        got = coproduct(x_of_pseudo_mask(m, 0))
-        want = Tensor2.zero("B", m)
-        for i in range(m + 1):
-            for u in x_of_pseudo_mask(i, 0).terms:
-                for v in x_of_pseudo_mask(m - i, 0).terms:
-                    want.add_term(u, v, 1)
-        if got != want:
-            raise CheckFailure(f"type-B generator coproduct fails at degree {m}")
-        # canonical ideal: X0_(m)
-        got = coproduct(x0_of_mask(m, 0))
-        want = Tensor2.zero("B", m)
-        for i in range(m + 1):
-            for u in x0_of_mask(i, 0).terms:
-                for v in x0_of_mask(m - i, 0).terms:
-                    want.add_term(u, v, 1)
-        if got != want:
-            raise CheckFailure(f"ideal generator coproduct fails at degree {m}")
-        # Mantaci-Reutenauer: both signs
-        for sign in (1, -1):
-            got = coproduct(_stilde(m, (sign * m,)))
-            want = Tensor2.zero("B", m)
+        for gen, witness in GENERATORS:
+            top = gen(m)
+            want = Tensor2.zero(top.group, m)
             for i in range(m + 1):
-                left = _stilde(i, (sign * i,) if i else ())
-                right = _stilde(m - i, (sign * (m - i),) if m - i else ())
-                for u in left.terms:
-                    for v in right.terms:
+                for u in gen(i).terms:
+                    for v in gen(m - i).terms:
                         want.add_term(u, v, 1)
-            if got != want:
-                raise CheckFailure(
-                    f"S-tilde generator coproduct fails at degree {m}, sign {sign}"
-                )
+            if coproduct(top) != want:
+                raise CheckFailure(witness.format(m=m))
 
 
 def check_delta_closures(dmax: int):
@@ -672,38 +666,33 @@ def check_module_morphisms(dmax: int):
     """The degree drops are morphisms of right modules over the ideals."""
     from .maps import beta_map, pi_map
 
-    betas = {
-        n: class_images(
-            beta_map, descent_algebra("B", n), descent_algebra("B", n - 1), "the drop"
+    def drop(f, family: str, by: int, what: str):
+        """f on coordinates from degree n of family to degree n - by, read
+        on its rows; below degree by it vanishes."""
+        alg = FAMILIES[family]
+        return lambda n, x: (
+            apply_rows(class_images(f, alg(n), alg(n - by), what), x) if n >= by else {}
         )
-        for n in range(1, dmax + 1)
-    }
-    pis = {
-        n: class_images(pi_map, peak_algebra(n), peak_algebra(n - 2), "the projection")
-        for n in range(2, dmax + 1)
-    }
 
-    def drop(rows, n, x):
-        # a drop below its lowest degree vanishes
-        return apply_rows(rows[n], x) if n in rows else {}
+    beta, pi = drop(beta_map, "SolB", 1, "the drop"), drop(pi_map, "Peak", 2, "the projection")
 
     xb = {p: _x_coords("SolB", p) for p in range(0, dmax)}
     x0 = {q: _x_coords("I0", q) for q in range(1, dmax + 1)}
     for p in range(0, dmax):
         for q in range(1, dmax - p + 1):
             for m1, a in xb[p].items():
-                da = drop(betas, p, a)
+                da = beta(p, a)
                 for m2, m in x0[q].items():
-                    left = drop(betas, p + q, _shuffle("SolB", "I0", p, q, a, m))
+                    left = beta(p + q, _shuffle("SolB", "I0", p, q, a, m))
                     right = _shuffle("SolB", "I0", p - 1, q, da, m) if da else {}
                     if left != right:
                         raise CheckFailure(
                             f"drop is not a module morphism at masks {bin(m1)}, {bin(m2)}"
                         )
             for fm in peak_algebra(p).labels:
-                df = drop(pis, p, {fm: 1})
+                df = pi(p, {fm: 1})
                 for gm in interior_peak_algebra(q).labels:
-                    left = drop(pis, p + q, shuffle_coords("Peak", "PeakIdeal", p, q)[(fm, gm)])
+                    left = pi(p + q, shuffle_coords("Peak", "PeakIdeal", p, q)[(fm, gm)])
                     right = _shuffle("Peak", "PeakIdeal", p - 2, q, df, {gm: 1}) if df else {}
                     if left != right:
                         raise CheckFailure(

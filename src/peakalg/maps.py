@@ -76,6 +76,11 @@ def sigma_map(a: AlgElem) -> AlgElem:
     return push_forward(sigma, a)
 
 
+def inclusion(a: AlgElem) -> AlgElem:
+    """A subspace into its ambient algebra: one map, so its rows are shared."""
+    return a
+
+
 def rho_map(a: AlgElem) -> AlgElem:
     if a.group != "D":
         raise ValueError("rho acts on elements of QD_n")
@@ -401,11 +406,10 @@ def node_span(node: Node) -> Echelon:
     return Echelon(row for _, row in node_rows(node))
 
 
-def landed(f, src: Node, dst: Node, what: str) -> Echelon:
-    """The echelon of the images of the rows of src under the linear map f,
-    each checked to lie in dst.  f acts on elements, and its rows between
-    the two algebras are built here (class_images), or f is those rows."""
-    rows = class_images(f, src.algebra, dst.algebra, what) if callable(f) else f
+def landed(rows: dict, src: Node, dst: Node, what: str) -> Echelon:
+    """The echelon of the images of the rows of src under the linear map
+    with the given rows (class_images between the two algebras), each
+    checked to lie in dst."""
     target, images = node_span(dst), Echelon()
     for label, row in node_rows(src):
         image = apply_rows(rows, row)
@@ -426,18 +430,15 @@ def x_span_node(name: str, ctype: str, n: int, labels) -> Node:
 
 
 def verify_diagram(spec: DiagramSpec) -> list:
-    """The checks of a diagram, on class rows.  The rows of an arrow (the
-    binned image of every class sum of its source's algebra) are built
-    once per map and pair of algebras; every check then applies them to
-    the spanning rows of the nodes and compares, lands or ranks them."""
-    nodes, tables = spec.nodes, {}
+    """The checks of a diagram, on class rows.  The rows of an arrow are
+    those of its map between the algebras of its two nodes (class_images);
+    every check applies them to the spanning rows of the nodes and
+    compares, lands or ranks them."""
+    nodes = spec.nodes
 
     def table(arrow) -> dict:
         src, dst, f = spec.arrows[arrow]
-        key = (f, nodes[src].algebra, nodes[dst].algebra)
-        if key not in tables:
-            tables[key] = class_images(*key, f"arrow {arrow}")
-        return tables[key]
+        return class_images(f, nodes[src].algebra, nodes[dst].algebra, f"arrow {arrow}")
 
     def along(path, rows):
         for arrow in path:
@@ -512,12 +513,12 @@ def exact_square(name: str, upper: list, lower: list, drop: tuple, down: tuple) 
     (top, mid, bot), (low_top, low_mid, low_bot) = upper, lower
     drop_name, v = drop[0], down[0]
     arrows = {
-        "inc": (top.name, mid.name, lambda a: a),
+        "inc": (top.name, mid.name, inclusion),
         drop_name: (mid.name, bot.name, drop[1]),
         f"{v}_top": (top.name, low_top.name, down[1]),
         f"{v}_mid": (mid.name, low_mid.name, down[1]),
         "phi_bot": (bot.name, low_bot.name, phi),
-        "inc_low": (low_top.name, low_mid.name, lambda a: a),
+        "inc_low": (low_top.name, low_mid.name, inclusion),
         "pi": (low_mid.name, low_bot.name, pi_map),
     }
     return DiagramSpec(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import AlgElem, ClassAlgebra, apply_rows
+from .algebra import AlgElem, ClassAlgebra, apply_rows, class_images
 from .bases import comp_complement, comp_to_subset, y_label_elements
 from .perms import group_elements, mask_of
 from .reporting import CheckFailure
@@ -295,14 +295,12 @@ def phi_on_stilde_formula(n: int, alpha) -> AlgElem:
 
 
 @lru_cache(maxsize=None)
-def stilde_coords(n: int) -> dict:
-    """alpha -> coordinates of the S-tilde class sum of alpha over the
-    T-class sums, each binned once."""
-    alg = t_algebra(n)
+def t_coords(kind: str, n: int) -> dict:
+    """alpha -> coordinates over the T-class sums of the class sum of alpha
+    of kind "S" or "Stilde" (see mr_basis), each binned once per rank."""
+    alg, name = t_algebra(n), {"S": "S-class", "Stilde": "S-tilde class"}[kind]
     return {
-        alpha: alg.binned(
-            stilde_basis(n, alpha), f"the S-tilde class of {alpha} is not a T-combination"
-        )
+        alpha: alg.binned(mr_basis(kind, n, alpha), f"the {name} of {alpha} is not a T-combination")
         for alpha in signed_compositions(n)
     }
 
@@ -325,7 +323,7 @@ def bstilde_product(n: int, alpha) -> AlgElem:
     from .hopf import transform_coords
     from .maps import x0_basis, x0_generator
 
-    coords = stilde_coords(n).get(tuple(alpha))
+    coords = t_coords("Stilde", n).get(tuple(alpha))
     if coords is None:
         raise ValueError(f"{alpha} is not a signed composition of {n}")
     gen = x0_generator(n)
@@ -382,15 +380,21 @@ def check_omega_closure(n: int):
 
 
 def check_phi_images(n: int):
-    """Element-level sign forgetting matches all three closed forms."""
+    """Sign forgetting matches all three closed forms (each binned), read
+    on its rows from the T-classes to the type-A descent classes: a row is
+    a T-class image, applied to t_coords it gives the S and S-tilde ones."""
+    from .bases import descent_algebra
     from .maps import phi
 
+    alg = descent_algebra("A", n)
+    rows = class_images(phi, t_algebra(n), alg, f"sign forgetting at n={n}")
+    s, stilde = t_coords("S", n), t_coords("Stilde", n)
     for alpha in signed_compositions(n):
-        if phi(s_basis(n, alpha)) != phi_on_s_formula(n, alpha):
+        if apply_rows(rows, s[alpha]) != alg.coords(phi_on_s_formula(n, alpha)):
             raise CheckFailure(f"image of the S-class of {alpha} is wrong")
-        if phi(t_basis(n, alpha)) != phi_on_t_formula(n, alpha):
+        if rows[alpha] != alg.coords(phi_on_t_formula(n, alpha)):
             raise CheckFailure(f"image of the T-class of {alpha} is wrong")
-        if phi(stilde_basis(n, alpha)) != phi_on_stilde_formula(n, alpha):
+        if apply_rows(rows, stilde[alpha]) != alg.coords(phi_on_stilde_formula(n, alpha)):
             raise CheckFailure(f"image of the S-tilde class of {alpha} is wrong")
 
 
@@ -401,13 +405,10 @@ def check_phi_onto_descent_algebra(n: int):
     from .bases import descent_algebra
     from .maps import Node, landed, phi
 
-    alg = t_algebra(n)
-    rows = [
-        (alpha, alg.binned(s_basis(n, alpha), f"the S-class of {alpha} is not a T-combination"))
-        for alpha in signed_compositions(n)
-    ]
-    source, target = Node("S-class span", alg, rows), Node("Sigma_n", descent_algebra("A", n))
-    if landed(phi, source, target, f"sign forgetting at n={n}").rank != 1 << (n - 1):
+    source = Node("S-class span", t_algebra(n), list(t_coords("S", n).items()))
+    target, what = Node("Sigma_n", descent_algebra("A", n)), f"sign forgetting at n={n}"
+    rows = class_images(phi, source.algebra, target.algebra, what)
+    if landed(rows, source, target, what).rank != 1 << (n - 1):
         raise CheckFailure(f"images do not span the descent algebra at n={n}")
 
 

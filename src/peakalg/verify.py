@@ -35,6 +35,14 @@ def _add_ranged(checks: list, check_id: str, body, *ranks):
         checks.append(run_check(check_id, body))
 
 
+def _add_per_rank(checks: list, suite: str, ranks, *named):
+    """For each rank n in order, run body(n) as the check f"{suite}/{name}/n={n}"
+    for each (name, body) of named, in the order given."""
+    for n in ranks:
+        for name, body in named:
+            checks.append(run_check(f"{suite}/{name}/n={n}", lambda body=body, n=n: body(n)))
+
+
 def _check_multiplicative(f, src, dst, what: str, witness):
     """The linear map f from the class algebra src to dst is
     multiplicative, read on class coordinates: its rows (the image of
@@ -69,12 +77,12 @@ def _check_closed_forms(f, src, dst, what: str, y_form, x_form, witness):
             raise CheckFailure(witness("X", m))
 
 
-def _check_onto(f, src, dst, what: str):
-    """The linear map f (or its rows) sends the rows of the node src into
-    the node dst (maps.landed) and spans it."""
+def _check_onto(rows, src, dst, what: str):
+    """The linear map with the given rows sends the rows of the node src
+    into the node dst (maps.landed) and spans it."""
     from .maps import landed, node_span
 
-    if landed(f, src, dst, what).rank != node_span(dst).rank:
+    if landed(rows, src, dst, what).rank != node_span(dst).rank:
         raise CheckFailure(f"{what} does not span the {dst.name}")
 
 
@@ -278,6 +286,7 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
 
 def suite_chi(n_max: int, deep: bool = False) -> list:
     from . import maps
+    from .algebra import class_images
     from .bases import descent_algebra
 
     checks = []
@@ -306,7 +315,9 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
             if r != 3 << (n - 2):
                 raise CheckFailure(f"three-class span rank wrong at n={n}")
             source = maps.Node("type-B descent algebra", descent_algebra("B", n))
-            _check_onto(maps.chi, source, three, f"the fold at n={n}")
+            what = f"the fold at n={n}"
+            rows = class_images(maps.chi, source.algebra, three.algebra, what)
+            _check_onto(rows, source, three, what)
             if len(three.algebra.labels) - r != 1 << (n - 2):
                 raise CheckFailure(f"fold image codimension wrong at n={n}")
 
@@ -352,9 +363,6 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
     checks = []
     element_ranks = _ranks(1, n_max, ELEMENT_CAP)
 
-    def sign_rows(n):
-        return class_images(maps.phi, descent_algebra("B", n), peak_algebra(n), "sign forgetting")
-
     def closed_forms():
         for n in element_ranks:
             _check_closed_forms(
@@ -372,7 +380,8 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
     def ideal_forms():
         # X0_J = X_{{0} u J} and Y0_J = Y_{{0} u J} + Y_J
         for n in element_ranks:
-            target, rows = peak_algebra(n), sign_rows(n)
+            target = peak_algebra(n)
+            rows = class_images(maps.phi, descent_algebra("B", n), target, "sign forgetting")
             for m in maps.canonical_ideal_labels(n):
                 x0 = apply_rows(rows, x_to_y_coords({m | 1: 1}))
                 if x0 != target.coords(maps.phi_on_x0(n, m)):
@@ -394,8 +403,10 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
     def generator_image():
         # the increasing class sum is X_{{0}}
         for n in element_ranks:
-            want = peak_algebra(n).coords(maps.interior_peak_generator(n).scale(2))
-            if apply_rows(sign_rows(n), x_to_y_coords({1: 1})) != want:
+            target = peak_algebra(n)
+            rows = class_images(maps.phi, descent_algebra("B", n), target, "sign forgetting")
+            want = target.coords(maps.interior_peak_generator(n).scale(2))
+            if apply_rows(rows, x_to_y_coords({1: 1})) != want:
                 raise CheckFailure(f"increasing-class image wrong at n={n}")
 
     _add_ranged(checks, "phi/increasing-class-image", generator_image, element_ranks)
@@ -526,8 +537,10 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
         for n in element_ranks:
             interior = maps.coarse_node("interior ideal", interior_peak_algebra(n))
             ker_beta2 = maps.x_span_node("I01", "B", n, [m for m in range(1 << n) if m & 3])
+            what = f"sign forgetting at n={n}"
+            rows = class_images(maps.phi, descent_algebra("B", n), interior.algebra, what)
             for ideal in (maps.canonical_ideal_node(n), ker_beta2):
-                _check_onto(maps.phi, ideal, interior, f"sign forgetting at n={n}")
+                _check_onto(rows, ideal, interior, what)
 
     _add_ranged(checks, "ideals/images-onto-interior", images_onto_interior, element_ranks)
 
@@ -571,42 +584,22 @@ def suite_commutative(n_max: int, deep: bool = False) -> list:
     from .perms import STRUCTURE_CAPS
 
     checks = []
-    for n in range(2, _cap(n_max, 6) + 1):
-        checks.append(
-            run_check(f"commutative/builders/n={n}", lambda n=n: comm.check_builder_relations(n))
-        )
-        checks.append(
-            run_check(f"commutative/phi-forms/n={n}", lambda n=n: comm.check_phi_number_forms(n))
-        )
-        checks.append(
-            run_check(f"commutative/beta-forms/n={n}", lambda n=n: comm.check_beta_number_forms(n))
-        )
-        checks.append(
-            run_check(f"commutative/pi-forms/n={n}", lambda n=n: comm.check_pi_number_forms(n))
-        )
-        checks.append(
-            run_check(f"commutative/ker-beta2/n={n}", lambda n=n: comm.check_ker_beta2_on_sol(n))
-        )
-        checks.append(
-            run_check(f"commutative/dimensions/n={n}", lambda n=n: comm.check_graded_dimensions(n))
-        )
-    for n in range(2, _cap(n_max, 6) + 1):
-        checks.append(
-            run_check(f"commutative/whp-closure/n={n}", lambda n=n: comm.check_whp_closure(n))
-        )
-        checks.append(
-            run_check(f"commutative/whp-table/n={n}", lambda n=n: comm.whp_table(n))
-        )
-    for n in range(2, _cap(n_max, STRUCTURE_CAPS["B"][deep]) + 1):
-        checks.append(
-            run_check(
-                f"commutative/solhat-closure/n={n}", lambda n=n: comm.check_solhat_closure(n)
-            )
-        )
-    for n in range(2, _cap(n_max, ELEMENT_CAP) + 1):
-        checks.append(
-            run_check(f"commutative/type-d-images/n={n}", lambda n=n: comm.check_type_d_numbers(n))
-        )
+    _add_per_rank(
+        checks,
+        "commutative",
+        _ranks(2, n_max, 6),
+        ("builders", comm.check_builder_relations),
+        ("phi-forms", comm.check_phi_number_forms),
+        ("beta-forms", comm.check_beta_number_forms),
+        ("pi-forms", comm.check_pi_number_forms),
+        ("ker-beta2", comm.check_ker_beta2_on_sol),
+        ("dimensions", comm.check_graded_dimensions),
+        ("whp-closure", comm.check_whp_closure),
+        ("whp-table", comm.whp_table),
+    )
+    solhat, type_d = _ranks(2, n_max, STRUCTURE_CAPS["B"][deep]), _ranks(2, n_max, ELEMENT_CAP)
+    _add_per_rank(checks, "commutative", solhat, ("solhat-closure", comm.check_solhat_closure))
+    _add_per_rank(checks, "commutative", type_d, ("type-d-images", comm.check_type_d_numbers))
 
     def wp_dims_high():
         from .commutative import check_wp_dimensions
@@ -684,19 +677,13 @@ def suite_mr(n_max: int, deep: bool = False) -> list:
 
     checks.append(run_check("mr/class-recovery", recovery))
 
-    for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
-        checks.append(run_check(f"mr/partition/n={n}", lambda n=n: mr.check_t_partition(n)))
-    for n in range(1, _cap(n_max, 4) + 1):
-        checks.append(run_check(f"mr/order-sums/n={n}", lambda n=n: mr.check_order_sums(n)))
-    for n in range(1, _cap(n_max, 4 if deep else 3) + 1):
-        checks.append(run_check(f"mr/closure/n={n}", lambda n=n: mr.check_omega_closure(n)))
-    for n in range(1, _cap(n_max, ELEMENT_CAP) + 1):
-        checks.append(run_check(f"mr/phi-images/n={n}", lambda n=n: mr.check_phi_images(n)))
-        checks.append(
-            run_check(f"mr/phi-onto/n={n}", lambda n=n: mr.check_phi_onto_descent_algebra(n))
-        )
-
     element_ranks = _ranks(1, n_max, ELEMENT_CAP)
+    _add_per_rank(checks, "mr", element_ranks, ("partition", mr.check_t_partition))
+    _add_per_rank(checks, "mr", _ranks(1, n_max, 4), ("order-sums", mr.check_order_sums))
+    closure_ranks = _ranks(1, n_max, 4 if deep else 3)
+    _add_per_rank(checks, "mr", closure_ranks, ("closure", mr.check_omega_closure))
+    phi = ("phi-images", mr.check_phi_images), ("phi-onto", mr.check_phi_onto_descent_algebra)
+    _add_per_rank(checks, "mr", element_ranks, *phi)
 
     def key_products():
         for n in element_ranks:
@@ -751,7 +738,7 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
             )
             theta_pm_rows = hopf.transform_coords("OmegaB", n)
             theta_rows = hopf.transform_coords("SolA", n)
-            for alpha, a in mr.stilde_coords(n).items():
+            for alpha, a in mr.t_coords("Stilde", n).items():
                 left = apply_rows(phi_rows, apply_rows(theta_pm_rows, a))
                 if left != apply_rows(theta_rows, apply_rows(phi_rows, a)):
                     raise CheckFailure(f"transform square fails at {alpha}")
