@@ -20,11 +20,20 @@ coordinates, multiplication tables and saturation ranks.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .perms import GROUPS, Perm, compose, group_elements, identity, in_group
+from .perms import (
+    GROUPS,
+    Perm,
+    composers,
+    group_elements,
+    identity,
+    in_group,
+    lifted_words,
+)
 from .reporting import CheckFailure
 
 
@@ -204,20 +213,23 @@ def internal_product(a: AlgElem, b: AlgElem) -> AlgElem:
     """Bilinear extension of the group product (convolution)."""
     a._same_frame(b)
     out = {}
-    # convolve the smaller support against the larger
+    # convolve the smaller support against the larger: the inner loop runs
+    # over the smaller one, its lifted tables or composers built once
     if len(a.terms) <= len(b.terms):
-        for v, cv in b.terms.items():
-            for w, cw in a.terms.items():
-                key = compose(w, v)
+        lifted_a = list(zip(lifted_words(a.terms, a.n), a.terms.values()))
+        for g, cv in zip(composers(b.terms, b.n), b.terms.values()):
+            for table, cw in lifted_a:
+                key = g(table)
                 s = out.get(key, 0) + cw * cv
                 if s == 0:
                     out.pop(key, None)
                 else:
                     out[key] = s
     else:
-        for w, cw in a.terms.items():
-            for v, cv in b.terms.items():
-                key = compose(w, v)
+        composed_b = list(zip(composers(b.terms, b.n), b.terms.values()))
+        for table, cw in zip(lifted_words(a.terms, a.n), a.terms.values()):
+            for g, cv in composed_b:
+                key = g(table)
                 s = out.get(key, 0) + cw * cv
                 if s == 0:
                     out.pop(key, None)
@@ -290,7 +302,7 @@ class Echelon:
             return False
         key = min(vec)
         inv = Fraction(1) / Fraction(vec[key])
-        scaled = {k: inv * v for k, v in vec.items()}
+        scaled = vec if inv == 1 else {k: inv * v for k, v in vec.items()}
         self.pivots.append((key, scaled, {i: inv * c for i, c in (combo or {}).items()}))
         return True
 
@@ -373,26 +385,20 @@ def exact_det(rows) -> Fraction:
 
 def bin_classes(terms: dict, class_of, size):
     """Class binning: the coefficients of terms per class, as a dict in
-    order of first appearance, or None unless every term has a class
-    (class_of gives None for a term outside the group), and terms is
-    constant on each class it touches and covers all size(class) members
-    of it."""
-    seen: dict = {}
-    for w, c in terms.items():
-        k = class_of(w)
-        if k is None:
-            return None
-        prev = seen.get(k)
-        if prev is None:
-            seen[k] = [c, 1]
-        elif prev[0] == c:
-            prev[1] += 1
-        else:
-            return None
-    for k, (c, count) in seen.items():
-        if count != size(k):
-            return None
-    return {k: c for k, (c, _) in seen.items()}
+    order of first appearance with the first value seen in each class, or
+    None unless every term has a class (class_of gives None for a term
+    outside the group), and terms is constant on each class it touches and
+    covers all size(class) members of it."""
+    labels = list(map(class_of, terms))
+    if None in labels:
+        return None
+    counts = Counter(labels)  # in order of first appearance
+    if len(set(zip(labels, terms.values()))) != len(counts):
+        return None
+    if any(count != size(k) for k, count in counts.items()):
+        return None
+    first = dict(zip(reversed(labels), reversed(terms.values())))
+    return {k: first[k] for k in counts}
 
 
 class ClassAlgebra:
@@ -516,17 +522,18 @@ class ClassAlgebra:
 
     def _enumerated_cube(self) -> dict:
         """The cube by counting compositions of group elements and binning
-        each product."""
-        class_of = self.class_of
+        each product: each class is lifted once, and each product is one
+        call of a composer."""
+        class_of, size = self.class_of, self.sizes.__getitem__
+        tables = {lab: lifted_words(ws, self.n) for lab, ws in self.classes.items()}
+        getters = {lab: composers(ws, self.n) for lab, ws in self.classes.items()}
         cube = {}
-        for l1, c1 in self.classes.items():
-            for l2, c2 in self.classes.items():
-                counts: dict = {}
-                for v in c2:
-                    for w in c1:
-                        key = compose(w, v)
-                        counts[key] = counts.get(key, 0) + 1
-                coords = bin_classes(counts, class_of, self.sizes.__getitem__)
+        for l1, t1 in tables.items():
+            for l2, g2 in getters.items():
+                counts = Counter()
+                for g in g2:
+                    counts.update(map(g, t1))
+                coords = bin_classes(counts, class_of, size)
                 if coords is None:
                     raise self._closure_error(l1, l2)
                 cube[(l1, l2)] = coords
@@ -693,6 +700,8 @@ def apply_rows(rows: dict, coords: dict) -> dict:
 
 
 def normalize_coord(c):
+    if type(c) is int:
+        return c
     frac = Fraction(c)
     return int(frac) if frac.denominator == 1 else frac
 

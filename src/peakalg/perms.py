@@ -23,6 +23,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 Perm = tuple  # tuple[int, ...], one-line signed permutation
 
@@ -107,6 +108,51 @@ def compose(u: Perm, v: Perm) -> Perm:
     if len(u) != len(v):
         raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
     return tuple([u[j - 1] if j > 0 else -u[-j - 1] for j in v])
+
+
+# The composition kernel: compose(u, v) == composer(v)(lifted(u)), one C
+# call per product.  Lift a factor once and apply the composers of the
+# other to it; compose stays as the oracle.  A table read by a word of
+# another rank gives a wrong product without an error, so bulk callers lift
+# and build through lifted_words and composers, which check the rank.
+
+
+def lifted(u: Perm) -> tuple:
+    """The table (0, u_1, ..., u_n, -u_n, ..., -u_1): with Python's
+    negative indexing, entry j is u_j and entry -j is -u_j."""
+    return (0, *u, *[-x for x in reversed(u)])
+
+
+def composer(v: Perm):
+    """The map lifted(u) -> compose(u, v) for u of the rank of v."""
+    if len(v) > 1:
+        return itemgetter(*v)
+    if v:  # itemgetter of one index returns the entry, not a 1-tuple
+        (j,) = v
+        return lambda table: (table[j],)
+    return lambda table: ()
+
+
+def _require_rank(words, n: int):
+    """ValueError unless every word has rank n."""
+    lengths = set(map(len, words))
+    lengths.discard(n)
+    if lengths:
+        raise ValueError(f"rank mismatch: {min(lengths)} vs {n}")
+
+
+def lifted_words(words, n: int) -> list:
+    """lifted(u) for each word u, every one checked to have rank n."""
+    words = list(words)
+    _require_rank(words, n)
+    return list(map(lifted, words))
+
+
+def composers(words, n: int) -> list:
+    """composer(v) for each word v, every one checked to have rank n."""
+    words = list(words)
+    _require_rank(words, n)
+    return list(map(composer, words))
 
 
 def inverse(w: Perm) -> Perm:

@@ -1,0 +1,280 @@
+"""The composition kernel of peakalg.perms against compose, its oracle.
+
+composer(v)(lifted(u)) is compose(u, v) in one C call.  The enumerated
+cube, internal_product and bin_classes of peakalg.algebra run on it; the
+reference copies below are the compose-based forms they replaced, and the
+kernel must give the same cubes, products and binnings, down to dict
+order and the type of each value.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from peakalg import algebra, bases, mr
+from peakalg.algebra import AlgElem, ClassAlgebra, bin_classes, internal_product
+from peakalg.perms import (
+    compose,
+    composer,
+    composers,
+    group_elements,
+    lifted,
+    lifted_words,
+)
+
+# ---------------------------------------------------------------------------
+# reference copies: every product through compose
+
+
+def reference_bin_classes(terms, class_of, size):
+    seen: dict = {}
+    for w, c in terms.items():
+        k = class_of(w)
+        if k is None:
+            return None
+        prev = seen.get(k)
+        if prev is None:
+            seen[k] = [c, 1]
+        elif prev[0] == c:
+            prev[1] += 1
+        else:
+            return None
+    for k, (c, count) in seen.items():
+        if count != size(k):
+            return None
+    return {k: c for k, (c, _) in seen.items()}
+
+
+def reference_cube(alg: ClassAlgebra) -> dict:
+    class_of, size = alg.class_of, alg.sizes.__getitem__
+    cube = {}
+    for l1, c1 in alg.classes.items():
+        for l2, c2 in alg.classes.items():
+            counts: dict = {}
+            for v in c2:
+                for w in c1:
+                    key = compose(w, v)
+                    counts[key] = counts.get(key, 0) + 1
+            coords = reference_bin_classes(counts, class_of, size)
+            if coords is None:
+                raise ArithmeticError(f"class sums {l1} * {l2} leave the span")
+            cube[(l1, l2)] = coords
+    return cube
+
+
+def reference_product(a: AlgElem, b: AlgElem) -> dict:
+    out: dict = {}
+    pairs = (
+        ((w, cw, v, cv) for v, cv in b.terms.items() for w, cw in a.terms.items())
+        if len(a.terms) <= len(b.terms)
+        else ((w, cw, v, cv) for w, cw in a.terms.items() for v, cv in b.terms.items())
+    )
+    for w, cw, v, cv in pairs:
+        key = compose(w, v)
+        s = out.get(key, 0) + cw * cv
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
+def typed(cube: dict) -> list:
+    """The cube as a list that tells 1 from Fraction(1) and keeps order."""
+    return [(k, [(lab, type(c), c) for lab, c in v.items()]) for k, v in cube.items()]
+
+
+def fresh(alg: ClassAlgebra) -> ClassAlgebra:
+    """An uncached copy of an enumerated algebra, its cube not yet built."""
+    return ClassAlgebra(alg.group, alg.n, None, alg.labels, alg.classes)
+
+
+# ---------------------------------------------------------------------------
+# the kernel
+
+
+def kernel_mismatch(words_u, words_v, lift=lifted, build=composer):
+    """The first pair (u, v) whose kernel product is not compose(u, v)."""
+    for v in words_v:
+        g = build(v)
+        for u in words_u:
+            if g(lift(u)) != compose(u, v):
+                return u, v
+    return None
+
+
+@pytest.mark.parametrize("group", ["S", "B", "D"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_kernel_is_compose_on_every_pair(group, n):
+    words = group_elements(group, n)
+    assert kernel_mismatch(words, words) is None
+
+
+def test_kernel_is_compose_on_a_sample_of_b4():
+    words = group_elements("B", 4)
+    rng = random.Random(4)
+    assert kernel_mismatch(rng.sample(words, 48), rng.sample(words, 48)) is None
+
+
+def test_lifted_table_reads_signed_values():
+    u = (2, -3, 1)
+    table = lifted(u)
+    assert table == (0, 2, -3, 1, -1, 3, -2)
+    for j in range(1, 4):
+        assert table[j] == u[j - 1] and table[-j] == -u[j - 1]
+
+
+def test_small_ranks_return_tuples():
+    assert composer(())(lifted(())) == ()
+    assert composer((-1,))(lifted((1,))) == (-1,)
+    assert composer((1,))(lifted((-1,))) == (-1,)
+
+
+def test_the_oracle_catches_a_wrong_kernel():
+    words = group_elements("B", 2)
+
+    def unsigned_lift(u):  # loses the signs of the negative half
+        return (0, *u, *reversed(u))
+
+    def reversed_composer(v):
+        return composer(tuple(reversed(v)))
+
+    assert kernel_mismatch(words, words, lift=unsigned_lift) is not None
+    assert kernel_mismatch(words, words, build=reversed_composer) is not None
+
+
+# ---------------------------------------------------------------------------
+# malformed input fails as loudly as on compose
+
+
+def test_words_of_another_rank_raise():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        lifted_words([(1, 2, 3), (2, 1)], 3)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        composers([(1, 2)], 3)
+    assert lifted_words([], 3) == [] and composers([], 3) == []
+
+
+@pytest.mark.parametrize("short_side", ["left", "right", "both"])
+def test_internal_product_rejects_a_term_of_another_rank(short_side):
+    good = AlgElem("S", 3, {(1, 2, 3): 1, (2, 1, 3): 2})
+    bad = AlgElem._raw("S", 3, {(1, 2, 3): 1, (2, 1): 1})
+    short = AlgElem._raw("S", 3, {(2, 1): 1})
+    a, b = {"left": (bad, good), "right": (good, bad), "both": (short, short)}[short_side]
+    with pytest.raises(ValueError, match="rank mismatch"):
+        internal_product(a, b)
+
+
+def test_enumerated_cube_rejects_a_class_of_another_rank():
+    classes = {0: [(1, 2, 3)], 1: [(2, 1)]}
+    alg = ClassAlgebra("S", 3, None, [0, 1], classes)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        alg.cube
+
+
+# ---------------------------------------------------------------------------
+# the cube, the convolution and the binning against their references
+
+CUBE_CASES = [
+    *[("A", n) for n in range(0, 7)],
+    *[(t, n) for t in "BD" for n in range(0, 5)],
+    *[pytest.param(t, 5, marks=pytest.mark.deep) for t in "BD"],
+]
+
+
+@pytest.mark.parametrize("ctype,n", CUBE_CASES)
+def test_kernel_cube_equals_the_compose_cube(ctype, n):
+    alg = bases.descent_algebra(ctype, n)
+    assert typed(alg.cube) == typed(reference_cube(alg))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mantaci_reutenauer_cube_equals_the_compose_cube(n):
+    alg = mr.t_algebra(n)
+    assert typed(alg.cube) == typed(reference_cube(alg))
+
+
+def composers_wrong_on(u0, v0, product):
+    """algebra.composers with the composer of v0 giving product on u0."""
+    real, table0 = algebra.composers, lifted(u0)
+
+    def broken(words, n):
+        return [
+            (lambda table, g=g: product if table == table0 else g(table)) if v == v0 else g
+            for v, g in zip(words, real(words, n))
+        ]
+
+    return broken
+
+
+def test_a_composer_wrong_on_one_pair_breaks_the_cube(monkeypatch):
+    alg = fresh(bases.descent_algebra("B", 3))
+    u0, v0 = alg.classes[0b101][0], alg.classes[0b010][-1]
+    wrong = compose(u0, (-v0[0],) + v0[1:])
+    assert wrong != compose(u0, v0)
+    monkeypatch.setattr(algebra, "composers", composers_wrong_on(u0, v0, wrong))
+    with pytest.raises(ArithmeticError, match="leave the span"):
+        alg.cube
+
+
+@pytest.mark.parametrize("sizes", [(3, 8), (8, 3)])
+def test_a_composer_wrong_on_one_pair_changes_the_product(monkeypatch, sizes):
+    words = group_elements("B", 2)
+    a = AlgElem("B", 2, {w: i + 1 for i, w in enumerate(words[: sizes[0]])})
+    b = AlgElem("B", 2, {w: 1 for w in words[: sizes[1]]})
+    want = reference_product(a, b)
+    assert internal_product(a, b).terms == want
+    u0, v0 = words[1], words[2]
+    monkeypatch.setattr(algebra, "composers", composers_wrong_on(u0, v0, words[0]))
+    assert internal_product(a, b).terms != want
+
+
+@pytest.mark.parametrize("group,n", [("S", 4), ("B", 3), ("D", 4)])
+def test_internal_product_equals_the_compose_product(group, n):
+    rng = random.Random(f"{group}{n}")
+    words = group_elements(group, n)
+    coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+    def element(size):
+        return AlgElem(group, n, {w: rng.choice(coeffs) for w in rng.sample(words, size)})
+
+    for size_a, size_b in itertools.product((1, 5, 24), repeat=2):
+        a, b = element(size_a), element(size_b)
+        got, want = internal_product(a, b).terms, reference_product(a, b)
+        assert list(got.items()) == list(want.items())
+        assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+    # a product that cancels: (1 - s)(1 + s) = 1 - s^2 = 0 for an involution s
+    s = words[1]
+    one, e = AlgElem.unit(group, n), AlgElem.monomial(group, n, s)
+    assert compose(s, s) == words[0]
+    assert internal_product(one - e, one + e).terms == {}
+
+
+def test_bin_classes_keeps_the_first_value_and_the_first_appearance_order():
+    class_of = {"a": 0, "b": 1, "c": 0, "d": 1, "e": 2}.get
+    size = {0: 2, 1: 2, 2: 1}.__getitem__
+    terms = {"b": Fraction(1), "a": 1, "d": 1, "c": Fraction(1), "e": Fraction(2, 3)}
+    got = bin_classes(terms, class_of, size)
+    assert got == reference_bin_classes(terms, class_of, size)
+    assert list(got) == [1, 0, 2]
+    assert [type(c) for c in got.values()] == [Fraction, int, Fraction]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {"a": 1, "c": 2},  # not constant on class 0
+        {"a": 1},  # covers one of the two members of class 0
+        {"a": 1, "c": 1, "z": 1},  # z has no class
+        {"a": 1, "c": 1, "b": 2, "d": 2, "e": 2},
+        {},
+    ],
+)
+def test_bin_classes_agrees_with_the_reference(terms):
+    class_of = {"a": 0, "b": 1, "c": 0, "d": 1, "e": 2}.get
+    size = {0: 2, 1: 2, 2: 1}.__getitem__
+    got = bin_classes(terms, class_of, size)
+    want = reference_bin_classes(terms, class_of, size)
+    assert got == want and (got is None or list(got) == list(want))
