@@ -713,7 +713,7 @@ class StructureTable:
 
     name: str
     labels: list
-    cells: list  # cells[i][j] = tuple of coordinates, same order as labels
+    cells: list  # cells[i][j] = tuple of int or Fraction coordinates, same order as labels
     blocks: tuple = field(default=())  # optional display partition of labels
 
     def cell(self, i: int, j: int) -> tuple:
@@ -734,7 +734,7 @@ class StructureTable:
         return {
             "name": self.name,
             "labels": list(self.labels),
-            "cells": [[[str(Fraction(x)) for x in cell] for cell in row] for row in self.cells],
+            "cells": [[list(map(str, cell)) for cell in row] for row in self.cells],
         }
 
     def pretty(self) -> str:

@@ -2,9 +2,11 @@
 import/export group-algebra elements as JSON.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or cap error
-(a malformed PEAKALG_CAP or JSON element, an out-of-range number, or a
-label with a member out of range or repeated, among them), 3 a check
-raised an unexpected exception (its status in the report is "error").
+(a malformed PEAKALG_CAP or JSON element, an out-of-range number, a
+label with a member out of range or repeated, or a check that reaches a
+rank beyond an enumeration or BFS cap, among them; no report is written),
+3 a check raised an unexpected exception (its status in the report is
+"error").
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .bases import (
 )
 from .mr import stilde_basis, t_algebra, t_coords
 from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordinates
-from .perms import Perm, compose, inverse, members_of
+from .perms import Perm, compose, composers, inverse, lifted_words, members_of
 from .reporting import CheckFailure
 
 
@@ -56,6 +56,12 @@ def shuffles(p: int, q: int) -> tuple:
         rest = tuple(v for v in values if v not in first)
         out.append(first + rest)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _lifted_shuffles(p: int, q: int) -> tuple:
+    """The (p, q)-shuffles lifted for the composition kernel, in order."""
+    return tuple(lifted_words(shuffles(p, q), p + q))
 
 
 def _joint_group(a: AlgElem, b: AlgElem) -> str:
@@ -82,13 +88,12 @@ def external_product(a: AlgElem, b: AlgElem) -> AlgElem:
         raise CapExceeded(f"external product capped at total degree {EXTERNAL_DEGREE_CAP}")
     group = _joint_group(a, b)
     out: dict = {}
-    shs = shuffles(p, q)
+    tables = _lifted_shuffles(p, q)
     for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
+        embeds = composers([block_embed(u, v) for v in b.terms], p + q)
+        for cv, base in zip(b.terms.values(), embeds):
             c = cu * cv
-            base = block_embed(u, v)
-            for xi in shs:
-                key = compose(xi, base)
+            for key in map(base, tables):  # compose(xi, block_embed(u, v)) per shuffle xi
                 s = out.get(key, 0) + c
                 if s == 0:
                     out.pop(key, None)

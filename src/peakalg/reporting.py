@@ -2,9 +2,11 @@
 
 A check passes, fails, or errors; failures carry a human-readable witness
 (the offending pair, label, or identity), errors the type and message of
-an unexpected exception raised by the check body.  Reports serialize to
-JSON with wall times stripped by default so that repeated runs and
-different worker counts produce byte-identical output.
+an unexpected exception raised by the check body.  A cap hit inside a
+check (perms.CapExceeded) is none of these and propagates: the check was
+asked for a rank beyond a cap, which says nothing about its identity.
+Reports serialize to JSON with wall times stripped by default so that
+repeated runs and different worker counts produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+
+from .perms import CapExceeded
 
 
 class CheckFailure(Exception):
@@ -34,6 +38,8 @@ def run_check(check_id: str, fn) -> CheckResult:
     t0 = time.perf_counter()
     try:
         fn()
+    except CapExceeded:
+        raise
     except (CheckFailure, AssertionError, ArithmeticError, ValueError) as exc:
         ms = 1000.0 * (time.perf_counter() - t0)
         return CheckResult(check_id, "fail", witness=str(exc), wall_ms=ms)

@@ -4,7 +4,11 @@ Each suite bundles the executable theorem checks of one area into
 CheckResults.  Suites take the rank ceiling n_max and a deep flag; checks
 whose spec-level cap is lower than n_max stop at their own cap, and the
 handful of cheap counting checks (Fibonacci dimensions, peak-set
-realization) always run to their stated caps.  The checks of a map read
+realization) always run to their stated caps.
+
+A ranged check is an id, its cases (cheap labels: ranks, (type, rank)
+pairs, degree pairs) and a body of one case, registered by _add; only
+checks with no rank call run_check directly.  The checks of a map read
 its class rows: closed forms against rows applied to class coordinates,
 landing and spans through maps.landed and maps.node_span.
 """
@@ -27,12 +31,23 @@ def _ranks(lo: int, n_max: int, hard: int) -> range:
     return range(lo, _cap(n_max, hard) + 1)
 
 
-def _add_ranged(checks: list, check_id: str, body, *ranks):
-    """Run body as check_id unless every one of its rank ranges is empty:
-    a check that runs over no rank checks nothing, so it gets no entry,
-    just as a per-rank check gets none beyond its cap."""
-    if any(ranks):
-        checks.append(run_check(check_id, body))
+def _add(checks: list, check_id: str, cases, body):
+    """Run body(case) for each case in order as the one check check_id.
+    A check over no case checks nothing, so it gets no entry, just as a
+    per-rank check gets none beyond its cap."""
+    cases = list(cases)
+
+    def run():
+        for case in cases:
+            body(case)
+
+    if cases:
+        checks.append(run_check(check_id, run))
+
+
+def _keyed(ranks: dict) -> list:
+    """The cases (key, n) for each key of ranks and each of its ranks n, in order."""
+    return [(key, n) for key, ns in ranks.items() for n in ns]
 
 
 def _add_per_rank(checks: list, suite: str, ranks, *named):
@@ -40,7 +55,7 @@ def _add_per_rank(checks: list, suite: str, ranks, *named):
     for each (name, body) of named, in the order given."""
     for n in ranks:
         for name, body in named:
-            checks.append(run_check(f"{suite}/{name}/n={n}", lambda body=body, n=n: body(n)))
+            _add(checks, f"{suite}/{name}/n={n}", [n], body)
 
 
 def _check_multiplicative(f, src, dst, what: str, witness):
@@ -117,124 +132,104 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 
     checks = []
 
-    def counts():
+    def counts(n):
         import math
 
-        for n in range(0, _cap(n_max, 7) + 1):
-            for group, want in (
-                ("S", math.factorial(n)),
-                ("B", math.factorial(n) << n if n else 1),
-                ("D", math.factorial(n) << (n - 1) if n else 1),
-            ):
-                if n > perms.enum_cap(group):
-                    continue
-                got = len(perms.group_elements(group, n))
-                if got != want:
-                    raise CheckFailure(f"{group}_{n} has {got} elements, wanted {want}")
+        for group, want in (
+            ("S", math.factorial(n)),
+            ("B", math.factorial(n) << n if n else 1),
+            ("D", math.factorial(n) << (n - 1) if n else 1),
+        ):
+            if n > perms.enum_cap(group):
+                continue
+            got = len(perms.group_elements(group, n))
+            if got != want:
+                raise CheckFailure(f"{group}_{n} has {got} elements, wanted {want}")
 
-    checks.append(run_check("descents/enumeration-counts", counts))
+    _add(checks, "descents/enumeration-counts", range(0, _cap(n_max, 7) + 1), counts)
 
-    def fib_counts():
-        for n in range(0, 21):
-            if len(perms.sparse_masks(n)) != perms.fibonacci(n):
-                raise CheckFailure(f"sparse-set count wrong at n={n}")
-            if n >= 1 and len(perms.interior_sparse_masks(n)) != perms.fibonacci(n - 1):
-                raise CheckFailure(f"interior sparse-set count wrong at n={n}")
+    def fib_counts(n):
+        if len(perms.sparse_masks(n)) != perms.fibonacci(n):
+            raise CheckFailure(f"sparse-set count wrong at n={n}")
+        if n >= 1 and len(perms.interior_sparse_masks(n)) != perms.fibonacci(n - 1):
+            raise CheckFailure(f"interior sparse-set count wrong at n={n}")
 
-    checks.append(run_check("descents/fibonacci-counts", fib_counts))
+    _add(checks, "descents/fibonacci-counts", range(0, 21), fib_counts)
+    bfs_cases = _keyed(
+        {
+            ctype: _ranks(2 if ctype == "D" else 1, n_max, perms.DEFAULT_BFS_CAP)
+            for ctype in ("A", "B", "D")
+        }
+    )
 
-    bfs_ranks = {
-        ctype: _ranks(2 if ctype == "D" else 1, n_max, perms.DEFAULT_BFS_CAP)
-        for ctype in ("A", "B", "D")
-    }
+    def oracle(case):
+        ctype, n = case
+        for w in perms.group_elements(perms.GROUP_OF_TYPE[ctype], n):
+            if perms.descent_mask(w, ctype) != perms.length_descent_mask(w, ctype):
+                raise CheckFailure(f"descents disagree with lengths at {ctype}, {w}")
 
-    def oracle():
-        for ctype in ("A", "B", "D"):
-            group = perms.GROUP_OF_TYPE[ctype]
-            for n in bfs_ranks[ctype]:
-                for w in perms.group_elements(group, n):
-                    if perms.descent_mask(w, ctype) != perms.length_descent_mask(w, ctype):
-                        raise CheckFailure(f"descents disagree with lengths at {ctype}, {w}")
-
-    _add_ranged(checks, "descents/length-oracle", oracle, *bfs_ranks.values())
-
+    _add(checks, "descents/length-oracle", bfs_cases, oracle)
     checks.append(
         run_check("descents/composition-associative-B3", lambda: _check_associative("B", 3))
     )
 
-    sign_ranks = _ranks(1, n_max, 4)
+    def involutions(n):
+        full = (1 << n) - 1
+        for w in perms.group_elements("B", n):
+            if perms.descent_mask(perms.sigma(w), "B") != full ^ perms.descent_mask(w, "B"):
+                raise CheckFailure(f"sign reversal fails to complement descents at {w}")
+            if perms.forget_signs(perms.chi_element(w)) != perms.forget_signs(w):
+                raise CheckFailure(f"fold changes the underlying permutation at {w}")
+        if n >= 2:
+            for w in perms.group_elements("D", n):
+                if perms.rho_element(perms.rho_element(w)) != w:
+                    raise CheckFailure(f"leading flip is not an involution at {w}")
 
-    def involutions():
-        for n in sign_ranks:
-            full = (1 << n) - 1
-            for w in perms.group_elements("B", n):
-                if perms.descent_mask(perms.sigma(w), "B") != full ^ perms.descent_mask(w, "B"):
-                    raise CheckFailure(f"sign reversal fails to complement descents at {w}")
-                if perms.forget_signs(perms.chi_element(w)) != perms.forget_signs(w):
-                    raise CheckFailure(f"fold changes the underlying permutation at {w}")
-            if n >= 2:
-                for w in perms.group_elements("D", n):
-                    if perms.rho_element(perms.rho_element(w)) != w:
-                        raise CheckFailure(f"leading flip is not an involution at {w}")
+    _add(checks, "descents/sign-maps", _ranks(1, n_max, 4), involutions)
 
-    _add_ranged(checks, "descents/sign-maps", involutions, sign_ranks)
+    def peak_realization(n):
+        classes = {m: 0 for m in perms.sparse_masks(n)}
+        for u in perms.group_elements("S", n):
+            classes[perms.peak_mask(u)] += 1
+        empty = [bin(m) for m, c in classes.items() if c == 0]
+        if empty:
+            raise CheckFailure(f"unrealized peak sets at n={n}: {empty}")
+        for u in perms.group_elements("S", n):
+            if perms.lambda_mask(perms.descent_mask(u, "A")) != perms.peak_mask(u):
+                raise CheckFailure(f"peaks differ from collapsed descents at {u}")
 
-    def peak_realization():
-        for n in range(1, 9):
-            classes = {
-                m: 0 for m in perms.sparse_masks(n)
-            }
-            for u in perms.group_elements("S", n):
-                classes[perms.peak_mask(u)] += 1
-            empty = [bin(m) for m, c in classes.items() if c == 0]
-            if empty:
-                raise CheckFailure(f"unrealized peak sets at n={n}: {empty}")
-            for u in perms.group_elements("S", n):
-                if perms.lambda_mask(perms.descent_mask(u, "A")) != perms.peak_mask(u):
-                    raise CheckFailure(f"peaks differ from collapsed descents at {u}")
+    _add(checks, "descents/peak-sets-realized", range(1, 9), peak_realization)
 
-    checks.append(run_check("descents/peak-sets-realized", peak_realization))
+    def partition_and_inverse(case):
+        ctype, n = case
+        if ctype != "A" and n > 5:
+            return
+        classes = bases.descent_classes(ctype, n)
+        total = sum(len(ws) for ws in classes.values())
+        if total != len(perms.group_elements(perms.GROUP_OF_TYPE[ctype], n)):
+            raise CheckFailure(f"descent classes do not partition {ctype}_{n}")
+        for m, ws in classes.items():
+            if not ws:  # an empty class would degrade the Y-basis
+                raise CheckFailure(f"unrealized descent set {bin(m)} in {ctype}_{n}")
+            if bases.y_to_x_coords(bases.x_to_y_coords({m: 1})) != {m: 1}:
+                raise CheckFailure(f"X/Y inversion fails at {ctype}, {bin(m)}")
 
-    def partition_and_inverse():
-        for ctype in ("A", "B", "D"):
-            for n in bfs_ranks[ctype]:
-                if perms.GROUP_OF_TYPE[ctype] in ("B", "D") and n > 5:
-                    continue
-                classes = bases.descent_classes(ctype, n)
-                total = sum(len(ws) for ws in classes.values())
-                if total != len(perms.group_elements(perms.GROUP_OF_TYPE[ctype], n)):
-                    raise CheckFailure(f"descent classes do not partition {ctype}_{n}")
-                for m, ws in classes.items():
-                    if not ws:  # an empty class would degrade the Y-basis
-                        raise CheckFailure(f"unrealized descent set {bin(m)} in {ctype}_{n}")
-                    back = bases.y_to_x_coords(bases.x_to_y_coords({m: 1}))
-                    if back != {m: 1}:
-                        raise CheckFailure(f"X/Y inversion fails at {ctype}, {bin(m)}")
+    _add(checks, "descents/partition-and-xy-inverse", bfs_cases, partition_and_inverse)
 
-    _add_ranged(
-        checks, "descents/partition-and-xy-inverse", partition_and_inverse, *bfs_ranks.values()
+    def closure_table(case):
+        ctype, n = case
+        table = bases.structure_constants(ctype, n, "Y", deep=deep)
+        cells = (c for row in table.cells for cell in row for c in cell)
+        if not all(isinstance(c, int) and c >= 0 for c in cells):
+            raise CheckFailure(f"non-integer or negative constant in {table.name}")
+
+    closure_cases = _keyed(
+        {
+            ctype: _ranks(lo, n_max, perms.STRUCTURE_CAPS[ctype][deep])
+            for ctype, lo in (("A", 1), ("B", 1), ("D", 2))
+        }
     )
-
-    closure_ranks = {
-        ctype: _ranks(lo, n_max, perms.STRUCTURE_CAPS[ctype][deep])
-        for ctype, lo in (("A", 1), ("B", 1), ("D", 2))
-    }
-
-    def closure_tables():
-        for n in closure_ranks["A"]:
-            bases.structure_constants("A", n, "Y")
-        for ctype in ("B", "D"):
-            for n in closure_ranks[ctype]:
-                table = bases.structure_constants(ctype, n, "Y", deep=deep)
-                for row in table.cells:
-                    for cell in row:
-                        for c in cell:
-                            if not (isinstance(c, int) and c >= 0):
-                                raise CheckFailure(
-                                    f"non-integer or negative constant in {table.name}"
-                                )
-
-    _add_ranged(checks, "descents/structure-closure", closure_tables, *closure_ranks.values())
+    _add(checks, "descents/structure-closure", closure_cases, closure_table)
     return checks
 
 
@@ -246,28 +241,25 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
     for n in range(1, _cap(n_max, 6) + 1):
         checks.extend(peakmod.verify_peak_theorems(n))
 
-    def dims():
-        for n in range(1, 9):
-            if peakmod.peak_solver(n).rank != fibonacci(n):
-                raise CheckFailure(f"peak span rank != f_{n}")
-            if peakmod.interior_peak_solver(n).rank != fibonacci(n - 1):
-                raise CheckFailure(f"interior span rank != f_{n - 1}")
+    def dims(n):
+        if peakmod.peak_solver(n).rank != fibonacci(n):
+            raise CheckFailure(f"peak span rank != f_{n}")
+        if peakmod.interior_peak_solver(n).rank != fibonacci(n - 1):
+            raise CheckFailure(f"interior span rank != f_{n - 1}")
 
-    checks.append(run_check("peaks/dimensions-to-8", dims))
-
+    _add(checks, "peaks/dimensions-to-8", range(1, 9), dims)
     low_ranks = _ranks(2, n_max, 4)
 
-    def pi_multiplicative():
-        for n in low_ranks:
-            _check_multiplicative(
-                peakmod.pi_map,
-                peakmod.peak_algebra(n),
-                peakmod.peak_algebra(n - 2),
-                "the projection",
-                lambda m1, m2: f"projection not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})",
-            )
+    def pi_multiplicative(n):
+        _check_multiplicative(
+            peakmod.pi_map,
+            peakmod.peak_algebra(n),
+            peakmod.peak_algebra(n - 2),
+            "the projection",
+            lambda m1, m2: f"projection not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})",
+        )
 
-    _add_ranged(checks, "peaks/projection-multiplicative", pi_multiplicative, low_ranks)
+    _add(checks, "peaks/projection-multiplicative", low_ranks, pi_multiplicative)
 
     def noncommutative():
         t = peakmod.peak_table(4)
@@ -275,12 +267,7 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
             raise CheckFailure("expected noncommutativity witness missing in rank 4")
 
     checks.append(run_check("peaks/noncommutative-witness", noncommutative))
-
-    def tables():
-        for n in low_ranks:
-            peakmod.peak_table(n)
-
-    _add_ranged(checks, "peaks/tables-build", tables, low_ranks)
+    _add(checks, "peaks/tables-build", low_ranks, peakmod.peak_table)
     return checks
 
 
@@ -293,61 +280,57 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
     element_ranks = _ranks(2, n_max, ELEMENT_CAP)
     low_ranks = _ranks(2, n_max, 4)
 
-    def closed_forms():
-        for n in element_ranks:
-            _check_closed_forms(
-                maps.chi,
-                descent_algebra("B", n),
-                descent_algebra("D", n),
-                "the fold",
-                lambda m: maps.chi_on_y(n, m),
-                lambda m: maps.chi_on_x(n, m),
-                lambda kind, m: f"fold {kind} closed form fails at n={n}, {bin(m)}",
-            )
+    def closed_forms(n):
+        _check_closed_forms(
+            maps.chi,
+            descent_algebra("B", n),
+            descent_algebra("D", n),
+            "the fold",
+            lambda m: maps.chi_on_y(n, m),
+            lambda m: maps.chi_on_x(n, m),
+            lambda kind, m: f"fold {kind} closed form fails at n={n}, {bin(m)}",
+        )
 
-    _add_ranged(checks, "chi/closed-forms", closed_forms, element_ranks)
+    _add(checks, "chi/closed-forms", element_ranks, closed_forms)
 
-    def image():
-        for n in element_ranks:
-            rows = [((m, i), maps.imchi_row(m, i)) for m in range(0, 1 << n, 4) for i in (1, 2, 3)]
-            three = maps.Node("three-class span", descent_algebra("D", n), rows)
-            r = maps.node_span(three).rank
-            if r != 3 << (n - 2):
-                raise CheckFailure(f"three-class span rank wrong at n={n}")
-            source = maps.Node("type-B descent algebra", descent_algebra("B", n))
-            what = f"the fold at n={n}"
-            rows = class_images(maps.chi, source.algebra, three.algebra, what)
-            _check_onto(rows, source, three, what)
-            if len(three.algebra.labels) - r != 1 << (n - 2):
-                raise CheckFailure(f"fold image codimension wrong at n={n}")
+    def image(n):
+        rows = [((m, i), maps.imchi_row(m, i)) for m in range(0, 1 << n, 4) for i in (1, 2, 3)]
+        three = maps.Node("three-class span", descent_algebra("D", n), rows)
+        r = maps.node_span(three).rank
+        if r != 3 << (n - 2):
+            raise CheckFailure(f"three-class span rank wrong at n={n}")
+        source = maps.Node("type-B descent algebra", descent_algebra("B", n))
+        what = f"the fold at n={n}"
+        rows = class_images(maps.chi, source.algebra, three.algebra, what)
+        _check_onto(rows, source, three, what)
+        if len(three.algebra.labels) - r != 1 << (n - 2):
+            raise CheckFailure(f"fold image codimension wrong at n={n}")
 
-    _add_ranged(checks, "chi/image-three-classes", image, element_ranks)
+    _add(checks, "chi/image-three-classes", element_ranks, image)
 
-    def multiplicative():
-        for n in low_ranks:
-            _check_multiplicative(
-                maps.chi,
-                descent_algebra("B", n),
-                descent_algebra("D", n),
-                "the fold",
-                lambda m1, m2: f"fold not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})",
-            )
+    def multiplicative(n):
+        _check_multiplicative(
+            maps.chi,
+            descent_algebra("B", n),
+            descent_algebra("D", n),
+            "the fold",
+            lambda m1, m2: f"fold not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})",
+        )
 
-    _add_ranged(checks, "chi/multiplicative", multiplicative, low_ranks)
+    _add(checks, "chi/multiplicative", low_ranks, multiplicative)
 
-    def support_counts():
+    def support_counts(n):
         from .perms import descent_mask, group_elements
 
-        for n in low_ranks:
-            count = sum(
-                1
-                for w in group_elements("D", n)
-                if abs(w[0]) > abs(w[1]) and descent_mask(w, "D") & ~3 == 0
-            )
-            if len(maps.imchi_basis(n, 0, 2)) != count:
-                raise CheckFailure(f"middle-class support count wrong at n={n}")
+        count = sum(
+            1
+            for w in group_elements("D", n)
+            if abs(w[0]) > abs(w[1]) and descent_mask(w, "D") & ~3 == 0
+        )
+        if len(maps.imchi_basis(n, 0, 2)) != count:
+            raise CheckFailure(f"middle-class support count wrong at n={n}")
 
-    _add_ranged(checks, "chi/class-support-counts", support_counts, low_ranks)
+    _add(checks, "chi/class-support-counts", low_ranks, support_counts)
 
     for n in range(3, _cap(n_max, ELEMENT_CAP) + 1):
         checks.extend(maps.verify_diagram(maps.bd_triangles(n)))
@@ -363,69 +346,62 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
     checks = []
     element_ranks = _ranks(1, n_max, ELEMENT_CAP)
 
-    def closed_forms():
-        for n in element_ranks:
-            _check_closed_forms(
-                maps.phi,
-                descent_algebra("B", n),
-                peak_algebra(n),
-                "sign forgetting",
-                lambda m: maps.phi_on_y(n, m),
-                lambda m: maps.phi_on_x(n, m),
-                lambda kind, m: f"sign-forgetting {kind} form fails at n={n}, {bin(m)}",
-            )
+    def closed_forms(n):
+        _check_closed_forms(
+            maps.phi,
+            descent_algebra("B", n),
+            peak_algebra(n),
+            "sign forgetting",
+            lambda m: maps.phi_on_y(n, m),
+            lambda m: maps.phi_on_x(n, m),
+            lambda kind, m: f"sign-forgetting {kind} form fails at n={n}, {bin(m)}",
+        )
 
-    _add_ranged(checks, "phi/closed-forms", closed_forms, element_ranks)
+    _add(checks, "phi/closed-forms", element_ranks, closed_forms)
 
-    def ideal_forms():
+    def ideal_forms(n):
         # X0_J = X_{{0} u J} and Y0_J = Y_{{0} u J} + Y_J
-        for n in element_ranks:
-            target = peak_algebra(n)
-            rows = class_images(maps.phi, descent_algebra("B", n), target, "sign forgetting")
-            for m in maps.canonical_ideal_labels(n):
-                x0 = apply_rows(rows, x_to_y_coords({m | 1: 1}))
-                if x0 != target.coords(maps.phi_on_x0(n, m)):
-                    raise CheckFailure(f"ideal X form fails at n={n}, {bin(m)}")
-                if apply_rows(rows, {m | 1: 1, m: 1}) != target.coords(maps.phi_on_y0(n, m)):
-                    raise CheckFailure(f"ideal Y form fails at n={n}, {bin(m)}")
+        target = peak_algebra(n)
+        rows = class_images(maps.phi, descent_algebra("B", n), target, "sign forgetting")
+        for m in maps.canonical_ideal_labels(n):
+            x0 = apply_rows(rows, x_to_y_coords({m | 1: 1}))
+            if x0 != target.coords(maps.phi_on_x0(n, m)):
+                raise CheckFailure(f"ideal X form fails at n={n}, {bin(m)}")
+            if apply_rows(rows, {m | 1: 1, m: 1}) != target.coords(maps.phi_on_y0(n, m)):
+                raise CheckFailure(f"ideal Y form fails at n={n}, {bin(m)}")
 
-    _add_ranged(checks, "phi/ideal-closed-forms", ideal_forms, element_ranks)
+    _add(checks, "phi/ideal-closed-forms", element_ranks, ideal_forms)
 
-    def kernel_symmetry():
-        for n in element_ranks:
-            full = (1 << n) - 1
-            for m in range(1 << n):
-                if maps.phi_on_y(n, m) != maps.phi_on_y(n, full ^ m):
-                    raise CheckFailure(f"complement symmetry fails at n={n}, {bin(m)}")
+    def kernel_symmetry(n):
+        full = (1 << n) - 1
+        for m in range(1 << n):
+            if maps.phi_on_y(n, m) != maps.phi_on_y(n, full ^ m):
+                raise CheckFailure(f"complement symmetry fails at n={n}, {bin(m)}")
 
-    _add_ranged(checks, "phi/complement-symmetry", kernel_symmetry, element_ranks)
+    _add(checks, "phi/complement-symmetry", element_ranks, kernel_symmetry)
 
-    def generator_image():
+    def generator_image(n):
         # the increasing class sum is X_{{0}}
-        for n in element_ranks:
-            target = peak_algebra(n)
-            rows = class_images(maps.phi, descent_algebra("B", n), target, "sign forgetting")
-            want = target.coords(maps.interior_peak_generator(n).scale(2))
-            if apply_rows(rows, x_to_y_coords({1: 1})) != want:
-                raise CheckFailure(f"increasing-class image wrong at n={n}")
+        target = peak_algebra(n)
+        rows = class_images(maps.phi, descent_algebra("B", n), target, "sign forgetting")
+        want = target.coords(maps.interior_peak_generator(n).scale(2))
+        if apply_rows(rows, x_to_y_coords({1: 1})) != want:
+            raise CheckFailure(f"increasing-class image wrong at n={n}")
 
-    _add_ranged(checks, "phi/increasing-class-image", generator_image, element_ranks)
-    mult_ranks = {"B": _ranks(1, n_max, 4), "D": _ranks(2, n_max, 4)}
+    _add(checks, "phi/increasing-class-image", element_ranks, generator_image)
 
-    def multiplicative():
-        for ctype, mapper in (("B", maps.phi), ("D", maps.psi)):
-            for n in mult_ranks[ctype]:
-                _check_multiplicative(
-                    mapper,
-                    descent_algebra(ctype, n),
-                    descent_algebra("A", n),
-                    "sign forgetting",
-                    lambda m1, m2: (
-                        f"not multiplicative at {ctype}, n={n}, ({bin(m1)}, {bin(m2)})"
-                    ),
-                )
+    def multiplicative(case):
+        ctype, n = case
+        _check_multiplicative(
+            {"B": maps.phi, "D": maps.psi}[ctype],
+            descent_algebra(ctype, n),
+            descent_algebra("A", n),
+            "sign forgetting",
+            lambda m1, m2: f"not multiplicative at {ctype}, n={n}, ({bin(m1)}, {bin(m2)})",
+        )
 
-    _add_ranged(checks, "phi/multiplicative", multiplicative, *mult_ranks.values())
+    mult_cases = _keyed({"B": _ranks(1, n_max, 4), "D": _ranks(2, n_max, 4)})
+    _add(checks, "phi/multiplicative", mult_cases, multiplicative)
     return checks
 
 
@@ -438,40 +414,36 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
     checks = []
     element_ranks = _ranks(2, n_max, ELEMENT_CAP)
 
-    def closed_forms():
-        for n in element_ranks:
-            _check_closed_forms(
-                maps.psi,
-                descent_algebra("D", n),
-                peak_algebra(n),
-                "sign forgetting",
-                lambda m: maps.psi_on_y(n, m & ~3, CASE[m & 3]),
-                lambda m: maps.psi_on_x(n, m & ~3, CASE[m & 3]),
-                lambda kind, m: f"type-D {kind} form fails at n={n}, {bin(m)}",
-            )
+    def closed_forms(n):
+        _check_closed_forms(
+            maps.psi,
+            descent_algebra("D", n),
+            peak_algebra(n),
+            "sign forgetting",
+            lambda m: maps.psi_on_y(n, m & ~3, CASE[m & 3]),
+            lambda m: maps.psi_on_x(n, m & ~3, CASE[m & 3]),
+            lambda kind, m: f"type-D {kind} form fails at n={n}, {bin(m)}",
+        )
 
-    _add_ranged(checks, "psi/closed-forms", closed_forms, element_ranks)
+    _add(checks, "psi/closed-forms", element_ranks, closed_forms)
 
-    def fork_equality():
-        for n in element_ranks:
-            for m in range(0, 1 << n, 4):
-                if maps.psi_on_y(n, m, "one") != maps.psi_on_y(n, m, "oneprime"):
-                    raise CheckFailure(f"fork images differ at n={n}, {bin(m)}")
+    def fork_equality(n):
+        for m in range(0, 1 << n, 4):
+            if maps.psi_on_y(n, m, "one") != maps.psi_on_y(n, m, "oneprime"):
+                raise CheckFailure(f"fork images differ at n={n}, {bin(m)}")
 
-    _add_ranged(checks, "psi/fork-equality", fork_equality, element_ranks)
-    flip_ranks = _ranks(2, n_max, 4)
+    _add(checks, "psi/fork-equality", element_ranks, fork_equality)
 
-    def rho_invariance():
+    def rho_invariance(n):
         from .perms import group_elements
 
-        for n in flip_ranks:
-            for w in group_elements("D", n):
-                if maps.psi(maps.rho_map(maps.AlgElem.monomial("D", n, w))) != maps.psi(
-                    maps.AlgElem.monomial("D", n, w)
-                ):
-                    raise CheckFailure(f"leading flip changes the image at {w}")
+        for w in group_elements("D", n):
+            if maps.psi(maps.rho_map(maps.AlgElem.monomial("D", n, w))) != maps.psi(
+                maps.AlgElem.monomial("D", n, w)
+            ):
+                raise CheckFailure(f"leading flip changes the image at {w}")
 
-    _add_ranged(checks, "psi/flip-invariance", rho_invariance, flip_ranks)
+    _add(checks, "psi/flip-invariance", _ranks(2, n_max, 4), rho_invariance)
     return checks
 
 
@@ -483,73 +455,64 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
     from .perms import STRUCTURE_CAPS, fibonacci
 
     checks = []
-    drop_ranks = {"beta": _ranks(2, n_max, 4), "gamma": _ranks(3, n_max, 4)}
     element_ranks = _ranks(2, n_max, ELEMENT_CAP)
+    drops = {  # the drop, its source type, its degree and its names
+        "beta": (maps.beta_map, "B", 1, "the drop", "degree drop"),
+        "gamma": (maps.gamma_map, "D", 2, "the type-D drop", "type-D drop"),
+    }
 
-    def beta_gamma_multiplicative():
-        for n in drop_ranks["beta"]:
-            _check_multiplicative(
-                maps.beta_map,
-                descent_algebra("B", n),
-                descent_algebra("B", n - 1),
-                "the drop",
-                lambda m1, m2: f"degree drop not multiplicative at n={n}",
-            )
-        for n in drop_ranks["gamma"]:
-            _check_multiplicative(
-                maps.gamma_map,
-                descent_algebra("D", n),
-                descent_algebra("B", n - 2),
-                "the type-D drop",
-                lambda m1, m2: f"type-D drop not multiplicative at n={n}",
-            )
+    def drop_multiplicative(case):
+        drop, n = case
+        f, ctype, by, what, name = drops[drop]
+        _check_multiplicative(
+            f,
+            descent_algebra(ctype, n),
+            descent_algebra("B", n - by),
+            what,
+            lambda m1, m2: f"{name} not multiplicative at n={n}",
+        )
 
-    _add_ranged(
-        checks, "ideals/drops-multiplicative", beta_gamma_multiplicative, *drop_ranks.values()
-    )
-    canonical_ranks = _ranks(1, n_max, STRUCTURE_CAPS["B"][deep])
+    drop_cases = _keyed({"beta": _ranks(2, n_max, 4), "gamma": _ranks(3, n_max, 4)})
+    _add(checks, "ideals/drops-multiplicative", drop_cases, drop_multiplicative)
 
-    def canonical_two_sided():
+    def canonical_two_sided(n):
         # the canonical ideal is a coarsening of the type-B descent algebra:
         # products with its class sums are read on the type-B cube
-        for n in canonical_ranks:
-            failure = two_sided_failure(
-                {j: {j: 1} for j in descent_algebra("B", n).labels},
-                canonical_ideal_algebra(n),
-                lambda *_: f"canonical ideal not two-sided at n={n}",
-            )
-            if failure:
-                raise CheckFailure(failure)
+        failure = two_sided_failure(
+            {j: {j: 1} for j in descent_algebra("B", n).labels},
+            canonical_ideal_algebra(n),
+            lambda *_: f"canonical ideal not two-sided at n={n}",
+        )
+        if failure:
+            raise CheckFailure(failure)
 
-    _add_ranged(checks, "ideals/canonical-two-sided", canonical_two_sided, canonical_ranks)
+    canonical_ranks = _ranks(1, n_max, STRUCTURE_CAPS["B"][deep])
+    _add(checks, "ideals/canonical-two-sided", canonical_ranks, canonical_two_sided)
 
-    def kernel_spans():
+    def kernel_spans(n):
         # the canonical ideal lands in the zero subspace; the drop is onto
-        for n in element_ranks:
-            solb, low = descent_algebra("B", n), descent_algebra("B", n - 1)
-            rows, what = class_images(maps.beta_map, solb, low, "the drop"), f"the drop at n={n}"
-            maps.landed(rows, maps.canonical_ideal_node(n), maps.Node("0", low, []), what)
-            _check_onto(rows, maps.Node("SolB", solb), maps.Node("SolB1", low), what)
+        solb, low = descent_algebra("B", n), descent_algebra("B", n - 1)
+        rows, what = class_images(maps.beta_map, solb, low, "the drop"), f"the drop at n={n}"
+        maps.landed(rows, maps.canonical_ideal_node(n), maps.Node("0", low, []), what)
+        _check_onto(rows, maps.Node("SolB", solb), maps.Node("SolB1", low), what)
 
-    _add_ranged(checks, "ideals/kernel-of-drop", kernel_spans, element_ranks)
+    _add(checks, "ideals/kernel-of-drop", element_ranks, kernel_spans)
 
-    def images_onto_interior():
-        for n in element_ranks:
-            interior = maps.coarse_node("interior ideal", interior_peak_algebra(n))
-            ker_beta2 = maps.x_span_node("I01", "B", n, [m for m in range(1 << n) if m & 3])
-            what = f"sign forgetting at n={n}"
-            rows = class_images(maps.phi, descent_algebra("B", n), interior.algebra, what)
-            for ideal in (maps.canonical_ideal_node(n), ker_beta2):
-                _check_onto(rows, ideal, interior, what)
+    def images_onto_interior(n):
+        interior = maps.coarse_node("interior ideal", interior_peak_algebra(n))
+        ker_beta2 = maps.x_span_node("I01", "B", n, [m for m in range(1 << n) if m & 3])
+        what = f"sign forgetting at n={n}"
+        rows = class_images(maps.phi, descent_algebra("B", n), interior.algebra, what)
+        for ideal in (maps.canonical_ideal_node(n), ker_beta2):
+            _check_onto(rows, ideal, interior, what)
 
-    _add_ranged(checks, "ideals/images-onto-interior", images_onto_interior, element_ranks)
+    _add(checks, "ideals/images-onto-interior", element_ranks, images_onto_interior)
 
-    def no_intermediate_morphism():
-        for n in range(3, 21):
-            if not fibonacci(n - 1) > fibonacci(n - 2):
-                raise CheckFailure(f"dimension obstruction fails at n={n}")
+    def no_intermediate_morphism(n):
+        if not fibonacci(n - 1) > fibonacci(n - 2):
+            raise CheckFailure(f"dimension obstruction fails at n={n}")
 
-    checks.append(run_check("ideals/dimension-obstruction", no_intermediate_morphism))
+    _add(checks, "ideals/dimension-obstruction", range(3, 21), no_intermediate_morphism)
 
     def left_ideal_failure():
         w = y_basis("A", 3, 0b10) * interior_peak_basis(3, 0b100)
@@ -600,14 +563,7 @@ def suite_commutative(n_max: int, deep: bool = False) -> list:
     solhat, type_d = _ranks(2, n_max, STRUCTURE_CAPS["B"][deep]), _ranks(2, n_max, ELEMENT_CAP)
     _add_per_rank(checks, "commutative", solhat, ("solhat-closure", comm.check_solhat_closure))
     _add_per_rank(checks, "commutative", type_d, ("type-d-images", comm.check_type_d_numbers))
-
-    def wp_dims_high():
-        from .commutative import check_wp_dimensions
-
-        for n in range(2, 9):
-            check_wp_dimensions(n)
-
-    checks.append(run_check("commutative/peak-side-dimensions-to-8", wp_dims_high))
+    _add(checks, "commutative/peak-side-dimensions-to-8", range(2, 9), comm.check_wp_dimensions)
 
     def loday():
         if comm.loday_witness("p") != (4, "p_1"):
@@ -624,12 +580,11 @@ def suite_mr(n_max: int, deep: bool = False) -> list:
 
     checks = []
 
-    def counts():
-        for n in range(1, 9):
-            if len(mr.signed_compositions(n)) != 2 * 3 ** (n - 1):
-                raise CheckFailure(f"signed composition count wrong at n={n}")
+    def counts(n):
+        if len(mr.signed_compositions(n)) != 2 * 3 ** (n - 1):
+            raise CheckFailure(f"signed composition count wrong at n={n}")
 
-    checks.append(run_check("mr/signed-composition-counts", counts))
+    _add(checks, "mr/signed-composition-counts", range(1, 9), counts)
 
     def operators():
         a = (-2, 1, -1, -2, 2, 2, 3)
@@ -685,12 +640,11 @@ def suite_mr(n_max: int, deep: bool = False) -> list:
     phi = ("phi-images", mr.check_phi_images), ("phi-onto", mr.check_phi_onto_descent_algebra)
     _add_per_rank(checks, "mr", element_ranks, *phi)
 
-    def key_products():
-        for n in element_ranks:
-            for alpha in mr.signed_compositions(n):
-                mr.bstilde_product(n, alpha)
+    def key_products(n):
+        for alpha in mr.signed_compositions(n):
+            mr.bstilde_product(n, alpha)
 
-    _add_ranged(checks, "mr/increasing-class-products", key_products, element_ranks)
+    _add(checks, "mr/increasing-class-products", element_ranks, key_products)
     return checks
 
 
@@ -705,87 +659,75 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
     element_ranks = _ranks(1, n_max, ELEMENT_CAP)
     interior_ranks = _ranks(2, n_max, ELEMENT_CAP)
 
-    def type_b_form():
+    def type_b_form(n):
         # the identity of mr/increasing-class-products, read on T-coordinates
-        for n in element_ranks:
-            for alpha in mr.signed_compositions(n):
-                try:
-                    mr.bstilde_product(n, alpha)
-                except CheckFailure:
-                    raise CheckFailure(f"type-B transform value wrong at {alpha}") from None
+        for alpha in mr.signed_compositions(n):
+            try:
+                mr.bstilde_product(n, alpha)
+            except CheckFailure:
+                raise CheckFailure(f"type-B transform value wrong at {alpha}") from None
 
-    _add_ranged(checks, "theta/type-b-values", type_b_form, element_ranks)
+    _add(checks, "theta/type-b-values", element_ranks, type_b_form)
 
-    def type_a_form():
+    def type_a_form(n):
         # on the cached rows of the transform over the type-A descent classes
-        for n in element_ranks:
-            rows, interior = hopf.transform_coords("SolA", n), interior_peak_algebra(n)
-            for mask in rows:
-                window = mask | (mask << 1)
-                scale = 1 << (1 + popcount(mask))
-                want = interior.spread({fm: scale for fm in interior.labels if fm & ~window == 0})
-                if apply_rows(rows, x_to_y_coords({mask: 1})) != want:
-                    raise CheckFailure(f"transform value wrong at mask {bin(mask)}")
+        rows, interior = hopf.transform_coords("SolA", n), interior_peak_algebra(n)
+        for mask in rows:
+            window = mask | (mask << 1)
+            scale = 1 << (1 + popcount(mask))
+            want = interior.spread({fm: scale for fm in interior.labels if fm & ~window == 0})
+            if apply_rows(rows, x_to_y_coords({mask: 1})) != want:
+                raise CheckFailure(f"transform value wrong at mask {bin(mask)}")
 
-    _add_ranged(checks, "theta/type-a-values", type_a_form, element_ranks)
+    _add(checks, "theta/type-a-values", element_ranks, type_a_form)
 
-    def square():
+    def square(n):
         # on the T-coordinates of the S-tilde class sums, with the sign
         # forgetting rows from T-classes to type-A descent classes
-        for n in element_ranks:
-            phi_rows = class_images(
-                maps.phi, mr.t_algebra(n), descent_algebra("A", n), "sign forgetting"
-            )
-            theta_pm_rows = hopf.transform_coords("OmegaB", n)
-            theta_rows = hopf.transform_coords("SolA", n)
-            for alpha, a in mr.t_coords("Stilde", n).items():
-                left = apply_rows(phi_rows, apply_rows(theta_pm_rows, a))
-                if left != apply_rows(theta_rows, apply_rows(phi_rows, a)):
-                    raise CheckFailure(f"transform square fails at {alpha}")
+        phi_rows = class_images(
+            maps.phi, mr.t_algebra(n), descent_algebra("A", n), "sign forgetting"
+        )
+        theta_pm_rows = hopf.transform_coords("OmegaB", n)
+        theta_rows = hopf.transform_coords("SolA", n)
+        for alpha, a in mr.t_coords("Stilde", n).items():
+            left = apply_rows(phi_rows, apply_rows(theta_pm_rows, a))
+            if left != apply_rows(theta_rows, apply_rows(phi_rows, a)):
+                raise CheckFailure(f"transform square fails at {alpha}")
 
-    _add_ranged(checks, "theta/square-with-sign-forgetting", square, element_ranks)
-
-    def bijective():
-        for n in element_ranks:
-            maps.check_theta_pm_bijective(n)
-
-    _add_ranged(checks, "theta/bijective-on-ideal", bijective, element_ranks)
+    _add(checks, "theta/square-with-sign-forgetting", element_ranks, square)
+    _add(checks, "theta/bijective-on-ideal", element_ranks, maps.check_theta_pm_bijective)
 
     def interior(n):
         return maps.coarse_node("interior ideal", interior_peak_algebra(n))
 
-    def bijective_downstairs():
-        for n in interior_ranks:
-            rows = hopf.transform_coords("SolA", n)
-            _check_onto(rows, interior(n), interior(n), f"the transform at n={n}")
+    def bijective_downstairs(n):
+        rows = hopf.transform_coords("SolA", n)
+        _check_onto(rows, interior(n), interior(n), f"the transform at n={n}")
 
-    _add_ranged(checks, "theta/bijective-on-interior", bijective_downstairs, interior_ranks)
+    _add(checks, "theta/bijective-on-interior", interior_ranks, bijective_downstairs)
 
-    def images():
-        for n in interior_ranks:
-            source = maps.Node("SolA", descent_algebra("A", n))
-            rows, what = hopf.transform_coords("SolA", n), f"the transform at n={n}"
-            _check_onto(rows, source, interior(n), what)
+    def images(n):
+        source = maps.Node("SolA", descent_algebra("A", n))
+        rows, what = hopf.transform_coords("SolA", n), f"the transform at n={n}"
+        _check_onto(rows, source, interior(n), what)
 
-    _add_ranged(checks, "theta/image-is-interior-ideal", images, interior_ranks)
-    principal_ranks = _ranks(3, n_max, 5 if deep else 4)
+    _add(checks, "theta/image-is-interior-ideal", interior_ranks, images)
 
-    def principal():
+    def principal(n):
         # theta and theta_pm multiply by (twice) the generator: the cached rows
         # of the transform span its products with the algebra
-        for n in principal_ranks:
-            canonical, t_alg = maps.canonical_ideal_node(n), mr.t_algebra(n)
-            x0 = [(m, mr._x0_tcoords(n, m)) for m in maps.canonical_ideal_labels(n)]
-            for family, source, ideal in (
-                ("SolA", maps.Node("descent algebra", descent_algebra("A", n)), interior(n)),
-                ("SolA", maps.coarse_node("peak algebra", peak_algebra(n)), interior(n)),
-                ("SolB", maps.Node("type-B descent algebra", descent_algebra("B", n)), canonical),
-                ("OmegaB", maps.Node("MR algebra", t_alg), maps.Node(canonical.name, t_alg, x0)),
-            ):
-                what = f"the transform of the {source.name} at n={n}"
-                _check_onto(hopf.transform_coords(family, n), source, ideal, what)
+        canonical, t_alg = maps.canonical_ideal_node(n), mr.t_algebra(n)
+        x0 = [(m, mr._x0_tcoords(n, m)) for m in maps.canonical_ideal_labels(n)]
+        for family, source, ideal in (
+            ("SolA", maps.Node("descent algebra", descent_algebra("A", n)), interior(n)),
+            ("SolA", maps.coarse_node("peak algebra", peak_algebra(n)), interior(n)),
+            ("SolB", maps.Node("type-B descent algebra", descent_algebra("B", n)), canonical),
+            ("OmegaB", maps.Node("MR algebra", t_alg), maps.Node(canonical.name, t_alg, x0)),
+        ):
+            what = f"the transform of the {source.name} at n={n}"
+            _check_onto(hopf.transform_coords(family, n), source, ideal, what)
 
-    _add_ranged(checks, "theta/principal-right-ideals", principal, principal_ranks)
+    _add(checks, "theta/principal-right-ideals", _ranks(3, n_max, 5 if deep else 4), principal)
     return checks
 
 
@@ -796,40 +738,37 @@ def suite_hopf(n_max: int, deep: bool = False) -> list:
     checks = []
     dmax = _cap(n_max, 6)
 
-    def singles():
-        for n in range(0, dmax + 1):
-            for w in group_elements("B", n):
-                hopf.check_split_reassembly(w)
-                hopf.check_coassociative(w)
-                hopf.check_counit(w)
+    def singles(n):
+        for w in group_elements("B", n):
+            hopf.check_split_reassembly(w)
+            hopf.check_coassociative(w)
+            hopf.check_counit(w)
 
-    checks.append(run_check("hopf/coassociative-counit-singles", singles))
+    _add(checks, "hopf/coassociative-counit-singles", range(0, dmax + 1), singles)
     checks.append(
         run_check("hopf/peak-not-closed-witness", hopf.check_peak_not_closed_witness)
     )
     theta_cap = _cap(n_max, 5)
-    # (check, body, ceiling d, p0): the body loops over the degrees 1..d, or,
-    # given p0, over the pairs p + q <= d with p >= p0 and q >= 1; a check
-    # that visits no degree gets no entry
-    for name, body, d, p0 in (
+    # (check, body, ceiling d, lo): body(d) checks the degrees up to d; it
+    # visits a degree, and the check gets an entry, only when d > lo
+    for name, body, d, lo in (
         ("concat-type-a", hopf.check_sola_star, dmax, 1),
         ("concat-ideal", hopf.check_i0_star, dmax, 1),
         ("concat-type-b-module", hopf.check_solb_module_star, dmax, 0),
         ("concat-mr", hopf.check_omega_star, dmax, 1),
-        ("generator-coproducts", hopf.check_coproduct_generators, dmax, None),
-        ("coproduct-closures", hopf.check_delta_closures, theta_cap, None),
+        ("generator-coproducts", hopf.check_coproduct_generators, dmax, 0),
+        ("coproduct-closures", hopf.check_delta_closures, theta_cap, 0),
         ("interior-shuffle-closure", hopf.check_pint_star_closure, dmax, 1),
         ("peak-module-closure", hopf.check_peak_module_star, dmax, 1),
         ("shuffle-coefficients-distinct", hopf.check_shuffle_coefficients, dmax, 1),
-        ("transform-morphisms", hopf.check_theta_hopf, theta_cap, None),
-        ("drop-via-coproduct", hopf.check_beta_via_coproduct, theta_cap, None),
+        ("transform-morphisms", hopf.check_theta_hopf, theta_cap, 0),
+        ("drop-via-coproduct", hopf.check_beta_via_coproduct, theta_cap, 0),
         ("module-morphisms", hopf.check_module_morphisms, theta_cap, 0),
-        ("internal-coproduct-compat", hopf.check_delta_internal_compat, theta_cap, None),
-        ("free-module", hopf.check_free_module, theta_cap, None),
-        ("ideal-type-a-isomorphism", hopf.check_i0_sola_isomorphism, theta_cap, None),
+        ("internal-coproduct-compat", hopf.check_delta_internal_compat, theta_cap, 0),
+        ("free-module", hopf.check_free_module, theta_cap, 0),
+        ("ideal-type-a-isomorphism", hopf.check_i0_sola_isomorphism, theta_cap, 0),
     ):
-        seen = range(1, d + 1) if p0 is None else range(p0, d)
-        _add_ranged(checks, f"hopf/{name}", lambda body=body, d=d: body(d), seen)
+        _add(checks, f"hopf/{name}", [d] if d > lo else [], body)
     return checks
 
 
@@ -839,20 +778,18 @@ def suite_words(n_max: int, deep: bool = False) -> list:
     nontrivial = words.Alphabet(("a", "b", "c"), {"a": "b", "b": "a", "c": "c"})
     trivial = words.Alphabet(("a", "b", "c"))
     checks = []
-    symmetrizer_ranks = _ranks(1, n_max, 4)
 
-    def symmetrizers():
-        for n in symmetrizer_ranks:
-            words.check_symmetrizer_identity(n, nontrivial)
-            words.check_symmetrizer_identity(n, trivial)
+    def symmetrizers(n):
+        words.check_symmetrizer_identity(n, nontrivial)
+        words.check_symmetrizer_identity(n, trivial)
 
-    _add_ranged(checks, "words/symmetrizer-identity", symmetrizers, symmetrizer_ranks)
-
-    def brackets():
-        for n in range(1, _cap(n_max + 1, 5) + 1):
-            words.check_bracket_identity(n, trivial)
-
-    checks.append(run_check("words/bracket-identity", brackets))
+    _add(checks, "words/symmetrizer-identity", _ranks(1, n_max, 4), symmetrizers)
+    _add(
+        checks,
+        "words/bracket-identity",
+        range(1, _cap(n_max + 1, 5) + 1),
+        lambda n: words.check_bracket_identity(n, trivial),
+    )
     checks.append(
         run_check(
             "words/right-action-law",
@@ -865,14 +802,8 @@ def suite_words(n_max: int, deep: bool = False) -> list:
             lambda: words.check_action_algebra_morphism(2, nontrivial),
         )
     )
-
     degrees = [(p, q) for p, q in ((1, 1), (1, 2), (2, 1)) if p + q <= _cap(n_max + 1, 3)]
-
-    def convolution():
-        for p, q in degrees:
-            words.check_convolution(p, q, nontrivial)
-
-    _add_ranged(checks, "words/convolution", convolution, degrees)
+    _add(checks, "words/convolution", degrees, lambda pq: words.check_convolution(*pq, nontrivial))
     return checks
 
 

@@ -195,3 +195,32 @@ def test_json_duplicate_term_rejected():
 def test_support_bounded_by_group():
     full = AlgElem.class_sum("B", 3, group_elements("B", 3))
     assert len(full * full) <= 48
+
+
+def _default_cap_table(algebra: str):
+    from peakalg.bases import structure_constants
+    from peakalg.cli import TABLE_CAPS
+    from peakalg.commutative import solhat_table, whp_table
+    from peakalg.peak import peak_table
+
+    n = TABLE_CAPS[algebra]
+    if algebra in ("SigA", "SigB", "SigD"):
+        return structure_constants(algebra[-1], n, "Y")
+    return {"P": peak_table, "whp": whp_table, "solB": solhat_table}[algebra](n)
+
+
+@pytest.mark.parametrize("algebra", ["P", "whp", "solB", "SigA", "SigB", "SigD"])
+def test_table_json_writes_each_cell_as_its_exact_fraction(algebra):
+    table = _default_cap_table(algebra)
+    cells = [c for row in table.cells for cell in row for c in cell]
+    assert {type(c) for c in cells} <= {int, Fraction}
+    old_form = [[[str(Fraction(x)) for x in cell] for cell in row] for row in table.cells]
+    assert table.to_json()["cells"] == old_form
+
+
+def test_table_json_writes_a_fraction_cell_as_p_over_q():
+    from peakalg.algebra import StructureTable
+
+    cells = [[(1, Fraction(-3, 2)), (0, Fraction(4, 2))]]
+    table = StructureTable(name="t", labels=["a"], cells=cells)
+    assert table.to_json()["cells"] == [[["1", "-3/2"], ["0", "2"]]]

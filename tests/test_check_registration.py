@@ -1,0 +1,114 @@
+"""How a verify check is registered and what a cap hit inside one does.
+
+Every ranged check of peakalg.verify is registered by _add: an id, its
+cases, and a body of one case, run over the cases in order as a single
+run_check.  The low-ceiling reports are pinned by sha256, and a check that
+reaches past a cap set by PEAKALG_CAP stops the command with exit code 2
+instead of failing an identity.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from peakalg import verify
+from peakalg.cli import main
+from peakalg.reporting import CheckFailure
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# sha256 of `verify --suite all --n-max N --format json`
+LOW_CEILINGS = {
+    0: "5df081a88977d9a3d21e2214dd2bb2fe7b1eb97485681a2e6a451d90d4f2dfa7",
+    1: "e12f405d15e3e232c8cf1c27dc7865c5569dd3bcd68c36fcbf668b7998f4f523",
+    2: "68770e1d64f02ba02dcfcee607f2a48f08e9ceb02b8459c4fc7c4852f61601f0",
+}
+
+
+def test_a_check_over_no_case_gets_no_entry():
+    seen = []
+    checks = []
+    verify._add(checks, "x/none", range(0), seen.append)
+    verify._add(checks, "x/empty", [], seen.append)
+    assert checks == [] and seen == []
+
+
+def test_cases_run_in_order_as_one_check():
+    seen = []
+    checks = []
+    verify._add(checks, "x/all", [(1, "a"), (2, "b"), (3, "c")], seen.append)
+    assert [(c.check_id, c.status) for c in checks] == [("x/all", "pass")]
+    assert seen == [(1, "a"), (2, "b"), (3, "c")]
+
+
+def test_the_first_failing_case_gives_the_witness():
+    seen = []
+
+    def body(n):
+        seen.append(n)
+        if n >= 3:
+            raise CheckFailure(f"fails at n={n}")
+
+    checks = []
+    verify._add(checks, "x/fail", range(1, 6), body)
+    (check,) = checks
+    assert (check.status, check.witness) == ("fail", "fails at n=3")
+    assert seen == [1, 2, 3]
+
+
+def test_an_unexpected_exception_is_an_error():
+    def body(n):
+        if n == 2:
+            raise KeyError(n)
+
+    checks = []
+    verify._add(checks, "x/error", [1, 2, 3], body)
+    (check,) = checks
+    assert (check.status, check.witness) == ("error", "KeyError: 2")
+
+
+@pytest.mark.parametrize("n_max", sorted(LOW_CEILINGS))
+def test_low_ceiling_report_is_pinned(n_max, capsys, monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("PEAKALG_"):
+            monkeypatch.delenv(name)
+    assert main(["verify", "--suite", "all", "--n-max", str(n_max), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LOW_CEILINGS[n_max]
+
+
+# ---------------------------------------------------------------------------
+# a cap hit inside a check is a cap error, not a failed identity
+
+
+def _cli(cap: str, *argv):
+    """Run the command line in a fresh interpreter, so that no group listed
+    before the cap was set is read from a cache."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PEAKALG_")}
+    env["PEAKALG_CAP"] = cap
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "import sys; from peakalg.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "cap,suite,n_max,message",
+    [
+        ("3", "peaks", "4", "S_4 exceeds enumeration cap 3"),
+        ("BFS=4", "descents", "6", "BFS cap is 4, got rank 5"),
+        ("3", "all", "4", "S_4 exceeds enumeration cap 3"),  # --jobs 2 runs a pool
+    ],
+)
+def test_a_cap_hit_inside_a_check_exits_2(cap, suite, n_max, message, jobs):
+    argv = ["verify", "--suite", suite, "--n-max", n_max, "--jobs", jobs, "--format", "json"]
+    done = _cli(cap, *argv)
+    assert done.returncode == 2, done.stdout
+    assert done.stdout == ""
+    assert f"error: {message}" in done.stderr

@@ -1,10 +1,11 @@
 """The composition kernel of peakalg.perms against compose, its oracle.
 
 composer(v)(lifted(u)) is compose(u, v) in one C call.  The enumerated
-cube, internal_product and bin_classes of peakalg.algebra run on it; the
-reference copies below are the compose-based forms they replaced, and the
-kernel must give the same cubes, products and binnings, down to dict
-order and the type of each value.
+cube, internal_product and bin_classes of peakalg.algebra and the shuffle
+product hopf.external_product run on it; the reference copies below are
+the compose-based forms they replaced, and the kernel must give the same
+cubes, products and binnings, down to dict order and the type of each
+value.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import pytest
 
 from peakalg import algebra, bases, mr
 from peakalg.algebra import AlgElem, ClassAlgebra, bin_classes, internal_product
+from peakalg.hopf import block_embed, external_product, shuffles
 from peakalg.perms import (
     compose,
     composer,
@@ -62,6 +64,22 @@ def reference_cube(alg: ClassAlgebra) -> dict:
                 raise ArithmeticError(f"class sums {l1} * {l2} leave the span")
             cube[(l1, l2)] = coords
     return cube
+
+
+def reference_external_product(a: AlgElem, b: AlgElem) -> dict:
+    out: dict = {}
+    shs = shuffles(a.n, b.n)
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            base = block_embed(u, v)
+            for xi in shs:
+                key = compose(xi, base)
+                s = out.get(key, 0) + cu * cv
+                if s == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+    return out
 
 
 def reference_product(a: AlgElem, b: AlgElem) -> dict:
@@ -278,3 +296,32 @@ def test_bin_classes_agrees_with_the_reference(terms):
     got = bin_classes(terms, class_of, size)
     want = reference_bin_classes(terms, class_of, size)
     assert got == want and (got is None or list(got) == list(want))
+
+
+EXTERNAL_DEGREES = [(p, q) for p in range(5) for q in range(5 - p)]
+
+
+@pytest.mark.parametrize("p,q", EXTERNAL_DEGREES)
+def test_external_product_equals_the_compose_product_on_every_pair(p, q):
+    for u in group_elements("B", p):
+        for v in group_elements("B", q):
+            a, b = AlgElem.monomial("B", p, u), AlgElem.monomial("B", q, v)
+            got = external_product(a, b)
+            assert (got.group, got.n) == ("B", p + q)
+            assert list(got.terms.items()) == list(reference_external_product(a, b).items())
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 1), (2, 2), (1, 3)])
+def test_external_product_of_sums_keeps_order_and_values(p, q):
+    rng = random.Random(p * 10 + q)
+    coeffs = [-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+    def sample(n):
+        return AlgElem("B", n, {w: rng.choice(coeffs) for w in group_elements("B", n)})
+
+    a, b = sample(p), sample(q)
+    for x, y in ((a, b), (b, a)):
+        got = external_product(x, y)
+        want = reference_external_product(x, y)
+        assert list(got.terms.items()) == list(want.items())
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in want.values()]
