@@ -757,7 +757,12 @@ def coeff_to_str(c) -> str:
 
 
 def coeff_from_str(s: str):
-    frac = Fraction(s)
+    """The exact coefficient of an integer or a "p/q" string; ValueError
+    names a malformed one and one with a zero denominator."""
+    try:
+        frac = Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {s!r} has a zero denominator") from None
     return int(frac) if frac.denominator == 1 else frac
 
 

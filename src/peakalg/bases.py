@@ -53,14 +53,7 @@ def y_basis(ctype: str, n: int, J: int) -> AlgElem:
 def x_basis(ctype: str, n: int, J: int) -> AlgElem:
     """X_J: sum over elements whose descent set is contained in J."""
     mask = GeneratorSet(ctype, n, J).mask
-    group = GROUP_OF_TYPE[ctype]
-    classes = descent_classes(ctype, n)
-    terms = {}
-    for m, ws in classes.items():
-        if m | mask == mask:
-            for w in ws:
-                terms[w] = 1
-    return AlgElem._raw(group, n, terms)
+    return descent_algebra(ctype, n).element(x_to_y_coords({mask: 1}))
 
 
 def y_label_elements(ctype: str, n: int) -> list:
@@ -151,21 +144,20 @@ def comp_to_subset(parts, n: int | None = None) -> frozenset:
 
 def subset_to_comp(J, n: int) -> tuple:
     """Subset of [n-1] -> ordinary composition of n."""
-    ms = sorted(J)
-    if any(not 1 <= j <= n - 1 for j in ms):
-        raise ValueError(f"{J} is not a subset of [{n - 1}]")
-    return _partial_sum_parts(ms, n)
+    return _partial_sum_parts(J, n, 1)
 
 
 def subset_to_pseudo_comp(J, n: int) -> tuple:
     """Subset of {0} u [n-1] -> pseudo composition of n (first part >= 0)."""
+    return _partial_sum_parts(J, n, 0)
+
+
+def _partial_sum_parts(J, n: int, lo: int) -> tuple:
+    """The parts with the partial sums J, a subset of {lo, ..., n-1}."""
     ms = sorted(J)
-    if any(not 0 <= j <= n - 1 for j in ms):
-        raise ValueError(f"{J} is not a subset of {{0}} u [{n - 1}]")
-    return _partial_sum_parts(ms, n)
-
-
-def _partial_sum_parts(ms, n: int) -> tuple:
+    if any(not lo <= j <= n - 1 for j in ms):
+        frame = f"[{n - 1}]" if lo else f"{{0}} u [{n - 1}]"
+        raise ValueError(f"{J} is not a subset of {frame}")
     prev = 0
     parts = []
     for m in ms:

@@ -2,9 +2,11 @@
 import/export group-algebra elements as JSON.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or cap error
-(a malformed PEAKALG_CAP or JSON element, an out-of-range number, a
-label with a member out of range or repeated, or a check that reaches a
-rank beyond an enumeration or BFS cap, among them; no report is written),
+(a malformed PEAKALG_CAP or JSON element, a coefficient with a zero
+denominator, an out-of-range number, a label with a member out of range,
+repeated or empty as in "{0,,2}", a signed composition with an empty part
+as in "(1,,2)", or a check that reaches a rank beyond an enumeration or
+BFS cap, among them; no report is written),
 3 a check raised an unexpected exception (its status in the report is
 "error").
 """
@@ -132,39 +134,29 @@ def cmd_export(args) -> int:
     return 0
 
 
+#: each --map name and the function of peakalg.maps it applies
 MAPS = {
-    "phi": lambda a: __maps().phi(a),
-    "psi": lambda a: __maps().psi(a),
-    "chi": lambda a: __maps().chi(a),
-    "sigma": lambda a: __maps().sigma_map(a),
-    "rho": lambda a: __maps().rho_map(a),
-    "beta": lambda a: __maps().beta_map(a),
-    "beta2": lambda a: __maps().beta2_map(a),
-    "gamma": lambda a: __maps().gamma_map(a),
-    "pi": lambda a: __pi(a),
-    "theta": lambda a: __maps().theta(a),
-    "theta_pm": lambda a: __maps().theta_pm(a),
+    "phi": "phi",
+    "psi": "psi",
+    "chi": "chi",
+    "sigma": "sigma_map",
+    "rho": "rho_map",
+    "beta": "beta_map",
+    "beta2": "beta2_map",
+    "gamma": "gamma_map",
+    "pi": "pi_map",
+    "theta": "theta",
+    "theta_pm": "theta_pm",
 }
 
 
-def __maps():
-    from . import maps
-
-    return maps
-
-
-def __pi(a):
-    from .peak import pi_map
-
-    return pi_map(a)
-
-
 def cmd_apply(args) -> int:
+    from . import maps
     from .algebra import elem_from_json, elem_to_json
 
     with open(args.infile) as fh:
         elem = elem_from_json(json.load(fh))
-    image = MAPS[args.map](elem)
+    image = getattr(maps, MAPS[args.map])(elem)
     _write_out(json.dumps(elem_to_json(image), indent=2), args.out)
     return 0
 

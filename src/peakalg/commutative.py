@@ -42,7 +42,6 @@ from .maps import (
     node_span,
     phi,
     pi_map,
-    x0_basis,
     y0_basis,
 )
 from .peak import interior_peak_algebra, peak_algebra
@@ -107,22 +106,19 @@ def x_number(n: int, j: int) -> AlgElem:
     return descent_algebra("B", n).element(x_count_coords(n, j))
 
 
-def _ideal_number(n: int, j: int, basis) -> AlgElem:
-    """Sum of the ideal elements basis(n, J) over J inside [n-1], #J = j-1."""
+def y0_number(n: int, j: int) -> AlgElem:
+    """Sum of the ideal elements Y_{{0} u J} + Y_J over #J = j-1."""
     if not 1 <= j <= n:
         raise ValueError(f"index {j} out of range 1..{n}")
     masks = (m for m in range(0, 1 << n, 2) if popcount(m) == j - 1)
-    return sum((basis(n, m) for m in masks), AlgElem.zero("B", n))
-
-
-def y0_number(n: int, j: int) -> AlgElem:
-    """Sum of the ideal elements Y_{{0} u J} + Y_J over #J = j-1."""
-    return _ideal_number(n, j, y0_basis)
+    return sum((y0_basis(n, m) for m in masks), AlgElem.zero("B", n))
 
 
 def x0_number(n: int, j: int) -> AlgElem:
     """Sum of the ideal elements X_{{0} u J} over #J = j-1."""
-    return _ideal_number(n, j, x0_basis)
+    if not 1 <= j <= n:
+        raise ValueError(f"index {j} out of range 1..{n}")
+    return descent_algebra("B", n).element(x_count_coords(n, j, ideal=True))
 
 
 def peak_number(n: int, j: int) -> AlgElem:

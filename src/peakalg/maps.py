@@ -40,11 +40,9 @@ from .peak import interior_peak_algebra, interior_peak_basis, peak_algebra, pi_m
 from .perms import (
     chi_element,
     forget_signs,
-    interior_sparse_masks,
     popcount,
     rho_element,
     sigma,
-    sparse_masks,
 )
 from .reporting import CheckFailure, run_check
 
@@ -97,21 +95,10 @@ def rho_map(a: AlgElem) -> AlgElem:
 
 def chi_on_y(n: int, jmask: int) -> AlgElem:
     """Image in the type-D descent algebra of the type-B basis element
-    Y_J, by the four-case closed form."""
-    j = jmask & ~3
-    flags = jmask & 3
-    if flags == 0:
-        parts = [j]
-    elif flags == 2:  # 1 in J
-        parts = [j | 1, j | 2, j | 3]
-    elif flags == 1:  # 0 in J
-        parts = [j, j | 1, j | 2]
-    else:  # 0 and 1 in J
-        parts = [j | 3]
-    out = AlgElem.zero("D", n)
-    for m in parts:
-        out += y_basis("D", n, m)
-    return out
+    Y_J, by the four-case closed form: the sum of the imchi_basis classes
+    of J less 0 and 1 picked by which of 0 and 1 lie in J."""
+    classes = ((1,), (1, 2), (2, 3), (3,))[jmask & 3]
+    return sum((imchi_basis(n, jmask & ~3, i) for i in classes), AlgElem.zero("D", n))
 
 
 def chi_on_x(n: int, jmask: int) -> AlgElem:
@@ -126,94 +113,79 @@ def chi_on_x(n: int, jmask: int) -> AlgElem:
     return x_basis("D", n, j | 3).scale(2)
 
 
+def _peak_window(alg: ClassAlgebra, window: int, scale=1, per_peak=False, lead=0) -> AlgElem:
+    """The closed form of sign forgetting: the sum of scale * P_F, times
+    2^{#G} with per_peak, over the labels F = lead u G of alg (the peak
+    or interior-peak sets) with G inside the window."""
+    coords = {}
+    for fm in alg.labels:
+        g = fm & ~lead
+        if fm & lead == lead and g & ~window == 0:
+            coords[fm] = scale << popcount(g) if per_peak else scale
+    return alg.element(coords)
+
+
 def phi_on_y(n: int, jmask: int) -> AlgElem:
     """Sum of 2^{#F} P_F over sparse F contained in the symmetric
     difference of J and J+1 (type-B label J)."""
-    window = jmask ^ (jmask << 1)
-    coords = {
-        fm: 1 << popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0
-    }
-    return peak_algebra(n).element(coords)
+    return _peak_window(peak_algebra(n), jmask ^ (jmask << 1), per_peak=True)
 
 
 def phi_on_x(n: int, jmask: int) -> AlgElem:
     """2^{#J} times the sum of P_F over sparse F inside J u (J+1)."""
-    window = jmask | (jmask << 1)
-    scale = 1 << popcount(jmask)
-    coords = {fm: scale for fm in sparse_masks(n) if fm & ~window == 0}
-    return peak_algebra(n).element(coords)
+    return _peak_window(peak_algebra(n), jmask | (jmask << 1), 1 << popcount(jmask))
 
 
 def phi_on_x0(n: int, jmask: int) -> AlgElem:
     """Image of X_{{0} u J}, J inside [n-1]: lands in the interior-peak
-    ideal with a global factor 2^{1+#J}."""
+    ideal with a global factor 2^{1+#J}.  The transform theta sends the
+    type-A X_J to this same sum."""
     if jmask & 1:
         raise ValueError("label J must avoid 0; the 0 is implicit")
-    window = jmask | (jmask << 1)
-    scale = 1 << (1 + popcount(jmask))
-    out: dict = {}
-    for fm in interior_sparse_masks(n):
-        if fm & ~window == 0:
-            out[fm] = scale
-    return interior_peak_algebra(n).element(out)
+    return _peak_window(interior_peak_algebra(n), jmask | (jmask << 1), 2 << popcount(jmask))
 
 
 def phi_on_y0(n: int, jmask: int) -> AlgElem:
     """Image of Y_{{0} u J} + Y_J, J inside [n-1]."""
     if jmask & 1:
         raise ValueError("label J must avoid 0; the 0 is implicit")
-    window = jmask ^ (jmask << 1)
-    out: dict = {}
-    for fm in interior_sparse_masks(n):
-        if fm & ~window == 0:
-            out[fm] = 1 << (1 + popcount(fm))
-    return interior_peak_algebra(n).element(out)
+    return _peak_window(interior_peak_algebra(n), jmask ^ (jmask << 1), 2, per_peak=True)
 
 
 PSI_CASES = ("plain", "one", "oneprime", "both")
 
 
+def _psi_label(jmask: int, case: str):
+    if case not in PSI_CASES:
+        raise ValueError(f"unknown case {case!r}")
+    if jmask & 3:
+        raise ValueError("residual subset J must sit inside {2,...,n-1}")
+
+
 def psi_on_y(n: int, jmask: int, case: str) -> AlgElem:
     """Image of the type-D basis element Y with residual subset J in
     {2,...,n-1} and case tag: plain / one (1 in the label) / oneprime
-    (1' in the label) / both."""
-    if case not in PSI_CASES:
-        raise ValueError(f"unknown case {case!r}")
-    if jmask & 3:
-        raise ValueError("residual subset J must sit inside {2,...,n-1}")
+    (1' in the label) / both.  On a plain label it is phi_on_y; with one
+    of 1 and 1' the sparse F are {1} u G with G in the plain window."""
+    _psi_label(jmask, case)
     if case == "plain":
-        window = jmask ^ (jmask << 1)
-        coords = {fm: 1 << popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0}
-        return peak_algebra(n).element(coords)
-    if case in ("one", "oneprime"):
-        window = jmask ^ (jmask << 1)
-        coords = {}
-        for fm in sparse_masks(n):
-            if fm & 2 and (fm & ~2) & ~window == 0 and not fm & 4:
-                # fm = {1} u F with F sparse avoiding 1 and 2, F inside window
-                coords[fm] = 1 << popcount(fm & ~2)
-        return peak_algebra(n).element(coords)
-    window = jmask ^ (4 | (jmask << 1))
-    coords = {fm: 1 << popcount(fm) for fm in sparse_masks(n) if fm & ~window == 0}
-    return peak_algebra(n).element(coords)
+        return phi_on_y(n, jmask)
+    window = jmask ^ (jmask << 1)
+    if case == "both":
+        return _peak_window(peak_algebra(n), window ^ 4, per_peak=True)
+    return _peak_window(peak_algebra(n), window, per_peak=True, lead=2)
 
 
 def psi_on_x(n: int, jmask: int, case: str) -> AlgElem:
-    if case not in PSI_CASES:
-        raise ValueError(f"unknown case {case!r}")
-    if jmask & 3:
-        raise ValueError("residual subset J must sit inside {2,...,n-1}")
+    """The X-form of psi_on_y: phi_on_x on a plain label, else the window
+    J u (J+1) with 1 (one of 1 and 1') or 1 and 2 (both) added."""
+    _psi_label(jmask, case)
     if case == "plain":
-        window = jmask | (jmask << 1)
-        scale = 1 << popcount(jmask)
-    elif case in ("one", "oneprime"):
-        window = jmask | (jmask << 1) | 2
-        scale = 1 << popcount(jmask)
-    else:
-        window = jmask | (jmask << 1) | 6
-        scale = 1 << (popcount(jmask) + 1)
-    coords = {fm: scale for fm in sparse_masks(n) if fm & ~window == 0}
-    return peak_algebra(n).element(coords)
+        return phi_on_x(n, jmask)
+    window = jmask | (jmask << 1)
+    if case == "both":
+        return _peak_window(peak_algebra(n), window | 6, 2 << popcount(jmask))
+    return _peak_window(peak_algebra(n), window | 2, 1 << popcount(jmask))
 
 
 # ---------------------------------------------------------------------------

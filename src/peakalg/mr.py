@@ -114,42 +114,35 @@ def u_comp(alpha) -> tuple:
     return underline(tuple(pre))
 
 
-def _segment_signs(alpha) -> tuple:
-    return tuple(seg[0] > 0 for seg in segments(alpha))
+def _segments_refine(alpha, beta, flip: bool) -> bool:
+    """Each segment of beta refines the corresponding segment of alpha,
+    with matching signs and sizes; with flip, alpha refines beta on the
+    negative segments instead."""
+    sa, sb = segments(alpha), segments(beta)
+    signs = [seg[0] > 0 for seg in sa]
+    if signs != [seg[0] > 0 for seg in sb]:
+        return False
+    for positive, a_seg, b_seg in zip(signs, sa, sb):
+        a_abs, b_abs = abs_comp(a_seg), abs_comp(b_seg)
+        if sum(a_abs) != sum(b_abs):
+            return False
+        a_sub, b_sub = comp_to_subset(a_abs), comp_to_subset(b_abs)
+        if flip and not positive:
+            a_sub, b_sub = b_sub, a_sub
+        if not a_sub <= b_sub:
+            return False
+    return True
 
 
 def leq(alpha, beta) -> bool:
     """Segmentwise refinement with matching signs: true when each segment
     of beta refines the corresponding segment of alpha."""
-    sa, sb = segments(alpha), segments(beta)
-    if len(sa) != len(sb) or _segment_signs(alpha) != _segment_signs(beta):
-        return False
-    for a_seg, b_seg in zip(sa, sb):
-        if sum(abs(p) for p in a_seg) != sum(abs(p) for p in b_seg):
-            return False
-        if not comp_to_subset(tuple(abs(p) for p in a_seg)) <= comp_to_subset(
-            tuple(abs(p) for p in b_seg)
-        ):
-            return False
-    return True
+    return _segments_refine(alpha, beta, flip=False)
 
 
 def preceq(alpha, beta) -> bool:
     """Like leq, but on negative segments the refinement direction flips."""
-    sa, sb = segments(alpha), segments(beta)
-    if len(sa) != len(sb) or _segment_signs(alpha) != _segment_signs(beta):
-        return False
-    for a_seg, b_seg in zip(sa, sb):
-        if sum(abs(p) for p in a_seg) != sum(abs(p) for p in b_seg):
-            return False
-        a_sub = comp_to_subset(tuple(abs(p) for p in a_seg))
-        b_sub = comp_to_subset(tuple(abs(p) for p in b_seg))
-        positive = a_seg[0] > 0
-        if positive and not a_sub <= b_sub:
-            return False
-        if not positive and not b_sub <= a_sub:
-            return False
-    return True
+    return _segments_refine(alpha, beta, flip=True)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +183,8 @@ def t_basis(n: int, alpha) -> AlgElem:
 
 
 def _interval_blocks(n: int, sizes):
-    """Yield tuples of value sets, one per interval, partitioning 1..n."""
+    """Yield tuples of value sets, one per interval, partitioning 1..n;
+    each block is increasing."""
 
     def rec(values, sizes):
         if not sizes:
@@ -205,40 +199,35 @@ def _interval_blocks(n: int, sizes):
     yield from rec(tuple(range(1, n + 1)), tuple(sizes))
 
 
-def s_basis(n: int, alpha) -> AlgElem:
-    """Class sum: per interval, absolute values increase and the sign is
-    the sign of the part."""
+def _run_class_sum(n: int, alpha, reverse_negative: bool) -> AlgElem:
+    """Class sum over the words cut into intervals of sizes |alpha|: each
+    interval takes a set of values, in increasing order, negated on a
+    negative part, where reverse_negative takes them in decreasing order."""
     alpha = tuple(alpha)
     if not is_signed_composition(alpha, n):
         raise ValueError(f"{alpha} is not a signed composition of {n}")
-    sizes = [abs(a) for a in alpha]
     terms = {}
-    for blocks in _interval_blocks(n, sizes):
+    for blocks in _interval_blocks(n, abs_comp(alpha)):
         word = []
         for part, block in zip(alpha, blocks):
-            vals = sorted(block)
-            word.extend(vals if part > 0 else [-v for v in vals])
+            if part > 0:
+                word.extend(block)
+            else:
+                word.extend(-v for v in (block[::-1] if reverse_negative else block))
         terms[tuple(word)] = 1
     return AlgElem._raw("B", n, terms)
+
+
+def s_basis(n: int, alpha) -> AlgElem:
+    """Class sum: per interval, absolute values increase and the sign is
+    the sign of the part."""
+    return _run_class_sum(n, alpha, reverse_negative=False)
 
 
 def stilde_basis(n: int, alpha) -> AlgElem:
     """Class sum: per interval, the signed entries increase and the sign
     is the sign of the part (so negative runs descend in absolute value)."""
-    alpha = tuple(alpha)
-    if not is_signed_composition(alpha, n):
-        raise ValueError(f"{alpha} is not a signed composition of {n}")
-    sizes = [abs(a) for a in alpha]
-    terms = {}
-    for blocks in _interval_blocks(n, sizes):
-        word = []
-        for part, block in zip(alpha, blocks):
-            if part > 0:
-                word.extend(sorted(block))
-            else:
-                word.extend(-v for v in sorted(block, reverse=True))
-        terms[tuple(word)] = 1
-    return AlgElem._raw("B", n, terms)
+    return _run_class_sum(n, alpha, reverse_negative=True)
 
 
 def mr_basis(kind: str, n: int, alpha) -> AlgElem:
@@ -421,7 +410,10 @@ def comp_from_text(text: str) -> tuple:
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
-    alpha = tuple(int(t) for t in body.split(",") if t.strip())
+    tokens = [t.strip() for t in body.split(",")] if body.strip() else []
+    if "" in tokens:
+        raise ValueError(f"{text!r} is not a signed composition: it has an empty part")
+    alpha = tuple(int(t) for t in tokens)
     if not is_signed_composition(alpha):
         raise ValueError(f"{text!r} is not a signed composition")
     return alpha

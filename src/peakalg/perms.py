@@ -367,14 +367,16 @@ def _valid_label_mask(ctype: str, n: int) -> int:
 
 def _label_members(text: str, what: str, n: int, named=None) -> list:
     """The members of a label text such as "{0,2}", each token a key of
-    named or a number below the rank n; ValueError names any other token
-    and a repeated member.  Whether a member belongs to the label's kind
-    is the value type's check."""
+    named or a number below the rank n; ValueError names any other token,
+    an empty one and a repeated member ("{}" has no members).  Whether a
+    member belongs to the label's kind is the value type's check."""
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
     members = []
-    for tok in filter(None, (t.strip() for t in body.split(","))):
+    for tok in map(str.strip, body.split(",") if body.strip() else []):
+        if not tok:
+            raise ValueError(f"label {text!r} has an empty member")
         i = (named or {}).get(tok, int(tok) if tok.isdecimal() else -1)
         if not 0 <= i < n:
             raise ValueError(f"label {text!r}: {tok!r} is not {what}")

@@ -133,16 +133,8 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
     checks = []
 
     def counts(n):
-        import math
-
-        for group, want in (
-            ("S", math.factorial(n)),
-            ("B", math.factorial(n) << n if n else 1),
-            ("D", math.factorial(n) << (n - 1) if n else 1),
-        ):
-            if n > perms.enum_cap(group):
-                continue
-            got = len(perms.group_elements(group, n))
+        for group in [g for g in perms.GROUPS if n <= perms.enum_cap(g)]:
+            got, want = len(perms.group_elements(group, n)), perms.group_order(group, n)
             if got != want:
                 raise CheckFailure(f"{group}_{n} has {got} elements, wanted {want}")
 
@@ -653,7 +645,6 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
     from .algebra import apply_rows, class_images
     from .bases import descent_algebra, x_to_y_coords
     from .peak import interior_peak_algebra, peak_algebra
-    from .perms import popcount
 
     checks = []
     element_ranks = _ranks(1, n_max, ELEMENT_CAP)
@@ -670,13 +661,11 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
     _add(checks, "theta/type-b-values", element_ranks, type_b_form)
 
     def type_a_form(n):
-        # on the cached rows of the transform over the type-A descent classes
-        rows, interior = hopf.transform_coords("SolA", n), interior_peak_algebra(n)
+        # on the cached rows of the transform over the type-A descent
+        # classes: theta(X_J) is the closed form of phi(X0_J)
+        rows, alg = hopf.transform_coords("SolA", n), descent_algebra("A", n)
         for mask in rows:
-            window = mask | (mask << 1)
-            scale = 1 << (1 + popcount(mask))
-            want = interior.spread({fm: scale for fm in interior.labels if fm & ~window == 0})
-            if apply_rows(rows, x_to_y_coords({mask: 1})) != want:
+            if apply_rows(rows, x_to_y_coords({mask: 1})) != alg.coords(maps.phi_on_x0(n, mask)):
                 raise CheckFailure(f"transform value wrong at mask {bin(mask)}")
 
     _add(checks, "theta/type-a-values", element_ranks, type_a_form)
