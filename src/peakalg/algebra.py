@@ -167,23 +167,6 @@ class AlgElem:
     def coeff(self, w: Perm):
         return self.terms.get(tuple(w), 0)
 
-    def map_support(self, f, *, group=None, n=None) -> "AlgElem":
-        """Linear pushforward along an element map; collisions accumulate."""
-        out_group = group or self.group
-        out_n = self.n if n is None else n
-        out = {}
-        for w, c in self.terms.items():
-            fw = f(w)
-            s = out.get(fw, 0) + c
-            if s == 0:
-                out.pop(fw, None)
-            else:
-                out[fw] = s
-        for fw in out:
-            if not (len(fw) == out_n and in_group(fw, out_group)):
-                raise ValueError(f"image {fw} is not in {out_group}_{out_n}")
-        return AlgElem._raw(out_group, out_n, out)
-
     def __repr__(self):
         if not self.terms:
             return f"AlgElem({self.group}_{self.n}: 0)"
@@ -239,8 +222,22 @@ def internal_product(a: AlgElem, b: AlgElem) -> AlgElem:
 
 
 def push_forward(f, a: AlgElem, *, group: str | None = None, n: int | None = None) -> AlgElem:
-    """Apply the linear extension of an element map w -> f(w)."""
-    return a.map_support(f, group=group, n=n)
+    """Apply the linear extension of an element map w -> f(w); collisions
+    accumulate."""
+    out_group = group or a.group
+    out_n = a.n if n is None else n
+    out = {}
+    for w, c in a.terms.items():
+        fw = f(w)
+        s = out.get(fw, 0) + c
+        if s == 0:
+            out.pop(fw, None)
+        else:
+            out[fw] = s
+    for fw in out:
+        if not (len(fw) == out_n and in_group(fw, out_group)):
+            raise ValueError(f"image {fw} is not in {out_group}_{out_n}")
+    return AlgElem._raw(out_group, out_n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +808,3 @@ def elem_from_json(data) -> AlgElem:
             raise ValueError(f"duplicate term {w}")
         terms[w] = coeff_from_str(coeff)
     return AlgElem(data["group"], n, terms)
-
-
-def elem_to_json_str(a: AlgElem) -> str:
-    return json.dumps(elem_to_json(a), separators=(",", ":"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import AlgElem, ClassAlgebra, Echelon, StructureTable, normalize_coord
+from .algebra import AlgElem, ClassAlgebra, StructureTable
 from .perms import GROUP_OF_TYPE, GeneratorSet, _valid_label_mask, descent_mask, popcount
 
 
@@ -71,10 +71,6 @@ def descent_coordinates(a: AlgElem, ctype: str):
     return descent_algebra(ctype, a.n).coords(a)
 
 
-def from_descent_coordinates(ctype: str, n: int, coords: dict) -> AlgElem:
-    return descent_algebra(ctype, n).element(coords)
-
-
 def x_to_y_coords(coords: dict) -> dict:
     """Rewrite X-label coordinates as Y-label coordinates."""
     out: dict = {}
@@ -105,18 +101,6 @@ def y_to_x_coords(coords: dict) -> dict:
                 break
             sub = (sub - 1) & jm
     return {m: c for m, c in out.items() if c != 0}
-
-
-def descent_span_rank(elems, ctype: str) -> int:
-    """Rank of a family known to lie in the descent algebra, computed on
-    exact Y-coordinates (raises if some element falls outside)."""
-    rows = []
-    for a in elems:
-        coords = descent_coordinates(a, ctype)
-        if coords is None:
-            raise ValueError("element outside the descent algebra")
-        rows.append(coords)
-    return Echelon(rows).rank
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +161,15 @@ def comp_complement(parts, n: int | None = None) -> tuple:
     return subset_to_comp(set(range(1, total)) - inside, total)
 
 
-def comp_refines(alpha, beta) -> bool:
-    """alpha refines beta iff beta's subset is contained in alpha's."""
-    if sum(alpha) != sum(beta):
-        raise ValueError("compositions of different totals")
-    return comp_to_subset(beta) <= comp_to_subset(alpha)
-
-
 # ---------------------------------------------------------------------------
 # structure constants
 
 
-def structure_constants(
-    ctype: str, n: int, basis_kind: str = "Y", *, deep: bool = False
-) -> StructureTable:
-    """Full multiplication table of the descent algebra on the Y- or
-    X-basis.  Raises if any product leaves the span: running this *is* the
-    closure check for the descent algebra.  Exhaustive caps: type A up to
-    rank 6, types B and D up to 4 (5 with deep=True)."""
+def structure_constants(ctype: str, n: int, *, deep: bool = False) -> StructureTable:
+    """Full multiplication table of the descent algebra on the Y-basis.
+    Raises if any product leaves the span: running this *is* the closure
+    check for the descent algebra.  Exhaustive caps: type A up to rank 6,
+    types B and D up to 4 (5 with deep=True)."""
     from .perms import STRUCTURE_CAPS, CapExceeded
 
     cap = STRUCTURE_CAPS[ctype][deep]
@@ -202,22 +177,9 @@ def structure_constants(
         raise CapExceeded(
             f"structure constants for type {ctype} capped at rank {cap}"
         )
-    if basis_kind not in ("Y", "X"):
-        raise ValueError(f"unknown basis kind {basis_kind!r}")
     alg = descent_algebra(ctype, n)
-    name = f"Sigma({ctype}_{n})[{basis_kind}]"
     labels = [GeneratorSet(ctype, n, m).text() for m in alg.labels]
-    if basis_kind == "Y":
-        return alg.table(name, labels)
-    cells = []
-    for mi in alg.labels:
-        row = []
-        for mj in alg.labels:
-            y = alg.product(x_to_y_coords({mi: 1}), x_to_y_coords({mj: 1}))
-            x = y_to_x_coords(y)
-            row.append(tuple(normalize_coord(x.get(m, 0)) for m in alg.labels))
-        cells.append(row)
-    return StructureTable(name=name, labels=labels, cells=cells)
+    return alg.table(f"Sigma({ctype}_{n})[Y]", labels)
 
 
 def structure_cube(ctype: str, n: int) -> dict:

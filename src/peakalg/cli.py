@@ -58,7 +58,7 @@ def cmd_table(args) -> int:
         from .bases import structure_constants
 
         ctype = {"SigA": "A", "SigB": "B", "SigD": "D"}[args.algebra]
-        table = structure_constants(ctype, args.n, "Y", deep=args.deep)
+        table = structure_constants(ctype, args.n, deep=args.deep)
     if args.format == "csv":
         _write_out(table.to_csv(), args.out)
     elif args.format == "json":

@@ -559,12 +559,6 @@ def check_type_d_numbers(n: int):
 # non-containment in the descent-count span of type A
 
 
-def a_descent_number(n: int, j: int) -> AlgElem:
-    """Sum of the unsigned permutations with j type-A descents."""
-    alg = descent_algebra("A", n)
-    return alg.element({m: 1 for m in alg.labels if popcount(m) == j})
-
-
 def loday_witness(kind: str, n_max: int = 6):
     """Smallest rank at which the peak-count span (kind 'p') or interior
     span (kind 'pint') escapes the span of the type-A descent-count sums;

@@ -36,7 +36,16 @@ from .bases import (
 )
 from .mr import stilde_basis, t_algebra, t_coords
 from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordinates
-from .perms import Perm, compose, composers, inverse, lifted_words, members_of
+from .perms import (
+    CapExceeded,
+    Perm,
+    compose,
+    composers,
+    group_elements,
+    inverse,
+    lifted_words,
+    members_of,
+)
 from .reporting import CheckFailure
 
 
@@ -81,8 +90,6 @@ SHUFFLE_EXHAUSTIVE_TO = 5  # check_shuffle_coefficients tries every pair up to t
 
 def external_product(a: AlgElem, b: AlgElem) -> AlgElem:
     """Shuffle product: sum over shuffles of the block embedding."""
-    from .perms import CapExceeded
-
     p, q = a.n, b.n
     if p + q > EXTERNAL_DEGREE_CAP:
         raise CapExceeded(f"external product capped at total degree {EXTERNAL_DEGREE_CAP}")
@@ -149,48 +156,12 @@ class Tensor2:
         else:
             self.terms[key] = s
 
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        out = Tensor2(self.group, self.n, dict(self.terms))
-        for (u, v), c in other.terms.items():
-            out.add_term(u, v, c)
-        return out
-
-    def scale(self, c) -> "Tensor2":
-        if c == 0:
-            return Tensor2.zero(self.group, self.n)
-        return Tensor2(self.group, self.n, {k: c * x for k, x in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor2)
-            and (self.group, self.n) == (other.group, other.n)
-            and self.terms == other.terms
-        )
-
     def bidegree(self, p: int) -> dict:
         return {k: c for k, c in self.terms.items() if len(k[0]) == p}
-
-    def componentwise_internal(self, other: "Tensor2") -> "Tensor2":
-        """Internal product in each tensor factor; mismatched bidegrees
-        annihilate."""
-        out: dict = {}
-        for (u, v), c in self.terms.items():
-            for (u2, v2), c2 in other.terms.items():
-                if len(u) != len(u2) or len(v) != len(v2):
-                    continue
-                key = (compose(u, u2), compose(v, v2))
-                s = out.get(key, 0) + c * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Tensor2(self.group, self.n, out)
 
 
 def coproduct(a: AlgElem) -> Tensor2:
     """Sum of the block factorizations over all split points."""
-    from .perms import CapExceeded
-
     if a.n > EXTERNAL_DEGREE_CAP:
         raise CapExceeded(f"coproduct capped at degree {EXTERNAL_DEGREE_CAP}")
     out = Tensor2.zero(a.group, a.n)
@@ -244,66 +215,6 @@ FAMILIES = {
     "Peak": peak_algebra,
     "PeakIdeal": interior_peak_algebra,
 }
-
-
-def _class_coords(factory):
-    """Membership test of a graded family of class algebras."""
-    return lambda a: factory(a.n).coords(a)
-
-
-FAMILY_TESTS = {
-    "QS": lambda a: {} if a.group == "S" else None,
-    "QB": lambda a: {} if a.group in ("B", "S") else None,
-    **{name: _class_coords(factory) for name, factory in FAMILIES.items()},
-}
-
-
-@dataclass
-class GradedElem:
-    """A finitely supported element of one graded family: a family tag
-    plus one group-algebra element per degree."""
-
-    family: str
-    components: dict  # degree -> AlgElem
-
-    def __post_init__(self):
-        if self.family not in FAMILY_TESTS:
-            raise ValueError(f"unknown family {self.family!r}")
-
-    def validate(self):
-        test = FAMILY_TESTS[self.family]
-        for deg, comp in self.components.items():
-            if comp.n != deg:
-                raise ValueError(f"component at degree {deg} has rank {comp.n}")
-            if comp and test(comp) is None:
-                raise ValueError(f"degree-{deg} component outside family {self.family}")
-        return self
-
-    def degrees(self):
-        return sorted(d for d, c in self.components.items() if c)
-
-    def component(self, d: int) -> AlgElem:
-        group = "S" if self.family in ("QS", "SolA", "Peak", "PeakIdeal") else "B"
-        return self.components.get(d, AlgElem.zero(group, d))
-
-    def __add__(self, other: "GradedElem") -> "GradedElem":
-        if self.family != other.family:
-            raise ValueError("mixed graded families")
-        out = dict(self.components)
-        for d, c in other.components.items():
-            out[d] = out[d] + c if d in out else c
-        return GradedElem(self.family, {d: c for d, c in out.items() if c})
-
-    def star(self, other: "GradedElem", family: str | None = None) -> "GradedElem":
-        out: dict = {}
-        for d1, c1 in self.components.items():
-            for d2, c2 in other.components.items():
-                if not c1 or not c2:
-                    continue
-                prod = external_product(c1, c2)
-                d = d1 + d2
-                out[d] = out[d] + prod if d in out else prod
-        return GradedElem(family or self.family, {d: c for d, c in out.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -461,18 +372,6 @@ def concat_mask_ordinary(p: int, m1: int, m2: int) -> int:
     """Label of the concatenated compositions: m1, the cut at p and m2
     shifted by p (at p = 0 the cut is 0, the pseudo-composition bit)."""
     return m1 | (1 << p) | (m2 << p)
-
-
-def _a_masks(p: int):
-    if p == 0:
-        return [0]
-    return [m << 1 for m in range(1 << (p - 1))]
-
-
-def _b_masks(p: int):
-    if p == 0:
-        return [0]
-    return list(range(1 << p))
 
 
 def _stilde(p: int, alpha) -> AlgElem:
@@ -772,8 +671,6 @@ def check_free_module(dmax: int):
 def check_shuffle_coefficients(dmax: int):
     """Shuffling two single permutations yields all-distinct terms (every
     coefficient 1); exhaustive to total degree SHUFFLE_EXHAUSTIVE_TO, sampled above."""
-    from .perms import group_elements
-
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
             us = group_elements("B", p)

@@ -310,13 +310,6 @@ def canonical_ideal_node(n: int) -> "Node":
     return x_span_node("canonical ideal", "B", n, [m | 1 for m in canonical_ideal_labels(n)])
 
 
-def ker_beta2_basis(n: int) -> list:
-    """X_J with 0 or 1 in J: the kernel of the double degree drop."""
-    return [
-        (m, x_basis("B", n, m)) for m in range(1 << n) if m & 3
-    ]
-
-
 def imchi_row(jmask: int, i: int) -> dict:
     """Type-D class coordinates spanning the image of the B-to-D fold: for
     J inside {2,...,n-1}, the classes with no leftmost descents (i = 1),

@@ -12,6 +12,7 @@ classes fix the order of the signed values per run.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import combinations
 
@@ -401,11 +402,6 @@ def check_phi_onto_descent_algebra(n: int):
         raise CheckFailure(f"images do not span the descent algebra at n={n}")
 
 
-def comp_to_text(alpha) -> str:
-    """Parenthesized text form, e.g. "(2,2,-3,-1,1)"."""
-    return "(" + ",".join(str(a) for a in alpha) + ")"
-
-
 def comp_from_text(text: str) -> tuple:
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
@@ -413,6 +409,9 @@ def comp_from_text(text: str) -> tuple:
     tokens = [t.strip() for t in body.split(",")] if body.strip() else []
     if "" in tokens:
         raise ValueError(f"{text!r} is not a signed composition: it has an empty part")
+    bad = next((t for t in tokens if not re.fullmatch(r"[+-]?\d+", t)), None)
+    if bad is not None:
+        raise ValueError(f"{text!r} is not a signed composition: part {bad!r} is not an integer")
     alpha = tuple(int(t) for t in tokens)
     if not is_signed_composition(alpha):
         raise ValueError(f"{text!r} is not a signed composition")

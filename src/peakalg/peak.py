@@ -38,7 +38,7 @@ from .perms import (
     peak_mask,
     sparse_masks,
 )
-from .reporting import CheckFailure, run_check
+from .reporting import CheckFailure
 
 
 @lru_cache(maxsize=None)
@@ -218,22 +218,3 @@ def check_unitriangular(n: int):
             raise CheckFailure(
                 f"F={mask_text(fm)}: nonzero above-diagonal terms at {above}"
             )
-
-
-CLOSURE_CAP = 6  # peak-algebra closure by the structure cube
-IDEAL_CAP = 5  # two-sided ideal on the type-A cube
-
-
-def verify_peak_theorems(n: int) -> list:
-    """The peak-algebra theorem suite at one rank: basis forms, closure,
-    image of the type-B descent algebra, the two-sided ideal, and the
-    rank-(n-2) quotient."""
-    checks = [run_check(f"peaks/forms-agree/n={n}", lambda: _forms_agree(n))]
-    if n <= CLOSURE_CAP:
-        checks.append(run_check(f"peaks/closure/n={n}", lambda: check_closure(n)))
-    checks.append(run_check(f"peaks/unitriangular-image/n={n}", lambda: check_unitriangular(n)))
-    if n <= IDEAL_CAP:
-        checks.append(run_check(f"peaks/two-sided-ideal/n={n}", lambda: check_two_sided_ideal(n)))
-    if n >= 2:
-        checks.append(run_check(f"peaks/quotient/n={n}", lambda: check_quotient(n)))
-    return checks

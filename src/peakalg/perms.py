@@ -430,18 +430,6 @@ class GeneratorSet:
     def __contains__(self, label: int) -> bool:
         return bool((self.mask >> label) & 1)
 
-    def union(self, other: "GeneratorSet") -> "GeneratorSet":
-        self._same_frame(other)
-        return GeneratorSet(self.ctype, self.n, self.mask | other.mask)
-
-    def complement(self) -> "GeneratorSet":
-        full = _valid_label_mask(self.ctype, self.n)
-        return GeneratorSet(self.ctype, self.n, full & ~self.mask)
-
-    def _same_frame(self, other: "GeneratorSet"):
-        if (self.ctype, self.n) != (other.ctype, other.n):
-            raise ValueError("mixed generator-set frames")
-
 
 def descent_set(w: Perm, ctype: str) -> GeneratorSet:
     group = GROUP_OF_TYPE[ctype]
@@ -535,18 +523,6 @@ def interior_peak_set(u: Perm) -> PeakIndex:
     return PeakIndex(len(u), interior_peak_mask(u))
 
 
-def lambda_op(J: GeneratorSet) -> PeakIndex:
-    if J.ctype != "A":
-        raise ValueError("lambda_op is defined on type-A generator sets")
-    return PeakIndex(J.n, lambda_mask(J.mask))
-
-
-def lambda_interior(J: GeneratorSet) -> PeakIndex:
-    if J.ctype != "A":
-        raise ValueError("lambda_interior is defined on type-A generator sets")
-    return PeakIndex(J.n, lambda_interior_mask(J.mask))
-
-
 # ---------------------------------------------------------------------------
 # Cayley-graph length oracle
 
@@ -582,15 +558,3 @@ def length_descent_mask(w: Perm, ctype: str) -> int:
     return mask_of(
         label for label, g in coxeter_generators(ctype, len(w)) if table[compose(w, g)] < lw
     )
-
-
-def perm_to_text(w: Perm) -> str:
-    """Comma-separated one-line text form, e.g. "2,-4,1,3"."""
-    return ",".join(str(v) for v in w)
-
-
-def perm_from_text(text: str) -> Perm:
-    w = tuple(int(t) for t in text.split(",") if t.strip())
-    if not is_signed_perm(w):
-        raise ValueError(f"{text!r} is not a signed permutation")
-    return w

@@ -210,7 +210,7 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 
     def closure_table(case):
         ctype, n = case
-        table = bases.structure_constants(ctype, n, "Y", deep=deep)
+        table = bases.structure_constants(ctype, n, deep=deep)
         cells = (c for row in table.cells for cell in row for c in cell)
         if not all(isinstance(c, int) and c >= 0 for c in cells):
             raise CheckFailure(f"non-integer or negative constant in {table.name}")
@@ -230,8 +230,19 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
     from .perms import fibonacci
 
     checks = []
-    for n in range(1, _cap(n_max, 6) + 1):
-        checks.extend(peakmod.verify_peak_theorems(n))
+    # the theorems at one rank, rank by rank: basis forms, closure by the
+    # structure cube, image of the type-B descent algebra, the two-sided
+    # ideal on the type-A cube, and the rank-(n-2) quotient
+    theorems = (
+        ("forms-agree", peakmod._forms_agree, _ranks(1, n_max, 6)),
+        ("closure", peakmod.check_closure, _ranks(1, n_max, 6)),
+        ("unitriangular-image", peakmod.check_unitriangular, _ranks(1, n_max, 6)),
+        ("two-sided-ideal", peakmod.check_two_sided_ideal, _ranks(1, n_max, 5)),
+        ("quotient", peakmod.check_quotient, _ranks(2, n_max, 6)),
+    )
+    for n in _ranks(1, n_max, 6):
+        named = [(name, body) for name, body, ranks in theorems if n in ranks]
+        _add_per_rank(checks, "peaks", [n], *named)
 
     def dims(n):
         if peakmod.peak_solver(n).rank != fibonacci(n):

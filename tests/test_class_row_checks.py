@@ -25,7 +25,6 @@ from peakalg.bases import (
     descent_algebra,
     descent_classes,
     descent_coordinates,
-    descent_span_rank,
     x_basis,
     x_label_elements,
     x_to_y_coords,
@@ -43,6 +42,8 @@ from peakalg.peak import (
 )
 from peakalg.perms import GROUP_OF_TYPE, fibonacci, interior_sparse_masks
 from peakalg.reporting import CheckFailure, run_check
+
+from oracles import descent_span_rank
 
 # ---------------------------------------------------------------------------
 # the element-level reference
@@ -123,7 +124,8 @@ def ref_kernel_of_drop(n_max):
 
 def ref_images_onto_interior(n_max):
     for n in _upto(2, n_max, 5):
-        for family in (maps.canonical_ideal_basis(n), maps.ker_beta2_basis(n)):
+        ker_beta2 = [(m, x_basis("B", n, m)) for m in range(1 << n) if m & 3]
+        for family in (maps.canonical_ideal_basis(n), ker_beta2):
             rows = []
             for _, b in family:
                 c = interior_peak_coordinates(maps.phi(b))

@@ -4,7 +4,6 @@ import pytest
 
 from peakalg.algebra import AlgElem
 from peakalg.commutative import (
-    a_descent_number,
     beta_x_number_formula,
     beta_y_number_formula,
     check_beta_number_forms,
@@ -36,6 +35,8 @@ from peakalg.commutative import (
 )
 from peakalg.maps import beta_map, chi, phi, pi_map
 from peakalg.perms import group_elements, identity
+
+from oracles import a_descent_number
 
 
 def test_builder_examples():

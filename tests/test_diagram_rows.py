@@ -29,7 +29,6 @@ from peakalg.maps import (
     bd_triangles,
     bexact_diagram,
     dexact_diagram,
-    ker_beta2_basis,
     verify_diagram,
     x_support_coords,
 )
@@ -170,7 +169,7 @@ def _wp(a):
 
 
 REF_NODES = {
-    "I01": lambda n: (ker_beta2_basis(n), _x_ideal("B", n)[1]),
+    "I01": lambda n: _x_ideal("B", n),
     "Iprime": lambda n: _x_ideal("D", n),
     "SolB": lambda n: (y_label_elements("B", n), _descent("B")),
     "SolD": lambda n: (y_label_elements("D", n), _descent("D")),

@@ -1,11 +1,9 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peakalg.algebra import AlgElem
-from peakalg.bases import x_basis, y_basis
+from peakalg.bases import y_basis
 from peakalg.hopf import (
-    GradedElem,
     Tensor2,
     block_embed,
     check_beta_via_coproduct,
@@ -33,6 +31,8 @@ from peakalg.hopf import (
 from peakalg.mr import stilde_basis
 from peakalg.peak import peak_basis, peak_coordinates
 from peakalg.perms import compose, group_elements, identity, inverse
+
+from test_hopf_coords import componentwise_internal
 
 
 def test_shuffles_are_coset_representatives():
@@ -157,27 +157,7 @@ def test_external_associative_and_graded():
 def test_tensor2_internal_componentwise():
     t = Tensor2("S", 2, {((1,), (1,)): 1})
     s = Tensor2("S", 2, {((1,), (1,)): 2})
-    assert t.componentwise_internal(s).terms == {((1,), (1,)): 2}
-
-
-def test_graded_elem_validation():
-    g = GradedElem("Peak", {2: peak_basis(2, 0b10), 3: peak_basis(3, 0b100)})
-    g.validate()
-    with pytest.raises(ValueError):
-        GradedElem("PeakIdeal", {2: peak_basis(2, 0b10)}).validate()
-    with pytest.raises(ValueError):
-        GradedElem("nope", {})
-    with pytest.raises(ValueError):
-        GradedElem("Peak", {3: peak_basis(2, 0b10)}).validate()
-
-
-def test_graded_star():
-    g1 = GradedElem("SolA", {1: x_basis("A", 1, 0)}).validate()
-    g2 = GradedElem("SolA", {2: x_basis("A", 2, 0)}).validate()
-    prod = g1.star(g2)
-    assert prod.degrees() == [3]
-    assert prod.component(3) == x_basis("A", 3, 0b10)
-    prod.validate()
+    assert componentwise_internal(t, s).terms == {((1,), (1,)): 2}
 
 
 def test_ideal_and_type_a_share_graded_constants():

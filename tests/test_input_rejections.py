@@ -1,5 +1,6 @@
 """Malformed input exits 2 and names its defect: a JSON coefficient with a
-zero denominator, and a label or signed composition with an empty token.
+zero denominator, a label or signed composition with an empty token, and
+a composition part that is not an integer.
 The empty label "{}" stays the empty set.  Every --map name of apply
 reads the function of peakalg.maps it names."""
 
@@ -43,6 +44,16 @@ def test_an_empty_label_member_exits_2(label, capsys):
 def test_an_empty_composition_part_exits_2(alpha, capsys):
     assert main(["export", "T", "--n", "3", "--alpha", alpha]) == 2
     assert f"{alpha!r} is not a signed composition: it has an empty part" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha, part", [("(a,2)", "a"), ("(1,2", "(1")])
+def test_a_composition_part_that_is_not_an_integer_exits_2(alpha, part, capsys):
+    assert main(["export", "T", "--n", "3", "--alpha", alpha]) == 2
+    err = capsys.readouterr().err
+    assert f"{alpha!r} is not a signed composition: part {part!r} is not an integer" in err
+    assert "invalid literal" not in err
+    with pytest.raises(ValueError, match="is not an integer"):
+        comp_from_text(alpha)
 
 
 @pytest.mark.parametrize("label", ["{}", "{ }", "", " {} "])

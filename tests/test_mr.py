@@ -185,9 +185,8 @@ def test_mr_basis_dispatch():
 
 
 def test_composition_text_roundtrip():
-    from peakalg.mr import comp_from_text, comp_to_text
+    from peakalg.mr import comp_from_text
 
-    assert comp_to_text((2, 2, -3, -1, 1)) == "(2,2,-3,-1,1)"
     assert comp_from_text("(2,2,-3,-1,1)") == (2, 2, -3, -1, 1)
     with pytest.raises(ValueError):
         comp_from_text("(2,0,1)")

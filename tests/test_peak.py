@@ -15,9 +15,9 @@ from peakalg.peak import (
     peak_table,
     pi_label,
     pi_map,
-    verify_peak_theorems,
 )
 from peakalg.perms import fibonacci, identity, sparse_masks
+from peakalg.verify import suite_peaks
 
 
 def test_unit_degree_1():
@@ -125,9 +125,12 @@ def test_two_sided_ideal_small():
 
 
 def test_peak_theorem_suite():
+    checks = suite_peaks(5)
+    assert all(c.ok for c in checks), [(c.check_id, c.witness) for c in checks if not c.ok]
+    ids = {c.check_id for c in checks}
     for n in (2, 3, 4, 5):
-        for c in verify_peak_theorems(n):
-            assert c.ok, (c.check_id, c.witness)
+        for name in ("forms-agree", "closure", "unitriangular-image", "two-sided-ideal", "quotient"):
+            assert f"peaks/{name}/n={n}" in ids
 
 
 def test_membership_coordinates_agree_with_solver():
