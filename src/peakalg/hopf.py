@@ -12,6 +12,7 @@ are only module coalgebras over them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
@@ -39,10 +40,10 @@ from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordina
 from .perms import (
     CapExceeded,
     Perm,
-    compose,
+    composer,
     composers,
     group_elements,
-    inverse,
+    lifted,
     lifted_words,
     members_of,
 )
@@ -124,12 +125,31 @@ def coproduct_split(w: Perm, p: int):
     return tuple(left_pos + right_pos), tuple(w1), tuple(w2)
 
 
+def _blocks(w: Perm) -> tuple:
+    """The (left, right) blocks of w at p = 0..n."""
+    return tuple(coproduct_split(w, p)[1:] for p in range(len(w) + 1))
+
+
+# split tables are kept to this rank (about 4 MB at rank 5, 65 MB at rank 6);
+# a longer leg is split where it is read
+SPLIT_TABLE_TO = 5
+
+
+@lru_cache(maxsize=None)
+def split_table(n: int) -> dict:
+    """w -> its (left, right) blocks at p = 0..n, for each w of B_n: every
+    element of rank n split once, for the legs of the splits above it."""
+    return {w: _blocks(w) for w in group_elements("B", n)}
+
+
 def check_split_reassembly(w: Perm):
     """Certify the factorization: the block pair times the inverse
-    shuffle recovers w, for every split point."""
+    shuffle recovers w, for every split point, that is, w times the
+    shuffle is the block pair."""
+    table = lifted(w)
     for p in range(len(w) + 1):
         xi, w1, w2 = coproduct_split(w, p)
-        if compose(block_embed(w1, w2), inverse(xi)) != w:
+        if composer(xi)(table) != block_embed(w1, w2):
             raise CheckFailure(f"factorization fails at w={w}, p={p}")
         if list(xi[:p]) != sorted(xi[:p]) or list(xi[p:]) != sorted(xi[p:]):
             raise CheckFailure(f"factor is not a shuffle at w={w}, p={p}")
@@ -156,9 +176,6 @@ class Tensor2:
         else:
             self.terms[key] = s
 
-    def bidegree(self, p: int) -> dict:
-        return {k: c for k, c in self.terms.items() if len(k[0]) == p}
-
 
 def coproduct(a: AlgElem) -> Tensor2:
     """Sum of the block factorizations over all split points."""
@@ -172,21 +189,31 @@ def coproduct(a: AlgElem) -> Tensor2:
     return out
 
 
+def _leg_splits(leg: Perm, w: Perm, blocks: tuple) -> tuple:
+    """The splits of a leg of w, whose own splits are blocks: w's when
+    the leg is w (at p = 0 and p = n, so no table of w's rank is kept),
+    else the leg's row of the split table of its rank."""
+    if leg == w:
+        return blocks
+    if len(leg) > SPLIT_TABLE_TO:
+        return _blocks(leg)
+    found = split_table(len(leg)).get(leg)
+    if found is None:  # the leg is not a signed permutation
+        raise CheckFailure(f"coassociativity fails at w={w}")
+    return found
+
+
 def check_coassociative(w: Perm):
-    """(split left again) and (split right again) agree on w."""
-    n = len(w)
-    left: dict = {}
-    right: dict = {}
-    for p in range(n + 1):
-        _, w1, w2 = coproduct_split(w, p)
-        for q in range(p + 1):
-            _, a, b = coproduct_split(w1, q)
-            key = (a, b, w2)
-            left[key] = left.get(key, 0) + 1
-        for q in range(n - p + 1):
-            _, b, c = coproduct_split(w2, q)
-            key = (w1, b, c)
-            right[key] = right.get(key, 0) + 1
+    """(split left again) and (split right again) agree on w, as sorted
+    lists of triples.  w is split once at each p, and each leg is split
+    on its own, in the split table of its rank."""
+    blocks = _blocks(w)
+    left, right = [], []
+    for w1, w2 in blocks:
+        left += [(a, b, w2) for a, b in _leg_splits(w1, w, blocks)]
+        right += [(w1, b, c) for b, c in _leg_splits(w2, w, blocks)]
+    left.sort()
+    right.sort()
     if left != right:
         raise CheckFailure(f"coassociativity fails at w={w}")
 
@@ -244,6 +271,9 @@ SHUFFLE_TARGETS = {
 # family -> the descents-to-peaks transform on it, by its name in maps
 TRANSFORMS = {"SolA": "theta", "SolB": "theta_pm", "OmegaB": "theta_pm"}
 
+# coarsening family -> the family whose classes it merges
+COARSENINGS = {"I0": "SolB", "Peak": "SolA", "PeakIdeal": "SolA"}
+
 # family -> its name in the closure witness
 _CLOSURE_NAMES = {
     "SolA": "type-A",
@@ -268,21 +298,53 @@ def _x_coords(family: str, n: int) -> dict:
 @lru_cache(maxsize=None)
 def coproduct_coords(family: str, n: int) -> dict:
     """label -> coproduct of the class sum, keyed (p, left label, right
-    label) over the class sums of the family in degrees p and n - p."""
+    label) over the class sums of the family in degrees p and n - p.  An
+    enumerated family bins the splits of each class at each p; a
+    coarsening reads the table of the family it coarsens."""
+    if family in COARSENINGS:
+        return _coarsened_coproduct(family, n)
     factory = FAMILIES[family]
     out = {}
-    for lab, c in factory(n).basis:
-        t2 = coproduct(c)
+    for lab, ws in factory(n).classes.items():
         coords = {}
         for p in range(n + 1):
-            pc = pair_coords(t2.bidegree(p), factory(p), factory(n - p))
+            split = Counter(coproduct_split(w, p)[1:] for w in ws)
+            pc = pair_coords(split, factory(p), factory(n - p))
             if pc is None:
-                raise CheckFailure(
-                    f"{_CLOSURE_NAMES[family]} coproduct closure fails at {label_text(lab)}"
-                )
+                raise _closure_failure(family, lab)
             for (l1, l2), x in pc.items():
                 coords[(p, l1, l2)] = x
         out[lab] = coords
+    return out
+
+
+def _closure_failure(family: str, lab) -> CheckFailure:
+    return CheckFailure(f"{_CLOSURE_NAMES[family]} coproduct closure fails at {label_text(lab)}")
+
+
+def _coarsened_coproduct(family: str, n: int) -> dict:
+    """The coproduct of a merged class sum is the sum of the parent's rows
+    over its fibre, and, as every parent class is non-empty, it lies in
+    the coarsening's tensor square exactly when that sum is constant on
+    every pair of fibres (the argument of ClassAlgebra._coarsened_cube)."""
+    fine = coproduct_coords(COARSENINGS[family], n)
+    algs = [FAMILIES[family](d) for d in range(n + 1)]
+    out = {}
+    for g, ls in algs[n].fibres.items():
+        total: dict = {}
+        for lab in ls:
+            add_multiple(total, 1, fine[lab])
+        coords = {}
+        for p in range(n + 1):
+            for g1, ls1 in algs[p].fibres.items():
+                for g2, ls2 in algs[n - p].fibres.items():
+                    values = {total.get((p, l1, l2), 0) for l1 in ls1 for l2 in ls2}
+                    if len(values) > 1:
+                        raise _closure_failure(family, g)
+                    c = values.pop()
+                    if c != 0:
+                        coords[(p, g1, g2)] = c
+        out[g] = coords
     return out
 
 
@@ -338,11 +400,16 @@ def _map_tensor(t: dict, n: int, rows) -> dict:
     where rows(d) gives f in degree d: the left side, then the right."""
     mid: dict = {}
     for (p, l1, l2), c in t.items():
-        add_multiple(mid, c, {(p, k1, l2): a for k1, a in rows(p)[l1].items()})
+        for k1, a in rows(p)[l1].items():
+            key = (p, k1, l2)
+            mid[key] = mid.get(key, 0) + c * a
     out: dict = {}
     for (p, k1, l2), c in mid.items():
-        add_multiple(out, c, {(p, k1, k2): b for k2, b in rows(n - p)[l2].items()})
-    return out
+        if c:
+            for k2, b in rows(n - p)[l2].items():
+                key = (p, k1, k2)
+                out[key] = out.get(key, 0) + c * b
+    return {k: c for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +564,10 @@ def check_peak_not_closed_witness():
 
 def check_theta_hopf(dmax: int):
     """The descents-to-peaks transforms respect both the shuffle product
-    and the coproduct."""
-    stilde = {n: _x_coords("OmegaB", n) for n in range(1, dmax + 1)}
-    xa = {n: _x_coords("SolA", n) for n in range(1, dmax + 1)}
+    and the coproduct.  Both sides of the coproduct identity are linear,
+    so it is compared on the class sums."""
+    stilde = {n: _x_coords("OmegaB", n) for n in range(1, dmax)}
+    xa = {n: _x_coords("SolA", n) for n in range(1, dmax)}
     bases = {"OmegaB": stilde, "SolA": xa}
     images = {
         family: {
@@ -515,11 +583,10 @@ def check_theta_hopf(dmax: int):
         left = apply_rows(transform_coords(family, p + q), prod)
         return left != _shuffle(family, family, p, q, image[p][k1], image[q][k2])
 
-    def breaks_coproduct(family, n, k):
+    def breaks_coproduct(family, n, lab):
         cop = coproduct_coords(family, n)
-        left = apply_rows(cop, images[family][n][k])
-        delta = apply_rows(cop, bases[family][n][k])
-        return left != _map_tensor(delta, n, partial(transform_coords, family))
+        left = apply_rows(cop, transform_coords(family, n)[lab])
+        return left != _map_tensor(cop[lab], n, partial(transform_coords, family))
 
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
@@ -534,10 +601,10 @@ def check_theta_hopf(dmax: int):
                             f"transform breaks shuffles at masks {bin(m1)}, {bin(m2)}"
                         )
     for n in range(1, dmax + 1):
-        for alpha in stilde[n]:
+        for alpha in t_algebra(n).labels:
             if breaks_coproduct("OmegaB", n, alpha):
                 raise CheckFailure(f"type-B transform breaks the coproduct at {alpha}")
-        for m in xa[n]:
+        for m in descent_algebra("A", n).labels:
             if breaks_coproduct("SolA", n, m):
                 raise CheckFailure(f"transform breaks the coproduct at mask {bin(m)}")
 
@@ -606,19 +673,16 @@ def check_module_morphisms(dmax: int):
 
 def check_delta_internal_compat(dmax: int):
     """On the type-A descent algebra the coproduct respects the internal
-    product componentwise."""
+    product componentwise.  Both sides are bilinear, so the identity is
+    compared on each pair of class sums, their product read on the cube."""
     for n in range(1, dmax + 1):
-        alg = descent_algebra("A", n)
         cop = coproduct_coords("SolA", n)
-        elems = list(_x_coords("SolA", n).values())
-        deltas = [_by_bidegree(apply_rows(cop, e)) for e in elems]
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                left = apply_rows(cop, alg.product(a, b))
-                if left != _componentwise_internal(deltas[i], deltas[j], n):
-                    raise CheckFailure(
-                        f"internal compatibility fails at degree {n}, pair ({i},{j})"
-                    )
+        deltas = {lab: _by_bidegree(t) for lab, t in cop.items()}
+        for (a, b), prod in descent_algebra("A", n).cube.items():
+            if apply_rows(cop, prod) != _componentwise_internal(deltas[a], deltas[b], n):
+                raise CheckFailure(
+                    f"internal compatibility fails at degree {n}, pair ({bin(a)},{bin(b)})"
+                )
 
 
 def _by_bidegree(t: dict) -> dict:

@@ -243,14 +243,19 @@ def group_order(group: str, n: int) -> int:
     raise ValueError(f"unknown group {group!r}")
 
 
-def iter_group(group: str, n: int, *, cap: int | None = None):
-    """Yield each element exactly once: base permutations in lexicographic
-    order, then sign masks in increasing binary order (bit i = bar at
-    position i+1)."""
+def _require_cap(group: str, n: int, cap: int | None = None):
+    """CapExceeded when rank n of group is above its enumeration cap."""
     if cap is None:
         cap = enum_cap(group)
     if n > cap:
         raise CapExceeded(f"{group}_{n} exceeds enumeration cap {cap}")
+
+
+def iter_group(group: str, n: int, *, cap: int | None = None):
+    """Yield each element exactly once: base permutations in lexicographic
+    order, then sign masks in increasing binary order (bit i = bar at
+    position i+1)."""
+    _require_cap(group, n, cap)
     if group == "S":
         yield from itertools.permutations(range(1, n + 1))
         return
@@ -264,6 +269,22 @@ def iter_group(group: str, n: int, *, cap: int | None = None):
             yield tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(base))
 
 
+def _capped(listing):
+    """The cached listing behind a cap read on every call, so a PEAKALG_CAP
+    lowered after a group was listed still stops it.  The wrapper carries
+    the listing's cache_info and cache_clear: it is the one name of the
+    cache."""
+
+    def group_elements(group: str, n: int) -> tuple:
+        _require_cap(group, n)
+        return listing(group, n)
+
+    group_elements.cache_info = listing.cache_info
+    group_elements.cache_clear = listing.cache_clear
+    return group_elements
+
+
+@_capped
 @lru_cache(maxsize=None)
 def group_elements(group: str, n: int) -> tuple:
     return tuple(iter_group(group, n))

@@ -25,3 +25,8 @@ def a_descent_number(n: int, j: int):
     """Sum of the unsigned permutations with j type-A descents."""
     alg = descent_algebra("A", n)
     return alg.element({m: 1 for m in alg.labels if popcount(m) == j})
+
+
+def bidegree(t2, p: int) -> dict:
+    """The component of a hopf.Tensor2 whose left factors have degree p."""
+    return {k: c for k, c in t2.terms.items() if len(k[0]) == p}

@@ -4,10 +4,12 @@ peakalg.hopf evaluates check_theta_hopf, check_delta_internal_compat,
 check_beta_via_coproduct, check_delta_closures, check_module_morphisms,
 the four concatenation checks, the two shuffle closures, the ideal/type-A
 isomorphism and the free-module check on coordinates read from cached
-Hopf data.  The element-level bodies they replaced live here as the
-reference: every group element of every basis element goes through
-coproduct_split and compose.  Both paths must agree, and the cached data
-must equal the binned element-level results cell by cell.
+Hopf data, and the per-element checks of the split (reassembly,
+coassociativity, counit) on split tables.  The element-level bodies they
+replaced live here as the reference: every group element of every basis
+element goes through coproduct_split and compose.  Both paths must agree,
+and the cached data must equal the binned element-level results cell by
+cell.
 """
 
 from functools import partial
@@ -25,11 +27,13 @@ from peakalg.bases import (
     y_to_x_coords,
 )
 from peakalg.hopf import (
+    COARSENINGS,
     FAMILIES,
     SHUFFLE_TARGETS,
     TRANSFORMS,
     Tensor2,
     _stilde,
+    block_embed,
     concat_mask_ordinary,
     coproduct,
     coproduct_coords,
@@ -49,10 +53,10 @@ from peakalg.peak import (
     peak_coordinates,
     peak_elements,
 )
-from peakalg.perms import compose
+from peakalg.perms import compose, group_elements, inverse
 from peakalg.reporting import CheckFailure
 
-from oracles import descent_span_rank
+from oracles import bidegree, descent_span_rank
 
 # ---------------------------------------------------------------------------
 # the element-level reference
@@ -105,7 +109,7 @@ def componentwise_internal(s: Tensor2, t: Tensor2) -> Tensor2:
 
 
 def tensor_coords(t2: Tensor2, p: int, factory):
-    return pair_coords(t2.bidegree(p), factory(p), factory(t2.n - p))
+    return pair_coords(bidegree(t2, p), factory(p), factory(t2.n - p))
 
 
 def _double_y_to_x(coords: dict) -> dict:
@@ -199,7 +203,7 @@ def reference_beta_via_coproduct(dmax: int):
     for n in range(1, dmax + 1):
         for m in _all_masks("B", n):
             a = x_basis("B", n, m)
-            comp = coproduct(a).bidegree(1)
+            comp = bidegree(coproduct(a), 1)
             out = AlgElem.zero("B", n - 1)
             for (u, v), c in comp.items():
                 eta = 1 if u == (1,) else -1  # eta((1)) = 1, eta((-1)) = -1
@@ -371,8 +375,8 @@ def reference_i0_sola_isomorphism(dmax: int):
         t_i = coproduct(x0_of_mask(m, 0))
         for i in range(m + 1):
             j = m - i
-            comp_a = t_a.bidegree(i)
-            comp_i = t_i.bidegree(i)
+            comp_a = bidegree(t_a, i)
+            comp_i = bidegree(t_i, i)
             want_a = {}
             for u in xa_of_mask(i, 0).terms:
                 for v in xa_of_mask(j, 0).terms:
@@ -385,6 +389,51 @@ def reference_i0_sola_isomorphism(dmax: int):
                 raise CheckFailure(
                     f"generator coproducts differ at degree {m}, split {i}+{j}"
                 )
+
+
+def reference_split_reassembly(w):
+    for p in range(len(w) + 1):
+        xi, w1, w2 = hopf.coproduct_split(w, p)
+        if compose(block_embed(w1, w2), inverse(xi)) != w:
+            raise CheckFailure(f"factorization fails at w={w}, p={p}")
+        if list(xi[:p]) != sorted(xi[:p]) or list(xi[p:]) != sorted(xi[p:]):
+            raise CheckFailure(f"factor is not a shuffle at w={w}, p={p}")
+
+
+def reference_coassociative(w):
+    n = len(w)
+    left: dict = {}
+    right: dict = {}
+    for p in range(n + 1):
+        _, w1, w2 = hopf.coproduct_split(w, p)
+        for q in range(p + 1):
+            _, a, b = hopf.coproduct_split(w1, q)
+            key = (a, b, w2)
+            left[key] = left.get(key, 0) + 1
+        for q in range(n - p + 1):
+            _, b, c = hopf.coproduct_split(w2, q)
+            key = (w1, b, c)
+            right[key] = right.get(key, 0) + 1
+    if left != right:
+        raise CheckFailure(f"coassociativity fails at w={w}")
+
+
+def reference_counit(w):
+    n = len(w)
+    _, w1, w2 = hopf.coproduct_split(w, 0)
+    if w1 != () or w2 != w:
+        raise CheckFailure(f"counit (left) fails at w={w}")
+    _, w1, w2 = hopf.coproduct_split(w, n)
+    if w1 != w or w2 != ():
+        raise CheckFailure(f"counit (right) fails at w={w}")
+
+
+# per-element check name -> the body that split every leg again
+SINGLES = {
+    "check_split_reassembly": reference_split_reassembly,
+    "check_coassociative": reference_coassociative,
+    "check_counit": reference_counit,
+}
 
 
 # check name -> the element-level body it replaced
@@ -411,8 +460,11 @@ SHUFFLE_PAIRS = {
 
 
 def clear_hopf_data():
-    for cached in (coproduct_coords, shuffle_coords, transform_coords):
-        cached.cache_clear()
+    """Clear every cache that peakalg.hopf defines (the caches it imports
+    belong to their own modules)."""
+    for value in vars(hopf).values():
+        if hasattr(value, "cache_clear") and value.__module__ == hopf.__name__:
+            value.cache_clear()
 
 
 @pytest.fixture
@@ -441,6 +493,28 @@ def test_both_shuffle_paths_pass(name, dmax):
     getattr(hopf, name)(dmax)
 
 
+def run_singles(checks, nmax: int):
+    for n in range(nmax + 1):
+        for w in group_elements("B", n):
+            for check in checks:
+                check(w)
+
+
+@pytest.mark.parametrize("path", ["reference", "split tables"])
+def test_both_singles_paths_pass(path, fresh_hopf_data):
+    checks = SINGLES.values() if path == "reference" else map(partial(getattr, hopf), SINGLES)
+    run_singles(list(checks), 5)
+    # the legs of B_5 need the tables of ranks 0 to 4 only
+    assert hopf.split_table.cache_info().currsize == (5 if path == "split tables" else 0)
+
+
+def test_clear_hopf_data_finds_the_split_table(fresh_hopf_data):
+    hopf.split_table(2)
+    assert hopf.split_table.cache_info().currsize == 1
+    clear_hopf_data()
+    assert hopf.split_table.cache_info().currsize == 0
+
+
 def tensor_element(family: str, n: int, coords: dict) -> dict:
     """The Tensor2 terms of tensor coordinates keyed (p, left, right)."""
     terms: dict = {}
@@ -459,6 +533,22 @@ def test_coproduct_data_matches_elements(family):
         assert list(data) == list(alg.labels)
         for lab, c in alg.basis:
             assert tensor_element(family, n, data[lab]) == coproduct(c).terms, (n, lab)
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("family", sorted(COARSENINGS))
+def test_coarsened_coproduct_data_matches_elements_rank_5(family):
+    alg = FAMILIES[family](5)
+    data = coproduct_coords(family, 5)
+    assert list(data) == list(alg.labels)
+    for lab, c in alg.basis:
+        assert tensor_element(family, 5, data[lab]) == coproduct(c).terms, lab
+
+
+def test_coarsenings_merge_the_classes_of_their_parents():
+    for family, parent in COARSENINGS.items():
+        for n in range(0, 5):
+            assert FAMILIES[family](n).parent is FAMILIES[parent](n), (family, n)
 
 
 @pytest.mark.parametrize("pair", sorted(SHUFFLE_TARGETS))
@@ -571,3 +661,77 @@ def test_perturbed_i0_coproduct_cell_fails_the_isomorphism(fresh_hopf_data):
     with pytest.raises(CheckFailure, match="coproduct constants differ at degree 2"):
         hopf.check_i0_sola_isomorphism(3)
     reference_i0_sola_isomorphism(3)
+
+
+def _split_below(rank: int):
+    """coproduct_split that splits at p - 1 (for p > 0) on one rank."""
+    split = hopf.coproduct_split
+    return lambda w, p: split(w, p - 1) if len(w) == rank and p > 0 else split(w, p)
+
+
+def _unsigned_shift():
+    """coproduct_split that shifts the right values down by p whatever
+    their sign."""
+    split = hopf.coproduct_split
+
+    def broken(w, p):
+        xi, w1, w2 = split(w, p)
+        return xi, w1, tuple(x if x > 0 else x - 2 * p for x in w2)
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "mutation, names",
+    [
+        (partial(_split_below, 3), sorted(SINGLES)),
+        (_unsigned_shift, ["check_coassociative", "check_split_reassembly"]),
+    ],
+    ids=["split-at-p-1-on-rank-3", "unsigned-shift"],
+)
+def test_broken_split_fails_both_singles_paths(mutation, names, monkeypatch, fresh_hopf_data):
+    monkeypatch.setattr(hopf, "coproduct_split", mutation())
+    for name in names:
+        with pytest.raises(CheckFailure):
+            run_singles([SINGLES[name]], 5)
+        with pytest.raises(CheckFailure):
+            run_singles([getattr(hopf, name)], 5)
+
+
+def _perturb_spread_cell(family: str, n: int):
+    """Add 1 to a cell of the cached parent coproduct of family in degree
+    n whose pair of fibres has several members, so that the sum over the
+    fibre is no longer constant there."""
+    fine = coproduct_coords(COARSENINGS[family], n)
+    algs = [FAMILIES[family](d) for d in range(n + 1)]
+    for row in fine.values():
+        for p, l1, l2 in row:
+            left, right = algs[p], algs[n - p]
+            if len(left.fibres[left.fibre_of[l1]]) * len(right.fibres[right.fibre_of[l2]]) > 1:
+                row[(p, l1, l2)] += 1
+                return
+    raise AssertionError(f"no pair of fibres of {family} in degree {n} has several members")
+
+
+@pytest.mark.parametrize(
+    "family, witness", [("I0", "ideal"), ("Peak", "peak"), ("PeakIdeal", "interior")]
+)
+def test_perturbed_parent_coproduct_fails_the_fibre_closure(family, witness, fresh_hopf_data):
+    _perturb_spread_cell(family, 3)
+    with pytest.raises(CheckFailure, match=f"{witness} coproduct closure fails at"):
+        coproduct_coords(family, 3)
+
+
+def test_perturbed_cube_cell_fails_internal_compat(fresh_hopf_data):
+    hopf.check_delta_internal_compat(3)
+    cube = descent_algebra("A", 3).cube
+    key = next(iter(cube))
+    saved = dict(cube[key])
+    cube[key][next(iter(saved))] += 1
+    try:
+        # the witness names the pair of class labels
+        with pytest.raises(CheckFailure, match=r"fails at degree 3, pair \(0b0,0b0\)$"):
+            hopf.check_delta_internal_compat(3)
+    finally:
+        cube[key] = saved
+    hopf.check_delta_internal_compat(3)

@@ -248,6 +248,19 @@ def test_cap_env_override(monkeypatch):
         list(iter_group("B", 5))
 
 
+def test_a_lowered_cap_stops_a_group_already_listed(monkeypatch):
+    monkeypatch.delenv("PEAKALG_CAP", raising=False)
+    listing = group_elements("S", 4)
+    assert len(listing) == 24
+    monkeypatch.setenv("PEAKALG_CAP", "3")
+    with pytest.raises(CapExceeded, match="S_4 exceeds enumeration cap 3"):
+        group_elements("S", 4)
+    assert len(group_elements("S", 3)) == 6
+    monkeypatch.delenv("PEAKALG_CAP")
+    # the listing is cached, not rebuilt
+    assert group_elements("S", 4) is listing
+
+
 @pytest.mark.deep
 def test_descents_match_length_oracle_rank_6():
     for ctype in ("A", "B", "D"):
