@@ -559,15 +559,7 @@ class ClassAlgebra:
         """The coordinates of a coarsening read from its parent's
         coordinates, or None unless these are constant on every fibre
         (that is, off the span)."""
-        coords = {}
-        for g, ls in self.fibres.items():
-            values = {parent_coords.get(lab, 0) for lab in ls}
-            if len(values) > 1:
-                return None
-            c = values.pop()
-            if c != 0:
-                coords[g] = c
-        return coords
+        return fibre_lift(self.fibres, parent_coords)
 
     def spread(self, coords: dict) -> dict:
         """The parent's coordinates of the element with the given
@@ -626,6 +618,40 @@ class ClassAlgebra:
         return span.rank
 
 
+def fibre_lift(fibres: dict, fine: dict):
+    """Coordinates over unions of classes read from coordinates over the
+    classes: fibres maps each union's label to the (non-empty) labels it
+    unites.  None unless fine is constant on every fibre, that is, unless
+    the element lies in the span of the unions."""
+    coords = {}
+    for g, ls in fibres.items():
+        values = {fine.get(lab, 0) for lab in ls}
+        if len(values) > 1:
+            return None
+        c = values.pop()
+        if c != 0:
+            coords[g] = c
+    return coords
+
+
+def merged_rows(rows: dict, fibres: dict, target: dict, failure) -> dict:
+    """The rows of a linear map on unions of classes, read from its rows
+    on the classes: the row of a union is the sum of the rows over its
+    fibre (fibres: union label -> the labels it unites), lifted over the
+    target fibres.  The sum lies in the span of the target unions exactly
+    when it lifts; failure(label) is raised for the first that does not."""
+    out = {}
+    for g, ls in fibres.items():
+        total: dict = {}
+        for lab in ls:
+            add_multiple(total, 1, rows[lab])
+        coords = fibre_lift(target, total)
+        if coords is None:
+            raise failure(g)
+        out[g] = coords
+    return out
+
+
 def two_sided_failure(rows: dict, ideal: ClassAlgebra, witness):
     """Check that the span of a coarsening ideal is a two-sided ideal of
     the span of rows (label -> coordinates in the parent of ideal): each
@@ -682,10 +708,12 @@ def element_rows(f, src: ClassAlgebra, dst: ClassAlgebra, what: str) -> dict:
     """The rows of f, each image computed at element level and binned, so
     building them checks that f lands in dst (CheckFailure naming the
     class otherwise)."""
-    return {
-        lab: dst.binned(f(c), f"{what} of the class {label_text(lab)} leaves the span")
-        for lab, c in src.basis
-    }
+    return {lab: dst.binned(f(c), leaves_span(what, lab)) for lab, c in src.basis}
+
+
+def leaves_span(what: str, lab) -> str:
+    """The witness of a map whose image of the class of lab leaves the span."""
+    return f"{what} of the class {label_text(lab)} leaves the span"
 
 
 def apply_rows(rows: dict, coords: dict) -> dict:

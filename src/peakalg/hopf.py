@@ -25,6 +25,8 @@ from .algebra import (
     apply_rows,
     class_images,
     label_text,
+    leaves_span,
+    merged_rows,
     pair_coords,
 )
 from .bases import (
@@ -35,7 +37,7 @@ from .bases import (
     x_to_y_coords,
     y_basis,
 )
-from .mr import stilde_basis, t_algebra, t_coords
+from .mr import descent_fibres, stilde_basis, t_algebra, t_coords
 from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordinates
 from .perms import (
     CapExceeded,
@@ -268,11 +270,17 @@ SHUFFLE_TARGETS = {
     ("PeakIdeal", "PeakIdeal"): "PeakIdeal",
 }
 
-# family -> the descents-to-peaks transform on it, by its name in maps
+# family -> the descents-to-peaks transform on it, by its name in maps (a
+# family in FINER has the transform of the family whose classes it unites)
 TRANSFORMS = {"SolA": "theta", "SolB": "theta_pm", "OmegaB": "theta_pm"}
 
 # coarsening family -> the family whose classes it merges
 COARSENINGS = {"I0": "SolB", "Peak": "SolA", "PeakIdeal": "SolA"}
+
+# family -> the family whose classes its classes unite: the coarsenings,
+# and the type-B descent classes as unions of T-classes (the type-B
+# descent algebra inside the Mantaci-Reutenauer algebra)
+FINER = {**COARSENINGS, "SolB": "OmegaB"}
 
 # family -> its name in the closure witness
 _CLOSURE_NAMES = {
@@ -295,14 +303,21 @@ def _x_coords(family: str, n: int) -> dict:
     return {lab: x_to_y_coords({lab: 1}) for lab in FAMILIES[family](n).labels}
 
 
+def _fibres(family: str, d: int) -> dict:
+    """label -> the labels of FINER[family] that its class unites, in degree d."""
+    if family == "SolB":
+        return descent_fibres(d)
+    return FAMILIES[family](d).fibres
+
+
 @lru_cache(maxsize=None)
 def coproduct_coords(family: str, n: int) -> dict:
     """label -> coproduct of the class sum, keyed (p, left label, right
     label) over the class sums of the family in degrees p and n - p.  An
-    enumerated family bins the splits of each class at each p; a
-    coarsening reads the table of the family it coarsens."""
-    if family in COARSENINGS:
-        return _coarsened_coproduct(family, n)
+    enumerated family bins the splits of each class at each p; a family in
+    FINER reads the table of the family whose classes it unites."""
+    if family in FINER:
+        return _merged_coproduct(family, n)
     factory = FAMILIES[family]
     out = {}
     for lab, ws in factory(n).classes.items():
@@ -322,30 +337,20 @@ def _closure_failure(family: str, lab) -> CheckFailure:
     return CheckFailure(f"{_CLOSURE_NAMES[family]} coproduct closure fails at {label_text(lab)}")
 
 
-def _coarsened_coproduct(family: str, n: int) -> dict:
-    """The coproduct of a merged class sum is the sum of the parent's rows
-    over its fibre, and, as every parent class is non-empty, it lies in
-    the coarsening's tensor square exactly when that sum is constant on
-    every pair of fibres (the argument of ClassAlgebra._coarsened_cube)."""
-    fine = coproduct_coords(COARSENINGS[family], n)
-    algs = [FAMILIES[family](d) for d in range(n + 1)]
-    out = {}
-    for g, ls in algs[n].fibres.items():
-        total: dict = {}
-        for lab in ls:
-            add_multiple(total, 1, fine[lab])
-        coords = {}
-        for p in range(n + 1):
-            for g1, ls1 in algs[p].fibres.items():
-                for g2, ls2 in algs[n - p].fibres.items():
-                    values = {total.get((p, l1, l2), 0) for l1 in ls1 for l2 in ls2}
-                    if len(values) > 1:
-                        raise _closure_failure(family, g)
-                    c = values.pop()
-                    if c != 0:
-                        coords[(p, g1, g2)] = c
-        out[g] = coords
-    return out
+def _merged_coproduct(family: str, n: int) -> dict:
+    """The coproduct of a union of classes is the sum of the finer rows
+    over its fibre, and, as every finer class is non-empty, it lies in the
+    family's tensor square exactly when that sum is constant on every
+    pair of fibres (the argument of ClassAlgebra._coarsened_cube)."""
+    fibres = [_fibres(family, d) for d in range(n + 1)]
+    pairs = {
+        (p, g1, g2): [(p, l1, l2) for l1 in ls1 for l2 in ls2]
+        for p in range(n + 1)
+        for g1, ls1 in fibres[p].items()
+        for g2, ls2 in fibres[n - p].items()
+    }
+    fine = coproduct_coords(FINER[family], n)
+    return merged_rows(fine, fibres[n], pairs, partial(_closure_failure, family))
 
 
 @lru_cache(maxsize=None)
@@ -367,11 +372,18 @@ def shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
 
 @lru_cache(maxsize=None)
 def transform_coords(family: str, n: int) -> dict:
-    """label -> the transform of the class sum, over the same class sums."""
+    """label -> the transform of the class sum, over the same class sums.
+    An enumerated family bins the image of each class sum; a family in
+    FINER sums the rows of the family whose classes it unites over each
+    fibre, so its images lie in its span exactly when those sums lift."""
     from . import maps
 
+    name = TRANSFORMS[family]
+    if family in FINER:
+        fibres, fine = _fibres(family, n), transform_coords(FINER[family], n)
+        return merged_rows(fine, fibres, fibres, lambda lab: CheckFailure(leaves_span(name, lab)))
     alg = FAMILIES[family](n)
-    return class_images(getattr(maps, TRANSFORMS[family]), alg, alg, TRANSFORMS[family])
+    return class_images(getattr(maps, name), alg, alg, name)
 
 
 def _clear_transform_rows(clear=transform_coords.cache_clear):

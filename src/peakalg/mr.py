@@ -17,7 +17,13 @@ from functools import lru_cache
 from itertools import combinations
 
 from .algebra import AlgElem, ClassAlgebra, apply_rows, class_images
-from .bases import comp_complement, comp_to_subset, y_label_elements
+from .bases import (
+    comp_complement,
+    comp_to_subset,
+    descent_algebra,
+    x_to_y_coords,
+    y_label_elements,
+)
 from .perms import group_elements, mask_of
 from .reporting import CheckFailure
 
@@ -296,22 +302,37 @@ def t_coords(kind: str, n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _x0_tcoords(n: int, mask: int):
-    """T-coordinates of X_{{0} u J}, binned once per label (None off the span)."""
-    from .maps import x0_basis
+def descent_fibres(n: int) -> dict:
+    """Descent label -> the T-labels whose classes it unites, in label
+    order: the type-B descent algebra inside the Mantaci-Reutenauer
+    algebra.  Checked at element level: every member of a T-class has one
+    descent set (CheckFailure naming the T-class otherwise)."""
+    descents = descent_algebra("B", n)
+    fibres: dict = {lab: [] for lab in descents.labels}
+    for alpha, ws in t_algebra(n).classes.items():
+        masks = set(map(descents.class_of, ws))
+        if len(masks) != 1:
+            raise CheckFailure(f"the T-class of {alpha} meets several descent classes")
+        fibres[masks.pop()].append(alpha)
+    return {lab: tuple(ls) for lab, ls in fibres.items()}
 
-    return t_algebra(n).coords(x0_basis(n, mask))
+
+def _x0_tcoords(n: int, mask: int) -> dict:
+    """T-coordinates of X_{{0} u J}: every T-class inside a descent class
+    of a subset of {0} u J."""
+    fibres = descent_fibres(n)
+    return {alpha: 1 for m in x_to_y_coords({mask | 1: 1}) for alpha in fibres[m]}
 
 
-def bstilde_product(n: int, alpha) -> AlgElem:
+def check_bstilde_product(n: int, alpha) -> int:
     """The increasing-class sum times the S-tilde class sum collapses to
     the X0 element of the absolute composition; asserted, with the
-    cardinality bookkeeping of the counting argument, and returned.  The
-    product is read on T-coordinates: the S-tilde class sum, binned, under
-    the cached rows of the type-B transform theta_pm, which multiplies by
-    the increasing-class sum."""
+    cardinality bookkeeping of the counting argument.  The product is read
+    on T-coordinates: the S-tilde class sum, binned, under the cached rows
+    of the type-B transform theta_pm, which multiplies by the
+    increasing-class sum.  Returns the mask J of the X0 element."""
     from .hopf import transform_coords
-    from .maps import x0_basis, x0_generator
+    from .maps import x0_generator
 
     coords = t_coords("Stilde", n).get(tuple(alpha))
     if coords is None:
@@ -322,7 +343,15 @@ def bstilde_product(n: int, alpha) -> AlgElem:
     mask = mask_of(comp_to_subset(abs_comp(alpha), n))
     if apply_rows(transform_coords("OmegaB", n), coords) != _x0_tcoords(n, mask):
         raise CheckFailure(f"product with the S-tilde class of {alpha} is wrong")
-    return x0_basis(n, mask)
+    return mask
+
+
+def bstilde_product(n: int, alpha) -> AlgElem:
+    """The increasing-class sum times the S-tilde class sum, checked by
+    check_bstilde_product: the X0 element of the absolute composition."""
+    from .maps import x0_basis
+
+    return x0_basis(n, check_bstilde_product(n, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +402,6 @@ def check_phi_images(n: int):
     """Sign forgetting matches all three closed forms (each binned), read
     on its rows from the T-classes to the type-A descent classes: a row is
     a T-class image, applied to t_coords it gives the S and S-tilde ones."""
-    from .bases import descent_algebra
     from .maps import phi
 
     alg = descent_algebra("A", n)
@@ -392,7 +420,6 @@ def check_phi_onto_descent_algebra(n: int):
     """The images of the S-classes span the full type-A descent algebra,
     read on class rows: the S-class sums binned over the T-classes, under
     the rows of sign forgetting from the T-classes to the descent classes."""
-    from .bases import descent_algebra
     from .maps import Node, landed, phi
 
     source = Node("S-class span", t_algebra(n), list(t_coords("S", n).items()))

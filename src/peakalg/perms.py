@@ -548,21 +548,28 @@ def interior_peak_set(u: Perm) -> PeakIndex:
 # Cayley-graph length oracle
 
 @lru_cache(maxsize=None)
+def _generator_composers(ctype: str, n: int) -> tuple:
+    """(label, composer of the generator) for the standard generators, in order."""
+    gens = coxeter_generators(ctype, n)
+    return tuple(zip([label for label, _ in gens], composers([g for _, g in gens], n)))
+
+
+@lru_cache(maxsize=None)
 def coxeter_length_table(group: str, n: int) -> dict:
     """Length of every element of the group, by breadth-first search from
     the identity along right multiplication by the standard generators."""
     if n > bfs_cap():
         raise CapExceeded(f"BFS cap is {bfs_cap()}, got rank {n}")
-    gens = [g for _, g in coxeter_generators(TYPE_OF_GROUP[group], n)]
+    gens = [g for _, g in _generator_composers(TYPE_OF_GROUP[group], n)]
     start = identity(n)
     table = {start: 0}
     frontier = [start]
     while frontier:
         nxt = []
         for w in frontier:
-            lw = table[w]
+            lw, lifted_w = table[w], lifted(w)
             for g in gens:
-                wg = compose(w, g)
+                wg = g(lifted_w)  # compose(w, generator)
                 if wg not in table:
                     table[wg] = lw + 1
                     nxt.append(wg)
@@ -575,7 +582,7 @@ def coxeter_length_table(group: str, n: int) -> dict:
 def length_descent_mask(w: Perm, ctype: str) -> int:
     """Descents read off the length function: labels s with l(ws) < l(w)."""
     table = coxeter_length_table(GROUP_OF_TYPE[ctype], len(w))
-    lw = table[w]
+    lw, lifted_w = table[w], lifted(w)
     return mask_of(
-        label for label, g in coxeter_generators(ctype, len(w)) if table[compose(w, g)] < lw
+        label for label, g in _generator_composers(ctype, len(w)) if table[g(lifted_w)] < lw
     )

@@ -12,12 +12,14 @@ and the cached data must equal the binned element-level results cell by
 cell.
 """
 
+from collections import Counter
 from functools import partial
+from math import factorial
 
 import pytest
 
-from peakalg import hopf, maps
-from peakalg.algebra import AlgElem, pair_coords
+from peakalg import hopf, maps, mr
+from peakalg.algebra import AlgElem, element_rows, pair_coords
 from peakalg.bases import (
     _all_masks,
     descent_algebra,
@@ -461,10 +463,12 @@ SHUFFLE_PAIRS = {
 
 def clear_hopf_data():
     """Clear every cache that peakalg.hopf defines (the caches it imports
-    belong to their own modules)."""
+    belong to their own modules), and the type-B descent fibres that its
+    derived type-B tables read."""
     for value in vars(hopf).values():
         if hasattr(value, "cache_clear") and value.__module__ == hopf.__name__:
             value.cache_clear()
+    mr.descent_fibres.cache_clear()
 
 
 @pytest.fixture
@@ -515,6 +519,13 @@ def test_clear_hopf_data_finds_the_split_table(fresh_hopf_data):
     assert hopf.split_table.cache_info().currsize == 0
 
 
+def test_clear_hopf_data_finds_the_descent_fibres(fresh_hopf_data):
+    mr.descent_fibres(2)
+    assert mr.descent_fibres.cache_info().currsize == 1
+    clear_hopf_data()
+    assert mr.descent_fibres.cache_info().currsize == 0
+
+
 def tensor_element(family: str, n: int, coords: dict) -> dict:
     """The Tensor2 terms of tensor coordinates keyed (p, left, right)."""
     terms: dict = {}
@@ -543,6 +554,28 @@ def test_coarsened_coproduct_data_matches_elements_rank_5(family):
     assert list(data) == list(alg.labels)
     for lab, c in alg.basis:
         assert tensor_element(family, 5, data[lab]) == coproduct(c).terms, lab
+
+
+def element_coproduct_coords(family: str, n: int) -> dict:
+    """The coproduct table of an enumerated family: the splits of every
+    class at every p, binned."""
+    factory, out = FAMILIES[family], {}
+    for lab, ws in factory(n).classes.items():
+        coords = out[lab] = {}
+        for p in range(n + 1):
+            split = Counter(hopf.coproduct_split(w, p)[1:] for w in ws)
+            pc = pair_coords(split, factory(p), factory(n - p))
+            assert pc is not None, (family, n, lab, p)
+            coords.update({(p, l1, l2): x for (l1, l2), x in pc.items()})
+    return out
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_derived_type_b_tables_equal_the_element_level_builds(n, fresh_hopf_data):
+    # SolB reads both tables off the T-classes' (OmegaB) through the fibres
+    alg = FAMILIES["SolB"](n)
+    assert coproduct_coords("SolB", n) == element_coproduct_coords("SolB", n)
+    assert transform_coords("SolB", n) == element_rows(maps.theta_pm, alg, alg, "theta_pm")
 
 
 def test_coarsenings_merge_the_classes_of_their_parents():
@@ -698,28 +731,60 @@ def test_broken_split_fails_both_singles_paths(mutation, names, monkeypatch, fre
             run_singles([getattr(hopf, name)], 5)
 
 
+def _fibre_size(family: str, d: int) -> dict:
+    """label of the finer family in degree d -> the size of its fibre."""
+    return {lab: len(ls) for ls in hopf._fibres(family, d).values() for lab in ls}
+
+
 def _perturb_spread_cell(family: str, n: int):
-    """Add 1 to a cell of the cached parent coproduct of family in degree
+    """Add 1 to a cell of the cached finer coproduct of family in degree
     n whose pair of fibres has several members, so that the sum over the
     fibre is no longer constant there."""
-    fine = coproduct_coords(COARSENINGS[family], n)
-    algs = [FAMILIES[family](d) for d in range(n + 1)]
+    fine = coproduct_coords(hopf.FINER[family], n)
+    sizes = [_fibre_size(family, d) for d in range(n + 1)]
     for row in fine.values():
         for p, l1, l2 in row:
-            left, right = algs[p], algs[n - p]
-            if len(left.fibres[left.fibre_of[l1]]) * len(right.fibres[right.fibre_of[l2]]) > 1:
+            if sizes[p][l1] * sizes[n - p][l2] > 1:
                 row[(p, l1, l2)] += 1
                 return
     raise AssertionError(f"no pair of fibres of {family} in degree {n} has several members")
 
 
 @pytest.mark.parametrize(
-    "family, witness", [("I0", "ideal"), ("Peak", "peak"), ("PeakIdeal", "interior")]
+    "family, witness",
+    [("I0", "ideal"), ("Peak", "peak"), ("PeakIdeal", "interior"), ("SolB", "type-B")],
 )
 def test_perturbed_parent_coproduct_fails_the_fibre_closure(family, witness, fresh_hopf_data):
     _perturb_spread_cell(family, 3)
     with pytest.raises(CheckFailure, match=f"{witness} coproduct closure fails at"):
         coproduct_coords(family, 3)
+
+
+def test_perturbed_t_class_transform_row_fails_the_type_b_rows(fresh_hopf_data):
+    # +1 on a cell of a T-class row at a T-label whose descent fibre has
+    # several members, so that the sum is no longer constant on it
+    sizes = _fibre_size("SolB", 3)
+    rows = transform_coords("OmegaB", 3).values()
+    row, cell = next((row, a) for row in rows for a in row if sizes[a] > 1)
+    row[cell] += 1
+    with pytest.raises(CheckFailure, match=r"^theta_pm of the class 0b\d+ leaves the span$"):
+        transform_coords("SolB", 3)
+
+
+def test_coproduct_closures_split_only_the_enumerated_families(monkeypatch, fresh_hopf_data):
+    # SolA and OmegaB split every element once per p; SolB, the ideal and
+    # the peak families read their tables through fibres
+    calls = Counter()
+    split = hopf.coproduct_split
+
+    def counted(w, p):
+        calls[len(w)] += 1
+        return split(w, p)
+
+    monkeypatch.setattr(hopf, "coproduct_split", counted)
+    hopf.check_delta_closures(5)
+    # (n + 1) splits of each element of S_n and of B_n, in each degree n
+    assert calls == {n: (n + 1) * (factorial(n) + (factorial(n) << n)) for n in range(1, 6)}
 
 
 def test_perturbed_cube_cell_fails_internal_compat(fresh_hopf_data):

@@ -213,6 +213,17 @@ def test_bstilde_product_returns_the_element_level_product():
         mr.bstilde_product(3, (2, 2))
 
 
+@pytest.mark.parametrize("suite", ["mr", "theta"])
+def test_the_suites_of_the_increasing_class_build_no_x0_element(suite, monkeypatch):
+    # the X0 side of the product is read through the descent fibres
+    def refuse(n, jmask):
+        raise AssertionError(f"X0 built at n={n}, J={bin(jmask)}")
+
+    monkeypatch.setattr(maps, "x0_basis", refuse)
+    report = verify.run_suite(suite, 5)
+    assert [(c.check_id, c.witness) for c in report.checks if c.status != "pass"] == []
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.deep)])
 def test_ideal_matrix_matches_the_element_level(n):
     assert maps.theta_pm_ideal_matrix(n) == reference_ideal_matrix(n)

@@ -2,16 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peakalg.algebra import AlgElem
-from peakalg.bases import y_basis
-from peakalg.maps import phi
+from peakalg import mr
+from peakalg.algebra import AlgElem, ClassAlgebra
+from peakalg.bases import descent_algebra, y_basis
+from peakalg.maps import phi, x0_basis
 from peakalg.mr import (
     bstilde_product,
+    check_bstilde_product,
     check_omega_closure,
     check_order_sums,
     check_phi_images,
     check_phi_onto_descent_algebra,
     check_t_partition,
+    descent_fibres,
     leq,
     mr_basis,
     mr_class_of,
@@ -29,6 +32,7 @@ from peakalg.mr import (
     u_comp,
     underline,
 )
+from peakalg.reporting import CheckFailure
 
 
 def test_counts():
@@ -174,6 +178,41 @@ def test_bstilde_products():
     from peakalg.maps import x0_generator
 
     assert len(x0_generator(3)) == 8
+
+
+def test_check_bstilde_product_returns_the_mask_of_the_absolute_composition():
+    assert check_bstilde_product(4, (2, -1, 1)) == 0b1100
+    assert bstilde_product(4, (2, -1, 1)) == x0_basis(4, 0b1100)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_descent_fibres_unite_the_descent_classes(n):
+    # the element-level oracle: each descent class is the union of the
+    # T-classes of its fibre, and every T-class lies in one fibre
+    descents, tclasses = descent_algebra("B", n), t_classes(n)
+    fibres = descent_fibres(n)
+    assert list(fibres) == list(descents.labels)
+    assert sorted(a for ls in fibres.values() for a in ls) == sorted(tclasses)
+    for mask, ls in fibres.items():
+        united = [w for alpha in ls for w in tclasses[alpha]]
+        assert sorted(united) == sorted(descents.classes[mask]), mask
+
+
+def test_a_t_class_that_meets_two_descent_classes_fails(monkeypatch):
+    n = 3
+    alg = mr.t_algebra(n)
+    classes = {lab: list(ws) for lab, ws in alg.classes.items()}
+    # move 213 (of the class of (1, 2), with 312) into the class of (-3,)
+    classes[(1, 2)].remove((2, 1, 3))
+    classes[(-3,)].append((2, 1, 3))
+    straddling = ClassAlgebra("B", n, None, alg.labels, classes)
+    monkeypatch.setattr(mr, "t_algebra", lambda m: straddling if m == n else alg)
+    descent_fibres.cache_clear()
+    try:
+        with pytest.raises(CheckFailure, match=r"T-class of \(-3,\) meets several descent"):
+            descent_fibres(n)
+    finally:
+        descent_fibres.cache_clear()
 
 
 def test_mr_basis_dispatch():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from peakalg import perms, verify
 from peakalg.perms import (
     CapExceeded,
     GeneratorSet,
@@ -31,6 +32,7 @@ from peakalg.perms import (
     sigma,
     sparse_masks,
 )
+from peakalg.reporting import CheckFailure
 
 
 def signed_apply(w, i):
@@ -180,6 +182,32 @@ def word_search_length(group, n, target, max_len):
     raise AssertionError("target not reached")
 
 
+def compose_length_table(group, n):
+    """The breadth-first length table built with compose, the oracle of
+    the composition kernel."""
+    gens = [g for _, g in coxeter_generators({"S": "A", "B": "B", "D": "D"}[group], n)]
+    table, frontier = {identity(n): 0}, [identity(n)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = compose(w, g)
+                if wg not in table:
+                    table[wg] = table[w] + 1
+                    nxt.append(wg)
+        frontier = nxt
+    return table
+
+
+@pytest.mark.parametrize(
+    "group, n", [("S", n) for n in range(7)] + [(g, n) for g in "BD" for n in range(6)]
+)
+def test_length_tables_equal_a_compose_build(group, n):
+    table = coxeter_length_table(group, n)
+    assert table == compose_length_table(group, n)
+    assert list(table) == list(compose_length_table(group, n))  # the same search order
+
+
 def test_length_vs_word_search():
     table = coxeter_length_table("B", 2)
     assert table[(-2, -1)] == word_search_length("B", 2, (-2, -1), 4)
@@ -236,6 +264,43 @@ def test_every_peak_set_realized_up_to_8():
         for u in itertools.permutations(range(1, n + 1)):
             seen.add(peak_set(u).mask)
         assert seen == set(sparse_masks(n))
+
+
+def two_pass_peak_realization(n):
+    """The peak-set check of the descents suite as two passes over S_n:
+    the realized sets first, then peaks against collapsed descents."""
+    classes = {m: 0 for m in sparse_masks(n)}
+    for u in group_elements("S", n):
+        classes[perms.peak_mask(u)] += 1
+    empty = [bin(m) for m, c in classes.items() if c == 0]
+    if empty:
+        raise CheckFailure(f"unrealized peak sets at n={n}: {empty}")
+    for u in group_elements("S", n):
+        if perms.lambda_mask(descent_mask(u, "A")) != perms.peak_mask(u):
+            raise CheckFailure(f"peaks differ from collapsed descents at {u}")
+
+
+def peak_realization_witness():
+    (result,) = [c for c in verify.suite_descents(1) if c.check_id == "descents/peak-sets-realized"]
+    return result.witness
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        # no peak at all: sets go unrealized and peaks differ from descents
+        ("peak_mask", lambda u: 0),
+        # every set realized, and the descent set {2} collapses to nothing
+        ("lambda_mask", lambda m: 0 if m == 0b100 else m),
+    ],
+    ids=["unrealized-first", "first-mismatch"],
+)
+def test_one_pass_peak_realization_keeps_the_witness(name, broken, monkeypatch):
+    monkeypatch.setattr(perms, name, broken)
+    with pytest.raises(CheckFailure) as two_pass:
+        for n in range(1, 9):
+            two_pass_peak_realization(n)
+    assert peak_realization_witness() == str(two_pass.value)
 
 
 def test_cap_env_override(monkeypatch):
