@@ -45,9 +45,11 @@ from .perms import (
     composer,
     composers,
     group_elements,
+    is_signed_perm,
     lifted,
     lifted_words,
     members_of,
+    split_plan,
 )
 from .reporting import CheckFailure
 
@@ -127,9 +129,18 @@ def coproduct_split(w: Perm, p: int):
     return tuple(left_pos + right_pos), tuple(w1), tuple(w2)
 
 
-def _blocks(w: Perm) -> tuple:
-    """The (left, right) blocks of w at p = 0..n."""
-    return tuple(coproduct_split(w, p)[1:] for p in range(len(w) + 1))
+def coproduct_splits(w: Perm) -> list:
+    """coproduct_split(w, p) for p = 0..n, read off the split plan of |w|
+    in one lookup."""
+    return [
+        (xi, left(w), tuple(map(shift, right(w))))
+        for xi, left, right, shift in split_plan(tuple(map(abs, w)))
+    ]
+
+
+def _blocks(splits: list) -> tuple:
+    """The (left, right) blocks of a list of splits."""
+    return tuple((w1, w2) for _, w1, w2 in splits)
 
 
 # split tables are kept to this rank (about 4 MB at rank 5, 65 MB at rank 6);
@@ -141,20 +152,81 @@ SPLIT_TABLE_TO = 5
 def split_table(n: int) -> dict:
     """w -> its (left, right) blocks at p = 0..n, for each w of B_n: every
     element of rank n split once, for the legs of the splits above it."""
-    return {w: _blocks(w) for w in group_elements("B", n)}
+    return {w: _blocks(coproduct_splits(w)) for w in group_elements("B", n)}
+
+
+def _check_split_reassembly(w: Perm, splits: list):
+    table = lifted(w)
+    for p, (xi, w1, w2) in enumerate(splits):
+        if composer(xi)(table) != block_embed(w1, w2):
+            raise CheckFailure(f"factorization fails at w={w}, p={p}")
+        if list(xi[:p]) != sorted(xi[:p]) or list(xi[p:]) != sorted(xi[p:]):
+            raise CheckFailure(f"factor is not a shuffle at w={w}, p={p}")
+
+
+def _leg_splits(leg: Perm, w: Perm, blocks: tuple) -> tuple:
+    """The splits of a leg of w, whose own splits are blocks: w's when
+    the leg is w (at p = 0 and p = n, so no table of w's rank is kept),
+    else the leg's row of the split table of its rank."""
+    if leg == w:
+        return blocks
+    if len(leg) > SPLIT_TABLE_TO:
+        found = _blocks(coproduct_splits(leg)) if is_signed_perm(leg) else None
+    else:
+        found = split_table(len(leg)).get(leg)
+    if found is None:  # the leg is not a signed permutation
+        raise CheckFailure(f"coassociativity fails at w={w}")
+    return found
+
+
+def _check_coassociative(w: Perm, splits: list):
+    """Splitting the left block of w at q <= p, and splitting w at q and
+    then its right block at p - q, give the same triple.  Each side of
+    coassociativity holds one triple per length signature (q, p - q, n - p),
+    so this equals comparing the two sides as multisets, and is stronger
+    when a broken split gets the lengths wrong.  Each leg is split on its
+    own, in the split table of its rank."""
+    n, blocks = len(w), _blocks(splits)
+    if [(len(w1), len(w2)) for w1, w2 in blocks] != [(p, n - p) for p in range(n + 1)]:
+        raise CheckFailure(f"coassociativity fails at w={w}")
+    lefts = [_leg_splits(w1, w, blocks) for w1, _ in blocks]
+    rights = [_leg_splits(w2, w, blocks) for _, w2 in blocks]
+    for p, (_, w2) in enumerate(blocks):
+        for q in range(p + 1):
+            if lefts[p][q] + (w2,) != (blocks[q][0], *rights[q][p - q]):
+                raise CheckFailure(f"coassociativity fails at w={w}")
+
+
+def _check_counit(w: Perm, splits: list):
+    if splits[0][1:] != ((), w):
+        raise CheckFailure(f"counit (left) fails at w={w}")
+    if splits[-1][1:] != (w, ()):
+        raise CheckFailure(f"counit (right) fails at w={w}")
 
 
 def check_split_reassembly(w: Perm):
     """Certify the factorization: the block pair times the inverse
     shuffle recovers w, for every split point, that is, w times the
     shuffle is the block pair."""
-    table = lifted(w)
-    for p in range(len(w) + 1):
-        xi, w1, w2 = coproduct_split(w, p)
-        if composer(xi)(table) != block_embed(w1, w2):
-            raise CheckFailure(f"factorization fails at w={w}, p={p}")
-        if list(xi[:p]) != sorted(xi[:p]) or list(xi[p:]) != sorted(xi[p:]):
-            raise CheckFailure(f"factor is not a shuffle at w={w}, p={p}")
+    _check_split_reassembly(w, coproduct_splits(w))
+
+
+def check_coassociative(w: Perm):
+    """(split left again) and (split right again) agree on w."""
+    _check_coassociative(w, coproduct_splits(w))
+
+
+def check_counit(w: Perm):
+    """The two extreme splits are the unit tensors."""
+    _check_counit(w, coproduct_splits(w))
+
+
+def check_singles(w: Perm):
+    """The three checks above on one list of the splits of w."""
+    splits = coproduct_splits(w)
+    _check_split_reassembly(w, splits)
+    _check_coassociative(w, splits)
+    _check_counit(w, splits)
 
 
 @dataclass
@@ -189,46 +261,6 @@ def coproduct(a: AlgElem) -> Tensor2:
             _, w1, w2 = coproduct_split(w, p)
             out.add_term(w1, w2, c)
     return out
-
-
-def _leg_splits(leg: Perm, w: Perm, blocks: tuple) -> tuple:
-    """The splits of a leg of w, whose own splits are blocks: w's when
-    the leg is w (at p = 0 and p = n, so no table of w's rank is kept),
-    else the leg's row of the split table of its rank."""
-    if leg == w:
-        return blocks
-    if len(leg) > SPLIT_TABLE_TO:
-        return _blocks(leg)
-    found = split_table(len(leg)).get(leg)
-    if found is None:  # the leg is not a signed permutation
-        raise CheckFailure(f"coassociativity fails at w={w}")
-    return found
-
-
-def check_coassociative(w: Perm):
-    """(split left again) and (split right again) agree on w, as sorted
-    lists of triples.  w is split once at each p, and each leg is split
-    on its own, in the split table of its rank."""
-    blocks = _blocks(w)
-    left, right = [], []
-    for w1, w2 in blocks:
-        left += [(a, b, w2) for a, b in _leg_splits(w1, w, blocks)]
-        right += [(w1, b, c) for b, c in _leg_splits(w2, w, blocks)]
-    left.sort()
-    right.sort()
-    if left != right:
-        raise CheckFailure(f"coassociativity fails at w={w}")
-
-
-def check_counit(w: Perm):
-    """The two extreme splits are the unit tensors."""
-    n = len(w)
-    _, w1, w2 = coproduct_split(w, 0)
-    if w1 != () or w2 != w:
-        raise CheckFailure(f"counit (left) fails at w={w}")
-    _, w1, w2 = coproduct_split(w, n)
-    if w1 != w or w2 != ():
-        raise CheckFailure(f"counit (right) fails at w={w}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +346,18 @@ def _fibres(family: str, d: int) -> dict:
 def coproduct_coords(family: str, n: int) -> dict:
     """label -> coproduct of the class sum, keyed (p, left label, right
     label) over the class sums of the family in degrees p and n - p.  An
-    enumerated family bins the splits of each class at each p; a family in
-    FINER reads the table of the family whose classes it unites."""
+    enumerated family splits each member of each class once and bins the
+    class's splits at each p; a family in FINER reads the table of the
+    family whose classes it unites."""
     if family in FINER:
         return _merged_coproduct(family, n)
     factory = FAMILIES[family]
     out = {}
     for lab, ws in factory(n).classes.items():
         coords = {}
-        for p in range(n + 1):
-            split = Counter(coproduct_split(w, p)[1:] for w in ws)
+        # column p holds the split at p of each member, in class order
+        for p, column in enumerate(zip(*map(coproduct_splits, ws))):
+            split = Counter(s[1:] for s in column)
             pc = pair_coords(split, factory(p), factory(n - p))
             if pc is None:
                 raise _closure_failure(family, lab)

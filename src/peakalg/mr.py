@@ -189,21 +189,24 @@ def t_basis(n: int, alpha) -> AlgElem:
     return AlgElem.class_sum("B", n, ws)
 
 
-def _interval_blocks(n: int, sizes):
-    """Yield tuples of value sets, one per interval, partitioning 1..n;
-    each block is increasing."""
+def _interval_blocks(n: int, sizes) -> tuple:
+    """The tuples of value sets, one per interval, partitioning 1..n; each
+    block is increasing.  sizes may be any sequence of the interval sizes."""
+    return _blocks_of_sizes(n, tuple(sizes))
 
-    def rec(values, sizes):
-        if not sizes:
-            yield ()
-            return
-        k = sizes[0]
-        for block in combinations(values, k):
-            rest = tuple(v for v in values if v not in block)
-            for tail in rec(rest, sizes[1:]):
-                yield (block,) + tail
 
-    yield from rec(tuple(range(1, n + 1)), tuple(sizes))
+@lru_cache(maxsize=None)
+def _blocks_of_sizes(n: int, sizes: tuple) -> tuple:
+    """_interval_blocks, listed once per composition: each block in turn
+    takes each subset of the values left, in lexicographic order."""
+    listing = [((), tuple(range(1, n + 1)))]
+    for k in sizes:
+        listing = [
+            (blocks + (block,), tuple(v for v in values if v not in block))
+            for blocks, values in listing
+            for block in combinations(values, k)
+        ]
+    return tuple(blocks for blocks, _ in listing)
 
 
 def _run_class_sum(n: int, alpha, reverse_negative: bool) -> AlgElem:

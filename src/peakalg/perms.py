@@ -123,14 +123,19 @@ def lifted(u: Perm) -> tuple:
     return (0, *u, *[-x for x in reversed(u)])
 
 
+def _picker(indices):
+    """The map seq -> tuple(seq[i] for i in indices), in one C call."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:  # itemgetter of one index returns the entry, not a 1-tuple
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
 def composer(v: Perm):
     """The map lifted(u) -> compose(u, v) for u of the rank of v."""
-    if len(v) > 1:
-        return itemgetter(*v)
-    if v:  # itemgetter of one index returns the entry, not a 1-tuple
-        (j,) = v
-        return lambda table: (table[j],)
-    return lambda table: ()
+    return _picker(v)
 
 
 def _require_rank(words, n: int):
@@ -153,6 +158,37 @@ def composers(words, n: int) -> list:
     words = list(words)
     _require_rank(words, n)
     return list(map(composer, words))
+
+
+# The split kernel.  The coproduct splits a signed permutation w at each p
+# into the values of absolute value at most p, kept in place, and the rest,
+# shifted down by p (hopf.coproduct_split).  Which positions go left depends
+# on |w| only, so one plan per unsigned pattern serves its 2^n sign
+# patterns, and one shift table per rank and p serves every pattern.
+
+
+@lru_cache(maxsize=None)
+def _shift_table(n: int, p: int) -> tuple:
+    """lifted((1 - p, ..., n - p)): entry v is v - p and entry -v is p - v,
+    for 0 < v <= n."""
+    return lifted(tuple(range(1 - p, n + 1 - p)))
+
+
+@lru_cache(maxsize=None)
+def split_plan(pattern: Perm) -> tuple:
+    """(shuffle, left, right, shift) for p = 0..n, for a signed permutation
+    w with |w| = pattern: the shuffle lists the positions (from 1) of the
+    values of absolute value at most p, then the others, each in order;
+    left(w) and right(w) pick the values at those positions, and shift
+    takes a right value v to v - p, or v + p when v < 0."""
+    n = len(pattern)
+    plan = []
+    for p in range(n + 1):
+        left = [i for i, u in enumerate(pattern) if u <= p]
+        right = [i for i, u in enumerate(pattern) if u > p]
+        xi = tuple(i + 1 for i in left + right)
+        plan.append((xi, _picker(left), _picker(right), _shift_table(n, p).__getitem__))
+    return tuple(plan)
 
 
 def inverse(w: Perm) -> Perm:

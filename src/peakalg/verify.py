@@ -744,9 +744,7 @@ def suite_hopf(n_max: int, deep: bool = False) -> list:
 
     def singles(n):
         for w in group_elements("B", n):
-            hopf.check_split_reassembly(w)
-            hopf.check_coassociative(w)
-            hopf.check_counit(w)
+            hopf.check_singles(w)
 
     _add(checks, "hopf/coassociative-counit-singles", range(0, dmax + 1), singles)
     checks.append(

@@ -142,6 +142,22 @@ def _ref_check(alpha, n):
         raise ValueError(f"{alpha} is not a signed composition of {n}")
 
 
+def ref_interval_blocks(n, sizes):
+    """The interval blocks as first written: a recursive generator."""
+
+    def rec(values, sizes):
+        if not sizes:
+            yield ()
+            return
+        k = sizes[0]
+        for block in combinations(values, k):
+            rest = tuple(v for v in values if v not in block)
+            for tail in rec(rest, sizes[1:]):
+                yield (block,) + tail
+
+    yield from rec(tuple(range(1, n + 1)), tuple(sizes))
+
+
 def ref_s_basis(n, alpha):
     alpha = tuple(alpha)
     _ref_check(alpha, n)
@@ -295,6 +311,17 @@ def test_class_sums_match_their_separate_statements():
     cases = [(n, alpha) for n in RANKS for alpha in mr.signed_compositions(n)]
     cases += [(3, (1, 1)), (3, (2, 0, 1)), (2, (3,))]
     assert not _disagreements(pairs, lambda name: cases)
+
+
+def test_interval_blocks_match_the_recursive_listing_in_order():
+    # every absolute composition of rank at most 6, as a list and as a
+    # tuple, and size lists that do not sum to the rank
+    cases = {(n, tuple(map(abs, alpha))) for n in range(0, 7) for alpha in mr.signed_compositions(n)}
+    cases |= {(3, (1, 1)), (3, (2, 0, 1)), (2, (3,)), (1, (0,))}
+    for n, sizes in sorted(cases):
+        want = list(ref_interval_blocks(n, sizes))
+        assert list(mr._interval_blocks(n, list(sizes))) == want, (n, sizes)
+        assert list(mr._interval_blocks(n, sizes)) == want, (n, sizes)
 
 
 def test_orders_match_their_separate_statements_on_all_pairs():

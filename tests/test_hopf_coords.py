@@ -5,11 +5,11 @@ check_beta_via_coproduct, check_delta_closures, check_module_morphisms,
 the four concatenation checks, the two shuffle closures, the ideal/type-A
 isomorphism and the free-module check on coordinates read from cached
 Hopf data, and the per-element checks of the split (reassembly,
-coassociativity, counit) on split tables.  The element-level bodies they
-replaced live here as the reference: every group element of every basis
-element goes through coproduct_split and compose.  Both paths must agree,
-and the cached data must equal the binned element-level results cell by
-cell.
+coassociativity, counit) on one list of splits per element, with split
+tables for the legs.  The element-level bodies they replaced live here as
+the reference: every group element of every basis element goes through
+coproduct_split and compose.  Both paths must agree, and the cached data
+must equal the binned element-level results cell by cell.
 """
 
 from collections import Counter
@@ -18,7 +18,7 @@ from math import factorial
 
 import pytest
 
-from peakalg import hopf, maps, mr
+from peakalg import hopf, maps, mr, verify
 from peakalg.algebra import AlgElem, element_rows, pair_coords
 from peakalg.bases import (
     _all_masks,
@@ -55,7 +55,7 @@ from peakalg.peak import (
     peak_coordinates,
     peak_elements,
 )
-from peakalg.perms import compose, group_elements, inverse
+from peakalg.perms import compose, group_elements, identity, inverse
 from peakalg.reporting import CheckFailure
 
 from oracles import bidegree, descent_span_rank
@@ -393,6 +393,19 @@ def reference_i0_sola_isomorphism(dmax: int):
                 )
 
 
+def reference_split(w, p):
+    """The per-p split as first written: one pass over w."""
+    left_pos, right_pos, w1, w2 = [], [], [], []
+    for i, v in enumerate(w, 1):
+        if -p <= v <= p:
+            left_pos.append(i)
+            w1.append(v)
+        else:
+            right_pos.append(i)
+            w2.append(v - p if v > 0 else v + p)
+    return tuple(left_pos + right_pos), tuple(w1), tuple(w2)
+
+
 def reference_split_reassembly(w):
     for p in range(len(w) + 1):
         xi, w1, w2 = hopf.coproduct_split(w, p)
@@ -504,12 +517,35 @@ def run_singles(checks, nmax: int):
                 check(w)
 
 
-@pytest.mark.parametrize("path", ["reference", "split tables"])
+# path -> its checks: the reference bodies, the three per-w checks on split
+# tables, and the fused check that splits each element once for all three
+SINGLES_PATHS = {
+    "reference": list(SINGLES.values()),
+    "split tables": [getattr(hopf, name) for name in SINGLES],
+    "fused": [hopf.check_singles],
+}
+
+
+@pytest.mark.parametrize("path", list(SINGLES_PATHS))
 def test_both_singles_paths_pass(path, fresh_hopf_data):
-    checks = SINGLES.values() if path == "reference" else map(partial(getattr, hopf), SINGLES)
-    run_singles(list(checks), 5)
+    run_singles(SINGLES_PATHS[path], 5)
     # the legs of B_5 need the tables of ranks 0 to 4 only
-    assert hopf.split_table.cache_info().currsize == (5 if path == "split tables" else 0)
+    assert hopf.split_table.cache_info().currsize == (0 if path == "reference" else 5)
+
+
+@pytest.mark.parametrize("n", [*range(0, 6), pytest.param(6, marks=pytest.mark.deep)])
+def test_splits_of_an_element_equal_its_splits_one_p_at_a_time(n):
+    for w in group_elements("B", n):
+        want = [reference_split(w, p) for p in range(n + 1)]
+        assert hopf.coproduct_splits(w) == want, w
+        assert [hopf.coproduct_split(w, p) for p in range(n + 1)] == want, w
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_a_split_past_the_rank_keeps_every_value_on_the_left(n):
+    for w in group_elements("B", n):
+        for p in range(n + 1, n + 3):
+            assert hopf.coproduct_split(w, p) == (identity(n), w, ()) == reference_split(w, p)
 
 
 def test_clear_hopf_data_finds_the_split_table(fresh_hopf_data):
@@ -697,21 +733,35 @@ def test_perturbed_i0_coproduct_cell_fails_the_isomorphism(fresh_hopf_data):
 
 
 def _split_below(rank: int):
-    """coproduct_split that splits at p - 1 (for p > 0) on one rank."""
-    split = hopf.coproduct_split
-    return lambda w, p: split(w, p - 1) if len(w) == rank and p > 0 else split(w, p)
+    """coproduct_splits that splits at p - 1 (for p > 0) on one rank."""
+    splits = hopf.coproduct_splits
+
+    def broken(w):
+        found = splits(w)
+        return found[:1] + found[:-1] if len(w) == rank else found
+
+    return broken
 
 
 def _unsigned_shift():
-    """coproduct_split that shifts the right values down by p whatever
+    """coproduct_splits that shifts the right values down by p whatever
     their sign."""
-    split = hopf.coproduct_split
+    splits = hopf.coproduct_splits
 
-    def broken(w, p):
-        xi, w1, w2 = split(w, p)
-        return xi, w1, tuple(x if x > 0 else x - 2 * p for x in w2)
+    def broken(w):
+        return [
+            (xi, w1, tuple(x if x > 0 else x - 2 * p for x in w2))
+            for p, (xi, w1, w2) in enumerate(splits(w))
+        ]
 
     return broken
+
+
+def _one_p_at_a_time(splits):
+    """The per-p split that a per-element split gives, for the reference
+    bodies; past the rank every value stays on the left, as before."""
+    split = hopf.coproduct_split
+    return lambda w, p: splits(w)[p] if p <= len(w) else split(w, p)
 
 
 @pytest.mark.parametrize(
@@ -723,12 +773,16 @@ def _unsigned_shift():
     ids=["split-at-p-1-on-rank-3", "unsigned-shift"],
 )
 def test_broken_split_fails_both_singles_paths(mutation, names, monkeypatch, fresh_hopf_data):
-    monkeypatch.setattr(hopf, "coproduct_split", mutation())
+    broken = mutation()
+    monkeypatch.setattr(hopf, "coproduct_splits", broken)
+    monkeypatch.setattr(hopf, "coproduct_split", _one_p_at_a_time(broken))
     for name in names:
         with pytest.raises(CheckFailure):
             run_singles([SINGLES[name]], 5)
         with pytest.raises(CheckFailure):
             run_singles([getattr(hopf, name)], 5)
+    with pytest.raises(CheckFailure):
+        run_singles([hopf.check_singles], 5)
 
 
 def _fibre_size(family: str, d: int) -> dict:
@@ -771,20 +825,58 @@ def test_perturbed_t_class_transform_row_fails_the_type_b_rows(fresh_hopf_data):
         transform_coords("SolB", 3)
 
 
-def test_coproduct_closures_split_only_the_enumerated_families(monkeypatch, fresh_hopf_data):
-    # SolA and OmegaB split every element once per p; SolB, the ideal and
-    # the peak families read their tables through fibres
-    calls = Counter()
-    split = hopf.coproduct_split
+def _count_splits(monkeypatch) -> tuple:
+    """Count the calls of coproduct_splits by rank, and of the per-p
+    coproduct_split by rank."""
+    per_element, per_p = Counter(), Counter()
+    splits, split = hopf.coproduct_splits, hopf.coproduct_split
 
-    def counted(w, p):
-        calls[len(w)] += 1
+    def counted_splits(w):
+        per_element[len(w)] += 1
+        return splits(w)
+
+    def counted_split(w, p):
+        per_p[len(w)] += 1
         return split(w, p)
 
-    monkeypatch.setattr(hopf, "coproduct_split", counted)
+    monkeypatch.setattr(hopf, "coproduct_splits", counted_splits)
+    monkeypatch.setattr(hopf, "coproduct_split", counted_split)
+    return per_element, per_p
+
+
+def test_coproduct_closures_split_only_the_enumerated_families(monkeypatch, fresh_hopf_data):
+    # SolA and OmegaB split every element once; SolB, the ideal and the
+    # peak families read their tables through fibres
+    per_element, per_p = _count_splits(monkeypatch)
     hopf.check_delta_closures(5)
-    # (n + 1) splits of each element of S_n and of B_n, in each degree n
-    assert calls == {n: (n + 1) * (factorial(n) + (factorial(n) << n)) for n in range(1, 6)}
+    # one list of splits of each element of S_n and of B_n, in each degree n
+    assert per_element == {n: factorial(n) + (factorial(n) << n) for n in range(1, 6)}
+    assert not per_p
+
+
+def _verify_bodies(monkeypatch, n_max: int) -> dict:
+    """check id -> (cases, body) of the hopf suite, registered and not run."""
+    bodies = {}
+
+    def register(checks, check_id, cases, body):
+        bodies[check_id] = (list(cases), body)
+
+    monkeypatch.setattr(verify, "_add", register)
+    verify.suite_hopf(n_max)
+    monkeypatch.undo()
+    return bodies
+
+
+def test_the_verify_singles_loop_splits_each_element_once(monkeypatch, fresh_hopf_data):
+    cases, body = _verify_bodies(monkeypatch, 5)["hopf/coassociative-counit-singles"]
+    assert cases == list(range(0, 6))
+    per_element, per_p = _count_splits(monkeypatch)
+    for n in cases:
+        body(n)
+    # once for each element of B_n, and once more for its row of the
+    # split table of rank n, which the legs of B_{n+1}..B_5 read
+    assert per_element == {n: (factorial(n) << n) * (1 if n == 5 else 2) for n in cases}
+    assert not per_p
 
 
 def test_perturbed_cube_cell_fails_internal_compat(fresh_hopf_data):
