@@ -28,6 +28,9 @@ from functools import cached_property
 from .perms import (
     GROUPS,
     Perm,
+    byte_products,
+    byte_tables,
+    byte_words,
     composers,
     group_elements,
     identity,
@@ -389,12 +392,13 @@ def bin_classes(terms: dict, class_of, size):
     labels = list(map(class_of, terms))
     if None in labels:
         return None
-    counts = Counter(labels)  # in order of first appearance
-    if len(set(zip(labels, terms.values()))) != len(counts):
+    values = list(terms.values())
+    first = dict(zip(reversed(labels), reversed(values)))  # first value wins
+    if list(map(first.__getitem__, labels)) != values:
         return None
+    counts = Counter(labels)  # in order of first appearance
     if any(count != size(k) for k, count in counts.items()):
         return None
-    first = dict(zip(reversed(labels), reversed(terms.values())))
     return {k: first[k] for k in counts}
 
 
@@ -519,18 +523,18 @@ class ClassAlgebra:
 
     def _enumerated_cube(self) -> dict:
         """The cube by counting compositions of group elements and binning
-        each product: each class is lifted once, and each product is one
-        call of a composer."""
-        class_of, size = self.class_of, self.sizes.__getitem__
-        tables = {lab: lifted_words(ws, self.n) for lab, ws in self.classes.items()}
-        getters = {lab: composers(ws, self.n) for lab, ws in self.classes.items()}
+        each product, on the byte kernel: each class is encoded once, each
+        cell is one Counter of byte products (v outer, u inner, so a cell
+        keeps the first-appearance order of its products), binned through
+        a lookup from each member's byte word to its class."""
+        words = {lab: byte_words(ws, self.n) for lab, ws in self.classes.items()}
+        tables = {lab: byte_tables(ws, self.n) for lab, ws in self.classes.items()}
+        class_of = {w: lab for lab, ws in words.items() for w in ws}.get
+        size = self.sizes.__getitem__
         cube = {}
         for l1, t1 in tables.items():
-            for l2, g2 in getters.items():
-                counts = Counter()
-                for g in g2:
-                    counts.update(map(g, t1))
-                coords = bin_classes(counts, class_of, size)
+            for l2, w2 in words.items():
+                coords = bin_classes(Counter(byte_products(w2, t1)), class_of, size)
                 if coords is None:
                     raise self._closure_error(l1, l2)
                 cube[(l1, l2)] = coords

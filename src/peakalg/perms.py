@@ -160,6 +160,59 @@ def composers(words, n: int) -> list:
     return list(map(composer, words))
 
 
+# The byte kernel: byte_word(v).translate(byte_table(u)) is
+# byte_word(compose(u, v)), one C call whose result caches its hash.  Each
+# value is kept mod 256, so j and -j are the bytes j and 256 - j, which stay
+# apart below rank BYTE_RANK_LIMIT only.  The enumerated structure cube of
+# peakalg.algebra runs on it, because it keeps only the count of each
+# product's class, never a product; internal_product, the shuffle embeds,
+# the length oracle and the split plans keep their products as tuples and
+# stay on the tuple kernel above.  Bulk callers encode through byte_words
+# and byte_tables, which check the rank, and multiply with byte_products.
+
+BYTE_RANK_LIMIT = 128
+
+
+def byte_word(v: Perm) -> bytes:
+    """v with each value taken mod 256."""
+    return bytes([x % 256 for x in v])
+
+
+def byte_table(u: Perm) -> bytes:
+    """The translation table whose entry j is u_j and entry 256 - j is
+    -u_j, mod 256; the other entries are left as the identity."""
+    table = bytearray(range(256))
+    n = len(u)
+    table[1 : n + 1] = byte_word(u)
+    table[256 - n :] = bytes([-x % 256 for x in reversed(u)])
+    return bytes(table)
+
+
+def _require_byte_rank(words, n: int) -> list:
+    """words as a list, checked to have rank n, below BYTE_RANK_LIMIT."""
+    if n >= BYTE_RANK_LIMIT:
+        raise ValueError(f"rank {n} is too large for the byte kernel (limit {BYTE_RANK_LIMIT})")
+    words = list(words)
+    _require_rank(words, n)
+    return words
+
+
+def byte_words(words, n: int) -> list:
+    """byte_word(v) for each word v, every one checked to have rank n."""
+    return list(map(byte_word, _require_byte_rank(words, n)))
+
+
+def byte_tables(words, n: int) -> list:
+    """byte_table(u) for each word u, every one checked to have rank n."""
+    return list(map(byte_table, _require_byte_rank(words, n)))
+
+
+def byte_products(words, tables):
+    """The byte products of each byte word v with each byte table of u,
+    v outer and u inner: byte_word(compose(u, v)), lazily."""
+    return itertools.starmap(bytes.translate, itertools.product(words, tables))
+
+
 # The split kernel.  The coproduct splits a signed permutation w at each p
 # into the values of absolute value at most p, kept in place, and the rest,
 # shifted down by p (hopf.coproduct_split).  Which positions go left depends

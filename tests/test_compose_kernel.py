@@ -1,11 +1,12 @@
-"""The composition kernel of peakalg.perms against compose, its oracle.
+"""The composition kernels of peakalg.perms against compose, their oracle.
 
-composer(v)(lifted(u)) is compose(u, v) in one C call.  The enumerated
-cube, internal_product and bin_classes of peakalg.algebra and the shuffle
-product hopf.external_product run on it; the reference copies below are
-the compose-based forms they replaced, and the kernel must give the same
-cubes, products and binnings, down to dict order and the type of each
-value.
+composer(v)(lifted(u)) is compose(u, v) in one C call, and so is
+byte_word(v).translate(byte_table(u)) on the byte encoding.  The enumerated
+cube of peakalg.algebra runs on the byte kernel; internal_product and the
+shuffle product hopf.external_product run on the tuple kernel.  The
+reference copies below are the compose-based forms they replaced, and the
+kernels must give the same cubes, products and binnings, down to dict order
+and the type of each value.
 """
 
 import itertools
@@ -14,10 +15,14 @@ from fractions import Fraction
 
 import pytest
 
-from peakalg import algebra, bases, mr
+from peakalg import algebra, bases, mr, perms
 from peakalg.algebra import AlgElem, ClassAlgebra, bin_classes, internal_product
 from peakalg.hopf import block_embed, external_product, shuffles
 from peakalg.perms import (
+    byte_table,
+    byte_tables,
+    byte_word,
+    byte_words,
     compose,
     composer,
     composers,
@@ -163,6 +168,66 @@ def test_the_oracle_catches_a_wrong_kernel():
     assert kernel_mismatch(words, words, build=reversed_composer) is not None
 
 
+def byte_mismatch(words_u, words_v, table=byte_table):
+    """The first pair (u, v) whose byte product is not compose(u, v)."""
+    for v in words_v:
+        word = byte_word(v)
+        for u in words_u:
+            if word.translate(table(u)) != byte_word(compose(u, v)):
+                return u, v
+    return None
+
+
+@pytest.mark.parametrize("group,n", [("S", 4), ("B", 3), ("D", 4)])
+def test_byte_kernel_is_compose_on_every_pair(group, n):
+    words = group_elements(group, n)
+    assert byte_mismatch(words, words) is None
+
+
+@pytest.mark.parametrize("group,n", [("B", 5), ("S", 6)])
+def test_byte_kernel_is_compose_on_a_sample(group, n):
+    words = group_elements(group, n)
+    rng = random.Random(f"bytes-{group}{n}")
+    assert byte_mismatch(rng.sample(words, 60), rng.sample(words, 60)) is None
+
+
+def test_byte_kernel_is_compose_at_the_largest_rank():
+    rng = random.Random(127)
+
+    def signed(n):
+        values = list(range(1, n + 1))
+        rng.shuffle(values)
+        return tuple(x if rng.random() < 0.5 else -x for x in values)
+
+    words = [signed(127) for _ in range(6)]
+    assert byte_mismatch(words, words) is None
+
+
+def test_byte_table_reads_signed_values():
+    u = (2, -3, 1)
+    table = byte_table(u)
+    assert len(table) == 256 and byte_word(u) == bytes([2, 253, 1])
+    for j in range(1, 4):
+        assert table[j] == u[j - 1] % 256 and table[256 - j] == -u[j - 1] % 256
+    assert [table[j] for j in range(4, 253)] == list(range(4, 253))
+    assert table[0] == 0 and byte_word(()).translate(byte_table(())) == b""
+
+
+def without_negative_half(u):
+    """byte_table(u) with the entries 256 - j left as the identity."""
+    table = bytearray(byte_table(u))
+    table[256 - len(u) :] = range(256 - len(u), 256)
+    return bytes(table)
+
+
+def test_the_oracle_catches_a_byte_table_without_its_negative_half():
+    words = group_elements("B", 2)
+    assert byte_mismatch(words, words, table=without_negative_half) is not None
+    # sign-free words never read the negative half
+    words = group_elements("S", 3)
+    assert byte_mismatch(words, words, table=without_negative_half) is None
+
+
 # ---------------------------------------------------------------------------
 # malformed input fails as loudly as on compose
 
@@ -173,6 +238,27 @@ def test_words_of_another_rank_raise():
     with pytest.raises(ValueError, match="rank mismatch"):
         composers([(1, 2)], 3)
     assert lifted_words([], 3) == [] and composers([], 3) == []
+
+
+@pytest.mark.parametrize("build", [byte_words, byte_tables])
+def test_byte_words_of_another_rank_raise(build):
+    with pytest.raises(ValueError, match="rank mismatch"):
+        build([(1, 2, 3), (2, 1)], 3)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        build([(1, 2)], 3)
+    assert build([], 3) == []
+
+
+@pytest.mark.parametrize("build", [byte_words, byte_tables])
+def test_the_byte_kernel_refuses_rank_128_before_encoding(monkeypatch, build):
+    def refuse(word):
+        raise AssertionError("encoded a word of rank 128")
+
+    monkeypatch.setattr(perms, "byte_word", refuse)
+    monkeypatch.setattr(perms, "byte_table", refuse)
+    word = tuple(range(1, 129))  # j and 256 - j collide at j = 128
+    with pytest.raises(ValueError, match="rank 128 is too large"):
+        build([word], 128)
 
 
 @pytest.mark.parametrize("short_side", ["left", "right", "both"])
@@ -227,14 +313,50 @@ def composers_wrong_on(u0, v0, product):
     return broken
 
 
-def test_a_composer_wrong_on_one_pair_breaks_the_cube(monkeypatch):
+def byte_products_wrong_on(u0, v0, product):
+    """algebra.byte_products giving the byte word of product for (u0, v0)."""
+    real, pair0 = algebra.byte_products, (byte_word(v0), byte_table(u0))
+
+    def broken(words, tables):
+        for pair, got in zip(itertools.product(words, tables), real(words, tables)):
+            yield byte_word(product) if pair == pair0 else got
+
+    return broken
+
+
+def test_a_byte_product_wrong_on_one_pair_breaks_the_cube(monkeypatch):
     alg = fresh(bases.descent_algebra("B", 3))
     u0, v0 = alg.classes[0b101][0], alg.classes[0b010][-1]
     wrong = compose(u0, (-v0[0],) + v0[1:])
     assert wrong != compose(u0, v0)
-    monkeypatch.setattr(algebra, "composers", composers_wrong_on(u0, v0, wrong))
+    monkeypatch.setattr(algebra, "byte_products", byte_products_wrong_on(u0, v0, wrong))
     with pytest.raises(ArithmeticError, match="leave the span"):
         alg.cube
+
+
+def test_a_byte_table_without_its_negative_half_breaks_the_type_b_cube(monkeypatch):
+    alg = fresh(bases.descent_algebra("B", 3))
+
+    def broken(words, n):
+        return list(map(without_negative_half, words))
+
+    monkeypatch.setattr(algebra, "byte_tables", broken)
+    with pytest.raises(ArithmeticError, match="leave the span"):
+        alg.cube
+
+
+@pytest.mark.parametrize("ctype,n", [("B", 3), ("A", 4)])
+def test_the_cube_never_reaches_the_tuple_kernel(monkeypatch, ctype, n):
+    def refuse(words, n):
+        raise AssertionError("the tuple kernel was called")
+
+    want = typed(bases.descent_algebra(ctype, n).cube)
+    monkeypatch.setattr(algebra, "composers", refuse)
+    monkeypatch.setattr(algebra, "lifted_words", refuse)
+    assert typed(fresh(bases.descent_algebra(ctype, n)).cube) == want
+    one = AlgElem.unit(perms.GROUP_OF_TYPE[ctype], n)
+    with pytest.raises(AssertionError, match="tuple kernel"):
+        internal_product(one, one)
 
 
 @pytest.mark.parametrize("sizes", [(3, 8), (8, 3)])
@@ -278,6 +400,25 @@ def test_bin_classes_keeps_the_first_value_and_the_first_appearance_order():
     assert got == reference_bin_classes(terms, class_of, size)
     assert list(got) == [1, 0, 2]
     assert [type(c) for c in got.values()] == [Fraction, int, Fraction]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {"a": 1, "b": 2, "c": 1, "d": 1, "e": 1},  # the middle member differs
+        {"a": 1, "d": Fraction(1), "b": Fraction(1), "c": 1, "e": 1},  # 1 == Fraction(1)
+        {"a": 1, "b": 1, "c": 1, "z": 1},  # z has no class, after classed terms
+        {"d": 2, "a": 1, "e": 2, "b": 1, "c": 1},
+    ],
+)
+def test_bin_classes_agrees_with_the_reference_on_a_class_of_three(terms):
+    class_of = {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1}.get
+    size = {0: 3, 1: 2}.__getitem__
+    got = bin_classes(terms, class_of, size)
+    want = reference_bin_classes(terms, class_of, size)
+    assert got == want
+    if got is not None:
+        assert [(k, type(c)) for k, c in got.items()] == [(k, type(c)) for k, c in want.items()]
 
 
 @pytest.mark.parametrize(
