@@ -324,7 +324,7 @@ def byte_products_wrong_on(u0, v0, product):
     return broken
 
 
-def test_a_byte_product_wrong_on_one_pair_breaks_the_cube(monkeypatch):
+def test_a_composer_wrong_on_one_pair_breaks_the_cube(monkeypatch):
     alg = fresh(bases.descent_algebra("B", 3))
     u0, v0 = alg.classes[0b101][0], alg.classes[0b010][-1]
     wrong = compose(u0, (-v0[0],) + v0[1:])
