@@ -407,28 +407,46 @@ class ClassAlgebra:
 
     key maps a group element to its class label and labels lists every
     class in table order; classes, when given, is the partition already
-    binned (label -> members), and key is then not called.  Coordinates
-    are {label: coefficient} dicts; the class sums have disjoint supports,
-    so binning reads them off exactly.  A coarsening (see coarsen) keeps
-    its parent, its fibres (label -> the parent labels merged into it) and
-    its fibre map (parent label -> its own label), reads its structure
-    cube from the parent's, reads the label of an element through the
-    parent's, and translates coordinates to and from the parent's by lift
-    and spread."""
+    binned (label -> members), and key is then not called.  The group is
+    bound on first use, by classes and sizes.  Coordinates are {label:
+    coefficient} dicts; the class sums have disjoint supports, so binning
+    reads them off exactly.  A coarsening (see coarsen) keeps its parent,
+    its fibres (label -> the parent labels merged into it) and its fibre
+    map (parent label -> its own label), reads its sizes, members and cube
+    from the parent's, reads the label of an element through the parent's,
+    and translates coordinates to and from the parent's by lift and spread."""
 
     def __init__(self, group: str, n: int, key, labels, classes=None):
         self.group = group
         self.n = n
         self.labels = tuple(labels)
-        if classes is None:
+        self.key = key
+        self.partition = classes
+        self.parent = self.fibres = self.fibre_of = None
+
+    @cached_property
+    def classes(self) -> dict:
+        """Label -> members: the parent's merged, the partition, or the group
+        binned by key.  ValueError names an unlisted or a missing label."""
+        if self.parent is not None:
+            parent = self.parent.classes
+            return {g: tuple(w for lab in ls for w in parent[lab]) for g, ls in self.fibres.items()}
+        if (classes := self.partition) is None:
             classes = {lab: [] for lab in self.labels}
-            for w in group_elements(group, n):
-                classes[key(w)].append(w)
-        self.classes = {lab: tuple(classes[lab]) for lab in self.labels}
-        self.sizes = {lab: len(ws) for lab, ws in self.classes.items()}
-        self.parent = None
-        self.fibres = None
-        self.fibre_of = None
+            for w in group_elements(self.group, self.n):
+                if (lab := self.key(w)) not in classes:
+                    raise ValueError(f"the element {w} has the label {lab!r}, which is not listed")
+                classes[lab].append(w)
+        if missing := [lab for lab in self.labels if lab not in classes]:
+            raise ValueError(f"the partition has no class for the label {missing[0]!r}")
+        return {lab: tuple(classes[lab]) for lab in self.labels}
+
+    @cached_property
+    def sizes(self) -> dict:
+        """Label -> the size of its class, summed over the fibres of a coarsening."""
+        if self.parent is None:
+            return {lab: len(ws) for lab, ws in self.classes.items()}
+        return {g: sum(map(self.parent.sizes.__getitem__, ls)) for g, ls in self.fibres.items()}
 
     @cached_property
     def label_of(self) -> dict:
@@ -483,8 +501,8 @@ class ClassAlgebra:
 
     def coarsen(self, f, labels=None) -> "ClassAlgebra":
         """The span of the unions of the classes with equal f(label), in
-        the table order labels (sorted images by default).  Its cube is
-        read from this algebra's cube, not from the group."""
+        the table order labels (sorted images by default).  It keeps only
+        its fibres, and reads its cube and members from this algebra's."""
         fibres: dict = {}
         for lab in self.labels:
             fibres.setdefault(f(lab), []).append(lab)
@@ -502,8 +520,7 @@ class ClassAlgebra:
             missing = [lab for lab in fibres if lab not in seen]
             if missing:
                 raise ValueError(f"the label {missing[0]!r} is not listed")
-        merged = {g: [w for lab in ls for w in self.classes[lab]] for g, ls in fibres.items()}
-        coarse = ClassAlgebra(self.group, self.n, None, labels, merged)
+        coarse = ClassAlgebra(self.group, self.n, None, labels)
         coarse.parent = self
         coarse.fibres = {g: tuple(fibres[g]) for g in coarse.labels}
         coarse.fibre_of = {lab: g for g, ls in fibres.items() for lab in ls}

@@ -29,9 +29,11 @@ from .algebra import (
 from .bases import descent_algebra
 from .perms import (
     PeakIndex,
+    descent_mask,
     group_elements,
     interior_peak_mask,
     interior_sparse_masks,
+    iter_group,
     lambda_interior_mask,
     lambda_mask,
     mask_text,
@@ -107,6 +109,16 @@ def peak_solver(n: int) -> SpanSolver:
 def interior_peak_solver(n: int) -> SpanSolver:
     elems = interior_peak_elements(n)
     return SpanSolver([e for _, e in elems], labels=tuple(m for m, _ in elems))
+
+
+def class_sum_ranks(n: int) -> tuple:
+    """The ranks of the class sums of peak_algebra(n) and interior_peak_algebra(n):
+    by disjoint supports, those of the fibre rows over the realized descent sets."""
+    realized = {descent_mask(u, "A") for u in iter_group("S", n)}
+    return tuple(
+        Echelon({m: 1 for m in ms if m in realized} for ms in alg.fibres.values()).rank
+        for alg in (peak_algebra(n), interior_peak_algebra(n))
+    )
 
 
 def peak_coordinates(a: AlgElem):

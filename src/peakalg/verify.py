@@ -2,9 +2,9 @@
 
 Each suite bundles the executable theorem checks of one area into
 CheckResults.  Suites take the rank ceiling n_max and a deep flag; checks
-whose spec-level cap is lower than n_max stop at their own cap, and the
-handful of cheap counting checks (Fibonacci dimensions, peak-set
-realization) always run to their stated caps.
+whose spec-level cap is lower than n_max stop at their own cap; the
+cheap counting checks (Fibonacci dimensions, peak-set realization) always
+run to their stated caps, streaming the group and keeping no listing.
 
 A ranged check is an id, its cases (cheap labels: ranks, (type, rank)
 pairs, degree pairs) and a body of one case, registered by _add; only
@@ -134,7 +134,7 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 
     def counts(n):
         for group in [g for g in perms.GROUPS if n <= perms.enum_cap(g)]:
-            got, want = len(perms.group_elements(group, n)), perms.group_order(group, n)
+            got, want = sum(1 for _ in perms.iter_group(group, n)), perms.group_order(group, n)
             if got != want:
                 raise CheckFailure(f"{group}_{n} has {got} elements, wanted {want}")
 
@@ -183,7 +183,7 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
         # one pass; an unrealized set is reported before a mismatch
         classes = {m: 0 for m in perms.sparse_masks(n)}
         mismatch = None
-        for u in perms.group_elements("S", n):
+        for u in perms.iter_group("S", n):
             peaks = perms.peak_mask(u)
             classes[peaks] += 1
             if mismatch is None and perms.lambda_mask(perms.descent_mask(u, "A")) != peaks:
@@ -249,9 +249,10 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
         _add_per_rank(checks, "peaks", [n], *named)
 
     def dims(n):
-        if peakmod.peak_solver(n).rank != fibonacci(n):
+        peak_rank, interior_rank = peakmod.class_sum_ranks(n)
+        if peak_rank != fibonacci(n):
             raise CheckFailure(f"peak span rank != f_{n}")
-        if peakmod.interior_peak_solver(n).rank != fibonacci(n - 1):
+        if interior_rank != fibonacci(n - 1):
             raise CheckFailure(f"interior span rank != f_{n - 1}")
 
     _add(checks, "peaks/dimensions-to-8", range(1, 9), dims)
