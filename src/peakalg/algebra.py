@@ -28,14 +28,13 @@ from functools import cached_property
 from .perms import (
     GROUPS,
     Perm,
+    byte_decoder,
     byte_products,
     byte_tables,
     byte_words,
-    composers,
     group_elements,
     identity,
     in_group,
-    lifted_words,
 )
 from .reporting import CheckFailure
 
@@ -117,12 +116,7 @@ class AlgElem:
     def __add__(self, other: "AlgElem") -> "AlgElem":
         self._same_frame(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
+        add_multiple(out, 1, other.terms)
         return AlgElem._raw(self.group, self.n, out)
 
     def __sub__(self, other: "AlgElem") -> "AlgElem":
@@ -196,32 +190,22 @@ def linear_combine(pairs) -> AlgElem:
 
 
 def internal_product(a: AlgElem, b: AlgElem) -> AlgElem:
-    """Bilinear extension of the group product (convolution)."""
+    """Bilinear extension of the group product (convolution), keyed by
+    byte products and each distinct product decoded once."""
     a._same_frame(b)
-    out = {}
-    # convolve the smaller support against the larger: the inner loop runs
-    # over the smaller one, its lifted tables or composers built once
-    if len(a.terms) <= len(b.terms):
-        lifted_a = list(zip(lifted_words(a.terms, a.n), a.terms.values()))
-        for g, cv in zip(composers(b.terms, b.n), b.terms.values()):
-            for table, cw in lifted_a:
-                key = g(table)
-                s = out.get(key, 0) + cw * cv
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    else:
-        composed_b = list(zip(composers(b.terms, b.n), b.terms.values()))
-        for table, cw in zip(lifted_words(a.terms, a.n), a.terms.values()):
-            for g, cv in composed_b:
-                key = g(table)
-                s = out.get(key, 0) + cw * cv
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return AlgElem._raw(a.group, a.n, out)
+    words, tables = byte_words(b.terms, b.n), byte_tables(a.terms, a.n)
+    # the inner loop runs over the smaller support
+    a_inner = len(a.terms) <= len(b.terms)
+    outer, inner = (b.terms, a.terms) if a_inner else (a.terms, b.terms)
+    products, out = byte_products(words, tables, tables_outer=not a_inner), {}
+    for c_out in outer.values():
+        for c_in, key in zip(inner.values(), products):
+            s = out.get(key, 0) + c_in * c_out
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return AlgElem._raw(a.group, a.n, dict(zip(map(byte_decoder(a.n), out), out.values())))
 
 
 def push_forward(f, a: AlgElem, *, group: str | None = None, n: int | None = None) -> AlgElem:
@@ -562,19 +546,8 @@ class ClassAlgebra:
         the sum of the parent's cells over the two fibres, and, as every
         parent class is non-empty, it lies in the span exactly when that
         sum is constant on every fibre."""
-        fine, fibres = self.parent.cube, self.fibres
-        cube = {}
-        for g1, ls1 in fibres.items():
-            for g2, ls2 in fibres.items():
-                total: dict = {}
-                for l1 in ls1:
-                    for l2 in ls2:
-                        add_multiple(total, 1, fine[(l1, l2)])
-                coords = self.lift(total)
-                if coords is None:
-                    raise self._closure_error(g1, g2)
-                cube[(g1, g2)] = coords
-        return cube
+        pairs = pair_fibres(self.fibres, self.fibres)
+        return merged_rows(self.parent.cube, pairs, self.fibres, lambda g: self._closure_error(*g))
 
     def lift(self, parent_coords: dict):
         """The coordinates of a coarsening read from its parent's
@@ -658,9 +631,10 @@ def fibre_lift(fibres: dict, fine: dict):
 def merged_rows(rows: dict, fibres: dict, target: dict, failure) -> dict:
     """The rows of a linear map on unions of classes, read from its rows
     on the classes: the row of a union is the sum of the rows over its
-    fibre (fibres: union label -> the labels it unites), lifted over the
-    target fibres.  The sum lies in the span of the target unions exactly
-    when it lifts; failure(label) is raised for the first that does not."""
+    fibre (fibres: union label -> the labels it unites), read over the
+    target fibres by fibre_lift.  The sum lies in the span of the target
+    unions exactly when it lifts; failure(label) is raised for the first
+    that does not."""
     out = {}
     for g, ls in fibres.items():
         total: dict = {}
@@ -671,6 +645,16 @@ def merged_rows(rows: dict, fibres: dict, target: dict, failure) -> dict:
             raise failure(g)
         out[g] = coords
     return out
+
+
+def pair_fibres(left: dict, right: dict, *prefix) -> dict:
+    """The fibres of the pairs of unions, left outer: (*prefix, g1, g2) ->
+    the pairs (*prefix, l1, l2) of the labels that g1 and g2 unite."""
+    return {
+        (*prefix, g1, g2): [(*prefix, l1, l2) for l1 in ls1 for l2 in ls2]
+        for g1, ls1 in left.items()
+        for g2, ls2 in right.items()
+    }
 
 
 def two_sided_failure(rows: dict, ideal: ClassAlgebra, witness):

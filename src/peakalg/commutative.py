@@ -11,7 +11,7 @@ the degree-lowering maps restrict with simple casework formulas.
 Each count algebra is a coarsening of the type-B descent algebra or of the
 peak algebra, by the size of a label (less its first generator for the
 ideal sums).  Products of count sums are read on the parent's cube and
-lifted back through the fibres, so one closure check and one table
+carried back through the fibres, so one closure check and one table
 builder serve both sides.  The maps on the count sums are read on their
 rows over the fine classes, like every map check (see maps.landed).
 """
@@ -256,7 +256,7 @@ def _pad(prefix: int, coords, suffix: int) -> tuple:
 def _block_table(name: str, fine: ClassAlgebra, head, tail) -> StructureTable:
     """Table of a count algebra and its ideal, each a (name, coarsening of
     fine, first index) triple.  Products are taken on fine coordinates and
-    lifted: pure head products in the head block, anything touching the
+    carried back: pure head products in the head block, anything touching the
     ideal in the tail block."""
     (_, head_alg, _), (_, tail_alg, _) = head, tail
     every = _count_rows(*head) + _count_rows(*tail)
@@ -478,7 +478,7 @@ def check_whp_closure(n: int):
 def sbexact_diagram(n: int) -> DiagramSpec:
     """0 -> span{x_n, x_{n-1}} -> descent-count span -> (two ranks down)
     -> 0 over the analogous peak-count row, vertical sign forgetting.  The
-    kernel rows are x_n, x_{n-1} (lifted from the type-B classes) and the
+    kernel rows are x_n, x_{n-1} (carried from the type-B classes) and the
     sum of all p_i."""
     sol, wp = sol_algebra(n), wp_algebra(n)
     x_rows = [(f"x_{tag}", sol.lift(x_count_coords(n, j))) for tag, j in (("n", n), ("n1", n - 1))]

@@ -28,6 +28,7 @@ from .algebra import (
     leaves_span,
     merged_rows,
     pair_coords,
+    pair_fibres,
 )
 from .bases import (
     canonical_ideal_algebra,
@@ -42,12 +43,14 @@ from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordina
 from .perms import (
     CapExceeded,
     Perm,
-    composer,
-    composers,
+    byte_decoder,
+    byte_products,
+    byte_table,
+    byte_tables,
+    byte_word,
+    byte_words,
     group_elements,
     is_signed_perm,
-    lifted,
-    lifted_words,
     members_of,
     split_plan,
 )
@@ -73,9 +76,9 @@ def shuffles(p: int, q: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _lifted_shuffles(p: int, q: int) -> tuple:
-    """The (p, q)-shuffles lifted for the composition kernel, in order."""
-    return tuple(lifted_words(shuffles(p, q), p + q))
+def _shuffle_tables(p: int, q: int) -> tuple:
+    """The byte tables of the (p, q)-shuffles, in order."""
+    return tuple(byte_tables(shuffles(p, q), p + q))
 
 
 def _joint_group(a: AlgElem, b: AlgElem) -> str:
@@ -99,19 +102,14 @@ def external_product(a: AlgElem, b: AlgElem) -> AlgElem:
     if p + q > EXTERNAL_DEGREE_CAP:
         raise CapExceeded(f"external product capped at total degree {EXTERNAL_DEGREE_CAP}")
     group = _joint_group(a, b)
-    out: dict = {}
-    tables = _lifted_shuffles(p, q)
-    for u, cu in a.terms.items():
-        embeds = composers([block_embed(u, v) for v in b.terms], p + q)
-        for cv, base in zip(b.terms.values(), embeds):
-            c = cu * cv
-            for key in map(base, tables):  # compose(xi, block_embed(u, v)) per shuffle xi
-                s = out.get(key, 0) + c
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return AlgElem._raw(group, p + q, out)
+    tables = _shuffle_tables(p, q)
+    embeds = byte_words([block_embed(u, v) for u in a.terms for v in b.terms], p + q)
+    # compose(xi, block_embed(u, v)) for each shuffle xi of each (u, v): the
+    # factorization of a product as a shuffle times a block pair is unique,
+    # so no two products coincide and none has to be summed
+    products = map(byte_decoder(p + q), byte_products(embeds, tables))
+    coeffs = [cu * cv for cu in a.terms.values() for cv in b.terms.values() for _ in tables]
+    return AlgElem._raw(group, p + q, dict(zip(products, coeffs)))
 
 
 def coproduct_split(w: Perm, p: int):
@@ -156,9 +154,9 @@ def split_table(n: int) -> dict:
 
 
 def _check_split_reassembly(w: Perm, splits: list):
-    table = lifted(w)
-    for p, (xi, w1, w2) in enumerate(splits):
-        if composer(xi)(table) != block_embed(w1, w2):
+    products = byte_products([byte_word(xi) for xi, _, _ in splits], [byte_table(w)])
+    for p, ((xi, w1, w2), wxi) in enumerate(zip(splits, products)):  # wxi = compose(w, xi)
+        if wxi != byte_word(block_embed(w1, w2)):
             raise CheckFailure(f"factorization fails at w={w}, p={p}")
         if list(xi[:p]) != sorted(xi[:p]) or list(xi[p:]) != sorted(xi[p:]):
             raise CheckFailure(f"factor is not a shuffle at w={w}, p={p}")
@@ -375,13 +373,10 @@ def _merged_coproduct(family: str, n: int) -> dict:
     """The coproduct of a union of classes is the sum of the finer rows
     over its fibre, and, as every finer class is non-empty, it lies in the
     family's tensor square exactly when that sum is constant on every
-    pair of fibres (the argument of ClassAlgebra._coarsened_cube)."""
+    pair of fibres (pair_fibres, as for ClassAlgebra._coarsened_cube)."""
     fibres = [_fibres(family, d) for d in range(n + 1)]
     pairs = {
-        (p, g1, g2): [(p, l1, l2) for l1 in ls1 for l2 in ls2]
-        for p in range(n + 1)
-        for g1, ls1 in fibres[p].items()
-        for g2, ls2 in fibres[n - p].items()
+        k: ls for p in range(n + 1) for k, ls in pair_fibres(fibres[p], fibres[n - p], p).items()
     }
     fine = coproduct_coords(FINER[family], n)
     return merged_rows(fine, fibres[n], pairs, partial(_closure_failure, family))

@@ -501,7 +501,7 @@ def exact_square(name: str, upper: list, lower: list, drop: tuple, down: tuple) 
 
 def _peak_row(n: int) -> list:
     """0 -> interior peaks -> peaks_n -> peaks_{n-2} -> 0 as Nodes; the
-    interior class sums are lifted to P-coordinates."""
+    interior class sums are carried to P-coordinates."""
     P, interior = peak_algebra(n), interior_peak_algebra(n)
     pint = [(m, P.lift(interior.spread({m: 1}))) for m in interior.labels]
     return [Node("Pint", P, pint), Node("P", P), Node("P2", peak_algebra(n - 2))]

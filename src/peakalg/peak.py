@@ -9,7 +9,7 @@ degree-lowering projection onto the peak algebra two ranks down.
 
 Both are coarsenings of the type-A descent algebra, so the ideal property
 is read on its cube (algebra.two_sided_failure), and the quotient on
-labels: the projection's rows and the interior class sums lifted to
+labels: the projection's rows and the interior class sums carried to
 P-coordinates.
 """
 
@@ -196,7 +196,7 @@ def check_two_sided_ideal(n: int):
 def check_quotient(n: int):
     """The projection is onto rank n-2 with kernel exactly the ideal, on
     labels: its rows come from pi_label, and each interior class sum is
-    lifted from type-A to P coordinates."""
+    carried from type-A to P coordinates."""
     from .perms import fibonacci
 
     peaks, interior = peak_algebra(n), interior_peak_algebra(n)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -110,19 +111,6 @@ def compose(u: Perm, v: Perm) -> Perm:
     return tuple([u[j - 1] if j > 0 else -u[-j - 1] for j in v])
 
 
-# The composition kernel: compose(u, v) == composer(v)(lifted(u)), one C
-# call per product.  Lift a factor once and apply the composers of the
-# other to it; compose stays as the oracle.  A table read by a word of
-# another rank gives a wrong product without an error, so bulk callers lift
-# and build through lifted_words and composers, which check the rank.
-
-
-def lifted(u: Perm) -> tuple:
-    """The table (0, u_1, ..., u_n, -u_n, ..., -u_1): with Python's
-    negative indexing, entry j is u_j and entry -j is -u_j."""
-    return (0, *u, *[-x for x in reversed(u)])
-
-
 def _picker(indices):
     """The map seq -> tuple(seq[i] for i in indices), in one C call."""
     if len(indices) > 1:
@@ -133,59 +121,47 @@ def _picker(indices):
     return lambda seq: ()
 
 
-def composer(v: Perm):
-    """The map lifted(u) -> compose(u, v) for u of the rank of v."""
-    return _picker(v)
-
-
-def _require_rank(words, n: int):
-    """ValueError unless every word has rank n."""
-    lengths = set(map(len, words))
-    lengths.discard(n)
-    if lengths:
-        raise ValueError(f"rank mismatch: {min(lengths)} vs {n}")
-
-
-def lifted_words(words, n: int) -> list:
-    """lifted(u) for each word u, every one checked to have rank n."""
-    words = list(words)
-    _require_rank(words, n)
-    return list(map(lifted, words))
-
-
-def composers(words, n: int) -> list:
-    """composer(v) for each word v, every one checked to have rank n."""
-    words = list(words)
-    _require_rank(words, n)
-    return list(map(composer, words))
-
-
-# The byte kernel: byte_word(v).translate(byte_table(u)) is
-# byte_word(compose(u, v)), one C call whose result caches its hash.  Each
-# value is kept mod 256, so j and -j are the bytes j and 256 - j, which stay
-# apart below rank BYTE_RANK_LIMIT only.  The enumerated structure cube of
-# peakalg.algebra runs on it, because it keeps only the count of each
-# product's class, never a product; internal_product, the shuffle embeds,
-# the length oracle and the split plans keep their products as tuples and
-# stay on the tuple kernel above.  Bulk callers encode through byte_words
-# and byte_tables, which check the rank, and multiply with byte_products.
+# The composition kernel: byte_word(v).translate(byte_table(u)) is
+# byte_word(compose(u, v)), one C call whose result caches its hash; compose
+# stays as the oracle.  Each value is kept mod 256, so j and -j are the
+# bytes j and 256 - j, which stay apart below rank BYTE_RANK_LIMIT only, and
+# byte_decoder(n) reads a byte word back as the signed tuple.  Convolution,
+# the shuffle embeds, the split-reassembly check, the length oracle and the
+# enumerated structure cube multiply on it; products that must stay tuples
+# are keyed by their byte words and each distinct one is decoded once.  A
+# table read by a word of another rank gives a wrong product without an
+# error, so bulk callers encode through byte_words and byte_tables, which
+# check the rank, and multiply with byte_products.
 
 BYTE_RANK_LIMIT = 128
 
+# rank n -> the struct of n signed bytes: pack encodes a word, unpack decodes it
+_BYTE_STRUCTS = tuple(struct.Struct(f"{n}b") for n in range(BYTE_RANK_LIMIT))
+_IDENTITY_TABLE = bytes(range(256))
+_NEGATED = bytes(-x % 256 for x in range(256))
+
+
+def byte_decoder(n: int):
+    """The map byte_word(v) -> v for v of rank n, in one C call: each byte
+    is read as a signed value, so 256 - j is -j."""
+    return _BYTE_STRUCTS[n].unpack
+
 
 def byte_word(v: Perm) -> bytes:
-    """v with each value taken mod 256."""
-    return bytes([x % 256 for x in v])
+    """v as signed bytes, each value taken mod 256."""
+    return _BYTE_STRUCTS[len(v)].pack(*v)
 
 
 def byte_table(u: Perm) -> bytes:
     """The translation table whose entry j is u_j and entry 256 - j is
     -u_j, mod 256; the other entries are left as the identity."""
-    table = bytearray(range(256))
-    n = len(u)
-    table[1 : n + 1] = byte_word(u)
-    table[256 - n :] = bytes([-x % 256 for x in reversed(u)])
-    return bytes(table)
+    return _word_table(byte_word(u))
+
+
+def _word_table(word: bytes) -> bytes:
+    """byte_table of the word that byte_word encodes as word."""
+    n = len(word)
+    return b"".join((b"\0", word, _IDENTITY_TABLE[n + 1 : 256 - n], word[::-1].translate(_NEGATED)))
 
 
 def _require_byte_rank(words, n: int) -> list:
@@ -193,23 +169,30 @@ def _require_byte_rank(words, n: int) -> list:
     if n >= BYTE_RANK_LIMIT:
         raise ValueError(f"rank {n} is too large for the byte kernel (limit {BYTE_RANK_LIMIT})")
     words = list(words)
-    _require_rank(words, n)
+    lengths = set(map(len, words)) - {n}
+    if lengths:
+        raise ValueError(f"rank mismatch: {min(lengths)} vs {n}")
     return words
 
 
 def byte_words(words, n: int) -> list:
     """byte_word(v) for each word v, every one checked to have rank n."""
-    return list(map(byte_word, _require_byte_rank(words, n)))
+    words, pack = _require_byte_rank(words, n), _BYTE_STRUCTS[n].pack
+    return [pack(*v) for v in words]
 
 
 def byte_tables(words, n: int) -> list:
     """byte_table(u) for each word u, every one checked to have rank n."""
-    return list(map(byte_table, _require_byte_rank(words, n)))
+    return list(map(_word_table, byte_words(words, n)))
 
 
-def byte_products(words, tables):
+def byte_products(words, tables, *, tables_outer: bool = False):
     """The byte products of each byte word v with each byte table of u,
-    v outer and u inner: byte_word(compose(u, v)), lazily."""
+    byte_word(compose(u, v)), lazily: v outer and u inner, or u outer and
+    v inner when tables_outer."""
+    if tables_outer:  # each table once per word, against the words cycled
+        per_table = itertools.chain.from_iterable(itertools.repeat(t, len(words)) for t in tables)
+        return map(bytes.translate, itertools.cycle(words), per_table)
     return itertools.starmap(bytes.translate, itertools.product(words, tables))
 
 
@@ -222,9 +205,9 @@ def byte_products(words, tables):
 
 @lru_cache(maxsize=None)
 def _shift_table(n: int, p: int) -> tuple:
-    """lifted((1 - p, ..., n - p)): entry v is v - p and entry -v is p - v,
-    for 0 < v <= n."""
-    return lifted(tuple(range(1 - p, n + 1 - p)))
+    """The table whose entry v is v - p and entry -v is p - v, for
+    0 < v <= n (entry 0 is never read)."""
+    return (*range(-p, n + 1 - p), *range(p - n, p))
 
 
 @lru_cache(maxsize=None)
@@ -637,30 +620,31 @@ def interior_peak_set(u: Perm) -> PeakIndex:
 # Cayley-graph length oracle
 
 @lru_cache(maxsize=None)
-def _generator_composers(ctype: str, n: int) -> tuple:
-    """(label, composer of the generator) for the standard generators, in order."""
+def _generator_words(ctype: str, n: int) -> tuple:
+    """(labels, byte words) of the standard generators, in order."""
     gens = coxeter_generators(ctype, n)
-    return tuple(zip([label for label, _ in gens], composers([g for _, g in gens], n)))
+    return tuple(label for label, _ in gens), byte_words([g for _, g in gens], n)
 
 
 @lru_cache(maxsize=None)
-def coxeter_length_table(group: str, n: int) -> dict:
-    """Length of every element of the group, by breadth-first search from
-    the identity along right multiplication by the standard generators."""
+def _byte_length_table(group: str, n: int) -> dict:
+    """Length of every element of the group, keyed by its byte word, by
+    breadth-first search from the identity along right multiplication by
+    the standard generators."""
     if n > bfs_cap():
         raise CapExceeded(f"BFS cap is {bfs_cap()}, got rank {n}")
-    gens = [g for _, g in _generator_composers(TYPE_OF_GROUP[group], n)]
-    start = identity(n)
+    _, gens = _generator_words(TYPE_OF_GROUP[group], n)
+    start = byte_word(identity(n))
     table = {start: 0}
     frontier = [start]
     while frontier:
         nxt = []
         for w in frontier:
-            lw, lifted_w = table[w], lifted(w)
+            lw, w_table = table[w] + 1, _word_table(w)
             for g in gens:
-                wg = g(lifted_w)  # compose(w, generator)
+                wg = g.translate(w_table)  # compose(w, generator)
                 if wg not in table:
-                    table[wg] = lw + 1
+                    table[wg] = lw
                     nxt.append(wg)
         frontier = nxt
     if len(table) != group_order(group, n):
@@ -668,10 +652,17 @@ def coxeter_length_table(group: str, n: int) -> dict:
     return table
 
 
+@lru_cache(maxsize=None)
+def coxeter_length_table(group: str, n: int) -> dict:
+    """Length of every element of the group, in breadth-first search order."""
+    table = _byte_length_table(group, n)
+    return dict(zip(map(byte_decoder(n), table), table.values()))
+
+
 def length_descent_mask(w: Perm, ctype: str) -> int:
     """Descents read off the length function: labels s with l(ws) < l(w)."""
-    table = coxeter_length_table(GROUP_OF_TYPE[ctype], len(w))
-    lw, lifted_w = table[w], lifted(w)
-    return mask_of(
-        label for label, g in _generator_composers(ctype, len(w)) if table[g(lifted_w)] < lw
-    )
+    table = _byte_length_table(GROUP_OF_TYPE[ctype], len(w))
+    labels, gens = _generator_words(ctype, len(w))
+    word = byte_word(w)
+    lw, w_table = table[word], _word_table(word)
+    return mask_of(label for label, g in zip(labels, gens) if table[g.translate(w_table)] < lw)

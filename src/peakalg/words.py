@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import AlgElem
+from .algebra import AlgElem, add_multiple
 from .perms import Perm, compose
 from .reporting import CheckFailure
 
@@ -68,12 +68,7 @@ class TensorElem:
         if self.length != other.length:
             raise ValueError("length mismatch")
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
+        add_multiple(out, 1, other.terms)
         return TensorElem(self.length, out)
 
     def scale(self, c) -> "TensorElem":

@@ -1,34 +1,32 @@
-"""The composition kernels of peakalg.perms against compose, their oracle.
+"""The composition kernel of peakalg.perms against compose, its oracle.
 
-composer(v)(lifted(u)) is compose(u, v) in one C call, and so is
-byte_word(v).translate(byte_table(u)) on the byte encoding.  The enumerated
-cube of peakalg.algebra runs on the byte kernel; internal_product and the
-shuffle product hopf.external_product run on the tuple kernel.  The
-reference copies below are the compose-based forms they replaced, and the
-kernels must give the same cubes, products and binnings, down to dict order
-and the type of each value.
+byte_word(v).translate(byte_table(u)) is byte_word(compose(u, v)) in one C
+call, and byte_decoder(n) reads a byte word back as the signed tuple.  The
+enumerated cube of peakalg.algebra, internal_product and the shuffle
+product hopf.external_product run on it.  The reference copies below are
+the compose-based forms they replaced, and the kernel must give the same
+cubes, products and binnings, down to dict order and the type of each
+value.
 """
 
 import itertools
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 
-from peakalg import algebra, bases, mr, perms
+from peakalg import algebra, bases, hopf, mr, perms
 from peakalg.algebra import AlgElem, ClassAlgebra, bin_classes, internal_product
 from peakalg.hopf import block_embed, external_product, shuffles
 from peakalg.perms import (
+    byte_decoder,
     byte_table,
     byte_tables,
     byte_word,
     byte_words,
     compose,
-    composer,
-    composers,
     group_elements,
-    lifted,
-    lifted_words,
 )
 
 # ---------------------------------------------------------------------------
@@ -118,12 +116,12 @@ def fresh(alg: ClassAlgebra) -> ClassAlgebra:
 # the kernel
 
 
-def kernel_mismatch(words_u, words_v, lift=lifted, build=composer):
-    """The first pair (u, v) whose kernel product is not compose(u, v)."""
+def byte_mismatch(words_u, words_v, table=byte_table, word=byte_word):
+    """The first pair (u, v) whose byte product is not compose(u, v)."""
     for v in words_v:
-        g = build(v)
+        encoded = word(v)
         for u in words_u:
-            if g(lift(u)) != compose(u, v):
+            if encoded.translate(table(u)) != byte_word(compose(u, v)):
                 return u, v
     return None
 
@@ -132,50 +130,33 @@ def kernel_mismatch(words_u, words_v, lift=lifted, build=composer):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_kernel_is_compose_on_every_pair(group, n):
     words = group_elements(group, n)
-    assert kernel_mismatch(words, words) is None
+    assert byte_mismatch(words, words) is None
 
 
 def test_kernel_is_compose_on_a_sample_of_b4():
     words = group_elements("B", 4)
     rng = random.Random(4)
-    assert kernel_mismatch(rng.sample(words, 48), rng.sample(words, 48)) is None
-
-
-def test_lifted_table_reads_signed_values():
-    u = (2, -3, 1)
-    table = lifted(u)
-    assert table == (0, 2, -3, 1, -1, 3, -2)
-    for j in range(1, 4):
-        assert table[j] == u[j - 1] and table[-j] == -u[j - 1]
+    assert byte_mismatch(rng.sample(words, 48), rng.sample(words, 48)) is None
 
 
 def test_small_ranks_return_tuples():
-    assert composer(())(lifted(())) == ()
-    assert composer((-1,))(lifted((1,))) == (-1,)
-    assert composer((1,))(lifted((-1,))) == (-1,)
+    for group in ("S", "B", "D"):
+        one = AlgElem.unit(group, 0)
+        assert internal_product(one, one).terms == {(): 1}
+    bar, one = AlgElem.monomial("B", 1, (-1,)), AlgElem.unit("B", 1)
+    for a, b, want in ((bar, bar, (1,)), (bar, one, (-1,)), (one, bar, (-1,))):
+        (got,) = internal_product(a, b).terms
+        assert type(got) is tuple and got == want
 
 
 def test_the_oracle_catches_a_wrong_kernel():
     words = group_elements("B", 2)
 
-    def unsigned_lift(u):  # loses the signs of the negative half
-        return (0, *u, *reversed(u))
+    def reversed_word(v):
+        return byte_word(tuple(reversed(v)))
 
-    def reversed_composer(v):
-        return composer(tuple(reversed(v)))
-
-    assert kernel_mismatch(words, words, lift=unsigned_lift) is not None
-    assert kernel_mismatch(words, words, build=reversed_composer) is not None
-
-
-def byte_mismatch(words_u, words_v, table=byte_table):
-    """The first pair (u, v) whose byte product is not compose(u, v)."""
-    for v in words_v:
-        word = byte_word(v)
-        for u in words_u:
-            if word.translate(table(u)) != byte_word(compose(u, v)):
-                return u, v
-    return None
+    assert byte_mismatch(words, words, table=without_negative_half) is not None
+    assert byte_mismatch(words, words, word=reversed_word) is not None
 
 
 @pytest.mark.parametrize("group,n", [("S", 4), ("B", 3), ("D", 4)])
@@ -201,6 +182,15 @@ def test_byte_kernel_is_compose_at_the_largest_rank():
 
     words = [signed(127) for _ in range(6)]
     assert byte_mismatch(words, words) is None
+    assert [byte_decoder(127)(byte_word(w)) for w in words] == words
+
+
+@pytest.mark.parametrize("group,n", [("S", 5), ("B", 4), ("D", 4)])
+def test_the_decoder_inverts_the_encoding(group, n):
+    decode = byte_decoder(n)
+    for w in group_elements(group, n):
+        word = byte_word(w)
+        assert word == bytes(x % 256 for x in w) and decode(word) == w
 
 
 def test_byte_table_reads_signed_values():
@@ -230,14 +220,6 @@ def test_the_oracle_catches_a_byte_table_without_its_negative_half():
 
 # ---------------------------------------------------------------------------
 # malformed input fails as loudly as on compose
-
-
-def test_words_of_another_rank_raise():
-    with pytest.raises(ValueError, match="rank mismatch"):
-        lifted_words([(1, 2, 3), (2, 1)], 3)
-    with pytest.raises(ValueError, match="rank mismatch"):
-        composers([(1, 2)], 3)
-    assert lifted_words([], 3) == [] and composers([], 3) == []
 
 
 @pytest.mark.parametrize("build", [byte_words, byte_tables])
@@ -300,25 +282,16 @@ def test_mantaci_reutenauer_cube_equals_the_compose_cube(n):
     assert typed(alg.cube) == typed(reference_cube(alg))
 
 
-def composers_wrong_on(u0, v0, product):
-    """algebra.composers with the composer of v0 giving product on u0."""
-    real, table0 = algebra.composers, lifted(u0)
-
-    def broken(words, n):
-        return [
-            (lambda table, g=g: product if table == table0 else g(table)) if v == v0 else g
-            for v, g in zip(words, real(words, n))
-        ]
-
-    return broken
-
-
 def byte_products_wrong_on(u0, v0, product):
     """algebra.byte_products giving the byte word of product for (u0, v0)."""
     real, pair0 = algebra.byte_products, (byte_word(v0), byte_table(u0))
 
-    def broken(words, tables):
-        for pair, got in zip(itertools.product(words, tables), real(words, tables)):
+    def broken(words, tables, tables_outer=False):
+        if tables_outer:
+            pairs = ((word, table) for table in tables for word in words)
+        else:
+            pairs = itertools.product(words, tables)
+        for pair, got in zip(pairs, real(words, tables, tables_outer=tables_outer)):
             yield byte_word(product) if pair == pair0 else got
 
     return broken
@@ -345,20 +318,6 @@ def test_a_byte_table_without_its_negative_half_breaks_the_type_b_cube(monkeypat
         alg.cube
 
 
-@pytest.mark.parametrize("ctype,n", [("B", 3), ("A", 4)])
-def test_the_cube_never_reaches_the_tuple_kernel(monkeypatch, ctype, n):
-    def refuse(words, n):
-        raise AssertionError("the tuple kernel was called")
-
-    want = typed(bases.descent_algebra(ctype, n).cube)
-    monkeypatch.setattr(algebra, "composers", refuse)
-    monkeypatch.setattr(algebra, "lifted_words", refuse)
-    assert typed(fresh(bases.descent_algebra(ctype, n)).cube) == want
-    one = AlgElem.unit(perms.GROUP_OF_TYPE[ctype], n)
-    with pytest.raises(AssertionError, match="tuple kernel"):
-        internal_product(one, one)
-
-
 @pytest.mark.parametrize("sizes", [(3, 8), (8, 3)])
 def test_a_composer_wrong_on_one_pair_changes_the_product(monkeypatch, sizes):
     words = group_elements("B", 2)
@@ -367,8 +326,26 @@ def test_a_composer_wrong_on_one_pair_changes_the_product(monkeypatch, sizes):
     want = reference_product(a, b)
     assert internal_product(a, b).terms == want
     u0, v0 = words[1], words[2]
-    monkeypatch.setattr(algebra, "composers", composers_wrong_on(u0, v0, words[0]))
+    monkeypatch.setattr(algebra, "byte_products", byte_products_wrong_on(u0, v0, words[0]))
     assert internal_product(a, b).terms != want
+
+
+def unsigned_decoder(n):
+    """A decoder that reads each byte as unsigned, so 255 is 255, not -1."""
+    return struct.Struct(f"{n}B").unpack
+
+
+def test_an_unsigned_decoder_breaks_both_products_on_b3(monkeypatch):
+    words = group_elements("B", 3)
+    a = AlgElem("B", 3, {w: 1 for w in words[:6]})
+    b = AlgElem("B", 3, {w: 1 for w in words[-6:]})
+    left, right = AlgElem.monomial("B", 1, (-1,)), AlgElem.monomial("B", 2, (2, -1))
+    want = reference_product(a, b), reference_external_product(left, right)
+    assert (internal_product(a, b).terms, external_product(left, right).terms) == want
+    monkeypatch.setattr(algebra, "byte_decoder", unsigned_decoder)
+    monkeypatch.setattr(hopf, "byte_decoder", unsigned_decoder)
+    assert internal_product(a, b).terms != want[0]
+    assert external_product(left, right).terms != want[1]
 
 
 @pytest.mark.parametrize("group,n", [("S", 4), ("B", 3), ("D", 4)])

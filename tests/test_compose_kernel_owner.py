@@ -1,13 +1,14 @@
 """Only peakalg.perms holds the composition kernel.
 
-compose(u, v) is composer(v)(lifted(u)): an operator.itemgetter of the
-word v applied to the signed table (0, u_1, ..., u_n, -u_n, ..., -u_1).
-On the byte encoding it is byte_word(v).translate(byte_table(u)), a
-bytes.translate through a 256-byte table built from bytearray(range(256)).
-A table read by a word of another rank gives a wrong product silently, so
-perms builds both halves, behind its rank checks.  This test reads the
-source of every other module of the package for itemgetter, translate and
-the idioms that build a lifted or byte table by hand.
+compose(u, v) is byte_word(v).translate(byte_table(u)), a bytes.translate
+through a 256-byte table built from bytes(range(256)), and byte_decoder(n)
+reads a product back through the unpack of a struct.Struct of n signed
+bytes.  A table read by a word of another rank gives a wrong product
+silently, so perms builds both halves, behind its rank checks, and is the
+only module that encodes or decodes.  The split plans pick positions with
+an itemgetter.  This test reads the source of every other module of the
+package for itemgetter, translate, struct and unpack, and the idiom that
+builds a byte table by hand.
 """
 
 import re
@@ -17,10 +18,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "peakalg"
 
 KERNEL = {
     "itemgetter": re.compile(r"\bitemgetter\b"),
-    "(0, *u, ...)": re.compile(r"\(\s*0\s*,\s*\*"),
-    "-x for x in reversed(u)": re.compile(r"-\s*(\w+)\s+for\s+\1\s+in\s+reversed\("),
     ".translate": re.compile(r"\.translate\b"),
     "bytearray(range(256))": re.compile(r"\b(bytes|bytearray)\(\s*range\(\s*256\s*\)"),
+    "struct.Struct(": re.compile(r"\bStruct\("),
+    ".unpack": re.compile(r"\.unpack\b"),
 }
 
 
