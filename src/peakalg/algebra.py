@@ -20,7 +20,7 @@ coordinates, multiplication tables and saturation ranks.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -35,6 +35,7 @@ from .perms import (
     group_elements,
     identity,
     in_group,
+    inverse,
 )
 from .reporting import CheckFailure
 
@@ -514,7 +515,7 @@ class ClassAlgebra:
     def cube(self) -> dict:
         """(label, label) -> coordinates of the product of the two class
         sums.  Building it is the closure check: it raises ArithmeticError
-        when a product leaves the span."""
+        when a product leaves the span, or a cell miscounts its products."""
         if self.parent is None:
             return self._enumerated_cube()
         return self._coarsened_cube()
@@ -523,22 +524,58 @@ class ClassAlgebra:
         return ArithmeticError(f"class sums {l1} * {l2} leave the span in {self.group}_{self.n}")
 
     def _enumerated_cube(self) -> dict:
-        """The cube by counting compositions of group elements and binning
-        each product, on the byte kernel: each class is encoded once, each
-        cell is one Counter of byte products (v outer, u inner, so a cell
-        keeps the first-appearance order of its products), binned through
-        a lookup from each member's byte word to its class."""
+        """The cube from the group, on the byte kernel, in two steps.  First
+        a closure certificate: classes become generators, by size and then
+        label order, until the coordinates {g: 1} saturated under their
+        rows g * Y_b (counted and binned for every class b) span every
+        label.  V, the span of the class sums, is then generated by them
+        and stable under left multiplication by each, so V * V lies in V; a
+        row off the span re-scans the rows in label order to name the first
+        cell off it.  Then the cells, in label order: Y_a * Y_b has the
+        coefficient #{u in a : u^-1 * w_c in b} on c, for w_c the first
+        member of c, and must count |a| * |b| products."""
         words = {lab: byte_words(ws, self.n) for lab, ws in self.classes.items()}
-        tables = {lab: byte_tables(ws, self.n) for lab, ws in self.classes.items()}
         class_of = {w: lab for lab, ws in words.items() for w in ws}.get
-        size = self.sizes.__getitem__
-        cube = {}
-        for l1, t1 in tables.items():
-            for l2, w2 in words.items():
-                coords = bin_classes(Counter(byte_products(w2, t1)), class_of, size)
-                if coords is None:
-                    raise self._closure_error(l1, l2)
-                cube[(l1, l2)] = coords
+        size, dim, frame = self.sizes.__getitem__, len(self.labels), f"{self.group}_{self.n}"
+
+        def row(g):  # label b -> the coordinates of g * Y_b, or None off the span
+            tables = byte_tables(self.classes[g], self.n)
+            return {
+                b: bin_classes(Counter(byte_products(ws, tables)), class_of, size)
+                for b, ws in words.items()
+            }
+
+        rows, span, basis, pending = {}, Echelon(), [], deque()
+
+        def keep(x):  # a new vector of the span waits for each generator's row
+            if span.add(x):
+                basis.append(x)
+                pending.extend((h, x) for h in rows)
+
+        for g in sorted(self.labels, key=size):
+            if span.rank == dim:
+                break
+            rows[g] = row(g)
+            if None in rows[g].values():
+                a, b = next((a, b) for a in self.labels for b, c in row(a).items() if c is None)
+                raise self._closure_error(a, b)
+            pending.extend((g, x) for x in basis)
+            keep({g: 1})
+            while pending and span.rank < dim:
+                h, x = pending.popleft()
+                keep(apply_rows(rows[h], x))
+        if span.rank < dim:
+            raise ArithmeticError(f"the generators reach rank {span.rank} of {dim} in {frame}")
+
+        cube = {(a, b): {} for a in self.labels for b in self.labels}
+        for a, ws in self.classes.items():
+            inverses = byte_tables(map(inverse, ws), self.n)
+            for c, first in words.items():
+                for b, k in Counter(map(class_of, byte_products(first[:1], inverses))).items():
+                    cube[(a, b)][c] = k
+        for (a, b), coords in cube.items():
+            if (total := sum(k * size(c) for c, k in coords.items())) != size(a) * size(b):
+                raise ArithmeticError(f"class sums {a} * {b} count {total} products in {frame}")
         return cube
 
     def _coarsened_cube(self) -> dict:

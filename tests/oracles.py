@@ -4,9 +4,9 @@ The package does not call these: they restate, from the basis elements
 alone, facts the checks under test read from class coordinates.
 """
 
-from peakalg.algebra import Echelon
+from peakalg.algebra import ClassAlgebra, Echelon
 from peakalg.bases import descent_algebra, descent_coordinates
-from peakalg.perms import popcount
+from peakalg.perms import compose, popcount
 
 
 def descent_span_rank(elems, ctype: str) -> int:
@@ -30,3 +30,52 @@ def a_descent_number(n: int, j: int):
 def bidegree(t2, p: int) -> dict:
     """The component of a hopf.Tensor2 whose left factors have degree p."""
     return {k: c for k, c in t2.terms.items() if len(k[0]) == p}
+
+
+def reference_bin_classes(terms, class_of, size):
+    """Class binning term by term: the coefficients per class in order of
+    first appearance, or None off the span."""
+    seen: dict = {}
+    for w, c in terms.items():
+        k = class_of(w)
+        if k is None:
+            return None
+        prev = seen.get(k)
+        if prev is None:
+            seen[k] = [c, 1]
+        elif prev[0] == c:
+            prev[1] += 1
+        else:
+            return None
+    for k, (c, count) in seen.items():
+        if count != size(k):
+            return None
+    return {k: c for k, (c, _) in seen.items()}
+
+
+def reference_cube(alg: ClassAlgebra, left=None) -> dict:
+    """The structure cube by composing every pair of group elements, |G|^2
+    products, or only its rows with the left labels given: each cell lists
+    its labels in the order its products first appear, and a product off
+    the span raises at the first such cell in label order."""
+    class_of, size = alg.class_of, alg.sizes.__getitem__
+    cube = {}
+    for l1 in alg.labels if left is None else left:
+        c1 = alg.classes[l1]
+        for l2, c2 in alg.classes.items():
+            counts: dict = {}
+            for v in c2:
+                for w in c1:
+                    key = compose(w, v)
+                    counts[key] = counts.get(key, 0) + 1
+            coords = reference_bin_classes(counts, class_of, size)
+            if coords is None:
+                raise ArithmeticError(f"class sums {l1} * {l2} leave the span")
+            cube[(l1, l2)] = coords
+    return cube
+
+
+def in_label_order(cube: dict, labels) -> dict:
+    """The cube with each cell's labels sorted into table order."""
+    rank = {lab: i for i, lab in enumerate(labels)}
+    return {k: {lab: cell[lab] for lab in sorted(cell, key=rank.get)} for k, cell in cube.items()}

@@ -1,14 +1,17 @@
 """Coarsened class algebras read their structure cube from their parent's.
 
-Every coarsened cube must equal the cube enumerated from the group for the
-same classes (an algebra with no parent), the closure check must fail the
-same way on both paths, and the table order passed to coarsen must name
-every fibre exactly once.  The peak classes, now fibres of the lambda
-operators, are checked against binning by peak set element by element.
+Every coarsened cube must equal the cube built from the group for the same
+classes (an algebra with no parent, whose cube is certified from a few
+generator rows and read from one representative per class) and the |G|^2
+count of oracles.reference_cube, the closure check must fail the same way
+on both paths, and the table order passed to coarsen must name every fibre
+exactly once.  The peak classes, now fibres of the lambda operators, are
+checked against binning by peak set element by element.
 """
 
 import pytest
 
+from oracles import reference_cube
 from peakalg import peak, perms
 from peakalg.algebra import ClassAlgebra
 from peakalg.bases import canonical_ideal_algebra, descent_algebra
@@ -28,7 +31,7 @@ CASES = (
 
 
 def enumerated(alg: ClassAlgebra) -> ClassAlgebra:
-    """The same classes with no parent, so its cube counts compositions."""
+    """The same classes with no parent, so its cube is built from the group."""
     return ClassAlgebra(alg.group, alg.n, alg.class_of, alg.labels, alg.classes)
 
 
@@ -36,7 +39,7 @@ def enumerated(alg: ClassAlgebra) -> ClassAlgebra:
 def test_coarsened_cube_is_the_enumerated_cube(name, factory, n):
     alg = factory(n)
     assert alg.parent is not None
-    assert alg.cube == enumerated(alg).cube
+    assert alg.cube == enumerated(alg).cube == reference_cube(alg)
 
 
 def test_peak_algebras_are_fibres_of_the_type_a_descent_algebra():

@@ -3,10 +3,13 @@
 byte_word(v).translate(byte_table(u)) is byte_word(compose(u, v)) in one C
 call, and byte_decoder(n) reads a byte word back as the signed tuple.  The
 enumerated cube of peakalg.algebra, internal_product and the shuffle
-product hopf.external_product run on it.  The reference copies below are
-the compose-based forms they replaced, and the kernel must give the same
-cubes, products and binnings, down to dict order and the type of each
-value.
+product hopf.external_product run on it.  The reference copies below, and
+the |G|^2 cube of oracles.reference_cube, are compose-based forms, and the
+kernel must give the same products and binnings, down to dict order and
+the type of each value.  The enumerated cube is a closure certificate from
+a few generator rows and a count from one representative per class: it
+must give the |G|^2 cube with each cell in label order, compose exactly
+the pinned number of products, and fail on each mutation below.
 """
 
 import itertools
@@ -16,7 +19,8 @@ from fractions import Fraction
 
 import pytest
 
-from peakalg import algebra, bases, hopf, mr, perms
+from oracles import in_label_order, reference_bin_classes, reference_cube
+from peakalg import algebra, bases, hopf, mr, peak, perms
 from peakalg.algebra import AlgElem, ClassAlgebra, bin_classes, internal_product
 from peakalg.hopf import block_embed, external_product, shuffles
 from peakalg.perms import (
@@ -26,47 +30,15 @@ from peakalg.perms import (
     byte_word,
     byte_words,
     compose,
+    descent_mask,
     group_elements,
+    identity,
+    inverse,
+    popcount,
 )
 
 # ---------------------------------------------------------------------------
 # reference copies: every product through compose
-
-
-def reference_bin_classes(terms, class_of, size):
-    seen: dict = {}
-    for w, c in terms.items():
-        k = class_of(w)
-        if k is None:
-            return None
-        prev = seen.get(k)
-        if prev is None:
-            seen[k] = [c, 1]
-        elif prev[0] == c:
-            prev[1] += 1
-        else:
-            return None
-    for k, (c, count) in seen.items():
-        if count != size(k):
-            return None
-    return {k: c for k, (c, _) in seen.items()}
-
-
-def reference_cube(alg: ClassAlgebra) -> dict:
-    class_of, size = alg.class_of, alg.sizes.__getitem__
-    cube = {}
-    for l1, c1 in alg.classes.items():
-        for l2, c2 in alg.classes.items():
-            counts: dict = {}
-            for v in c2:
-                for w in c1:
-                    key = compose(w, v)
-                    counts[key] = counts.get(key, 0) + 1
-            coords = reference_bin_classes(counts, class_of, size)
-            if coords is None:
-                raise ArithmeticError(f"class sums {l1} * {l2} leave the span")
-            cube[(l1, l2)] = coords
-    return cube
 
 
 def reference_external_product(a: AlgElem, b: AlgElem) -> dict:
@@ -270,16 +242,115 @@ CUBE_CASES = [
 ]
 
 
+def the_compose_cube(alg: ClassAlgebra) -> list:
+    """typed(reference_cube(alg)), each cell sorted into label order."""
+    return typed(in_label_order(reference_cube(alg), alg.labels))
+
+
 @pytest.mark.parametrize("ctype,n", CUBE_CASES)
 def test_kernel_cube_equals_the_compose_cube(ctype, n):
     alg = bases.descent_algebra(ctype, n)
-    assert typed(alg.cube) == typed(reference_cube(alg))
+    assert typed(alg.cube) == the_compose_cube(alg)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_mantaci_reutenauer_cube_equals_the_compose_cube(n):
     alg = mr.t_algebra(n)
-    assert typed(alg.cube) == typed(reference_cube(alg))
+    assert typed(alg.cube) == the_compose_cube(alg)
+
+
+GIVEN_PARTITIONS = {
+    "rank-0": ("S", 0, {0: [()]}),
+    "rank-0-empty-class": ("B", 0, {0: [], 1: [()]}),
+    "rank-1": ("B", 1, {0: [(1,)], 1: [(-1,)]}),
+    "rank-1-one-class": ("B", 1, {0: [(-1,), (1,)]}),
+    "s3-empty-class": ("S", 3, {**bases.descent_classes("A", 3), 1: []}),
+    "b2-empty-class-first": ("B", 2, {9: [], **bases.descent_classes("B", 2)}),
+}
+
+
+@pytest.mark.parametrize("group,n,classes", GIVEN_PARTITIONS.values(), ids=list(GIVEN_PARTITIONS))
+def test_a_given_partition_builds_the_compose_cube(group, n, classes):
+    alg = ClassAlgebra(group, n, None, list(classes), classes)
+    assert typed(alg.cube) == the_compose_cube(alg)
+    for empty in [lab for lab, ws in classes.items() if not ws]:
+        assert all(alg.cube[(empty, b)] == alg.cube[(b, empty)] == {} for b in alg.labels)
+
+
+def counting_byte_products(counts: list):
+    """algebra.byte_products, appending 1 to counts for each product."""
+    real = algebra.byte_products
+
+    def counted(words, tables, tables_outer=False):
+        for product in real(words, tables, tables_outer=tables_outer):
+            counts.append(1)
+            yield product
+
+    return counted
+
+
+# |G| products per member of each generator class, then |G| per class for
+# the cells; the |G|^2 count composed 518,400, 147,456 and 36,864
+@pytest.mark.parametrize(
+    "ctype,n,products",
+    [("A", 6, 23_040 + 23_040), ("B", 4, 24_192 + 6_144), ("D", 4, 4_416 + 3_072)],
+)
+def test_the_cube_composes_the_pinned_number_of_products(monkeypatch, ctype, n, products):
+    alg = fresh(bases.descent_algebra(ctype, n))
+    counts: list = []
+    monkeypatch.setattr(algebra, "byte_products", counting_byte_products(counts))
+    alg.cube
+    assert len(counts) == products
+
+
+# the classes the B_3 certificate takes, by size (1, 1, 5, 5, 7), ties in label order
+B3_GENERATORS = [0b0, 0b111, 0b11, 0b100, 0b1]
+
+
+def test_the_b3_certificate_takes_its_generators_by_size(monkeypatch):
+    alg = fresh(bases.descent_algebra("B", 3))
+    firsts, real = [], algebra.byte_tables
+
+    def spied(words, n):
+        words = list(words)
+        firsts.append(words[0])
+        return real(words, n)
+
+    monkeypatch.setattr(algebra, "byte_tables", spied)
+    alg.cube
+    # a table per generator row, then the inverse tables of each class
+    assert [alg.label_of[w] for w in firsts[: len(B3_GENERATORS)]] == B3_GENERATORS
+    assert len(firsts) == len(B3_GENERATORS) + len(alg.labels)
+
+
+def one_descent_or_other(w) -> int:
+    """The position of the only descent of w, or 0 for any other descent set."""
+    mask = descent_mask(w, "A")
+    return mask.bit_length() - 1 if popcount(mask) == 1 else 0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_one_descent_or_other_is_rejected_at_the_first_cell_off_the_span(n):
+    alg = ClassAlgebra("S", n, one_descent_or_other, range(n))
+    with pytest.raises(ArithmeticError) as oracle:
+        reference_cube(alg)
+    with pytest.raises(ArithmeticError) as certificate:
+        alg.cube
+    assert str(certificate.value) == f"{oracle.value} in S_{n}"
+
+
+@pytest.mark.deep
+def test_the_a7_cube_is_certified_and_coarsens_to_p7():
+    alg = bases.descent_algebra("A", 7)
+    cube = alg.cube
+    assert len(cube) == 64**2
+    # the rows of the two smallest classes but the unit, against the |G|^2 count
+    left = sorted(alg.labels, key=alg.sizes.__getitem__)[1:3]
+    want = in_label_order(reference_cube(alg, left), alg.labels)
+    assert typed({k: cube[k] for k in want}) == typed(want)
+    p7 = peak.peak_algebra(7)
+    assert p7.parent is alg and len(p7.cube) == len(p7.labels) ** 2
+    assert len(p7.labels) == perms.fibonacci(7) and all(p7.sizes.values())
 
 
 def byte_products_wrong_on(u0, v0, product):
@@ -299,11 +370,55 @@ def byte_products_wrong_on(u0, v0, product):
 
 def test_a_composer_wrong_on_one_pair_breaks_the_cube(monkeypatch):
     alg = fresh(bases.descent_algebra("B", 3))
-    u0, v0 = alg.classes[0b101][0], alg.classes[0b010][-1]
+    # u0 lies in a generator class, so the certificate composes u0 * v0
+    u0, v0 = alg.classes[0b11][0], alg.classes[0b010][-1]
+    assert 0b11 in B3_GENERATORS
     wrong = compose(u0, (-v0[0],) + v0[1:])
     assert wrong != compose(u0, v0)
     monkeypatch.setattr(algebra, "byte_products", byte_products_wrong_on(u0, v0, wrong))
-    with pytest.raises(ArithmeticError, match="leave the span"):
+    with pytest.raises(ArithmeticError, match=r"class sums 3 \* 2 leave the span"):
+        alg.cube
+
+
+def test_a_composer_wrong_in_the_cells_breaks_their_count(monkeypatch):
+    alg = fresh(bases.descent_algebra("B", 3))
+    # u0^-1 lies in no generator class, so only the cells compose u0^-1 * w_c
+    u0 = next(u for u in alg.classes[0b101] if alg.label_of[inverse(u)] not in B3_GENERATORS)
+    w_c = alg.classes[0b110][0]
+    monkeypatch.setattr(
+        algebra, "byte_products", byte_products_wrong_on(inverse(u0), w_c, identity(3))
+    )
+    # Y_5 * Y_0 = Y_5, with 11 members, gains the 7 members of class 6
+    with pytest.raises(ArithmeticError, match=r"class sums 5 \* 0 count 18 products in B_3"):
+        alg.cube
+
+
+def test_representatives_from_the_wrong_classes_give_another_cube(monkeypatch):
+    alg = fresh(bases.descent_algebra("B", 3))
+    # classes 0b10 and 0b101 have 11 members each: with their
+    # representatives swapped every cell still counts |a| * |b| products,
+    # and only the oracle tells the cube is wrong
+    w1, w2 = (byte_word(alg.classes[lab][0]) for lab in (0b10, 0b101))
+    swap, real = {w1: w2, w2: w1}, algebra.byte_products
+
+    def swapped(words, tables, tables_outer=False):
+        if len(words) == 1 and words[0] in swap:
+            words = [swap[words[0]]]
+        return real(words, tables, tables_outer=tables_outer)
+
+    monkeypatch.setattr(algebra, "byte_products", swapped)
+    assert alg.cube != reference_cube(alg)
+
+
+def test_a_saturation_that_drops_rows_raises(monkeypatch):
+    alg = fresh(bases.descent_algebra("B", 3))
+    real = algebra.Echelon.add
+
+    def dropping(self, row, combo=None):  # no row past rank 7
+        return self.rank < 7 and real(self, row, combo)
+
+    monkeypatch.setattr(algebra.Echelon, "add", dropping)
+    with pytest.raises(ArithmeticError, match="the generators reach rank 7 of 8 in B_3"):
         alg.cube
 
 
