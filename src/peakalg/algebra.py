@@ -24,6 +24,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 
 from .perms import (
     GROUPS,
@@ -804,6 +805,26 @@ class StructureTable:
             "cells": [[list(map(str, cell)) for cell in row] for row in self.cells],
         }
 
+    def json_text(self) -> str:
+        """json.dumps(self.to_json(), indent=2) in one pass: each string
+        quoted as json quotes it, each distinct cell written once (equal
+        int and Fraction coordinates print alike)."""
+        written = {}
+        rows = []
+        for row in self.cells:
+            texts = []
+            for c in row:
+                text = written.get(c)
+                if text is None:
+                    text = written[c] = _json_array([_quote(str(x)) for x in c], "      ")
+                texts.append(text)
+            rows.append(_json_array(texts, "    "))
+        labels = _json_array([_quote(lab) for lab in self.labels], "  ")
+        return (
+            f'{{\n  "name": {_quote(self.name)},\n  "labels": {labels},\n'
+            f'  "cells": {_json_array(rows, "  ")}\n}}'
+        )
+
     def pretty(self) -> str:
         cols = [self.name] + list(self.labels)
         rows = [cols]
@@ -818,6 +839,14 @@ class StructureTable:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+def _json_array(items: list, pad: str) -> str:
+    """A JSON array of written items, laid out as indent=2 lays it out at
+    the depth whose indentation is pad."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
 
 def coeff_to_str(c) -> str:
     return str(Fraction(c))

@@ -21,11 +21,14 @@ from .perms import STRUCTURE_CAPS, CapExceeded, parse_cap_env
 
 
 def _write_out(text: str, out: str | None):
+    """Write text, ending in a newline, to the file out or to stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _table_caps(deep: bool) -> dict:
@@ -37,34 +40,33 @@ TABLE_CAPS = _table_caps(False)
 TABLE_CAPS_DEEP = _table_caps(True)
 
 
-def cmd_table(args) -> int:
-    caps = TABLE_CAPS_DEEP if args.deep else TABLE_CAPS
-    cap = caps[args.algebra]
-    if args.n > cap:
-        raise CapExceeded(f"table {args.algebra} is capped at n={cap} (use --deep for more)")
-    if args.algebra == "P":
+def build_table(algebra: str, n: int, deep: bool = False):
+    """The StructureTable of `table --algebra algebra --n n [--deep]`."""
+    cap = (TABLE_CAPS_DEEP if deep else TABLE_CAPS)[algebra]
+    if n > cap:
+        raise CapExceeded(f"table {algebra} is capped at n={cap} (use --deep for more)")
+    if algebra == "P":
         from .peak import peak_table
 
-        table = peak_table(args.n)
-    elif args.algebra == "whp":
+        return peak_table(n)
+    if algebra == "whp":
         from .commutative import whp_table
 
-        table = whp_table(args.n)
-    elif args.algebra == "solB":
+        return whp_table(n)
+    if algebra == "solB":
         from .commutative import solhat_table
 
-        table = solhat_table(args.n)
-    else:
-        from .bases import structure_constants
+        return solhat_table(n)
+    from .bases import structure_constants
 
-        ctype = {"SigA": "A", "SigB": "B", "SigD": "D"}[args.algebra]
-        table = structure_constants(ctype, args.n, deep=args.deep)
-    if args.format == "csv":
-        _write_out(table.to_csv(), args.out)
-    elif args.format == "json":
-        _write_out(json.dumps(table.to_json(), indent=2), args.out)
-    else:
-        _write_out(table.pretty(), args.out)
+    ctype = {"SigA": "A", "SigB": "B", "SigD": "D"}[algebra]
+    return structure_constants(ctype, n, deep=deep)
+
+
+def cmd_table(args) -> int:
+    table = build_table(args.algebra, args.n, args.deep)
+    write = {"csv": table.to_csv, "json": table.json_text, "pretty": table.pretty}[args.format]
+    _write_out(write(), args.out)
     return 0
 
 
@@ -177,7 +179,8 @@ def _int_at_least(lo: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(suites=()) -> argparse.ArgumentParser:
+    """The parser; suites names the --suite choices besides "all"."""
     parser = argparse.ArgumentParser(
         prog="peakalg",
         description="descent and peak algebras of types A, B, D: tables, "
@@ -194,9 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_table)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    from .verify import SUITES
-
-    v.add_argument("--suite", choices=["all", *sorted(SUITES)], default="all")
+    v.add_argument("--suite", choices=["all", *sorted(suites)], default="all")
     v.add_argument("--n-max", type=_int_at_least(0), default=4)
     v.add_argument("--deep", action="store_true")
     v.add_argument("--jobs", type=_int_at_least(1), default=1)
@@ -244,8 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    suites = ()
+    if argv[:1] == ["verify"]:  # only verify pays for the suite registry
+        from .verify import SUITES as suites
+    args = build_parser(suites).parse_args(argv)
     try:
         parse_cap_env()  # a malformed PEAKALG_CAP is a usage error
         return args.func(args)

@@ -15,8 +15,6 @@ landing and spans through maps.landed and maps.node_span.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from .reporting import CheckFailure, VerifyReport, run_check
 
 ELEMENT_CAP = 5  # element-level exhaustive closed-form checks
@@ -837,6 +835,8 @@ def run_suite(name: str, n_max: int, *, deep: bool = False, jobs: int = 1) -> Ve
     names = list(SUITES) if name == "all" else [name]
     report = VerifyReport(suite=name)
     if len(names) > 1 and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for result in pool.map(_run_one, [(s, n_max, deep) for s in names]):
                 report.checks.extend(result)

@@ -4,7 +4,7 @@ import pytest
 
 from peakalg.algebra import elem_from_json
 from peakalg.cli import main
-from peakalg.verify import run_suite
+from peakalg.verify import SUITES, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +61,14 @@ def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2
+    assert "argument --suite: invalid choice: 'nonsense'" in capsys.readouterr().err
+
+
+def test_verify_help_lists_the_suites(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(["all", *sorted(SUITES)]) + "}" in capsys.readouterr().out
 
 
 def test_report_determinism_across_runs_and_workers():
@@ -122,3 +130,22 @@ def test_export_graded_builder(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["terms"] == [{"perm": [1, 2, 3, 4], "coeff": "1"}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--algebra", "P", "--n", "3", "--format", "json"],
+        ["table", "--algebra", "SigD", "--n", "2", "--format", "csv"],
+        ["table", "--algebra", "whp", "--n", "3", "--format", "pretty"],
+        ["verify", "--suite", "words", "--n-max", "2", "--format", "json"],
+        ["export", "Y", "--group", "B", "--n", "2", "--label", "{0}"],
+    ],
+    ids=["table-json", "table-csv", "table-pretty", "verify", "export"],
+)
+def test_out_file_holds_the_bytes_stdout_prints(argv, capsys, tmp_path):
+    code, printed = run_cli(capsys, *argv)
+    assert code == 0 and printed.endswith("\n")
+    out = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(out)) == (0, "")
+    assert out.read_bytes() == printed.encode()

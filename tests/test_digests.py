@@ -1,9 +1,10 @@
-"""Byte-identity of the cheap command outputs against the benchmark's digests.
+"""Byte-identity of the command outputs against the benchmark's digests.
 
 perfbench/digests.json holds the sha256 of the standard output of each
-benchmarked command.  The n <= 4 entries and the n <= 5 verify report are
-cheap enough for tier-1: each runs here through peakalg.cli.main with every
-PEAKALG_* variable cleared, as the benchmark runs them.
+benchmarked command: every table the benchmark runs, up to the rank-6
+type-A tables, and the n <= 5 verify reports.  All are cheap enough for
+tier-1: each runs here through peakalg.cli.main with every PEAKALG_*
+variable cleared, as the benchmark runs them.
 """
 
 import hashlib
@@ -18,16 +19,9 @@ from peakalg.cli import main
 DIGESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text()
 )
-CHEAP = [
-    "verify --suite all --n-max 3 --format json",
-    "verify --suite all --n-max 5 --format json",
-] + [
-    f"table --algebra {alg} --n 4 --format json"
-    for alg in ("P", "SigA", "SigB", "SigD", "solB", "whp")
-]
 
 
-@pytest.mark.parametrize("command", CHEAP)
+@pytest.mark.parametrize("command", sorted(DIGESTS))
 def test_output_matches_digest(command, capsys, monkeypatch):
     for name in list(os.environ):
         if name.startswith("PEAKALG_"):
