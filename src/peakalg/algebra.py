@@ -524,28 +524,35 @@ class ClassAlgebra:
     def _closure_error(self, l1, l2) -> ArithmeticError:
         return ArithmeticError(f"class sums {l1} * {l2} leave the span in {self.group}_{self.n}")
 
+    @cached_property
+    def byte_classes(self) -> tuple:
+        """(label -> the byte words of its members; byte word -> its label)."""
+        words = {lab: byte_words(ws, self.n) for lab, ws in self.classes.items()}
+        return words, {w: lab for lab, ws in words.items() for w in ws}.get
+
+    def left_rows(self, coords: dict) -> dict:
+        """Label b -> the coordinates of x * Y_b (x given by coordinates), or
+        None off the span: each class g of x gives g * Y_b, counted on the byte
+        kernel and binned on its own, combined by apply_rows."""
+        (words, class_of), size = self.byte_classes, self.sizes.__getitem__
+        tables, out = [byte_tables(self.classes[g], self.n) for g in coords], {}
+        for b, ws in words.items():
+            cells = [bin_classes(Counter(byte_products(ws, t)), class_of, size) for t in tables]
+            out[b] = None if None in cells else apply_rows(dict(zip(coords, cells)), coords)
+        return out
+
     def _enumerated_cube(self) -> dict:
         """The cube from the group, on the byte kernel, in two steps.  First
         a closure certificate: classes become generators, by size and then
         label order, until the coordinates {g: 1} saturated under their
-        rows g * Y_b (counted and binned for every class b) span every
-        label.  V, the span of the class sums, is then generated by them
-        and stable under left multiplication by each, so V * V lies in V; a
-        row off the span re-scans the rows in label order to name the first
-        cell off it.  Then the cells, in label order: Y_a * Y_b has the
-        coefficient #{u in a : u^-1 * w_c in b} on c, for w_c the first
-        member of c, and must count |a| * |b| products."""
-        words = {lab: byte_words(ws, self.n) for lab, ws in self.classes.items()}
-        class_of = {w: lab for lab, ws in words.items() for w in ws}.get
+        rows g * Y_b (left_rows) span every label.  V, the span of the class
+        sums, is then generated by them and stable under left multiplication
+        by each, so V * V lies in V; a row off the span re-scans the rows in
+        label order to name the first cell off it.  Then the cells, in label
+        order: Y_a * Y_b has the coefficient #{u in a : u^-1 * w_c in b} on
+        c, for w_c the first member of c, and must count |a| * |b| products."""
+        words, class_of = self.byte_classes
         size, dim, frame = self.sizes.__getitem__, len(self.labels), f"{self.group}_{self.n}"
-
-        def row(g):  # label b -> the coordinates of g * Y_b, or None off the span
-            tables = byte_tables(self.classes[g], self.n)
-            return {
-                b: bin_classes(Counter(byte_products(ws, tables)), class_of, size)
-                for b, ws in words.items()
-            }
-
         rows, span, basis, pending = {}, Echelon(), [], deque()
 
         def keep(x):  # a new vector of the span waits for each generator's row
@@ -556,9 +563,10 @@ class ClassAlgebra:
         for g in sorted(self.labels, key=size):
             if span.rank == dim:
                 break
-            rows[g] = row(g)
+            rows[g] = self.left_rows({g: 1})
             if None in rows[g].values():
-                a, b = next((a, b) for a in self.labels for b, c in row(a).items() if c is None)
+                rescan = ((a, self.left_rows({a: 1})) for a in self.labels)
+                a, b = next((a, b) for a, row in rescan for b, c in row.items() if c is None)
                 raise self._closure_error(a, b)
             pending.extend((g, x) for x in basis)
             keep({g: 1})

@@ -18,7 +18,6 @@ from functools import lru_cache, partial
 from itertools import combinations
 
 from .algebra import (
-    ROW_TABLES,
     AlgElem,
     Echelon,
     add_multiple,
@@ -50,6 +49,7 @@ from .perms import (
     byte_word,
     byte_words,
     group_elements,
+    identity,
     is_signed_perm,
     members_of,
     split_plan,
@@ -281,13 +281,12 @@ FAMILIES = {
 #
 # Every family is closed under the coproduct; the shuffle products below
 # land in the family that SHUFFLE_TARGETS names, and each transform is
-# multiplication by a fixed element of its family.  So the coproduct of a
-# class sum, the shuffle of two class sums and the transform of a class
-# sum are computed once, at element level, and binned; binning raises
-# CheckFailure off the span, which makes building the data the
-# element-level closure check.  The identities then run on coordinate
-# dicts: class sums of one algebra have disjoint supports, and so have
-# their tensor products, so equal coordinates mean equal elements.
+# left multiplication by its image of the unit.  The coproduct of a class
+# sum, the shuffle of two class sums and the transform's left_rows are
+# computed once and binned; binning raises CheckFailure off the span, which
+# makes building the data the closure check.  The identities then run on
+# coordinate dicts: class sums of one algebra have disjoint supports, and
+# so have their tensor products, so equal coordinates mean equal elements.
 
 # (left, right) -> the family their shuffle products land in; the type-B
 # descent algebra and the peak algebra are only modules over the ideals
@@ -401,10 +400,9 @@ def shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
 
 @lru_cache(maxsize=None)
 def transform_coords(family: str, n: int) -> dict:
-    """label -> the transform of the class sum, over the same class sums.
-    An enumerated family bins the image of each class sum; a family in
-    FINER sums the rows of the family whose classes it unites over each
-    fibre, so its images lie in its span exactly when those sums lift."""
+    """label -> the transform of the class sum, over the same class sums: the
+    left_rows of its image of the unit, or, in FINER, the rows of the finer
+    family summed over each fibre, which lie in its span when they lift."""
     from . import maps
 
     name = TRANSFORMS[family]
@@ -412,17 +410,11 @@ def transform_coords(family: str, n: int) -> dict:
         fibres, fine = _fibres(family, n), transform_coords(FINER[family], n)
         return merged_rows(fine, fibres, fibres, lambda lab: CheckFailure(leaves_span(name, lab)))
     alg = FAMILIES[family](n)
-    return class_images(getattr(maps, name), alg, alg, name)
-
-
-def _clear_transform_rows(clear=transform_coords.cache_clear):
-    """transform_coords.cache_clear: the row tables of class_images go too,
-    so a transform whose generator was changed in place is built again."""
-    clear()
-    ROW_TABLES.clear()
-
-
-transform_coords.cache_clear = _clear_transform_rows
+    gen = getattr(maps, name)(AlgElem.unit(alg.group, n))
+    rows = alg.left_rows(alg.binned(gen, leaves_span(name, alg.class_of(identity(n)))))
+    if None in rows.values():
+        raise CheckFailure(leaves_span(name, next(b for b, row in rows.items() if row is None)))
+    return rows
 
 
 def _shuffle(left: str, right: str, p: int, q: int, x: dict, y: dict) -> dict:

@@ -10,3 +10,13 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "deep" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def fresh_transform_rows():
+    """Rebuild the cached transform rows around a test that alters maps."""
+    from peakalg import hopf
+
+    hopf.transform_coords.cache_clear()
+    yield
+    hopf.transform_coords.cache_clear()

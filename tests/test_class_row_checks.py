@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from peakalg import commutative as comm
-from peakalg import maps, mr, verify
+from peakalg import algebra, maps, mr, verify
 from peakalg.algebra import NOT_IN_SPAN, AlgElem, Echelon, express_in_span
 from peakalg.bases import (
     descent_algebra,
@@ -44,6 +44,7 @@ from peakalg.perms import GROUP_OF_TYPE, fibonacci, interior_sparse_masks
 from peakalg.reporting import CheckFailure, run_check
 
 from oracles import descent_span_rank
+from test_compose_kernel import byte_products_wrong_on
 
 # ---------------------------------------------------------------------------
 # the element-level reference
@@ -347,14 +348,6 @@ def verdicts(checks):
     return [(c.check_id, c.status) for c in checks]
 
 
-@pytest.fixture
-def fresh_transform_rows():
-    """Rebuild the cached transform rows around a test that alters maps."""
-    transform_coords.cache_clear()
-    yield
-    transform_coords.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # both paths agree
 
@@ -451,12 +444,29 @@ def test_a_count_closed_form_with_one_coefficient_off(monkeypatch):
 
 
 def test_a_type_a_transform_value_off(monkeypatch, fresh_transform_rows):
-    # theta wrong on the class of {2} in rank 3 reaches X_{2} and X_{1,2}
+    # theta wrong on the class of {2} in rank 3 reaches X_{2} and X_{1,2}.
+    # Such a map is no left product, so the rows path, which multiplies by
+    # the image of the unit, gets the same wrong value in the cached row
     extra = interior_peak_basis(3, 0)
+    rows, alg = transform_coords("SolA", 3), descent_algebra("A", 3)
+    rows[0b100] = alg.coords(alg.element(rows[0b100]) + extra)
     theta = wrong_on_one_class(maps.theta, "A", 3, 0b100, extra)
     monkeypatch.setattr(maps, "theta", theta)
     rows, reference = _both_fail("theta/type-a-values")
     assert rows.witness == reference.witness == "transform value wrong at mask 0b100"
+
+
+def test_a_wrong_byte_product_in_a_generator_row(monkeypatch, fresh_transform_rows):
+    # 213 decreases, then increases: its class is in the generator of theta,
+    # so its product with 132 enters the row of the class of 132
+    verify.SUITES["theta"](4)  # every other cache the suite reads, on the true kernel
+    transform_coords.cache_clear()
+    broken = byte_products_wrong_on((2, 1, 3), (1, 3, 2), (1, 2, 3))
+    monkeypatch.setattr(algebra, "byte_products", broken)
+    (result,) = [c for c in verify.SUITES["theta"](4) if c.check_id == "theta/type-a-values"]
+    label = descent_algebra("A", 3).class_of((1, 3, 2))
+    assert result.status == "fail"
+    assert result.witness == f"theta of the class {bin(label)} leaves the span"
 
 
 def test_an_ideal_node_missing_a_label_fails_the_principal_ideal(monkeypatch):

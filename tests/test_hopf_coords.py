@@ -636,7 +636,7 @@ def test_shuffle_data_matches_elements(pair):
 @pytest.mark.parametrize("family", sorted(TRANSFORMS))
 def test_transform_data_matches_elements(family):
     transform = getattr(maps, TRANSFORMS[family])
-    for n in range(0, 5):
+    for n in range(0, 6):  # every rank that verify builds
         alg = FAMILIES[family](n)
         data = transform_coords(family, n)
         for lab, c in alg.basis:

@@ -23,7 +23,6 @@ from peakalg.bases import (
     y_label_elements,
     y_to_x_coords,
 )
-from peakalg.hopf import transform_coords
 from peakalg.reporting import CheckFailure
 
 # ---------------------------------------------------------------------------
@@ -184,14 +183,6 @@ def element_witness(reference, n_max):
     with pytest.raises(CheckFailure) as failure:
         reference(n_max)
     return str(failure.value)
-
-
-@pytest.fixture
-def fresh_transform_rows():
-    """Rebuild the cached transform rows around a test that alters maps."""
-    transform_coords.cache_clear()
-    yield
-    transform_coords.cache_clear()
 
 
 # ---------------------------------------------------------------------------
