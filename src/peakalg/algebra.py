@@ -642,21 +642,6 @@ class ClassAlgebra:
             frontier = new
         return span.rank
 
-    def saturate_ideal(self, seed: dict, algebra_coords) -> int:
-        """Rank of the two-sided ideal that the seed generates inside the
-        span of algebra_coords."""
-        span = Echelon([seed])
-        frontier = [seed]
-        while frontier:
-            new = []
-            for f in frontier:
-                for g in algebra_coords:
-                    for prod in (self.product(f, g), self.product(g, f)):
-                        if span.add(prod):
-                            new.append(prod)
-            frontier = new
-        return span.rank
-
 
 def fibre_lift(fibres: dict, fine: dict):
     """Coordinates over unions of classes read from coordinates over the

@@ -10,20 +10,24 @@ the degree-lowering maps restrict with simple casework formulas.
 
 Each count algebra is a coarsening of the type-B descent algebra or of the
 peak algebra, by the size of a label (less its first generator for the
-ideal sums).  Products of count sums are read on the parent's cube and
-carried back through the fibres, so one closure check and one table
-builder serve both sides.  The maps on the count sums are read on their
+ideal sums).  Each twin (a fine algebra, its count algebra and ideal) is
+stated once, in TWINS.  One product loop serves both sides: the block
+table multiplies each pair of class sums once on the fine cube and lifts
+the product, so building it is the closure check, and the table's
+symmetry is commutativity.  The maps on the count sums are read on their
 rows over the fine classes, like every map check (see maps.landed).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import namedtuple
+from functools import lru_cache, partial
 from math import comb
 
 from .algebra import (
     AlgElem,
     ClassAlgebra,
+    Echelon,
     StructureTable,
     apply_rows,
     class_images,
@@ -82,10 +86,38 @@ def wp_interior_algebra(n: int) -> ClassAlgebra:
     return peak_algebra(n).coarsen(lambda m: popcount(m & ~2))
 
 
-def _count_rows(name: str, alg: ClassAlgebra, first: int) -> list:
-    """(name_j, parent coordinates) of the class sums of a count algebra,
-    numbered from first."""
-    return [(f"{name}_{lab + first}", alg.spread({lab: 1})) for lab in alg.labels]
+# A count algebra and its ideal, coarsenings of one fine algebra (each a
+# factory of the rank), the (name, first index) of the class sums of each,
+# and the names of the two spans in witnesses.
+Twin = namedtuple("Twin", "fine count ideal rows witnesses")
+
+
+TWINS = {
+    "whp": Twin(
+        peak_algebra,
+        wp_algebra,
+        wp_interior_algebra,
+        (("p", 0), ("p0", 1)),
+        ("peak-count span", "interior ideal"),
+    ),
+    "solhat": Twin(
+        partial(descent_algebra, "B"),
+        sol_algebra,
+        i0_number_algebra,
+        (("y", 0), ("y0", 1)),
+        ("descent-count span", "ideal"),
+    ),
+}
+
+
+def _count_rows(twin: str, n: int) -> tuple:
+    """(name_j, fine coordinates) of the class sums of the count algebra and
+    of the ideal of a twin, each list numbered from its first index."""
+    spec = TWINS[twin]
+    return tuple(
+        [(f"{name}_{lab + first}", alg.spread({lab: 1})) for lab in alg.labels]
+        for alg, (name, first) in zip((spec.count(n), spec.ideal(n)), spec.rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,56 +281,45 @@ def pi_peak_number_formula(n: int, j: int) -> AlgElem:
 # multiplication tables in the block format
 
 
-def _pad(prefix: int, coords, suffix: int) -> tuple:
-    return tuple([0] * prefix + [normalize_coord(c) for c in coords] + [0] * suffix)
-
-
-def _block_table(name: str, fine: ClassAlgebra, head, tail) -> StructureTable:
-    """Table of a count algebra and its ideal, each a (name, coarsening of
-    fine, first index) triple.  Products are taken on fine coordinates and
-    carried back: pure head products in the head block, anything touching the
-    ideal in the tail block."""
-    (_, head_alg, _), (_, tail_alg, _) = head, tail
-    every = _count_rows(*head) + _count_rows(*tail)
-    k, m = len(head_alg.labels), len(tail_alg.labels)
+def _count_table(twin: str, n: int) -> StructureTable:
+    """The block table of a twin, which is its closure check: each product
+    of two class sums is taken once on the fine cube and lifted, pure count
+    products to the count algebra (the head block), anything touching the
+    ideal to the ideal (the tail block).  A product that does not lift
+    raises CheckFailure naming the pair and the span it left."""
+    spec = TWINS[twin]
+    fine, count, ideal = spec.fine(n), spec.count(n), spec.ideal(n)
+    heads, tails = _count_rows(twin, n)
+    k, m = len(heads), len(tails)
+    every = heads + tails
     cells = []
     for i, (labi, ci) in enumerate(every):
         row = []
         for j, (labj, cj) in enumerate(every):
-            prod = fine.product(ci, cj)
             if i < k and j < k:
-                alg, where, before, after = head_alg, "count span", 0, m
+                alg, where, before, after = count, spec.witnesses[0], 0, m
             else:
-                alg, where, before, after = tail_alg, "ideal", k, 0
-            coords = alg.lift(prod)
+                alg, where, before, after = ideal, spec.witnesses[1], k, 0
+            coords = alg.lift(fine.product(ci, cj))
             if coords is None:
-                raise CheckFailure(f"{labi} * {labj} left the {where}")
-            row.append(_pad(before, [coords.get(lab, 0) for lab in alg.labels], after))
+                raise CheckFailure(f"{labi} * {labj} left the {where} at n={n}")
+            values = [normalize_coord(coords.get(lab, 0)) for lab in alg.labels]
+            row.append(tuple([0] * before + values + [0] * after))
         cells.append(row)
     labels = [lab for lab, _ in every]
-    return StructureTable(name=name, labels=labels, cells=cells, blocks=(k, m))
+    return StructureTable(name=f"{twin}_{n}", labels=labels, cells=cells, blocks=(k, m))
 
 
 def whp_table(n: int) -> StructureTable:
     """Multiplication table of the span of the peak-count and interior
     sums: pure peak-count products are written in the p-block, anything
     touching the ideal in the interior block."""
-    return _block_table(
-        f"whp_{n}",
-        peak_algebra(n),
-        ("p", wp_algebra(n), 0),
-        ("p0", wp_interior_algebra(n), 1),
-    )
+    return _count_table("whp", n)
 
 
 def solhat_table(n: int) -> StructureTable:
     """The type-B analog, on the descent-count and ideal sums."""
-    return _block_table(
-        f"solhat_{n}",
-        descent_algebra("B", n),
-        ("y", sol_algebra(n), 0),
-        ("y0", i0_number_algebra(n), 1),
-    )
+    return _count_table("solhat", n)
 
 
 # ---------------------------------------------------------------------------
@@ -411,64 +432,47 @@ def check_graded_dimensions(n: int):
     """dims: joint peak span n, peak-count span n//2+1, interior span
     (n+1)//2; type B: 2n, n+1, n."""
     check_wp_dimensions(n)
-    rows = _count_rows("y", sol_algebra(n), 0) + _count_rows("y0", i0_number_algebra(n), 1)
-    if node_span(Node("joint", descent_algebra("B", n), rows)).rank != 2 * n:
+    heads, tails = _count_rows("solhat", n)
+    if node_span(Node("joint", TWINS["solhat"].fine(n), heads + tails)).rank != 2 * n:
         raise CheckFailure(f"type-B joint span dimension != {2 * n} at n={n}")
 
 
-def _check_count_closure(n: int, fine: ClassAlgebra, head, tail, names):
-    """Closure, commutativity, the ideal property and generation for a
-    count algebra and its ideal, each a (name, coarsening of fine, first
-    index) triple, read on the cube of fine: every product of two of their
-    class sums lifts to the count algebra, or to the ideal when it touches
-    the ideal.  names = (count span, ideal, ideal generator) for the
-    witnesses."""
-    (_, head_alg, _), (_, tail_alg, _) = head, tail
-    head_span, tail_span, tail_gen = names
-    every = _count_rows(*head) + _count_rows(*tail)
-    k, m = len(head_alg.labels), len(tail_alg.labels)
-    for i, (labi, ci) in enumerate(every):
-        for j in range(i, len(every)):
-            labj, cj = every[j]
-            prod = fine.product(ci, cj)
-            if prod != fine.product(cj, ci):
-                raise CheckFailure(f"{labi} and {labj} do not commute at n={n}")
-            alg, where = (head_alg, head_span) if j < k else (tail_alg, tail_span)
-            if alg.lift(prod) is None:
-                raise CheckFailure(f"{labi} * {labj} left the {where} at n={n}")
-    # generation: the first count sum generates the count span, the first
-    # ideal sum the ideal, both together the joint span (the two spans
-    # meet in the line of the group sum)
-    (_, unit), (gen, gen_coords), (_, gen0) = every[0], every[1], every[k]
+def _check_count_closure(twin: str, n: int):
+    """Closure, commutativity, the ideal property and generation for the
+    count algebra and the ideal of a twin.  Closure and the ideal property
+    are the block table (_count_table), commutativity its symmetry.  Then
+    the first count sum generates the count span, the first ideal sum the
+    ideal, and both together the joint span (the two spans meet in the line
+    of the group sum).  The joint span holds the unit, is closed and
+    commutative, so the ideal that the first ideal sum generates is its
+    products with the joint span."""
+    spec = TWINS[twin]
+    table, fine = _count_table(twin, n), spec.fine(n)
+    labels, cells = table.labels, table.cells
+    for i, labi in enumerate(labels):
+        for j in range(i + 1, len(labels)):
+            if cells[i][j] != cells[j][i]:
+                raise CheckFailure(f"{labi} and {labels[j]} do not commute at n={n}")
+    heads, tails = _count_rows(twin, n)
+    (k, m), head_span = table.blocks, spec.witnesses[0]
+    (_, unit), (gen, gen_coords), (tail_gen, gen0) = heads[0], heads[1], tails[0]
     if fine.saturate([unit, gen_coords]) != k:
         raise CheckFailure(f"{gen} does not generate the {head_span} at n={n}")
     if fine.saturate([unit, gen_coords, gen0]) != k + m - 1:
         raise CheckFailure(f"{gen}, {tail_gen} do not generate the joint span at n={n}")
-    if fine.saturate_ideal(gen0, [c for _, c in every]) != m:
+    if Echelon(fine.product(gen0, c) for _, c in heads + tails).rank != m:
         raise CheckFailure(f"{tail_gen} does not generate the ideal at n={n}")
 
 
 def check_solhat_closure(n: int):
     """Closure, commutativity, the ideal property and generation for the
     type-B graded spans (cost grows with |B_n|^2; rank 5 is deep)."""
-    _check_count_closure(
-        n,
-        descent_algebra("B", n),
-        ("y", sol_algebra(n), 0),
-        ("y0", i0_number_algebra(n), 1),
-        ("descent-count span", "ideal", "y0_1"),
-    )
+    _check_count_closure("solhat", n)
 
 
 def check_whp_closure(n: int):
     """The same on the peak side, read on the cube of the peak algebra."""
-    _check_count_closure(
-        n,
-        peak_algebra(n),
-        ("p", wp_algebra(n), 0),
-        ("p0", wp_interior_algebra(n), 1),
-        ("peak-count span", "interior ideal", "interior p_1"),
-    )
+    _check_count_closure("whp", n)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +571,9 @@ def loday_witness(kind: str, n_max: int = 6):
     is one exactly when its type-A coordinates lift."""
     for n in range(2, n_max + 1):
         counts = descent_algebra("A", n).coarsen(popcount)
-        side = ("p", wp_algebra(n), 0) if kind == "p" else ("p0", wp_interior_algebra(n), 1)
-        for lab, row in _count_rows(*side):
-            if counts.lift(peak_algebra(n).spread(row)) is None:
+        heads, tails = _count_rows("whp", n)
+        for lab, row in heads if kind == "p" else tails:
+            if counts.lift(TWINS["whp"].fine(n).spread(row)) is None:
                 return (n, lab)
     return None
 
@@ -578,12 +582,11 @@ def check_wp_dimensions(n: int):
     """Peak-side dimensions alone (valid to rank 8): joint span n, count
     span n//2 + 1, interior span (n+1)//2, with the single relation; read
     on the class sums of the count algebras in peak-class coordinates."""
-    p_rows = _count_rows("p", wp_algebra(n), 0)
-    pi_rows = _count_rows("p0", wp_interior_algebra(n), 1)
+    p_rows, pi_rows = _count_rows("whp", n)
     for rows, dim, what in (
         (p_rows, n // 2 + 1, "peak-count span dimension wrong"),
         (pi_rows, (n + 1) // 2, "interior span dimension wrong"),
         (p_rows + pi_rows, n, f"joint span dimension != {n}"),
     ):
-        if node_span(Node("span", peak_algebra(n), rows)).rank != dim:
+        if node_span(Node("span", TWINS["whp"].fine(n), rows)).rank != dim:
             raise CheckFailure(f"{what} at n={n}")

@@ -106,10 +106,14 @@ def external_product(a: AlgElem, b: AlgElem) -> AlgElem:
     embeds = byte_words([block_embed(u, v) for u in a.terms for v in b.terms], p + q)
     # compose(xi, block_embed(u, v)) for each shuffle xi of each (u, v): the
     # factorization of a product as a shuffle times a block pair is unique,
-    # so no two products coincide and none has to be summed
+    # so no two products coincide and none has to be summed; a collision
+    # (a wrong shuffle table) raises instead of keeping one coefficient
     products = map(byte_decoder(p + q), byte_products(embeds, tables))
     coeffs = [cu * cv for cu in a.terms.values() for cv in b.terms.values() for _ in tables]
-    return AlgElem._raw(group, p + q, dict(zip(products, coeffs)))
+    terms = dict(zip(products, coeffs))
+    if len(terms) < len(coeffs):
+        raise ArithmeticError(f"shuffle products coincide in degrees {p}, {q}")
+    return AlgElem._raw(group, p + q, terms)
 
 
 def coproduct_split(w: Perm, p: int):

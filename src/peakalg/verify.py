@@ -196,8 +196,6 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 
     def partition_and_inverse(case):
         ctype, n = case
-        if ctype != "A" and n > 5:
-            return
         classes = bases.descent_classes(ctype, n)
         total = sum(len(ws) for ws in classes.values())
         if total != len(perms.group_elements(perms.GROUP_OF_TYPE[ctype], n)):
@@ -208,7 +206,9 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
             if bases.y_to_x_coords(bases.x_to_y_coords({m: 1})) != {m: 1}:
                 raise CheckFailure(f"X/Y inversion fails at {ctype}, {bin(m)}")
 
-    _add(checks, "descents/partition-and-xy-inverse", bfs_cases, partition_and_inverse)
+    xy_ranks = {"A": (1, 6), "B": (1, ELEMENT_CAP), "D": (2, ELEMENT_CAP)}
+    xy_cases = _keyed({ctype: _ranks(lo, n_max, hi) for ctype, (lo, hi) in xy_ranks.items()})
+    _add(checks, "descents/partition-and-xy-inverse", xy_cases, partition_and_inverse)
 
     def closure_table(case):
         ctype, n = case

@@ -112,3 +112,17 @@ def test_a_cap_hit_inside_a_check_exits_2(cap, suite, n_max, message, jobs):
     assert done.returncode == 2, done.stdout
     assert done.stdout == ""
     assert f"error: {message}" in done.stderr
+
+
+def test_partition_and_xy_inverse_lists_only_the_cases_it_checks(monkeypatch):
+    # its body works every case it is given: type A to rank 6, B and D to 5
+    registered = {}
+
+    def record(checks, check_id, cases, body):
+        registered[check_id] = list(cases)
+
+    monkeypatch.setattr(verify, "_add", record)
+    verify.suite_descents(6)
+    want = [("A", n) for n in range(1, 7)]
+    want += [("B", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)]
+    assert registered["descents/partition-and-xy-inverse"] == want

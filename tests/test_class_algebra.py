@@ -87,10 +87,6 @@ def test_saturation_ranks():
         gen = alg.coords(wp_algebra(n).element({1: 1}))
         assert alg.saturate([unit, gen]) == n // 2 + 1
         assert alg.saturate([{m: 1} for m in alg.labels]) == len(alg.labels)
-        ideal = interior_peak_algebra(n)
-        seed = alg.coords(ideal.element({0: 1}))
-        everything = [{m: 1} for m in alg.labels]
-        assert alg.saturate_ideal(seed, everything) == len(ideal.labels)
 
 
 def test_pair_binning_reads_the_tensor_terms():

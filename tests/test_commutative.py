@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from peakalg.algebra import AlgElem
+from peakalg.algebra import AlgElem, ClassAlgebra, span_rank
+from peakalg.bases import descent_algebra
 from peakalg.commutative import (
+    TWINS,
+    Twin,
     beta_x_number_formula,
     beta_y_number_formula,
     check_beta_number_forms,
@@ -34,7 +37,8 @@ from peakalg.commutative import (
     y_number,
 )
 from peakalg.maps import beta_map, chi, phi, pi_map
-from peakalg.perms import group_elements, identity
+from peakalg.perms import group_elements, identity, popcount
+from peakalg.reporting import CheckFailure
 
 from oracles import a_descent_number
 
@@ -138,6 +142,69 @@ def test_whp_closure_and_generation():
 def test_solhat_closure_and_generation():
     for n in (2, 3, 4):
         check_solhat_closure(n)
+
+
+def _generated_rank(seeds):
+    """Rank of the algebra the elements seeds generate, by element products."""
+    basis = list(seeds)
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(basis):
+                if span_rank(basis + [a * b]) > span_rank(basis):
+                    basis.append(a * b)
+                    new.append(a * b)
+        frontier = new
+    return span_rank(basis)
+
+
+def test_a_count_sum_that_does_not_generate_is_named(monkeypatch):
+    # numbered from y_3, the second count sum is the longest element of
+    # B_3 alone, an involution: with the unit it spans a closed plane
+    def count(n):
+        return descent_algebra("B", n).coarsen(popcount, labels=(0, 3, 1, 2))
+
+    monkeypatch.setitem(TWINS, "solhat", TWINS["solhat"]._replace(count=count))
+    with pytest.raises(CheckFailure) as info:
+        check_solhat_closure(3)
+    assert str(info.value) == "y_3 does not generate the descent-count span at n=3"
+    assert _generated_rank([y_number(3, 0), y_number(3, 3)]) == 2
+
+
+def test_an_ideal_sum_that_does_not_generate_the_joint_span_is_named(monkeypatch):
+    # numbered from y0_2, the first ideal sum and y_1 generate rank 5 of 6
+    def ideal(n):
+        return descent_algebra("B", n).coarsen(lambda m: popcount(m & ~1), labels=(1, 0, 2))
+
+    monkeypatch.setitem(TWINS, "solhat", TWINS["solhat"]._replace(ideal=ideal))
+    with pytest.raises(CheckFailure) as info:
+        check_solhat_closure(3)
+    assert str(info.value) == "y_1, y0_2 do not generate the joint span at n=3"
+    assert _generated_rank([y_number(3, 0), y_number(3, 1), y0_number(3, 2)]) == 5
+
+
+def test_an_ideal_sum_that_does_not_generate_the_ideal_is_named(monkeypatch):
+    # Q^3 on the unit g0, g1 = e - 1 and g2 = z, for orthogonal idempotents
+    # e and z: the count span {g0, g1 + g2} is generated by e + z - 1, the
+    # ideal span {e, z} is an ideal, both generate everything, but its
+    # first sum e times the algebra is the line of e
+    fine = ClassAlgebra("S", 3, None, range(3))
+    fine.cube = {(a, b): {b: 1} for a, b in ((0, 0), (0, 1), (0, 2))}
+    fine.cube.update({(b, 0): {b: 1} for b in (1, 2)})
+    fine.cube.update({(1, 1): {1: -1}, (1, 2): {2: -1}, (2, 1): {2: -1}, (2, 2): {2: 1}})
+    toy = Twin(
+        lambda n: fine,
+        lambda n: fine.coarsen({0: 0, 1: 1, 2: 1}.get),
+        lambda n: fine.coarsen({0: 0, 1: 0, 2: 1}.get),
+        (("a", 0), ("b", 1)),
+        ("count span", "ideal"),
+    )
+    monkeypatch.setitem(TWINS, "whp", toy)
+    with pytest.raises(CheckFailure) as info:
+        check_whp_closure(1)
+    assert str(info.value) == "b_1 does not generate the ideal at n=1"
+    assert whp_table(1).labels == ["a_0", "a_1", "b_1", "b_2"]
 
 
 @pytest.mark.deep

@@ -8,7 +8,7 @@ parent's cube and lift them, so a perturbed cube cell must fail each of
 them with its usual witness.
 """
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 
 import pytest
@@ -20,6 +20,8 @@ from peakalg.commutative import (
     check_whp_closure,
     i0_number_algebra,
     sol_algebra,
+    solhat_table,
+    whp_table,
     wp_algebra,
     wp_interior_algebra,
 )
@@ -170,6 +172,50 @@ def test_perturbed_peak_cells_fail_the_count_closure():
     # likewise on the peak side: the interior fibre of {} is {{}, {1}}
     with _perturbed(peak_algebra(4), [(0, 0b10), (0b10, 0)], 0):
         _fails_with(lambda: check_whp_closure(4), "p_0 * p0_1 left the interior ideal at n=4")
+    check_whp_closure(4)
+
+
+def test_perturbed_type_b_cells_fail_the_table_with_the_closure_witness():
+    # the table is the closure check: the same cells, the same witnesses
+    for cells, label, witness in (
+        ([(0, 0)], 0b1, "y_0 * y_0 left the descent-count span at n=3"),
+        ([(0, 0b1), (0b1, 0)], 0, "y_0 * y0_1 left the ideal at n=3"),
+    ):
+        with _perturbed(descent_algebra("B", 3), cells, label):
+            _fails_with(lambda: solhat_table(3), witness)
+    solhat_table(3)
+
+
+def test_perturbed_peak_cells_fail_the_table_with_the_closure_witness():
+    for cells, label, witness in (
+        ([(0, 0)], 0b10, "p_0 * p_0 left the peak-count span at n=4"),
+        ([(0, 0b10), (0b10, 0)], 0, "p_0 * p0_1 left the interior ideal at n=4"),
+    ):
+        with _perturbed(peak_algebra(4), cells, label):
+            _fails_with(lambda: whp_table(4), witness)
+    whp_table(4)
+
+
+@contextmanager
+def _group_sum_added(alg, cell):
+    """Add the sum of all class sums of alg to one cell of its cube."""
+    with ExitStack() as stack:
+        for label in alg.labels:
+            stack.enter_context(_perturbed(alg, [cell], label))
+        yield
+
+
+def test_a_perturbed_cell_that_keeps_closure_fails_commutativity():
+    # P_{1} * P_{2} gains the group sum, which lies in the count span and
+    # in the interior ideal, so every product still lifts; p0_1 * p_1 reads
+    # the cell, p_1 * p0_1 only its mirror P_{2} * P_{1}
+    check_whp_closure(4)
+    with _group_sum_added(peak_algebra(4), (0b10, 0b100)):
+        table = whp_table(4)
+        _fails_with(lambda: check_whp_closure(4), "p_1 and p0_1 do not commute at n=4")
+    assert table.labels[1] == "p_1" and table.labels[3] == "p0_1"
+    assert table.cell(1, 3) != table.cell(3, 1)
+    assert whp_table(4).cell(1, 3) == whp_table(4).cell(3, 1)
     check_whp_closure(4)
 
 

@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peakalg import hopf
 from peakalg.algebra import AlgElem
 from peakalg.bases import y_basis
 from peakalg.hopf import (
@@ -19,6 +21,7 @@ from peakalg.hopf import (
     check_peak_module_star,
     check_peak_not_closed_witness,
     check_pint_star_closure,
+    check_shuffle_coefficients,
     check_sola_star,
     check_solb_module_star,
     check_split_reassembly,
@@ -31,6 +34,7 @@ from peakalg.hopf import (
 from peakalg.mr import stilde_basis
 from peakalg.peak import peak_basis, peak_coordinates
 from peakalg.perms import compose, group_elements, identity, inverse
+from peakalg.reporting import CheckFailure
 
 from test_hopf_coords import componentwise_internal
 
@@ -142,6 +146,34 @@ def test_shuffle_coefficients_are_one():
             )
             assert all(c == 1 for c in prod.terms.values())
             assert len(prod) == len(shuffles(2, 3))
+
+
+def _patched_tables(monkeypatch, tables):
+    """Answer hopf's shuffle-table lookup with tables(real lookup, p, q)."""
+    real = hopf._shuffle_tables
+    monkeypatch.setattr(hopf, "_shuffle_tables", lambda p, q: tables(real, p, q))
+
+
+def test_a_duplicated_shuffle_table_raises(monkeypatch):
+    # an extra copy of the first (1, 1) table doubles a term; kept as one
+    # dict entry it would read as coefficient 1 and pass the check below
+    check_shuffle_coefficients(2)
+    _patched_tables(monkeypatch, lambda real, p, q: real(p, q) + real(p, q)[:1])
+    one = AlgElem.monomial("B", 1, (1,))
+    with pytest.raises(ArithmeticError, match="shuffle products coincide in degrees 1, 1"):
+        external_product(one, one)
+    with pytest.raises(ArithmeticError):
+        check_shuffle_coefficients(2)
+
+
+def test_a_swapped_shuffle_table_fails_the_coefficient_check(monkeypatch):
+    # the (1, 1) tables swapped for the (2, 0) ones: one shuffle, one term
+    def swapped(real, p, q):
+        return real(2, 0) if (p, q) == (1, 1) else real(p, q)
+
+    _patched_tables(monkeypatch, swapped)
+    with pytest.raises(CheckFailure, match=r"shuffle terms collide at \(1,\), \(1,\)"):
+        check_shuffle_coefficients(2)
 
 
 def test_external_associative_and_graded():

@@ -215,6 +215,23 @@ def test_a_t_class_that_meets_two_descent_classes_fails(monkeypatch):
         descent_fibres.cache_clear()
 
 
+def test_omega_closure_reads_the_descent_fibres(monkeypatch):
+    # the same straddling T-class fails the embedding half of the check
+    n = 3
+    alg = mr.t_algebra(n)
+    classes = {lab: list(ws) for lab, ws in alg.classes.items()}
+    classes[(1, 2)].remove((2, 1, 3))
+    classes[(-3,)].append((2, 1, 3))
+    straddling = ClassAlgebra("B", n, None, alg.labels, classes)
+    monkeypatch.setattr(mr, "t_algebra", lambda m: straddling if m == n else alg)
+    descent_fibres.cache_clear()
+    try:
+        with pytest.raises(CheckFailure, match=r"T-class of \(-3,\) meets several descent"):
+            check_omega_closure(n)
+    finally:
+        descent_fibres.cache_clear()
+
+
 def test_mr_basis_dispatch():
     assert mr_basis("T", 2, (2,)) == t_basis(2, (2,))
     with pytest.raises(ValueError):
