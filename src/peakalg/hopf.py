@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import (
     AlgElem,
@@ -42,6 +42,7 @@ from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordina
 from .perms import (
     CapExceeded,
     Perm,
+    block_word,
     byte_decoder,
     byte_products,
     byte_table,
@@ -131,9 +132,11 @@ def coproduct_split(w: Perm, p: int):
     return tuple(left_pos + right_pos), tuple(w1), tuple(w2)
 
 
+@lru_cache(maxsize=1)
 def coproduct_splits(w: Perm) -> list:
     """coproduct_split(w, p) for p = 0..n, read off the split plan of |w|
-    in one lookup."""
+    in one lookup; the last w's list is kept, for the public per-element
+    checks run one after another on it."""
     return [
         (xi, left(w), tuple(map(shift, right(w))))
         for xi, left, right, shift in split_plan(tuple(map(abs, w)))
@@ -157,12 +160,21 @@ def split_table(n: int) -> dict:
     return {w: _blocks(coproduct_splits(w)) for w in group_elements("B", n)}
 
 
+@lru_cache(maxsize=None)
+def _shuffle_word(xi: Perm, p: int) -> tuple:
+    """(byte word of xi, whether xi increases on its first p and on its
+    other positions), read once per (xi, p)."""
+    return byte_word(xi), list(xi[:p]) == sorted(xi[:p]) and list(xi[p:]) == sorted(xi[p:])
+
+
 def _check_split_reassembly(w: Perm, splits: list):
-    products = byte_products([byte_word(xi) for xi, _, _ in splits], [byte_table(w)])
-    for p, ((xi, w1, w2), wxi) in enumerate(zip(splits, products)):  # wxi = compose(w, xi)
-        if wxi != byte_word(block_embed(w1, w2)):
+    shuffle = [_shuffle_word(xi, p) for p, (xi, _, _) in enumerate(splits)]
+    products = byte_products([word for word, _ in shuffle], [byte_table(w)])
+    # wxi = compose(w, xi), against the block pair, both as byte words
+    for p, ((_, w1, w2), wxi, (_, is_shuffle)) in enumerate(zip(splits, products, shuffle)):
+        if wxi != block_word(w1, w2):
             raise CheckFailure(f"factorization fails at w={w}, p={p}")
-        if list(xi[:p]) != sorted(xi[:p]) or list(xi[p:]) != sorted(xi[p:]):
+        if not is_shuffle:
             raise CheckFailure(f"factor is not a shuffle at w={w}, p={p}")
 
 
@@ -192,10 +204,11 @@ def _check_coassociative(w: Perm, splits: list):
     if [(len(w1), len(w2)) for w1, w2 in blocks] != [(p, n - p) for p in range(n + 1)]:
         raise CheckFailure(f"coassociativity fails at w={w}")
     lefts = [_leg_splits(w1, w, blocks) for w1, _ in blocks]
-    rights = [_leg_splits(w2, w, blocks) for _, w2 in blocks]
-    for p, (_, w2) in enumerate(blocks):
-        for q in range(p + 1):
-            if lefts[p][q] + (w2,) != (blocks[q][0], *rights[q][p - q]):
+    for q, (w1, w2) in enumerate(blocks):
+        # the right block at q split at r, against the left block at q + r split at q
+        for r, (b, c) in enumerate(_leg_splits(w2, w, blocks)):
+            a, b2 = lefts[q + r][q]
+            if a != w1 or b != b2 or c != blocks[q + r][1]:
                 raise CheckFailure(f"coassociativity fails at w={w}")
 
 
@@ -240,10 +253,6 @@ class Tensor2:
     n: int  # total degree
     terms: dict
 
-    @classmethod
-    def zero(cls, group: str, n: int) -> "Tensor2":
-        return cls(group, n, {})
-
     def add_term(self, u: Perm, v: Perm, c):
         key = (u, v)
         s = self.terms.get(key, 0) + c
@@ -257,7 +266,7 @@ def coproduct(a: AlgElem) -> Tensor2:
     """Sum of the block factorizations over all split points."""
     if a.n > EXTERNAL_DEGREE_CAP:
         raise CapExceeded(f"coproduct capped at degree {EXTERNAL_DEGREE_CAP}")
-    out = Tensor2.zero(a.group, a.n)
+    out = Tensor2(a.group, a.n, {})
     for w, c in a.terms.items():
         for p in range(a.n + 1):
             _, w1, w2 = coproduct_split(w, p)
@@ -434,19 +443,19 @@ def _shuffle(left: str, right: str, p: int, q: int, x: dict, y: dict) -> dict:
 
 def _map_tensor(t: dict, n: int, rows) -> dict:
     """f x f on tensor coordinates keyed (p, l1, l2) of total degree n,
-    where rows(d) gives f in degree d: the left side, then the right."""
-    mid: dict = {}
+    where rows(d) gives f in degree d, one side at a time: f of the right
+    sides of each (p, l1) once, then added into the row of each (p, k1)
+    that f of l1 reaches."""
+    tables, by_left, out = [rows(d) for d in range(n + 1)], {}, {}
     for (p, l1, l2), c in t.items():
-        for k1, a in rows(p)[l1].items():
-            key = (p, k1, l2)
-            mid[key] = mid.get(key, 0) + c * a
-    out: dict = {}
-    for (p, k1, l2), c in mid.items():
-        if c:
-            for k2, b in rows(n - p)[l2].items():
-                key = (p, k1, k2)
-                out[key] = out.get(key, 0) + c * b
-    return {k: c for k, c in out.items() if c}
+        by_left.setdefault((p, l1), {})[l2] = c
+    for (p, l1), right in by_left.items():
+        image: dict = {}
+        for l2, c in right.items():
+            add_multiple(image, c, tables[n - p][l2])
+        for k1, a in tables[p][l1].items():
+            add_multiple(out.setdefault((p, k1), {}), a, image)
+    return {(p, k1, k2): c for (p, k1), row in out.items() for k2, c in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +563,7 @@ def check_coproduct_generators(dmax: int):
     for m in range(1, dmax + 1):
         for gen, witness in GENERATORS:
             top = gen(m)
-            want = Tensor2.zero(top.group, m)
+            want = Tensor2(top.group, m, {})
             for i in range(m + 1):
                 for u in gen(i).terms:
                     for v in gen(m - i).terms:
@@ -742,10 +751,9 @@ def _componentwise_internal(s: dict, t: dict, n: int) -> dict:
         right_cube = descent_algebra("A", n - p).cube
         for (l1, l2), c in sp.items():
             for (k1, k2), d in tp.items():
-                right = right_cube[(l2, k2)]
                 for a1, x in left_cube[(l1, k1)].items():
-                    add_multiple(out, c * d * x, {(p, a1, a2): y for a2, y in right.items()})
-    return out
+                    add_multiple(out.setdefault((p, a1), {}), c * d * x, right_cube[(l2, k2)])
+    return {(p, a1, a2): c for (p, a1), row in out.items() for a2, c in row.items()}
 
 
 def check_free_module(dmax: int):
@@ -770,8 +778,9 @@ def check_free_module(dmax: int):
 
 
 def check_shuffle_coefficients(dmax: int):
-    """Shuffling two single permutations yields all-distinct terms (every
-    coefficient 1); exhaustive to total degree SHUFFLE_EXHAUSTIVE_TO, sampled above."""
+    """Shuffling two single permutations yields one term per shuffle, all
+    distinct (every coefficient 1); exhaustive to total degree
+    SHUFFLE_EXHAUSTIVE_TO, sampled above."""
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
             us = group_elements("B", p)
@@ -779,13 +788,12 @@ def check_shuffle_coefficients(dmax: int):
             if p + q > SHUFFLE_EXHAUSTIVE_TO:
                 us, vs = us[:: max(1, len(us) // 6)], vs[:: max(1, len(vs) // 6)]
             want = len(shuffles(p, q))
-            for u in us:
-                for v in vs:
-                    prod = external_product(
-                        AlgElem.monomial("B", p, u), AlgElem.monomial("B", q, v)
-                    )
-                    if len(prod) != want or any(c != 1 for c in prod.terms.values()):
-                        raise CheckFailure(f"shuffle terms collide at {u}, {v}")
+            for u, v in product(us, vs):
+                prod = external_product(AlgElem._raw("B", p, {u: 1}), AlgElem._raw("B", q, {v: 1}))
+                if len(prod) != want:
+                    raise CheckFailure(f"shuffle of {u}, {v} has {len(prod)} terms, not {want}")
+                if any(c != 1 for c in prod.terms.values()):
+                    raise CheckFailure(f"shuffle terms collide at {u}, {v}")
 
 
 def _first_difference(a: dict, b: dict):

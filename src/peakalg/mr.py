@@ -16,7 +16,7 @@ import re
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import AlgElem, ClassAlgebra, apply_rows, class_images
+from .algebra import AlgElem, ClassAlgebra, apply_rows, class_images, linear_combine
 from .bases import (
     comp_complement,
     comp_to_subset,
@@ -274,12 +274,12 @@ def _y_interval_sum(n: int, lo, hi) -> AlgElem:
     hi_set = comp_to_subset(hi, n)
     if not lo_set <= hi_set:
         raise ValueError("empty refinement interval")
-    out = AlgElem.zero("S", n)
     extra = sorted(hi_set - lo_set)
-    for r in range(len(extra) + 1):
-        for chosen in combinations(extra, r):
-            out += y_basis("A", n, mask_of(lo_set | set(chosen)))
-    return out
+    return linear_combine(
+        (1, y_basis("A", n, mask_of(lo_set | set(chosen))))
+        for r in range(len(extra) + 1)
+        for chosen in combinations(extra, r)
+    )
 
 
 def phi_on_t_formula(n: int, alpha) -> AlgElem:
@@ -372,18 +372,13 @@ def check_t_partition(n: int):
 def check_order_sums(n: int):
     """S and S-tilde expand over T along the two partial orders, with
     unit leading coefficient (unitriangular transitions)."""
-    for alpha in signed_compositions(n):
-        expect_s = AlgElem.zero("B", n)
-        for beta in signed_compositions(n):
-            if leq(beta, alpha):
-                expect_s += t_basis(n, beta)
+    comps = signed_compositions(n)
+    for alpha in comps:
+        expect_s = linear_combine((1, t_basis(n, beta)) for beta in comps if leq(beta, alpha))
         if s_basis(n, alpha) != expect_s:
             raise CheckFailure(f"S-class of {alpha} is not the order sum of T-classes")
-        expect_st = AlgElem.zero("B", n)
         ta = tilde(alpha)
-        for beta in signed_compositions(n):
-            if preceq(beta, ta):
-                expect_st += t_basis(n, beta)
+        expect_st = linear_combine((1, t_basis(n, beta)) for beta in comps if preceq(beta, ta))
         if stilde_basis(n, alpha) != expect_st:
             raise CheckFailure(
                 f"S-tilde class of {alpha} is not the flipped order sum of T-classes"

@@ -186,6 +186,18 @@ def byte_tables(words, n: int) -> list:
     return list(map(_word_table, byte_words(words, n)))
 
 
+@lru_cache(maxsize=None)
+def _lift_table(p: int) -> bytes:
+    """The translation table that moves each value v away from 0 by p."""
+    return bytes((b + p if 0 < b < 128 else b - p) % 256 for b in range(256))
+
+
+def block_word(left: Perm, right: Perm) -> bytes:
+    """byte_word of the block pair: left, then right moved away from 0 by len(left)."""
+    p, structs = len(left), _BYTE_STRUCTS
+    return structs[p].pack(*left) + structs[len(right)].pack(*right).translate(_lift_table(p))
+
+
 def byte_products(words, tables, *, tables_outer: bool = False):
     """The byte products of each byte word v with each byte table of u,
     byte_word(compose(u, v)), lazily: v outer and u inner, or u outer and

@@ -75,15 +75,11 @@ class TensorElem:
         return TensorElem(self.length, {w: c * x for w, x in self.terms.items()})
 
     def concat(self, other: "TensorElem") -> "TensorElem":
-        out: dict = {}
+        out: dict = {}  # the constructor drops the coefficients that cancel
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 key = w1 + w2
-                s = out.get(key, 0) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                out[key] = out.get(key, 0) + c1 * c2
         return TensorElem(self.length + other.length, out)
 
     def __eq__(self, other) -> bool:
@@ -111,20 +107,13 @@ def act_word(word: tuple, w: Perm, alphabet: Alphabet) -> tuple:
 
 
 def act(t: TensorElem, x, alphabet: Alphabet) -> TensorElem:
-    """Right action of a permutation or a group-algebra element."""
-    if isinstance(x, AlgElem):
-        out = TensorElem(t.length, {})
-        for w, c in x.terms.items():
-            moved = {}
-            for word, cw in t.terms.items():
-                key = act_word(word, w, alphabet)
-                moved[key] = moved.get(key, 0) + cw * c
-            out = out + TensorElem(t.length, moved)
-        return out
-    moved = {}
-    for word, cw in t.terms.items():
-        key = act_word(word, tuple(x), alphabet)
-        moved[key] = moved.get(key, 0) + cw
+    """Right action of a permutation or a group-algebra element, summed
+    into one dict over the terms of the element."""
+    moved: dict = {}
+    for w, c in (x.terms if isinstance(x, AlgElem) else {tuple(x): 1}).items():
+        for word, cw in t.terms.items():
+            key = act_word(word, w, alphabet)
+            moved[key] = moved.get(key, 0) + cw * c
     return TensorElem(t.length, moved)
 
 
@@ -134,11 +123,7 @@ def symmetrizer(t: TensorElem, alphabet: Alphabet) -> TensorElem:
     out: dict = {}
     for word, c in t.terms.items():
         for key in (word, tuple(alphabet.bar(x) for x in reversed(word))):
-            s = out.get(key, 0) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out[key] = out.get(key, 0) + c
     return TensorElem(t.length, out)
 
 
@@ -170,13 +155,13 @@ def convolve_actions(u: Perm, v: Perm, word: tuple, alphabet: Alphabet) -> Tenso
     p = len(u)
     if p + len(v) != n:
         raise ValueError("degrees do not add up")
-    out = TensorElem(n, {})
+    out: dict = {}
     for chosen in combinations(range(n), p):
         rest = tuple(i for i in range(n) if i not in chosen)
         left = act_word(tuple(word[i] for i in chosen), u, alphabet)
-        right = act_word(tuple(word[i] for i in rest), v, alphabet)
-        out = out + TensorElem.word(left + right)
-    return out
+        key = left + act_word(tuple(word[i] for i in rest), v, alphabet)
+        out[key] = out.get(key, 0) + 1
+    return TensorElem(n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -79,3 +79,21 @@ def in_label_order(cube: dict, labels) -> dict:
     """The cube with each cell's labels sorted into table order."""
     rank = {lab: i for i, lab in enumerate(labels)}
     return {k: {lab: cell[lab] for lab in sorted(cell, key=rank.get)} for k, cell in cube.items()}
+
+
+def reference_map_tensor(t: dict, n: int, rows) -> dict:
+    """f x f on tensor coordinates keyed (p, l1, l2) of total degree n, in
+    two stages over the whole tensor: f on every left label, then f on
+    every right label, where rows(d) gives f in degree d."""
+    mid: dict = {}
+    for (p, l1, l2), c in t.items():
+        for k1, a in rows(p)[l1].items():
+            key = (p, k1, l2)
+            mid[key] = mid.get(key, 0) + c * a
+    out: dict = {}
+    for (p, k1, l2), c in mid.items():
+        if c:
+            for k2, b in rows(n - p)[l2].items():
+                key = (p, k1, k2)
+                out[key] = out.get(key, 0) + c * b
+    return {k: c for k, c in out.items() if c}

@@ -172,7 +172,7 @@ def test_a_swapped_shuffle_table_fails_the_coefficient_check(monkeypatch):
         return real(2, 0) if (p, q) == (1, 1) else real(p, q)
 
     _patched_tables(monkeypatch, swapped)
-    with pytest.raises(CheckFailure, match=r"shuffle terms collide at \(1,\), \(1,\)"):
+    with pytest.raises(CheckFailure, match=r"shuffle of \(1,\), \(1,\) has 1 terms, not 2"):
         check_shuffle_coefficients(2)
 
 

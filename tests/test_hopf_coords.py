@@ -58,7 +58,7 @@ from peakalg.peak import (
 from peakalg.perms import compose, group_elements, identity, inverse
 from peakalg.reporting import CheckFailure
 
-from oracles import bidegree, descent_span_rank
+from oracles import bidegree, descent_span_rank, reference_map_tensor
 
 # ---------------------------------------------------------------------------
 # the element-level reference
@@ -757,6 +757,38 @@ def _unsigned_shift():
     return broken
 
 
+def _unshuffled_left():
+    """coproduct_splits whose shuffle has its first two entries swapped at
+    each p >= 2, and its left block too, so that the blocks still reassemble
+    w and only the shuffle is wrong.  The true splits of B_0..B_5 are checked
+    first, so that the shuffle predicate has already seen every true shuffle."""
+    splits = hopf.coproduct_splits
+    run_singles([hopf.check_split_reassembly], 5)
+
+    def broken(w):
+        return [
+            ((xi[1], xi[0], *xi[2:]), (w1[1], w1[0], *w1[2:]), w2) if p >= 2 else (xi, w1, w2)
+            for p, (xi, w1, w2) in enumerate(splits(w))
+        ]
+
+    return broken
+
+
+def _right_value_past_the_rank():
+    """coproduct_splits whose right block at p = 1 holds n, a value outside
+    its rank n - 1, in place of its first value (from rank 2 on)."""
+    splits = hopf.coproduct_splits
+
+    def broken(w):
+        found = splits(w)
+        if len(w) < 2:
+            return found
+        xi, w1, w2 = found[1]
+        return [found[0], (xi, w1, (len(w), *w2[1:])), *found[2:]]
+
+    return broken
+
+
 def _one_p_at_a_time(splits):
     """The per-p split that a per-element split gives, for the reference
     bodies; past the rank every value stays on the left, as before."""
@@ -765,24 +797,58 @@ def _one_p_at_a_time(splits):
 
 
 @pytest.mark.parametrize(
-    "mutation, names",
+    "mutation, names, witness",
     [
-        (partial(_split_below, 3), sorted(SINGLES)),
-        (_unsigned_shift, ["check_coassociative", "check_split_reassembly"]),
+        (partial(_split_below, 3), sorted(SINGLES), None),
+        (_unsigned_shift, ["check_coassociative", "check_split_reassembly"], None),
+        (_unshuffled_left, ["check_split_reassembly"], "^factor is not a shuffle at w="),
+        (_right_value_past_the_rank, ["check_split_reassembly"], "^factorization fails at w="),
     ],
-    ids=["split-at-p-1-on-rank-3", "unsigned-shift"],
+    ids=[
+        "split-at-p-1-on-rank-3",
+        "unsigned-shift",
+        "unshuffled-left",
+        "right-value-past-the-rank",
+    ],
 )
-def test_broken_split_fails_both_singles_paths(mutation, names, monkeypatch, fresh_hopf_data):
+def test_broken_split_fails_both_singles_paths(
+    mutation, names, witness, monkeypatch, fresh_hopf_data
+):
     broken = mutation()
     monkeypatch.setattr(hopf, "coproduct_splits", broken)
     monkeypatch.setattr(hopf, "coproduct_split", _one_p_at_a_time(broken))
     for name in names:
-        with pytest.raises(CheckFailure):
+        with pytest.raises(CheckFailure, match=witness):
             run_singles([SINGLES[name]], 5)
-        with pytest.raises(CheckFailure):
+        with pytest.raises(CheckFailure, match=witness):
             run_singles([getattr(hopf, name)], 5)
-    with pytest.raises(CheckFailure):
+    with pytest.raises(CheckFailure, match=witness):
         run_singles([hopf.check_singles], 5)
+
+
+def test_the_public_singles_checks_split_each_element_once(fresh_hopf_data):
+    run_singles([hopf.check_singles], 3)  # the split tables of ranks 0 to 2
+    hopf.coproduct_splits.cache_clear()
+    run_singles([getattr(hopf, name) for name in SINGLES], 3)
+    # the first check on each w splits it, the other two read its splits
+    count = sum(len(group_elements("B", n)) for n in range(4))
+    info = hopf.coproduct_splits.cache_info()
+    assert (info.misses, info.hits) == (count, 2 * count)
+
+
+def test_clear_hopf_data_finds_the_last_splits(fresh_hopf_data):
+    hopf.check_singles((2, -1))
+    assert hopf.coproduct_splits.cache_info().currsize == 1
+    clear_hopf_data()
+    assert hopf.coproduct_splits.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("family", ["SolA", "OmegaB"])
+def test_the_tensor_map_equals_the_two_stage_map(family):
+    rows = partial(transform_coords, family)
+    for n in range(1, 6):
+        for lab, t in coproduct_coords(family, n).items():
+            assert hopf._map_tensor(t, n, rows) == reference_map_tensor(t, n, rows), (n, lab)
 
 
 def _fibre_size(family: str, d: int) -> dict:
