@@ -760,6 +760,18 @@ def apply_rows(rows: dict, coords: dict) -> dict:
     return out
 
 
+def packed_rows(rows: dict, packed: dict) -> dict:
+    """apply_rows on packed ints (perms.packer): label -> the combination
+    of the packed vectors that its row weighs."""
+    return {lab: sum(c * packed[k] for k, c in row.items()) for lab, row in rows.items()}
+
+
+def first_unequal(sides):
+    """The first key of the (key, left, right) triples whose two sides
+    differ, or None; the triples are made one at a time."""
+    return next((key for key, left, right in sides if left != right), None)
+
+
 def normalize_coord(c):
     if type(c) is int:
         return c

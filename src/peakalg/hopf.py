@@ -23,9 +23,11 @@ from .algebra import (
     add_multiple,
     apply_rows,
     class_images,
+    first_unequal,
     label_text,
     leaves_span,
     merged_rows,
+    packed_rows,
     pair_coords,
     pair_fibres,
 )
@@ -53,6 +55,7 @@ from .perms import (
     identity,
     is_signed_perm,
     members_of,
+    packer,
     split_plan,
 )
 from .reporting import CheckFailure
@@ -298,8 +301,9 @@ FAMILIES = {
 # sum, the shuffle of two class sums and the transform's left_rows are
 # computed once and binned; binning raises CheckFailure off the span, which
 # makes building the data the closure check.  The identities then run on
-# coordinate dicts: class sums of one algebra have disjoint supports, and
-# so have their tensor products, so equal coordinates mean equal elements.
+# coordinate dicts, or on them packed into ints (perms.packer): class sums
+# of one algebra have disjoint supports, and so have their tensor products,
+# so equal coordinates mean equal elements.
 
 # (left, right) -> the family their shuffle products land in; the type-B
 # descent algebra and the peak algebra are only modules over the ideals
@@ -441,21 +445,54 @@ def _shuffle(left: str, right: str, p: int, q: int, x: dict, y: dict) -> dict:
     return out
 
 
-def _map_tensor(t: dict, n: int, rows) -> dict:
-    """f x f on tensor coordinates keyed (p, l1, l2) of total degree n,
-    where rows(d) gives f in degree d, one side at a time: f of the right
-    sides of each (p, l1) once, then added into the row of each (p, k1)
-    that f of l1 reaches."""
-    tables, by_left, out = [rows(d) for d in range(n + 1)], {}, {}
-    for (p, l1, l2), c in t.items():
-        by_left.setdefault((p, l1), {})[l2] = c
-    for (p, l1), right in by_left.items():
-        image: dict = {}
-        for l2, c in right.items():
-            add_multiple(image, c, tables[n - p][l2])
-        for k1, a in tables[p][l1].items():
-            add_multiple(out.setdefault((p, k1), {}), a, image)
-    return {(p, k1, k2): c for (p, k1), row in out.items() for k2, c in row.items()}
+def _pair_sums(xs: dict, ys: dict, cells: dict):
+    """((k1, k2), the sum of xs[k1][l1] * ys[k2][l2] * cells[l1, l2]), k1
+    outer and one at a time, summed over the right factor once per (k2, l1)."""
+    lefts = {l1 for x in xs.values() for l1 in x}
+    halves = [
+        (k2, {l1: sum(b * cells[l1, l2] for l2, b in y.items()) for l1 in lefts})
+        for k2, y in ys.items()
+    ]
+    for k1, x in xs.items():
+        for k2, h in halves:
+            yield (k1, k2), sum(a * h[l] for l, a in x.items())
+
+
+def _shuffle_sides(family: str, p: int, q: int):
+    """((k1, k2), the transform of the shuffle of the basis elements k1 and
+    k2 of degrees p and q, the shuffle of their images), packed."""
+    xs, ys, table = _x_coords(family, p), _x_coords(family, q), shuffle_coords(family, family, p, q)
+    rows = [transform_coords(family, d) for d in (p, q, p + q)]
+    pack, _ = packer(FAMILIES[family](p + q).labels, *(f.values() for f in (xs, ys, table, *rows)))
+    mapped = packed_rows(table, {m: pack(row) for m, row in rows[2].items()})
+    images = [{k: apply_rows(r, x) for k, x in b.items()} for r, b in zip(rows, (xs, ys))]
+    right = _pair_sums(*images, {k: pack(c) for k, c in table.items()})
+    return ((key, a, b) for (key, a), (_, b) in zip(_pair_sums(xs, ys, mapped), right))
+
+
+def _tensor_sides(family: str, n: int, rows: list, tensors, copies: int):
+    """(key, the coproduct of rows[n][key], (f x f)(tensors(key))), packed, for
+    each key of rows[n] in turn: f is rows[d] in degree d, and the tensors are
+    built of coproduct rows copies times.  In bidegree p, f of l1 packs with a
+    block's stride and f of l2 within a block, so their product is f(l1) (x) f(l2)."""
+    cop, labels = coproduct_coords(family, n), [FAMILIES[family](d).labels for d in range(n + 1)]
+    keys = [(p, k1, k2) for p in range(n + 1) for k1 in labels[p] for k2 in labels[n - p]]
+    flat = [row for r in rows for row in r.values()]
+    pack, shift = packer(keys, *[cop.values()] * copies, flat, flat)
+    starts, heads, legs = [], [], []
+    for p in range(n + 1):
+        starts.append(shift[p, labels[p][0], labels[n - p][0]])
+        at = {k: shift[p, k, labels[n - p][0]] - starts[p] for k in labels[p]}
+        heads.append({lab: sum(c << at[k] for k, c in r.items()) for lab, r in rows[p].items()})
+        at = {k: shift[p, labels[p][0], k] - starts[p] for k in labels[n - p]}
+        legs.append({lab: sum(c << at[k] for k, c in r.items()) for lab, r in rows[n - p].items()})
+    packed = {lab: pack(t) for lab, t in cop.items()}
+    for key, row in rows[n].items():
+        images: dict = {}
+        for (p, l1, l2), c in tensors(key).items():
+            images[p, l1] = images.get((p, l1), 0) + c * legs[p][l2]
+        right = sum(heads[p][l1] * image << starts[p] for (p, l1), image in images.items())
+        yield key, sum(c * packed[m] for m, c in row.items()), right
 
 
 # ---------------------------------------------------------------------------
@@ -608,51 +645,28 @@ def check_peak_not_closed_witness():
         raise CheckFailure("the witness unexpectedly lies in the peak span")
 
 
+_THETA_TEXTS = {
+    "OmegaB": ("type-B transform", "{}, {}".format, str),
+    "SolA": ("transform", lambda m1, m2: f"masks {bin(m1)}, {bin(m2)}", lambda m: f"mask {bin(m)}"),
+}
+
+
 def check_theta_hopf(dmax: int):
     """The descents-to-peaks transforms respect both the shuffle product
-    and the coproduct.  Both sides of the coproduct identity are linear,
-    so it is compared on the class sums."""
-    stilde = {n: _x_coords("OmegaB", n) for n in range(1, dmax)}
-    xa = {n: _x_coords("SolA", n) for n in range(1, dmax)}
-    bases = {"OmegaB": stilde, "SolA": xa}
-    images = {
-        family: {
-            n: {k: apply_rows(transform_coords(family, n), x) for k, x in basis[n].items()}
-            for n in basis
-        }
-        for family, basis in bases.items()
-    }
-
-    def breaks_shuffles(family, p, q, k1, k2):
-        basis, image = bases[family], images[family]
-        prod = _shuffle(family, family, p, q, basis[p][k1], basis[q][k2])
-        left = apply_rows(transform_coords(family, p + q), prod)
-        return left != _shuffle(family, family, p, q, image[p][k1], image[q][k2])
-
-    def breaks_coproduct(family, n, lab):
-        cop = coproduct_coords(family, n)
-        left = apply_rows(cop, transform_coords(family, n)[lab])
-        return left != _map_tensor(cop[lab], n, partial(transform_coords, family))
-
+    and the coproduct.  Both identities are linear, so they are compared
+    on bases, each side packed into one int per pair or class label."""
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
-            for a1 in stilde[p]:
-                for a2 in stilde[q]:
-                    if breaks_shuffles("OmegaB", p, q, a1, a2):
-                        raise CheckFailure(f"type-B transform breaks shuffles at {a1}, {a2}")
-            for m1 in xa[p]:
-                for m2 in xa[q]:
-                    if breaks_shuffles("SolA", p, q, m1, m2):
-                        raise CheckFailure(
-                            f"transform breaks shuffles at masks {bin(m1)}, {bin(m2)}"
-                        )
+            for family, (name, pair_text, _) in _THETA_TEXTS.items():
+                pair = first_unequal(_shuffle_sides(family, p, q))
+                if pair is not None:
+                    raise CheckFailure(f"{name} breaks shuffles at {pair_text(*pair)}")
     for n in range(1, dmax + 1):
-        for alpha in t_algebra(n).labels:
-            if breaks_coproduct("OmegaB", n, alpha):
-                raise CheckFailure(f"type-B transform breaks the coproduct at {alpha}")
-        for m in descent_algebra("A", n).labels:
-            if breaks_coproduct("SolA", n, m):
-                raise CheckFailure(f"transform breaks the coproduct at mask {bin(m)}")
+        for family, (name, _, text) in _THETA_TEXTS.items():
+            rows = [transform_coords(family, d) for d in range(n + 1)]
+            lab = first_unequal(_tensor_sides(family, n, rows, coproduct_coords(family, n).get, 1))
+            if lab is not None:
+                raise CheckFailure(f"{name} breaks the coproduct at {text(lab)}")
 
 
 def check_beta_via_coproduct(dmax: int):
@@ -722,38 +736,24 @@ def check_delta_internal_compat(dmax: int):
     product componentwise.  Both sides are bilinear, so the identity is
     compared on each pair of class sums, their product read on the cube."""
     for n in range(1, dmax + 1):
-        cop = coproduct_coords("SolA", n)
-        deltas = {lab: _by_bidegree(t) for lab, t in cop.items()}
-        for (a, b), prod in descent_algebra("A", n).cube.items():
-            if apply_rows(cop, prod) != _componentwise_internal(deltas[a], deltas[b], n):
-                raise CheckFailure(
-                    f"internal compatibility fails at degree {n}, pair ({bin(a)},{bin(b)})"
-                )
+        by_p = {
+            lab: [[(l1, l2, c) for (q, l1, l2), c in t.items() if q == p] for p in range(n + 1)]
+            for lab, t in coproduct_coords("SolA", n).items()
+        }
 
+        def paired(cell: tuple) -> dict:
+            """The coproducts of the two class sums of a cell, bidegree by bidegree."""
+            return {
+                (p, (l1, k1), (l2, k2)): c * d for p in range(n + 1)
+                for (l1, l2, c), (k1, k2, d) in product(by_p[cell[0]][p], by_p[cell[1]][p])
+            }
 
-def _by_bidegree(t: dict) -> dict:
-    out: dict = {}
-    for (p, l1, l2), c in t.items():
-        out.setdefault(p, {})[(l1, l2)] = c
-    return out
-
-
-def _componentwise_internal(s: dict, t: dict, n: int) -> dict:
-    """Internal product in each tensor factor of type-A tensor coordinates
-    grouped by bidegree (read from the structure cubes); mismatched
-    bidegrees annihilate."""
-    out: dict = {}
-    for p, sp in s.items():
-        tp = t.get(p)
-        if not tp:
-            continue
-        left_cube = descent_algebra("A", p).cube
-        right_cube = descent_algebra("A", n - p).cube
-        for (l1, l2), c in sp.items():
-            for (k1, k2), d in tp.items():
-                for a1, x in left_cube[(l1, k1)].items():
-                    add_multiple(out.setdefault((p, a1), {}), c * d * x, right_cube[(l2, k2)])
-    return {(p, a1, a2): c for (p, a1), row in out.items() for a2, c in row.items()}
+        cubes = [descent_algebra("A", d).cube for d in range(n + 1)]
+        pair = first_unequal(_tensor_sides("SolA", n, cubes, paired, 2))
+        if pair is not None:
+            raise CheckFailure(
+                f"internal compatibility fails at degree {n}, pair ({bin(pair[0])},{bin(pair[1])})"
+            )
 
 
 def check_free_module(dmax: int):

@@ -678,3 +678,19 @@ def length_descent_mask(w: Perm, ctype: str) -> int:
     word = byte_word(w)
     lw, w_table = table[word], _word_table(word)
     return mask_of(label for label, g in zip(labels, gens) if table[g.translate(w_table)] < lw)
+
+
+def packer(keys, *factors) -> tuple:
+    """(pack, shift): pack(vec) holds the coordinate of each ordered key in a
+    signed field of one int, from bit shift[key].  The factors (iterables of
+    int rows, else ValueError) are the linear maps that build the vectors from
+    unit vectors, so the product of their largest l1 row norms bounds every
+    coefficient, below 2**(width - 1): equal packs mean equal vectors."""
+    bound = 1
+    for rows in factors:
+        norms = [sum(map(abs, row.values())) for row in rows]
+        if any(type(s) is not int for s in norms):
+            raise ValueError("packed coordinates must be integers")
+        bound *= max([1, *norms])
+    shift = {key: i * (bound.bit_length() + 1) for i, key in enumerate(keys)}
+    return (lambda vec: sum(c << shift[k] for k, c in vec.items())), shift

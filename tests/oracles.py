@@ -4,7 +4,7 @@ The package does not call these: they restate, from the basis elements
 alone, facts the checks under test read from class coordinates.
 """
 
-from peakalg.algebra import ClassAlgebra, Echelon
+from peakalg.algebra import ClassAlgebra, Echelon, add_multiple
 from peakalg.bases import descent_algebra, descent_coordinates
 from peakalg.perms import compose, popcount
 
@@ -97,3 +97,29 @@ def reference_map_tensor(t: dict, n: int, rows) -> dict:
                 key = (p, k1, k2)
                 out[key] = out.get(key, 0) + c * b
     return {k: c for k, c in out.items() if c}
+
+
+def by_bidegree(t: dict) -> dict:
+    """Tensor coordinates keyed (p, l1, l2), grouped: p -> (l1, l2) -> c."""
+    out: dict = {}
+    for (p, l1, l2), c in t.items():
+        out.setdefault(p, {})[(l1, l2)] = c
+    return out
+
+
+def reference_componentwise_internal(s: dict, t: dict, n: int) -> dict:
+    """Internal product in each tensor factor of type-A tensor coordinates
+    grouped by bidegree (by_bidegree), read from the structure cubes;
+    mismatched bidegrees annihilate."""
+    out: dict = {}
+    for p, sp in s.items():
+        tp = t.get(p)
+        if not tp:
+            continue
+        left_cube = descent_algebra("A", p).cube
+        right_cube = descent_algebra("A", n - p).cube
+        for (l1, l2), c in sp.items():
+            for (k1, k2), d in tp.items():
+                for a1, x in left_cube[(l1, k1)].items():
+                    add_multiple(out.setdefault((p, a1), {}), c * d * x, right_cube[(l2, k2)])
+    return {(p, a1, a2): c for (p, a1), row in out.items() for a2, c in row.items()}

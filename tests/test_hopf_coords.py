@@ -843,12 +843,32 @@ def test_clear_hopf_data_finds_the_last_splits(fresh_hopf_data):
     assert hopf.coproduct_splits.cache_info().currsize == 0
 
 
+def _recorded_packs(monkeypatch) -> list:
+    """The pack function of every packer that peakalg.hopf makes, in order."""
+    packs, packer = [], hopf.packer
+
+    def recording(keys, *factors):
+        pack, shift = packer(keys, *factors)
+        packs.append(pack)
+        return pack, shift
+
+    monkeypatch.setattr(hopf, "packer", recording)
+    return packs
+
+
 @pytest.mark.parametrize("family", ["SolA", "OmegaB"])
-def test_the_tensor_map_equals_the_two_stage_map(family):
-    rows = partial(transform_coords, family)
+def test_the_tensor_map_equals_the_two_stage_map(family, monkeypatch):
+    # the packed right side of the coproduct half of check_theta_hopf,
+    # against the two-stage map on dicts, packed by the same packer
+    packs, rows = _recorded_packs(monkeypatch), partial(transform_coords, family)
     for n in range(1, 6):
-        for lab, t in coproduct_coords(family, n).items():
-            assert hopf._map_tensor(t, n, rows) == reference_map_tensor(t, n, rows), (n, lab)
+        cop = coproduct_coords(family, n)
+        sides = hopf._tensor_sides(family, n, [rows(d) for d in range(n + 1)], cop.get, 1)
+        labels = []
+        for lab, _, right in sides:
+            assert right == packs[-1](reference_map_tensor(cop[lab], n, rows)), (n, lab)
+            labels.append(lab)
+        assert labels == list(cop)
 
 
 def _fibre_size(family: str, d: int) -> dict:
