@@ -369,23 +369,16 @@ def exact_det(rows) -> Fraction:
 # class-partition algebras
 
 
-def bin_classes(terms: dict, class_of, size):
-    """Class binning: the coefficients of terms per class, as a dict in
-    order of first appearance with the first value seen in each class, or
-    None unless every term has a class (class_of gives None for a term
-    outside the group), and terms is constant on each class it touches and
-    covers all size(class) members of it."""
-    labels = list(map(class_of, terms))
-    if None in labels:
-        return None
-    values = list(terms.values())
-    first = dict(zip(reversed(labels), reversed(values)))  # first value wins
-    if list(map(first.__getitem__, labels)) != values:
-        return None
-    counts = Counter(labels)  # in order of first appearance
-    if any(count != size(k) for k, count in counts.items()):
-        return None
-    return {k: first[k] for k in counts}
+def bin_classes(labels, values, size):
+    """Class binning in one pass, given the label (None for a term outside
+    the group) and the value of each term in turn: the value per class, as a
+    dict in order of first appearance with the first value seen in each
+    class, or None unless every term has a class, and the values are
+    constant on each class they touch and cover all size(class) members."""
+    tally = Counter(zip(labels, values))  # (label, value) -> its terms
+    coords = {lab: c for lab, c in tally}
+    constant = None not in coords and len(coords) == len(tally)
+    return coords if constant and all(k == size(lab) for (lab, _), k in tally.items()) else None
 
 
 class ClassAlgebra:
@@ -437,18 +430,16 @@ class ClassAlgebra:
     @cached_property
     def label_of(self) -> dict:
         """Group element -> the label of its class, held by an algebra
-        with no parent only: its coarsenings read it through class_of."""
+        with no parent only: its coarsenings read it through labels_of."""
         return {w: lab for lab, ws in self.classes.items() for w in ws}
 
-    @cached_property
-    def class_of(self):
-        """The label of the class of a group element, or None for a term
+    def labels_of(self, words):
+        """The labels of the classes of group elements, lazily, None for one
         outside the group: the enumerated algebra's label_of, read through
         the fibre map of each coarsening on the way down."""
         if self.parent is None:
-            return self.label_of.get
-        parent_of, fibre_of = self.parent.class_of, self.fibre_of.get
-        return lambda w: fibre_of(parent_of(w))
+            return map(self.label_of.get, words)
+        return map(self.fibre_of.get, self.parent.labels_of(words))
 
     @property
     def basis(self) -> list:
@@ -462,7 +453,7 @@ class ClassAlgebra:
         term outside the group is off it)."""
         if (a.group, a.n) != (self.group, self.n):
             raise ValueError(f"element of {a.group}_{a.n} is not in Q{self.group}_{self.n}")
-        return bin_classes(a.terms, self.class_of, self.sizes.__getitem__)
+        return bin_classes(self.labels_of(a.terms), a.terms.values(), self.sizes.__getitem__)
 
     def binned(self, a: AlgElem, witness: str) -> dict:
         """coords(a), raising CheckFailure(witness) off the span."""
@@ -537,7 +528,8 @@ class ClassAlgebra:
         (words, class_of), size = self.byte_classes, self.sizes.__getitem__
         tables, out = [byte_tables(self.classes[g], self.n) for g in coords], {}
         for b, ws in words.items():
-            cells = [bin_classes(Counter(byte_products(ws, t)), class_of, size) for t in tables]
+            tallies = [Counter(byte_products(ws, t)) for t in tables]
+            cells = [bin_classes(map(class_of, c), c.values(), size) for c in tallies]
             out[b] = None if None in cells else apply_rows(dict(zip(coords, cells)), coords)
         return out
 
@@ -709,14 +701,11 @@ def two_sided_failure(rows: dict, ideal: ClassAlgebra, witness):
 
 def pair_coords(component: dict, left: ClassAlgebra, right: ClassAlgebra):
     """Coordinates of a tensor component {(u, v): c} over the tensor
-    products of the class sums of left and right, or None."""
-    left_of, right_of = left.class_of, right.class_of
-
-    def pair_of(uv):
-        l1, l2 = left_of(uv[0]), right_of(uv[1])
-        return None if l1 is None or l2 is None else (l1, l2)
-
-    return bin_classes(component, pair_of, lambda k: left.sizes[k[0]] * right.sizes[k[1]])
+    products of the class sums of left and right, or None: a pair with a
+    term outside a group has the size 0."""
+    pairs = zip(left.labels_of(u for u, _ in component), right.labels_of(v for _, v in component))
+    size1, size2 = left.sizes.get, right.sizes.get
+    return bin_classes(pairs, component.values(), lambda k: size1(k[0], 0) * size2(k[1], 0))
 
 
 def label_text(lab) -> str:
@@ -729,9 +718,9 @@ ROW_TABLES: dict = {}
 
 
 def class_images(f, src: ClassAlgebra, dst: ClassAlgebra, what: str) -> dict:
-    """The rows of a linear map f from src to dst: label -> coordinates
-    over dst of f applied to the class sum of src, built once per (f, src,
-    dst) by element_rows and kept in ROW_TABLES.  A map with an image off
+    """The rows of a linear map f from src to dst: label -> coordinates over
+    dst of the image of the class sum of src, tallied or mapped once per (f,
+    src, dst) by element_rows and kept in ROW_TABLES.  A map with an image off
     the span raises there, naming this caller's what, and stores nothing.
     The table is shared: no caller may change it."""
     key = (f, src, dst)
@@ -741,10 +730,18 @@ def class_images(f, src: ClassAlgebra, dst: ClassAlgebra, what: str) -> dict:
 
 
 def element_rows(f, src: ClassAlgebra, dst: ClassAlgebra, what: str) -> dict:
-    """The rows of f, each image computed at element level and binned, so
-    building them checks that f lands in dst (CheckFailure naming the
-    class otherwise)."""
-    return {lab: dst.binned(f(c), leaves_span(what, lab)) for lab, c in src.basis}
+    """The rows of f, binned, so building them checks that f lands in dst
+    (CheckFailure naming the class otherwise; an image outside the group of
+    dst has no label).  An element map with a tally (members, rank -> image
+    -> multiplicity) counts the images of the members of each class; any
+    other f is applied to each class sum."""
+    tally, rows = getattr(f, "tally", None), {}
+    for lab, ws in src.classes.items():
+        images = tally(ws, src.n) if tally else f(AlgElem.class_sum(src.group, src.n, ws)).terms
+        rows[lab] = bin_classes(dst.labels_of(images), images.values(), dst.sizes.get)
+        if rows[lab] is None:
+            raise CheckFailure(leaves_span(what, lab))
+    return rows
 
 
 def leaves_span(what: str, lab) -> str:

@@ -22,6 +22,7 @@ from .algebra import (
     Echelon,
     add_multiple,
     apply_rows,
+    bin_classes,
     class_images,
     first_unequal,
     label_text,
@@ -45,12 +46,12 @@ from .perms import (
     CapExceeded,
     Perm,
     block_word,
+    block_words,
     byte_decoder,
     byte_products,
     byte_table,
     byte_tables,
     byte_word,
-    byte_words,
     group_elements,
     identity,
     is_signed_perm,
@@ -59,12 +60,6 @@ from .perms import (
     split_plan,
 )
 from .reporting import CheckFailure
-
-
-def block_embed(u: Perm, v: Perm) -> Perm:
-    """u x v: u on the first block, v shifted up by the rank of u."""
-    p = len(u)
-    return tuple(u) + tuple(x + p if x > 0 else x - p for x in v)
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +102,8 @@ def external_product(a: AlgElem, b: AlgElem) -> AlgElem:
         raise CapExceeded(f"external product capped at total degree {EXTERNAL_DEGREE_CAP}")
     group = _joint_group(a, b)
     tables = _shuffle_tables(p, q)
-    embeds = byte_words([block_embed(u, v) for u in a.terms for v in b.terms], p + q)
-    # compose(xi, block_embed(u, v)) for each shuffle xi of each (u, v): the
+    embeds = block_words(a.terms, b.terms, p, q)
+    # xi * (u x v) for each shuffle xi of each block pair (u, v): the
     # factorization of a product as a shuffle times a block pair is unique,
     # so no two products coincide and none has to be summed; a collision
     # (a wrong shuffle table) raises instead of keeping one coefficient
@@ -401,18 +396,21 @@ def _merged_coproduct(family: str, n: int) -> dict:
 @lru_cache(maxsize=None)
 def shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
     """(left label, right label) -> shuffle product of the two class sums,
-    over the class sums of SHUFFLE_TARGETS[(left, right)] in degree p + q."""
+    over the class sums of SHUFFLE_TARGETS[(left, right)] in degree p + q:
+    the block pairs of members (block_words) times each shuffle, tallied and
+    binned, so a product off the span, or one counted twice, fails closure."""
     target = SHUFFLE_TARGETS[(left, right)]
-    alg = FAMILIES[target](p + q)
-    rights = FAMILIES[right](q).basis
-    return {
-        (l1, l2): alg.binned(
-            external_product(c1, c2),
-            f"shuffle of {left} {label_text(l1)} and {right} {label_text(l2)} leaves {target}",
-        )
-        for l1, c1 in FAMILIES[left](p).basis
-        for l2, c2 in rights
-    }
+    alg, tables, decode = FAMILIES[target](p + q), _shuffle_tables(p, q), byte_decoder(p + q)
+    rights, out = FAMILIES[right](q).classes, {}
+    for l1, us in FAMILIES[left](p).classes.items():
+        for l2, vs in rights.items():
+            tally = Counter(byte_products(block_words(us, vs, p, q), tables))
+            coords = bin_classes(alg.labels_of(map(decode, tally)), tally.values(), alg.sizes.get)
+            if coords is None:
+                text = f"{left} {label_text(l1)} and {right} {label_text(l2)}"
+                raise CheckFailure(f"shuffle of {text} leaves {target}")
+            out[(l1, l2)] = coords
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -428,7 +426,7 @@ def transform_coords(family: str, n: int) -> dict:
         return merged_rows(fine, fibres, fibres, lambda lab: CheckFailure(leaves_span(name, lab)))
     alg = FAMILIES[family](n)
     gen = getattr(maps, name)(AlgElem.unit(alg.group, n))
-    rows = alg.left_rows(alg.binned(gen, leaves_span(name, alg.class_of(identity(n)))))
+    rows = alg.left_rows(alg.binned(gen, leaves_span(name, *alg.labels_of([identity(n)]))))
     if None in rows.values():
         raise CheckFailure(leaves_span(name, next(b for b, row in rows.items() if row is None)))
     return rows

@@ -16,6 +16,7 @@ and node_span ranks a Node; the diagrams and exact rows read the same.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,6 +44,7 @@ from .perms import (
     popcount,
     rho_element,
     sigma,
+    unsigned_tally,
 )
 from .reporting import CheckFailure, run_check
 
@@ -83,6 +85,12 @@ def rho_map(a: AlgElem) -> AlgElem:
     if a.group != "D":
         raise ValueError("rho acts on elements of QD_n")
     return push_forward(rho_element, a)
+
+
+# element_rows tallies the members of each class: members, rank -> image -> multiplicity
+phi.tally = psi.tally = unsigned_tally
+chi.tally = lambda ws, n: Counter(map(chi_element, ws))
+inclusion.tally = lambda ws, n: Counter(ws)
 
 
 # ---------------------------------------------------------------------------

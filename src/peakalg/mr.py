@@ -312,7 +312,7 @@ def descent_fibres(n: int) -> dict:
     descents = descent_algebra("B", n)
     fibres: dict = {lab: [] for lab in descents.labels}
     for alpha, ws in t_algebra(n).classes.items():
-        masks = set(map(descents.class_of, ws))
+        masks = set(descents.labels_of(ws))
         if len(masks) != 1:
             raise CheckFailure(f"the T-class of {alpha} meets several descent classes")
         fibres[masks.pop()].append(alpha)

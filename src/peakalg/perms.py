@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -139,6 +140,7 @@ BYTE_RANK_LIMIT = 128
 _BYTE_STRUCTS = tuple(struct.Struct(f"{n}b") for n in range(BYTE_RANK_LIMIT))
 _IDENTITY_TABLE = bytes(range(256))
 _NEGATED = bytes(-x % 256 for x in range(256))
+_UNSIGNED = bytes(min(x, 256 - x) for x in range(256))  # the byte of v -> that of |v|
 
 
 def byte_decoder(n: int):
@@ -198,6 +200,12 @@ def block_word(left: Perm, right: Perm) -> bytes:
     return structs[p].pack(*left) + structs[len(right)].pack(*right).translate(_lift_table(p))
 
 
+def block_words(lefts, rights, p: int, q: int) -> list:
+    """block_word(u, v) for each u of rank p, outer, and each v of rank q."""
+    moved = [w.translate(_lift_table(p)) for w in byte_words(rights, q)]
+    return [u + v for u in byte_words(lefts, p) for v in moved]
+
+
 def byte_products(words, tables, *, tables_outer: bool = False):
     """The byte products of each byte word v with each byte table of u,
     byte_word(compose(u, v)), lazily: v outer and u inner, or u outer and
@@ -251,6 +259,13 @@ def inverse(w: Perm) -> Perm:
 
 def forget_signs(w: Perm) -> Perm:
     return tuple(abs(v) for v in w)
+
+
+def unsigned_tally(words, n: int) -> dict:
+    """forget_signs(v) -> how many of the words v of rank n it is the image
+    of, in order of first appearance: one translation per byte word."""
+    tally = Counter(w.translate(_UNSIGNED) for w in byte_words(words, n))
+    return dict(zip(map(_BYTE_STRUCTS[n].unpack, tally), tally.values()))
 
 
 def sigma(w: Perm) -> Perm:
@@ -683,14 +698,15 @@ def length_descent_mask(w: Perm, ctype: str) -> int:
 def packer(keys, *factors) -> tuple:
     """(pack, shift): pack(vec) holds the coordinate of each ordered key in a
     signed field of one int, from bit shift[key].  The factors (iterables of
-    int rows, else ValueError) are the linear maps that build the vectors from
-    unit vectors, so the product of their largest l1 row norms bounds every
-    coefficient, below 2**(width - 1): equal packs mean equal vectors."""
+    int rows, else ValueError naming the argument and a coefficient) build the
+    vectors from unit vectors, so the product of their largest l1 row norms
+    bounds every coefficient, below 2**(width - 1): equal packs, equal vectors."""
     bound = 1
-    for rows in factors:
+    for i, rows in enumerate(factors, 2):
         norms = [sum(map(abs, row.values())) for row in rows]
         if any(type(s) is not int for s in norms):
-            raise ValueError("packed coordinates must be integers")
+            c = next(c for row in rows for c in row.values() if type(c) is not int)
+            raise ValueError(f"packed coordinates must be integers: argument {i} holds {c!r}")
         bound *= max([1, *norms])
     shift = {key: i * (bound.bit_length() + 1) for i, key in enumerate(keys)}
     return (lambda vec: sum(c << shift[k] for k, c in vec.items())), shift

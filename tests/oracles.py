@@ -4,9 +4,16 @@ The package does not call these: they restate, from the basis elements
 alone, facts the checks under test read from class coordinates.
 """
 
-from peakalg.algebra import ClassAlgebra, Echelon, add_multiple
+from peakalg.algebra import AlgElem, ClassAlgebra, Echelon, add_multiple
 from peakalg.bases import descent_algebra, descent_coordinates
+from peakalg.hopf import FAMILIES, SHUFFLE_TARGETS, external_product
 from peakalg.perms import compose, popcount
+
+
+def block_embed(u, v) -> tuple:
+    """u x v: u on the first block, v shifted up by the rank of u."""
+    p = len(u)
+    return tuple(u) + tuple(x + p if x > 0 else x - p for x in v)
 
 
 def descent_span_rank(elems, ctype: str) -> int:
@@ -53,12 +60,41 @@ def reference_bin_classes(terms, class_of, size):
     return {k: c for k, (c, _) in seen.items()}
 
 
+def _element_labels(alg: ClassAlgebra):
+    """Group element -> its label in alg, read off the members of each class."""
+    return {w: lab for lab, ws in alg.classes.items() for w in ws}.get
+
+
+def reference_element_rows(f, src: ClassAlgebra, dst: ClassAlgebra) -> dict:
+    """The rows of a map f at element level: f of each class sum of src (a
+    push-forward for maps.phi, psi and chi), binned term by term over dst,
+    None for a row off the span."""
+    label, size = _element_labels(dst), dst.sizes.__getitem__
+    return {
+        lab: reference_bin_classes(f(AlgElem.class_sum(src.group, src.n, ws)).terms, label, size)
+        for lab, ws in src.classes.items()
+    }
+
+
+def reference_shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
+    """hopf.shuffle_coords at element level: the external product of each
+    pair of class sums, binned term by term, None for a cell off the span."""
+    alg = FAMILIES[SHUFFLE_TARGETS[(left, right)]](p + q)
+    label, size = _element_labels(alg), alg.sizes.__getitem__
+    lefts, rights = FAMILIES[left](p), FAMILIES[right](q)
+    return {
+        (l1, l2): reference_bin_classes(external_product(c1, c2).terms, label, size)
+        for l1, c1 in lefts.basis
+        for l2, c2 in rights.basis
+    }
+
+
 def reference_cube(alg: ClassAlgebra, left=None) -> dict:
     """The structure cube by composing every pair of group elements, |G|^2
     products, or only its rows with the left labels given: each cell lists
     its labels in the order its products first appear, and a product off
     the span raises at the first such cell in label order."""
-    class_of, size = alg.class_of, alg.sizes.__getitem__
+    class_of, size = _element_labels(alg), alg.sizes.__getitem__
     cube = {}
     for l1 in alg.labels if left is None else left:
         c1 = alg.classes[l1]

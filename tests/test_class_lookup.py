@@ -29,10 +29,10 @@ def test_a_term_outside_the_group_is_off_the_span():
     assert parent.coords(AlgElem._raw("S", 3, {(2, 1, 3): 1, (3, 1, 2): 1})) == {0b10: 1}
     assert parent.coords(AlgElem._raw("S", 3, {(2, 1, 3): 1, OUTSIDE: 1})) is None
     for coarse in (peak_algebra(3), wp_algebra(3)):  # a coarsening, and one of a coarsening
-        label = coarse.class_of((3, 1, 2))
+        (label,) = coarse.labels_of([(3, 1, 2)])
         assert coarse.coords(coarse.element({label: 1})) == {label: 1}
         assert coarse.coords(swapped(coarse.classes[label], (3, 1, 2), OUTSIDE)) is None
-    assert peak_algebra(3).class_of(OUTSIDE) is None
+    assert list(peak_algebra(3).labels_of([OUTSIDE])) == [None]
 
 
 def test_a_tensor_term_outside_the_group_is_off_the_span():

@@ -464,7 +464,7 @@ def test_a_wrong_byte_product_in_a_generator_row(monkeypatch, fresh_transform_ro
     broken = byte_products_wrong_on((2, 1, 3), (1, 3, 2), (1, 2, 3))
     monkeypatch.setattr(algebra, "byte_products", broken)
     (result,) = [c for c in verify.SUITES["theta"](4) if c.check_id == "theta/type-a-values"]
-    label = descent_algebra("A", 3).class_of((1, 3, 2))
+    label = descent_algebra("A", 3).label_of[(1, 3, 2)]
     assert result.status == "fail"
     assert result.witness == f"theta of the class {bin(label)} leaves the span"
 

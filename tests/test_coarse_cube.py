@@ -32,7 +32,7 @@ CASES = (
 
 def enumerated(alg: ClassAlgebra) -> ClassAlgebra:
     """The same classes with no parent, so its cube is built from the group."""
-    return ClassAlgebra(alg.group, alg.n, alg.class_of, alg.labels, alg.classes)
+    return ClassAlgebra(alg.group, alg.n, None, alg.labels, alg.classes)
 
 
 @pytest.mark.parametrize("name, factory, n", CASES, ids=[name for name, _, _ in CASES])

@@ -19,10 +19,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import in_label_order, reference_bin_classes, reference_cube
+from oracles import block_embed, in_label_order, reference_bin_classes, reference_cube
 from peakalg import algebra, bases, hopf, mr, peak, perms
 from peakalg.algebra import AlgElem, ClassAlgebra, bin_classes, internal_product
-from peakalg.hopf import block_embed, external_product, shuffles
+from peakalg.hopf import external_product, shuffles
 from peakalg.perms import (
     byte_decoder,
     byte_table,
@@ -484,14 +484,31 @@ def test_internal_product_equals_the_compose_product(group, n):
     assert internal_product(one - e, one + e).terms == {}
 
 
+def binned(terms, class_of, size):
+    """bin_classes on terms labelled term by term by class_of."""
+    return bin_classes(map(class_of, terms), terms.values(), size)
+
+
 def test_bin_classes_keeps_the_first_value_and_the_first_appearance_order():
     class_of = {"a": 0, "b": 1, "c": 0, "d": 1, "e": 2}.get
     size = {0: 2, 1: 2, 2: 1}.__getitem__
     terms = {"b": Fraction(1), "a": 1, "d": 1, "c": Fraction(1), "e": Fraction(2, 3)}
-    got = bin_classes(terms, class_of, size)
+    got = binned(terms, class_of, size)
     assert got == reference_bin_classes(terms, class_of, size)
     assert list(got) == [1, 0, 2]
     assert [type(c) for c in got.values()] == [Fraction, int, Fraction]
+    # the same terms with class 1 on two values, class 0 short of c, and z with no label
+    short = {k: c for k, c in terms.items() if k != "c"}
+    for off_span in ({**terms, "d": 2}, short, {"z": 1, **terms}):
+        assert binned(off_span, class_of, size) is None
+        assert reference_bin_classes(off_span, class_of, size) is None
+
+
+def test_bin_classes_wants_one_value_even_where_each_value_fills_its_class():
+    # a label map that puts two terms in a class of one: each value alone
+    # covers the size, so only the constancy test turns the terms away
+    class_of, size, terms = {"a": 0, "b": 0}.get, {0: 1}.__getitem__, {"a": 1, "b": 2}
+    assert binned(terms, class_of, size) is reference_bin_classes(terms, class_of, size) is None
 
 
 @pytest.mark.parametrize(
@@ -501,12 +518,15 @@ def test_bin_classes_keeps_the_first_value_and_the_first_appearance_order():
         {"a": 1, "d": Fraction(1), "b": Fraction(1), "c": 1, "e": 1},  # 1 == Fraction(1)
         {"a": 1, "b": 1, "c": 1, "z": 1},  # z has no class, after classed terms
         {"d": 2, "a": 1, "e": 2, "b": 1, "c": 1},
+        {"d": 2, "a": 1, "e": 3, "b": 1, "c": 1},  # class 1 has two values
+        {"d": 2, "a": 1, "e": 2, "c": 1},  # class 0 misses its member b
+        {"z": 1, "d": 2, "a": 1, "e": 2, "b": 1, "c": 1},  # z has no label, first
     ],
 )
 def test_bin_classes_agrees_with_the_reference_on_a_class_of_three(terms):
     class_of = {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1}.get
     size = {0: 3, 1: 2}.__getitem__
-    got = bin_classes(terms, class_of, size)
+    got = binned(terms, class_of, size)
     want = reference_bin_classes(terms, class_of, size)
     assert got == want
     if got is not None:
@@ -526,7 +546,7 @@ def test_bin_classes_agrees_with_the_reference_on_a_class_of_three(terms):
 def test_bin_classes_agrees_with_the_reference(terms):
     class_of = {"a": 0, "b": 1, "c": 0, "d": 1, "e": 2}.get
     size = {0: 2, 1: 2, 2: 1}.__getitem__
-    got = bin_classes(terms, class_of, size)
+    got = binned(terms, class_of, size)
     want = reference_bin_classes(terms, class_of, size)
     assert got == want and (got is None or list(got) == list(want))
 

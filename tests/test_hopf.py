@@ -7,7 +7,6 @@ from peakalg.algebra import AlgElem
 from peakalg.bases import y_basis
 from peakalg.hopf import (
     Tensor2,
-    block_embed,
     check_beta_via_coproduct,
     check_coassociative,
     check_coproduct_generators,
@@ -36,6 +35,7 @@ from peakalg.peak import peak_basis, peak_coordinates
 from peakalg.perms import compose, group_elements, identity, inverse
 from peakalg.reporting import CheckFailure
 
+from oracles import block_embed
 from test_hopf_coords import componentwise_internal
 
 

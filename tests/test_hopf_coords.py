@@ -35,7 +35,6 @@ from peakalg.hopf import (
     TRANSFORMS,
     Tensor2,
     _stilde,
-    block_embed,
     concat_mask_ordinary,
     coproduct,
     coproduct_coords,
@@ -58,7 +57,7 @@ from peakalg.peak import (
 from peakalg.perms import compose, group_elements, identity, inverse
 from peakalg.reporting import CheckFailure
 
-from oracles import bidegree, descent_span_rank, reference_map_tensor
+from oracles import block_embed, bidegree, descent_span_rank, reference_map_tensor
 
 # ---------------------------------------------------------------------------
 # the element-level reference

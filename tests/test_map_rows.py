@@ -1,11 +1,12 @@
 """The one row table per map and pair of class algebras.
 
 algebra.class_images builds the rows of a map (the binned image of every
-class sum of its source) at element level, through algebra.element_rows,
-once per (map, source, target) and keeps them in algebra.ROW_TABLES for
+class sum of its source) through algebra.element_rows, which tallies the
+members of each class for the maps that carry a tally, once per (map,
+source, target) and keeps them in algebra.ROW_TABLES for
 the life of the process.  These tests pin that cache: a second call
 returns the same table, every cached table equals a fresh element-level
-build by the body class_images had before it was memoised, a failing
+build (tests/oracles.py: each class sum mapped, then binned), a failing
 build stores nothing and names each caller's own what, a full verify
 run builds each table once, a second run changes none, and no table holds
 the rows of a transform.
@@ -20,20 +21,13 @@ import copy
 import pytest
 
 from peakalg import algebra, maps, mr
-from peakalg.algebra import ROW_TABLES, AlgElem, class_images, label_text
+from peakalg.algebra import ROW_TABLES, AlgElem, class_images
 from peakalg.bases import descent_algebra, y_basis
 from peakalg.peak import peak_algebra
 from peakalg.reporting import CheckFailure
 from peakalg.verify import run_suite
 
-
-def reference_class_images(f, src, dst, what):
-    """class_images before the cache: every image computed at element
-    level and binned."""
-    return {
-        lab: dst.binned(f(c), f"{what} of the class {label_text(lab)} leaves the span")
-        for lab, c in src.basis
-    }
+from oracles import reference_element_rows
 
 
 def clear_rows():
@@ -73,7 +67,7 @@ def test_every_cached_table_is_the_element_level_build():
     assert run_suite("all", 4).passed
     assert len(ROW_TABLES) > 20
     for (f, src, dst), rows in ROW_TABLES.items():
-        assert rows == reference_class_images(f, src, dst, "rows"), (f, src, dst)
+        assert rows == reference_element_rows(f, src, dst), (f, src, dst)
 
 
 def test_no_transform_rows_are_kept_by_map_identity(fresh_transform_rows):

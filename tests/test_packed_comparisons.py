@@ -210,8 +210,9 @@ def test_the_bound_is_the_product_of_the_largest_row_norms():
 def test_a_fraction_coefficient_is_a_failure_not_an_error():
     with pytest.raises(ValueError, match="must be integers"):
         packer([0], [{0: Fraction(1, 2)}])
-    result = run_check("packed", lambda: packer([0], [{0: Fraction(2)}]))
-    assert (result.status, result.witness) == ("fail", "packed coordinates must be integers")
+    result = run_check("packed", lambda: packer([0], [{0: 1}], [{}, {0: 1, 1: Fraction(2)}]))
+    witness = "packed coordinates must be integers: argument 3 holds Fraction(2, 1)"
+    assert (result.status, result.witness) == ("fail", witness)
 
 
 def test_a_fraction_in_the_transform_rows_fails_the_square(fresh_hopf_caches):
@@ -220,7 +221,9 @@ def test_a_fraction_in_the_transform_rows_fails_the_square(fresh_hopf_caches):
     row[key] = Fraction(row[key])
     ranks, body = square_check(3)
     result = run_check("theta/square-with-sign-forgetting", lambda: [body(n) for n in ranks])
-    assert (result.status, result.witness) == ("fail", "packed coordinates must be integers")
+    # the type-A transform rows are the fifth argument of the square's packer
+    witness = f"packed coordinates must be integers: argument 5 holds {row[key]!r}"
+    assert (result.status, result.witness) == ("fail", witness)
 
 
 # name -> the cached tables of rows that one input of the checks reads
