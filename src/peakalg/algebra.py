@@ -699,15 +699,6 @@ def two_sided_failure(rows: dict, ideal: ClassAlgebra, witness):
     return None
 
 
-def pair_coords(component: dict, left: ClassAlgebra, right: ClassAlgebra):
-    """Coordinates of a tensor component {(u, v): c} over the tensor
-    products of the class sums of left and right, or None: a pair with a
-    term outside a group has the size 0."""
-    pairs = zip(left.labels_of(u for u, _ in component), right.labels_of(v for _, v in component))
-    size1, size2 = left.sizes.get, right.sizes.get
-    return bin_classes(pairs, component.values(), lambda k: size1(k[0], 0) * size2(k[1], 0))
-
-
 def label_text(lab) -> str:
     """A class label as witness text: compositions as tuples, masks in binary."""
     return str(lab) if isinstance(lab, tuple) else bin(lab)

@@ -15,7 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from math import comb
+from operator import itemgetter
 
 from .algebra import (
     AlgElem,
@@ -29,7 +31,6 @@ from .algebra import (
     leaves_span,
     merged_rows,
     packed_rows,
-    pair_coords,
     pair_fibres,
 )
 from .bases import (
@@ -54,10 +55,10 @@ from .perms import (
     byte_word,
     group_elements,
     identity,
-    is_signed_perm,
     members_of,
     packer,
-    split_plan,
+    split_blocks,
+    split_tables,
 )
 from .reporting import CheckFailure
 
@@ -130,116 +131,110 @@ def coproduct_split(w: Perm, p: int):
     return tuple(left_pos + right_pos), tuple(w1), tuple(w2)
 
 
-@lru_cache(maxsize=1)
-def coproduct_splits(w: Perm) -> list:
-    """coproduct_split(w, p) for p = 0..n, read off the split plan of |w|
-    in one lookup; the last w's list is kept, for the public per-element
-    checks run one after another on it."""
-    return [
-        (xi, left(w), tuple(map(shift, right(w))))
-        for xi, left, right, shift in split_plan(tuple(map(abs, w)))
-    ]
-
-
-def _blocks(splits: list) -> tuple:
-    """The (left, right) blocks of a list of splits."""
-    return tuple((w1, w2) for _, w1, w2 in splits)
-
-
-# split tables are kept to this rank (about 4 MB at rank 5, 65 MB at rank 6);
-# a longer leg is split where it is read
-SPLIT_TABLE_TO = 5
-
-
-@lru_cache(maxsize=None)
-def split_table(n: int) -> dict:
-    """w -> its (left, right) blocks at p = 0..n, for each w of B_n: every
-    element of rank n split once, for the legs of the splits above it."""
-    return {w: _blocks(coproduct_splits(w)) for w in group_elements("B", n)}
-
-
-@lru_cache(maxsize=None)
 def _shuffle_word(xi: Perm, p: int) -> tuple:
     """(byte word of xi, whether xi increases on its first p and on its
-    other positions), read once per (xi, p)."""
+    other positions), read once per pattern and p by _shuffle_plan."""
     return byte_word(xi), list(xi[:p]) == sorted(xi[:p]) and list(xi[p:]) == sorted(xi[p:])
 
 
-def _check_split_reassembly(w: Perm, splits: list):
-    shuffle = [_shuffle_word(xi, p) for p, (xi, _, _) in enumerate(splits)]
-    products = byte_products([word for word, _ in shuffle], [byte_table(w)])
-    # wxi = compose(w, xi), against the block pair, both as byte words
-    for p, ((_, w1, w2), wxi, (_, is_shuffle)) in enumerate(zip(splits, products, shuffle)):
-        if wxi != block_word(w1, w2):
+@lru_cache(maxsize=None)
+def _shuffle_plan(pattern: Perm) -> tuple:
+    """The byte words of the shuffles of the splits at p = 0..n of each w
+    with |w| = pattern, and whether each is a shuffle (_shuffle_word): xi
+    lists the positions (from 1) of the values at most p, then the others,
+    each in order, derived from the pattern apart from the byte split."""
+    positions = range(1, len(pattern) + 1)
+    return tuple(zip(*(
+        _shuffle_word(tuple(sorted(positions, key=lambda i: pattern[i - 1] > p)), p)
+        for p in range(len(pattern) + 1)
+    )))
+
+
+def _check_split_reassembly(w: Perm, word: bytes, lefts: list, rights: list):
+    xis, shuffled = _shuffle_plan(tuple(map(abs, w)))
+    # w * xi against the block pair, both as byte words
+    products = byte_products(xis, [byte_table(w)])
+    for p, (wxi, left, right, is_shuffle) in enumerate(zip(products, lefts, rights, shuffled)):
+        if wxi != block_word(left, right):
             raise CheckFailure(f"factorization fails at w={w}, p={p}")
         if not is_shuffle:
             raise CheckFailure(f"factor is not a shuffle at w={w}, p={p}")
 
 
-def _leg_splits(leg: Perm, w: Perm, blocks: tuple) -> tuple:
-    """The splits of a leg of w, whose own splits are blocks: w's when
-    the leg is w (at p = 0 and p = n, so no table of w's rank is kept),
-    else the leg's row of the split table of its rank."""
-    if leg == w:
-        return blocks
-    if len(leg) > SPLIT_TABLE_TO:
-        found = _blocks(coproduct_splits(leg)) if is_signed_perm(leg) else None
-    else:
-        found = split_table(len(leg)).get(leg)
-    if found is None:  # the leg is not a signed permutation
-        raise CheckFailure(f"coassociativity fails at w={w}")
-    return found
+@lru_cache(maxsize=None)
+def _coassociativity_plan(n: int) -> tuple:
+    """For the pairs q <= p of rank n, over the legs of an element (its left
+    blocks at 0..n, then its right blocks): the number of pairs, the picker
+    of the legs to split (the left blocks at p, then the right blocks at q),
+    their split tables (of rank p at q, of rank n - q at p - q), and the
+    picker of the legs the outer halves must equal (at q, then at p)."""
+    pairs = [(p, q) for p in range(n + 1) for q in range(p + 1)]
+    splits = pairs + [(n - q, p - q) for p, q in pairs]
+    return (
+        len(pairs),
+        itemgetter(*[p for p, _ in pairs], *[n + 1 + q for _, q in pairs]),
+        [[split_tables(rank)[k][at] for rank, at in splits] for k in range(3)],
+        itemgetter(*[q for _, q in pairs], *[n + 1 + p for p, _ in pairs]),
+    )
 
 
-def _check_coassociative(w: Perm, splits: list):
+def _check_coassociative(w: Perm, word: bytes, lefts: list, rights: list):
     """Splitting the left block of w at q <= p, and splitting w at q and
     then its right block at p - q, give the same triple.  Each side of
     coassociativity holds one triple per length signature (q, p - q, n - p),
-    so this equals comparing the two sides as multisets, and is stronger
-    when a broken split gets the lengths wrong.  Each leg is split on its
-    own, in the split table of its rank."""
-    n, blocks = len(w), _blocks(splits)
-    if [(len(w1), len(w2)) for w1, w2 in blocks] != [(p, n - p) for p in range(n + 1)]:
+    so this equals comparing the two sides as multisets, and is stronger when
+    a broken split gets the lengths wrong.  All legs split at once, each by its rank."""
+    n = len(w)
+    # the lengths of the left blocks, then, after -1, of the right blocks
+    if [*map(len, lefts), -1, *map(len, rights)] != [*range(n + 1), -1, *range(n, -1, -1)]:
         raise CheckFailure(f"coassociativity fails at w={w}")
-    lefts = [_leg_splits(w1, w, blocks) for w1, _ in blocks]
-    for q, (w1, w2) in enumerate(blocks):
-        # the right block at q split at r, against the left block at q + r split at q
-        for r, (b, c) in enumerate(_leg_splits(w2, w, blocks)):
-            a, b2 = lefts[q + r][q]
-            if a != w1 or b != b2 or c != blocks[q + r][1]:
-                raise CheckFailure(f"coassociativity fails at w={w}")
+    m, pick, tables, want = _coassociativity_plan(n)
+    legs = lefts + rights
+    # the left block at p split at q is (the left block at q, x), and the
+    # right block at q split at p - q is (x, the right block at p)
+    a, x = split_blocks(pick(legs), *tables)
+    if x[:m] != a[m:] or a[:m] + x[m:] != list(want(legs)):
+        raise CheckFailure(f"coassociativity fails at w={w}")
 
 
-def _check_counit(w: Perm, splits: list):
-    if splits[0][1:] != ((), w):
+def _check_counit(w: Perm, word: bytes, lefts: list, rights: list):
+    if (lefts[0], rights[0]) != (b"", word):
         raise CheckFailure(f"counit (left) fails at w={w}")
-    if splits[-1][1:] != (w, ()):
+    if (lefts[-1], rights[-1]) != (word, b""):
         raise CheckFailure(f"counit (right) fails at w={w}")
+
+
+def _splits(w: Perm) -> tuple:
+    """(byte word of w, its left blocks, its right blocks) at p = 0..n."""
+    word = byte_word(w)
+    return (word, *split_blocks(repeat(word), *split_tables(len(w))))
 
 
 def check_split_reassembly(w: Perm):
     """Certify the factorization: the block pair times the inverse
     shuffle recovers w, for every split point, that is, w times the
     shuffle is the block pair."""
-    _check_split_reassembly(w, coproduct_splits(w))
+    _check_split_reassembly(w, *_splits(w))
 
 
 def check_coassociative(w: Perm):
     """(split left again) and (split right again) agree on w."""
-    _check_coassociative(w, coproduct_splits(w))
+    _check_coassociative(w, *_splits(w))
 
 
 def check_counit(w: Perm):
     """The two extreme splits are the unit tensors."""
-    _check_counit(w, coproduct_splits(w))
+    word, n = byte_word(w), len(w)
+    # the splits at p = 0 and p = n only: every n-th entry of the tables
+    _check_counit(w, word, *split_blocks([word, word], *(t[:: n or 1] for t in split_tables(n))))
 
 
 def check_singles(w: Perm):
-    """The three checks above on one list of the splits of w."""
-    splits = coproduct_splits(w)
-    _check_split_reassembly(w, splits)
-    _check_coassociative(w, splits)
-    _check_counit(w, splits)
+    """The three checks above on one byte split of w."""
+    splits = _splits(w)
+    _check_split_reassembly(w, *splits)
+    _check_coassociative(w, *splits)
+    _check_counit(w, *splits)
 
 
 @dataclass
@@ -355,24 +350,28 @@ def _fibres(family: str, d: int) -> dict:
 def coproduct_coords(family: str, n: int) -> dict:
     """label -> coproduct of the class sum, keyed (p, left label, right
     label) over the class sums of the family in degrees p and n - p.  An
-    enumerated family splits each member of each class once and bins the
-    class's splits at each p; a family in FINER reads the table of the
-    family whose classes it unites."""
+    enumerated family splits the byte words of each class at each p and
+    bins the tallied block pairs through the byte label maps of degrees p
+    and n - p; a family in FINER reads the table of the family whose
+    classes it unites."""
     if family in FINER:
         return _merged_coproduct(family, n)
-    factory = FAMILIES[family]
-    out = {}
-    for lab, ws in factory(n).classes.items():
-        coords = {}
-        # column p holds the split at p of each member, in class order
-        for p, column in enumerate(zip(*map(coproduct_splits, ws))):
-            split = Counter(s[1:] for s in column)
-            pc = pair_coords(split, factory(p), factory(n - p))
+    algs = [FAMILIES[family](d) for d in range(n + 1)]
+    class_of, size, out = [a.byte_classes[1] for a in algs], [a.sizes.get for a in algs], {}
+    for lab, ws in algs[n].byte_classes[0].items():
+        coords = out[lab] = {}
+        # each entry of the split tables at p, once for every word
+        for p, tables in enumerate(zip(*split_tables(n))):
+            tally = Counter(zip(*split_blocks(ws, *map(repeat, tables))))
+            lefts, rights = zip(*tally)
+            pairs = zip(map(class_of[p], lefts), map(class_of[n - p], rights))
+            # a block outside its group has no label, and its pair the size 0
+            pc = bin_classes(
+                pairs, tally.values(), lambda k: size[p](k[0], 0) * size[n - p](k[1], 0)
+            )
             if pc is None:
                 raise _closure_failure(family, lab)
-            for (l1, l2), x in pc.items():
-                coords[(p, l1, l2)] = x
-        out[lab] = coords
+            coords.update(((p, l1, l2), x) for (l1, l2), x in pc.items())
     return out
 
 
@@ -398,17 +397,21 @@ def shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
     """(left label, right label) -> shuffle product of the two class sums,
     over the class sums of SHUFFLE_TARGETS[(left, right)] in degree p + q:
     the block pairs of members (block_words) times each shuffle, tallied and
-    binned, so a product off the span, or one counted twice, fails closure."""
+    binned, so a product off the span fails closure.  As for the cube, each
+    cell must count |a| * |b| * C(p + q, p) products, so a product counted
+    twice fails at its first cell."""
     target = SHUFFLE_TARGETS[(left, right)]
     alg, tables, decode = FAMILIES[target](p + q), _shuffle_tables(p, q), byte_decoder(p + q)
-    rights, out = FAMILIES[right](q).classes, {}
+    rights, out, size = FAMILIES[right](q).classes, {}, alg.sizes.get
     for l1, us in FAMILIES[left](p).classes.items():
         for l2, vs in rights.items():
             tally = Counter(byte_products(block_words(us, vs, p, q), tables))
-            coords = bin_classes(alg.labels_of(map(decode, tally)), tally.values(), alg.sizes.get)
-            if coords is None:
-                text = f"{left} {label_text(l1)} and {right} {label_text(l2)}"
-                raise CheckFailure(f"shuffle of {text} leaves {target}")
+            coords = bin_classes(alg.labels_of(map(decode, tally)), tally.values(), size)
+            total = None if coords is None else sum(c * size(lab) for lab, c in coords.items())
+            if total != (want := len(us) * len(vs) * comb(p + q, p)):
+                text = f"shuffle of {left} {label_text(l1)} and {right} {label_text(l2)}"
+                why = f"counts {total} products, not {want}" if coords else f"leaves {target}"
+                raise CheckFailure(f"{text} {why}")
             out[(l1, l2)] = coords
     return out
 

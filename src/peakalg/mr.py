@@ -348,6 +348,17 @@ def check_bstilde_product(n: int, alpha) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
+def bstilde_failure(n: int):
+    """(alpha, witness) of the first signed composition of n that fails
+    check_bstilde_product, or None: one run per rank for two checks."""
+    for alpha in signed_compositions(n):
+        try:
+            check_bstilde_product(n, alpha)
+        except CheckFailure as failure:
+            return alpha, str(failure)
+
+
 def bstilde_product(n: int, alpha) -> AlgElem:
     """The increasing-class sum times the S-tilde class sum, checked by
     check_bstilde_product: the X0 element of the absolute composition."""

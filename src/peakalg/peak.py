@@ -15,6 +15,7 @@ P-coordinates.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .algebra import (
@@ -111,10 +112,17 @@ def interior_peak_solver(n: int) -> SpanSolver:
     return SpanSolver([e for _, e in elems], labels=tuple(m for m, _ in elems))
 
 
+@lru_cache(maxsize=None)
+def descent_peak_pairs(n: int) -> Counter:
+    """(type-A descent mask, peak mask) -> the number of u in S_n with
+    them: one pass over S_n, read by the peak-set and the dimension checks."""
+    return Counter((descent_mask(u, "A"), peak_mask(u)) for u in iter_group("S", n))
+
+
 def class_sum_ranks(n: int) -> tuple:
     """The ranks of the class sums of peak_algebra(n) and interior_peak_algebra(n):
     by disjoint supports, those of the fibre rows over the realized descent sets."""
-    realized = {descent_mask(u, "A") for u in iter_group("S", n)}
+    realized = {descents for descents, _ in descent_peak_pairs(n)}
     return tuple(
         Echelon({m: 1 for m in ms if m in realized} for ms in alg.fibres.values()).rank
         for alg in (peak_algebra(n), interior_peak_algebra(n))

@@ -25,7 +25,6 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 Perm = tuple  # tuple[int, ...], one-line signed permutation
 
@@ -112,16 +111,6 @@ def compose(u: Perm, v: Perm) -> Perm:
     return tuple([u[j - 1] if j > 0 else -u[-j - 1] for j in v])
 
 
-def _picker(indices):
-    """The map seq -> tuple(seq[i] for i in indices), in one C call."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:  # itemgetter of one index returns the entry, not a 1-tuple
-        (i,) = indices
-        return lambda seq: (seq[i],)
-    return lambda seq: ()
-
-
 # The composition kernel: byte_word(v).translate(byte_table(u)) is
 # byte_word(compose(u, v)), one C call whose result caches its hash; compose
 # stays as the oracle.  Each value is kept mod 256, so j and -j are the
@@ -190,18 +179,17 @@ def byte_tables(words, n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _lift_table(p: int) -> bytes:
-    """The translation table that moves each value v away from 0 by p."""
+    """The translation table that moves each value v away from 0 by p (towards it when p < 0)."""
     return bytes((b + p if 0 < b < 128 else b - p) % 256 for b in range(256))
 
 
-def block_word(left: Perm, right: Perm) -> bytes:
-    """byte_word of the block pair: left, then right moved away from 0 by len(left)."""
-    p, structs = len(left), _BYTE_STRUCTS
-    return structs[p].pack(*left) + structs[len(right)].pack(*right).translate(_lift_table(p))
+def block_word(left: bytes, right: bytes) -> bytes:
+    """The byte word of the block pair of two byte words (left, right)."""
+    return left + right.translate(_lift_table(len(left)))
 
 
 def block_words(lefts, rights, p: int, q: int) -> list:
-    """block_word(u, v) for each u of rank p, outer, and each v of rank q."""
+    """The byte word of each block pair (u, v), u of rank p outer, v of rank q."""
     moved = [w.translate(_lift_table(p)) for w in byte_words(rights, q)]
     return [u + v for u in byte_words(lefts, p) for v in moved]
 
@@ -218,33 +206,34 @@ def byte_products(words, tables, *, tables_outer: bool = False):
 
 # The split kernel.  The coproduct splits a signed permutation w at each p
 # into the values of absolute value at most p, kept in place, and the rest,
-# shifted down by p (hopf.coproduct_split).  Which positions go left depends
-# on |w| only, so one plan per unsigned pattern serves its 2^n sign
-# patterns, and one shift table per rank and p serves every pattern.
+# shifted down by p with their signs kept (hopf.coproduct_split).  On a byte
+# word of rank n each block is one translate: deleting the bytes of the
+# values above p leaves the left block, and deleting those at most p while
+# shifting the rest leaves the right block.  Three byte strings per (n, p)
+# serve every word of rank n; no split of any word is kept.
 
 
 @lru_cache(maxsize=None)
-def _shift_table(n: int, p: int) -> tuple:
-    """The table whose entry v is v - p and entry -v is p - v, for
-    0 < v <= n (entry 0 is never read)."""
-    return (*range(-p, n + 1 - p), *range(p - n, p))
+def split_tables(n: int) -> tuple:
+    """(bigs, shifts, smalls), indexed by p = 0..n: the bytes of the values
+    v with p < |v| <= n, the table that takes v to v - p and -v to p - v
+    (mod 256), and the bytes of the values with |v| <= p."""
+    signed = bytes(x % 256 for v in range(1, n + 1) for x in (v, -v))  # 1, -1, 2, -2, ...
+    points = range(n + 1)
+    return (
+        tuple(signed[2 * p :] for p in points),
+        tuple(_lift_table(-p) for p in points),
+        tuple(signed[: 2 * p] for p in points),
+    )
 
 
-@lru_cache(maxsize=None)
-def split_plan(pattern: Perm) -> tuple:
-    """(shuffle, left, right, shift) for p = 0..n, for a signed permutation
-    w with |w| = pattern: the shuffle lists the positions (from 1) of the
-    values of absolute value at most p, then the others, each in order;
-    left(w) and right(w) pick the values at those positions, and shift
-    takes a right value v to v - p, or v + p when v < 0."""
-    n = len(pattern)
-    plan = []
-    for p in range(n + 1):
-        left = [i for i, u in enumerate(pattern) if u <= p]
-        right = [i for i, u in enumerate(pattern) if u > p]
-        xi = tuple(i + 1 for i in left + right)
-        plan.append((xi, _picker(left), _picker(right), _shift_table(n, p).__getitem__))
-    return tuple(plan)
+def split_blocks(words, bigs, shifts, smalls) -> tuple:
+    """(lefts, rights): the blocks of each byte word, split by its own entries of
+    split_tables; the identity table in place of None halves a left block's time."""
+    return (
+        list(map(bytes.translate, words, itertools.repeat(_IDENTITY_TABLE), bigs)),
+        list(map(bytes.translate, words, shifts, smalls)),
+    )
 
 
 def inverse(w: Perm) -> Perm:

@@ -127,6 +127,7 @@ def _check_associative(group: str, n: int):
 
 def suite_descents(n_max: int, deep: bool = False) -> list:
     from . import bases, perms
+    from . import peak as peakmod
 
     checks = []
 
@@ -178,19 +179,17 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
     _add(checks, "descents/sign-maps", _ranks(1, n_max, 4), involutions)
 
     def peak_realization(n):
-        # one pass; an unrealized set is reported before a mismatch
-        classes = {m: 0 for m in perms.sparse_masks(n)}
-        mismatch = None
-        for u in perms.iter_group("S", n):
-            peaks = perms.peak_mask(u)
-            classes[peaks] += 1
-            if mismatch is None and perms.lambda_mask(perms.descent_mask(u, "A")) != peaks:
-                mismatch = u
-        empty = [bin(m) for m, c in classes.items() if c == 0]
+        # on the tally of S_n that peaks/dimensions-to-8 reads too: an unrealized
+        # set is reported before a mismatch, whose first u a second scan names
+        pairs = peakmod.descent_peak_pairs(n)
+        realized = {peaks for _, peaks in pairs}
+        empty = [bin(m) for m in perms.sparse_masks(n) if m not in realized]
         if empty:
             raise CheckFailure(f"unrealized peak sets at n={n}: {empty}")
-        if mismatch is not None:
-            raise CheckFailure(f"peaks differ from collapsed descents at {mismatch}")
+        if any(perms.lambda_mask(descents) != peaks for descents, peaks in pairs):
+            lam, descent, peak = perms.lambda_mask, perms.descent_mask, perms.peak_mask
+            u = next(u for u in perms.iter_group("S", n) if lam(descent(u, "A")) != peak(u))
+            raise CheckFailure(f"peaks differ from collapsed descents at {u}")
 
     _add(checks, "descents/peak-sets-realized", range(1, 9), peak_realization)
 
@@ -648,8 +647,9 @@ def suite_mr(n_max: int, deep: bool = False) -> list:
     _add_per_rank(checks, "mr", element_ranks, *phi)
 
     def key_products(n):
-        for alpha in mr.signed_compositions(n):
-            mr.check_bstilde_product(n, alpha)
+        failure = mr.bstilde_failure(n)
+        if failure is not None:
+            raise CheckFailure(failure[1])
 
     _add(checks, "mr/increasing-class-products", element_ranks, key_products)
     return checks
@@ -667,12 +667,10 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
     interior_ranks = _ranks(2, n_max, ELEMENT_CAP)
 
     def type_b_form(n):
-        # the identity of mr/increasing-class-products, read on T-coordinates
-        for alpha in mr.signed_compositions(n):
-            try:
-                mr.check_bstilde_product(n, alpha)
-            except CheckFailure:
-                raise CheckFailure(f"type-B transform value wrong at {alpha}") from None
+        # the identity of mr/increasing-class-products, read from its result
+        failure = mr.bstilde_failure(n)
+        if failure is not None:
+            raise CheckFailure(f"type-B transform value wrong at {failure[0]}")
 
     _add(checks, "theta/type-b-values", element_ranks, type_b_form)
 

@@ -14,9 +14,12 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture
 def fresh_transform_rows():
-    """Rebuild the cached transform rows around a test that alters maps."""
-    from peakalg import hopf
+    """Rebuild the cached transform rows, and the per-rank result of the
+    increasing-class products read on them, around a test that alters maps."""
+    from peakalg import hopf, mr
 
     hopf.transform_coords.cache_clear()
+    mr.bstilde_failure.cache_clear()
     yield
     hopf.transform_coords.cache_clear()
+    mr.bstilde_failure.cache_clear()

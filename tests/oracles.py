@@ -4,7 +4,7 @@ The package does not call these: they restate, from the basis elements
 alone, facts the checks under test read from class coordinates.
 """
 
-from peakalg.algebra import AlgElem, ClassAlgebra, Echelon, add_multiple
+from peakalg.algebra import AlgElem, ClassAlgebra, Echelon, add_multiple, bin_classes
 from peakalg.bases import descent_algebra, descent_coordinates
 from peakalg.hopf import FAMILIES, SHUFFLE_TARGETS, external_product
 from peakalg.perms import compose, popcount
@@ -37,6 +37,15 @@ def a_descent_number(n: int, j: int):
 def bidegree(t2, p: int) -> dict:
     """The component of a hopf.Tensor2 whose left factors have degree p."""
     return {k: c for k, c in t2.terms.items() if len(k[0]) == p}
+
+
+def pair_coords(component: dict, left: ClassAlgebra, right: ClassAlgebra):
+    """Coordinates of a tensor component {(u, v): c} over the tensor
+    products of the class sums of left and right, or None: a pair with a
+    term outside a group has the size 0."""
+    pairs = zip(left.labels_of(u for u, _ in component), right.labels_of(v for _, v in component))
+    size1, size2 = left.sizes.get, right.sizes.get
+    return bin_classes(pairs, component.values(), lambda k: size1(k[0], 0) * size2(k[1], 0))
 
 
 def reference_bin_classes(terms, class_of, size):

@@ -10,14 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from peakalg.algebra import NOT_IN_SPAN, AlgElem, SpanSolver, pair_coords
+from peakalg.algebra import NOT_IN_SPAN, AlgElem, SpanSolver
 from peakalg.bases import descent_algebra
 from peakalg.commutative import sol_algebra, wp_algebra
 from peakalg.hopf import coproduct
 from peakalg.mr import t_algebra
 from peakalg.peak import interior_peak_algebra, peak_algebra
 
-from oracles import bidegree
+from oracles import bidegree, pair_coords
 
 CASES = (
     [(f"A{n}", lambda n=n: descent_algebra("A", n)) for n in range(1, 6)]

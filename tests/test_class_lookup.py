@@ -6,14 +6,14 @@ label), one entry per parent label.  A term that is not a group element
 has no label, so an element with such a term is off the span.
 """
 
-from peakalg.algebra import AlgElem, pair_coords
+from peakalg.algebra import AlgElem
 from peakalg.bases import descent_algebra
 from peakalg.commutative import wp_algebra
 from peakalg.hopf import coproduct
 from peakalg.peak import interior_peak_algebra, peak_algebra
 from peakalg.perms import group_elements
 
-from oracles import bidegree
+from oracles import bidegree, pair_coords
 
 OUTSIDE = (3, -1, 2)  # not in S_3; its type-A descent set is {1}, as for (3, 1, 2)
 

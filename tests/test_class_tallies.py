@@ -61,8 +61,8 @@ def test_an_image_without_a_label_leaves_the_span():
 
 def test_a_duplicated_shuffle_table_fails_the_closure(monkeypatch):
     # the identity shuffle counted twice: the first cell doubles the lone
-    # identity of its class and still closes, the second doubles one member
-    # of a larger class
+    # identity of its class, so it still closes, but counts 7 products
+    # where 1 * 1 * C(4, 2) = 6 are due
     real = hopf._shuffle_tables
 
     def doubled(p, q):
@@ -71,7 +71,9 @@ def test_a_duplicated_shuffle_table_fails_the_closure(monkeypatch):
     monkeypatch.setattr(hopf, "_shuffle_tables", doubled)
     shuffle_coords.cache_clear()
     try:
-        with pytest.raises(CheckFailure, match=r"^shuffle of SolA 0b0 and SolA 0b10 leaves SolA$"):
+        with pytest.raises(
+            CheckFailure, match=r"^shuffle of SolA 0b0 and SolA 0b0 counts 7 products, not 6$"
+        ):
             shuffle_coords("SolA", "SolA", 2, 2)
         want = reference_shuffle_coords("SolA", "SolA", 1, 3)
         assert shuffle_coords("SolA", "SolA", 1, 3) == want

@@ -5,11 +5,12 @@ check_beta_via_coproduct, check_delta_closures, check_module_morphisms,
 the four concatenation checks, the two shuffle closures, the ideal/type-A
 isomorphism and the free-module check on coordinates read from cached
 Hopf data, and the per-element checks of the split (reassembly,
-coassociativity, counit) on one list of splits per element, with split
-tables for the legs.  The element-level bodies they replaced live here as
-the reference: every group element of every basis element goes through
-coproduct_split and compose.  Both paths must agree, and the cached data
-must equal the binned element-level results cell by cell.
+coassociativity, counit) on byte words, split and with every leg split
+again on the split tables of its rank.  The element-level bodies they
+replaced live here as the reference: every group element of every basis
+element goes through coproduct_split and compose.  Both paths must agree,
+and the cached data must equal the binned element-level results cell by
+cell.
 """
 
 from collections import Counter
@@ -18,8 +19,8 @@ from math import factorial
 
 import pytest
 
-from peakalg import hopf, maps, mr, verify
-from peakalg.algebra import AlgElem, element_rows, pair_coords
+from peakalg import hopf, maps, mr, perms, verify
+from peakalg.algebra import AlgElem, element_rows
 from peakalg.bases import (
     _all_masks,
     descent_algebra,
@@ -54,10 +55,10 @@ from peakalg.peak import (
     peak_coordinates,
     peak_elements,
 )
-from peakalg.perms import compose, group_elements, identity, inverse
+from peakalg.perms import byte_decoder, compose, group_elements, identity, inverse
 from peakalg.reporting import CheckFailure
 
-from oracles import block_embed, bidegree, descent_span_rank, reference_map_tensor
+from oracles import block_embed, bidegree, descent_span_rank, pair_coords, reference_map_tensor
 
 # ---------------------------------------------------------------------------
 # the element-level reference
@@ -475,12 +476,14 @@ SHUFFLE_PAIRS = {
 
 def clear_hopf_data():
     """Clear every cache that peakalg.hopf defines (the caches it imports
-    belong to their own modules), and the type-B descent fibres that its
-    derived type-B tables read."""
+    belong to their own modules), the type-B descent fibres that its
+    derived type-B tables read, and the increasing-class products read on
+    its transform rows."""
     for value in vars(hopf).values():
         if hasattr(value, "cache_clear") and value.__module__ == hopf.__name__:
             value.cache_clear()
     mr.descent_fibres.cache_clear()
+    mr.bstilde_failure.cache_clear()
 
 
 @pytest.fixture
@@ -516,8 +519,8 @@ def run_singles(checks, nmax: int):
                 check(w)
 
 
-# path -> its checks: the reference bodies, the three per-w checks on split
-# tables, and the fused check that splits each element once for all three
+# path -> its checks: the reference bodies, the three per-w checks on the
+# byte split tables, and the fused check that splits each element once for all three
 SINGLES_PATHS = {
     "reference": list(SINGLES.values()),
     "split tables": [getattr(hopf, name) for name in SINGLES],
@@ -528,15 +531,51 @@ SINGLES_PATHS = {
 @pytest.mark.parametrize("path", list(SINGLES_PATHS))
 def test_both_singles_paths_pass(path, fresh_hopf_data):
     run_singles(SINGLES_PATHS[path], 5)
-    # the legs of B_5 need the tables of ranks 0 to 4 only
-    assert hopf.split_table.cache_info().currsize == (0 if path == "reference" else 5)
+
+
+def _lru_caches(*modules) -> dict:
+    """name -> the cache_info of each lru cache that the modules define."""
+    return {
+        f"{module.__name__}.{name}": value.cache_info()
+        for module in modules
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    }
+
+
+def test_the_singles_checks_keep_no_split_table(fresh_hopf_data):
+    # no cache grows with the elements split: the split tables are three
+    # byte strings per rank and point, the shuffles one entry per unsigned
+    # pattern, and no block of any element is kept
+    hopf.split_tables.cache_clear()
+    for checks in SINGLES_PATHS.values():
+        run_singles(checks, 5)
+    caches = _lru_caches(hopf, perms)
+    patterns = sum(factorial(n) for n in range(6))
+    assert caches["peakalg.perms.split_tables"].currsize == 6
+    assert caches["peakalg.hopf._coassociativity_plan"].currsize == 6
+    assert caches["peakalg.hopf._shuffle_plan"].currsize == patterns
+    del caches["peakalg.perms.group_elements"]  # the group listing itself
+    assert sum(info.currsize for info in caches.values()) < len(group_elements("B", 5))
+
+
+def decoded_split(w, p: int) -> tuple:
+    """(shuffle, left block, right block) of w at p read off hopf's byte
+    split and shuffle plan, as tuples; past the rank every value stays on
+    the left, as in coproduct_split."""
+    if p > len(w):
+        return identity(len(w)), w, ()
+    _, lefts, rights = hopf._splits(w)
+    left, right = lefts[p], rights[p]
+    xi = hopf._shuffle_plan(tuple(map(abs, w)))[0][p]
+    return tuple(xi), byte_decoder(len(left))(left), byte_decoder(len(right))(right)
 
 
 @pytest.mark.parametrize("n", [*range(0, 6), pytest.param(6, marks=pytest.mark.deep)])
 def test_splits_of_an_element_equal_its_splits_one_p_at_a_time(n):
     for w in group_elements("B", n):
         want = [reference_split(w, p) for p in range(n + 1)]
-        assert hopf.coproduct_splits(w) == want, w
+        assert [decoded_split(w, p) for p in range(n + 1)] == want, w
         assert [hopf.coproduct_split(w, p) for p in range(n + 1)] == want, w
 
 
@@ -545,13 +584,6 @@ def test_a_split_past_the_rank_keeps_every_value_on_the_left(n):
     for w in group_elements("B", n):
         for p in range(n + 1, n + 3):
             assert hopf.coproduct_split(w, p) == (identity(n), w, ()) == reference_split(w, p)
-
-
-def test_clear_hopf_data_finds_the_split_table(fresh_hopf_data):
-    hopf.split_table(2)
-    assert hopf.split_table.cache_info().currsize == 1
-    clear_hopf_data()
-    assert hopf.split_table.cache_info().currsize == 0
 
 
 def test_clear_hopf_data_finds_the_descent_fibres(fresh_hopf_data):
@@ -611,6 +643,13 @@ def test_derived_type_b_tables_equal_the_element_level_builds(n, fresh_hopf_data
     alg = FAMILIES["SolB"](n)
     assert coproduct_coords("SolB", n) == element_coproduct_coords("SolB", n)
     assert transform_coords("SolB", n) == element_rows(maps.theta_pm, alg, alg, "theta_pm")
+
+
+@pytest.mark.parametrize("n", [*range(0, 6), pytest.param(6, marks=pytest.mark.deep)])
+@pytest.mark.parametrize("family", ["SolA", "OmegaB"])
+def test_byte_split_tables_equal_the_tuple_split_builds(family, n, fresh_hopf_data):
+    # the enumerated families split byte words; the oracle splits tuples, one p at a time
+    assert coproduct_coords(family, n) == element_coproduct_coords(family, n)
 
 
 def test_coarsenings_merge_the_classes_of_their_parents():
@@ -731,74 +770,95 @@ def test_perturbed_i0_coproduct_cell_fails_the_isomorphism(fresh_hopf_data):
     reference_i0_sola_isomorphism(3)
 
 
-def _split_below(rank: int):
-    """coproduct_splits that splits at p - 1 (for p > 0) on one rank."""
-    splits = hopf.coproduct_splits
-
-    def broken(w):
-        found = splits(w)
-        return found[:1] + found[:-1] if len(w) == rank else found
-
-    return broken
+def _patch_tables(monkeypatch, change):
+    """Replace the split tables (bigs, shifts, smalls) of every rank n, where
+    hopf reads them, by change(n, bigs, shifts, smalls)."""
+    real = hopf.split_tables
+    monkeypatch.setattr(hopf, "split_tables", lambda n: change(n, *real(n)))
 
 
-def _unsigned_shift():
-    """coproduct_splits that shifts the right values down by p whatever
-    their sign."""
-    splits = hopf.coproduct_splits
+def _patch_splits(monkeypatch, change):
+    """Replace the blocks of each element w that hopf splits, by change(word
+    of w, its left blocks, its right blocks)."""
+    real = hopf._splits
 
-    def broken(w):
-        return [
-            (xi, w1, tuple(x if x > 0 else x - 2 * p for x in w2))
-            for p, (xi, w1, w2) in enumerate(splits(w))
-        ]
+    def patched(w):
+        word, lefts, rights = real(w)
+        return (word, *change(word, lefts, rights))
 
-    return broken
+    monkeypatch.setattr(hopf, "_splits", patched)
 
 
-def _unshuffled_left():
-    """coproduct_splits whose shuffle has its first two entries swapped at
-    each p >= 2, and its left block too, so that the blocks still reassemble
-    w and only the shuffle is wrong.  The true splits of B_0..B_5 are checked
-    first, so that the shuffle predicate has already seen every true shuffle."""
-    splits = hopf.coproduct_splits
+def _split_below(monkeypatch):
+    """Split tables that split at p - 1 (for p > 0) on rank 3."""
+
+    def change(n, *columns):
+        return tuple(c[:1] + c[:-1] for c in columns) if n == 3 else columns
+
+    _patch_tables(monkeypatch, change)
+
+
+def _unsigned_shift(monkeypatch):
+    """Split tables that shift the right values down by p whatever their sign."""
+
+    def change(n, bigs, shifts, smalls):
+        unsigned = tuple(bytes((b - p) % 256 for b in range(256)) for p in range(n + 1))
+        return bigs, unsigned, smalls
+
+    _patch_tables(monkeypatch, change)
+
+
+def _unshuffled_left(monkeypatch):
+    """A byte split whose left block has its first two entries swapped at
+    each p >= 2, and a shuffle plan whose shuffle has them swapped too, so
+    that the blocks still reassemble w and only the shuffle is wrong.  The
+    true splits of B_0..B_5 are checked first, so that the cached shuffle
+    plan already holds every true pattern."""
     run_singles([hopf.check_split_reassembly], 5)
 
-    def broken(w):
-        return [
-            ((xi[1], xi[0], *xi[2:]), (w1[1], w1[0], *w1[2:]), w2) if p >= 2 else (xi, w1, w2)
-            for p, (xi, w1, w2) in enumerate(splits(w))
-        ]
+    def swap(word):
+        return word[1::-1] + word[2:]
 
-    return broken
+    def swapped(word, lefts, rights):
+        return [swap(a) if p >= 2 else a for p, a in enumerate(lefts)], rights
 
-
-def _right_value_past_the_rank():
-    """coproduct_splits whose right block at p = 1 holds n, a value outside
-    its rank n - 1, in place of its first value (from rank 2 on)."""
-    splits = hopf.coproduct_splits
-
-    def broken(w):
-        found = splits(w)
-        if len(w) < 2:
-            return found
-        xi, w1, w2 = found[1]
-        return [found[0], (xi, w1, (len(w), *w2[1:])), *found[2:]]
-
-    return broken
+    plan = hopf._shuffle_plan
+    _patch_splits(monkeypatch, swapped)
+    monkeypatch.setattr(
+        hopf,
+        "_shuffle_plan",
+        lambda pattern: tuple(zip(*(
+            hopf._shuffle_word(tuple(swap(xi)), p) if p >= 2 else (xi, ok)
+            for p, (xi, ok) in enumerate(zip(*plan(pattern)))
+        ))),
+    )
 
 
-def _one_p_at_a_time(splits):
-    """The per-p split that a per-element split gives, for the reference
-    bodies; past the rank every value stays on the left, as before."""
-    split = hopf.coproduct_split
-    return lambda w, p: splits(w)[p] if p <= len(w) else split(w, p)
+def _right_value_past_the_rank(monkeypatch):
+    """A byte split whose right block at p = 1 holds n, a value outside its
+    rank n - 1, in place of its first value (from rank 2 on)."""
+
+    def change(word, lefts, rights):
+        if len(word) < 2:
+            return lefts, rights
+        return lefts, [rights[0], bytes([len(word)]) + rights[1][1:], *rights[2:]]
+
+    _patch_splits(monkeypatch, change)
+
+
+def _left_keeps_the_next_value(monkeypatch):
+    """Split tables whose delete set at p keeps the value p + 1 on the left."""
+
+    def change(n, bigs, shifts, smalls):
+        return tuple(big.replace(bytes([p + 1]), b"") for p, big in enumerate(bigs)), shifts, smalls
+
+    _patch_tables(monkeypatch, change)
 
 
 @pytest.mark.parametrize(
     "mutation, names, witness",
     [
-        (partial(_split_below, 3), sorted(SINGLES), None),
+        (_split_below, sorted(SINGLES), None),
         (_unsigned_shift, ["check_coassociative", "check_split_reassembly"], None),
         (_unshuffled_left, ["check_split_reassembly"], "^factor is not a shuffle at w="),
         (_right_value_past_the_rank, ["check_split_reassembly"], "^factorization fails at w="),
@@ -813,9 +873,9 @@ def _one_p_at_a_time(splits):
 def test_broken_split_fails_both_singles_paths(
     mutation, names, witness, monkeypatch, fresh_hopf_data
 ):
-    broken = mutation()
-    monkeypatch.setattr(hopf, "coproduct_splits", broken)
-    monkeypatch.setattr(hopf, "coproduct_split", _one_p_at_a_time(broken))
+    mutation(monkeypatch)
+    # the reference bodies split through coproduct_split: give them the broken split
+    monkeypatch.setattr(hopf, "coproduct_split", decoded_split)
     for name in names:
         with pytest.raises(CheckFailure, match=witness):
             run_singles([SINGLES[name]], 5)
@@ -825,21 +885,17 @@ def test_broken_split_fails_both_singles_paths(
         run_singles([hopf.check_singles], 5)
 
 
-def test_the_public_singles_checks_split_each_element_once(fresh_hopf_data):
-    run_singles([hopf.check_singles], 3)  # the split tables of ranks 0 to 2
-    hopf.coproduct_splits.cache_clear()
-    run_singles([getattr(hopf, name) for name in SINGLES], 3)
-    # the first check on each w splits it, the other two read its splits
-    count = sum(len(group_elements("B", n)) for n in range(4))
-    info = hopf.coproduct_splits.cache_info()
-    assert (info.misses, info.hits) == (count, 2 * count)
-
-
-def test_clear_hopf_data_finds_the_last_splits(fresh_hopf_data):
-    hopf.check_singles((2, -1))
-    assert hopf.coproduct_splits.cache_info().currsize == 1
-    clear_hopf_data()
-    assert hopf.coproduct_splits.cache_info().currsize == 0
+def test_a_delete_set_that_keeps_the_next_value_fails_the_singles_and_the_closure(
+    monkeypatch, fresh_hopf_data
+):
+    # the reference bodies are no oracle here: both sides of the multiset
+    # form of coassociativity keep the value on the left and still agree
+    _left_keeps_the_next_value(monkeypatch)
+    for check in [*(getattr(hopf, name) for name in SINGLES), hopf.check_singles]:
+        with pytest.raises(CheckFailure, match=r"^\w.* at w=\(1,\)"):
+            run_singles([check], 5)
+    with pytest.raises(CheckFailure, match="^MR coproduct closure fails at "):
+        coproduct_coords("OmegaB", 3)
 
 
 def _recorded_packs(monkeypatch) -> list:
@@ -911,10 +967,16 @@ def test_perturbed_t_class_transform_row_fails_the_type_b_rows(fresh_hopf_data):
 
 
 def _count_splits(monkeypatch) -> tuple:
-    """Count the calls of coproduct_splits by rank, and of the per-p
-    coproduct_split by rank."""
-    per_element, per_p = Counter(), Counter()
-    splits, split = hopf.coproduct_splits, hopf.coproduct_split
+    """Count by rank the words of each list that split_blocks splits (the
+    table path; the rank of a list is that of its first word), the elements
+    split one at a time (_splits), and the calls of the per-p coproduct_split."""
+    columns, per_element, per_p = Counter(), Counter(), Counter()
+    split_blocks, splits, split = hopf.split_blocks, hopf._splits, hopf.coproduct_split
+
+    def counted_blocks(words, *tables):
+        if isinstance(words, list):
+            columns[len(words[0])] += len(words)
+        return split_blocks(words, *tables)
 
     def counted_splits(w):
         per_element[len(w)] += 1
@@ -924,19 +986,20 @@ def _count_splits(monkeypatch) -> tuple:
         per_p[len(w)] += 1
         return split(w, p)
 
-    monkeypatch.setattr(hopf, "coproduct_splits", counted_splits)
+    monkeypatch.setattr(hopf, "split_blocks", counted_blocks)
+    monkeypatch.setattr(hopf, "_splits", counted_splits)
     monkeypatch.setattr(hopf, "coproduct_split", counted_split)
-    return per_element, per_p
+    return columns, per_element, per_p
 
 
 def test_coproduct_closures_split_only_the_enumerated_families(monkeypatch, fresh_hopf_data):
     # SolA and OmegaB split every element once; SolB, the ideal and the
     # peak families read their tables through fibres
-    per_element, per_p = _count_splits(monkeypatch)
+    columns, per_element, per_p = _count_splits(monkeypatch)
     hopf.check_delta_closures(5)
-    # one list of splits of each element of S_n and of B_n, in each degree n
-    assert per_element == {n: factorial(n) + (factorial(n) << n) for n in range(1, 6)}
-    assert not per_p
+    # the byte word of each element of S_n and of B_n, at each p, in each degree n
+    assert columns == {n: (factorial(n) + (factorial(n) << n)) * (n + 1) for n in range(1, 6)}
+    assert not per_element and not per_p
 
 
 def _verify_bodies(monkeypatch, n_max: int) -> dict:
@@ -955,13 +1018,28 @@ def _verify_bodies(monkeypatch, n_max: int) -> dict:
 def test_the_verify_singles_loop_splits_each_element_once(monkeypatch, fresh_hopf_data):
     cases, body = _verify_bodies(monkeypatch, 5)["hopf/coassociative-counit-singles"]
     assert cases == list(range(0, 6))
-    per_element, per_p = _count_splits(monkeypatch)
+    columns, per_element, per_p = _count_splits(monkeypatch)
     for n in cases:
         body(n)
-    # once for each element of B_n, and once more for its row of the
-    # split table of rank n, which the legs of B_{n+1}..B_5 read
-    assert per_element == {n: (factorial(n) << n) * (1 if n == 5 else 2) for n in cases}
+    # once for each element of B_n: its legs are split on the tables of
+    # their ranks, all at once, and kept nowhere
+    assert per_element == {n: factorial(n) << n for n in cases}
     assert not per_p
+
+
+def test_the_singles_check_visits_each_element_of_b0_to_b5_once(monkeypatch):
+    visited, check = [], hopf.check_singles
+
+    def recording(w):
+        visited.append(w)
+        check(w)
+
+    monkeypatch.setattr(hopf, "check_singles", recording)
+    report = verify.run_suite("hopf", 5)
+    (result,) = [c for c in report.checks if c.check_id == "hopf/coassociative-counit-singles"]
+    assert result.ok
+    assert len(visited) == 4283 == len(set(visited))
+    assert set(visited) == {w for n in range(6) for w in group_elements("B", n)}
 
 
 def test_perturbed_cube_cell_fails_internal_compat(fresh_hopf_data):

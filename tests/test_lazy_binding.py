@@ -10,6 +10,7 @@ loudly there.
 """
 
 import sys
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -184,6 +185,26 @@ def test_merging_two_peak_sets_fails_the_dimensions(monkeypatch, fresh):
     right = peak.peak_algebra
     monkeypatch.setattr(peak, "peak_algebra", lambda n: wrong if n == 4 else right(n))
     assert dimensions_witness() == "peak span rank != f_4"
+
+
+def test_the_rank_8_peak_checks_enumerate_each_symmetric_group_once(monkeypatch, fresh):
+    # descents/peak-sets-realized and peaks/dimensions-to-8 read one tally
+    # of (descent mask, peak mask) pairs per rank, and S_n is scanned again
+    # only to name a mismatch (other checks list S_n for n <= 5 only)
+    listed = {}
+    for owner in (peak, perms):
+        listed[owner], stream = Counter(), owner.iter_group
+
+        def counted(group, n, count=listed[owner], stream=stream, **kw):
+            count[group, n] += 1
+            return stream(group, n, **kw)
+
+        monkeypatch.setattr(owner, "iter_group", counted)
+    ids = {"descents/peak-sets-realized", "peaks/dimensions-to-8"}
+    suites = (verify.suite_descents, verify.suite_peaks)
+    assert [c.ok for s in suites for c in s(5) if c.check_id in ids] == [True, True]
+    assert listed[peak] == {("S", n): 1 for n in range(1, 9)}
+    assert not [n for _, n in listed[perms] if n > 5]
 
 
 def test_a_stream_missing_a_peak_class_fails_the_dimensions(monkeypatch, fresh):

@@ -10,6 +10,7 @@ reference: every product is a convolution of group elements.  Both paths
 must agree, and a broken map or a corrupted cube must fail both.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,30 @@ def test_perturbed_d_cube_fails_the_coordinate_chi_check():
     assert result.status == "fail"
     assert result.witness.startswith("fold not multiplicative at n=3, ")
     assert coordinate_check("chi/multiplicative", 3).status == "pass"
+
+
+def test_one_result_per_rank_fails_both_checks_of_the_increasing_class_products(
+    monkeypatch, fresh_transform_rows
+):
+    # mr/increasing-class-products and theta/type-b-values read one result
+    # per rank: each product is checked once, and a broken one fails both
+    calls, check = Counter(), mr.check_bstilde_product
+
+    def broken(n, alpha):
+        calls[n, alpha] += 1
+        if alpha == (2, -1):
+            raise CheckFailure(f"product with the S-tilde class of {alpha} is wrong")
+        return check(n, alpha)
+
+    monkeypatch.setattr(mr, "check_bstilde_product", broken)
+    mr.bstilde_failure.cache_clear()
+    products = coordinate_check("mr/increasing-class-products", 3)
+    values = coordinate_check("theta/type-b-values", 3)
+    assert (products.status, products.witness) == (
+        "fail", "product with the S-tilde class of (2, -1) is wrong"
+    )
+    assert (values.status, values.witness) == ("fail", "type-B transform value wrong at (2, -1)")
+    assert max(calls.values()) == 1 and (3, (2, -1)) in calls
 
 
 @pytest.mark.parametrize(
