@@ -476,12 +476,13 @@ SHUFFLE_PAIRS = {
 
 def clear_hopf_data():
     """Clear every cache that peakalg.hopf defines (the caches it imports
-    belong to their own modules), the type-B descent fibres that its
-    derived type-B tables read, and the increasing-class products read on
-    its transform rows."""
+    belong to their own modules), the byte split tables that its singles
+    checks read, the type-B descent fibres that its derived type-B tables
+    read, and the increasing-class products read on its transform rows."""
     for value in vars(hopf).values():
         if hasattr(value, "cache_clear") and value.__module__ == hopf.__name__:
             value.cache_clear()
+    perms.split_tables.cache_clear()
     mr.descent_fibres.cache_clear()
     mr.bstilde_failure.cache_clear()
 
@@ -584,6 +585,24 @@ def test_a_split_past_the_rank_keeps_every_value_on_the_left(n):
     for w in group_elements("B", n):
         for p in range(n + 1, n + 3):
             assert hopf.coproduct_split(w, p) == (identity(n), w, ()) == reference_split(w, p)
+
+
+def test_clear_hopf_data_finds_the_split_table(fresh_hopf_data):
+    hopf.split_tables(2)
+    assert perms.split_tables.cache_info().currsize == 1
+    clear_hopf_data()
+    assert perms.split_tables.cache_info().currsize == 0
+
+
+def test_clear_hopf_data_finds_the_last_splits(fresh_hopf_data):
+    # what one element's splits leave behind: the split tables of ranks 0
+    # to 2 (its own and its legs'), the shuffle plan of its pattern and the
+    # coassociativity plan of its rank
+    hopf.check_singles((2, -1))
+    left = (perms.split_tables, hopf._shuffle_plan, hopf._coassociativity_plan)
+    assert [cache.cache_info().currsize for cache in left] == [3, 1, 1]
+    clear_hopf_data()
+    assert [cache.cache_info().currsize for cache in left] == [0, 0, 0]
 
 
 def test_clear_hopf_data_finds_the_descent_fibres(fresh_hopf_data):
@@ -1025,6 +1044,21 @@ def test_the_verify_singles_loop_splits_each_element_once(monkeypatch, fresh_hop
     # their ranks, all at once, and kept nowhere
     assert per_element == {n: factorial(n) << n for n in cases}
     assert not per_p
+
+
+def test_the_public_singles_checks_split_each_element_once(monkeypatch, fresh_hopf_data):
+    # each public check splits its element once, at every p together, and
+    # never one p at a time; the counit check splits at p = 0 and p = n only
+    sizes = {n: len(group_elements("B", n)) for n in range(4)}
+    for name in SINGLES:
+        columns, per_element, per_p = _count_splits(monkeypatch)
+        run_singles([getattr(hopf, name)], 3)
+        if name == "check_counit":
+            assert (per_element, columns) == (Counter(), Counter({n: 2 * k for n, k in sizes.items()}))
+        else:
+            assert per_element == Counter(sizes), name
+        assert not per_p, name
+        monkeypatch.undo()
 
 
 def test_the_singles_check_visits_each_element_of_b0_to_b5_once(monkeypatch):
