@@ -15,9 +15,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 from math import comb
-from operator import itemgetter
 
 from .algebra import (
     AlgElem,
@@ -50,15 +49,16 @@ from .perms import (
     block_words,
     byte_decoder,
     byte_products,
+    byte_splits,
     byte_table,
     byte_tables,
     byte_word,
     group_elements,
     identity,
+    leg_splitter,
     members_of,
     packer,
-    split_blocks,
-    split_tables,
+    split_words,
 )
 from .reporting import CheckFailure
 
@@ -163,18 +163,14 @@ def _check_split_reassembly(w: Perm, word: bytes, lefts: list, rights: list):
 
 @lru_cache(maxsize=None)
 def _coassociativity_plan(n: int) -> tuple:
-    """For the pairs q <= p of rank n, over the legs of an element (its left
-    blocks at 0..n, then its right blocks): the number of pairs, the picker
-    of the legs to split (the left blocks at p, then the right blocks at q),
-    their split tables (of rank p at q, of rank n - q at p - q), and the
-    picker of the legs the outer halves must equal (at q, then at p)."""
+    """For the pairs q <= p of rank n: their number, and the splitter of the
+    left blocks at p (rank p) at q, then of the right blocks at q (rank n - q)
+    at p - q, over the legs of an element (its left blocks at 0..n, then its
+    right blocks), that keeps the left blocks at q, then the right blocks at p."""
     pairs = [(p, q) for p in range(n + 1) for q in range(p + 1)]
-    splits = pairs + [(n - q, p - q) for p, q in pairs]
-    return (
-        len(pairs),
-        itemgetter(*[p for p, _ in pairs], *[n + 1 + q for _, q in pairs]),
-        [[split_tables(rank)[k][at] for rank, at in splits] for k in range(3)],
-        itemgetter(*[q for _, q in pairs], *[n + 1 + p for p, _ in pairs]),
+    return len(pairs), leg_splitter(
+        [(p, p, q) for p, q in pairs] + [(n + 1 + q, n - q, p - q) for p, q in pairs],
+        [q for _, q in pairs] + [n + 1 + p for p, _ in pairs],
     )
 
 
@@ -188,12 +184,11 @@ def _check_coassociative(w: Perm, word: bytes, lefts: list, rights: list):
     # the lengths of the left blocks, then, after -1, of the right blocks
     if [*map(len, lefts), -1, *map(len, rights)] != [*range(n + 1), -1, *range(n, -1, -1)]:
         raise CheckFailure(f"coassociativity fails at w={w}")
-    m, pick, tables, want = _coassociativity_plan(n)
-    legs = lefts + rights
+    m, split = _coassociativity_plan(n)
     # the left block at p split at q is (the left block at q, x), and the
     # right block at q split at p - q is (x, the right block at p)
-    a, x = split_blocks(pick(legs), *tables)
-    if x[:m] != a[m:] or a[:m] + x[m:] != list(want(legs)):
+    a, x, want = split(lefts + rights)
+    if x[:m] != a[m:] or a[:m] + x[m:] != want:
         raise CheckFailure(f"coassociativity fails at w={w}")
 
 
@@ -204,34 +199,25 @@ def _check_counit(w: Perm, word: bytes, lefts: list, rights: list):
         raise CheckFailure(f"counit (right) fails at w={w}")
 
 
-def _splits(w: Perm) -> tuple:
-    """(byte word of w, its left blocks, its right blocks) at p = 0..n."""
-    word = byte_word(w)
-    return (word, *split_blocks(repeat(word), *split_tables(len(w))))
-
-
 def check_split_reassembly(w: Perm):
-    """Certify the factorization: the block pair times the inverse
-    shuffle recovers w, for every split point, that is, w times the
-    shuffle is the block pair."""
-    _check_split_reassembly(w, *_splits(w))
+    """Certify the factorization at every split point: w times the shuffle
+    is the block pair, so the block pair times the inverse shuffle is w."""
+    _check_split_reassembly(w, *byte_splits(w))
 
 
 def check_coassociative(w: Perm):
     """(split left again) and (split right again) agree on w."""
-    _check_coassociative(w, *_splits(w))
+    _check_coassociative(w, *byte_splits(w))
 
 
 def check_counit(w: Perm):
     """The two extreme splits are the unit tensors."""
-    word, n = byte_word(w), len(w)
-    # the splits at p = 0 and p = n only: every n-th entry of the tables
-    _check_counit(w, word, *split_blocks([word, word], *(t[:: n or 1] for t in split_tables(n))))
+    _check_counit(w, *byte_splits(w))
 
 
 def check_singles(w: Perm):
     """The three checks above on one byte split of w."""
-    splits = _splits(w)
+    splits = byte_splits(w)
     _check_split_reassembly(w, *splits)
     _check_coassociative(w, *splits)
     _check_counit(w, *splits)
@@ -360,9 +346,8 @@ def coproduct_coords(family: str, n: int) -> dict:
     class_of, size, out = [a.byte_classes[1] for a in algs], [a.sizes.get for a in algs], {}
     for lab, ws in algs[n].byte_classes[0].items():
         coords = out[lab] = {}
-        # each entry of the split tables at p, once for every word
-        for p, tables in enumerate(zip(*split_tables(n))):
-            tally = Counter(zip(*split_blocks(ws, *map(repeat, tables))))
+        for p in range(n + 1):
+            tally = Counter(split_words(ws, n, p))
             lefts, rights = zip(*tally)
             pairs = zip(map(class_of[p], lefts), map(class_of[n - p], rights))
             # a block outside its group has no label, and its pair the size 0

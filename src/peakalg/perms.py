@@ -25,6 +25,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 Perm = tuple  # tuple[int, ...], one-line signed permutation
 
@@ -207,10 +208,9 @@ def byte_products(words, tables, *, tables_outer: bool = False):
 # The split kernel.  The coproduct splits a signed permutation w at each p
 # into the values of absolute value at most p, kept in place, and the rest,
 # shifted down by p with their signs kept (hopf.coproduct_split).  On a byte
-# word of rank n each block is one translate: deleting the bytes of the
-# values above p leaves the left block, and deleting those at most p while
-# shifting the rest leaves the right block.  Three byte strings per (n, p)
-# serve every word of rank n; no split of any word is kept.
+# word each block is one translate through the byte strings of its rank n and
+# split point p (split_tables), which serve every word of rank n.  Only this
+# module reads them, and no split of any word is kept.
 
 
 @lru_cache(maxsize=None)
@@ -219,21 +219,36 @@ def split_tables(n: int) -> tuple:
     v with p < |v| <= n, the table that takes v to v - p and -v to p - v
     (mod 256), and the bytes of the values with |v| <= p."""
     signed = bytes(x % 256 for v in range(1, n + 1) for x in (v, -v))  # 1, -1, 2, -2, ...
-    points = range(n + 1)
-    return (
-        tuple(signed[2 * p :] for p in points),
-        tuple(_lift_table(-p) for p in points),
-        tuple(signed[: 2 * p] for p in points),
-    )
+    return tuple(zip(*((signed[2 * p :], _lift_table(-p), signed[: 2 * p]) for p in range(n + 1))))
 
 
-def split_blocks(words, bigs, shifts, smalls) -> tuple:
-    """(lefts, rights): the blocks of each byte word, split by its own entries of
-    split_tables; the identity table in place of None halves a left block's time."""
+def _blocks(words, bigs, shifts, smalls) -> tuple:
+    # the identity table in place of None halves a left block's time
     return (
         list(map(bytes.translate, words, itertools.repeat(_IDENTITY_TABLE), bigs)),
         list(map(bytes.translate, words, shifts, smalls)),
     )
+
+
+def byte_splits(w: Perm) -> tuple:
+    """(byte_word(w), its left blocks, its right blocks) at p = 0..n, n the rank of w."""
+    word = byte_word(w)
+    return (word, *_blocks(itertools.repeat(word), *split_tables(len(w))))
+
+
+def split_words(words: list, n: int, p: int):
+    """The (left, right) block pairs at p of byte words of rank n."""
+    return zip(*_blocks(words, *(itertools.repeat(t[p]) for t in split_tables(n))))
+
+
+def leg_splitter(legs, kept):
+    """The function taking a list of byte words to (lefts, rights, the words
+    at the indices kept): for each (i, n, p) of legs in order, the blocks at
+    p of word i, of rank n.  legs and kept hold two entries or more."""
+    index, ranks, points = zip(*legs)
+    pick, keep = itemgetter(*index), itemgetter(*kept)
+    tables = [[split_tables(n)[k][p] for n, p in zip(ranks, points)] for k in range(3)]
+    return lambda words: (*_blocks(pick(words), *tables), list(keep(words)))
 
 
 def inverse(w: Perm) -> Perm:

@@ -6,9 +6,10 @@ reads a product back through the unpack of a struct.Struct of n signed
 bytes.  A table read by a word of another rank gives a wrong product
 silently, so perms builds both halves, behind its rank checks, and is the
 only module that encodes or decodes.  The split tables cut and shift byte
-words by translate too.  This test reads the source of every other module
-of the package for translate, struct and unpack, and the idiom that builds
-a byte table by hand.
+words by translate too, and the leg splitter picks the legs to split again
+with an itemgetter.  This test reads the source of every other module of
+the package for itemgetter, translate, struct and unpack, and the idiom that
+builds a byte table by hand.
 """
 
 import re
@@ -17,6 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "peakalg"
 
 KERNEL = {
+    "itemgetter": re.compile(r"\bitemgetter\b"),
     ".translate": re.compile(r"\.translate\b"),
     "bytearray(range(256))": re.compile(r"\b(bytes|bytearray)\(\s*range\(\s*256\s*\)"),
     "struct.Struct(": re.compile(r"\bStruct\("),

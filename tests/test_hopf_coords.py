@@ -14,7 +14,7 @@ cell.
 """
 
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 from math import factorial
 
 import pytest
@@ -548,7 +548,7 @@ def test_the_singles_checks_keep_no_split_table(fresh_hopf_data):
     # no cache grows with the elements split: the split tables are three
     # byte strings per rank and point, the shuffles one entry per unsigned
     # pattern, and no block of any element is kept
-    hopf.split_tables.cache_clear()
+    perms.split_tables.cache_clear()
     for checks in SINGLES_PATHS.values():
         run_singles(checks, 5)
     caches = _lru_caches(hopf, perms)
@@ -566,7 +566,7 @@ def decoded_split(w, p: int) -> tuple:
     the left, as in coproduct_split."""
     if p > len(w):
         return identity(len(w)), w, ()
-    _, lefts, rights = hopf._splits(w)
+    _, lefts, rights = hopf.byte_splits(w)
     left, right = lefts[p], rights[p]
     xi = hopf._shuffle_plan(tuple(map(abs, w)))[0][p]
     return tuple(xi), byte_decoder(len(left))(left), byte_decoder(len(right))(right)
@@ -588,7 +588,7 @@ def test_a_split_past_the_rank_keeps_every_value_on_the_left(n):
 
 
 def test_clear_hopf_data_finds_the_split_table(fresh_hopf_data):
-    hopf.split_tables(2)
+    perms.split_tables(2)
     assert perms.split_tables.cache_info().currsize == 1
     clear_hopf_data()
     assert perms.split_tables.cache_info().currsize == 0
@@ -791,21 +791,23 @@ def test_perturbed_i0_coproduct_cell_fails_the_isomorphism(fresh_hopf_data):
 
 def _patch_tables(monkeypatch, change):
     """Replace the split tables (bigs, shifts, smalls) of every rank n, where
-    hopf reads them, by change(n, bigs, shifts, smalls)."""
-    real = hopf.split_tables
-    monkeypatch.setattr(hopf, "split_tables", lambda n: change(n, *real(n)))
+    every split of perms reads them, by change(n, bigs, shifts, smalls),
+    cached as they are."""
+    real = perms.split_tables
+    changed = lru_cache(maxsize=None)(lambda n: change(n, *real(n)))
+    monkeypatch.setattr(perms, "split_tables", changed)
 
 
 def _patch_splits(monkeypatch, change):
     """Replace the blocks of each element w that hopf splits, by change(word
     of w, its left blocks, its right blocks)."""
-    real = hopf._splits
+    real = hopf.byte_splits
 
     def patched(w):
         word, lefts, rights = real(w)
         return (word, *change(word, lefts, rights))
 
-    monkeypatch.setattr(hopf, "_splits", patched)
+    monkeypatch.setattr(hopf, "byte_splits", patched)
 
 
 def _split_below(monkeypatch):
@@ -986,16 +988,15 @@ def test_perturbed_t_class_transform_row_fails_the_type_b_rows(fresh_hopf_data):
 
 
 def _count_splits(monkeypatch) -> tuple:
-    """Count by rank the words of each list that split_blocks splits (the
-    table path; the rank of a list is that of its first word), the elements
-    split one at a time (_splits), and the calls of the per-p coproduct_split."""
+    """Count by rank the byte words that split_words splits at one p (the
+    table path), the elements split at every p (byte_splits), and the calls
+    of the per-p coproduct_split."""
     columns, per_element, per_p = Counter(), Counter(), Counter()
-    split_blocks, splits, split = hopf.split_blocks, hopf._splits, hopf.coproduct_split
+    split_words, splits, split = hopf.split_words, hopf.byte_splits, hopf.coproduct_split
 
-    def counted_blocks(words, *tables):
-        if isinstance(words, list):
-            columns[len(words[0])] += len(words)
-        return split_blocks(words, *tables)
+    def counted_words(words, n, p):
+        columns[n] += len(words)
+        return split_words(words, n, p)
 
     def counted_splits(w):
         per_element[len(w)] += 1
@@ -1005,8 +1006,8 @@ def _count_splits(monkeypatch) -> tuple:
         per_p[len(w)] += 1
         return split(w, p)
 
-    monkeypatch.setattr(hopf, "split_blocks", counted_blocks)
-    monkeypatch.setattr(hopf, "_splits", counted_splits)
+    monkeypatch.setattr(hopf, "split_words", counted_words)
+    monkeypatch.setattr(hopf, "byte_splits", counted_splits)
     monkeypatch.setattr(hopf, "coproduct_split", counted_split)
     return columns, per_element, per_p
 
@@ -1043,21 +1044,18 @@ def test_the_verify_singles_loop_splits_each_element_once(monkeypatch, fresh_hop
     # once for each element of B_n: its legs are split on the tables of
     # their ranks, all at once, and kept nowhere
     assert per_element == {n: factorial(n) << n for n in cases}
-    assert not per_p
+    assert not columns and not per_p
 
 
 def test_the_public_singles_checks_split_each_element_once(monkeypatch, fresh_hopf_data):
     # each public check splits its element once, at every p together, and
-    # never one p at a time; the counit check splits at p = 0 and p = n only
+    # never one p at a time
     sizes = {n: len(group_elements("B", n)) for n in range(4)}
     for name in SINGLES:
         columns, per_element, per_p = _count_splits(monkeypatch)
         run_singles([getattr(hopf, name)], 3)
-        if name == "check_counit":
-            assert (per_element, columns) == (Counter(), Counter({n: 2 * k for n, k in sizes.items()}))
-        else:
-            assert per_element == Counter(sizes), name
-        assert not per_p, name
+        assert per_element == Counter(sizes), name
+        assert not columns and not per_p, name
         monkeypatch.undo()
 
 
