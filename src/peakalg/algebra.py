@@ -5,10 +5,11 @@ exact rational coefficients (Python ints and fractions.Fraction mix
 freely; zero coefficients are never stored).  No floating point is used
 anywhere.
 
-Span and membership questions are answered by exact sparse Gaussian
-elimination with a fixed pivot rule: the pivot of a reduced vector is its
-lexicographically least support key, and candidate vectors are processed
-in the order given.  This makes every coordinate vector reproducible.
+Span, rank, membership and determinant questions go through one sparse
+elimination on integers, Echelon: fraction-free, content-divided, pivot at
+the least key, rows taken in the order given (so pivots and coordinates
+are reproducible).  Fraction appears only at the exits, in
+SpanSolver.coords and exact_det.
 
 Every algebra of the package is the span of the class sums of a partition
 of one group (by descent set, peak set, signed composition, or a count of
@@ -24,7 +25,9 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, lcm, prod
 
 from .perms import (
     GROUPS,
@@ -261,35 +264,51 @@ def add_multiple(vec: dict, c, row: dict):
             vec[k] = s
 
 
+def integer_row(row: dict) -> tuple:
+    """(d * row on ints, d), d the lcm of the denominators; zeros dropped."""
+    d = lcm(*(v.denominator for v in row.values()))
+    return {k: (v * d).numerator for k, v in row.items() if v}, d
+
+
 class Echelon:
-    """Incremental echelon form of sparse rational rows (dicts).  The pivot
-    of a reduced row is its least key; a row may carry a combination dict
-    that is reduced alongside it."""
+    """Incremental echelon form of sparse rows (dicts), on integers: the
+    kept row with pivot entry a clears the entry c of a row (and of the
+    combination it carries) by (a/g) * row - (c/g) * kept row, g = gcd(a, c).
+    Kept rows are primitive, with a positive entry at the least key."""
 
     def __init__(self, rows=()):
-        self.pivots = []  # (pivot key, normalized row, normalized combination)
+        self.pivots = []  # (pivot key, primitive row, its combination)
         for row in rows:
             self.add(row)
 
-    def reduce(self, vec: dict, combo: dict | None = None):
+    def reduce(self, vec: dict, combo: dict):
+        """Clear the pivot keys of the integer row vec, and carry combo along, in place."""
         for key, pvec, pcombo in self.pivots:
             c = vec.get(key)
             if not c:
                 continue
+            if (a := pvec[key]) != 1:
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                for part in (vec, combo):
+                    for k in part:
+                        part[k] *= a
             add_multiple(vec, -c, pvec)
-            if combo is not None:
-                add_multiple(combo, -c, pcombo)
+            add_multiple(combo, -c, pcombo)
 
     def add(self, row: dict, combo: dict | None = None) -> bool:
         """Reduce row against the span and keep it; True if the rank grew."""
-        vec = {k: v for k, v in row.items() if v != 0}
+        vec, d = integer_row(row)
+        combo = {i: c * d for i, c in (combo or {}).items()}
         self.reduce(vec, combo)
         if not vec:
             return False
         key = min(vec)
-        inv = Fraction(1) / Fraction(vec[key])
-        scaled = vec if inv == 1 else {k: inv * v for k, v in vec.items()}
-        self.pivots.append((key, scaled, {i: inv * c for i, c in (combo or {}).items()}))
+        content = gcd(*vec.values(), *combo.values()) * (1 if vec[key] > 0 else -1)
+        if content != 1:
+            vec = {k: v // content for k, v in vec.items()}
+            combo = {i: c // content for i, c in combo.items()}
+        self.pivots.append((key, vec, combo))
         return True
 
     @property
@@ -304,29 +323,24 @@ class SpanSolver(Echelon):
     def __init__(self, basis, labels=None):
         super().__init__()
         basis = list(basis)
-        if labels is None:
-            labels = tuple(range(len(basis)))
-        self.labels = tuple(labels)
-        if basis:
-            frame = (basis[0].group, basis[0].n)
-            for b in basis:
-                if (b.group, b.n) != frame:
-                    raise ValueError("mixed ambient groups in span")
+        self.labels = tuple(range(len(basis)) if labels is None else labels)
+        if len({(b.group, b.n) for b in basis}) > 1:
+            raise ValueError("mixed ambient groups in span")
         self.size = len(basis)
         for idx, b in enumerate(basis):
-            self.add(b.terms, {idx: Fraction(1)})
+            self.add(b.terms, {idx: 1})
 
     def coords(self, target: AlgElem):
-        """CoordVector of target over the original basis, or NOT_IN_SPAN."""
-        vec = dict(target.terms)
-        combo: dict = {}
+        """CoordVector of target over the original basis, or NOT_IN_SPAN.
+        The combination carries the multiple m of target under the key size,
+        and the coordinates are divided by m on exit."""
+        vec, d = integer_row(target.terms)
+        combo = {self.size: d}
         self.reduce(vec, combo)
         if vec:
             return NOT_IN_SPAN
-        out = [Fraction(0)] * self.size
-        for i, c in combo.items():
-            out[i] = -c
-        return CoordVector(self.labels, tuple(out))
+        m, get = combo.pop(self.size), combo.get
+        return CoordVector(self.labels, tuple(Fraction(-get(i, 0), m) for i in range(self.size)))
 
 
 def express_in_span(target: AlgElem, basis, labels=None):
@@ -336,33 +350,24 @@ def express_in_span(target: AlgElem, basis, labels=None):
 
 
 def span_rank(elems) -> int:
-    elems = list(elems)
-    if not elems:
-        return 0
     return SpanSolver(elems).rank
 
 
 def exact_det(rows) -> Fraction:
-    """Determinant of a square matrix of rationals, by exact elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    size = len(m)
-    if any(len(row) != size for row in m):
+    """Determinant of a square matrix of rationals, off its echelon form:
+    with row i entered as {i: 1}, at full rank the kept rows are triangular
+    in pivot-column order, and kept row i is combo[i] * row i plus earlier
+    rows, so the determinant is the signed product of pivot / combo[i]."""
+    rows = [dict(enumerate(row)) for row in rows]
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix is not square")
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+    span = Echelon()
+    for i, row in enumerate(rows):
+        span.add(row, {i: 1})
+    if span.rank < len(rows):
+        return Fraction(0)
+    sign = Fraction((-1) ** sum(a[0] > b[0] for a, b in combinations(span.pivots, 2)))
+    return prod((Fraction(r[k], c[i]) for i, (k, r, c) in enumerate(span.pivots)), start=sign)
 
 
 # ---------------------------------------------------------------------------
@@ -841,10 +846,6 @@ def _json_array(items: list, pad: str) -> str:
     return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
-def coeff_to_str(c) -> str:
-    return str(Fraction(c))
-
-
 def coeff_from_str(s: str):
     """The exact coefficient of an integer or a "p/q" string; ValueError
     names a malformed one and one with a zero denominator."""
@@ -859,10 +860,7 @@ def elem_to_json(a: AlgElem) -> dict:
     return {
         "group": a.group,
         "n": a.n,
-        "terms": [
-            {"perm": list(w), "coeff": coeff_to_str(a.terms[w])}
-            for w in sorted(a.terms)
-        ],
+        "terms": [{"perm": list(w), "coeff": str(Fraction(c))} for w, c in sorted(a.terms.items())],
     }
 
 

@@ -281,12 +281,14 @@ def pi_peak_number_formula(n: int, j: int) -> AlgElem:
 # multiplication tables in the block format
 
 
+@lru_cache(maxsize=None)
 def _count_table(twin: str, n: int) -> StructureTable:
     """The block table of a twin, which is its closure check: each product
     of two class sums is taken once on the fine cube and lifted, pure count
     products to the count algebra (the head block), anything touching the
     ideal to the ideal (the tail block).  A product that does not lift
-    raises CheckFailure naming the pair and the span it left."""
+    raises CheckFailure naming the pair and the span it left.  Built once
+    per twin and rank, and shared: no caller may change it."""
     spec = TWINS[twin]
     fine, count, ideal = spec.fine(n), spec.count(n), spec.ideal(n)
     heads, tails = _count_rows(twin, n)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import (
     AlgElem,
@@ -635,11 +634,11 @@ def theta_pm_ideal_matrix(n: int):
     rows = []
     for m in labels:
         xcoords = y_to_x_coords(apply_rows(transform, x_to_y_coords({m | 1: 1})))
-        row = [Fraction(0)] * len(labels)
+        row = [0] * len(labels)
         for xm, c in xcoords.items():
             if not xm & 1:
                 raise CheckFailure("transform image left the canonical ideal")
-            row[index[xm & ~1]] = Fraction(c)
+            row[index[xm & ~1]] = c
         rows.append(row)
     return labels, rows
 

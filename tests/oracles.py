@@ -1,10 +1,15 @@
 """Reference constructions that several test modules use as oracles.
 
 The package does not call these: they restate, from the basis elements
-alone, facts the checks under test read from class coordinates.
+alone, facts the checks under test read from class coordinates.  The
+elimination oracle is the sparse Fraction echelon form and the dense
+Fraction determinant that the integer core of peakalg.algebra replaced;
+it runs no code of that core.
 """
 
-from peakalg.algebra import AlgElem, ClassAlgebra, Echelon, add_multiple, bin_classes
+from fractions import Fraction
+
+from peakalg.algebra import AlgElem, ClassAlgebra, bin_classes
 from peakalg.bases import descent_algebra, descent_coordinates
 from peakalg.hopf import FAMILIES, SHUFFLE_TARGETS, external_product
 from peakalg.perms import compose, popcount
@@ -14,6 +19,100 @@ def block_embed(u, v) -> tuple:
     """u x v: u on the first block, v shifted up by the rank of u."""
     p = len(u)
     return tuple(u) + tuple(x + p if x > 0 else x - p for x in v)
+
+
+# ---------------------------------------------------------------------------
+# the elimination oracle, on Fraction
+
+
+def add_multiple(vec: dict, c, row: dict):
+    """vec += c * row in place, dropping the entries that cancel."""
+    for k, x in row.items():
+        s = vec.get(k, 0) + c * x
+        if s == 0:
+            vec.pop(k, None)
+        else:
+            vec[k] = s
+
+
+class Echelon:
+    """Incremental echelon form of sparse rational rows (dicts).  The pivot
+    of a reduced row is its least key; a row may carry a combination dict
+    that is reduced alongside it."""
+
+    def __init__(self, rows=()):
+        self.pivots = []  # (pivot key, normalized row, normalized combination)
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, vec: dict, combo: dict | None = None):
+        for key, pvec, pcombo in self.pivots:
+            c = vec.get(key)
+            if not c:
+                continue
+            add_multiple(vec, -c, pvec)
+            if combo is not None:
+                add_multiple(combo, -c, pcombo)
+
+    def add(self, row: dict, combo: dict | None = None) -> bool:
+        """Reduce row against the span and keep it; True if the rank grew."""
+        vec = {k: v for k, v in row.items() if v != 0}
+        self.reduce(vec, combo)
+        if not vec:
+            return False
+        key = min(vec)
+        inv = Fraction(1) / Fraction(vec[key])
+        scaled = vec if inv == 1 else {k: inv * v for k, v in vec.items()}
+        self.pivots.append((key, scaled, {i: inv * c for i, c in (combo or {}).items()}))
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def reference_coords(rows, target: dict):
+    """The coordinates of target over rows (a list of Fractions), or None
+    off their span: each row enters with the combination {its index: 1}."""
+    span = Echelon()
+    for idx, row in enumerate(rows):
+        span.add(row, {idx: Fraction(1)})
+    vec = {k: v for k, v in target.items() if v != 0}
+    combo: dict = {}
+    span.reduce(vec, combo)
+    if vec:
+        return None
+    out = [Fraction(0)] * len(rows)
+    for i, c in combo.items():
+        out[i] = -c
+    return out
+
+
+def reference_det(rows) -> Fraction:
+    """Determinant of a square matrix of rationals, by exact elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    size = len(m)
+    if any(len(row) != size for row in m):
+        raise ValueError("matrix is not square")
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = Fraction(1) / m[col][col]
+        for r in range(col + 1, size):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+# ---------------------------------------------------------------------------
+# spans and coordinates
 
 
 def descent_span_rank(elems, ctype: str) -> int:

@@ -165,6 +165,10 @@ def test_exact_det():
     assert exact_det([[1, 2], [3, 4]]) == -2
     assert exact_det([[Fraction(1, 2), 0], [5, Fraction(2, 3)]]) == Fraction(1, 3)
     assert exact_det([[1, 1], [1, 1]]) == 0
+    assert exact_det([[0, 1, 0], [0, 0, 2], [3, 0, 0]]) == 6  # pivot columns out of order
+    assert type(exact_det([[2]])) is Fraction and exact_det([]) == 1
+    with pytest.raises(ValueError, match="not square"):
+        exact_det([[1, 2]])
 
 
 def test_json_roundtrip():

@@ -20,7 +20,7 @@ import pytest
 
 from peakalg import commutative as comm
 from peakalg import algebra, maps, mr, verify
-from peakalg.algebra import NOT_IN_SPAN, AlgElem, Echelon, express_in_span
+from peakalg.algebra import NOT_IN_SPAN, AlgElem, express_in_span
 from peakalg.bases import (
     descent_algebra,
     descent_classes,
@@ -43,7 +43,7 @@ from peakalg.peak import (
 from peakalg.perms import GROUP_OF_TYPE, fibonacci, interior_sparse_masks
 from peakalg.reporting import CheckFailure, run_check
 
-from oracles import descent_span_rank
+from oracles import Echelon, descent_span_rank
 from test_compose_kernel import byte_products_wrong_on
 
 # ---------------------------------------------------------------------------

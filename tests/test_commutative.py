@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from peakalg import commutative, verify
 from peakalg.algebra import AlgElem, ClassAlgebra, span_rank
 from peakalg.bases import descent_algebra
 from peakalg.commutative import (
@@ -37,6 +38,7 @@ from peakalg.commutative import (
     y_number,
 )
 from peakalg.maps import beta_map, chi, phi, pi_map
+from peakalg.peak import peak_algebra
 from peakalg.perms import group_elements, identity, popcount
 from peakalg.reporting import CheckFailure
 
@@ -134,6 +136,44 @@ def test_whp_tables_match_frozen_values():
     assert t4.cell(1, 1) == (15, 13, 15, 0, 0)
 
 
+@pytest.fixture
+def fresh_count_tables():
+    """Build the block tables of the twins afresh around a test that alters
+    their data or the products they read."""
+    commutative._count_table.cache_clear()
+    yield
+    commutative._count_table.cache_clear()
+
+
+def test_a_verify_run_builds_each_block_table_once(fresh_count_tables):
+    checks = verify.suite_commutative(5)
+    assert all(c.ok for c in checks)
+    whp = sum("/whp-table/" in c.check_id for c in checks)
+    solhat = sum("/solhat-closure/" in c.check_id for c in checks)
+    # whp-table reads the table that whp-closure built at the same rank
+    info = commutative._count_table.cache_info()
+    assert whp and solhat and (info.misses, info.hits) == (whp + solhat, whp)
+
+
+def test_a_broken_product_fails_both_whp_checks(monkeypatch, fresh_count_tables):
+    # one more of the second class on each product of the rank-4 peak
+    # algebra: that class shares its peak count with another, so no
+    # product lifts to the peak-count span
+    fine, product = peak_algebra(4), ClassAlgebra.product
+
+    def broken(self, c1, c2):
+        out = product(self, c1, c2)
+        if self is fine:
+            out[fine.labels[1]] = out.get(fine.labels[1], 0) + 1
+        return out
+
+    monkeypatch.setattr(ClassAlgebra, "product", broken)
+    results = {c.check_id: c for c in verify.suite_commutative(4)}
+    table, closure = results["commutative/whp-table/n=4"], results["commutative/whp-closure/n=4"]
+    assert table.status == closure.status == "fail"
+    assert table.witness == closure.witness == "p_0 * p_0 left the peak-count span at n=4"
+
+
 def test_whp_closure_and_generation():
     for n in (2, 3, 4, 5):
         check_whp_closure(n)
@@ -159,7 +199,7 @@ def _generated_rank(seeds):
     return span_rank(basis)
 
 
-def test_a_count_sum_that_does_not_generate_is_named(monkeypatch):
+def test_a_count_sum_that_does_not_generate_is_named(monkeypatch, fresh_count_tables):
     # numbered from y_3, the second count sum is the longest element of
     # B_3 alone, an involution: with the unit it spans a closed plane
     def count(n):
@@ -172,7 +212,9 @@ def test_a_count_sum_that_does_not_generate_is_named(monkeypatch):
     assert _generated_rank([y_number(3, 0), y_number(3, 3)]) == 2
 
 
-def test_an_ideal_sum_that_does_not_generate_the_joint_span_is_named(monkeypatch):
+def test_an_ideal_sum_that_does_not_generate_the_joint_span_is_named(
+    monkeypatch, fresh_count_tables
+):
     # numbered from y0_2, the first ideal sum and y_1 generate rank 5 of 6
     def ideal(n):
         return descent_algebra("B", n).coarsen(lambda m: popcount(m & ~1), labels=(1, 0, 2))
@@ -184,7 +226,9 @@ def test_an_ideal_sum_that_does_not_generate_the_joint_span_is_named(monkeypatch
     assert _generated_rank([y_number(3, 0), y_number(3, 1), y0_number(3, 2)]) == 5
 
 
-def test_an_ideal_sum_that_does_not_generate_the_ideal_is_named(monkeypatch):
+def test_an_ideal_sum_that_does_not_generate_the_ideal_is_named(
+    monkeypatch, fresh_count_tables
+):
     # Q^3 on the unit g0, g1 = e - 1 and g2 = z, for orthogonal idempotents
     # e and z: the count span {g0, g1 + g2} is generated by e + z - 1, the
     # ideal span {e, z} is an ideal, both generate everything, but its

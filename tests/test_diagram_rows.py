@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from peakalg.algebra import AlgElem, Echelon
+from peakalg.algebra import AlgElem
 from peakalg.bases import descent_coordinates, x_basis, y_label_elements
 from peakalg.commutative import (
     peak_number,
@@ -39,6 +39,8 @@ from peakalg.peak import (
     peak_elements,
 )
 from peakalg.reporting import CheckFailure, run_check
+
+from oracles import Echelon
 
 # ---------------------------------------------------------------------------
 # the element-level reference

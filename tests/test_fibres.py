@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from peakalg import commutative
 from peakalg.algebra import ClassAlgebra, two_sided_failure
 from peakalg.bases import canonical_ideal_algebra, descent_algebra
 from peakalg.commutative import (
@@ -133,15 +134,18 @@ def test_two_sided_failure_passes_the_ideals_of_the_paper():
 @contextmanager
 def _perturbed(alg, cells, label):
     """Add 1 at label to some cells of the structure cube of alg, and put
-    the cells back afterwards."""
+    the cells back afterwards; the block tables of the twins, read from
+    the cubes, are built afresh on each side."""
     cube = alg.cube
     saved = {cell: cube[cell] for cell in cells}
     for cell, coords in saved.items():
         cube[cell] = {**coords, label: coords.get(label, 0) + 1}
+    commutative._count_table.cache_clear()
     try:
         yield
     finally:
         cube.update(saved)
+        commutative._count_table.cache_clear()
 
 
 def _fails_with(check, witness):

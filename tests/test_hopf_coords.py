@@ -409,13 +409,21 @@ def reference_split(w, p):
 def reference_split_reassembly(w):
     for p in range(len(w) + 1):
         xi, w1, w2 = hopf.coproduct_split(w, p)
-        if compose(block_embed(w1, w2), inverse(xi)) != w:
+        try:
+            reassembled = compose(block_embed(w1, w2), inverse(xi))
+        except ValueError as error:  # blocks and shuffle of different ranks
+            raise CheckFailure(f"factorization fails at w={w}, p={p}: {error}") from None
+        if reassembled != w:
             raise CheckFailure(f"factorization fails at w={w}, p={p}")
         if list(xi[:p]) != sorted(xi[:p]) or list(xi[p:]) != sorted(xi[p:]):
             raise CheckFailure(f"factor is not a shuffle at w={w}, p={p}")
 
 
 def reference_coassociative(w):
+    """The two iterated coproducts of w term by term: the term of degrees
+    (i, j, k) splits w at i + j and its left block at i on one side, w at
+    i and its right block at j on the other, and its three blocks have
+    those degrees."""
     n = len(w)
     left: dict = {}
     right: dict = {}
@@ -423,13 +431,12 @@ def reference_coassociative(w):
         _, w1, w2 = hopf.coproduct_split(w, p)
         for q in range(p + 1):
             _, a, b = hopf.coproduct_split(w1, q)
-            key = (a, b, w2)
-            left[key] = left.get(key, 0) + 1
+            left[(q, p - q)] = (a, b, w2)
         for q in range(n - p + 1):
             _, b, c = hopf.coproduct_split(w2, q)
-            key = (w1, b, c)
-            right[key] = right.get(key, 0) + 1
-    if left != right:
+            right[(p, q)] = (w1, b, c)
+    degrees = {(i, j): (i, j, n - i - j) for i, j in left}
+    if left != right or {k: tuple(map(len, t)) for k, t in left.items()} != degrees:
         raise CheckFailure(f"coassociativity fails at w={w}")
 
 
@@ -909,14 +916,30 @@ def test_broken_split_fails_both_singles_paths(
 def test_a_delete_set_that_keeps_the_next_value_fails_the_singles_and_the_closure(
     monkeypatch, fresh_hopf_data
 ):
-    # the reference bodies are no oracle here: both sides of the multiset
-    # form of coassociativity keep the value on the left and still agree
     _left_keeps_the_next_value(monkeypatch)
-    for check in [*(getattr(hopf, name) for name in SINGLES), hopf.check_singles]:
+    monkeypatch.setattr(hopf, "coproduct_split", decoded_split)
+    checks = [*SINGLES.values(), *(getattr(hopf, name) for name in SINGLES), hopf.check_singles]
+    for check in checks:
         with pytest.raises(CheckFailure, match=r"^\w.* at w=\(1,\)"):
             run_singles([check], 5)
     with pytest.raises(CheckFailure, match="^MR coproduct closure fails at "):
         coproduct_coords("OmegaB", 3)
+
+
+def test_a_split_that_keeps_the_next_value_fails_every_reference_body(monkeypatch):
+    # both blocks hold the value p + 1: the blocks no longer reassemble w
+    # (their ranks exceed it), the left counit is not empty, and the two
+    # iterated coproducts agree but their blocks have the wrong degrees
+    split = hopf.coproduct_split
+
+    def keeping(w, p):
+        xi, _, right = split(w, p)
+        return xi, tuple(v for v in w if abs(v) <= p + 1), right
+
+    monkeypatch.setattr(hopf, "coproduct_split", keeping)
+    for body in SINGLES.values():
+        with pytest.raises(CheckFailure, match=r"^\w.* at w=\(1,\)"):
+            run_singles([body], 5)
 
 
 def _recorded_packs(monkeypatch) -> list:
