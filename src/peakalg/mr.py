@@ -381,16 +381,14 @@ def check_t_partition(n: int):
 
 
 def check_order_sums(n: int):
-    """S and S-tilde expand over T along the two partial orders, with
-    unit leading coefficient (unitriangular transitions)."""
+    """S and S-tilde expand over T along the two partial orders with unit leading
+    coefficient, read on their cached T-coordinates (T-class sums are disjoint)."""
     comps = signed_compositions(n)
-    for alpha in comps:
-        expect_s = linear_combine((1, t_basis(n, beta)) for beta in comps if leq(beta, alpha))
-        if s_basis(n, alpha) != expect_s:
+    s, stilde = t_coords("S", n), t_coords("Stilde", n)
+    for alpha, ta in zip(comps, map(tilde, comps)):
+        if s[alpha] != {beta: 1 for beta in comps if leq(beta, alpha)}:
             raise CheckFailure(f"S-class of {alpha} is not the order sum of T-classes")
-        ta = tilde(alpha)
-        expect_st = linear_combine((1, t_basis(n, beta)) for beta in comps if preceq(beta, ta))
-        if stilde_basis(n, alpha) != expect_st:
+        if stilde[alpha] != {beta: 1 for beta in comps if preceq(beta, ta)}:
             raise CheckFailure(
                 f"S-tilde class of {alpha} is not the flipped order sum of T-classes"
             )

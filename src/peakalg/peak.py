@@ -30,7 +30,7 @@ from .algebra import (
 from .bases import descent_algebra
 from .perms import (
     PeakIndex,
-    descent_mask,
+    descent_peak_masks,
     group_elements,
     interior_peak_mask,
     interior_sparse_masks,
@@ -114,9 +114,9 @@ def interior_peak_solver(n: int) -> SpanSolver:
 
 @lru_cache(maxsize=None)
 def descent_peak_pairs(n: int) -> Counter:
-    """(type-A descent mask, peak mask) -> the number of u in S_n with
-    them: one pass over S_n, read by the peak-set and the dimension checks."""
-    return Counter((descent_mask(u, "A"), peak_mask(u)) for u in iter_group("S", n))
+    """(type-A descent mask, peak mask) -> the number of u in S_n with them:
+    one kernel pass over S_n streamed, read by the peak-set and dimension checks."""
+    return Counter(zip(*descent_peak_masks(iter_group("S", n), n)))
 
 
 def class_sum_ranks(n: int) -> tuple:

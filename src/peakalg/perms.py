@@ -442,6 +442,33 @@ def lambda_interior_mask(jmask: int) -> int:
     return lambda_mask(jmask) & ~2
 
 
+# The statistics kernel, bit-sliced: each word of S_n behind a zero byte (u_0), a byte lane
+# per word, 5040 words a block to bound memory.  As big ints, a column offset by +128 less
+# another holds 128 + a - b per lane (1..255: no borrow crosses lanes); a translate sends a
+# lane above 128 (a > b) to 0xFF.  Peaks AND their own ascents with descents, not lambda_mask.
+_PLUS_128 = bytes((b + 128) % 256 for b in range(256))
+_ABOVE_128 = bytes(0xFF if b > 128 else 0 for b in range(256))
+
+
+def descent_peak_masks(words, n: int) -> tuple:
+    """descent_mask(u, "A") and peak_mask(u) of each u of S_n streamed, as two byte strings."""
+    if n > 8:  # a mask of rank n takes bits 1..n-1 of its lane
+        raise ValueError(f"rank {n} is past the byte lanes of the statistics kernel (limit 8)")
+    packed, masks = itertools.starmap(struct.Struct(f"x{n}B").pack, words), [(b"", b"")]
+    def above(left, right):  # 0xFF in each lane of the block where left > right
+        lanes = int.from_bytes(left.translate(_PLUS_128), "big") - int.from_bytes(right, "big")
+        return int.from_bytes(lanes.to_bytes(size, "big").translate(_ABOVE_128), "big")
+
+    while flat := bytes(itertools.chain.from_iterable(itertools.islice(packed, 5040))):
+        size, columns = len(flat) // (n + 1), [flat[i :: n + 1] for i in range(n + 1)]
+        descents = peaks = 0
+        for i in range(1, n):
+            down = above(columns[i], columns[i + 1]) & int.from_bytes(bytes([1 << i]) * size, "big")
+            descents, peaks = descents | down, peaks | down & above(columns[i], columns[i - 1])
+        masks.append((descents.to_bytes(size, "big"), peaks.to_bytes(size, "big")))
+    return tuple(map(b"".join, zip(*masks)))
+
+
 # ---------------------------------------------------------------------------
 # the label codec: a set of small non-negative integers as a bitmask
 #

@@ -179,16 +179,16 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
     _add(checks, "descents/sign-maps", _ranks(1, n_max, 4), involutions)
 
     def peak_realization(n):
-        # on the tally of S_n that peaks/dimensions-to-8 reads too: an unrealized
-        # set is reported before a mismatch, whose first u a second scan names
+        # on the tally of S_n that peaks/dimensions-to-8 reads too: an unrealized set is
+        # reported before a mismatch, whose first u a second scan of the masks names
         pairs = peakmod.descent_peak_pairs(n)
         realized = {peaks for _, peaks in pairs}
         empty = [bin(m) for m in perms.sparse_masks(n) if m not in realized]
         if empty:
             raise CheckFailure(f"unrealized peak sets at n={n}: {empty}")
         if any(perms.lambda_mask(descents) != peaks for descents, peaks in pairs):
-            lam, descent, peak = perms.lambda_mask, perms.descent_mask, perms.peak_mask
-            u = next(u for u in perms.iter_group("S", n) if lam(descent(u, "A")) != peak(u))
+            ws, lam = list(perms.iter_group("S", n)), perms.lambda_mask
+            u = next(u for u, d, p in zip(ws, *perms.descent_peak_masks(ws, n)) if lam(d) != p)
             raise CheckFailure(f"peaks differ from collapsed descents at {u}")
 
     _add(checks, "descents/peak-sets-realized", range(1, 9), peak_realization)

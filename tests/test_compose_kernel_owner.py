@@ -7,9 +7,11 @@ bytes.  A table read by a word of another rank gives a wrong product
 silently, so perms builds both halves, behind its rank checks, and is the
 only module that encodes or decodes.  The split tables cut and shift byte
 words by translate too, and the leg splitter picks the legs to split again
-with an itemgetter.  This test reads the source of every other module of
-the package for itemgetter, translate, struct and unpack, and the idiom that
-builds a byte table by hand.
+with an itemgetter.  The statistics kernel reads columns of words of S_n as
+big ints (int.from_bytes) and writes its byte lanes back (to_bytes).  This
+test reads the source of every other module of the package for itemgetter,
+translate, struct, unpack, from_bytes and to_bytes, and the idiom that builds
+a byte table by hand.
 """
 
 import re
@@ -23,6 +25,8 @@ KERNEL = {
     "bytearray(range(256))": re.compile(r"\b(bytes|bytearray)\(\s*range\(\s*256\s*\)"),
     "struct.Struct(": re.compile(r"\bStruct\("),
     ".unpack": re.compile(r"\.unpack\b"),
+    "int.from_bytes": re.compile(r"\bfrom_bytes\b"),
+    ".to_bytes": re.compile(r"\.to_bytes\b"),
 }
 
 

@@ -285,20 +285,28 @@ def peak_realization_witness():
     return result.witness
 
 
+def no_peak_lanes(words, n, kernel=perms.descent_peak_masks):
+    """The statistics kernel with every peak lane cleared."""
+    descents, peaks = kernel(words, n)
+    return descents, bytes(len(peaks))
+
+
 @pytest.mark.parametrize(
-    "name, broken",
+    "broken",
     [
-        # no peak at all: sets go unrealized and peaks differ from descents
-        ("peak_mask", lambda u: 0),
+        # no peak at all, in the kernel's peak lanes that the check reads and in
+        # the reference's peak_mask: sets go unrealized and peaks differ from descents
+        {"peak_mask": lambda u: 0, "descent_peak_masks": no_peak_lanes},
         # every set realized, and the descent set {2} collapses to nothing
-        ("lambda_mask", lambda m: 0 if m == 0b100 else m),
+        {"lambda_mask": lambda m: 0 if m == 0b100 else m},
     ],
     ids=["unrealized-first", "first-mismatch"],
 )
-def test_one_pass_peak_realization_keeps_the_witness(name, broken, monkeypatch):
+def test_one_pass_peak_realization_keeps_the_witness(broken, monkeypatch):
     # the shared tally of S_n reads the statistics where peak imports them
-    for owner in (perms, peak):
-        monkeypatch.setattr(owner, name, broken)
+    for name, function in broken.items():
+        for owner in (perms, peak):
+            monkeypatch.setattr(owner, name, function)
     peak.descent_peak_pairs.cache_clear()
     try:
         with pytest.raises(CheckFailure) as two_pass:
