@@ -39,7 +39,7 @@ from .perms import (
     group_elements,
     identity,
     in_group,
-    inverse,
+    inverse_tables,
 )
 from .reporting import CheckFailure
 
@@ -198,7 +198,7 @@ def internal_product(a: AlgElem, b: AlgElem) -> AlgElem:
     """Bilinear extension of the group product (convolution), keyed by
     byte products and each distinct product decoded once."""
     a._same_frame(b)
-    words, tables = byte_words(b.terms, b.n), byte_tables(a.terms, a.n)
+    words, tables = byte_words(b.terms, b.n), byte_tables(byte_words(a.terms, a.n), a.n)
     # the inner loop runs over the smaller support
     a_inner = len(a.terms) <= len(b.terms)
     outer, inner = (b.terms, a.terms) if a_inner else (a.terms, b.terms)
@@ -392,13 +392,14 @@ class ClassAlgebra:
     key maps a group element to its class label and labels lists every
     class in table order; classes, when given, is the partition already
     binned (label -> members), and key is then not called.  The group is
-    bound on first use, by classes and sizes.  Coordinates are {label:
-    coefficient} dicts; the class sums have disjoint supports, so binning
-    reads them off exactly.  A coarsening (see coarsen) keeps its parent,
-    its fibres (label -> the parent labels merged into it) and its fibre
-    map (parent label -> its own label), reads its sizes, members and cube
-    from the parent's, reads the label of an element through the parent's,
-    and translates coordinates to and from the parent's by lift and spread."""
+    bound on first use, by classes and sizes, as byte words (perms.byte_word)
+    that element and basis decode.  Coordinates are {label: coefficient}
+    dicts; the class sums have disjoint supports, so binning reads them off
+    exactly.  A coarsening (see coarsen) keeps its parent, its fibres (label
+    -> the parent labels merged into it) and its fibre map (parent label ->
+    its own label), reads its sizes, members and cube from the parent's,
+    reads the label of a byte word through the parent's, and translates
+    coordinates to and from the parent's by lift and spread."""
 
     def __init__(self, group: str, n: int, key, labels, classes=None):
         self.group = group
@@ -410,8 +411,9 @@ class ClassAlgebra:
 
     @cached_property
     def classes(self) -> dict:
-        """Label -> members: the parent's merged, the partition, or the group
-        binned by key.  ValueError names an unlisted or a missing label."""
+        """Label -> the byte words of its members: the parent's merged, the
+        partition, or the group binned by key.  ValueError names an unlisted
+        or a missing label, and a member of another rank."""
         if self.parent is not None:
             parent = self.parent.classes
             return {g: tuple(w for lab in ls for w in parent[lab]) for g, ls in self.fibres.items()}
@@ -423,7 +425,7 @@ class ClassAlgebra:
                 classes[lab].append(w)
         if missing := [lab for lab in self.labels if lab not in classes]:
             raise ValueError(f"the partition has no class for the label {missing[0]!r}")
-        return {lab: tuple(classes[lab]) for lab in self.labels}
+        return {lab: tuple(byte_words(classes[lab], self.n)) for lab in self.labels}
 
     @cached_property
     def sizes(self) -> dict:
@@ -434,12 +436,12 @@ class ClassAlgebra:
 
     @cached_property
     def label_of(self) -> dict:
-        """Group element -> the label of its class, held by an algebra
-        with no parent only: its coarsenings read it through labels_of."""
+        """Byte word -> the label of its class, held by an algebra with no
+        parent only: its coarsenings read it through labels_of."""
         return {w: lab for lab, ws in self.classes.items() for w in ws}
 
     def labels_of(self, words):
-        """The labels of the classes of group elements, lazily, None for one
+        """The labels of the classes of byte words, lazily, None for one
         outside the group: the enumerated algebra's label_of, read through
         the fibre map of each coarsening on the way down."""
         if self.parent is None:
@@ -449,16 +451,15 @@ class ClassAlgebra:
     @property
     def basis(self) -> list:
         """(label, class sum) pairs in label order."""
-        return [
-            (lab, AlgElem.class_sum(self.group, self.n, ws)) for lab, ws in self.classes.items()
-        ]
+        return [(lab, self.element({lab: 1})) for lab in self.labels]
 
     def coords(self, a: AlgElem):
         """Coordinates of a over the class sums, or None off the span (a
-        term outside the group is off it)."""
+        term outside the group is off it; one of another rank raises)."""
         if (a.group, a.n) != (self.group, self.n):
             raise ValueError(f"element of {a.group}_{a.n} is not in Q{self.group}_{self.n}")
-        return bin_classes(self.labels_of(a.terms), a.terms.values(), self.sizes.__getitem__)
+        labels = self.labels_of(byte_words(a.terms, self.n))
+        return bin_classes(labels, a.terms.values(), self.sizes.__getitem__)
 
     def binned(self, a: AlgElem, witness: str) -> dict:
         """coords(a), raising CheckFailure(witness) off the span."""
@@ -473,12 +474,11 @@ class ClassAlgebra:
         return None if coords is None else [coords.get(lab, 0) for lab in self.labels]
 
     def element(self, coords: dict) -> AlgElem:
-        """The element with the given coordinates."""
-        terms = {}
+        """The element with the given coordinates, its members decoded."""
+        decode, terms = byte_decoder(self.n), {}
         for lab, c in coords.items():
             if c != 0:
-                for w in self.classes[lab]:
-                    terms[w] = c
+                terms.update(dict.fromkeys(map(decode, self.classes[lab]), c))
         return AlgElem._raw(self.group, self.n, terms)
 
     def coarsen(self, f, labels=None) -> "ClassAlgebra":
@@ -520,18 +520,12 @@ class ClassAlgebra:
     def _closure_error(self, l1, l2) -> ArithmeticError:
         return ArithmeticError(f"class sums {l1} * {l2} leave the span in {self.group}_{self.n}")
 
-    @cached_property
-    def byte_classes(self) -> tuple:
-        """(label -> the byte words of its members; byte word -> its label)."""
-        words = {lab: byte_words(ws, self.n) for lab, ws in self.classes.items()}
-        return words, {w: lab for lab, ws in words.items() for w in ws}.get
-
     def left_rows(self, coords: dict) -> dict:
         """Label b -> the coordinates of x * Y_b (x given by coordinates), or
         None off the span: each class g of x gives g * Y_b, counted on the byte
         kernel and binned on its own, combined by apply_rows."""
-        (words, class_of), size = self.byte_classes, self.sizes.__getitem__
-        tables, out = [byte_tables(self.classes[g], self.n) for g in coords], {}
+        words, class_of, size = self.classes, self.label_of.get, self.sizes.__getitem__
+        tables, out = [byte_tables(words[g], self.n) for g in coords], {}
         for b, ws in words.items():
             tallies = [Counter(byte_products(ws, t)) for t in tables]
             cells = [bin_classes(map(class_of, c), c.values(), size) for c in tallies]
@@ -548,7 +542,7 @@ class ClassAlgebra:
         label order to name the first cell off it.  Then the cells, in label
         order: Y_a * Y_b has the coefficient #{u in a : u^-1 * w_c in b} on
         c, for w_c the first member of c, and must count |a| * |b| products."""
-        words, class_of = self.byte_classes
+        words, class_of = self.classes, self.label_of.get
         size, dim, frame = self.sizes.__getitem__, len(self.labels), f"{self.group}_{self.n}"
         rows, span, basis, pending = {}, Echelon(), [], deque()
 
@@ -574,11 +568,11 @@ class ClassAlgebra:
             raise ArithmeticError(f"the generators reach rank {span.rank} of {dim} in {frame}")
 
         cube = {(a, b): {} for a in self.labels for b in self.labels}
-        for a, ws in self.classes.items():
-            inverses = byte_tables(map(inverse, ws), self.n)
+        for a, ws in words.items():
+            inverses = inverse_tables(ws, self.n)
             for c, first in words.items():
                 for b, k in Counter(map(class_of, byte_products(first[:1], inverses))).items():
-                    cube[(a, b)][c] = k
+                    cube.get((a, b), {})[c] = k  # a product outside the group fails the count
         for (a, b), coords in cube.items():
             if (total := sum(k * size(c) for c, k in coords.items())) != size(a) * size(b):
                 raise ArithmeticError(f"class sums {a} * {b} count {total} products in {frame}")
@@ -728,13 +722,16 @@ def class_images(f, src: ClassAlgebra, dst: ClassAlgebra, what: str) -> dict:
 def element_rows(f, src: ClassAlgebra, dst: ClassAlgebra, what: str) -> dict:
     """The rows of f, binned, so building them checks that f lands in dst
     (CheckFailure naming the class otherwise; an image outside the group of
-    dst has no label).  An element map with a tally (members, rank -> image
-    -> multiplicity) counts the images of the members of each class; any
-    other f is applied to each class sum."""
+    dst has no label).  An element map with a tally (byte words of members,
+    rank -> byte word of image -> multiplicity) counts the images of the
+    members of each class; any other f is applied to each class sum."""
     tally, rows = getattr(f, "tally", None), {}
     for lab, ws in src.classes.items():
-        images = tally(ws, src.n) if tally else f(AlgElem.class_sum(src.group, src.n, ws)).terms
-        rows[lab] = bin_classes(dst.labels_of(images), images.values(), dst.sizes.get)
+        if tally:
+            images = tally(ws, src.n)
+            rows[lab] = bin_classes(dst.labels_of(images), images.values(), dst.sizes.get)
+        else:
+            rows[lab] = dst.coords(f(src.element({lab: 1})))
         if rows[lab] is None:
             raise CheckFailure(leaves_span(what, lab))
     return rows

@@ -32,9 +32,9 @@ def canonical_ideal_algebra(n: int) -> ClassAlgebra:
 
 
 def descent_classes(ctype: str, n: int) -> dict:
-    """Bitmask -> tuple of group elements with that descent set.  Every
-    subset of the generators occurs as a key (possibly empty for no
-    subset: descent classes partition the whole group)."""
+    """Bitmask -> the byte words of the group elements with that descent
+    set.  Every subset of the generators occurs as a key (possibly empty
+    for no subset: descent classes partition the whole group)."""
     return descent_algebra(ctype, n).classes
 
 
@@ -46,8 +46,7 @@ def _all_masks(ctype: str, n: int) -> tuple:
 def y_basis(ctype: str, n: int, J: int) -> AlgElem:
     """Y_J: sum over the descent class of the label mask J."""
     mask = GeneratorSet(ctype, n, J).mask
-    group = GROUP_OF_TYPE[ctype]
-    return AlgElem.class_sum(group, n, descent_classes(ctype, n)[mask])
+    return descent_algebra(ctype, n).element({mask: 1})
 
 
 def x_basis(ctype: str, n: int, J: int) -> AlgElem:

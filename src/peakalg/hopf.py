@@ -53,6 +53,7 @@ from .perms import (
     byte_table,
     byte_tables,
     byte_word,
+    byte_words,
     group_elements,
     identity,
     leg_splitter,
@@ -78,7 +79,7 @@ def shuffles(p: int, q: int) -> tuple:
 @lru_cache(maxsize=None)
 def _shuffle_tables(p: int, q: int) -> tuple:
     """The byte tables of the (p, q)-shuffles, in order."""
-    return tuple(byte_tables(shuffles(p, q), p + q))
+    return tuple(byte_tables(byte_words(shuffles(p, q), p + q), p + q))
 
 
 def _joint_group(a: AlgElem, b: AlgElem) -> str:
@@ -103,7 +104,7 @@ def external_product(a: AlgElem, b: AlgElem) -> AlgElem:
         raise CapExceeded(f"external product capped at total degree {EXTERNAL_DEGREE_CAP}")
     group = _joint_group(a, b)
     tables = _shuffle_tables(p, q)
-    embeds = block_words(a.terms, b.terms, p, q)
+    embeds = block_words(byte_words(a.terms, p), byte_words(b.terms, q), p)
     # xi * (u x v) for each shuffle xi of each block pair (u, v): the
     # factorization of a product as a shuffle times a block pair is unique,
     # so no two products coincide and none has to be summed; a collision
@@ -343,8 +344,8 @@ def coproduct_coords(family: str, n: int) -> dict:
     if family in FINER:
         return _merged_coproduct(family, n)
     algs = [FAMILIES[family](d) for d in range(n + 1)]
-    class_of, size, out = [a.byte_classes[1] for a in algs], [a.sizes.get for a in algs], {}
-    for lab, ws in algs[n].byte_classes[0].items():
+    class_of, size, out = [a.label_of.get for a in algs], [a.sizes.get for a in algs], {}
+    for lab, ws in algs[n].classes.items():
         coords = out[lab] = {}
         for p in range(n + 1):
             tally = Counter(split_words(ws, n, p))
@@ -386,12 +387,12 @@ def shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
     cell must count |a| * |b| * C(p + q, p) products, so a product counted
     twice fails at its first cell."""
     target = SHUFFLE_TARGETS[(left, right)]
-    alg, tables, decode = FAMILIES[target](p + q), _shuffle_tables(p, q), byte_decoder(p + q)
+    alg, tables = FAMILIES[target](p + q), _shuffle_tables(p, q)
     rights, out, size = FAMILIES[right](q).classes, {}, alg.sizes.get
     for l1, us in FAMILIES[left](p).classes.items():
         for l2, vs in rights.items():
-            tally = Counter(byte_products(block_words(us, vs, p, q), tables))
-            coords = bin_classes(alg.labels_of(map(decode, tally)), tally.values(), size)
+            tally = Counter(byte_products(block_words(us, vs, p), tables))
+            coords = bin_classes(alg.labels_of(tally), tally.values(), size)
             total = None if coords is None else sum(c * size(lab) for lab, c in coords.items())
             if total != (want := len(us) * len(vs) * comb(p + q, p)):
                 text = f"shuffle of {left} {label_text(l1)} and {right} {label_text(l2)}"
@@ -414,7 +415,7 @@ def transform_coords(family: str, n: int) -> dict:
         return merged_rows(fine, fibres, fibres, lambda lab: CheckFailure(leaves_span(name, lab)))
     alg = FAMILIES[family](n)
     gen = getattr(maps, name)(AlgElem.unit(alg.group, n))
-    rows = alg.left_rows(alg.binned(gen, leaves_span(name, *alg.labels_of([identity(n)]))))
+    rows = alg.left_rows(alg.binned(gen, leaves_span(name, alg.label_of[byte_word(identity(n))])))
     if None in rows.values():
         raise CheckFailure(leaves_span(name, next(b for b, row in rows.items() if row is None)))
     return rows
@@ -662,7 +663,7 @@ def check_beta_via_coproduct(dmax: int):
 
     # eta((1)) = 1, eta((-1)) = -1, summed over each rank-1 class
     eta = {
-        lab: sum(1 if u == (1,) else -1 for u in ws)
+        lab: sum(1 if u == byte_word((1,)) else -1 for u in ws)
         for lab, ws in descent_algebra("B", 1).classes.items()
     }
     for n in range(1, dmax + 1):

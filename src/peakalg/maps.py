@@ -38,6 +38,8 @@ from .bases import (
 )
 from .peak import interior_peak_algebra, interior_peak_basis, peak_algebra, pi_map
 from .perms import (
+    byte_decoder,
+    byte_words,
     chi_element,
     forget_signs,
     popcount,
@@ -86,9 +88,9 @@ def rho_map(a: AlgElem) -> AlgElem:
     return push_forward(rho_element, a)
 
 
-# element_rows tallies the members of each class: members, rank -> image -> multiplicity
+# element_rows tallies each class, on byte words: members, rank -> image -> multiplicity
 phi.tally = psi.tally = unsigned_tally
-chi.tally = lambda ws, n: Counter(map(chi_element, ws))
+chi.tally = lambda ws, n: Counter(byte_words(map(chi_element, map(byte_decoder(n), ws)), n))
 inclusion.tally = lambda ws, n: Counter(ws)
 
 

@@ -16,7 +16,7 @@ import re
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import AlgElem, ClassAlgebra, apply_rows, class_images, linear_combine
+from .algebra import AlgElem, ClassAlgebra, apply_rows, class_images
 from .bases import (
     comp_complement,
     comp_to_subset,
@@ -120,35 +120,28 @@ def u_comp(alpha) -> tuple:
     return underline(tuple(pre))
 
 
-def _segments_refine(alpha, beta, flip: bool) -> bool:
-    """Each segment of beta refines the corresponding segment of alpha,
-    with matching signs and sizes; with flip, alpha refines beta on the
-    negative segments instead."""
-    sa, sb = segments(alpha), segments(beta)
-    signs = [seg[0] > 0 for seg in sa]
-    if signs != [seg[0] > 0 for seg in sb]:
-        return False
-    for positive, a_seg, b_seg in zip(signs, sa, sb):
-        a_abs, b_abs = abs_comp(a_seg), abs_comp(b_seg)
-        if sum(a_abs) != sum(b_abs):
-            return False
-        a_sub, b_sub = comp_to_subset(a_abs), comp_to_subset(b_abs)
-        if flip and not positive:
-            a_sub, b_sub = b_sub, a_sub
-        if not a_sub <= b_sub:
-            return False
-    return True
+def _order_key(alpha) -> tuple:
+    """((n, units 1..n in negative parts), partial sums short of n, cuts strictly
+    inside negative segments) as masks; bit s of a cut is between units s and s + 1."""
+    n, negative, sums = 0, 0, []
+    for a in alpha:
+        sums.append(n)
+        negative += ((1 << -a) - 1) << n if a < 0 else 0
+        n += abs(a)
+    return (n, negative), mask_of(sums), negative & (negative << 1)
 
 
 def leq(alpha, beta) -> bool:
     """Segmentwise refinement with matching signs: true when each segment
     of beta refines the corresponding segment of alpha."""
-    return _segments_refine(alpha, beta, flip=False)
+    (ka, ca, _), (kb, cb, _) = _order_key(alpha), _order_key(beta)
+    return ka == kb and not ca & ~cb
 
 
 def preceq(alpha, beta) -> bool:
     """Like leq, but on negative segments the refinement direction flips."""
-    return _segments_refine(alpha, beta, flip=True)
+    (ka, ca, inside), (kb, cb, _) = _order_key(alpha), _order_key(beta)
+    return ka == kb and not (ca ^ cb) & (ca & ~inside | cb & inside)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +175,9 @@ def t_classes(n: int) -> dict:
 def t_basis(n: int, alpha) -> AlgElem:
     alpha = tuple(alpha)
     try:
-        ws = t_classes(n)[alpha]
+        return t_algebra(n).element({alpha: 1})
     except KeyError:
         raise ValueError(f"{alpha} is not a signed composition of {n}") from None
-    return AlgElem.class_sum("B", n, ws)
 
 
 def _interval_blocks(n: int, sizes) -> tuple:
@@ -268,17 +260,17 @@ def phi_on_s_formula(n: int, alpha) -> AlgElem:
 def _y_interval_sum(n: int, lo, hi) -> AlgElem:
     """Sum of Y_beta over compositions between lo and hi in refinement
     order (subset inclusion between the partial-sum sets)."""
-    from .bases import y_basis
-
     lo_set = comp_to_subset(lo, n)
     hi_set = comp_to_subset(hi, n)
     if not lo_set <= hi_set:
         raise ValueError("empty refinement interval")
     extra = sorted(hi_set - lo_set)
-    return linear_combine(
-        (1, y_basis("A", n, mask_of(lo_set | set(chosen))))
-        for r in range(len(extra) + 1)
-        for chosen in combinations(extra, r)
+    return descent_algebra("A", n).element(
+        {
+            mask_of(lo_set | set(chosen)): 1
+            for r in range(len(extra) + 1)
+            for chosen in combinations(extra, r)
+        }
     )
 
 

@@ -30,6 +30,7 @@ from .algebra import (
 from .bases import descent_algebra
 from .perms import (
     PeakIndex,
+    byte_word,
     descent_peak_masks,
     group_elements,
     interior_peak_mask,
@@ -70,7 +71,7 @@ def _forms_agree(n: int) -> bool:
     ):
         binned: dict = {}
         for u in group_elements("S", n):
-            binned.setdefault(key(u), set()).add(u)
+            binned.setdefault(key(u), set()).add(byte_word(u))
         for m in sorted(set(binned) | set(alg.labels)):
             if binned.get(m) != set(alg.classes.get(m, ())):
                 raise AssertionError(f"peak-basis forms disagree at n={n}, F mask {bin(m)}")
@@ -81,14 +82,14 @@ def peak_basis(n: int, F: int) -> AlgElem:
     """P_F: sum of the permutations with peak set the label mask F."""
     mask = PeakIndex(n, F).mask
     _forms_agree(n)
-    return AlgElem.class_sum("S", n, peak_algebra(n).classes[mask])
+    return peak_algebra(n).element({mask: 1})
 
 
 def interior_peak_basis(n: int, F: int) -> AlgElem:
     """Interior P_F: sum of the permutations with interior peak set F."""
     mask = PeakIndex(n, F).require_interior().mask
     _forms_agree(n)
-    return AlgElem.class_sum("S", n, interior_peak_algebra(n).classes[mask])
+    return interior_peak_algebra(n).element({mask: 1})
 
 
 def peak_elements(n: int) -> list:

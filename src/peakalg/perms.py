@@ -118,11 +118,12 @@ def compose(u: Perm, v: Perm) -> Perm:
 # bytes j and 256 - j, which stay apart below rank BYTE_RANK_LIMIT only, and
 # byte_decoder(n) reads a byte word back as the signed tuple.  Convolution,
 # the shuffle embeds, the split-reassembly check, the length oracle and the
-# enumerated structure cube multiply on it; products that must stay tuples
-# are keyed by their byte words and each distinct one is decoded once.  A
-# table read by a word of another rank gives a wrong product without an
-# error, so bulk callers encode through byte_words and byte_tables, which
-# check the rank, and multiply with byte_products.
+# class algebras, whose members are byte words, multiply on it; products
+# that must stay tuples are keyed by their byte words and each distinct one
+# is decoded once.  A table read by a word of another rank gives a wrong
+# product without an error, so bulk callers encode through byte_words and
+# build tables through byte_tables and inverse_tables, which all check the
+# rank, and multiply with byte_products.
 
 BYTE_RANK_LIMIT = 128
 
@@ -174,8 +175,16 @@ def byte_words(words, n: int) -> list:
 
 
 def byte_tables(words, n: int) -> list:
-    """byte_table(u) for each word u, every one checked to have rank n."""
-    return list(map(_word_table, byte_words(words, n)))
+    """The byte table of each byte word, every one checked to have rank n."""
+    return list(map(_word_table, _require_byte_rank(words, n)))
+
+
+def inverse_tables(words, n: int) -> list:
+    """The byte table of the inverse of each byte word, every one checked to
+    have rank n: the table that takes w_j back to j and -w_j back to -j."""
+    words, ident = _require_byte_rank(words, n), bytes(range(1, n + 1))
+    back = ident + ident[::-1].translate(_NEGATED)
+    return [bytes.maketrans(w + w[::-1].translate(_NEGATED), back) for w in words]
 
 
 @lru_cache(maxsize=None)
@@ -189,10 +198,10 @@ def block_word(left: bytes, right: bytes) -> bytes:
     return left + right.translate(_lift_table(len(left)))
 
 
-def block_words(lefts, rights, p: int, q: int) -> list:
-    """The byte word of each block pair (u, v), u of rank p outer, v of rank q."""
-    moved = [w.translate(_lift_table(p)) for w in byte_words(rights, q)]
-    return [u + v for u in byte_words(lefts, p) for v in moved]
+def block_words(lefts, rights, p: int) -> list:
+    """The byte word of each block pair of byte words (u, v), u of rank p outer."""
+    moved = [w.translate(_lift_table(p)) for w in rights]
+    return [u + v for u in lefts for v in moved]
 
 
 def byte_products(words, tables, *, tables_outer: bool = False):
@@ -265,11 +274,10 @@ def forget_signs(w: Perm) -> Perm:
     return tuple(abs(v) for v in w)
 
 
-def unsigned_tally(words, n: int) -> dict:
-    """forget_signs(v) -> how many of the words v of rank n it is the image
-    of, in order of first appearance: one translation per byte word."""
-    tally = Counter(w.translate(_UNSIGNED) for w in byte_words(words, n))
-    return dict(zip(map(_BYTE_STRUCTS[n].unpack, tally), tally.values()))
+def unsigned_tally(words, n: int) -> Counter:
+    """The byte word of forget_signs(v) -> how many of the byte words v of
+    rank n it is the image of, in order of first appearance."""
+    return Counter(w.translate(_UNSIGNED) for w in _require_byte_rank(words, n))
 
 
 def sigma(w: Perm) -> Perm:

@@ -4,15 +4,26 @@ The package does not call these: they restate, from the basis elements
 alone, facts the checks under test read from class coordinates.  The
 elimination oracle is the sparse Fraction echelon form and the dense
 Fraction determinant that the integer core of peakalg.algebra replaced;
-it runs no code of that core.
+it runs no code of that core.  A class algebra holds its members as byte
+words, and members decodes them here, not through peakalg.perms.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from peakalg.algebra import AlgElem, ClassAlgebra, bin_classes
 from peakalg.bases import descent_algebra, descent_coordinates
 from peakalg.hopf import FAMILIES, SHUFFLE_TARGETS, external_product
 from peakalg.perms import compose, popcount
+
+
+def members(alg: ClassAlgebra) -> dict:
+    """Label -> the members of its class in alg as signed tuples: byte b of
+    a member word is the value b below 128 and b - 256 from 128 up."""
+    return {
+        lab: tuple(tuple(b - 256 if b > 127 else b for b in w) for w in ws)
+        for lab, ws in alg.classes.items()
+    }
 
 
 def block_embed(u, v) -> tuple:
@@ -142,7 +153,8 @@ def pair_coords(component: dict, left: ClassAlgebra, right: ClassAlgebra):
     """Coordinates of a tensor component {(u, v): c} over the tensor
     products of the class sums of left and right, or None: a pair with a
     term outside a group has the size 0."""
-    pairs = zip(left.labels_of(u for u, _ in component), right.labels_of(v for _, v in component))
+    label1, label2 = _element_labels(left), _element_labels(right)
+    pairs = ((label1(u), label2(v)) for u, v in component)
     size1, size2 = left.sizes.get, right.sizes.get
     return bin_classes(pairs, component.values(), lambda k: size1(k[0], 0) * size2(k[1], 0))
 
@@ -168,9 +180,11 @@ def reference_bin_classes(terms, class_of, size):
     return {k: c for k, (c, _) in seen.items()}
 
 
+@lru_cache(maxsize=None)
 def _element_labels(alg: ClassAlgebra):
-    """Group element -> its label in alg, read off the members of each class."""
-    return {w: lab for lab, ws in alg.classes.items() for w in ws}.get
+    """Group element -> its label in alg, read off the members of each
+    class; kept per algebra for the session, as a class never changes."""
+    return {w: lab for lab, ws in members(alg).items() for w in ws}.get
 
 
 def reference_element_rows(f, src: ClassAlgebra, dst: ClassAlgebra) -> dict:
@@ -180,7 +194,7 @@ def reference_element_rows(f, src: ClassAlgebra, dst: ClassAlgebra) -> dict:
     label, size = _element_labels(dst), dst.sizes.__getitem__
     return {
         lab: reference_bin_classes(f(AlgElem.class_sum(src.group, src.n, ws)).terms, label, size)
-        for lab, ws in src.classes.items()
+        for lab, ws in members(src).items()
     }
 
 
@@ -202,11 +216,11 @@ def reference_cube(alg: ClassAlgebra, left=None) -> dict:
     products, or only its rows with the left labels given: each cell lists
     its labels in the order its products first appear, and a product off
     the span raises at the first such cell in label order."""
-    class_of, size = _element_labels(alg), alg.sizes.__getitem__
+    class_of, size, classes = _element_labels(alg), alg.sizes.__getitem__, members(alg)
     cube = {}
     for l1 in alg.labels if left is None else left:
-        c1 = alg.classes[l1]
-        for l2, c2 in alg.classes.items():
+        c1 = classes[l1]
+        for l2, c2 in classes.items():
             counts: dict = {}
             for v in c2:
                 for w in c1:

@@ -17,7 +17,7 @@ from peakalg.hopf import coproduct
 from peakalg.mr import t_algebra
 from peakalg.peak import interior_peak_algebra, peak_algebra
 
-from oracles import bidegree, pair_coords
+from oracles import bidegree, members, pair_coords
 
 CASES = (
     [(f"A{n}", lambda n=n: descent_algebra("A", n)) for n in range(1, 6)]
@@ -44,7 +44,7 @@ def test_cube_and_coords_match_the_oracle(name, factory):
             assert coords == solver.coords(prod).nonzero()
             assert alg.element(coords) == prod
     # off the span: one member of a class of size > 1 taken alone
-    big = next((ws for ws in alg.classes.values() if len(ws) > 1), None)
+    big = next((ws for ws in members(alg).values() if len(ws) > 1), None)
     if big is not None:
         lone = AlgElem.monomial(alg.group, alg.n, big[0])
         assert alg.coords(lone) is None
@@ -99,8 +99,8 @@ def test_pair_binning_reads_the_tensor_terms():
                 expanded = {
                     (u, v): c
                     for (l, r), c in coords.items()
-                    for u in left.classes[l]
-                    for v in right.classes[r]
+                    for u in members(left)[l]
+                    for v in members(right)[r]
                 }
                 assert expanded == bidegree(t2, p)
     # one permutation of a class with several members is off the span

@@ -23,7 +23,6 @@ from peakalg import algebra, maps, mr, verify
 from peakalg.algebra import NOT_IN_SPAN, AlgElem, express_in_span
 from peakalg.bases import (
     descent_algebra,
-    descent_classes,
     descent_coordinates,
     x_basis,
     x_label_elements,
@@ -40,10 +39,10 @@ from peakalg.peak import (
     peak_basis,
     peak_elements,
 )
-from peakalg.perms import GROUP_OF_TYPE, fibonacci, interior_sparse_masks
+from peakalg.perms import GROUP_OF_TYPE, byte_word, fibonacci, interior_sparse_masks
 from peakalg.reporting import CheckFailure, run_check
 
-from oracles import Echelon, descent_span_rank
+from oracles import Echelon, descent_span_rank, members
 from test_compose_kernel import byte_products_wrong_on
 
 # ---------------------------------------------------------------------------
@@ -384,7 +383,7 @@ def wrong_on_one_class(f, ctype, n, mask, extra):
     """The linear map f, except that the image of the descent class of
     mask (type ctype, rank n) gains extra: a + c w_K goes to f(a) + c extra,
     w_K a fixed member of the class."""
-    rep = descent_classes(ctype, n)[mask][0]
+    rep = members(descent_algebra(ctype, n))[mask][0]
 
     def g(a):
         out = f(a)
@@ -464,7 +463,7 @@ def test_a_wrong_byte_product_in_a_generator_row(monkeypatch, fresh_transform_ro
     broken = byte_products_wrong_on((2, 1, 3), (1, 3, 2), (1, 2, 3))
     monkeypatch.setattr(algebra, "byte_products", broken)
     (result,) = [c for c in verify.SUITES["theta"](4) if c.check_id == "theta/type-a-values"]
-    label = descent_algebra("A", 3).label_of[(1, 3, 2)]
+    label = descent_algebra("A", 3).label_of[byte_word((1, 3, 2))]
     assert result.status == "fail"
     assert result.witness == f"theta of the class {bin(label)} leaves the span"
 

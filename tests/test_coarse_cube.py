@@ -11,7 +11,7 @@ checked against binning by peak set element by element.
 
 import pytest
 
-from oracles import reference_cube
+from oracles import members, reference_cube
 from peakalg import peak, perms
 from peakalg.algebra import ClassAlgebra
 from peakalg.bases import canonical_ideal_algebra, descent_algebra
@@ -32,7 +32,7 @@ CASES = (
 
 def enumerated(alg: ClassAlgebra) -> ClassAlgebra:
     """The same classes with no parent, so its cube is built from the group."""
-    return ClassAlgebra(alg.group, alg.n, None, alg.labels, alg.classes)
+    return ClassAlgebra(alg.group, alg.n, None, alg.labels, members(alg))
 
 
 @pytest.mark.parametrize("name, factory, n", CASES, ids=[name for name, _, _ in CASES])

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import block_embed, in_label_order, reference_bin_classes, reference_cube
+from oracles import block_embed, in_label_order, members, reference_bin_classes, reference_cube
 from peakalg import algebra, bases, hopf, mr, peak, perms
 from peakalg.algebra import AlgElem, ClassAlgebra, bin_classes, internal_product
 from peakalg.hopf import external_product, shuffles
@@ -34,6 +34,7 @@ from peakalg.perms import (
     group_elements,
     identity,
     inverse,
+    inverse_tables,
     popcount,
 )
 
@@ -81,7 +82,7 @@ def typed(cube: dict) -> list:
 
 def fresh(alg: ClassAlgebra) -> ClassAlgebra:
     """An uncached copy of an enumerated algebra, its cube not yet built."""
-    return ClassAlgebra(alg.group, alg.n, None, alg.labels, alg.classes)
+    return ClassAlgebra(alg.group, alg.n, None, alg.labels, members(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +265,8 @@ GIVEN_PARTITIONS = {
     "rank-0-empty-class": ("B", 0, {0: [], 1: [()]}),
     "rank-1": ("B", 1, {0: [(1,)], 1: [(-1,)]}),
     "rank-1-one-class": ("B", 1, {0: [(-1,), (1,)]}),
-    "s3-empty-class": ("S", 3, {**bases.descent_classes("A", 3), 1: []}),
-    "b2-empty-class-first": ("B", 2, {9: [], **bases.descent_classes("B", 2)}),
+    "s3-empty-class": ("S", 3, {**members(bases.descent_algebra("A", 3)), 1: []}),
+    "b2-empty-class-first": ("B", 2, {9: [], **members(bases.descent_algebra("B", 2))}),
 }
 
 
@@ -309,14 +310,18 @@ B3_GENERATORS = [0b0, 0b111, 0b11, 0b100, 0b1]
 
 def test_the_b3_certificate_takes_its_generators_by_size(monkeypatch):
     alg = fresh(bases.descent_algebra("B", 3))
-    firsts, real = [], algebra.byte_tables
+    firsts = []
 
-    def spied(words, n):
-        words = list(words)
-        firsts.append(words[0])
-        return real(words, n)
+    def spied(real):
+        def tables(words, n):
+            words = list(words)
+            firsts.append(words[0])
+            return real(words, n)
 
-    monkeypatch.setattr(algebra, "byte_tables", spied)
+        return tables
+
+    monkeypatch.setattr(algebra, "byte_tables", spied(algebra.byte_tables))
+    monkeypatch.setattr(algebra, "inverse_tables", spied(algebra.inverse_tables))
     alg.cube
     # a table per generator row, then the inverse tables of each class
     assert [alg.label_of[w] for w in firsts[: len(B3_GENERATORS)]] == B3_GENERATORS
@@ -371,7 +376,7 @@ def byte_products_wrong_on(u0, v0, product):
 def test_a_composer_wrong_on_one_pair_breaks_the_cube(monkeypatch):
     alg = fresh(bases.descent_algebra("B", 3))
     # u0 lies in a generator class, so the certificate composes u0 * v0
-    u0, v0 = alg.classes[0b11][0], alg.classes[0b010][-1]
+    u0, v0 = members(alg)[0b11][0], members(alg)[0b010][-1]
     assert 0b11 in B3_GENERATORS
     wrong = compose(u0, (-v0[0],) + v0[1:])
     assert wrong != compose(u0, v0)
@@ -383,8 +388,11 @@ def test_a_composer_wrong_on_one_pair_breaks_the_cube(monkeypatch):
 def test_a_composer_wrong_in_the_cells_breaks_their_count(monkeypatch):
     alg = fresh(bases.descent_algebra("B", 3))
     # u0^-1 lies in no generator class, so only the cells compose u0^-1 * w_c
-    u0 = next(u for u in alg.classes[0b101] if alg.label_of[inverse(u)] not in B3_GENERATORS)
-    w_c = alg.classes[0b110][0]
+    classes = members(alg)
+    u0 = next(
+        u for u in classes[0b101] if alg.label_of[byte_word(inverse(u))] not in B3_GENERATORS
+    )
+    w_c = classes[0b110][0]
     monkeypatch.setattr(
         algebra, "byte_products", byte_products_wrong_on(inverse(u0), w_c, identity(3))
     )
@@ -398,7 +406,7 @@ def test_representatives_from_the_wrong_classes_give_another_cube(monkeypatch):
     # classes 0b10 and 0b101 have 11 members each: with their
     # representatives swapped every cell still counts |a| * |b| products,
     # and only the oracle tells the cube is wrong
-    w1, w2 = (byte_word(alg.classes[lab][0]) for lab in (0b10, 0b101))
+    w1, w2 = (alg.classes[lab][0] for lab in (0b10, 0b101))
     swap, real = {w1: w2, w2: w1}, algebra.byte_products
 
     def swapped(words, tables, tables_outer=False):
@@ -426,10 +434,27 @@ def test_a_byte_table_without_its_negative_half_breaks_the_type_b_cube(monkeypat
     alg = fresh(bases.descent_algebra("B", 3))
 
     def broken(words, n):
-        return list(map(without_negative_half, words))
+        return [without_negative_half(byte_decoder(n)(w)) for w in words]
 
     monkeypatch.setattr(algebra, "byte_tables", broken)
     with pytest.raises(ArithmeticError, match="leave the span"):
+        alg.cube
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_inverse_tables_are_the_tables_of_the_inverses(n):
+    words = group_elements("B", n)
+    assert inverse_tables(byte_words(words, n), n) == [byte_table(inverse(w)) for w in words]
+
+
+def test_inverse_tables_without_their_negative_half_break_the_type_b_cube(monkeypatch):
+    alg = fresh(bases.descent_algebra("B", 3))
+
+    def broken(words, n):
+        return [without_negative_half(inverse(byte_decoder(n)(w))) for w in words]
+
+    monkeypatch.setattr(algebra, "inverse_tables", broken)
+    with pytest.raises(ArithmeticError, match="count"):
         alg.cube
 
 

@@ -8,10 +8,11 @@ silently, so perms builds both halves, behind its rank checks, and is the
 only module that encodes or decodes.  The split tables cut and shift byte
 words by translate too, and the leg splitter picks the legs to split again
 with an itemgetter.  The statistics kernel reads columns of words of S_n as
-big ints (int.from_bytes) and writes its byte lanes back (to_bytes).  This
-test reads the source of every other module of the package for itemgetter,
-translate, struct, unpack, from_bytes and to_bytes, and the idiom that builds
-a byte table by hand.
+big ints (int.from_bytes) and writes its byte lanes back (to_bytes), and the
+tables of inverses are built by bytes.maketrans.  This test reads the source
+of every other module of the package for itemgetter, translate, struct,
+unpack, from_bytes, to_bytes and maketrans, and the idiom that builds a byte
+table by hand.
 """
 
 import re
@@ -27,6 +28,7 @@ KERNEL = {
     ".unpack": re.compile(r"\.unpack\b"),
     "int.from_bytes": re.compile(r"\bfrom_bytes\b"),
     ".to_bytes": re.compile(r"\.to_bytes\b"),
+    "maketrans": re.compile(r"\bmaketrans\b"),
 }
 
 

@@ -58,7 +58,14 @@ from peakalg.peak import (
 from peakalg.perms import byte_decoder, compose, group_elements, identity, inverse
 from peakalg.reporting import CheckFailure
 
-from oracles import block_embed, bidegree, descent_span_rank, pair_coords, reference_map_tensor
+from oracles import (
+    bidegree,
+    block_embed,
+    descent_span_rank,
+    members,
+    pair_coords,
+    reference_map_tensor,
+)
 
 # ---------------------------------------------------------------------------
 # the element-level reference
@@ -621,10 +628,10 @@ def test_clear_hopf_data_finds_the_descent_fibres(fresh_hopf_data):
 
 def tensor_element(family: str, n: int, coords: dict) -> dict:
     """The Tensor2 terms of tensor coordinates keyed (p, left, right)."""
-    terms: dict = {}
+    terms, classes = {}, [members(FAMILIES[family](d)) for d in range(n + 1)]
     for (p, l1, l2), c in coords.items():
-        for u in FAMILIES[family](p).classes[l1]:
-            for v in FAMILIES[family](n - p).classes[l2]:
+        for u in classes[p][l1]:
+            for v in classes[n - p][l2]:
                 terms[(u, v)] = c
     return terms
 
@@ -653,7 +660,7 @@ def element_coproduct_coords(family: str, n: int) -> dict:
     """The coproduct table of an enumerated family: the splits of every
     class at every p, binned."""
     factory, out = FAMILIES[family], {}
-    for lab, ws in factory(n).classes.items():
+    for lab, ws in members(factory(n)).items():
         coords = out[lab] = {}
         for p in range(n + 1):
             split = Counter(hopf.coproduct_split(w, p)[1:] for w in ws)

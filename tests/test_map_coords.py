@@ -25,7 +25,7 @@ from peakalg.bases import (
 )
 from peakalg.reporting import CheckFailure
 
-from oracles import reference_det
+from oracles import members, reference_det
 
 # ---------------------------------------------------------------------------
 # the element-level reference
@@ -229,7 +229,7 @@ def test_ideal_matrix_matches_the_element_level(n):
 def _chi_wrong_on_one_class(n, mask):
     """chi plus, linearly, the coefficient of one member of the class of
     mask times chi of that class sum: wrong on that class sum only."""
-    w0 = descent_algebra("B", n).classes[mask][0]
+    w0 = members(descent_algebra("B", n))[mask][0]
     extra = maps.chi(y_basis("B", n, mask))
     chi = maps.chi
 
@@ -252,7 +252,7 @@ def test_pi_wrong_on_one_class_fails_both_paths(monkeypatch):
     # pi plus, linearly, pi of P_{} of rank 3 per unit of one member of
     # that class: pi doubled on that class sum only
     n = 3
-    w0 = peak.peak_algebra(n).classes[0][0]
+    w0 = members(peak.peak_algebra(n))[0][0]
     extra = peak.pi_map(peak.peak_basis(n, 0))
     pi_map = peak.pi_map
 

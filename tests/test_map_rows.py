@@ -27,7 +27,7 @@ from peakalg.peak import peak_algebra
 from peakalg.reporting import CheckFailure
 from peakalg.verify import run_suite
 
-from oracles import reference_element_rows
+from oracles import members, reference_element_rows
 
 
 def clear_rows():
@@ -82,7 +82,7 @@ def _off_the_span_on_one_class(n):
     """Sign forgetting on the type-B descent classes of rank n, plus one
     permutation on the class of the identity: that image is no longer
     constant on its peak class."""
-    rep = descent_algebra("B", n).classes[0][0]
+    rep = members(descent_algebra("B", n))[0][0]
 
     def f(a):
         image = maps.phi(a)
@@ -156,7 +156,7 @@ def test_phi_images_pass_on_both_paths(n):
 def _phi_plus_on_one_t_class(alpha, extra):
     """Sign forgetting, plus extra per unit of one member of the T-class
     of alpha in B_3: wrong on that class sum only."""
-    rep = mr.t_classes(3)[alpha][0]
+    rep = members(mr.t_algebra(3))[alpha][0]
     phi = maps.phi
 
     def broken(a):
