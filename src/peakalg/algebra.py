@@ -70,7 +70,7 @@ class AlgElem:
 
     __slots__ = ("group", "n", "terms")
 
-    def __init__(self, group: str, n: int, terms=None, *, validate: bool = True):
+    def __init__(self, group: str, n: int, terms=None):
         if group not in GROUPS:
             raise ValueError(f"unknown group {group!r}")
         self.group = group
@@ -80,7 +80,7 @@ class AlgElem:
             if c == 0:
                 continue
             w = tuple(w)
-            if validate and not (len(w) == n and in_group(w, group)):
+            if not (len(w) == n and in_group(w, group)):
                 raise ValueError(f"{w} is not in {group}_{n}")
             clean[w] = c
         self.terms = clean
@@ -213,11 +213,10 @@ def internal_product(a: AlgElem, b: AlgElem) -> AlgElem:
     return AlgElem._raw(a.group, a.n, dict(zip(map(byte_decoder(a.n), out), out.values())))
 
 
-def push_forward(f, a: AlgElem, *, group: str | None = None, n: int | None = None) -> AlgElem:
-    """Apply the linear extension of an element map w -> f(w); collisions
-    accumulate."""
+def push_forward(f, a: AlgElem, *, group: str | None = None) -> AlgElem:
+    """Apply the linear extension of an element map w -> f(w) of the same
+    rank; collisions accumulate."""
     out_group = group or a.group
-    out_n = a.n if n is None else n
     out = {}
     for w, c in a.terms.items():
         fw = f(w)
@@ -227,9 +226,9 @@ def push_forward(f, a: AlgElem, *, group: str | None = None, n: int | None = Non
         else:
             out[fw] = s
     for fw in out:
-        if not (len(fw) == out_n and in_group(fw, out_group)):
-            raise ValueError(f"image {fw} is not in {out_group}_{out_n}")
-    return AlgElem._raw(out_group, out_n, out)
+        if not (len(fw) == a.n and in_group(fw, out_group)):
+            raise ValueError(f"image {fw} is not in {out_group}_{a.n}")
+    return AlgElem._raw(out_group, a.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +598,7 @@ class ClassAlgebra:
 
     def product(self, c1: dict, c2: dict) -> dict:
         """Coordinates of the product of two elements given by coordinates."""
-        cube = self.cube
-        out: dict = {}
-        for l1, a in c1.items():
-            for l2, b in c2.items():
-                if a != 0 and b != 0:
-                    add_multiple(out, a * b, cube[(l1, l2)])
-        return out
+        return bilinear(self.cube, c1, c2)
 
     def table(self, name: str, label_text) -> "StructureTable":
         """Multiplication table on the class sums, read from the cube."""
@@ -747,6 +740,15 @@ def apply_rows(rows: dict, coords: dict) -> dict:
     out: dict = {}
     for lab, c in coords.items():
         add_multiple(out, c, rows[lab])
+    return out
+
+
+def bilinear(cells: dict, x: dict, y: dict) -> dict:
+    """The bilinear map with cells (l1, l2) -> coordinates, on coordinates."""
+    out: dict = {}
+    for l1, a in x.items():
+        for l2, b in y.items():
+            add_multiple(out, a * b, cells[l1, l2])
     return out
 
 

@@ -43,10 +43,16 @@ def _all_masks(ctype: str, n: int) -> tuple:
     return tuple(m for m in range(full + 1) if m | full == full)
 
 
+def descent_element(ctype: str, n: int, coords: dict) -> AlgElem:
+    """The element with the given Y-coordinates, each label checked by GeneratorSet in turn."""
+    for m in coords:
+        GeneratorSet(ctype, n, m)
+    return descent_algebra(ctype, n).element(coords)
+
+
 def y_basis(ctype: str, n: int, J: int) -> AlgElem:
     """Y_J: sum over the descent class of the label mask J."""
-    mask = GeneratorSet(ctype, n, J).mask
-    return descent_algebra(ctype, n).element({mask: 1})
+    return descent_element(ctype, n, {J: 1})
 
 
 def x_basis(ctype: str, n: int, J: int) -> AlgElem:
@@ -76,6 +82,8 @@ def x_to_y_coords(coords: dict) -> dict:
     for jm, c in coords.items():
         if c == 0:
             continue
+        if jm < 0:  # it has no finite set of submasks
+            raise ValueError(f"label mask {jm} is negative")
         sub = jm
         while True:  # iterate submasks of jm
             out[sub] = out.get(sub, 0) + c

@@ -46,7 +46,6 @@ from .maps import (
     node_span,
     phi,
     pi_map,
-    y0_basis,
 )
 from .peak import interior_peak_algebra, peak_algebra
 from .perms import group_elements, popcount
@@ -143,7 +142,7 @@ def y0_number(n: int, j: int) -> AlgElem:
     if not 1 <= j <= n:
         raise ValueError(f"index {j} out of range 1..{n}")
     masks = (m for m in range(0, 1 << n, 2) if popcount(m) == j - 1)
-    return sum((y0_basis(n, m) for m in masks), AlgElem.zero("B", n))
+    return descent_algebra("B", n).element({m | b: 1 for m in masks for b in (0, 1)})
 
 
 def x0_number(n: int, j: int) -> AlgElem:
@@ -232,49 +231,42 @@ def interior_number_coordinates(a: AlgElem) -> list | None:
 def phi_y_number_formula(n: int, j: int) -> AlgElem:
     """Image of y_j under sign forgetting: a positive combination of the
     peak-count sums with binomial coefficients and powers of 4."""
-    out = AlgElem.zero("S", n)
-    for i in range(0, min(j, n - j) + 1):
-        c = (1 << (2 * i)) * _choose(n - 2 * i, j - i)
-        if c:
-            out += peak_number(n, i).scale(c)
-    return out
+    coords = {i: (1 << (2 * i)) * _choose(n - 2 * i, j - i) for i in range(j + 1)}
+    return wp_algebra(n).element(coords)
 
 
 def phi_y0_number_formula(n: int, j: int) -> AlgElem:
-    out = AlgElem.zero("S", n)
-    for i in range(1, min(j, n + 1 - j) + 1):
-        c = (1 << (2 * i - 1)) * _choose(n - 2 * i + 1, j - i)
-        if c:
-            out += interior_peak_number(n, i).scale(c)
-    return out
+    """Image of y0_j: the sum of 2^(2i-1) C(n+1-2i, j-i) p0_i."""
+    coords = {i - 1: (1 << (2 * i - 1)) * _choose(n + 1 - 2 * i, j - i) for i in range(1, j + 1)}
+    return wp_interior_algebra(n).element(coords)
+
+
+def _drop_difference(alg: ClassAlgebra, j: int, what: str) -> AlgElem:
+    """The count sum j less the count sum j - 1, each where it is a label."""
+    if not 0 <= j <= len(alg.labels):
+        raise ValueError(f"{what} {j} out of range 0..{len(alg.labels) - 1}")
+    return alg.element({i: c for i, c in ((j, 1), (j - 1, -1)) if i in alg.labels})
 
 
 def beta_y_number_formula(n: int, j: int) -> AlgElem:
-    """Casework for the degree drop on the descent-count sums."""
-    if j == 0:
-        return y_number(n - 1, 0)
-    if j == n:
-        return -y_number(n - 1, n - 1)
-    return y_number(n - 1, j) - y_number(n - 1, j - 1)
+    """Casework for the degree drop on the descent-count sums: y_j - y_{j-1}
+    one rank down, less the one that is not a label (at j = 0 and j = n)."""
+    return _drop_difference(sol_algebra(n - 1), j, "descent count")
 
 
 def beta_x_number_formula(n: int, j: int) -> AlgElem:
-    if j == n:
-        return AlgElem.zero("B", n - 1)
-    return x_number(n - 1, j)
+    """x_j one rank down (no label of size n there, so 0 at j = n)."""
+    if not 0 <= j <= n:
+        raise ValueError(f"label size {j} out of range 0..{n - 1}")
+    return descent_algebra("B", n - 1).element(x_count_coords(n - 1, j))
 
 
 def pi_peak_number_formula(n: int, j: int) -> AlgElem:
-    """Casework for the projection on the peak-count sums.  The middle
-    case applies for all 0 < j < n//2; at j = 1 it is forced by the
-    definition of the projection even though the boundary is usually
-    stated from j = 2 up."""
-    half = n // 2
-    if j == 0:
-        return peak_number(n - 2, 0)
-    if j == half:
-        return -peak_number(n - 2, half - 1)
-    return peak_number(n - 2, j) - peak_number(n - 2, j - 1)
+    """Casework for the projection on the peak-count sums: p_j - p_{j-1}
+    two ranks down, less the one that is not a label.  The middle case
+    applies for all 0 < j < n//2; at j = 1 it is forced by the definition
+    of the projection even though the boundary is usually stated from j = 2 up."""
+    return _drop_difference(wp_algebra(n - 2), j, "peak count")
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +557,13 @@ def check_type_d_numbers(n: int):
 # non-containment in the descent-count span of type A
 
 
-def loday_witness(kind: str, n_max: int = 6):
+def loday_witness(kind: str):
     """Smallest rank at which the peak-count span (kind 'p') or interior
     span (kind 'pint') escapes the span of the type-A descent-count sums;
-    returns (n, offending label) or None if none found up to n_max.  The
+    returns (n, offending label) or None if none found up to rank 6.  The
     count sums are a coarsening of the type-A descent algebra, so a member
     is one exactly when its type-A coordinates lift."""
-    for n in range(2, n_max + 1):
+    for n in range(2, 7):
         counts = descent_algebra("A", n).coarsen(popcount)
         heads, tails = _count_rows("whp", n)
         for lab, row in heads if kind == "p" else tails:

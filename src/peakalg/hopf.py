@@ -23,6 +23,7 @@ from .algebra import (
     Echelon,
     add_multiple,
     apply_rows,
+    bilinear,
     bin_classes,
     class_images,
     first_unequal,
@@ -38,8 +39,8 @@ from .bases import (
     subset_to_pseudo_comp,
     x_basis,
     x_to_y_coords,
-    y_basis,
 )
+from . import maps
 from .mr import descent_fibres, stilde_basis, t_algebra, t_coords
 from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordinates
 from .perms import (
@@ -407,8 +408,6 @@ def transform_coords(family: str, n: int) -> dict:
     """label -> the transform of the class sum, over the same class sums: the
     left_rows of its image of the unit, or, in FINER, the rows of the finer
     family summed over each fibre, which lie in its span when they lift."""
-    from . import maps
-
     name = TRANSFORMS[family]
     if family in FINER:
         fibres, fine = _fibres(family, n), transform_coords(FINER[family], n)
@@ -419,17 +418,6 @@ def transform_coords(family: str, n: int) -> dict:
     if None in rows.values():
         raise CheckFailure(leaves_span(name, next(b for b, row in rows.items() if row is None)))
     return rows
-
-
-def _shuffle(left: str, right: str, p: int, q: int, x: dict, y: dict) -> dict:
-    """Coordinates of the shuffle product of x (left, degree p) and y
-    (right, degree q)."""
-    table = shuffle_coords(left, right, p, q)
-    out: dict = {}
-    for l1, a in x.items():
-        for l2, b in y.items():
-            add_multiple(out, a * b, table[(l1, l2)])
-    return out
 
 
 def _pair_sums(xs: dict, ys: dict, cells: dict):
@@ -486,35 +474,10 @@ def _tensor_sides(family: str, n: int, rows: list, tensors, copies: int):
 # generators and concatenation masks
 
 
-def x_of_pseudo_mask(p: int, mask: int) -> AlgElem:
-    if p == 0:
-        return AlgElem.unit("B", 0)
-    return x_basis("B", p, mask)
-
-
-def x0_of_mask(q: int, mask: int) -> AlgElem:
-    """X_{{0} u J} in rank q; the empty rank is the unit."""
-    if q == 0:
-        return AlgElem.unit("B", 0)
-    return x_basis("B", q, mask | 1)
-
-
-def xa_of_mask(p: int, mask: int) -> AlgElem:
-    if p == 0:
-        return AlgElem.unit("S", 0)
-    return x_basis("A", p, mask)
-
-
 def concat_mask_ordinary(p: int, m1: int, m2: int) -> int:
     """Label of the concatenated compositions: m1, the cut at p and m2
     shifted by p (at p = 0 the cut is 0, the pseudo-composition bit)."""
     return m1 | (1 << p) | (m2 << p)
-
-
-def _stilde(p: int, alpha) -> AlgElem:
-    if p == 0:
-        return AlgElem.unit("B", 0)
-    return stilde_basis(p, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +492,10 @@ def _check_concat(left: str, right: str, dmax: int, p0: int, concat, witness):
     target = SHUFFLE_TARGETS[(left, right)]
     for p in range(p0, dmax):
         for q in range(1, dmax - p + 1):
-            want = _x_coords(target, p + q)
+            want, table = _x_coords(target, p + q), shuffle_coords(left, right, p, q)
             for l1, x in _x_coords(left, p).items():
                 for l2, y in _x_coords(right, q).items():
-                    if _shuffle(left, right, p, q, x, y) != want[concat(p, l1, l2)]:
+                    if bilinear(table, x, y) != want[concat(p, l1, l2)]:
                         raise CheckFailure(witness(p, q, l1, l2))
 
 
@@ -571,13 +534,20 @@ def check_omega_star(dmax: int):
 
 # the one-part generators in degree i, in check order, each with its
 # witness: X_(i) of type A (the identity class), of type B (empty label),
-# X0_(i) of the canonical ideal, and the S-tilde class sums of (i) and (-i)
+# X0_(i) of the canonical ideal, and the S-tilde class sums of (i) and (-i);
+# in degree 0 each is the unit (x0_generator's own: X0 has no rank-0 label)
 GENERATORS = (
-    (partial(xa_of_mask, mask=0), "type-A generator coproduct fails at degree {m}"),
-    (partial(x_of_pseudo_mask, mask=0), "type-B generator coproduct fails at degree {m}"),
-    (partial(x0_of_mask, mask=0), "ideal generator coproduct fails at degree {m}"),
-    (lambda i: _stilde(i, (i,)), "S-tilde generator coproduct fails at degree {m}, sign 1"),
-    (lambda i: _stilde(i, (-i,)), "S-tilde generator coproduct fails at degree {m}, sign -1"),
+    (partial(x_basis, "A", J=0), "type-A generator coproduct fails at degree {m}"),
+    (partial(x_basis, "B", J=0), "type-B generator coproduct fails at degree {m}"),
+    (maps.x0_generator, "ideal generator coproduct fails at degree {m}"),
+    (
+        lambda i: stilde_basis(i, (i,) if i else ()),
+        "S-tilde generator coproduct fails at degree {m}, sign 1",
+    ),
+    (
+        lambda i: stilde_basis(i, (-i,) if i else ()),
+        "S-tilde generator coproduct fails at degree {m}, sign -1",
+    ),
 )
 
 
@@ -625,7 +595,7 @@ def check_peak_not_closed_witness():
     is a two-term Y sum outside the rank-4 peak span."""
 
     prod = external_product(peak_basis(2, 0b10), peak_basis(2, 0b10))
-    want = y_basis("A", 4, 0b1110) + y_basis("A", 4, 0b1010)
+    want = descent_algebra("A", 4).element({0b1110: 1, 0b1010: 1})
     if prod != want:
         raise CheckFailure("shuffle square of the one-peak class is wrong")
     if peak_coordinates(prod) is not None:
@@ -659,8 +629,6 @@ def check_theta_hopf(dmax: int):
 def check_beta_via_coproduct(dmax: int):
     """The degree drop equals pairing the coproduct's left leg against
     the functional dual to the one-part generator of rank 1."""
-    from .maps import beta_map
-
     # eta((1)) = 1, eta((-1)) = -1, summed over each rank-1 class
     eta = {
         lab: sum(1 if u == byte_word((1,)) else -1 for u in ws)
@@ -668,7 +636,7 @@ def check_beta_via_coproduct(dmax: int):
     }
     for n in range(1, dmax + 1):
         src, dst = descent_algebra("B", n), descent_algebra("B", n - 1)
-        drops = class_images(beta_map, src, dst, "the drop")
+        drops = class_images(maps.beta_map, src, dst, "the drop")
         paired: dict = {}
         for lab, t in coproduct_coords("SolB", n).items():
             row = paired[lab] = {}
@@ -682,7 +650,6 @@ def check_beta_via_coproduct(dmax: int):
 
 def check_module_morphisms(dmax: int):
     """The degree drops are morphisms of right modules over the ideals."""
-    from .maps import beta_map, pi_map
 
     def drop(f, family: str, by: int, what: str):
         """f on coordinates from degree n of family to degree n - by, read
@@ -692,7 +659,8 @@ def check_module_morphisms(dmax: int):
             apply_rows(class_images(f, alg(n), alg(n - by), what), x) if n >= by else {}
         )
 
-    beta, pi = drop(beta_map, "SolB", 1, "the drop"), drop(pi_map, "Peak", 2, "the projection")
+    beta = drop(maps.beta_map, "SolB", 1, "the drop")
+    pi = drop(maps.pi_map, "Peak", 2, "the projection")
 
     xb = {p: _x_coords("SolB", p) for p in range(0, dmax)}
     x0 = {q: _x_coords("I0", q) for q in range(1, dmax + 1)}
@@ -701,17 +669,18 @@ def check_module_morphisms(dmax: int):
             for m1, a in xb[p].items():
                 da = beta(p, a)
                 for m2, m in x0[q].items():
-                    left = beta(p + q, _shuffle("SolB", "I0", p, q, a, m))
-                    right = _shuffle("SolB", "I0", p - 1, q, da, m) if da else {}
+                    left = beta(p + q, bilinear(shuffle_coords("SolB", "I0", p, q), a, m))
+                    right = bilinear(shuffle_coords("SolB", "I0", p - 1, q), da, m) if da else {}
                     if left != right:
                         raise CheckFailure(
                             f"drop is not a module morphism at masks {bin(m1)}, {bin(m2)}"
                         )
             for fm in peak_algebra(p).labels:
                 df = pi(p, {fm: 1})
+                low = shuffle_coords("Peak", "PeakIdeal", p - 2, q) if df else {}
                 for gm in interior_peak_algebra(q).labels:
                     left = pi(p + q, shuffle_coords("Peak", "PeakIdeal", p, q)[(fm, gm)])
-                    right = _shuffle("Peak", "PeakIdeal", p - 2, q, df, {gm: 1}) if df else {}
+                    right = bilinear(low, df, {gm: 1})
                     if left != right:
                         raise CheckFailure(
                             f"projection is not a module morphism at {bin(fm)}, {bin(gm)}"
@@ -755,7 +724,7 @@ def check_free_module(dmax: int):
             first, *rest = subset_to_pseudo_comp(members_of(mask), n)
             prod, degree = {0: 1}, first
             for part in rest:
-                prod = _shuffle("SolB", "I0", degree, part, prod, {0: 1})
+                prod = bilinear(shuffle_coords("SolB", "I0", degree, part), prod, {0: 1})
                 degree += part
             if prod != x:
                 raise CheckFailure(f"monomial product is not X at mask {bin(mask)}")
@@ -783,26 +752,22 @@ def check_shuffle_coefficients(dmax: int):
                     raise CheckFailure(f"shuffle terms collide at {u}, {v}")
 
 
-def _first_difference(a: dict, b: dict):
-    """The first key of a, then of b, whose values differ, or None."""
-    return next((k for k in [*a, *b] if a.get(k) != b.get(k)), None)
-
-
 def check_i0_sola_isomorphism(dmax: int):
     """The canonical ideal and the type-A descent algebra carry the same
     graded structure constants: their class labels coincide, and so do
-    their cached shuffle and coproduct tables, cell by cell."""
+    their cached shuffle and coproduct tables, cell by cell (the witness
+    is the first key, type-A keys first, whose two values differ)."""
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
-            cell = _first_difference(
-                shuffle_coords("SolA", "SolA", p, q), shuffle_coords("I0", "I0", p, q)
-            )
+            a, b = shuffle_coords("SolA", "SolA", p, q), shuffle_coords("I0", "I0", p, q)
+            cell = first_unequal((k, a.get(k), b.get(k)) for k in [*a, *b])
             if cell is not None:
                 raise CheckFailure(
                     f"shuffle constants differ at {bin(cell[0])} * {bin(cell[1])}, "
                     f"p={p}, q={q}"
                 )
     for m in range(1, dmax + 1):
-        lab = _first_difference(coproduct_coords("SolA", m), coproduct_coords("I0", m))
+        a, b = coproduct_coords("SolA", m), coproduct_coords("I0", m)
+        lab = first_unequal((k, a.get(k), b.get(k)) for k in [*a, *b])
         if lab is not None:
             raise CheckFailure(f"coproduct constants differ at degree {m}, label {bin(lab)}")

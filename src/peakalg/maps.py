@@ -31,6 +31,7 @@ from .algebra import (
 from .bases import (
     descent_algebra,
     descent_coordinates,
+    descent_element,
     x_basis,
     x_to_y_coords,
     y_basis,
@@ -104,22 +105,18 @@ inclusion.tally = lambda ws, n: Counter(ws)
 
 def chi_on_y(n: int, jmask: int) -> AlgElem:
     """Image in the type-D descent algebra of the type-B basis element
-    Y_J, by the four-case closed form: the sum of the imchi_basis classes
+    Y_J, by the four-case closed form: the sum of the imchi_row classes
     of J less 0 and 1 picked by which of 0 and 1 lie in J."""
     classes = ((1,), (1, 2), (2, 3), (3,))[jmask & 3]
-    return sum((imchi_basis(n, jmask & ~3, i) for i in classes), AlgElem.zero("D", n))
+    return descent_element("D", n, {m: 1 for i in classes for m in imchi_row(jmask & ~3, i)})
 
 
 def chi_on_x(n: int, jmask: int) -> AlgElem:
+    """The X-form, for J less 0 and 1: X_J, X_{J u 1'} + X_{J u 1} (0 in the
+    label), X_{J u {1',1}} (1 in it), twice that (both)."""
     j = jmask & ~3
-    flags = jmask & 3
-    if flags == 0:
-        return x_basis("D", n, j)
-    if flags == 2:
-        return x_basis("D", n, j | 3)
-    if flags == 1:
-        return x_basis("D", n, j | 1) + x_basis("D", n, j | 2)
-    return x_basis("D", n, j | 3).scale(2)
+    xcoords = ({j: 1}, {j | 1: 1, j | 2: 1}, {j | 3: 1}, {j | 3: 2})[jmask & 3]
+    return descent_element("D", n, x_to_y_coords(xcoords))
 
 
 def _peak_window(alg: ClassAlgebra, window: int, scale=1, per_peak=False, lead=0) -> AlgElem:
@@ -268,9 +265,7 @@ def x0_generator(n: int) -> AlgElem:
 
 def interior_peak_generator(n: int) -> AlgElem:
     """The sum of the permutations that decrease then increase (empty
-    interior peak set)."""
-    if n == 0:
-        return AlgElem.unit("S", 0)
+    interior peak set; the unit in rank 0)."""
     return interior_peak_basis(n, 0)
 
 
@@ -332,7 +327,7 @@ def imchi_row(jmask: int, i: int) -> dict:
 
 def imchi_basis(n: int, jmask: int, i: int) -> AlgElem:
     """The element with the coordinates imchi_row(jmask, i)."""
-    return sum((y_basis("D", n, m) for m in imchi_row(jmask, i)), AlgElem.zero("D", n))
+    return descent_element("D", n, imchi_row(jmask, i))
 
 
 # ---------------------------------------------------------------------------

@@ -354,19 +354,17 @@ def group_order(group: str, n: int) -> int:
     raise ValueError(f"unknown group {group!r}")
 
 
-def _require_cap(group: str, n: int, cap: int | None = None):
+def _require_cap(group: str, n: int):
     """CapExceeded when rank n of group is above its enumeration cap."""
-    if cap is None:
-        cap = enum_cap(group)
-    if n > cap:
+    if n > (cap := enum_cap(group)):
         raise CapExceeded(f"{group}_{n} exceeds enumeration cap {cap}")
 
 
-def iter_group(group: str, n: int, *, cap: int | None = None):
+def iter_group(group: str, n: int):
     """Yield each element exactly once: base permutations in lexicographic
     order, then sign masks in increasing binary order (bit i = bar at
     position i+1)."""
-    _require_cap(group, n, cap)
+    _require_cap(group, n)
     if group == "S":
         yield from itertools.permutations(range(1, n + 1))
         return

@@ -71,6 +71,22 @@ def test_builder_index_ranges():
         graded_builder("nope", 3, 1)
 
 
+@pytest.mark.parametrize(
+    "formula, n, j, message",
+    [
+        (beta_y_number_formula, 3, 4, "descent count 4 out of range 0..2"),
+        (beta_y_number_formula, 3, -1, "descent count -1 out of range 0..2"),
+        (beta_x_number_formula, 3, 4, "label size 4 out of range 0..2"),
+        (beta_x_number_formula, 3, -1, "label size -1 out of range 0..2"),
+        (pi_peak_number_formula, 6, 4, "peak count 4 out of range 0..2"),
+        (pi_peak_number_formula, 6, -1, "peak count -1 out of range 0..2"),
+    ],
+)
+def test_drop_formula_index_ranges(formula, n, j, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        formula(n, j)
+
+
 def test_builder_relations():
     for n in (2, 3, 4, 5):
         check_builder_relations(n)

@@ -35,16 +35,12 @@ from peakalg.hopf import (
     SHUFFLE_TARGETS,
     TRANSFORMS,
     Tensor2,
-    _stilde,
     concat_mask_ordinary,
     coproduct,
     coproduct_coords,
     external_product,
     shuffle_coords,
     transform_coords,
-    x0_of_mask,
-    x_of_pseudo_mask,
-    xa_of_mask,
 )
 from peakalg.mr import signed_compositions, stilde_basis, t_algebra
 from peakalg.peak import (
@@ -69,6 +65,11 @@ from oracles import (
 
 # ---------------------------------------------------------------------------
 # the element-level reference
+
+
+def x0_with_unit(n: int, jmask: int) -> AlgElem:
+    """X_{{0} u J} in rank n, and the unit in rank 0, which has no label 0."""
+    return maps.x0_basis(n, jmask) if n else AlgElem.unit("B", 0)
 
 
 def map_sides(t2: Tensor2, f, g) -> Tensor2:
@@ -163,7 +164,7 @@ def reference_delta_closures(dmax: int):
          in_classes(partial(descent_algebra, "A"))),
         ("type-B", lambda n: [(f"mask {bin(m)}", x_basis("B", n, m)) for m in _all_masks("B", n)],
          in_classes(partial(descent_algebra, "B"))),
-        ("ideal", lambda n: [(f"mask {bin(m)}", x0_of_mask(n, m)) for m in _all_masks("A", n)],
+        ("ideal", lambda n: [(f"mask {bin(m)}", maps.x0_basis(n, m)) for m in _all_masks("A", n)],
          tensor_i0_pair_coords),
         ("MR", lambda n: [(a, stilde_basis(n, a)) for a in signed_compositions(n)],
          in_classes(t_algebra)),
@@ -185,14 +186,18 @@ def reference_theta_hopf(dmax: int):
         for q in range(1, dmax - p + 1):
             for a1 in signed_compositions(p):
                 for a2 in signed_compositions(q):
-                    left = theta_pm(external_product(_stilde(p, a1), _stilde(q, a2)))
-                    right = external_product(theta_pm(_stilde(p, a1)), theta_pm(_stilde(q, a2)))
+                    left = theta_pm(external_product(stilde_basis(p, a1), stilde_basis(q, a2)))
+                    right = external_product(
+                        theta_pm(stilde_basis(p, a1)), theta_pm(stilde_basis(q, a2))
+                    )
                     if left != right:
                         raise CheckFailure(f"type-B transform breaks shuffles at {a1}, {a2}")
             for m1 in _all_masks("A", p):
                 for m2 in _all_masks("A", q):
-                    left = theta(external_product(xa_of_mask(p, m1), xa_of_mask(q, m2)))
-                    right = external_product(theta(xa_of_mask(p, m1)), theta(xa_of_mask(q, m2)))
+                    left = theta(external_product(x_basis("A", p, m1), x_basis("A", q, m2)))
+                    right = external_product(
+                        theta(x_basis("A", p, m1)), theta(x_basis("A", q, m2))
+                    )
                     if left != right:
                         raise CheckFailure(
                             f"transform breaks shuffles at masks {bin(m1)}, {bin(m2)}"
@@ -235,9 +240,9 @@ def reference_module_morphisms(dmax: int):
     for p in range(0, dmax):
         for q in range(1, dmax - p + 1):
             for m1 in _all_masks("B", p):
-                a = x_of_pseudo_mask(p, m1)
+                a = x_basis("B", p, m1)
                 for m2 in _all_masks("A", q):
-                    m = x0_of_mask(q, m2)
+                    m = maps.x0_basis(q, m2)
                     if not same(
                         beta_graded(external_product(a, m)),
                         external_product(beta_graded(a), m),
@@ -273,7 +278,7 @@ def reference_sola_star(dmax: int):
         for q in range(1, dmax - p + 1):
             for m1 in _all_masks("A", p):
                 for m2 in _all_masks("A", q):
-                    got = external_product(xa_of_mask(p, m1), xa_of_mask(q, m2))
+                    got = external_product(x_basis("A", p, m1), x_basis("A", q, m2))
                     want = x_basis("A", p + q, concat_mask_ordinary(p, m1, m2))
                     if got != want:
                         raise CheckFailure(
@@ -286,7 +291,7 @@ def reference_i0_star(dmax: int):
         for q in range(1, dmax - p + 1):
             for m1 in _all_masks("A", p):
                 for m2 in _all_masks("A", q):
-                    got = external_product(x0_of_mask(p, m1), x0_of_mask(q, m2))
+                    got = external_product(maps.x0_basis(p, m1), maps.x0_basis(q, m2))
                     want_mask = (m1 | 1) | (1 << p) | (m2 << p)
                     want = x_basis("B", p + q, want_mask)
                     if got != want:
@@ -300,7 +305,7 @@ def reference_solb_module_star(dmax: int):
         for q in range(1, dmax - p + 1):
             for m1 in _all_masks("B", p):
                 for m2 in _all_masks("A", q):
-                    got = external_product(x_of_pseudo_mask(p, m1), x0_of_mask(q, m2))
+                    got = external_product(x_basis("B", p, m1), maps.x0_basis(q, m2))
                     if p == 0:
                         want_mask = m2 | 1
                     else:
@@ -318,7 +323,7 @@ def reference_omega_star(dmax: int):
         for q in range(1, dmax - p + 1):
             for a1 in signed_compositions(p):
                 for a2 in signed_compositions(q):
-                    got = external_product(_stilde(p, a1), _stilde(q, a2))
+                    got = external_product(stilde_basis(p, a1), stilde_basis(q, a2))
                     want = stilde_basis(p + q, a1 + a2)
                     if got != want:
                         raise CheckFailure(f"S-tilde concat fails at {a1} * {a2}")
@@ -355,9 +360,9 @@ def reference_free_module(dmax: int):
             parts = subset_to_pseudo_comp(
                 [i for i in range(n) if mask >> i & 1], n
             )
-            prod = x_of_pseudo_mask(parts[0], 0)
+            prod = x_basis("B", parts[0], 0)
             for part in parts[1:]:
-                prod = external_product(prod, x0_of_mask(part, 0))
+                prod = external_product(prod, maps.x0_basis(part, 0))
             if prod != x_basis("B", n, mask):
                 raise CheckFailure(f"monomial product is not X at mask {bin(mask)}")
             elems.append(prod)
@@ -371,28 +376,28 @@ def reference_i0_sola_isomorphism(dmax: int):
             for m1 in _all_masks("A", p):
                 for m2 in _all_masks("A", q):
                     want = concat_mask_ordinary(p, m1, m2)
-                    got_a = external_product(xa_of_mask(p, m1), xa_of_mask(q, m2))
+                    got_a = external_product(x_basis("A", p, m1), x_basis("A", q, m2))
                     coords_a = y_to_x_coords(descent_coordinates(got_a, "A"))
-                    got_i = external_product(x0_of_mask(p, m1), x0_of_mask(q, m2))
+                    got_i = external_product(maps.x0_basis(p, m1), maps.x0_basis(q, m2))
                     coords_i = y_to_x_coords(descent_coordinates(got_i, "B"))
                     if coords_a != {want: 1}:
                         raise CheckFailure(f"type-A product constants differ at {bin(want)}")
                     if coords_i != {want | 1: 1}:
                         raise CheckFailure(f"ideal product constants differ at {bin(want)}")
     for m in range(1, dmax + 1):
-        t_a = coproduct(xa_of_mask(m, 0))
-        t_i = coproduct(x0_of_mask(m, 0))
+        t_a = coproduct(x_basis("A", m, 0))
+        t_i = coproduct(maps.x0_basis(m, 0))
         for i in range(m + 1):
             j = m - i
             comp_a = bidegree(t_a, i)
             comp_i = bidegree(t_i, i)
             want_a = {}
-            for u in xa_of_mask(i, 0).terms:
-                for v in xa_of_mask(j, 0).terms:
+            for u in x_basis("A", i, 0).terms:
+                for v in x_basis("A", j, 0).terms:
                     want_a[(u, v)] = 1
             want_i = {}
-            for u in x0_of_mask(i, 0).terms:
-                for v in x0_of_mask(j, 0).terms:
+            for u in x0_with_unit(i, 0).terms:
+                for v in x0_with_unit(j, 0).terms:
                     want_i[(u, v)] = 1
             if comp_a != want_a or comp_i != want_i:
                 raise CheckFailure(
@@ -721,7 +726,7 @@ def test_canonical_ideal_classes_span_the_x0_basis():
         alg = canonical_ideal_algebra(n)
         assert len(alg.labels) == 1 << (n - 1)
         for m in _all_masks("A", n):
-            assert alg.coords(x0_of_mask(n, m)) is not None
+            assert alg.coords(maps.x0_basis(n, m)) is not None
         assert alg.coords(x_basis("B", n, 0)) is None
 
 

@@ -66,6 +66,24 @@ def test_chi_specific_lines():
     assert chi_on_x(4, 0b11 | j) == x_basis_d(4, 0b11 | j).scale(2)
 
 
+@pytest.mark.parametrize(
+    "form, jmask, label",
+    [
+        (chi_on_y, -1, -1),
+        (chi_on_y, -4, -4),
+        (chi_on_y, -3, -4),
+        (chi_on_x, -1, -1),
+        (chi_on_x, -4, -4),
+        (chi_on_x, -3, -3),
+    ],
+)
+def test_chi_forms_name_a_negative_label(form, jmask, label):
+    # the X-form expands its labels into their submasks, which a negative
+    # mask does not have: it must raise, naming its first label
+    with pytest.raises(ValueError, match=f"^label mask {label} is negative$"):
+        form(3, jmask)
+
+
 def x_basis_d(n, m):
     from peakalg.bases import x_basis
 

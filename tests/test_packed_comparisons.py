@@ -17,11 +17,10 @@ from itertools import product
 import pytest
 
 from peakalg import algebra, hopf, maps, mr, perms, verify
-from peakalg.algebra import apply_rows, class_images, first_unequal
+from peakalg.algebra import apply_rows, bilinear, class_images, first_unequal
 from peakalg.bases import descent_algebra
 from peakalg.hopf import (
     FAMILIES,
-    _shuffle,
     _x_coords,
     coproduct_coords,
     shuffle_coords,
@@ -58,11 +57,11 @@ def theta_hopf_groups(dmax: int):
         for q in range(1, dmax - p + 1):
             for family, text in SHUFFLE_TEXTS.items():
                 basis, image = bases[family], images[family]
-                group = []
+                group, table = [], shuffle_coords(family, family, p, q)
                 for k1, k2 in product(basis[p], basis[q]):
-                    prod = _shuffle(family, family, p, q, basis[p][k1], basis[q][k2])
+                    prod = bilinear(table, basis[p][k1], basis[q][k2])
                     left = apply_rows(transform_coords(family, p + q), prod)
-                    right = _shuffle(family, family, p, q, image[p][k1], image[q][k2])
+                    right = bilinear(table, image[p][k1], image[q][k2])
                     group.append(((k1, k2), text(k1, k2), left, right))
                 yield group
     for n in range(1, dmax + 1):
