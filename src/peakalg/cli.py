@@ -107,8 +107,6 @@ def _build_element(args):
         from .maps import x0_basis, y0_basis
 
         gs = GeneratorSet.parse("B", n, args.label or "{}")
-        if gs.mask & 1:
-            raise ValueError("the 0 of the ideal label is implicit")
         return (y0_basis if kind == "Y0" else x0_basis)(n, gs.mask)
     if kind in ("P", "Pint"):
         from .peak import interior_peak_basis, peak_basis

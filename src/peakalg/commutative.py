@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, partial
-from math import comb
+from math import comb, factorial
 
 from .algebra import (
     AlgElem,
     ClassAlgebra,
     Echelon,
     StructureTable,
+    add_multiple,
     apply_rows,
     class_images,
     normalize_coord,
@@ -48,7 +49,7 @@ from .maps import (
     pi_map,
 )
 from .peak import interior_peak_algebra, peak_algebra
-from .perms import group_elements, popcount
+from .perms import popcount
 from .reporting import CheckFailure
 
 
@@ -141,8 +142,7 @@ def y0_number(n: int, j: int) -> AlgElem:
     """Sum of the ideal elements Y_{{0} u J} + Y_J over #J = j-1."""
     if not 1 <= j <= n:
         raise ValueError(f"index {j} out of range 1..{n}")
-    masks = (m for m in range(0, 1 << n, 2) if popcount(m) == j - 1)
-    return descent_algebra("B", n).element({m | b: 1 for m in masks for b in (0, 1)})
+    return descent_algebra("B", n).element(y0_count_coords(n, j))
 
 
 def x0_number(n: int, j: int) -> AlgElem:
@@ -182,22 +182,6 @@ def graded_builder(name: str, n: int, j: int) -> AlgElem:
     except KeyError:
         raise ValueError(f"unknown builder {name!r}") from None
     return builder(n, j)
-
-
-def sol_family(n: int) -> list:
-    return [(f"y_{j}", y_number(n, j)) for j in range(n + 1)]
-
-
-def i0_number_family(n: int) -> list:
-    return [(f"y0_{j}", y0_number(n, j)) for j in range(1, n + 1)]
-
-
-def wp_family(n: int) -> list:
-    return [(f"p_{j}", peak_number(n, j)) for j in range(n // 2 + 1)]
-
-
-def wp_interior_family(n: int) -> list:
-    return [(f"p0_{j}", interior_peak_number(n, j)) for j in range(1, (n + 1) // 2 + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,33 +306,35 @@ def solhat_table(n: int) -> StructureTable:
 
 def check_builder_relations(n: int):
     """The binomial change of spanning sets, the all-group sums, and the
-    rewritten forms of the ideal sums."""
-    for x, y, lo, tag in ((x_number, y_number, 0, ""), (x0_number, y0_number, 1, "0")):
+    rewritten forms of the ideal sums, on fine class coordinates (the
+    class sums have disjoint supports)."""
+    for count, lo, tag in ((sol_algebra(n), 0, ""), (i0_number_algebra(n), 1, "0")):
         for j in range(lo, n + 1):
-            terms = (y(n, i).scale(_choose(n - i, j - i)) for i in range(lo, j + 1))
-            if x(n, j) != sum(terms, AlgElem.zero("B", n)):
+            terms: dict = {}
+            for i in range(lo, j + 1):
+                add_multiple(terms, _choose(n - i, j - i), count.spread({i - lo: 1}))
+            if x_count_coords(n, j, ideal=lo == 1) != terms:
                 raise CheckFailure(f"x{tag}_{j} != binomial sum of y{tag}_i at n={n}")
-    if x_number(n, n) != x0_number(n, n):
+    if x_count_coords(n, n) != x_count_coords(n, n, ideal=True):
         raise CheckFailure(f"x_n != x0_n at n={n}")
-    for family, group, what in (
-        (sol_family(n), "B", "y_j is not the full group sum"),
-        (i0_number_family(n), "B", "y0_j is not the full group sum"),
-        (wp_family(n), "S", "p_j is not the full symmetric group sum"),
-        (wp_interior_family(n), "S", "interior p_j is not the full sum"),
+    for alg, order, what in (
+        (sol_algebra(n), factorial(n) << n, "y_j is not the full group sum"),
+        (i0_number_algebra(n), factorial(n) << n, "y0_j is not the full group sum"),
+        (wp_algebra(n), factorial(n), "p_j is not the full symmetric group sum"),
+        (wp_interior_algebra(n), factorial(n), "interior p_j is not the full sum"),
     ):
-        total = AlgElem.class_sum(group, n, group_elements(group, n))
-        if sum((e for _, e in family), AlgElem.zero(group, n)) != total:
+        if sum(alg.sizes.values()) != order:
             raise CheckFailure(f"sum of {what} at n={n}")
     # rewritten forms: y0_j over #(J \ {0}) = j-1 against the sums of the
     # Y_{{0} u J} + Y_J, interior p_j over #(F \ {1}) = j-1 against the
     # classes of j-1 interior peaks
     for j in range(1, n + 1):
-        if y0_number(n, j) != i0_number_algebra(n).element({j - 1: 1}):
+        if y0_count_coords(n, j) != i0_number_algebra(n).spread({j - 1: 1}):
             raise CheckFailure(f"y0_{j} rewritten form fails at n={n}")
     interior = interior_peak_algebra(n)
     for j in range(1, (n + 1) // 2 + 1):
-        direct = interior.element({m: 1 for m in interior.labels if popcount(m) == j - 1})
-        if interior_peak_number(n, j) != direct:
+        direct = interior.spread({m: 1 for m in interior.labels if popcount(m) == j - 1})
+        if peak_algebra(n).spread(wp_interior_algebra(n).spread({j - 1: 1})) != direct:
             raise CheckFailure(f"interior p_{j} rewritten form fails at n={n}")
 
 
@@ -357,6 +343,13 @@ def x_count_coords(n: int, j: int, ideal: bool = False) -> dict:
     of size j, or, with ideal, of x0_j, the same over those containing 0."""
     labels = (m for m in range(1 << n) if popcount(m) == j and (m & 1 or not ideal))
     return x_to_y_coords(dict.fromkeys(labels, 1))
+
+
+def y0_count_coords(n: int, j: int) -> dict:
+    """Type-B class coordinates of y0_j: the labels J and J u {0} over the
+    J of size j - 1 that avoid 0."""
+    masks = (m for m in range(0, 1 << n, 2) if popcount(m) == j - 1)
+    return {m | b: 1 for m in masks for b in (0, 1)}
 
 
 def check_phi_number_forms(n: int):
@@ -403,8 +396,11 @@ def check_beta_number_forms(n: int):
 
 
 def check_pi_number_forms(n: int):
-    for j in range(n // 2 + 1):
-        if pi_map(peak_number(n, j)) != pi_peak_number_formula(n, j):
+    """The projection on the peak-count sums matches the casework."""
+    wp, low = wp_algebra(n), peak_algebra(n - 2)
+    rows = class_images(pi_map, wp.parent, low, "the projection")
+    for j in wp.labels:
+        if apply_rows(rows, wp.spread({j: 1})) != low.coords(pi_peak_number_formula(n, j)):
             raise CheckFailure(f"pi(p_{j}) casework fails at n={n}")
 
 

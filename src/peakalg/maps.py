@@ -34,7 +34,6 @@ from .bases import (
     descent_element,
     x_basis,
     x_to_y_coords,
-    y_basis,
     y_to_x_coords,
 )
 from .peak import interior_peak_algebra, interior_peak_basis, peak_algebra, pi_map
@@ -142,19 +141,25 @@ def phi_on_x(n: int, jmask: int) -> AlgElem:
     return _peak_window(peak_algebra(n), jmask | (jmask << 1), 1 << popcount(jmask))
 
 
+def _ideal_label(jmask: int) -> int:
+    """The label J of an ideal form (X0, Y0 or their phi images), which
+    must avoid 0: the 0 is implicit."""
+    if jmask & 1:
+        raise ValueError("label J must avoid 0; the 0 is implicit")
+    return jmask
+
+
 def phi_on_x0(n: int, jmask: int) -> AlgElem:
     """Image of X_{{0} u J}, J inside [n-1]: lands in the interior-peak
     ideal with a global factor 2^{1+#J}.  The transform theta sends the
     type-A X_J to this same sum."""
-    if jmask & 1:
-        raise ValueError("label J must avoid 0; the 0 is implicit")
+    _ideal_label(jmask)
     return _peak_window(interior_peak_algebra(n), jmask | (jmask << 1), 2 << popcount(jmask))
 
 
 def phi_on_y0(n: int, jmask: int) -> AlgElem:
     """Image of Y_{{0} u J} + Y_J, J inside [n-1]."""
-    if jmask & 1:
-        raise ValueError("label J must avoid 0; the 0 is implicit")
+    _ideal_label(jmask)
     return _peak_window(interior_peak_algebra(n), jmask ^ (jmask << 1), 2, per_peak=True)
 
 
@@ -298,11 +303,13 @@ def canonical_ideal_labels(n: int) -> list:
 
 
 def x0_basis(n: int, jmask: int) -> AlgElem:
-    return x_basis("B", n, jmask | 1)
+    """X_{{0} u J}."""
+    return x_basis("B", n, _ideal_label(jmask) | 1)
 
 
 def y0_basis(n: int, jmask: int) -> AlgElem:
-    return y_basis("B", n, jmask | 1) + y_basis("B", n, jmask)
+    """Y_{{0} u J} + Y_J."""
+    return descent_element("B", n, {_ideal_label(jmask) | 1: 1, jmask: 1})
 
 
 def canonical_ideal_basis(n: int) -> list:

@@ -346,7 +346,7 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
     from . import maps
     from .algebra import apply_rows, class_images
     from .bases import descent_algebra, x_to_y_coords
-    from .peak import peak_algebra
+    from .peak import interior_peak_algebra, peak_algebra
 
     checks = []
     element_ranks = _ranks(1, n_max, ELEMENT_CAP)
@@ -389,7 +389,7 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
         # the increasing class sum is X_{{0}}
         target = peak_algebra(n)
         rows = class_images(maps.phi, descent_algebra("B", n), target, "sign forgetting")
-        want = target.coords(maps.interior_peak_generator(n).scale(2))
+        want = target.lift(interior_peak_algebra(n).spread({0: 2}))
         if apply_rows(rows, x_to_y_coords({1: 1})) != want:
             raise CheckFailure(f"increasing-class image wrong at n={n}")
 

@@ -6,6 +6,10 @@ signed permutations: position i of the moved word reads letter number
 increasing-class sum of rank n acts as an n-fold symmetrizer, and the
 empty-interior-peak class sum acts as a left-nested Jordan bracket; the
 shuffle product of operators corresponds to convolution.
+
+A combination of words is a dict word -> coefficient, summed with
+add_multiple, which drops the coefficients that cancel: two combinations
+are equal exactly when their dicts are.
 """
 
 from __future__ import annotations
@@ -43,60 +47,6 @@ class Alphabet:
         return all(self.bar(x) == x for x in self.letters)
 
 
-class TensorElem:
-    """Finitely supported rational combination of words of one length."""
-
-    __slots__ = ("length", "terms")
-
-    def __init__(self, length: int, terms=None):
-        self.length = length
-        self.terms = {}
-        for word, c in dict(terms or {}).items():
-            if c == 0:
-                continue
-            word = tuple(word)
-            if len(word) != length:
-                raise ValueError(f"word {word} has length {len(word)} != {length}")
-            self.terms[word] = c
-
-    @classmethod
-    def word(cls, letters) -> "TensorElem":
-        letters = tuple(letters)
-        return cls(len(letters), {letters: 1})
-
-    def __add__(self, other: "TensorElem") -> "TensorElem":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        out = dict(self.terms)
-        add_multiple(out, 1, other.terms)
-        return TensorElem(self.length, out)
-
-    def scale(self, c) -> "TensorElem":
-        return TensorElem(self.length, {w: c * x for w, x in self.terms.items()})
-
-    def concat(self, other: "TensorElem") -> "TensorElem":
-        out: dict = {}  # the constructor drops the coefficients that cancel
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                key = w1 + w2
-                out[key] = out.get(key, 0) + c1 * c2
-        return TensorElem(self.length + other.length, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElem)
-            and self.length == other.length
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self):
-        bits = [f"{c}*{''.join(map(str, w))}" for w, c in sorted(self.terms.items())]
-        return "TensorElem(" + " + ".join(bits) + ")" if bits else "TensorElem(0)"
-
-
 def act_word(word: tuple, w: Perm, alphabet: Alphabet) -> tuple:
     """Position i reads letter |w_i|, barred entries apply the bar map."""
     if len(word) != len(w):
@@ -106,49 +56,60 @@ def act_word(word: tuple, w: Perm, alphabet: Alphabet) -> tuple:
     )
 
 
-def act(t: TensorElem, x, alphabet: Alphabet) -> TensorElem:
+def concat(s: dict, t: dict) -> dict:
+    """The product st in the tensor algebra: each word of s followed by
+    each word of t."""
+    out: dict = {}
+    for w1, c1 in s.items():
+        for w2, c2 in t.items():
+            add_multiple(out, c1 * c2, {w1 + w2: 1})
+    return out
+
+
+def act(t: dict, x, alphabet: Alphabet) -> dict:
     """Right action of a permutation or a group-algebra element, summed
     into one dict over the terms of the element."""
     moved: dict = {}
     for w, c in (x.terms if isinstance(x, AlgElem) else {tuple(x): 1}).items():
-        for word, cw in t.terms.items():
-            key = act_word(word, w, alphabet)
-            moved[key] = moved.get(key, 0) + cw * c
-    return TensorElem(t.length, moved)
+        for word, cw in t.items():
+            add_multiple(moved, cw * c, {act_word(word, w, alphabet): 1})
+    return moved
 
 
-def symmetrizer(t: TensorElem, alphabet: Alphabet) -> TensorElem:
+def symmetrizer(t: dict, alphabet: Alphabet) -> dict:
     """Word plus its barred reversal (the action of the two-element sum
     12...n + barred n...21)."""
     out: dict = {}
-    for word, c in t.terms.items():
+    for word, c in t.items():
         for key in (word, tuple(alphabet.bar(x) for x in reversed(word))):
-            out[key] = out.get(key, 0) + c
-    return TensorElem(t.length, out)
+            add_multiple(out, c, {key: 1})
+    return out
 
 
-def jordan_bracket(s: TensorElem, t: TensorElem) -> TensorElem:
+def jordan_bracket(s: dict, t: dict) -> dict:
     """st + ts in the tensor algebra."""
-    return s.concat(t) + t.concat(s)
+    out = concat(s, t)
+    add_multiple(out, 1, concat(t, s))
+    return out
 
 
-def nested_symmetrizer(word: tuple, alphabet: Alphabet) -> TensorElem:
+def nested_symmetrizer(word: tuple, alphabet: Alphabet) -> dict:
     """tau(...tau(tau(y_1) y_2) ... y_n)."""
-    out = symmetrizer(TensorElem.word(word[:1]), alphabet)
+    out = symmetrizer({word[:1]: 1}, alphabet)
     for letter in word[1:]:
-        out = symmetrizer(out.concat(TensorElem.word((letter,))), alphabet)
+        out = symmetrizer(concat(out, {(letter,): 1}), alphabet)
     return out
 
 
-def nested_bracket(word: tuple) -> TensorElem:
+def nested_bracket(word: tuple) -> dict:
     """[...[[x_1, x_2], x_3], ..., x_n]."""
-    out = TensorElem.word(word[:1])
+    out = {word[:1]: 1}
     for letter in word[1:]:
-        out = jordan_bracket(out, TensorElem.word((letter,)))
+        out = jordan_bracket(out, {(letter,): 1})
     return out
 
 
-def convolve_actions(u: Perm, v: Perm, word: tuple, alphabet: Alphabet) -> TensorElem:
+def convolve_actions(u: Perm, v: Perm, word: tuple, alphabet: Alphabet) -> dict:
     """Convolution of the endomorphisms attached to u and v, evaluated on
     a word: split the positions all ways, act separately, concatenate."""
     n = len(word)
@@ -161,7 +122,7 @@ def convolve_actions(u: Perm, v: Perm, word: tuple, alphabet: Alphabet) -> Tenso
         left = act_word(tuple(word[i] for i in chosen), u, alphabet)
         key = left + act_word(tuple(word[i] for i in rest), v, alphabet)
         out[key] = out.get(key, 0) + 1
-    return TensorElem(n, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +141,7 @@ def check_right_action(n: int, alphabet: Alphabet):
     for u in group:
         row = moved_by[u] = {}
         for word in words:
-            moved = act(TensorElem.word(word), u, alphabet).terms
+            moved = act({word: 1}, u, alphabet)
             if list(moved.values()) != [1]:
                 raise CheckFailure(f"{word} . {u} is not one word: {moved}")
             (row[word],) = moved
@@ -200,7 +161,7 @@ def check_action_algebra_morphism(n: int, alphabet: Alphabet):
     the actions, on a spanning family."""
     from .bases import y_label_elements
 
-    words = [TensorElem.word(w) for w in alphabet.words(n)]
+    words = [{w: 1} for w in alphabet.words(n)]
     elems = [e for _, e in y_label_elements("B", n)]
     for a in elems:
         for b in elems:
@@ -216,8 +177,7 @@ def check_symmetrizer_identity(n: int, alphabet: Alphabet):
 
     gen = x0_generator(n)
     for word in alphabet.words(n):
-        t = TensorElem.word(word)
-        if act(t, gen, alphabet) != nested_symmetrizer(word, alphabet):
+        if act({word: 1}, gen, alphabet) != nested_symmetrizer(word, alphabet):
             raise CheckFailure(f"symmetrizer identity fails at {word}")
 
 
@@ -231,11 +191,10 @@ def check_bracket_identity(n: int, alphabet: Alphabet):
         raise ValueError("the bracket identity needs a trivial involution")
     gen = interior_peak_generator(n)
     for word in alphabet.words(n):
-        t = TensorElem.word(word)
         bracket = nested_bracket(word)
-        if act(t, gen, alphabet) != bracket:
+        if act({word: 1}, gen, alphabet) != bracket:
             raise CheckFailure(f"bracket identity fails at {word}")
-        if nested_symmetrizer(word, alphabet) != bracket.scale(2):
+        if nested_symmetrizer(word, alphabet) != {w: 2 * c for w, c in bracket.items()}:
             raise CheckFailure(f"symmetrizer != 2 * bracket at {word}")
 
 
@@ -254,6 +213,5 @@ def check_convolution(p: int, q: int, alphabet: Alphabet):
                 AlgElem.monomial("B", p, u), AlgElem.monomial("B", q, v)
             )
             for word in words:
-                t = TensorElem.word(word)
-                if act(t, star, alphabet) != convolve_actions(u, v, word, alphabet):
+                if act({word: 1}, star, alphabet) != convolve_actions(u, v, word, alphabet):
                     raise CheckFailure(f"convolution fails at {u}, {v}, {word}")

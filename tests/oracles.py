@@ -13,8 +13,20 @@ from functools import lru_cache
 
 from peakalg.algebra import AlgElem, ClassAlgebra, bin_classes
 from peakalg.bases import descent_algebra, descent_coordinates
+from peakalg.commutative import (
+    _choose,
+    i0_number_algebra,
+    interior_peak_number,
+    peak_number,
+    x0_number,
+    x_number,
+    y0_number,
+    y_number,
+)
 from peakalg.hopf import FAMILIES, SHUFFLE_TARGETS, external_product
-from peakalg.perms import compose, popcount
+from peakalg.peak import interior_peak_algebra
+from peakalg.perms import compose, group_elements, popcount
+from peakalg.reporting import CheckFailure
 
 
 def members(alg: ClassAlgebra) -> dict:
@@ -142,6 +154,58 @@ def a_descent_number(n: int, j: int):
     """Sum of the unsigned permutations with j type-A descents."""
     alg = descent_algebra("A", n)
     return alg.element({m: 1 for m in alg.labels if popcount(m) == j})
+
+
+# ---------------------------------------------------------------------------
+# the graded builders, element by element
+
+
+def sol_family(n: int) -> list:
+    return [(f"y_{j}", y_number(n, j)) for j in range(n + 1)]
+
+
+def i0_number_family(n: int) -> list:
+    return [(f"y0_{j}", y0_number(n, j)) for j in range(1, n + 1)]
+
+
+def wp_family(n: int) -> list:
+    return [(f"p_{j}", peak_number(n, j)) for j in range(n // 2 + 1)]
+
+
+def wp_interior_family(n: int) -> list:
+    return [(f"p0_{j}", interior_peak_number(n, j)) for j in range(1, (n + 1) // 2 + 1)]
+
+
+def reference_builder_relations(n: int):
+    """The binomial change of spanning sets, the all-group sums, and the
+    rewritten forms of the ideal sums, on the builders' elements."""
+    for x, y, lo, tag in ((x_number, y_number, 0, ""), (x0_number, y0_number, 1, "0")):
+        for j in range(lo, n + 1):
+            terms = (y(n, i).scale(_choose(n - i, j - i)) for i in range(lo, j + 1))
+            if x(n, j) != sum(terms, AlgElem.zero("B", n)):
+                raise CheckFailure(f"x{tag}_{j} != binomial sum of y{tag}_i at n={n}")
+    if x_number(n, n) != x0_number(n, n):
+        raise CheckFailure(f"x_n != x0_n at n={n}")
+    for family, group, what in (
+        (sol_family(n), "B", "y_j is not the full group sum"),
+        (i0_number_family(n), "B", "y0_j is not the full group sum"),
+        (wp_family(n), "S", "p_j is not the full symmetric group sum"),
+        (wp_interior_family(n), "S", "interior p_j is not the full sum"),
+    ):
+        total = AlgElem.class_sum(group, n, group_elements(group, n))
+        if sum((e for _, e in family), AlgElem.zero(group, n)) != total:
+            raise CheckFailure(f"sum of {what} at n={n}")
+    # rewritten forms: y0_j over #(J \ {0}) = j-1 against the sums of the
+    # Y_{{0} u J} + Y_J, interior p_j over #(F \ {1}) = j-1 against the
+    # classes of j-1 interior peaks
+    for j in range(1, n + 1):
+        if y0_number(n, j) != i0_number_algebra(n).element({j - 1: 1}):
+            raise CheckFailure(f"y0_{j} rewritten form fails at n={n}")
+    interior = interior_peak_algebra(n)
+    for j in range(1, (n + 1) // 2 + 1):
+        direct = interior.element({m: 1 for m in interior.labels if popcount(m) == j - 1})
+        if interior_peak_number(n, j) != direct:
+            raise CheckFailure(f"interior p_{j} rewritten form fails at n={n}")
 
 
 def bidegree(t2, p: int) -> dict:

@@ -52,6 +52,14 @@ def test_bad_label_token_is_named(argv, message, capsys):
     assert "invalid literal" not in err
 
 
+@pytest.mark.parametrize("kind", ["Y0", "X0"])
+def test_an_ideal_label_holding_0_exits_2(kind, capsys):
+    assert main(["export", kind, "--n", "3", "--label", "{0}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "label J must avoid 0; the 0 is implicit" in captured.err
+
+
 def test_good_labels_still_parse(capsys):
     assert main(["export", "Pint", "--n", "4", "--label", "{ 3 }"]) == 0
     assert main(["export", "Y", "--group", "D", "--n", "3", "--label", "{1',2}"]) == 0

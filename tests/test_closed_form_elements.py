@@ -2,10 +2,11 @@
 
 The closed forms (*_on_* and *_formula), the builders (*_number and
 imchi_basis) and the entries of hopf.GENERATORS build a combination of
-class sums by one ClassAlgebra.element call on its coordinates.  This test
-reads the source of maps.py, commutative.py and hopf.py for the other way
-to build one, on elements: AlgElem.zero, .scale, and +, - or unary - applied
-to calls.  check_builder_relations compares elements and is not read.
+class sums by one ClassAlgebra.element call on its coordinates, and
+check_builder_relations and check_pi_number_forms compare coordinates.
+This test reads the source of maps.py, commutative.py and hopf.py for the
+other way to build one, on elements: AlgElem.zero, .scale, and +, - or
+unary - applied to calls.
 """
 
 import ast
@@ -14,7 +15,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "peakalg"
 
-BUILDERS = re.compile(r"[a-z0-9]+_on_[a-z0-9]+|[a-z0-9_]+_formula|[a-z0-9_]+_number|imchi_basis")
+BUILDERS = re.compile(
+    r"[a-z0-9]+_on_[a-z0-9]+|[a-z0-9_]+_formula|[a-z0-9_]+_number|imchi_basis"
+    r"|check_builder_relations|check_pi_number_forms"
+)
 
 
 def _is_element_sum(node) -> bool:
@@ -62,7 +66,8 @@ def test_the_builders_are_found():
     assert {"chi_on_y", "chi_on_x", "imchi_basis", "phi_on_y0"} <= set(_builders("maps.py"))
     found = set(_builders("commutative.py"))
     assert {"y0_number", "phi_y_number_formula", "pi_peak_number_formula"} <= found
-    assert "check_ker_beta2_on_sol" not in found and "check_builder_relations" not in found
+    assert {"check_builder_relations", "check_pi_number_forms"} <= found
+    assert "check_ker_beta2_on_sol" not in found
     assert set(_builders("hopf.py")) == {"GENERATORS"}
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from peakalg import commutative, verify
 from peakalg.algebra import AlgElem, ClassAlgebra, span_rank
-from peakalg.bases import descent_algebra
+from peakalg.bases import descent_algebra, x_to_y_coords
 from peakalg.commutative import (
     TWINS,
     Twin,
@@ -42,7 +42,7 @@ from peakalg.peak import peak_algebra
 from peakalg.perms import group_elements, identity, popcount
 from peakalg.reporting import CheckFailure
 
-from oracles import a_descent_number
+from oracles import a_descent_number, reference_builder_relations
 
 
 def test_builder_examples():
@@ -90,6 +90,38 @@ def test_drop_formula_index_ranges(formula, n, j, message):
 def test_builder_relations():
     for n in (2, 3, 4, 5):
         check_builder_relations(n)
+
+
+def test_builder_relations_match_the_element_reference():
+    for n in (2, 3, 4, 5):
+        check_builder_relations(n)
+        reference_builder_relations(n)
+
+
+def x_count_coords_dropping_a_label(n, j, ideal=False):
+    """x_count_coords without its last label of size j."""
+    labels = [m for m in range(1 << n) if popcount(m) == j and (m & 1 or not ideal)]
+    return x_to_y_coords(dict.fromkeys(labels[:-1], 1))
+
+
+def sol_algebra_off_by_one(n):
+    """The descent-count sums with the class of J = {0} counted in y_2."""
+    return descent_algebra("B", n).coarsen(lambda m: popcount(m) + (m == 1))
+
+
+@pytest.mark.parametrize(
+    "name, mutant, witness",
+    [
+        ("x_count_coords", x_count_coords_dropping_a_label, "x_0 != binomial sum of y_i at n=3"),
+        ("sol_algebra", sol_algebra_off_by_one, "x_1 != binomial sum of y_i at n=3"),
+    ],
+    ids=["x-count-drops-a-label", "count-class-off-by-one"],
+)
+def test_builder_relation_mutants_fail_both_forms(monkeypatch, name, mutant, witness):
+    monkeypatch.setattr(commutative, name, mutant)
+    for check in (check_builder_relations, reference_builder_relations):
+        with pytest.raises(CheckFailure, match=f"^{witness}$"):
+            check(3)
 
 
 def test_phi_restriction_formulas():

@@ -20,9 +20,7 @@ from peakalg.commutative import (
     peak_number,
     sbexact_diagram,
     sol_algebra,
-    sol_family,
     wp_algebra,
-    wp_family,
     x_number,
 )
 from peakalg.maps import (
@@ -40,7 +38,7 @@ from peakalg.peak import (
 )
 from peakalg.reporting import CheckFailure, run_check
 
-from oracles import Echelon
+from oracles import Echelon, sol_family, wp_family
 
 # ---------------------------------------------------------------------------
 # the element-level reference

@@ -84,6 +84,18 @@ def test_chi_forms_name_a_negative_label(form, jmask, label):
         form(3, jmask)
 
 
+@pytest.mark.parametrize("form", [x0_basis, y0_basis, phi_on_x0, phi_on_y0])
+def test_ideal_forms_reject_a_label_holding_0(form):
+    # the 0 of an ideal label is implicit: J = {0,1} is not read as {1}
+    with pytest.raises(ValueError, match="^label J must avoid 0; the 0 is implicit$"):
+        form(3, 0b11)
+
+
+def test_y0_basis_is_the_two_descent_classes():
+    for m in range(0, 8, 2):
+        assert y0_basis(3, m) == y_basis("B", 3, m | 1) + y_basis("B", 3, m)
+
+
 def x_basis_d(n, m):
     from peakalg.bases import x_basis
 

@@ -51,11 +51,11 @@ def test_a_product_outside_the_group_fails_associativity(monkeypatch, wrong):
 
 
 def patch_act(monkeypatch, wrong):
-    """act, but moving WORD0 by U0 to the tensor element wrong."""
+    """act, but moving WORD0 by U0 to the combination wrong."""
     real = words.act
 
     def act(t, x, alphabet):
-        if t == words.TensorElem.word(WORD0) and tuple(x) == U0:
+        if t == {WORD0: 1} and tuple(x) == U0:
             return wrong
         return real(t, x, alphabet)
 
@@ -63,10 +63,8 @@ def patch_act(monkeypatch, wrong):
 
 
 def test_a_wrong_action_fails_the_right_action_law(monkeypatch):
-    right = words.act(words.TensorElem.word(WORD0), U0, AB)
-    wrong = next(
-        words.TensorElem.word(w) for w in AB.words(3) if words.TensorElem.word(w) != right
-    )
+    right = words.act({WORD0: 1}, U0, AB)
+    wrong = next({w: 1} for w in AB.words(3) if {w: 1} != right)
     patch_act(monkeypatch, wrong)
     assert failure(lambda: words.check_right_action(3, AB)).startswith("right action law fails")
 
@@ -74,9 +72,9 @@ def test_a_wrong_action_fails_the_right_action_law(monkeypatch):
 @pytest.mark.parametrize(
     "wrong",
     [
-        words.TensorElem(3, {("a", "b", "c"): 1, ("c", "b", "a"): 1}),  # two words
-        words.TensorElem(3, {("a", "b", "c"): 2}),  # one word, coefficient 2
-        words.TensorElem(3, {}),  # no word
+        {("a", "b", "c"): 1, ("c", "b", "a"): 1},  # two words
+        {("a", "b", "c"): 2},  # one word, coefficient 2
+        {},  # no word
     ],
 )
 def test_an_action_that_is_not_one_word_fails(monkeypatch, wrong):
