@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -31,6 +30,7 @@ from math import gcd, lcm, prod
 
 from .perms import (
     GROUPS,
+    Frozen,
     Perm,
     byte_decoder,
     byte_products,
@@ -235,13 +235,14 @@ def push_forward(f, a: AlgElem, *, group: str | None = None) -> AlgElem:
 # spans
 
 
-@dataclass(frozen=True)
-class CoordVector:
+class CoordVector(Frozen):
     """Exact coordinates of a vector against an ordered list of basis
     labels (one Fraction-compatible number per label)."""
 
-    labels: tuple
-    coords: tuple
+    __slots__ = ("labels", "coords")
+
+    def __init__(self, labels: tuple, coords: tuple):
+        self._set(labels, coords)
 
     def __iter__(self):
         return iter(self.coords)
@@ -771,15 +772,15 @@ def normalize_coord(c):
     return int(frac) if frac.denominator == 1 else frac
 
 
-@dataclass
 class StructureTable:
     """Multiplication table of a finite-dimensional algebra on an ordered
-    spanning set: cell (i, j) holds the coordinates of basis_i * basis_j."""
+    spanning set: cells[i][j] holds the coordinates (ints or Fractions) of
+    basis_i * basis_j; blocks optionally partitions the labels for display."""
 
-    name: str
-    labels: list
-    cells: list  # cells[i][j] = tuple of int or Fraction coordinates, same order as labels
-    blocks: tuple = field(default=())  # optional display partition of labels
+    __slots__ = ("name", "labels", "cells", "blocks")
+
+    def __init__(self, name: str, labels: list, cells: list, blocks: tuple = ()):
+        self.name, self.labels, self.cells, self.blocks = name, labels, cells, blocks
 
     def cell(self, i: int, j: int) -> tuple:
         return self.cells[i][j]

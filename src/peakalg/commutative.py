@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb
 
 from .algebra import (
     AlgElem,
@@ -35,19 +35,6 @@ from .algebra import (
     normalize_coord,
 )
 from .bases import descent_algebra, x_to_y_coords
-from .maps import (
-    DiagramSpec,
-    Node,
-    beta2_map,
-    beta_map,
-    chi,
-    coarse_node,
-    exact_square,
-    landed,
-    node_span,
-    phi,
-    pi_map,
-)
 from .peak import interior_peak_algebra, peak_algebra
 from .perms import popcount
 from .reporting import CheckFailure
@@ -305,9 +292,9 @@ def solhat_table(n: int) -> StructureTable:
 
 
 def check_builder_relations(n: int):
-    """The binomial change of spanning sets, the all-group sums, and the
-    rewritten forms of the ideal sums, on fine class coordinates (the
-    class sums have disjoint supports)."""
+    """The binomial change of spanning sets, each count sum as the union of
+    the classes of its count, and the rewritten forms of the ideal sums, on
+    fine class coordinates (the class sums have disjoint supports)."""
     for count, lo, tag in ((sol_algebra(n), 0, ""), (i0_number_algebra(n), 1, "0")):
         for j in range(lo, n + 1):
             terms: dict = {}
@@ -317,14 +304,20 @@ def check_builder_relations(n: int):
                 raise CheckFailure(f"x{tag}_{j} != binomial sum of y{tag}_i at n={n}")
     if x_count_coords(n, n) != x_count_coords(n, n, ideal=True):
         raise CheckFailure(f"x_n != x0_n at n={n}")
-    for alg, order, what in (
-        (sol_algebra(n), factorial(n) << n, "y_j is not the full group sum"),
-        (i0_number_algebra(n), factorial(n) << n, "y0_j is not the full group sum"),
-        (wp_algebra(n), factorial(n), "p_j is not the full symmetric group sum"),
-        (wp_interior_algebra(n), factorial(n), "interior p_j is not the full sum"),
+    # each count sum is the union of the classes of its count: the fibre of
+    # count label j holds exactly the fine labels with j members outside drop
+    solb, peaks = descent_algebra("B", n), peak_algebra(n)
+    for alg, fine, drop, what in (
+        (sol_algebra(n), solb, 0, "y_j is not the sum of the classes of j descents"),
+        (i0_number_algebra(n), solb, 1, "y0_j is not the sum over j-1 descents besides 0"),
+        (wp_algebra(n), peaks, 0, "p_j is not the sum of the classes of j peaks"),
+        (wp_interior_algebra(n), peaks, 2, "interior p_j is not the sum over j-1 peaks besides 1"),
     ):
-        if sum(alg.sizes.values()) != order:
-            raise CheckFailure(f"sum of {what} at n={n}")
+        fibres: dict = {}
+        for lab in fine.labels:
+            fibres.setdefault(popcount(lab & ~drop), set()).add(lab)
+        if {g: set(ls) for g, ls in alg.fibres.items()} != fibres:
+            raise CheckFailure(f"{what} at n={n}")
     # rewritten forms: y0_j over #(J \ {0}) = j-1 against the sums of the
     # Y_{{0} u J} + Y_J, interior p_j over #(F \ {1}) = j-1 against the
     # classes of j-1 interior peaks
@@ -334,7 +327,7 @@ def check_builder_relations(n: int):
     interior = interior_peak_algebra(n)
     for j in range(1, (n + 1) // 2 + 1):
         direct = interior.spread({m: 1 for m in interior.labels if popcount(m) == j - 1})
-        if peak_algebra(n).spread(wp_interior_algebra(n).spread({j - 1: 1})) != direct:
+        if peaks.spread(wp_interior_algebra(n).spread({j - 1: 1})) != direct:
             raise CheckFailure(f"interior p_{j} rewritten form fails at n={n}")
 
 
@@ -355,6 +348,7 @@ def y0_count_coords(n: int, j: int) -> dict:
 def check_phi_number_forms(n: int):
     """Sign forgetting on the graded sums matches the closed forms, is
     palindromic, and sends the all-group sums to the stated multiples."""
+    from .maps import phi  # late import: the tables and builders need no maps
     sol, target = sol_algebra(n), peak_algebra(n)
     rows = class_images(phi, sol.parent, target, "sign forgetting")
     forms = {j: target.coords(phi_y_number_formula(n, j)) for j in sol.labels}
@@ -381,6 +375,7 @@ def check_phi_number_forms(n: int):
 def check_beta_number_forms(n: int):
     """The degree drop on the graded sums matches the casework; on the
     descent-count span it has rank n, its kernel spanned by x_n."""
+    from .maps import Node, beta_map, coarse_node, landed
     sol, low = sol_algebra(n), descent_algebra("B", n - 1)
     rows = class_images(beta_map, sol.parent, low, "beta")
     for j in sol.labels:
@@ -397,6 +392,7 @@ def check_beta_number_forms(n: int):
 
 def check_pi_number_forms(n: int):
     """The projection on the peak-count sums matches the casework."""
+    from .maps import pi_map
     wp, low = wp_algebra(n), peak_algebra(n - 2)
     rows = class_images(pi_map, wp.parent, low, "the projection")
     for j in wp.labels:
@@ -407,6 +403,7 @@ def check_pi_number_forms(n: int):
 def check_ker_beta2_on_sol(n: int):
     """ker of the double drop inside the descent-count span is exactly
     the span of x_n and x_{n-1}."""
+    from .maps import Node, beta2_map, coarse_node, landed, node_span
     sol, low = sol_algebra(n), descent_algebra("B", n - 2)
     rows = class_images(beta2_map, sol.parent, low, "beta^2")
     kernel = Node("K", sol.parent, [(f"x_{j}", x_count_coords(n, j)) for j in (n, n - 1)])
@@ -421,6 +418,7 @@ def check_ker_beta2_on_sol(n: int):
 def check_graded_dimensions(n: int):
     """dims: joint peak span n, peak-count span n//2+1, interior span
     (n+1)//2; type B: 2n, n+1, n."""
+    from .maps import Node, node_span
     check_wp_dimensions(n)
     heads, tails = _count_rows("solhat", n)
     if node_span(Node("joint", TWINS["solhat"].fine(n), heads + tails)).rank != 2 * n:
@@ -469,11 +467,12 @@ def check_whp_closure(n: int):
 # the graded exact sequence and the type-D images
 
 
-def sbexact_diagram(n: int) -> DiagramSpec:
-    """0 -> span{x_n, x_{n-1}} -> descent-count span -> (two ranks down)
-    -> 0 over the analogous peak-count row, vertical sign forgetting.  The
-    kernel rows are x_n, x_{n-1} (carried from the type-B classes) and the
-    sum of all p_i."""
+def sbexact_diagram(n: int):
+    """The maps.DiagramSpec of 0 -> span{x_n, x_{n-1}} -> descent-count
+    span -> (two ranks down) -> 0 over the analogous peak-count row,
+    vertical sign forgetting.  The kernel rows are x_n, x_{n-1} (carried
+    from the type-B classes) and the sum of all p_i."""
+    from .maps import Node, beta2_map, exact_square, phi
     sol, wp = sol_algebra(n), wp_algebra(n)
     x_rows = [(f"x_{tag}", sol.lift(x_count_coords(n, j))) for tag, j in (("n", n), ("n1", n - 1))]
     return exact_square(
@@ -522,6 +521,7 @@ def check_type_d_numbers(n: int):
     image of x_n = x0_n there is a second relation, since no subset of
     {2,...,n-1} has n-1 elements and therefore the images of x_{n-1} and
     x0_{n-1} differ exactly by half the image of x_n."""
+    from .maps import Node, chi, landed
     solb, sold = descent_algebra("B", n), descent_algebra("D", n)
     rows = class_images(chi, solb, sold, "the fold")
     xs = [(f"x_{j}", x_count_coords(n, j)) for j in range(n + 1)]
@@ -572,6 +572,7 @@ def check_wp_dimensions(n: int):
     """Peak-side dimensions alone (valid to rank 8): joint span n, count
     span n//2 + 1, interior span (n+1)//2, with the single relation; read
     on the class sums of the count algebras in peak-class coordinates."""
+    from .maps import Node, node_span
     p_rows, pi_rows = _count_rows("whp", n)
     for rows, dim, what in (
         (p_rows, n // 2 + 1, "peak-count span dimension wrong"),

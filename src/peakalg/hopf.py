@@ -13,7 +13,6 @@ are only module coalgebras over them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb
@@ -225,14 +224,19 @@ def check_singles(w: Perm):
     _check_counit(w, *splits)
 
 
-@dataclass
 class Tensor2:
-    """A sum of two-sided tensors of group-algebra monomials, keyed by
-    the pair of one-line tuples (degrees are the tuple lengths)."""
+    """A sum of two-sided tensors of group-algebra monomials of total degree
+    n, keyed by the pair of one-line tuples (degrees are the tuple lengths)."""
 
-    group: str
-    n: int  # total degree
-    terms: dict
+    __slots__ = ("group", "n", "terms")
+
+    def __init__(self, group: str, n: int, terms: dict):
+        self.group, self.n, self.terms = group, n, terms
+
+    def __eq__(self, other):
+        if other.__class__ is not Tensor2:
+            return NotImplemented
+        return (self.group, self.n, self.terms) == (other.group, other.n, other.terms)
 
     def add_term(self, u: Perm, v: Perm, c):
         key = (u, v)

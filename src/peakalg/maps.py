@@ -17,7 +17,6 @@ and node_span ranks a Node; the diagrams and exact rows read the same.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .algebra import (
     AlgElem,
@@ -341,28 +340,27 @@ def imchi_basis(n: int, jmask: int, i: int) -> AlgElem:
 # commutative diagrams and exact rows
 
 
-@dataclass
 class Node:
     """A node of a diagram: its ambient class algebra and, for a proper
     subspace only, spanning rows (label, coordinates over the ambient's
     labels)."""
 
-    name: str
-    algebra: ClassAlgebra
-    rows: list | None = None
+    __slots__ = ("name", "algebra", "rows")
+
+    def __init__(self, name: str, algebra: ClassAlgebra, rows: list | None = None):
+        self.name, self.algebra, self.rows = name, algebra, rows
 
 
-@dataclass
 class DiagramSpec:
-    """A finite diagram of linear maps with asserted path equalities and
-    exact rows.  Arrows are (source node, target node, element map)."""
+    """A finite diagram of arrows (source node, target node, element map)
+    with asserted path equalities (path_a, path_b), exact rows (inclusion
+    arrow, projection arrow) and surjections (arrow names)."""
 
-    name: str
-    nodes: dict
-    arrows: dict
-    path_equalities: list = field(default_factory=list)  # (path_a, path_b)
-    exact_rows: list = field(default_factory=list)  # (inclusion arrow, projection arrow)
-    surjections: list = field(default_factory=list)  # arrow names
+    __slots__ = ("name", "nodes", "arrows", "path_equalities", "exact_rows", "surjections")
+
+    def __init__(self, name, nodes, arrows, path_equalities=(), exact_rows=(), surjections=()):
+        self.name, self.nodes, self.arrows = name, nodes, arrows
+        self.path_equalities, self.exact_rows, self.surjections = path_equalities, exact_rows, surjections
 
 
 def node_rows(node: Node) -> list:

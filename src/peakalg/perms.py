@@ -23,7 +23,6 @@ import itertools
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
@@ -543,8 +542,36 @@ def _label_members(text: str, what: str, n: int, named=None) -> list:
     return members
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class Frozen:
+    """A read-only record: __init__ sets its __slots__ once (_set).  Two
+    records of one class are equal when their field values are, and hash
+    as the tuple of those values; a record is never equal to a tuple."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class GeneratorSet(Frozen):
     """Subset of the Coxeter generators of one type, encoded as a bitmask.
 
     Type A masks live in {1..n-1}, type B in {0..n-1}, type D in {0..n-1}
@@ -552,13 +579,12 @@ class GeneratorSet:
     token list, e.g. "{0,2}" or "{1',1,3}".
     """
 
-    ctype: str
-    n: int
-    mask: int
+    __slots__ = ("ctype", "n", "mask")
 
-    def __post_init__(self):
-        if self.ctype not in COXETER_TYPES:
-            raise ValueError(f"unknown Coxeter type {self.ctype!r}")
+    def __init__(self, ctype: str, n: int, mask: int):
+        self._set(ctype, n, mask)
+        if ctype not in COXETER_TYPES:
+            raise ValueError(f"unknown Coxeter type {ctype!r}")
         what = f"a type-{self.ctype} generator of rank {self.n}"
         _check_members(self.mask, _valid_label_mask(self.ctype, self.n), what, self.token)
 
@@ -622,15 +648,14 @@ def interior_sparse_masks(n: int) -> tuple:
     return tuple(m for m in sparse_masks(n) if not (m & 2))
 
 
-@dataclass(frozen=True)
-class PeakIndex:
+class PeakIndex(Frozen):
     """Sparse subset of [n-1]: if i is in F then i+1 is not.  Interior peak
     sets additionally avoid 1."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
-    def __post_init__(self):
+    def __init__(self, n: int, mask: int):
+        self._set(n, mask)
         _check_members(self.mask, ((1 << self.n) - 1) & ~1, f"a peak position of rank {self.n}")
         if self.mask & (self.mask >> 1):
             i = members_of(self.mask & (self.mask >> 1))[0]

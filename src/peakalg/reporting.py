@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 
 from .perms import CapExceeded
 
@@ -22,12 +21,11 @@ class CheckFailure(Exception):
     """Raised by a check body; the message is the witness."""
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    status: str  # "pass", "fail" or "error"
-    witness: str = ""
-    wall_ms: float = 0.0
+    __slots__ = ("check_id", "status", "witness", "wall_ms")
+
+    def __init__(self, check_id: str, status: str, witness: str = "", wall_ms: float = 0.0):
+        self.check_id, self.status, self.witness, self.wall_ms = check_id, status, witness, wall_ms
 
     @property
     def ok(self) -> bool:
@@ -51,10 +49,11 @@ def run_check(check_id: str, fn) -> CheckResult:
     return CheckResult(check_id, "pass", wall_ms=ms)
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    checks: list = field(default_factory=list)
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: list | None = None):
+        self.suite, self.checks = suite, [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

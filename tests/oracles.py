@@ -25,7 +25,7 @@ from peakalg.commutative import (
 )
 from peakalg.hopf import FAMILIES, SHUFFLE_TARGETS, external_product
 from peakalg.peak import interior_peak_algebra
-from peakalg.perms import compose, group_elements, popcount
+from peakalg.perms import compose, descent_mask, group_elements, interior_peak_mask, peak_mask, popcount
 from peakalg.reporting import CheckFailure
 
 
@@ -177,8 +177,9 @@ def wp_interior_family(n: int) -> list:
 
 
 def reference_builder_relations(n: int):
-    """The binomial change of spanning sets, the all-group sums, and the
-    rewritten forms of the ideal sums, on the builders' elements."""
+    """The binomial change of spanning sets, each count sum as the sum of
+    the elements of its count, and the rewritten forms of the ideal sums,
+    on the builders' elements."""
     for x, y, lo, tag in ((x_number, y_number, 0, ""), (x0_number, y0_number, 1, "0")):
         for j in range(lo, n + 1):
             terms = (y(n, i).scale(_choose(n - i, j - i)) for i in range(lo, j + 1))
@@ -186,15 +187,32 @@ def reference_builder_relations(n: int):
                 raise CheckFailure(f"x{tag}_{j} != binomial sum of y{tag}_i at n={n}")
     if x_number(n, n) != x0_number(n, n):
         raise CheckFailure(f"x_n != x0_n at n={n}")
-    for family, group, what in (
-        (sol_family(n), "B", "y_j is not the full group sum"),
-        (i0_number_family(n), "B", "y0_j is not the full group sum"),
-        (wp_family(n), "S", "p_j is not the full symmetric group sum"),
-        (wp_interior_family(n), "S", "interior p_j is not the full sum"),
+    # element by element: the i-th sum of a family (counted from 0) holds
+    # exactly the elements whose statistic is i
+    def descents(w, drop=0):
+        return popcount(descent_mask(w, "B") & ~drop)
+
+    for family, group, stat, what in (
+        (sol_family(n), "B", descents, "y_j is not the sum of the classes of j descents"),
+        (
+            i0_number_family(n),
+            "B",
+            lambda w: descents(w, 1),
+            "y0_j is not the sum over j-1 descents besides 0",
+        ),
+        (wp_family(n), "S", lambda u: popcount(peak_mask(u)), "p_j is not the sum of the classes of j peaks"),
+        (
+            wp_interior_family(n),
+            "S",
+            lambda u: popcount(interior_peak_mask(u)),
+            "interior p_j is not the sum over j-1 peaks besides 1",
+        ),
     ):
-        total = AlgElem.class_sum(group, n, group_elements(group, n))
-        if sum((e for _, e in family), AlgElem.zero(group, n)) != total:
-            raise CheckFailure(f"sum of {what} at n={n}")
+        members = [[] for _ in family]
+        for w in group_elements(group, n):
+            members[stat(w)].append(w)
+        if any(e != AlgElem.class_sum(group, n, ws) for (_, e), ws in zip(family, members)):
+            raise CheckFailure(f"{what} at n={n}")
     # rewritten forms: y0_j over #(J \ {0}) = j-1 against the sums of the
     # Y_{{0} u J} + Y_J, interior p_j over #(F \ {1}) = j-1 against the
     # classes of j-1 interior peaks

@@ -1,7 +1,9 @@
 """A command loads only what it runs.  Each command runs in a fresh
 interpreter with PYTHONPATH=src, as the benchmark's child runs it: a table
-or export command never imports the suite registry (peakalg.verify) or a
-process pool, and verify loads multiprocessing only for --jobs above 1."""
+or export command never imports the suite registry (peakalg.verify), the
+maps and diagrams (peakalg.maps) or a process pool, and verify loads
+multiprocessing only for --jobs above 1.  No command loads dataclasses or
+inspect: the package's records are plain classes."""
 
 import os
 import subprocess
@@ -21,6 +23,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, *sorted(m for m in sys.modules if m in {names!r}))
 """
 POOL = ("concurrent.futures", "multiprocessing")
+RECORDS = ("dataclasses", "inspect")
 
 
 def loaded(argv: list, names: tuple) -> list:
@@ -42,10 +45,15 @@ def loaded(argv: list, names: tuple) -> list:
     ids=[*TABLE_CAPS, "export"],
 )
 def test_table_and_export_load_no_suites_and_no_pool(argv):
-    assert loaded(argv, ("peakalg.verify", *POOL)) == ["0"]
+    assert loaded(argv, ("peakalg.verify", "peakalg.maps", *POOL, *RECORDS)) == ["0"]
 
 
 def test_verify_with_one_job_loads_no_multiprocessing():
     argv = ["verify", "--suite", "words", "--n-max", "2", "--jobs", "1"]
     assert loaded(argv, ("multiprocessing",)) == ["0"]
 
+
+
+def test_verify_with_one_job_loads_no_dataclasses():
+    argv = ["verify", "--suite", "all", "--n-max", "2", "--jobs", "1"]
+    assert loaded(argv, ("peakalg.maps", "peakalg.hopf", *RECORDS)) == ["0", "peakalg.hopf", "peakalg.maps"]

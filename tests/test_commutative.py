@@ -124,6 +124,52 @@ def test_builder_relation_mutants_fail_both_forms(monkeypatch, name, mutant, wit
             check(3)
 
 
+def counting_one_label_up(fine, label):
+    """A count algebra over fine that counts the class of label one too high."""
+    return lambda n: fine(n).coarsen(lambda m: popcount(m) + (m == label))
+
+
+def merging_labels_below_3(fine):
+    """A count algebra over fine with the classes of the labels below 3
+    merged into the count 0."""
+    return lambda n: fine(n).coarsen(lambda m: popcount(m) if m >= 3 else 0)
+
+
+def solb(n):
+    return descent_algebra("B", n)
+
+
+# each is a coarsening of its fine algebra, so its sizes sum to the order
+# of the group: only the fibres of the count labels tell it from the count
+# algebra (the descent-count ones fail the binomial relation first)
+COUNT_MUTANTS = {
+    "y2-holds-the-class-of-{0}": ("sol_algebra", counting_one_label_up(solb, 0b1), "x_1 != binomial sum of y_i"),
+    "y-merges-labels-below-3": ("sol_algebra", merging_labels_below_3(solb), "x_0 != binomial sum of y_i"),
+    "p2-holds-the-class-of-{1}": (
+        "wp_algebra",
+        counting_one_label_up(peak_algebra, 0b10),
+        "p_j is not the sum of the classes of j peaks",
+    ),
+    "p-merges-labels-below-3": (
+        "wp_algebra",
+        merging_labels_below_3(peak_algebra),
+        "p_j is not the sum of the classes of j peaks",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("case", COUNT_MUTANTS)
+def test_count_algebras_partition_by_count(monkeypatch, case, n):
+    name, mutant, witness = COUNT_MUTANTS[case]
+    order = len(group_elements("S" if name == "wp_algebra" else "B", n))
+    assert sum(mutant(n).sizes.values()) == order
+    monkeypatch.setattr(commutative, name, mutant)
+    for check in (check_builder_relations, reference_builder_relations):
+        with pytest.raises(CheckFailure, match=f"^{witness} at n={n}$"):
+            check(n)
+
+
 def test_phi_restriction_formulas():
     for n in (2, 3, 4, 5):
         check_phi_number_forms(n)

@@ -10,7 +10,7 @@ family element.  Both must give the same check IDs in the same order and
 the same verdicts on every standard diagram.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -24,6 +24,7 @@ from peakalg.commutative import (
     x_number,
 )
 from peakalg.maps import (
+    DiagramSpec,
     bd_triangles,
     bexact_diagram,
     dexact_diagram,
@@ -189,7 +190,8 @@ REF_NODES = {
 def reference_spec(spec, n):
     """The same diagram (same arrows, same element maps) on element-level
     nodes."""
-    return replace(spec, nodes={name: RefNode(name, *REF_NODES[name](n)) for name in spec.nodes})
+    nodes = {name: RefNode(name, *REF_NODES[name](n)) for name in spec.nodes}
+    return DiagramSpec(spec.name, nodes, spec.arrows, spec.path_equalities, spec.exact_rows, spec.surjections)
 
 
 def verdicts(checks):

@@ -36,6 +36,13 @@ def test_every_import_is_stdlib_or_the_package():
     assert not stray
 
 
+def test_no_module_imports_dataclasses():
+    """The records are plain __slots__ classes: dataclasses (and the
+    inspect it loads) would cost every command its import."""
+    users = {path.name for path in SRC.glob("*.py") if "dataclasses" in _imported_roots(path)}
+    assert not users
+
+
 def test_runtime_dependencies_stay_empty():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text())["project"]
