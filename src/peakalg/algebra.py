@@ -399,7 +399,8 @@ class ClassAlgebra:
     -> the parent labels merged into it) and its fibre map (parent label ->
     its own label), reads its sizes, members and cube from the parent's,
     reads the label of a byte word through the parent's, and translates
-    coordinates to and from the parent's by lift and spread."""
+    coordinates to and from the parent's by lift and spread.  fibres_over
+    states the same relation against any finer partition of the group."""
 
     def __init__(self, group: str, n: int, key, labels, classes=None):
         self.group = group
@@ -408,6 +409,7 @@ class ClassAlgebra:
         self.key = key
         self.partition = classes
         self.parent = self.fibres = self.fibre_of = None
+        self._fibres_over: dict = {}  # finer algebra -> fibres_over(finer)
 
     @cached_property
     def classes(self) -> dict:
@@ -507,6 +509,23 @@ class ClassAlgebra:
         coarse.fibres = {g: tuple(fibres[g]) for g in coarse.labels}
         coarse.fibre_of = {lab: g for g, ls in fibres.items() for lab in ls}
         return coarse
+
+    def fibres_over(self, finer: "ClassAlgebra") -> dict:
+        """Label -> the labels of finer whose classes its class unites, in
+        finer's label order: the fibres of a coarsening of finer, or else
+        each class of finer binned once through labels_of, kept per finer
+        algebra (CheckFailure naming a class of finer that meets several)."""
+        if finer is self.parent:
+            return self.fibres
+        if finer not in self._fibres_over:
+            fibres: dict = {g: [] for g in self.labels}
+            for lab, ws in finer.classes.items():
+                owners = set(self.labels_of(ws))
+                if len(owners) != 1:
+                    raise CheckFailure(f"the class {label_text(lab)} meets several classes")
+                fibres[owners.pop()].append(lab)
+            self._fibres_over[finer] = {g: tuple(ls) for g, ls in fibres.items()}
+        return self._fibres_over[finer]
 
     @cached_property
     def cube(self) -> dict:

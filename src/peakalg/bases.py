@@ -31,13 +31,6 @@ def canonical_ideal_algebra(n: int) -> ClassAlgebra:
     return descent_algebra("B", n).coarsen(lambda m: m & ~1)
 
 
-def descent_classes(ctype: str, n: int) -> dict:
-    """Bitmask -> the byte words of the group elements with that descent
-    set.  Every subset of the generators occurs as a key (possibly empty
-    for no subset: descent classes partition the whole group)."""
-    return descent_algebra(ctype, n).classes
-
-
 def _all_masks(ctype: str, n: int) -> tuple:
     full = _valid_label_mask(ctype, n)
     return tuple(m for m in range(full + 1) if m | full == full)

@@ -21,7 +21,7 @@ rows over the fine classes, like every map check (see maps.landed).
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 
 from .algebra import (
@@ -74,23 +74,24 @@ def wp_interior_algebra(n: int) -> ClassAlgebra:
 
 
 # A count algebra and its ideal, coarsenings of one fine algebra (each a
-# factory of the rank), the (name, first index) of the class sums of each,
+# factory of the rank, its builder looked up when called, so a patched or
+# renewed one is read), the (name, first index) of the class sums of each,
 # and the names of the two spans in witnesses.
 Twin = namedtuple("Twin", "fine count ideal rows witnesses")
 
 
 TWINS = {
     "whp": Twin(
-        peak_algebra,
-        wp_algebra,
-        wp_interior_algebra,
+        lambda n: peak_algebra(n),
+        lambda n: wp_algebra(n),
+        lambda n: wp_interior_algebra(n),
         (("p", 0), ("p0", 1)),
         ("peak-count span", "interior ideal"),
     ),
     "solhat": Twin(
-        partial(descent_algebra, "B"),
-        sol_algebra,
-        i0_number_algebra,
+        lambda n: descent_algebra("B", n),
+        lambda n: sol_algebra(n),
+        lambda n: i0_number_algebra(n),
         (("y", 0), ("y0", 1)),
         ("descent-count span", "ideal"),
     ),

@@ -12,7 +12,7 @@ are only module coalgebras over them.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb
@@ -40,7 +40,7 @@ from .bases import (
     x_to_y_coords,
 )
 from . import maps
-from .mr import descent_fibres, stilde_basis, t_algebra, t_coords
+from .mr import stilde_basis, t_algebra, t_coords
 from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordinates
 from .perms import (
     CapExceeded,
@@ -263,14 +263,20 @@ def coproduct(a: AlgElem) -> Tensor2:
 # graded families
 
 
-# name -> the family's class algebra in each degree
+# A graded family: its class algebra in each degree (each builder looked up
+# when called, so a patched or renewed one is read), its name in closure
+# witnesses, the family whose classes its classes unite (None for the two
+# families split element by element), and its descents-to-peaks transform
+# by its name in maps (None for a family without one)
+Family = namedtuple("Family", "algebra witness finer transform")
+
 FAMILIES = {
-    "SolA": partial(descent_algebra, "A"),
-    "SolB": partial(descent_algebra, "B"),
-    "I0": canonical_ideal_algebra,
-    "OmegaB": t_algebra,
-    "Peak": peak_algebra,
-    "PeakIdeal": interior_peak_algebra,
+    "SolA": Family(lambda n: descent_algebra("A", n), "type-A", None, "theta"),
+    "SolB": Family(lambda n: descent_algebra("B", n), "type-B", "OmegaB", "theta_pm"),
+    "I0": Family(lambda n: canonical_ideal_algebra(n), "ideal", "SolB", None),
+    "OmegaB": Family(lambda n: t_algebra(n), "MR", None, "theta_pm"),
+    "Peak": Family(lambda n: peak_algebra(n), "peak", "SolA", None),
+    "PeakIdeal": Family(lambda n: interior_peak_algebra(n), "interior", "SolA", None),
 }
 
 
@@ -282,7 +288,9 @@ FAMILIES = {
 # left multiplication by its image of the unit.  The coproduct of a class
 # sum, the shuffle of two class sums and the transform's left_rows are
 # computed once and binned; binning raises CheckFailure off the span, which
-# makes building the data the closure check.  The identities then run on
+# makes building the data the closure check.  A family with a finer one
+# sums the finer family's tables over its fibres (ClassAlgebra.fibres_over)
+# in place of binning.  The identities then run on
 # coordinate dicts, or on them packed into ints (perms.packer): class sums
 # of one algebra have disjoint supports, and so have their tensor products,
 # so equal coordinates mean equal elements.
@@ -298,28 +306,6 @@ SHUFFLE_TARGETS = {
     ("PeakIdeal", "PeakIdeal"): "PeakIdeal",
 }
 
-# family -> the descents-to-peaks transform on it, by its name in maps (a
-# family in FINER has the transform of the family whose classes it unites)
-TRANSFORMS = {"SolA": "theta", "SolB": "theta_pm", "OmegaB": "theta_pm"}
-
-# coarsening family -> the family whose classes it merges
-COARSENINGS = {"I0": "SolB", "Peak": "SolA", "PeakIdeal": "SolA"}
-
-# family -> the family whose classes its classes unite: the coarsenings,
-# and the type-B descent classes as unions of T-classes (the type-B
-# descent algebra inside the Mantaci-Reutenauer algebra)
-FINER = {**COARSENINGS, "SolB": "OmegaB"}
-
-# family -> its name in the closure witness
-_CLOSURE_NAMES = {
-    "SolA": "type-A",
-    "SolB": "type-B",
-    "I0": "ideal",
-    "OmegaB": "MR",
-    "Peak": "peak",
-    "PeakIdeal": "interior",
-}
-
 
 def _x_coords(family: str, n: int) -> dict:
     """label -> coordinates of the X-basis element of the label over the
@@ -328,14 +314,13 @@ def _x_coords(family: str, n: int) -> dict:
     takes the S-tilde class sums."""
     if family == "OmegaB":
         return t_coords("Stilde", n)
-    return {lab: x_to_y_coords({lab: 1}) for lab in FAMILIES[family](n).labels}
+    return {lab: x_to_y_coords({lab: 1}) for lab in FAMILIES[family].algebra(n).labels}
 
 
 def _fibres(family: str, d: int) -> dict:
-    """label -> the labels of FINER[family] that its class unites, in degree d."""
-    if family == "SolB":
-        return descent_fibres(d)
-    return FAMILIES[family](d).fibres
+    """label -> the labels of the finer family that its class unites, in degree d."""
+    spec = FAMILIES[family]
+    return spec.algebra(d).fibres_over(FAMILIES[spec.finer].algebra(d))
 
 
 @lru_cache(maxsize=None)
@@ -344,11 +329,11 @@ def coproduct_coords(family: str, n: int) -> dict:
     label) over the class sums of the family in degrees p and n - p.  An
     enumerated family splits the byte words of each class at each p and
     bins the tallied block pairs through the byte label maps of degrees p
-    and n - p; a family in FINER reads the table of the family whose
-    classes it unites."""
-    if family in FINER:
+    and n - p; a family with a finer one reads the table of the family
+    whose classes it unites."""
+    if FAMILIES[family].finer:
         return _merged_coproduct(family, n)
-    algs = [FAMILIES[family](d) for d in range(n + 1)]
+    algs = [FAMILIES[family].algebra(d) for d in range(n + 1)]
     class_of, size, out = [a.label_of.get for a in algs], [a.sizes.get for a in algs], {}
     for lab, ws in algs[n].classes.items():
         coords = out[lab] = {}
@@ -367,7 +352,7 @@ def coproduct_coords(family: str, n: int) -> dict:
 
 
 def _closure_failure(family: str, lab) -> CheckFailure:
-    return CheckFailure(f"{_CLOSURE_NAMES[family]} coproduct closure fails at {label_text(lab)}")
+    return CheckFailure(f"{FAMILIES[family].witness} coproduct closure fails at {label_text(lab)}")
 
 
 def _merged_coproduct(family: str, n: int) -> dict:
@@ -379,7 +364,7 @@ def _merged_coproduct(family: str, n: int) -> dict:
     pairs = {
         k: ls for p in range(n + 1) for k, ls in pair_fibres(fibres[p], fibres[n - p], p).items()
     }
-    fine = coproduct_coords(FINER[family], n)
+    fine = coproduct_coords(FAMILIES[family].finer, n)
     return merged_rows(fine, fibres[n], pairs, partial(_closure_failure, family))
 
 
@@ -392,9 +377,9 @@ def shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
     cell must count |a| * |b| * C(p + q, p) products, so a product counted
     twice fails at its first cell."""
     target = SHUFFLE_TARGETS[(left, right)]
-    alg, tables = FAMILIES[target](p + q), _shuffle_tables(p, q)
-    rights, out, size = FAMILIES[right](q).classes, {}, alg.sizes.get
-    for l1, us in FAMILIES[left](p).classes.items():
+    alg, tables = FAMILIES[target].algebra(p + q), _shuffle_tables(p, q)
+    rights, out, size = FAMILIES[right].algebra(q).classes, {}, alg.sizes.get
+    for l1, us in FAMILIES[left].algebra(p).classes.items():
         for l2, vs in rights.items():
             tally = Counter(byte_products(block_words(us, vs, p), tables))
             coords = bin_classes(alg.labels_of(tally), tally.values(), size)
@@ -410,13 +395,15 @@ def shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
 @lru_cache(maxsize=None)
 def transform_coords(family: str, n: int) -> dict:
     """label -> the transform of the class sum, over the same class sums: the
-    left_rows of its image of the unit, or, in FINER, the rows of the finer
-    family summed over each fibre, which lie in its span when they lift."""
-    name = TRANSFORMS[family]
-    if family in FINER:
-        fibres, fine = _fibres(family, n), transform_coords(FINER[family], n)
+    left_rows of its image of the unit, or, for a family with a finer one,
+    the rows of the finer family summed over each fibre, which lie in its
+    span when they lift."""
+    spec = FAMILIES[family]
+    name = spec.transform
+    if spec.finer:
+        fibres, fine = _fibres(family, n), transform_coords(spec.finer, n)
         return merged_rows(fine, fibres, fibres, lambda lab: CheckFailure(leaves_span(name, lab)))
-    alg = FAMILIES[family](n)
+    alg = spec.algebra(n)
     gen = getattr(maps, name)(AlgElem.unit(alg.group, n))
     rows = alg.left_rows(alg.binned(gen, leaves_span(name, alg.label_of[byte_word(identity(n))])))
     if None in rows.values():
@@ -442,7 +429,8 @@ def _shuffle_sides(family: str, p: int, q: int):
     k2 of degrees p and q, the shuffle of their images), packed."""
     xs, ys, table = _x_coords(family, p), _x_coords(family, q), shuffle_coords(family, family, p, q)
     rows = [transform_coords(family, d) for d in (p, q, p + q)]
-    pack, _ = packer(FAMILIES[family](p + q).labels, *(f.values() for f in (xs, ys, table, *rows)))
+    labels = FAMILIES[family].algebra(p + q).labels
+    pack, _ = packer(labels, *(f.values() for f in (xs, ys, table, *rows)))
     mapped = packed_rows(table, {m: pack(row) for m, row in rows[2].items()})
     images = [{k: apply_rows(r, x) for k, x in b.items()} for r, b in zip(rows, (xs, ys))]
     right = _pair_sums(*images, {k: pack(c) for k, c in table.items()})
@@ -454,7 +442,8 @@ def _tensor_sides(family: str, n: int, rows: list, tensors, copies: int):
     each key of rows[n] in turn: f is rows[d] in degree d, and the tensors are
     built of coproduct rows copies times.  In bidegree p, f of l1 packs with a
     block's stride and f of l2 within a block, so their product is f(l1) (x) f(l2)."""
-    cop, labels = coproduct_coords(family, n), [FAMILIES[family](d).labels for d in range(n + 1)]
+    cop, alg = coproduct_coords(family, n), FAMILIES[family].algebra
+    labels = [alg(d).labels for d in range(n + 1)]
     keys = [(p, k1, k2) for p in range(n + 1) for k1 in labels[p] for k2 in labels[n - p]]
     flat = [row for r in rows for row in r.values()]
     pack, shift = packer(keys, *[cop.values()] * copies, flat, flat)
@@ -658,7 +647,7 @@ def check_module_morphisms(dmax: int):
     def drop(f, family: str, by: int, what: str):
         """f on coordinates from degree n of family to degree n - by, read
         on its rows; below degree by it vanishes."""
-        alg = FAMILIES[family]
+        alg = FAMILIES[family].algebra
         return lambda n, x: (
             apply_rows(class_images(f, alg(n), alg(n - by), what), x) if n >= by else {}
         )

@@ -168,10 +168,6 @@ def t_algebra(n: int) -> ClassAlgebra:
     return ClassAlgebra("B", n, mr_class_of, signed_compositions(n))
 
 
-def t_classes(n: int) -> dict:
-    return t_algebra(n).classes
-
-
 def t_basis(n: int, alpha) -> AlgElem:
     alpha = tuple(alpha)
     try:
@@ -295,26 +291,11 @@ def t_coords(kind: str, n: int) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
-def descent_fibres(n: int) -> dict:
-    """Descent label -> the T-labels whose classes it unites, in label
-    order: the type-B descent algebra inside the Mantaci-Reutenauer
-    algebra.  Checked at element level: every member of a T-class has one
-    descent set (CheckFailure naming the T-class otherwise)."""
-    descents = descent_algebra("B", n)
-    fibres: dict = {lab: [] for lab in descents.labels}
-    for alpha, ws in t_algebra(n).classes.items():
-        masks = set(descents.labels_of(ws))
-        if len(masks) != 1:
-            raise CheckFailure(f"the T-class of {alpha} meets several descent classes")
-        fibres[masks.pop()].append(alpha)
-    return {lab: tuple(ls) for lab, ls in fibres.items()}
-
-
 def _x0_tcoords(n: int, mask: int) -> dict:
     """T-coordinates of X_{{0} u J}: every T-class inside a descent class
-    of a subset of {0} u J."""
-    fibres = descent_fibres(n)
+    of a subset of {0} u J, read on the fibres of the type-B descent
+    classes over the T-classes (ClassAlgebra.fibres_over)."""
+    fibres = descent_algebra("B", n).fibres_over(t_algebra(n))
     return {alpha: 1 for m in x_to_y_coords({mask | 1: 1}) for alpha in fibres[m]}
 
 
@@ -364,7 +345,7 @@ def bstilde_product(n: int, alpha) -> AlgElem:
 
 
 def check_t_partition(n: int):
-    classes = t_classes(n)
+    classes = t_algebra(n).classes
     total = sum(len(ws) for ws in classes.values())
     if total != len(group_elements("B", n)):
         raise CheckFailure(f"T-classes do not cover B_{n}")
@@ -388,10 +369,11 @@ def check_order_sums(n: int):
 
 def check_omega_closure(n: int):
     """The type-B descent algebra embeds: every Y_J is a T-combination, as
-    each T-class lies in one descent class (descent_fibres).  And every
-    product of T-class sums stays in the T-span (building the structure
-    cube bins each one)."""
-    descent_fibres(n)
+    each T-class lies in one descent class (binning the T-classes through
+    the descent labels, ClassAlgebra.fibres_over).  And every product of
+    T-class sums stays in the T-span (building the structure cube bins
+    each one)."""
+    descent_algebra("B", n).fibres_over(t_algebra(n))
     t_algebra(n).cube
 
 

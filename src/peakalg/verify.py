@@ -195,7 +195,7 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 
     def partition_and_inverse(case):
         ctype, n = case
-        classes = bases.descent_classes(ctype, n)
+        classes = bases.descent_algebra(ctype, n).classes
         total = sum(len(ws) for ws in classes.values())
         if total != len(perms.group_elements(perms.GROUP_OF_TYPE[ctype], n)):
             raise CheckFailure(f"descent classes do not partition {ctype}_{n}")

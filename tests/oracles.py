@@ -283,9 +283,9 @@ def reference_element_rows(f, src: ClassAlgebra, dst: ClassAlgebra) -> dict:
 def reference_shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
     """hopf.shuffle_coords at element level: the external product of each
     pair of class sums, binned term by term, None for a cell off the span."""
-    alg = FAMILIES[SHUFFLE_TARGETS[(left, right)]](p + q)
+    alg = FAMILIES[SHUFFLE_TARGETS[(left, right)]].algebra(p + q)
     label, size = _element_labels(alg), alg.sizes.__getitem__
-    lefts, rights = FAMILIES[left](p), FAMILIES[right](q)
+    lefts, rights = FAMILIES[left].algebra(p), FAMILIES[right].algebra(q)
     return {
         (l1, l2): reference_bin_classes(external_product(c1, c2).terms, label, size)
         for l1, c1 in lefts.basis

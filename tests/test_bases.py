@@ -4,7 +4,6 @@ from peakalg.algebra import AlgElem
 from peakalg.bases import (
     comp_complement,
     comp_to_subset,
-    descent_classes,
     descent_algebra,
     descent_coordinates,
     structure_constants,
@@ -41,7 +40,7 @@ def test_y_support_counts_against_enumeration():
 
 def test_y_classes_partition_group():
     for ctype, group, n in (("A", "S", 6), ("B", "B", 5), ("D", "D", 5)):
-        total = sum(len(ws) for ws in descent_classes(ctype, n).values())
+        total = sum(len(ws) for ws in descent_algebra(ctype, n).classes.values())
         assert total == len(group_elements(group, n))
 
 
@@ -137,5 +136,5 @@ def test_every_descent_set_realized():
     # a genuine basis (dimensions 2^(n-1), 2^n, 2^n)
     for ctype, lo in (("A", 1), ("B", 1), ("D", 2)):
         for n in range(lo, 6):
-            for m, ws in descent_classes(ctype, n).items():
+            for m, ws in descent_algebra(ctype, n).classes.items():
                 assert ws, (ctype, n, bin(m))

@@ -20,7 +20,7 @@ from math import factorial
 import pytest
 
 from peakalg import hopf, maps, mr, perms, verify
-from peakalg.algebra import AlgElem, element_rows
+from peakalg.algebra import AlgElem, ClassAlgebra, element_rows
 from peakalg.bases import (
     _all_masks,
     descent_algebra,
@@ -30,10 +30,8 @@ from peakalg.bases import (
     y_to_x_coords,
 )
 from peakalg.hopf import (
-    COARSENINGS,
     FAMILIES,
     SHUFFLE_TARGETS,
-    TRANSFORMS,
     Tensor2,
     concat_mask_ordinary,
     coproduct,
@@ -62,6 +60,9 @@ from oracles import (
     pair_coords,
     reference_map_tensor,
 )
+
+# the families whose algebras are coarsenings of their finer family's
+COARSENINGS = ("I0", "Peak", "PeakIdeal")
 
 # ---------------------------------------------------------------------------
 # the element-level reference
@@ -496,13 +497,14 @@ SHUFFLE_PAIRS = {
 def clear_hopf_data():
     """Clear every cache that peakalg.hopf defines (the caches it imports
     belong to their own modules), the byte split tables that its singles
-    checks read, the type-B descent fibres that its derived type-B tables
-    read, and the increasing-class products read on its transform rows."""
+    checks read, and the increasing-class products read on its transform
+    rows.  The fibres its derived tables read are kept by each algebra per
+    finer algebra (ClassAlgebra.fibres_over), so a patched finer algebra
+    is binned afresh with nothing to clear."""
     for value in vars(hopf).values():
         if hasattr(value, "cache_clear") and value.__module__ == hopf.__name__:
             value.cache_clear()
     perms.split_tables.cache_clear()
-    mr.descent_fibres.cache_clear()
     mr.bstilde_failure.cache_clear()
 
 
@@ -624,16 +626,20 @@ def test_clear_hopf_data_finds_the_last_splits(fresh_hopf_data):
     assert [cache.cache_info().currsize for cache in left] == [0, 0, 0]
 
 
-def test_clear_hopf_data_finds_the_descent_fibres(fresh_hopf_data):
-    mr.descent_fibres(2)
-    assert mr.descent_fibres.cache_info().currsize == 1
-    clear_hopf_data()
-    assert mr.descent_fibres.cache_info().currsize == 0
+def test_a_patched_finer_family_is_binned_afresh(monkeypatch, fresh_hopf_data):
+    # the type-B fibres are kept per finer algebra: a new T-algebra of the
+    # same rank is a new key, so the derived tables read its classes
+    fibres = hopf._fibres("SolB", 2)
+    assert hopf._fibres("SolB", 2) is fibres
+    twin = ClassAlgebra("B", 2, None, t_algebra(2).labels, members(t_algebra(2)))
+    monkeypatch.setattr(hopf, "t_algebra", lambda n: twin if n == 2 else t_algebra(n))
+    assert hopf._fibres("SolB", 2) is not fibres
+    assert hopf._fibres("SolB", 2) == fibres
 
 
 def tensor_element(family: str, n: int, coords: dict) -> dict:
     """The Tensor2 terms of tensor coordinates keyed (p, left, right)."""
-    terms, classes = {}, [members(FAMILIES[family](d)) for d in range(n + 1)]
+    terms, classes = {}, [members(FAMILIES[family].algebra(d)) for d in range(n + 1)]
     for (p, l1, l2), c in coords.items():
         for u in classes[p][l1]:
             for v in classes[n - p][l2]:
@@ -644,7 +650,7 @@ def tensor_element(family: str, n: int, coords: dict) -> dict:
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_coproduct_data_matches_elements(family):
     for n in range(0, 5):
-        alg = FAMILIES[family](n)
+        alg = FAMILIES[family].algebra(n)
         data = coproduct_coords(family, n)
         assert list(data) == list(alg.labels)
         for lab, c in alg.basis:
@@ -654,7 +660,7 @@ def test_coproduct_data_matches_elements(family):
 @pytest.mark.deep
 @pytest.mark.parametrize("family", sorted(COARSENINGS))
 def test_coarsened_coproduct_data_matches_elements_rank_5(family):
-    alg = FAMILIES[family](5)
+    alg = FAMILIES[family].algebra(5)
     data = coproduct_coords(family, 5)
     assert list(data) == list(alg.labels)
     for lab, c in alg.basis:
@@ -664,7 +670,7 @@ def test_coarsened_coproduct_data_matches_elements_rank_5(family):
 def element_coproduct_coords(family: str, n: int) -> dict:
     """The coproduct table of an enumerated family: the splits of every
     class at every p, binned."""
-    factory, out = FAMILIES[family], {}
+    factory, out = FAMILIES[family].algebra, {}
     for lab, ws in members(factory(n)).items():
         coords = out[lab] = {}
         for p in range(n + 1):
@@ -678,7 +684,7 @@ def element_coproduct_coords(family: str, n: int) -> dict:
 @pytest.mark.parametrize("n", range(0, 6))
 def test_derived_type_b_tables_equal_the_element_level_builds(n, fresh_hopf_data):
     # SolB reads both tables off the T-classes' (OmegaB) through the fibres
-    alg = FAMILIES["SolB"](n)
+    alg = FAMILIES["SolB"].algebra(n)
     assert coproduct_coords("SolB", n) == element_coproduct_coords("SolB", n)
     assert transform_coords("SolB", n) == element_rows(maps.theta_pm, alg, alg, "theta_pm")
 
@@ -691,29 +697,33 @@ def test_byte_split_tables_equal_the_tuple_split_builds(family, n, fresh_hopf_da
 
 
 def test_coarsenings_merge_the_classes_of_their_parents():
-    for family, parent in COARSENINGS.items():
+    # every family with a finer one coarsens it, but the type-B descent
+    # algebra, whose classes unite T-classes it does not inherit
+    for family in COARSENINGS:
+        finer = FAMILIES[FAMILIES[family].finer].algebra
         for n in range(0, 5):
-            assert FAMILIES[family](n).parent is FAMILIES[parent](n), (family, n)
+            assert FAMILIES[family].algebra(n).parent is finer(n), (family, n)
+    assert [f for f, spec in FAMILIES.items() if spec.finer] == ["SolB", *COARSENINGS]
 
 
 @pytest.mark.parametrize("pair", sorted(SHUFFLE_TARGETS))
 def test_shuffle_data_matches_elements(pair):
     left, right = pair
-    target = FAMILIES[SHUFFLE_TARGETS[pair]]
+    target = FAMILIES[SHUFFLE_TARGETS[pair]].algebra
     for p in range(0, 4):
         for q in range(1, 5 - p):
             data = shuffle_coords(left, right, p, q)
-            for l1, c1 in FAMILIES[left](p).basis:
-                for l2, c2 in FAMILIES[right](q).basis:
+            for l1, c1 in FAMILIES[left].algebra(p).basis:
+                for l2, c2 in FAMILIES[right].algebra(q).basis:
                     got = target(p + q).element(data[(l1, l2)])
                     assert got == external_product(c1, c2), (p, q, l1, l2)
 
 
-@pytest.mark.parametrize("family", sorted(TRANSFORMS))
+@pytest.mark.parametrize("family", sorted(f for f, spec in FAMILIES.items() if spec.transform))
 def test_transform_data_matches_elements(family):
-    transform = getattr(maps, TRANSFORMS[family])
+    transform = getattr(maps, FAMILIES[family].transform)
     for n in range(0, 6):  # every rank that verify builds
-        alg = FAMILIES[family](n)
+        alg = FAMILIES[family].algebra(n)
         data = transform_coords(family, n)
         for lab, c in alg.basis:
             assert alg.element(data[lab]) == transform(c), (n, lab)
@@ -764,7 +774,7 @@ def test_broken_theta_pm_witness(monkeypatch, fresh_hopf_data):
 )
 def test_perturbed_coproduct_coordinate_fails(family, check, fresh_hopf_data):
     data = coproduct_coords(family, 3)
-    alg = FAMILIES[family](3)
+    alg = FAMILIES[family].algebra(3)
     lab = alg.labels[-1]
     key = next(k for k in data[lab] if k[0] == 1)
     data[lab][key] += 1
@@ -991,7 +1001,7 @@ def _perturb_spread_cell(family: str, n: int):
     """Add 1 to a cell of the cached finer coproduct of family in degree
     n whose pair of fibres has several members, so that the sum over the
     fibre is no longer constant there."""
-    fine = coproduct_coords(hopf.FINER[family], n)
+    fine = coproduct_coords(FAMILIES[family].finer, n)
     sizes = [_fibre_size(family, d) for d in range(n + 1)]
     for row in fine.values():
         for p, l1, l2 in row:

@@ -46,6 +46,20 @@ def fresh(monkeypatch):
     monkeypatch.setattr(algebra, "ROW_TABLES", {})
 
 
+def test_fresh_renews_the_builders_that_tables_hold(fresh):
+    # the count twins and the Hopf families call their builders by name, so
+    # a fresh test fills no cache of the session through them
+    from peakalg import commutative, hopf
+
+    for n in range(2, 9):
+        assert commutative.TWINS["whp"].count(n) is commutative.wp_algebra(n)
+        assert commutative.wp_algebra(n).parent is peak.peak_algebra(n)
+        assert commutative.TWINS["solhat"].fine(n) is bases.descent_algebra("B", n)
+    for n in range(0, 5):
+        assert hopf.FAMILIES["Peak"].algebra(n) is peak.peak_algebra(n)
+        assert hopf.FAMILIES["I0"].algebra(n) is bases.canonical_ideal_algebra(n)
+
+
 def patch_everywhere(monkeypatch, name: str, value):
     """Bind name to value in every module of the package that imports it."""
     original = getattr(perms, name)

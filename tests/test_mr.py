@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peakalg import mr
+from peakalg import hopf, mr
 from peakalg.algebra import AlgElem, ClassAlgebra
 from peakalg.bases import descent_algebra, y_basis
 from peakalg.maps import phi, x0_basis
@@ -14,7 +14,6 @@ from peakalg.mr import (
     check_phi_images,
     check_phi_onto_descent_algebra,
     check_t_partition,
-    descent_fibres,
     leq,
     mr_basis,
     mr_class_of,
@@ -26,7 +25,6 @@ from peakalg.mr import (
     signed_compositions,
     stilde_basis,
     t_basis,
-    t_classes,
     tclass_coordinates,
     tilde,
     u_comp,
@@ -191,8 +189,8 @@ def test_check_bstilde_product_returns_the_mask_of_the_absolute_composition():
 def test_descent_fibres_unite_the_descent_classes(n):
     # the element-level oracle: each descent class is the union of the
     # T-classes of its fibre, and every T-class lies in one fibre
-    descents, tclasses = descent_algebra("B", n), t_classes(n)
-    fibres = descent_fibres(n)
+    descents, tclasses = descent_algebra("B", n), mr.t_algebra(n).classes
+    fibres = descents.fibres_over(mr.t_algebra(n))
     assert list(fibres) == list(descents.labels)
     assert sorted(a for ls in fibres.values() for a in ls) == sorted(tclasses)
     for mask, ls in fibres.items():
@@ -200,38 +198,45 @@ def test_descent_fibres_unite_the_descent_classes(n):
         assert sorted(united) == sorted(descents.classes[mask]), mask
 
 
-def test_a_t_class_that_meets_two_descent_classes_fails(monkeypatch):
-    n = 3
+def straddling_t_algebra(n: int = 3) -> ClassAlgebra:
+    """The T-algebra of rank 3 with 213 (of the class of (1, 2), with 312)
+    moved into the class of (-3,), which then meets two descent classes."""
     alg = mr.t_algebra(n)
     classes = {lab: list(ws) for lab, ws in members(alg).items()}
-    # move 213 (of the class of (1, 2), with 312) into the class of (-3,)
     classes[(1, 2)].remove((2, 1, 3))
     classes[(-3,)].append((2, 1, 3))
-    straddling = ClassAlgebra("B", n, None, alg.labels, classes)
-    monkeypatch.setattr(mr, "t_algebra", lambda m: straddling if m == n else alg)
-    descent_fibres.cache_clear()
-    try:
-        with pytest.raises(CheckFailure, match=r"T-class of \(-3,\) meets several descent"):
-            descent_fibres(n)
-    finally:
-        descent_fibres.cache_clear()
+    return ClassAlgebra("B", n, None, alg.labels, classes)
+
+
+STRADDLES = r"the class \(-3,\) meets several classes"
+
+
+def test_a_t_class_that_meets_two_descent_classes_fails():
+    with pytest.raises(CheckFailure, match=STRADDLES):
+        descent_algebra("B", 3).fibres_over(straddling_t_algebra())
 
 
 def test_omega_closure_reads_the_descent_fibres(monkeypatch):
     # the same straddling T-class fails the embedding half of the check
-    n = 3
-    alg = mr.t_algebra(n)
-    classes = {lab: list(ws) for lab, ws in members(alg).items()}
-    classes[(1, 2)].remove((2, 1, 3))
-    classes[(-3,)].append((2, 1, 3))
-    straddling = ClassAlgebra("B", n, None, alg.labels, classes)
-    monkeypatch.setattr(mr, "t_algebra", lambda m: straddling if m == n else alg)
-    descent_fibres.cache_clear()
+    straddling, t_algebra = straddling_t_algebra(), mr.t_algebra
+    monkeypatch.setattr(mr, "t_algebra", lambda m: straddling if m == 3 else t_algebra(m))
+    with pytest.raises(CheckFailure, match=STRADDLES):
+        check_omega_closure(3)
+
+
+@pytest.mark.parametrize("table", ["coproduct_coords", "transform_coords"])
+def test_the_derived_type_b_hopf_tables_read_the_descent_fibres(table, monkeypatch):
+    # and the type-B Hopf tables, which read the T-classes' through the fibres
+    straddling, omega = straddling_t_algebra(), hopf.FAMILIES["OmegaB"]
+    patched = omega._replace(algebra=lambda m: straddling if m == 3 else omega.algebra(m))
+    monkeypatch.setitem(hopf.FAMILIES, "OmegaB", patched)
+    build = getattr(hopf, table)
+    build.cache_clear()
     try:
-        with pytest.raises(CheckFailure, match=r"T-class of \(-3,\) meets several descent"):
-            check_omega_closure(n)
+        with pytest.raises(CheckFailure, match=STRADDLES):
+            build("SolB", 3)
     finally:
-        descent_fibres.cache_clear()
+        build.cache_clear()
 
 
 def test_mr_basis_dispatch():

@@ -74,7 +74,7 @@ def theta_hopf_groups(dmax: int):
                     apply_rows(cop, rows(n)[lab]),
                     reference_map_tensor(cop[lab], n, rows),
                 )
-                for lab in FAMILIES[family](n).labels
+                for lab in FAMILIES[family].algebra(n).labels
             ]
 
 
@@ -334,7 +334,7 @@ def bump(cells: dict):
 
 def bump_coproduct(family: str):
     """Add 1 to a coordinate in bidegree 1 of the last class of degree 3."""
-    row = coproduct_coords(family, 3)[FAMILIES[family](3).labels[-1]]
+    row = coproduct_coords(family, 3)[FAMILIES[family].algebra(3).labels[-1]]
     key = next(k for k in row if k[0] == 1)
     row[key] += 1
     return lambda: row.__setitem__(key, row[key] - 1)
