@@ -395,18 +395,21 @@ class ClassAlgebra:
     bound on first use, by classes and sizes, as byte words (perms.byte_word)
     that element and basis decode.  Coordinates are {label: coefficient}
     dicts; the class sums have disjoint supports, so binning reads them off
-    exactly.  A coarsening (see coarsen) keeps its parent, its fibres (label
-    -> the parent labels merged into it) and its fibre map (parent label ->
-    its own label), reads its sizes, members and cube from the parent's,
-    reads the label of a byte word through the parent's, and translates
-    coordinates to and from the parent's by lift and spread.  fibres_over
-    states the same relation against any finer partition of the group."""
+    exactly.  text maps a label to its text in table headers and witnesses
+    (a set as {...}, a count as y_j, a composition as a tuple).  A coarsening
+    (see coarsen) keeps its parent, its fibres (label -> the parent labels
+    merged into it) and its fibre map (parent label -> its own label), reads
+    its sizes, members and cube from the parent's, reads the label of a byte
+    word through the parent's, and translates coordinates to and from the
+    parent's by lift and spread.  fibres_over states the same relation
+    against any finer partition of the group."""
 
-    def __init__(self, group: str, n: int, key, labels, classes=None):
+    def __init__(self, group: str, n: int, key, labels, classes=None, text=str):
         self.group = group
         self.n = n
         self.labels = tuple(labels)
         self.key = key
+        self.text = text
         self.partition = classes
         self.parent = self.fibres = self.fibre_of = None
         self._fibres_over: dict = {}  # finer algebra -> fibres_over(finer)
@@ -483,10 +486,11 @@ class ClassAlgebra:
                 terms.update(dict.fromkeys(map(decode, self.classes[lab]), c))
         return AlgElem._raw(self.group, self.n, terms)
 
-    def coarsen(self, f, labels=None) -> "ClassAlgebra":
+    def coarsen(self, f, labels=None, text=None) -> "ClassAlgebra":
         """The span of the unions of the classes with equal f(label), in
-        the table order labels (sorted images by default).  It keeps only
-        its fibres, and reads its cube and members from this algebra's."""
+        the table order labels (sorted images by default), its labels
+        written by text (this algebra's by default).  It keeps only its
+        fibres, and reads its cube and members from this algebra's."""
         fibres: dict = {}
         for lab in self.labels:
             fibres.setdefault(f(lab), []).append(lab)
@@ -504,7 +508,7 @@ class ClassAlgebra:
             missing = [lab for lab in fibres if lab not in seen]
             if missing:
                 raise ValueError(f"the label {missing[0]!r} is not listed")
-        coarse = ClassAlgebra(self.group, self.n, None, labels)
+        coarse = ClassAlgebra(self.group, self.n, None, labels, text=text or self.text)
         coarse.parent = self
         coarse.fibres = {g: tuple(fibres[g]) for g in coarse.labels}
         coarse.fibre_of = {lab: g for g, ls in fibres.items() for lab in ls}
@@ -522,7 +526,7 @@ class ClassAlgebra:
             for lab, ws in finer.classes.items():
                 owners = set(self.labels_of(ws))
                 if len(owners) != 1:
-                    raise CheckFailure(f"the class {label_text(lab)} meets several classes")
+                    raise CheckFailure(f"the class {finer.text(lab)} meets several classes")
                 fibres[owners.pop()].append(lab)
             self._fibres_over[finer] = {g: tuple(ls) for g, ls in fibres.items()}
         return self._fibres_over[finer]
@@ -620,14 +624,14 @@ class ClassAlgebra:
         """Coordinates of the product of two elements given by coordinates."""
         return bilinear(self.cube, c1, c2)
 
-    def table(self, name: str, label_text) -> "StructureTable":
+    def table(self, name: str) -> "StructureTable":
         """Multiplication table on the class sums, read from the cube."""
         cube, labels = self.cube, self.labels
         cells = [
             [tuple(normalize_coord(cube[(l1, l2)].get(lab, 0)) for lab in labels) for l2 in labels]
             for l1 in labels
         ]
-        return StructureTable(name=name, labels=list(label_text), cells=cells)
+        return StructureTable(name=name, labels=list(map(self.text, labels)), cells=cells)
 
     def saturate(self, seeds) -> int:
         """Rank of the algebra generated by the seed coordinates (pass the
@@ -711,11 +715,6 @@ def two_sided_failure(rows: dict, ideal: ClassAlgebra, witness):
     return None
 
 
-def label_text(lab) -> str:
-    """A class label as witness text: compositions as tuples, masks in binary."""
-    return str(lab) if isinstance(lab, tuple) else bin(lab)
-
-
 # (map, source, target) -> the rows of the map, for the life of the process
 ROW_TABLES: dict = {}
 
@@ -746,13 +745,13 @@ def element_rows(f, src: ClassAlgebra, dst: ClassAlgebra, what: str) -> dict:
         else:
             rows[lab] = dst.coords(f(src.element({lab: 1})))
         if rows[lab] is None:
-            raise CheckFailure(leaves_span(what, lab))
+            raise CheckFailure(leaves_span(what, src.text(lab)))
     return rows
 
 
-def leaves_span(what: str, lab) -> str:
-    """The witness of a map whose image of the class of lab leaves the span."""
-    return f"{what} of the class {label_text(lab)} leaves the span"
+def leaves_span(what: str, text: str) -> str:
+    """The witness of a map whose image of the class written text leaves the span."""
+    return f"{what} of the class {text} leaves the span"
 
 
 def apply_rows(rows: dict, coords: dict) -> dict:

@@ -8,18 +8,20 @@ generator-label bitmasks of peakalg.perms, and are interchangeable with
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import AlgElem, ClassAlgebra, StructureTable
-from .perms import GROUP_OF_TYPE, GeneratorSet, _valid_label_mask, descent_mask, popcount
+from .perms import GROUP_OF_TYPE, GeneratorSet, _valid_label_mask, descent_mask, mask_text, popcount
 
 
 @lru_cache(maxsize=None)
 def descent_algebra(ctype: str, n: int) -> ClassAlgebra:
     """The descent algebra of type ctype on the Y-basis: classes by
-    descent-set bitmask, every subset of the generators a label."""
+    descent-set bitmask, every subset of the generators a label, written
+    as a set of generators (the type-D fork as 1')."""
+    text = partial(mask_text, token=GeneratorSet(ctype, n, 0).token)
     return ClassAlgebra(
-        GROUP_OF_TYPE[ctype], n, lambda w: descent_mask(w, ctype), _all_masks(ctype, n)
+        GROUP_OF_TYPE[ctype], n, lambda w: descent_mask(w, ctype), _all_masks(ctype, n), text=text
     )
 
 
@@ -177,9 +179,7 @@ def structure_constants(ctype: str, n: int, *, deep: bool = False) -> StructureT
         raise CapExceeded(
             f"structure constants for type {ctype} capped at rank {cap}"
         )
-    alg = descent_algebra(ctype, n)
-    labels = [GeneratorSet(ctype, n, m).text() for m in alg.labels]
-    return alg.table(f"Sigma({ctype}_{n})[Y]", labels)
+    return descent_algebra(ctype, n).table(f"Sigma({ctype}_{n})[Y]")
 
 
 def structure_cube(ctype: str, n: int) -> dict:

@@ -51,33 +51,33 @@ def _choose(a: int, b: int) -> int:
 @lru_cache(maxsize=None)
 def sol_algebra(n: int) -> ClassAlgebra:
     """Descent-count sums y_0..y_n (type B), labels j."""
-    return descent_algebra("B", n).coarsen(popcount)
+    return descent_algebra("B", n).coarsen(popcount, text=lambda j: f"y_{j}")
 
 
 @lru_cache(maxsize=None)
 def i0_number_algebra(n: int) -> ClassAlgebra:
     """Ideal sums y0_1..y0_n, label j-1 = #(J minus {0})."""
-    return descent_algebra("B", n).coarsen(lambda m: popcount(m & ~1))
+    return descent_algebra("B", n).coarsen(lambda m: popcount(m & ~1), text=lambda j: f"y0_{j + 1}")
 
 
 @lru_cache(maxsize=None)
 def wp_algebra(n: int) -> ClassAlgebra:
     """Peak-count sums p_0..p_{n//2}, labels j."""
-    return peak_algebra(n).coarsen(popcount)
+    return peak_algebra(n).coarsen(popcount, text=lambda j: f"p_{j}")
 
 
 @lru_cache(maxsize=None)
 def wp_interior_algebra(n: int) -> ClassAlgebra:
     """Interior sums p0_1..p0_{(n+1)//2}, label j-1 = #(F minus {1})
     interior peaks: the peak-side twin of i0_number_algebra."""
-    return peak_algebra(n).coarsen(lambda m: popcount(m & ~2))
+    return peak_algebra(n).coarsen(lambda m: popcount(m & ~2), text=lambda j: f"p0_{j + 1}")
 
 
 # A count algebra and its ideal, coarsenings of one fine algebra (each a
 # factory of the rank, its builder looked up when called, so a patched or
-# renewed one is read), the (name, first index) of the class sums of each,
-# and the names of the two spans in witnesses.
-Twin = namedtuple("Twin", "fine count ideal rows witnesses")
+# renewed one is read), and the names of the two spans in witnesses; the
+# class sums of each are named by its text.
+Twin = namedtuple("Twin", "fine count ideal witnesses")
 
 
 TWINS = {
@@ -85,26 +85,24 @@ TWINS = {
         lambda n: peak_algebra(n),
         lambda n: wp_algebra(n),
         lambda n: wp_interior_algebra(n),
-        (("p", 0), ("p0", 1)),
         ("peak-count span", "interior ideal"),
     ),
     "solhat": Twin(
         lambda n: descent_algebra("B", n),
         lambda n: sol_algebra(n),
         lambda n: i0_number_algebra(n),
-        (("y", 0), ("y0", 1)),
         ("descent-count span", "ideal"),
     ),
 }
 
 
 def _count_rows(twin: str, n: int) -> tuple:
-    """(name_j, fine coordinates) of the class sums of the count algebra and
-    of the ideal of a twin, each list numbered from its first index."""
+    """(text, fine coordinates) of the class sums of the count algebra and
+    of the ideal of a twin."""
     spec = TWINS[twin]
     return tuple(
-        [(f"{name}_{lab + first}", alg.spread({lab: 1})) for lab in alg.labels]
-        for alg, (name, first) in zip((spec.count(n), spec.ideal(n)), spec.rows)
+        [(alg.text(lab), alg.spread({lab: 1})) for lab in alg.labels]
+        for alg in (spec.count(n), spec.ideal(n))
     )
 
 

@@ -26,7 +26,6 @@ from .algebra import (
     bin_classes,
     class_images,
     first_unequal,
-    label_text,
     leaves_span,
     merged_rows,
     packed_rows,
@@ -346,13 +345,14 @@ def coproduct_coords(family: str, n: int) -> dict:
                 pairs, tally.values(), lambda k: size[p](k[0], 0) * size[n - p](k[1], 0)
             )
             if pc is None:
-                raise _closure_failure(family, lab)
+                raise _closure_failure(family, n, lab)
             coords.update(((p, l1, l2), x) for (l1, l2), x in pc.items())
     return out
 
 
-def _closure_failure(family: str, lab) -> CheckFailure:
-    return CheckFailure(f"{FAMILIES[family].witness} coproduct closure fails at {label_text(lab)}")
+def _closure_failure(family: str, n: int, lab) -> CheckFailure:
+    spec = FAMILIES[family]
+    return CheckFailure(f"{spec.witness} coproduct closure fails at {spec.algebra(n).text(lab)}")
 
 
 def _merged_coproduct(family: str, n: int) -> dict:
@@ -365,7 +365,7 @@ def _merged_coproduct(family: str, n: int) -> dict:
         k: ls for p in range(n + 1) for k, ls in pair_fibres(fibres[p], fibres[n - p], p).items()
     }
     fine = coproduct_coords(FAMILIES[family].finer, n)
-    return merged_rows(fine, fibres[n], pairs, partial(_closure_failure, family))
+    return merged_rows(fine, fibres[n], pairs, partial(_closure_failure, family, n))
 
 
 @lru_cache(maxsize=None)
@@ -378,14 +378,15 @@ def shuffle_coords(left: str, right: str, p: int, q: int) -> dict:
     twice fails at its first cell."""
     target = SHUFFLE_TARGETS[(left, right)]
     alg, tables = FAMILIES[target].algebra(p + q), _shuffle_tables(p, q)
-    rights, out, size = FAMILIES[right].algebra(q).classes, {}, alg.sizes.get
-    for l1, us in FAMILIES[left].algebra(p).classes.items():
-        for l2, vs in rights.items():
+    lalg, ralg = FAMILIES[left].algebra(p), FAMILIES[right].algebra(q)
+    out, size = {}, alg.sizes.get
+    for l1, us in lalg.classes.items():
+        for l2, vs in ralg.classes.items():
             tally = Counter(byte_products(block_words(us, vs, p), tables))
             coords = bin_classes(alg.labels_of(tally), tally.values(), size)
             total = None if coords is None else sum(c * size(lab) for lab, c in coords.items())
             if total != (want := len(us) * len(vs) * comb(p + q, p)):
-                text = f"shuffle of {left} {label_text(l1)} and {right} {label_text(l2)}"
+                text = f"shuffle of {left} {lalg.text(l1)} and {right} {ralg.text(l2)}"
                 why = f"counts {total} products, not {want}" if coords else f"leaves {target}"
                 raise CheckFailure(f"{text} {why}")
             out[(l1, l2)] = coords
@@ -399,15 +400,19 @@ def transform_coords(family: str, n: int) -> dict:
     the rows of the finer family summed over each fibre, which lie in its
     span when they lift."""
     spec = FAMILIES[family]
-    name = spec.transform
+    name, alg = spec.transform, spec.algebra(n)
+
+    def failure(lab) -> CheckFailure:
+        return CheckFailure(leaves_span(name, alg.text(lab)))
+
     if spec.finer:
         fibres, fine = _fibres(family, n), transform_coords(spec.finer, n)
-        return merged_rows(fine, fibres, fibres, lambda lab: CheckFailure(leaves_span(name, lab)))
-    alg = spec.algebra(n)
+        return merged_rows(fine, fibres, fibres, failure)
     gen = getattr(maps, name)(AlgElem.unit(alg.group, n))
-    rows = alg.left_rows(alg.binned(gen, leaves_span(name, alg.label_of[byte_word(identity(n))])))
+    unit = alg.label_of[byte_word(identity(n))]
+    rows = alg.left_rows(alg.binned(gen, leaves_span(name, alg.text(unit))))
     if None in rows.values():
-        raise CheckFailure(leaves_span(name, next(b for b, row in rows.items() if row is None)))
+        raise failure(next(b for b, row in rows.items() if row is None))
     return rows
 
 
@@ -477,11 +482,18 @@ def concat_mask_ordinary(p: int, m1: int, m2: int) -> int:
 # the section-by-section checks
 
 
-def _check_concat(left: str, right: str, dmax: int, p0: int, concat, witness):
+def _product_text(left: str, p: int, l1, right: str, q: int, l2) -> str:
+    """The product of the class sums l1 of left in degree p and l2 of right
+    in degree q, as witness text."""
+    return f"{FAMILIES[left].algebra(p).text(l1)} * {FAMILIES[right].algebra(q).text(l2)}"
+
+
+def _check_concat(left: str, right: str, dmax: int, p0: int, concat, what: str):
     """The X-basis elements (S-tilde for OmegaB) concatenate under the
     shuffle product, read on the cached shuffle table: X_J1 * X_J2 is the
     X-basis element of concat(p, J1, J2), for p from p0 and q from 1 up to
-    total degree dmax.  witness(p, q, J1, J2) names the first failing pair."""
+    total degree dmax.  The witness names what, p, q and the texts of the
+    first failing pair."""
     target = SHUFFLE_TARGETS[(left, right)]
     for p in range(p0, dmax):
         for q in range(1, dmax - p + 1):
@@ -489,40 +501,26 @@ def _check_concat(left: str, right: str, dmax: int, p0: int, concat, witness):
             for l1, x in _x_coords(left, p).items():
                 for l2, y in _x_coords(right, q).items():
                     if bilinear(table, x, y) != want[concat(p, l1, l2)]:
-                        raise CheckFailure(witness(p, q, l1, l2))
-
-
-def _masks_witness(what: str):
-    return lambda p, q, m1, m2: f"{what} fails at p={p}, q={q}, masks {bin(m1)},{bin(m2)}"
+                        pair = _product_text(left, p, l1, right, q, l2)
+                        raise CheckFailure(f"{what} fails at p={p}, q={q}, {pair}")
 
 
 def check_sola_star(dmax: int):
     """Concatenation formula for the type-A X-basis under shuffles."""
-    _check_concat(
-        "SolA", "SolA", dmax, 1, concat_mask_ordinary, _masks_witness("type-A concat")
-    )
+    _check_concat("SolA", "SolA", dmax, 1, concat_mask_ordinary, "type-A concat")
 
 
 def check_i0_star(dmax: int):
-    _check_concat("I0", "I0", dmax, 1, concat_mask_ordinary, _masks_witness("ideal concat"))
+    _check_concat("I0", "I0", dmax, 1, concat_mask_ordinary, "ideal concat")
 
 
 def check_solb_module_star(dmax: int):
     """Pseudo-composition times ideal generator concatenates."""
-    _check_concat(
-        "SolB", "I0", dmax, 0, concat_mask_ordinary, _masks_witness("type-B module concat")
-    )
+    _check_concat("SolB", "I0", dmax, 0, concat_mask_ordinary, "type-B module concat")
 
 
 def check_omega_star(dmax: int):
-    _check_concat(
-        "OmegaB",
-        "OmegaB",
-        dmax,
-        1,
-        lambda p, a1, a2: a1 + a2,
-        lambda p, q, a1, a2: f"S-tilde concat fails at {a1} * {a2}",
-    )
+    _check_concat("OmegaB", "OmegaB", dmax, 1, lambda p, a1, a2: a1 + a2, "S-tilde concat")
 
 
 # the one-part generators in degree i, in check order, each with its
@@ -595,10 +593,8 @@ def check_peak_not_closed_witness():
         raise CheckFailure("the witness unexpectedly lies in the peak span")
 
 
-_THETA_TEXTS = {
-    "OmegaB": ("type-B transform", "{}, {}".format, str),
-    "SolA": ("transform", lambda m1, m2: f"masks {bin(m1)}, {bin(m2)}", lambda m: f"mask {bin(m)}"),
-}
+# the family of each descents-to-peaks transform -> its name in witnesses
+_THETA_NAMES = {"OmegaB": "type-B transform", "SolA": "transform"}
 
 
 def check_theta_hopf(dmax: int):
@@ -607,16 +603,18 @@ def check_theta_hopf(dmax: int):
     on bases, each side packed into one int per pair or class label."""
     for p in range(1, dmax):
         for q in range(1, dmax - p + 1):
-            for family, (name, pair_text, _) in _THETA_TEXTS.items():
+            for family, name in _THETA_NAMES.items():
                 pair = first_unequal(_shuffle_sides(family, p, q))
                 if pair is not None:
-                    raise CheckFailure(f"{name} breaks shuffles at {pair_text(*pair)}")
+                    pair = _product_text(family, p, pair[0], family, q, pair[1])
+                    raise CheckFailure(f"{name} breaks shuffles at {pair}")
     for n in range(1, dmax + 1):
-        for family, (name, _, text) in _THETA_TEXTS.items():
+        for family, name in _THETA_NAMES.items():
             rows = [transform_coords(family, d) for d in range(n + 1)]
             lab = first_unequal(_tensor_sides(family, n, rows, coproduct_coords(family, n).get, 1))
             if lab is not None:
-                raise CheckFailure(f"{name} breaks the coproduct at {text(lab)}")
+                text = FAMILIES[family].algebra(n).text(lab)
+                raise CheckFailure(f"{name} breaks the coproduct at {text}")
 
 
 def check_beta_via_coproduct(dmax: int):
@@ -638,7 +636,7 @@ def check_beta_via_coproduct(dmax: int):
                     add_multiple(row, eta[l1] * c, {l2: 1})
         for m, x in _x_coords("SolB", n).items():
             if apply_rows(paired, x) != apply_rows(drops, x):
-                raise CheckFailure(f"coproduct form of the drop fails at mask {bin(m)}")
+                raise CheckFailure(f"coproduct form of the drop fails at {src.text(m)}")
 
 
 def check_module_morphisms(dmax: int):
@@ -665,9 +663,8 @@ def check_module_morphisms(dmax: int):
                     left = beta(p + q, bilinear(shuffle_coords("SolB", "I0", p, q), a, m))
                     right = bilinear(shuffle_coords("SolB", "I0", p - 1, q), da, m) if da else {}
                     if left != right:
-                        raise CheckFailure(
-                            f"drop is not a module morphism at masks {bin(m1)}, {bin(m2)}"
-                        )
+                        pair = _product_text("SolB", p, m1, "I0", q, m2)
+                        raise CheckFailure(f"drop is not a module morphism at {pair}")
             for fm in peak_algebra(p).labels:
                 df = pi(p, {fm: 1})
                 low = shuffle_coords("Peak", "PeakIdeal", p - 2, q) if df else {}
@@ -675,9 +672,8 @@ def check_module_morphisms(dmax: int):
                     left = pi(p + q, shuffle_coords("Peak", "PeakIdeal", p, q)[(fm, gm)])
                     right = bilinear(low, df, {gm: 1})
                     if left != right:
-                        raise CheckFailure(
-                            f"projection is not a module morphism at {bin(fm)}, {bin(gm)}"
-                        )
+                        pair = _product_text("Peak", p, fm, "PeakIdeal", q, gm)
+                        raise CheckFailure(f"projection is not a module morphism at {pair}")
 
 
 def check_delta_internal_compat(dmax: int):
@@ -700,9 +696,8 @@ def check_delta_internal_compat(dmax: int):
         cubes = [descent_algebra("A", d).cube for d in range(n + 1)]
         pair = first_unequal(_tensor_sides("SolA", n, cubes, paired, 2))
         if pair is not None:
-            raise CheckFailure(
-                f"internal compatibility fails at degree {n}, pair ({bin(pair[0])},{bin(pair[1])})"
-            )
+            pair = _product_text("SolA", n, pair[0], "SolA", n, pair[1])
+            raise CheckFailure(f"internal compatibility fails at degree {n}, {pair}")
 
 
 def check_free_module(dmax: int):
@@ -720,7 +715,8 @@ def check_free_module(dmax: int):
                 prod = bilinear(shuffle_coords("SolB", "I0", degree, part), prod, {0: 1})
                 degree += part
             if prod != x:
-                raise CheckFailure(f"monomial product is not X at mask {bin(mask)}")
+                text = descent_algebra("B", n).text(mask)
+                raise CheckFailure(f"monomial product is not X at {text}")
             rows.append(prod)
         if Echelon(rows).rank != 1 << n:
             raise CheckFailure(f"module monomials are dependent at degree {n}")
@@ -755,12 +751,11 @@ def check_i0_sola_isomorphism(dmax: int):
             a, b = shuffle_coords("SolA", "SolA", p, q), shuffle_coords("I0", "I0", p, q)
             cell = first_unequal((k, a.get(k), b.get(k)) for k in [*a, *b])
             if cell is not None:
-                raise CheckFailure(
-                    f"shuffle constants differ at {bin(cell[0])} * {bin(cell[1])}, "
-                    f"p={p}, q={q}"
-                )
+                pair = _product_text("SolA", p, cell[0], "SolA", q, cell[1])
+                raise CheckFailure(f"shuffle constants differ at {pair}, p={p}, q={q}")
     for m in range(1, dmax + 1):
         a, b = coproduct_coords("SolA", m), coproduct_coords("I0", m)
         lab = first_unequal((k, a.get(k), b.get(k)) for k in [*a, *b])
         if lab is not None:
-            raise CheckFailure(f"coproduct constants differ at degree {m}, label {bin(lab)}")
+            text = FAMILIES["SolA"].algebra(m).text(lab)
+            raise CheckFailure(f"coproduct constants differ at degree {m}, label {text}")

@@ -28,6 +28,7 @@ from .algebra import (
     push_forward,
 )
 from .bases import (
+    canonical_ideal_algebra,
     descent_algebra,
     descent_coordinates,
     descent_element,
@@ -649,20 +650,16 @@ def check_theta_pm_bijective(n: int):
     """Triangularity with diagonal 2^(number of parts), support only on
     refinements, and a nonzero exact determinant."""
     labels, rows = theta_pm_ideal_matrix(n)
+    text = canonical_ideal_algebra(n).text
     for i, m in enumerate(labels):
         parts = popcount(m) + 1
         if rows[i][i] != (1 << parts):
-            raise CheckFailure(
-                f"diagonal at label {bin(m)} is {rows[i][i]}, expected 2^{parts}"
-            )
+            raise CheckFailure(f"diagonal at label {text(m)} is {rows[i][i]}, expected 2^{parts}")
         for j, m2 in enumerate(labels):
             c = rows[i][j]
-            if c and (m & ~m2):
-                raise CheckFailure(
-                    f"entry at ({bin(m)}, {bin(m2)}) is nonzero but not a refinement"
-                )
-            if c and not (c.denominator == 1 and c >= 0):
-                raise CheckFailure(f"entry at ({bin(m)}, {bin(m2)}) is not a nonnegative integer")
+            if c and (m & ~m2 or not (c.denominator == 1 and c >= 0)):
+                why = "nonzero but not a refinement" if m & ~m2 else "not a nonnegative integer"
+                raise CheckFailure(f"entry at ({text(m)}, {text(m2)}) is {why}")
     det = exact_det(rows)
     if det == 0:
         raise CheckFailure("determinant vanishes")

@@ -38,7 +38,6 @@ from .perms import (
     iter_group,
     lambda_interior_mask,
     lambda_mask,
-    mask_text,
     peak_mask,
     sparse_masks,
 )
@@ -74,7 +73,7 @@ def _forms_agree(n: int) -> bool:
             binned.setdefault(key(u), set()).add(byte_word(u))
         for m in sorted(set(binned) | set(alg.labels)):
             if binned.get(m) != set(alg.classes.get(m, ())):
-                raise AssertionError(f"peak-basis forms disagree at n={n}, F mask {bin(m)}")
+                raise AssertionError(f"peak-basis forms disagree at n={n}, F={alg.text(m)}")
     return True
 
 
@@ -176,8 +175,7 @@ def pi_map(a: AlgElem) -> AlgElem:
 
 def peak_table(n: int) -> StructureTable:
     """Multiplication table of the peak algebra on the P-basis."""
-    alg = peak_algebra(n)
-    return alg.table(f"P_{n}", [mask_text(m) for m in alg.labels])
+    return peak_algebra(n).table(f"P_{n}")
 
 
 def check_closure(n: int):
@@ -189,13 +187,13 @@ def check_closure(n: int):
 def check_two_sided_ideal(n: int):
     """P * interior-P and interior-P * P land in the interior span, read
     on the type-A cube of which both are coarsenings."""
-    peaks = peak_algebra(n)
+    peaks, interior = peak_algebra(n), interior_peak_algebra(n)
     failure = two_sided_failure(
         {m: peaks.spread({m: 1}) for m in peaks.labels},
-        interior_peak_algebra(n),
+        interior,
         lambda side, mf, mg: (
-            f"{side} product P_{mask_text(mf)} with interior "
-            f"P_{mask_text(mg)} leaves the ideal at n={n}"
+            f"{side} product P_{peaks.text(mf)} with interior "
+            f"P_{interior.text(mg)} leaves the ideal at n={n}"
         ),
     )
     if failure:
@@ -217,7 +215,7 @@ def check_quotient(n: int):
     for mg in interior.labels:
         coords = peaks.lift(interior.spread({mg: 1}))
         if coords is None or apply_rows(rows, coords):
-            raise CheckFailure(f"interior P_{mask_text(mg)} not killed")
+            raise CheckFailure(f"interior P_{interior.text(mg)} not killed")
     if fibonacci(n) - img_rank != len(interior.labels):
         raise CheckFailure("kernel dimension is not f_{n-1}")
 
@@ -228,14 +226,13 @@ def check_unitriangular(n: int):
     max-of-symmetric-difference total order (= integer order on masks)."""
     from .maps import phi_on_x  # late import; maps builds on this module
 
+    text = peak_algebra(n).text
     for fm in sparse_masks(n):
         coords = peak_coordinates(phi_on_x(n, fm >> 1))
         if coords is None:
-            raise CheckFailure(f"image of X at F={mask_text(fm)} outside P_{n}")
+            raise CheckFailure(f"image of X at F={text(fm)} outside P_{n}")
         if not coords.get(fm):
-            raise CheckFailure(f"diagonal coefficient vanishes at F={mask_text(fm)}")
-        above = [mask_text(g) for g, c in coords.items() if g > fm and c]
+            raise CheckFailure(f"diagonal coefficient vanishes at F={text(fm)}")
+        above = [text(g) for g, c in coords.items() if g > fm and c]
         if above:
-            raise CheckFailure(
-                f"F={mask_text(fm)}: nonzero above-diagonal terms at {above}"
-            )
+            raise CheckFailure(f"F={text(fm)}: nonzero above-diagonal terms at {above}")

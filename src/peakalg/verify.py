@@ -56,12 +56,13 @@ def _add_per_rank(checks: list, suite: str, ranks, *named):
             _add(checks, f"{suite}/{name}/n={n}", [n], body)
 
 
-def _check_multiplicative(f, src, dst, what: str, witness):
-    """The linear map f from the class algebra src to dst is
+def _check_multiplicative(f, src, dst, what: str):
+    """The linear map f (named what) from the class algebra src to dst is
     multiplicative, read on class coordinates: its rows (the image of
     every class sum, binned in dst, which checks that f lands there)
     applied to each cell of the structure cube of src equal the product
-    in dst of the two rows.  witness(l1, l2) names the first failing pair."""
+    in dst of the two rows.  The witness names what, the group of src and
+    the texts of the first failing pair."""
     from .algebra import apply_rows, class_images
 
     rows = class_images(f, src, dst, what)
@@ -69,25 +70,27 @@ def _check_multiplicative(f, src, dst, what: str, witness):
     for l1 in src.labels:
         for l2 in src.labels:
             if apply_rows(rows, cube[(l1, l2)]) != dst.product(rows[l1], rows[l2]):
-                raise CheckFailure(witness(l1, l2))
+                pair = f"({src.text(l1)}, {src.text(l2)})"
+                raise CheckFailure(f"{what} is not multiplicative at {src.group}_{src.n}, {pair}")
 
 
-def _check_closed_forms(f, src, dst, what: str, y_form, x_form, witness):
-    """The linear map f from the descent algebra src to the class algebra
-    dst matches its closed forms on class rows: the row of each Y_J (its
-    image, binned in dst) is y_form(J) binned in dst, and the rows applied
-    to the Y-coordinates of each X_J give x_form(J) binned in dst.
-    witness(kind, J), kind "Y" or "X", names the first failure."""
+def _check_closed_forms(f, src, dst, what: str, y_form, x_form):
+    """The linear map f (named what) from the descent algebra src to the
+    class algebra dst matches its closed forms on class rows: the row of
+    each Y_J (its image, binned in dst) is y_form(J) binned in dst, and the
+    rows applied to the Y-coordinates of each X_J give x_form(J) binned in
+    dst.  The witness names the form (Y or X), what, the group of src and
+    the text of the first failing J."""
     from .algebra import apply_rows, class_images
     from .bases import x_to_y_coords
 
-    rows = class_images(f, src, dst, what)
+    rows, frame = class_images(f, src, dst, what), f"{src.group}_{src.n}"
     for m, row in rows.items():
         if row != dst.coords(y_form(m)):
-            raise CheckFailure(witness("Y", m))
+            raise CheckFailure(f"the Y closed form of {what} fails at {frame}, {src.text(m)}")
     for m in rows:
         if apply_rows(rows, x_to_y_coords({m: 1})) != dst.coords(x_form(m)):
-            raise CheckFailure(witness("X", m))
+            raise CheckFailure(f"the X closed form of {what} fails at {frame}, {src.text(m)}")
 
 
 def _check_onto(rows, src, dst, what: str):
@@ -183,7 +186,7 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
         # reported before a mismatch, whose first u a second scan of the masks names
         pairs = peakmod.descent_peak_pairs(n)
         realized = {peaks for _, peaks in pairs}
-        empty = [bin(m) for m in perms.sparse_masks(n) if m not in realized]
+        empty = [perms.mask_text(m) for m in perms.sparse_masks(n) if m not in realized]
         if empty:
             raise CheckFailure(f"unrealized peak sets at n={n}: {empty}")
         if any(perms.lambda_mask(descents) != peaks for descents, peaks in pairs):
@@ -195,15 +198,15 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 
     def partition_and_inverse(case):
         ctype, n = case
-        classes = bases.descent_algebra(ctype, n).classes
-        total = sum(len(ws) for ws in classes.values())
+        alg = bases.descent_algebra(ctype, n)
+        total = sum(len(ws) for ws in alg.classes.values())
         if total != len(perms.group_elements(perms.GROUP_OF_TYPE[ctype], n)):
             raise CheckFailure(f"descent classes do not partition {ctype}_{n}")
-        for m, ws in classes.items():
+        for m, ws in alg.classes.items():
             if not ws:  # an empty class would degrade the Y-basis
-                raise CheckFailure(f"unrealized descent set {bin(m)} in {ctype}_{n}")
+                raise CheckFailure(f"unrealized descent set {alg.text(m)} in {ctype}_{n}")
             if bases.y_to_x_coords(bases.x_to_y_coords({m: 1})) != {m: 1}:
-                raise CheckFailure(f"X/Y inversion fails at {ctype}, {bin(m)}")
+                raise CheckFailure(f"X/Y inversion fails at {ctype}, {alg.text(m)}")
 
     xy_ranks = {"A": (1, 6), "B": (1, ELEMENT_CAP), "D": (2, ELEMENT_CAP)}
     xy_cases = _keyed({ctype: _ranks(lo, n_max, hi) for ctype, (lo, hi) in xy_ranks.items()})
@@ -256,13 +259,8 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
     low_ranks = _ranks(2, n_max, 4)
 
     def pi_multiplicative(n):
-        _check_multiplicative(
-            peakmod.pi_map,
-            peakmod.peak_algebra(n),
-            peakmod.peak_algebra(n - 2),
-            "the projection",
-            lambda m1, m2: f"projection not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})",
-        )
+        src, dst = peakmod.peak_algebra(n), peakmod.peak_algebra(n - 2)
+        _check_multiplicative(peakmod.pi_map, src, dst, "the projection")
 
     _add(checks, "peaks/projection-multiplicative", low_ranks, pi_multiplicative)
 
@@ -293,7 +291,6 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
             "the fold",
             lambda m: maps.chi_on_y(n, m),
             lambda m: maps.chi_on_x(n, m),
-            lambda kind, m: f"fold {kind} closed form fails at n={n}, {bin(m)}",
         )
 
     _add(checks, "chi/closed-forms", element_ranks, closed_forms)
@@ -314,13 +311,8 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
     _add(checks, "chi/image-three-classes", element_ranks, image)
 
     def multiplicative(n):
-        _check_multiplicative(
-            maps.chi,
-            descent_algebra("B", n),
-            descent_algebra("D", n),
-            "the fold",
-            lambda m1, m2: f"fold not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})",
-        )
+        src, dst = descent_algebra("B", n), descent_algebra("D", n)
+        _check_multiplicative(maps.chi, src, dst, "the fold")
 
     _add(checks, "chi/multiplicative", low_ranks, multiplicative)
 
@@ -345,7 +337,7 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
 def suite_phi(n_max: int, deep: bool = False) -> list:
     from . import maps
     from .algebra import apply_rows, class_images
-    from .bases import descent_algebra, x_to_y_coords
+    from .bases import canonical_ideal_algebra, descent_algebra, x_to_y_coords
     from .peak import interior_peak_algebra, peak_algebra
 
     checks = []
@@ -359,7 +351,6 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
             "sign forgetting",
             lambda m: maps.phi_on_y(n, m),
             lambda m: maps.phi_on_x(n, m),
-            lambda kind, m: f"sign-forgetting {kind} form fails at n={n}, {bin(m)}",
         )
 
     _add(checks, "phi/closed-forms", element_ranks, closed_forms)
@@ -368,12 +359,13 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
         # X0_J = X_{{0} u J} and Y0_J = Y_{{0} u J} + Y_J
         target = peak_algebra(n)
         rows = class_images(maps.phi, descent_algebra("B", n), target, "sign forgetting")
+        text = canonical_ideal_algebra(n).text
         for m in maps.canonical_ideal_labels(n):
             x0 = apply_rows(rows, x_to_y_coords({m | 1: 1}))
             if x0 != target.coords(maps.phi_on_x0(n, m)):
-                raise CheckFailure(f"ideal X form fails at n={n}, {bin(m)}")
+                raise CheckFailure(f"ideal X form fails at n={n}, {text(m)}")
             if apply_rows(rows, {m | 1: 1, m: 1}) != target.coords(maps.phi_on_y0(n, m)):
-                raise CheckFailure(f"ideal Y form fails at n={n}, {bin(m)}")
+                raise CheckFailure(f"ideal Y form fails at n={n}, {text(m)}")
 
     _add(checks, "phi/ideal-closed-forms", element_ranks, ideal_forms)
 
@@ -381,7 +373,8 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
         full = (1 << n) - 1
         for m in range(1 << n):
             if maps.phi_on_y(n, m) != maps.phi_on_y(n, full ^ m):
-                raise CheckFailure(f"complement symmetry fails at n={n}, {bin(m)}")
+                text = descent_algebra("B", n).text(m)
+                raise CheckFailure(f"complement symmetry fails at n={n}, {text}")
 
     _add(checks, "phi/complement-symmetry", element_ranks, kernel_symmetry)
 
@@ -397,13 +390,8 @@ def suite_phi(n_max: int, deep: bool = False) -> list:
 
     def multiplicative(case):
         ctype, n = case
-        _check_multiplicative(
-            {"B": maps.phi, "D": maps.psi}[ctype],
-            descent_algebra(ctype, n),
-            descent_algebra("A", n),
-            "sign forgetting",
-            lambda m1, m2: f"not multiplicative at {ctype}, n={n}, ({bin(m1)}, {bin(m2)})",
-        )
+        f, src = {"B": maps.phi, "D": maps.psi}[ctype], descent_algebra(ctype, n)
+        _check_multiplicative(f, src, descent_algebra("A", n), "sign forgetting")
 
     mult_cases = _keyed({"B": _ranks(1, n_max, 4), "D": _ranks(2, n_max, 4)})
     _add(checks, "phi/multiplicative", mult_cases, multiplicative)
@@ -427,7 +415,6 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
             "sign forgetting",
             lambda m: maps.psi_on_y(n, m & ~3, CASE[m & 3]),
             lambda m: maps.psi_on_x(n, m & ~3, CASE[m & 3]),
-            lambda kind, m: f"type-D {kind} form fails at n={n}, {bin(m)}",
         )
 
     _add(checks, "psi/closed-forms", element_ranks, closed_forms)
@@ -435,7 +422,8 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
     def fork_equality(n):
         for m in range(0, 1 << n, 4):
             if maps.psi_on_y(n, m, "one") != maps.psi_on_y(n, m, "oneprime"):
-                raise CheckFailure(f"fork images differ at n={n}, {bin(m)}")
+                text = descent_algebra("D", n).text(m)
+                raise CheckFailure(f"fork images differ at n={n}, {text}")
 
     _add(checks, "psi/fork-equality", element_ranks, fork_equality)
 
@@ -461,21 +449,15 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
 
     checks = []
     element_ranks = _ranks(2, n_max, ELEMENT_CAP)
-    drops = {  # the drop, its source type, its degree and its names
-        "beta": (maps.beta_map, "B", 1, "the drop", "degree drop"),
-        "gamma": (maps.gamma_map, "D", 2, "the type-D drop", "type-D drop"),
+    drops = {  # the drop, its source type, its degree and its name
+        "beta": (maps.beta_map, "B", 1, "the drop"),
+        "gamma": (maps.gamma_map, "D", 2, "the type-D drop"),
     }
 
     def drop_multiplicative(case):
         drop, n = case
-        f, ctype, by, what, name = drops[drop]
-        _check_multiplicative(
-            f,
-            descent_algebra(ctype, n),
-            descent_algebra("B", n - by),
-            what,
-            lambda m1, m2: f"{name} not multiplicative at n={n}",
-        )
+        f, ctype, by, what = drops[drop]
+        _check_multiplicative(f, descent_algebra(ctype, n), descent_algebra("B", n - by), what)
 
     drop_cases = _keyed({"beta": _ranks(2, n_max, 4), "gamma": _ranks(3, n_max, 4)})
     _add(checks, "ideals/drops-multiplicative", drop_cases, drop_multiplicative)
@@ -680,7 +662,7 @@ def suite_theta(n_max: int, deep: bool = False) -> list:
         rows, alg = hopf.transform_coords("SolA", n), descent_algebra("A", n)
         for mask in rows:
             if apply_rows(rows, x_to_y_coords({mask: 1})) != alg.coords(maps.phi_on_x0(n, mask)):
-                raise CheckFailure(f"transform value wrong at mask {bin(mask)}")
+                raise CheckFailure(f"transform value wrong at {alg.text(mask)}")
 
     _add(checks, "theta/type-a-values", element_ranks, type_a_form)
 

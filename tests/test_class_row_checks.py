@@ -39,7 +39,7 @@ from peakalg.peak import (
     peak_basis,
     peak_elements,
 )
-from peakalg.perms import GROUP_OF_TYPE, byte_word, fibonacci, interior_sparse_masks
+from peakalg.perms import GROUP_OF_TYPE, GeneratorSet, byte_word, fibonacci, interior_sparse_masks
 from peakalg.reporting import CheckFailure, run_check
 
 from oracles import Echelon, descent_span_rank, members
@@ -53,14 +53,21 @@ def _upto(lo, n_max, hard):
     return range(lo, min(n_max, hard) + 1)
 
 
+def _text(ctype, n, mask):
+    """A descent-class label as the checks write it."""
+    return GeneratorSet(ctype, n, mask).text()
+
+
 def ref_chi_closed_forms(n_max):
     for n in _upto(2, n_max, 5):
         for m, yj in y_label_elements("B", n):
             if maps.chi(yj) != maps.chi_on_y(n, m):
-                raise CheckFailure(f"fold Y closed form fails at n={n}, {bin(m)}")
+                text = _text("B", n, m)
+                raise CheckFailure(f"the Y closed form of the fold fails at B_{n}, {text}")
         for m, xj in x_label_elements("B", n):
             if maps.chi(xj) != maps.chi_on_x(n, m):
-                raise CheckFailure(f"fold X closed form fails at n={n}, {bin(m)}")
+                text = _text("B", n, m)
+                raise CheckFailure(f"the X closed form of the fold fails at B_{n}, {text}")
 
 
 def ref_chi_image(n_max):
@@ -78,19 +85,21 @@ def ref_phi_closed_forms(n_max):
     for n in _upto(1, n_max, 5):
         for m, yj in y_label_elements("B", n):
             if maps.phi(yj) != maps.phi_on_y(n, m):
-                raise CheckFailure(f"sign-forgetting Y form fails at n={n}, {bin(m)}")
+                text = _text("B", n, m)
+                raise CheckFailure(f"the Y closed form of sign forgetting fails at B_{n}, {text}")
         for m, xj in x_label_elements("B", n):
             if maps.phi(xj) != maps.phi_on_x(n, m):
-                raise CheckFailure(f"sign-forgetting X form fails at n={n}, {bin(m)}")
+                text = _text("B", n, m)
+                raise CheckFailure(f"the X closed form of sign forgetting fails at B_{n}, {text}")
 
 
 def ref_phi_ideal_forms(n_max):
     for n in _upto(1, n_max, 5):
         for m in maps.canonical_ideal_labels(n):
             if maps.phi(maps.x0_basis(n, m)) != maps.phi_on_x0(n, m):
-                raise CheckFailure(f"ideal X form fails at n={n}, {bin(m)}")
+                raise CheckFailure(f"ideal X form fails at n={n}, {_text('B', n, m)}")
             if maps.phi(maps.y0_basis(n, m)) != maps.phi_on_y0(n, m):
-                raise CheckFailure(f"ideal Y form fails at n={n}, {bin(m)}")
+                raise CheckFailure(f"ideal Y form fails at n={n}, {_text('B', n, m)}")
 
 
 def ref_phi_generator_image(n_max):
@@ -106,10 +115,12 @@ def ref_psi_closed_forms(n_max):
     for n in _upto(2, n_max, 5):
         for m, yj in y_label_elements("D", n):
             if maps.psi(yj) != maps.psi_on_y(n, m & ~3, PSI_CASE[m & 3]):
-                raise CheckFailure(f"type-D Y form fails at n={n}, {bin(m)}")
+                text = _text("D", n, m)
+                raise CheckFailure(f"the Y closed form of sign forgetting fails at D_{n}, {text}")
         for m, xj in x_label_elements("D", n):
             if maps.psi(xj) != maps.psi_on_x(n, m & ~3, PSI_CASE[m & 3]):
-                raise CheckFailure(f"type-D X form fails at n={n}, {bin(m)}")
+                text = _text("D", n, m)
+                raise CheckFailure(f"the X closed form of sign forgetting fails at D_{n}, {text}")
 
 
 def ref_kernel_of_drop(n_max):
@@ -157,7 +168,7 @@ def ref_type_a_values(n_max):
                 if fm & ~window == 0:
                     want += interior_peak_basis(n, fm).scale(1 << (1 + bin(mask).count("1")))
             if maps.theta(x_basis("A", n, mask)) != want:
-                raise CheckFailure(f"transform value wrong at mask {bin(mask)}")
+                raise CheckFailure(f"transform value wrong at {_text('A', n, mask)}")
 
 
 def _spans_interior(images, n, witness):
@@ -397,7 +408,7 @@ def test_fold_wrong_on_one_class_fails_its_closed_forms(monkeypatch):
     extra = y_basis("D", 3, 0b100)
     monkeypatch.setattr(maps, "chi", wrong_on_one_class(maps.chi, "B", 3, 0b010, extra))
     rows, reference = _both_fail("chi/closed-forms")
-    assert rows.witness == reference.witness == "fold Y closed form fails at n=3, 0b10"
+    assert rows.witness == reference.witness == "the Y closed form of the fold fails at B_3, {1}"
 
 
 def test_drop_wrong_on_an_ideal_class_fails_the_kernel(monkeypatch):
@@ -425,7 +436,8 @@ def test_a_closed_form_with_one_coefficient_off(monkeypatch):
 
     monkeypatch.setattr(maps, "phi_on_y", off)
     rows, reference = _both_fail("phi/closed-forms")
-    assert rows.witness == reference.witness == "sign-forgetting Y form fails at n=3, 0b101"
+    witness = "the Y closed form of sign forgetting fails at B_3, {0,2}"
+    assert rows.witness == reference.witness == witness
 
 
 def test_a_count_closed_form_with_one_coefficient_off(monkeypatch):
@@ -452,7 +464,7 @@ def test_a_type_a_transform_value_off(monkeypatch, fresh_transform_rows):
     theta = wrong_on_one_class(maps.theta, "A", 3, 0b100, extra)
     monkeypatch.setattr(maps, "theta", theta)
     rows, reference = _both_fail("theta/type-a-values")
-    assert rows.witness == reference.witness == "transform value wrong at mask 0b100"
+    assert rows.witness == reference.witness == "transform value wrong at {2}"
 
 
 def test_a_wrong_byte_product_in_a_generator_row(monkeypatch, fresh_transform_rows):
@@ -465,7 +477,9 @@ def test_a_wrong_byte_product_in_a_generator_row(monkeypatch, fresh_transform_ro
     (result,) = [c for c in verify.SUITES["theta"](4) if c.check_id == "theta/type-a-values"]
     label = descent_algebra("A", 3).label_of[byte_word((1, 3, 2))]
     assert result.status == "fail"
-    assert result.witness == f"theta of the class {bin(label)} leaves the span"
+    assert result.witness == f"theta of the class {_text('A', 3, label)} leaves the span" == (
+        "theta of the class {2} leaves the span"
+    )
 
 
 def test_an_ideal_node_missing_a_label_fails_the_principal_ideal(monkeypatch):

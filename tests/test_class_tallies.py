@@ -54,7 +54,7 @@ def test_an_image_without_a_label_leaves_the_span():
     # type-B members have no type-A label; type-D members cover no type-B class
     for src, dst in ((descent_algebra("B", 2), descent_algebra("A", 2)),
                      (descent_algebra("D", 3), descent_algebra("B", 3))):
-        with pytest.raises(CheckFailure, match=r"^inclusion of the class 0b\d+ leaves the span$"):
+        with pytest.raises(CheckFailure, match=r"^inclusion of the class \{[\d',]*\} leaves the span$"):
             class_images(maps.inclusion, src, dst, "inclusion")
         assert (maps.inclusion, src, dst) not in ROW_TABLES
 
@@ -72,7 +72,7 @@ def test_a_duplicated_shuffle_table_fails_the_closure(monkeypatch):
     shuffle_coords.cache_clear()
     try:
         with pytest.raises(
-            CheckFailure, match=r"^shuffle of SolA 0b0 and SolA 0b0 counts 7 products, not 6$"
+            CheckFailure, match=r"^shuffle of SolA \{\} and SolA \{\} counts 7 products, not 6$"
         ):
             shuffle_coords("SolA", "SolA", 2, 2)
         want = reference_shuffle_coords("SolA", "SolA", 1, 3)

@@ -297,7 +297,7 @@ def test_a_count_sum_that_does_not_generate_is_named(monkeypatch, fresh_count_ta
     # numbered from y_3, the second count sum is the longest element of
     # B_3 alone, an involution: with the unit it spans a closed plane
     def count(n):
-        return descent_algebra("B", n).coarsen(popcount, labels=(0, 3, 1, 2))
+        return descent_algebra("B", n).coarsen(popcount, (0, 3, 1, 2), text=lambda j: f"y_{j}")
 
     monkeypatch.setitem(TWINS, "solhat", TWINS["solhat"]._replace(count=count))
     with pytest.raises(CheckFailure) as info:
@@ -311,7 +311,9 @@ def test_an_ideal_sum_that_does_not_generate_the_joint_span_is_named(
 ):
     # numbered from y0_2, the first ideal sum and y_1 generate rank 5 of 6
     def ideal(n):
-        return descent_algebra("B", n).coarsen(lambda m: popcount(m & ~1), labels=(1, 0, 2))
+        return descent_algebra("B", n).coarsen(
+            lambda m: popcount(m & ~1), (1, 0, 2), text=lambda j: f"y0_{j + 1}"
+        )
 
     monkeypatch.setitem(TWINS, "solhat", TWINS["solhat"]._replace(ideal=ideal))
     with pytest.raises(CheckFailure) as info:
@@ -333,9 +335,8 @@ def test_an_ideal_sum_that_does_not_generate_the_ideal_is_named(
     fine.cube.update({(1, 1): {1: -1}, (1, 2): {2: -1}, (2, 1): {2: -1}, (2, 2): {2: 1}})
     toy = Twin(
         lambda n: fine,
-        lambda n: fine.coarsen({0: 0, 1: 1, 2: 1}.get),
-        lambda n: fine.coarsen({0: 0, 1: 0, 2: 1}.get),
-        (("a", 0), ("b", 1)),
+        lambda n: fine.coarsen({0: 0, 1: 1, 2: 1}.get, text=lambda j: f"a_{j}"),
+        lambda n: fine.coarsen({0: 0, 1: 0, 2: 1}.get, text=lambda j: f"b_{j + 1}"),
         ("count span", "ideal"),
     )
     monkeypatch.setitem(TWINS, "whp", toy)

@@ -23,6 +23,7 @@ from peakalg.bases import (
     y_label_elements,
     y_to_x_coords,
 )
+from peakalg.perms import GeneratorSet, mask_text
 from peakalg.reporting import CheckFailure
 
 from oracles import members, reference_det
@@ -38,6 +39,11 @@ def _mask(n, alpha):
     return mask
 
 
+def _pair(ctype, n, m1, m2):
+    """A pair of descent-class labels as the checks write it."""
+    return f"({GeneratorSet(ctype, n, m1).text()}, {GeneratorSet(ctype, n, m2).text()})"
+
+
 def reference_chi_multiplicative(n_max):
     for n in range(2, min(n_max, 4) + 1):
         elems = y_label_elements("B", n)
@@ -46,7 +52,7 @@ def reference_chi_multiplicative(n_max):
             for m2, b in elems:
                 if maps.chi(a * b) != imgs[m1] * imgs[m2]:
                     raise CheckFailure(
-                        f"fold not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})"
+                        f"the fold is not multiplicative at B_{n}, {_pair('B', n, m1, m2)}"
                     )
 
 
@@ -58,15 +64,16 @@ def reference_phi_multiplicative(n_max):
             for m1, a in elems:
                 for m2, b in elems:
                     if mapper(a * b) != images[m1] * images[m2]:
+                        pair = _pair(ctype, n, m1, m2)
                         raise CheckFailure(
-                            f"not multiplicative at {ctype}, n={n}, ({bin(m1)}, {bin(m2)})"
+                            f"sign forgetting is not multiplicative at {ctype}_{n}, {pair}"
                         )
 
 
 def reference_drops_multiplicative(n_max):
     for ctype, drop, lo, what in (
-        ("B", maps.beta_map, 2, "degree drop"),
-        ("D", maps.gamma_map, 3, "type-D drop"),
+        ("B", maps.beta_map, 2, "the drop"),
+        ("D", maps.gamma_map, 3, "the type-D drop"),
     ):
         for n in range(lo, min(n_max, 4) + 1):
             elems = y_label_elements(ctype, n)
@@ -74,7 +81,8 @@ def reference_drops_multiplicative(n_max):
             for m1, a in elems:
                 for m2, b in elems:
                     if drop(a * b) != imgs[m1] * imgs[m2]:
-                        raise CheckFailure(f"{what} not multiplicative at n={n}")
+                        pair = _pair(ctype, n, m1, m2)
+                        raise CheckFailure(f"{what} is not multiplicative at {ctype}_{n}, {pair}")
 
 
 def reference_pi_multiplicative(n_max):
@@ -84,9 +92,8 @@ def reference_pi_multiplicative(n_max):
         for m1, a in elems:
             for m2, b in elems:
                 if peak.pi_map(a * b) != imgs[m1] * imgs[m2]:
-                    raise CheckFailure(
-                        f"projection not multiplicative at n={n}, ({bin(m1)}, {bin(m2)})"
-                    )
+                    pair = f"({mask_text(m1)}, {mask_text(m2)})"
+                    raise CheckFailure(f"the projection is not multiplicative at S_{n}, {pair}")
 
 
 def reference_bstilde_product(n, alpha):
@@ -144,18 +151,17 @@ def reference_bijective(n_max):
         for i, m in enumerate(labels):
             parts = bin(m).count("1") + 1
             if rows[i][i] != (1 << parts):
-                raise CheckFailure(
-                    f"diagonal at label {bin(m)} is {rows[i][i]}, expected 2^{parts}"
-                )
+                label = GeneratorSet("B", n, m).text()
+                raise CheckFailure(f"diagonal at label {label} is {rows[i][i]}, expected 2^{parts}")
             for j, m2 in enumerate(labels):
                 c = rows[i][j]
                 if c and (m & ~m2):
                     raise CheckFailure(
-                        f"entry at ({bin(m)}, {bin(m2)}) is nonzero but not a refinement"
+                        f"entry at {_pair('B', n, m, m2)} is nonzero but not a refinement"
                     )
                 if c and not (c.denominator == 1 and c >= 0):
                     raise CheckFailure(
-                        f"entry at ({bin(m)}, {bin(m2)}) is not a nonnegative integer"
+                        f"entry at {_pair('B', n, m, m2)} is not a nonnegative integer"
                     )
         if reference_det(rows) == 0:
             raise CheckFailure("determinant vanishes")
@@ -279,8 +285,24 @@ def test_perturbed_d_cube_fails_the_coordinate_chi_check():
         cell.clear()
         cell.update(saved)
     assert result.status == "fail"
-    assert result.witness.startswith("fold not multiplicative at n=3, ")
+    assert result.witness.startswith("the fold is not multiplicative at B_3, ")
     assert coordinate_check("chi/multiplicative", 3).status == "pass"
+
+
+def test_perturbed_b_cube_fails_the_drop_check_at_its_pair():
+    alg = descent_algebra("B", 3)
+    full = alg.labels[-1]
+    cell = alg.cube[(full, full)]
+    saved = dict(cell)
+    try:
+        cell[0] = cell.get(0, 0) + 1
+        result = coordinate_check("ideals/drops-multiplicative", 3)
+    finally:
+        cell.clear()
+        cell.update(saved)
+    assert result.status == "fail"
+    assert result.witness == "the drop is not multiplicative at B_3, ({0,1,2}, {0,1,2})"
+    assert coordinate_check("ideals/drops-multiplicative", 3).status == "pass"
 
 
 def test_one_result_per_rank_fails_both_checks_of_the_increasing_class_products(

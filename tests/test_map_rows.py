@@ -96,7 +96,7 @@ def test_a_build_off_the_span_stores_nothing_and_names_each_caller():
     for what in ("the first caller", "the second caller"):
         with pytest.raises(CheckFailure) as failure:
             class_images(f, src, dst, what)
-        assert str(failure.value) == f"{what} of the class 0b0 leaves the span"
+        assert str(failure.value) == f"{what} of the class {{}} leaves the span"
         assert (f, src, dst) not in ROW_TABLES
 
 

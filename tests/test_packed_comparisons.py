@@ -26,7 +26,7 @@ from peakalg.hopf import (
     shuffle_coords,
     transform_coords,
 )
-from peakalg.perms import packer
+from peakalg.perms import mask_text, packer
 from peakalg.reporting import CheckFailure, run_check
 
 from oracles import by_bidegree, reference_componentwise_internal, reference_map_tensor
@@ -36,12 +36,12 @@ from oracles import by_bidegree, reference_componentwise_internal, reference_map
 
 
 SHUFFLE_TEXTS = {
-    "OmegaB": lambda a1, a2: f"type-B transform breaks shuffles at {a1}, {a2}",
-    "SolA": lambda m1, m2: f"transform breaks shuffles at masks {bin(m1)}, {bin(m2)}",
+    "OmegaB": lambda a1, a2: f"type-B transform breaks shuffles at {a1} * {a2}",
+    "SolA": lambda m1, m2: f"transform breaks shuffles at {mask_text(m1)} * {mask_text(m2)}",
 }
 COPRODUCT_TEXTS = {
     "OmegaB": lambda alpha: f"type-B transform breaks the coproduct at {alpha}",
-    "SolA": lambda m: f"transform breaks the coproduct at mask {bin(m)}",
+    "SolA": lambda m: f"transform breaks the coproduct at {mask_text(m)}",
 }
 
 
@@ -86,7 +86,7 @@ def internal_compat_groups(dmax: int):
         yield [
             (
                 (a, b),
-                f"internal compatibility fails at degree {n}, pair ({bin(a)},{bin(b)})",
+                f"internal compatibility fails at degree {n}, {mask_text(a)} * {mask_text(b)}",
                 apply_rows(cop, prod),
                 reference_componentwise_internal(deltas[a], deltas[b], n),
             )

@@ -272,7 +272,7 @@ def two_pass_peak_realization(n):
     classes = {m: 0 for m in sparse_masks(n)}
     for u in group_elements("S", n):
         classes[perms.peak_mask(u)] += 1
-    empty = [bin(m) for m, c in classes.items() if c == 0]
+    empty = [perms.mask_text(m) for m, c in classes.items() if c == 0]
     if empty:
         raise CheckFailure(f"unrealized peak sets at n={n}: {empty}")
     for u in group_elements("S", n):
