@@ -24,7 +24,7 @@ import json
 from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm, prod
 
@@ -562,7 +562,10 @@ class ClassAlgebra:
         rows g * Y_b (left_rows) span every label.  V, the span of the class
         sums, is then generated by them and stable under left multiplication
         by each, so V * V lies in V; a row off the span re-scans the rows in
-        label order to name the first cell off it.  Then the cells, in label
+        label order to name the first cell off it.  A class whose sum already
+        lies in the saturated span gets no row: that span is the algebra the
+        earlier generators generate, each of which maps V into V, so the
+        class sum does too.  Then the cells, in label
         order: Y_a * Y_b has the coefficient #{u in a : u^-1 * w_c in b} on
         c, for w_c the first member of c, and must count |a| * |b| products."""
         words, class_of = self.classes, self.label_of.get
@@ -577,6 +580,9 @@ class ClassAlgebra:
         for g in sorted(self.labels, key=size):
             if span.rank == dim:
                 break
+            span.reduce(vec := {g: 1}, {})
+            if not vec:  # g lies in the saturated span, so g * V lies in V
+                continue
             rows[g] = self.left_rows({g: 1})
             if None in rows[g].values():
                 rescan = ((a, self.left_rows({a: 1})) for a in self.labels)
@@ -627,10 +633,7 @@ class ClassAlgebra:
     def table(self, name: str) -> "StructureTable":
         """Multiplication table on the class sums, read from the cube."""
         cube, labels = self.cube, self.labels
-        cells = [
-            [tuple(normalize_coord(cube[(l1, l2)].get(lab, 0)) for lab in labels) for l2 in labels]
-            for l1 in labels
-        ]
+        cells = [[tuple(map(cube[l1, l2].get, labels, repeat(0))) for l2 in labels] for l1 in labels]
         return StructureTable(name=name, labels=list(map(self.text, labels)), cells=cells)
 
     def saturate(self, seeds) -> int:
@@ -696,14 +699,17 @@ def pair_fibres(left: dict, right: dict, *prefix) -> dict:
     }
 
 
-def two_sided_failure(rows: dict, ideal: ClassAlgebra, witness):
+def two_sided_failure(src: ClassAlgebra, ideal: ClassAlgebra, what: tuple):
     """Check that the span of a coarsening ideal is a two-sided ideal of
-    the span of rows (label -> coordinates in the parent of ideal): each
-    product of a row with a class sum of ideal, on either side, is read on
-    the parent's cube and must lift.  Returns witness(side, row label,
-    ideal label) for the first product that does not, else None."""
-    parent = ideal.parent
-    for lab, row in rows.items():
+    src, the parent of ideal or another coarsening of it: each product of a
+    class sum of src with one of ideal, on either side, is read on the
+    parent's cube and must lift.  Returns the witness of the first product
+    that does not, else None: its side and both labels, each class sum
+    named by what (a name for those of src, one for those of ideal) and
+    written by its algebra's text."""
+    parent, (name, ideal_name) = ideal.parent, what
+    for lab in src.labels:
+        row = {lab: 1} if src is parent else src.spread({lab: 1})
         for g in ideal.labels:
             member = ideal.spread({g: 1})
             for side, prod in (
@@ -711,7 +717,10 @@ def two_sided_failure(rows: dict, ideal: ClassAlgebra, witness):
                 ("right", parent.product(member, row)),
             ):
                 if ideal.lift(prod) is None:
-                    return witness(side, lab, g)
+                    return (
+                        f"{side} product {name}_{src.text(lab)} with {ideal_name}_"
+                        f"{ideal.text(g)} leaves the ideal at n={src.n}"
+                    )
     return None
 
 
@@ -783,16 +792,9 @@ def first_unequal(sides):
     return next((key for key, left, right in sides if left != right), None)
 
 
-def normalize_coord(c):
-    if type(c) is int:
-        return c
-    frac = Fraction(c)
-    return int(frac) if frac.denominator == 1 else frac
-
-
 class StructureTable:
     """Multiplication table of a finite-dimensional algebra on an ordered
-    spanning set: cells[i][j] holds the coordinates (ints or Fractions) of
+    spanning set: cells[i][j] holds the integer coordinates of
     basis_i * basis_j; blocks optionally partitions the labels for display."""
 
     __slots__ = ("name", "labels", "cells", "blocks")
@@ -823,8 +825,7 @@ class StructureTable:
 
     def json_text(self) -> str:
         """json.dumps(self.to_json(), indent=2) in one pass: each string
-        quoted as json quotes it, each distinct cell written once (equal
-        int and Fraction coordinates print alike)."""
+        quoted as json quotes it, each distinct cell written once."""
         written = {}
         rows = []
         for row in self.cells:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 
 from .algebra import (
@@ -32,7 +33,6 @@ from .algebra import (
     add_multiple,
     apply_rows,
     class_images,
-    normalize_coord,
 )
 from .bases import descent_algebra, x_to_y_coords
 from .peak import interior_peak_algebra, peak_algebra
@@ -267,7 +267,7 @@ def _count_table(twin: str, n: int) -> StructureTable:
             coords = alg.lift(fine.product(ci, cj))
             if coords is None:
                 raise CheckFailure(f"{labi} * {labj} left the {where} at n={n}")
-            values = [normalize_coord(coords.get(lab, 0)) for lab in alg.labels]
+            values = list(map(coords.get, alg.labels, repeat(0)))
             row.append(tuple([0] * before + values + [0] * after))
         cells.append(row)
     labels = [lab for lab, _ in every]

@@ -9,7 +9,10 @@ kernel must give the same products and binnings, down to dict order and
 the type of each value.  The enumerated cube is a closure certificate from
 a few generator rows and a count from one representative per class: it
 must give the |G|^2 cube with each cell in label order, compose exactly
-the pinned number of products, and fail on each mutation below.
+the pinned number of products, and fail on each mutation below.  A class
+whose sum already lies in the span saturated under the earlier rows gets
+no row of its own, and the cubes that skip classes that way are still the
+|G|^2 cubes.
 """
 
 import itertools
@@ -294,7 +297,7 @@ def counting_byte_products(counts: list):
 # the cells; the |G|^2 count composed 518,400, 147,456 and 36,864
 @pytest.mark.parametrize(
     "ctype,n,products",
-    [("A", 6, 23_040 + 23_040), ("B", 4, 24_192 + 6_144), ("D", 4, 4_416 + 3_072)],
+    [("A", 6, 12_240 + 23_040), ("B", 4, 15_744 + 6_144), ("D", 4, 4_416 + 3_072)],
 )
 def test_the_cube_composes_the_pinned_number_of_products(monkeypatch, ctype, n, products):
     alg = fresh(bases.descent_algebra(ctype, n))
@@ -304,8 +307,9 @@ def test_the_cube_composes_the_pinned_number_of_products(monkeypatch, ctype, n, 
     assert len(counts) == products
 
 
-# the classes the B_3 certificate takes, by size (1, 1, 5, 5, 7), ties in label order
-B3_GENERATORS = [0b0, 0b111, 0b11, 0b100, 0b1]
+# the classes the B_3 certificate takes, by size (1, 1, 5, 7), ties in label order;
+# the class 0b100, of size 5, is skipped
+B3_GENERATORS = [0b0, 0b111, 0b11, 0b1]
 
 
 def test_the_b3_certificate_takes_its_generators_by_size(monkeypatch):
@@ -326,6 +330,40 @@ def test_the_b3_certificate_takes_its_generators_by_size(monkeypatch):
     # a table per generator row, then the inverse tables of each class
     assert [alg.label_of[w] for w in firsts[: len(B3_GENERATORS)]] == B3_GENERATORS
     assert len(firsts) == len(B3_GENERATORS) + len(alg.labels)
+
+
+def spied_rows(monkeypatch) -> list:
+    """The coordinates that ClassAlgebra.left_rows is called on, in order."""
+    calls, real = [], ClassAlgebra.left_rows
+
+    def spied(self, coords):
+        calls.append(coords)
+        return real(self, coords)
+
+    monkeypatch.setattr(ClassAlgebra, "left_rows", spied)
+    return calls
+
+
+def test_a_b3_class_in_the_saturated_span_gets_no_generator_row(monkeypatch):
+    alg = fresh(bases.descent_algebra("B", 3))
+    rows = spied_rows(monkeypatch)
+    alg.cube
+    assert rows == [{g: 1} for g in B3_GENERATORS]
+    # 0b100 ties with 0b11 on size, so by size alone it would come next; its
+    # class sum lies in the algebra that the three classes before it generate
+    assert alg.sizes[0b100] == alg.sizes[0b11] == 5
+    earlier = [{g: 1} for g in B3_GENERATORS[:3]]
+    assert alg.saturate(earlier) == alg.saturate(earlier + [{0b100: 1}]) < len(alg.labels)
+
+
+@pytest.mark.parametrize("n,skipped", [(1, []), (2, [(2,), (-2,)]), (3, [(3,), (-3,)])])
+def test_the_t_cubes_that_skip_classes_equal_the_compose_cube(monkeypatch, n, skipped):
+    alg = fresh(mr.t_algebra(n))
+    rows = spied_rows(monkeypatch)
+    assert typed(alg.cube) == the_compose_cube(alg)
+    # the classes of size one that get no row: T_1 takes both of its classes
+    taken = [lab for coords in rows for lab in coords]
+    assert [lab for lab in alg.labels if alg.sizes[lab] == 1 and lab not in taken] == skipped
 
 
 def one_descent_or_other(w) -> int:

@@ -95,20 +95,12 @@ def test_wp_interior_is_the_twin_of_the_ideal_counts():
         assert i0_number_algebra(n).parent.classes == descent_algebra("B", n).classes
 
 
-def _rows(alg):
-    return {lab: {lab: 1} for lab in alg.labels}
-
-
 def test_two_sided_failure_catches_a_subalgebra_that_is_no_ideal():
     # the peak algebra is a subalgebra of the type-A descent algebra, not an ideal
-    witness = two_sided_failure(
-        _rows(descent_algebra("A", 4)), peak_algebra(4), lambda *cell: cell
-    )
-    assert witness == ("left", 0b10, 0)
+    witness = two_sided_failure(descent_algebra("A", 4), peak_algebra(4), ("Y", "P"))
+    assert witness == "left product Y_{1} with P_{} leaves the ideal at n=4"
     # the interior-peak span is no ideal of the type-A descent algebra either
-    assert two_sided_failure(
-        _rows(descent_algebra("A", 3)), interior_peak_algebra(3), lambda *cell: cell
-    )
+    assert two_sided_failure(descent_algebra("A", 3), interior_peak_algebra(3), ("Y", "P"))
 
 
 def test_two_sided_failure_reads_both_sides():
@@ -117,18 +109,16 @@ def test_two_sided_failure_reads_both_sides():
     group = ClassAlgebra("S", 3, lambda w: w, group_elements("S", 3))
     h = (2, 1, 3)
     cosets = group.coarsen(lambda w: min(w, compose(w, h)))
-    witness = two_sided_failure(_rows(group), cosets, lambda *cell: cell)
-    assert witness is not None and witness[0] == "right"
+    witness = two_sided_failure(group, cosets, ("k", "gH"))
+    assert witness is not None and witness.startswith("right product k_(")
 
 
 def test_two_sided_failure_passes_the_ideals_of_the_paper():
     for n in range(1, 6):
-        peaks = peak_algebra(n)
-        rows = {m: peaks.spread({m: 1}) for m in peaks.labels}
-        assert two_sided_failure(rows, interior_peak_algebra(n), lambda *cell: cell) is None
+        assert two_sided_failure(peak_algebra(n), interior_peak_algebra(n), ("P", "P")) is None
     for n in range(1, 4):
-        rows = _rows(descent_algebra("B", n))
-        assert two_sided_failure(rows, canonical_ideal_algebra(n), lambda *cell: cell) is None
+        ideal = canonical_ideal_algebra(n)
+        assert two_sided_failure(descent_algebra("B", n), ideal, ("Y", "Y")) is None
 
 
 @contextmanager
@@ -245,5 +235,14 @@ def test_perturbed_type_b_cell_fails_the_canonical_ideal_check():
     with _perturbed(descent_algebra("B", 3), [(0, 0)], 0b10):
         result = _canonical_check(3)
     assert result.status == "fail"
-    assert result.witness == "canonical ideal not two-sided at n=3"
+    assert result.witness == "left product Y_{} with canonical Y_{} leaves the ideal at n=3"
+    assert _canonical_check(3).ok
+
+
+def test_the_canonical_ideal_witness_names_the_side_and_both_labels():
+    # Y_{1,2} * Y_{2} gains Y_{1}, so (Y_{1,2} + Y_{0,1,2}) * Y_{2} is not
+    # constant on the fibre {1} + {0,1}; no product read earlier meets it
+    with _perturbed(descent_algebra("B", 3), [(0b110, 0b100)], 0b10):
+        result = _canonical_check(3)
+    assert result.witness == "right product Y_{2} with canonical Y_{1,2} leaves the ideal at n=3"
     assert _canonical_check(3).ok
