@@ -71,20 +71,25 @@ def descent_coordinates(a: AlgElem, ctype: str):
     return descent_algebra(ctype, a.n).coords(a)
 
 
+def _submasks(jm: int):
+    """The submasks of jm, from jm down to 0."""
+    if jm < 0:  # it has no finite set of submasks
+        raise ValueError(f"label mask {jm} is negative")
+    sub = jm
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & jm
+
+
 def x_to_y_coords(coords: dict) -> dict:
     """Rewrite X-label coordinates as Y-label coordinates."""
     out: dict = {}
     for jm, c in coords.items():
-        if c == 0:
-            continue
-        if jm < 0:  # it has no finite set of submasks
-            raise ValueError(f"label mask {jm} is negative")
-        sub = jm
-        while True:  # iterate submasks of jm
-            out[sub] = out.get(sub, 0) + c
-            if sub == 0:
-                break
-            sub = (sub - 1) & jm
+        if c != 0:
+            for sub in _submasks(jm):
+                out[sub] = out.get(sub, 0) + c
     return {m: c for m, c in out.items() if c != 0}
 
 
@@ -92,16 +97,10 @@ def y_to_x_coords(coords: dict) -> dict:
     """Inverse rewriting, via Y_J = sum over I<=J of (-1)^(#J-#I) X_I."""
     out: dict = {}
     for jm, c in coords.items():
-        if c == 0:
-            continue
-        nj = popcount(jm)
-        sub = jm
-        while True:
-            sign = -1 if (nj - popcount(sub)) % 2 else 1
-            out[sub] = out.get(sub, 0) + sign * c
-            if sub == 0:
-                break
-            sub = (sub - 1) & jm
+        if c != 0:
+            nj = popcount(jm)
+            for sub in _submasks(jm):
+                out[sub] = out.get(sub, 0) + (-c if (nj - popcount(sub)) % 2 else c)
     return {m: c for m, c in out.items() if c != 0}
 
 

@@ -214,7 +214,7 @@ def phi_y0_number_formula(n: int, j: int) -> AlgElem:
 def _drop_difference(alg: ClassAlgebra, j: int, what: str) -> AlgElem:
     """The count sum j less the count sum j - 1, each where it is a label."""
     if not 0 <= j <= len(alg.labels):
-        raise ValueError(f"{what} {j} out of range 0..{len(alg.labels) - 1}")
+        raise ValueError(f"{what} {j} out of range 0..{len(alg.labels)}")
     return alg.element({i: c for i, c in ((j, 1), (j - 1, -1)) if i in alg.labels})
 
 
@@ -227,7 +227,7 @@ def beta_y_number_formula(n: int, j: int) -> AlgElem:
 def beta_x_number_formula(n: int, j: int) -> AlgElem:
     """x_j one rank down (no label of size n there, so 0 at j = n)."""
     if not 0 <= j <= n:
-        raise ValueError(f"label size {j} out of range 0..{n - 1}")
+        raise ValueError(f"label size {j} out of range 0..{n}")
     return descent_algebra("B", n - 1).element(x_count_coords(n - 1, j))
 
 

@@ -223,38 +223,16 @@ def check_singles(w: Perm):
     _check_counit(w, *splits)
 
 
-class Tensor2:
-    """A sum of two-sided tensors of group-algebra monomials of total degree
-    n, keyed by the pair of one-line tuples (degrees are the tuple lengths)."""
-
-    __slots__ = ("group", "n", "terms")
-
-    def __init__(self, group: str, n: int, terms: dict):
-        self.group, self.n, self.terms = group, n, terms
-
-    def __eq__(self, other):
-        if other.__class__ is not Tensor2:
-            return NotImplemented
-        return (self.group, self.n, self.terms) == (other.group, other.n, other.terms)
-
-    def add_term(self, u: Perm, v: Perm, c):
-        key = (u, v)
-        s = self.terms.get(key, 0) + c
-        if s == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
-
-
-def coproduct(a: AlgElem) -> Tensor2:
-    """Sum of the block factorizations over all split points."""
+def coproduct(a: AlgElem) -> dict:
+    """Sum of the block factorizations over all split points, as (left
+    block, right block) -> coefficient (one-line tuples, no zero stored)."""
     if a.n > EXTERNAL_DEGREE_CAP:
         raise CapExceeded(f"coproduct capped at degree {EXTERNAL_DEGREE_CAP}")
-    out = Tensor2(a.group, a.n, {})
+    out: dict = {}
     for w, c in a.terms.items():
         for p in range(a.n + 1):
             _, w1, w2 = coproduct_split(w, p)
-            out.add_term(w1, w2, c)
+            add_multiple(out, c, {(w1, w2): 1})
     return out
 
 
@@ -547,13 +525,10 @@ def check_coproduct_generators(dmax: int):
     coproduct of gen(m) is the sum of gen(i) (x) gen(m - i), term by term."""
     for m in range(1, dmax + 1):
         for gen, witness in GENERATORS:
-            top = gen(m)
-            want = Tensor2(top.group, m, {})
-            for i in range(m + 1):
-                for u in gen(i).terms:
-                    for v in gen(m - i).terms:
-                        want.add_term(u, v, 1)
-            if coproduct(top) != want:
+            want = Counter(
+                (u, v) for i in range(m + 1) for u in gen(i).terms for v in gen(m - i).terms
+            )
+            if coproduct(gen(m)) != want:
                 raise CheckFailure(witness.format(m=m))
 
 

@@ -16,7 +16,7 @@ and node_span ranks a Node; the diagrams and exact rows read the same.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .algebra import (
     AlgElem,
@@ -163,7 +163,8 @@ def phi_on_y0(n: int, jmask: int) -> AlgElem:
     return _peak_window(interior_peak_algebra(n), jmask ^ (jmask << 1), 2, per_peak=True)
 
 
-PSI_CASES = ("plain", "one", "oneprime", "both")
+# the case of a type-D label by its two low bits: neither, 1', 1, both
+PSI_CASES = ("plain", "oneprime", "one", "both")
 
 
 def _psi_label(jmask: int, case: str):
@@ -341,27 +342,18 @@ def imchi_basis(n: int, jmask: int, i: int) -> AlgElem:
 # commutative diagrams and exact rows
 
 
-class Node:
-    """A node of a diagram: its ambient class algebra and, for a proper
-    subspace only, spanning rows (label, coordinates over the ambient's
-    labels)."""
+# A node of a diagram: its ambient class algebra and, for a proper
+# subspace only, spanning rows (label, coordinates over the ambient's labels)
+Node = namedtuple("Node", "name algebra rows", defaults=(None,))
 
-    __slots__ = ("name", "algebra", "rows")
-
-    def __init__(self, name: str, algebra: ClassAlgebra, rows: list | None = None):
-        self.name, self.algebra, self.rows = name, algebra, rows
-
-
-class DiagramSpec:
-    """A finite diagram of arrows (source node, target node, element map)
-    with asserted path equalities (path_a, path_b), exact rows (inclusion
-    arrow, projection arrow) and surjections (arrow names)."""
-
-    __slots__ = ("name", "nodes", "arrows", "path_equalities", "exact_rows", "surjections")
-
-    def __init__(self, name, nodes, arrows, path_equalities=(), exact_rows=(), surjections=()):
-        self.name, self.nodes, self.arrows = name, nodes, arrows
-        self.path_equalities, self.exact_rows, self.surjections = path_equalities, exact_rows, surjections
+# A finite diagram of arrows (source node, target node, element map) with
+# asserted path equalities (path_a, path_b), exact rows (inclusion arrow,
+# projection arrow) and surjections (arrow names)
+DiagramSpec = namedtuple(
+    "DiagramSpec",
+    "name nodes arrows path_equalities exact_rows surjections",
+    defaults=((), (), ()),
+)
 
 
 def node_rows(node: Node) -> list:

@@ -403,7 +403,6 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
     from .bases import descent_algebra
     from .peak import peak_algebra
 
-    CASE = {0: "plain", 1: "oneprime", 2: "one", 3: "both"}
     checks = []
     element_ranks = _ranks(2, n_max, ELEMENT_CAP)
 
@@ -413,8 +412,8 @@ def suite_psi(n_max: int, deep: bool = False) -> list:
             descent_algebra("D", n),
             peak_algebra(n),
             "sign forgetting",
-            lambda m: maps.psi_on_y(n, m & ~3, CASE[m & 3]),
-            lambda m: maps.psi_on_x(n, m & ~3, CASE[m & 3]),
+            lambda m: maps.psi_on_y(n, m & ~3, maps.PSI_CASES[m & 3]),
+            lambda m: maps.psi_on_x(n, m & ~3, maps.PSI_CASES[m & 3]),
         )
 
     _add(checks, "psi/closed-forms", element_ranks, closed_forms)

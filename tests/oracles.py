@@ -227,8 +227,9 @@ def reference_builder_relations(n: int):
 
 
 def bidegree(t2, p: int) -> dict:
-    """The component of a hopf.Tensor2 whose left factors have degree p."""
-    return {k: c for k, c in t2.terms.items() if len(k[0]) == p}
+    """The component of a tensor {(u, v): c} (hopf.coproduct) whose left
+    factors have degree p."""
+    return {k: c for k, c in t2.items() if len(k[0]) == p}
 
 
 def pair_coords(component: dict, left: ClassAlgebra, right: ClassAlgebra):

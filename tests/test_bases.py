@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from peakalg.algebra import AlgElem
@@ -81,6 +86,29 @@ def test_xy_coordinate_changes_inverse():
     for m in range(1 << 4):
         assert y_to_x_coords(x_to_y_coords({m: 1})) == {m: 1}
         assert x_to_y_coords(y_to_x_coords({m: 1})) == {m: 1}
+
+
+NEGATIVE_MASK_PROBE = """
+from peakalg.bases import {name}
+try:
+    {name}({{-1: 1}})
+except ValueError as error:
+    print(error)
+"""
+
+
+@pytest.mark.parametrize("name", ["x_to_y_coords", "y_to_x_coords"])
+def test_a_negative_label_mask_is_rejected(name):
+    # in a fresh interpreter with a timeout, so a submask walk that never
+    # reaches 0 fails the test instead of hanging the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    probe = NEGATIVE_MASK_PROBE.format(name=name)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert out.stdout == "label mask -1 is negative\n"
+    # a zero coordinate names no label, as for any other mask
+    assert x_to_y_coords({-1: 0}) == y_to_x_coords({-1: 0}) == {}
 
 
 def test_descent_coordinates_roundtrip():

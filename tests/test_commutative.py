@@ -74,12 +74,12 @@ def test_builder_index_ranges():
 @pytest.mark.parametrize(
     "formula, n, j, message",
     [
-        (beta_y_number_formula, 3, 4, "descent count 4 out of range 0..2"),
-        (beta_y_number_formula, 3, -1, "descent count -1 out of range 0..2"),
-        (beta_x_number_formula, 3, 4, "label size 4 out of range 0..2"),
-        (beta_x_number_formula, 3, -1, "label size -1 out of range 0..2"),
-        (pi_peak_number_formula, 6, 4, "peak count 4 out of range 0..2"),
-        (pi_peak_number_formula, 6, -1, "peak count -1 out of range 0..2"),
+        (beta_y_number_formula, 3, 4, "descent count 4 out of range 0..3"),
+        (beta_y_number_formula, 3, -1, "descent count -1 out of range 0..3"),
+        (beta_x_number_formula, 3, 4, "label size 4 out of range 0..3"),
+        (beta_x_number_formula, 3, -1, "label size -1 out of range 0..3"),
+        (pi_peak_number_formula, 6, 4, "peak count 4 out of range 0..3"),
+        (pi_peak_number_formula, 6, -1, "peak count -1 out of range 0..3"),
     ],
 )
 def test_drop_formula_index_ranges(formula, n, j, message):

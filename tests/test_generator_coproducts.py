@@ -9,17 +9,19 @@ by the type-B family, which is checked first.
 import pytest
 
 from peakalg import hopf
+from peakalg.algebra import add_multiple
 from peakalg.reporting import CheckFailure
 
 
 def _wrong_on(gen):
-    """The coproduct, with one more unit on the first split of gen."""
+    """The coproduct, with one more unit on the first split of gen: the
+    block pair of degree 0 and the first term of gen."""
     coproduct = hopf.coproduct
 
     def broken(a):
         out = coproduct(a)
         if a == gen:
-            out.add_term((), next(iter(a.terms)), 1)
+            add_multiple(out, 1, {((), next(iter(a.terms))): 1})
         return out
 
     return broken
@@ -37,7 +39,11 @@ def _wrong_on(gen):
 )
 def test_a_coproduct_wrong_on_one_family_fails_with_its_witness(family, witness, monkeypatch):
     gen = hopf.GENERATORS[family][0]
-    monkeypatch.setattr(hopf, "coproduct", _wrong_on(gen(2)))
+    broken = _wrong_on(gen(2))
+    # the mutant is a dict tensor that differs from the coproduct on gen(2) alone
+    assert type(broken(gen(2))) is dict and broken(gen(2)) != hopf.coproduct(gen(2))
+    assert broken(gen(3)) == hopf.coproduct(gen(3))
+    monkeypatch.setattr(hopf, "coproduct", broken)
     with pytest.raises(CheckFailure) as failure:
         hopf.check_coproduct_generators(3)
     assert str(failure.value) == witness

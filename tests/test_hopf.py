@@ -6,7 +6,6 @@ from peakalg import hopf
 from peakalg.algebra import AlgElem
 from peakalg.bases import y_basis
 from peakalg.hopf import (
-    Tensor2,
     check_beta_via_coproduct,
     check_coassociative,
     check_coproduct_generators,
@@ -35,7 +34,7 @@ from peakalg.peak import peak_basis, peak_coordinates
 from peakalg.perms import compose, group_elements, identity, inverse
 from peakalg.reporting import CheckFailure
 
-from oracles import block_embed
+from oracles import add_multiple, block_embed
 from test_hopf_coords import componentwise_internal
 
 
@@ -62,10 +61,50 @@ def test_split_examples():
     assert (w1, w2) == ((1,), (2, 1))
     assert compose(block_embed(w1, w2), inverse(xi)) == (3, 1, 2)
     # identity splits into identities
-    t2 = coproduct(AlgElem.unit("S", 3))
-    assert t2.terms == {
+    assert coproduct(AlgElem.unit("S", 3)) == {
         (identity(p), identity(3 - p)): 1 for p in range(4)
     }
+
+
+def test_coproduct_drops_the_terms_that_cancel():
+    e12, e21 = AlgElem.monomial("S", 2, (1, 2)), AlgElem.monomial("S", 2, (2, 1))
+    ends = {((), (1, 2)): 1, ((1, 2), ()): 1}
+    # both permutations split at 1 into the same block pair
+    assert coproduct(e12 + e21) == {**ends, ((), (2, 1)): 1, ((2, 1), ()): 1, ((1,), (1,)): 2}
+    difference = coproduct(e12 - e21)
+    assert type(difference) is dict and 0 not in difference.values()
+    assert difference == {**ends, ((), (2, 1)): -1, ((2, 1), ()): -1}
+    assert coproduct(AlgElem.zero("S", 2)) == {}
+
+
+def test_coproduct_does_not_depend_on_the_order_of_the_terms():
+    a = y_basis("B", 3, 0b101) - 2 * y_basis("B", 3, 0b10)
+    reordered = AlgElem._raw("B", 3, dict(reversed(a.terms.items())))
+    assert list(reordered.terms) != list(a.terms)
+    assert coproduct(reordered) == coproduct(a)
+
+
+def _split_oracle(group: str, n: int) -> dict:
+    """w -> its block pairs (u, v), one per split point: every product of a
+    block pair u x v and an inverse shuffle, with no split of w read."""
+    out: dict = {}
+    for p in range(n + 1):
+        for u in group_elements(group, p):
+            for v in group_elements(group, n - p):
+                for xi in shuffles(p, n - p):
+                    out.setdefault(compose(block_embed(u, v), inverse(xi)), []).append((u, v))
+    return out
+
+
+def test_coproduct_equals_the_split_oracle_on_the_generators():
+    for m in range(5):
+        for gen, _ in hopf.GENERATORS:
+            a = gen(m)
+            pairs, want = _split_oracle(a.group, m), {}
+            for w, c in a.terms.items():
+                for pair in pairs[w]:
+                    add_multiple(want, c, {pair: 1})
+            assert coproduct(a) == want, (gen, m)
 
 
 def test_reassembly_coassoc_counit_small():
@@ -102,8 +141,7 @@ def test_concatenation_formulas():
 def test_coproduct_generators():
     check_coproduct_generators(5)
     # the barred one-part classes split with matching bars
-    t2 = coproduct(stilde_basis(3, (-3,)))
-    for (u, v), c in t2.terms.items():
+    for (u, v), c in coproduct(stilde_basis(3, (-3,))).items():
         assert c == 1
         assert all(x < 0 for x in u) and all(x < 0 for x in v)
 
@@ -187,9 +225,9 @@ def test_external_associative_and_graded():
 
 
 def test_tensor2_internal_componentwise():
-    t = Tensor2("S", 2, {((1,), (1,)): 1})
-    s = Tensor2("S", 2, {((1,), (1,)): 2})
-    assert componentwise_internal(t, s).terms == {((1,), (1,)): 2}
+    t = {((1,), (1,)): 1}
+    s = {((1,), (1,)): 2}
+    assert componentwise_internal(t, s) == {((1,), (1,)): 2}
 
 
 def test_ideal_and_type_a_share_graded_constants():

@@ -5,17 +5,24 @@ hashed by their fields, never equal to the tuple of those fields, and
 pickled by value.
 GeneratorSet and PeakIndex validate on construction with fixed messages,
 and their len and membership count members of the mask, not fields.
-Tensor2 compares by value (hopf/generator-coproducts compares two).
+A tensor of the coproduct is a plain dict, which compares by value
+(hopf/generator-coproducts compares two), and the diagram records of maps
+are namedtuples.
 CheckResults cross the --jobs process pool by pickle, and a VerifyReport
 holding them pickles too.
+No class of the package is a bare record: one whose body is a docstring,
+__slots__ and an __init__ that only assigns fields is a namedtuple instead.
 """
 
+import ast
 import pickle
+from pathlib import Path
 
 import pytest
 
-from peakalg.algebra import AlgElem, CoordVector, express_in_span
-from peakalg.hopf import Tensor2
+from peakalg import maps
+from peakalg.algebra import AlgElem, CoordVector, add_multiple, express_in_span
+from peakalg.hopf import coproduct
 from peakalg.perms import GeneratorSet, PeakIndex
 from peakalg.reporting import CheckResult, VerifyReport, run_check
 
@@ -106,19 +113,98 @@ def test_validation_messages(make, message):
     assert str(info.value) == message
 
 
-def test_tensor2_compares_by_value():
-    def tensor(*terms, n=2):
-        t = Tensor2("S", n, {})
+def test_tensors_are_dicts_compared_by_value():
+    def tensor(*terms):
+        t: dict = {}
         for u, v, c in terms:
-            t.add_term(u, v, c)
+            add_multiple(t, c, {(u, v): 1})
         return t
 
     one, two = ((1,), (1,), 1), ((), (1, 2), 3)
-    assert tensor(one, two) == tensor(two, one) == Tensor2("S", 2, {((1,), (1,)): 1, ((), (1, 2)): 3})
-    assert tensor(one, one, ((1,), (1,), -2)) == Tensor2("S", 2, {})
+    assert tensor(one, two) == tensor(two, one) == {((1,), (1,)): 1, ((), (1, 2)): 3}
+    assert tensor(one, one, ((1,), (1,), -2)) == {}
     assert tensor(one) != tensor(two)
-    assert tensor(one) != tensor(one, n=3)
-    assert Tensor2("S", 2, {}) != Tensor2("B", 2, {})
+    # a degree-3 block pair is a different key
+    assert tensor(one) != tensor(((1,), (1, 2), 1))
+    t2 = coproduct(3 * e12)
+    assert type(t2) is dict and t2 == tensor(((), (1, 2), 3), ((1,), (1,), 3), ((1, 2), (), 3))
+
+
+def test_diagram_records_keep_their_fields_and_defaults():
+    assert maps.Node._fields == ("name", "algebra", "rows")
+    assert maps.Node._field_defaults == {"rows": None}
+    assert maps.DiagramSpec._fields == (
+        "name", "nodes", "arrows", "path_equalities", "exact_rows", "surjections"
+    )
+    assert maps.DiagramSpec._field_defaults == dict.fromkeys(
+        ("path_equalities", "exact_rows", "surjections"), ()
+    )
+    algebra = object()
+    node = maps.Node("P", algebra)
+    assert (node.name, node.algebra, node.rows) == ("P", algebra, None)
+    assert maps.Node(name="P", algebra=algebra, rows=[]).rows == []
+    spec = maps.DiagramSpec("d", {"P": node}, {"f": ("P", "P", None)}, surjections=("f",))
+    assert (spec.path_equalities, spec.exact_rows, spec.surjections) == ((), (), ("f",))
+    for record, field in ((node, "rows"), (spec, "nodes")):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, before)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, field) is before
+
+
+def _is_docstring(stmt) -> bool:
+    return isinstance(stmt, ast.Expr) and isinstance(getattr(stmt.value, "value", None), str)
+
+
+def _sets_fields(stmt) -> bool:
+    """stmt assigns attributes of self and nothing else."""
+    if not isinstance(stmt, ast.Assign):
+        return False
+    targets = [t for target in stmt.targets for t in getattr(target, "elts", [target])]
+    return all(isinstance(t, ast.Attribute) and ast.unparse(t.value) == "self" for t in targets)
+
+
+def _is_bare_record(cls: ast.ClassDef) -> bool:
+    """The body of cls is only a docstring, __slots__ and an __init__ that
+    assigns fields of self."""
+    init = None
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+            init = stmt
+        elif not _is_docstring(stmt) and ast.unparse(getattr(stmt, "targets", [stmt])[0]) != "__slots__":
+            return False
+    return init is not None and all(_is_docstring(s) or _sets_fields(s) for s in init.body)
+
+
+def _bare_records(source: str) -> list:
+    classes = (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef))
+    return [cls.name for cls in classes if _is_bare_record(cls)]
+
+
+RECORD = '''
+class Node:
+    """A node."""
+
+    __slots__ = ("name", "algebra", "rows")
+
+    def __init__(self, name, algebra, rows=None):
+        self.name, self.algebra, self.rows = name, algebra, rows
+'''
+
+
+def test_the_record_lint_tells_records_from_classes_with_behaviour():
+    method = RECORD + "\n    def __eq__(self, other):\n        return self.name == other.name\n"
+    checked = RECORD + "        if rows == []:\n            raise ValueError\n"
+    assert _bare_records(RECORD) == ["Node"]
+    assert _bare_records(method) == _bare_records(checked) == []
+
+
+def test_no_class_of_the_package_is_a_bare_record():
+    package = Path(__file__).resolve().parents[1] / "src" / "peakalg"
+    found = {path.name: _bare_records(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: classes for name, classes in found.items() if classes} == {}
 
 
 def _fields(result: CheckResult) -> tuple:
