@@ -47,7 +47,7 @@ from .perms import (
     sigma,
     unsigned_tally,
 )
-from .reporting import CheckFailure, run_check
+from .reporting import Check, CheckFailure, run_checks
 
 # ---------------------------------------------------------------------------
 # element-level linear maps
@@ -396,11 +396,40 @@ def x_span_node(name: str, ctype: str, n: int, labels) -> Node:
     return Node(name, descent_algebra(ctype, n), [(m, x_to_y_coords({m: 1})) for m in labels])
 
 
-def verify_diagram(spec: DiagramSpec) -> list:
-    """The checks of a diagram, on class rows.  The rows of an arrow are
-    those of its map between the algebras of its two nodes (class_images);
-    every check applies them to the spanning rows of the nodes and
-    compares, lands or ranks them."""
+def _refuse_malformed(spec: DiagramSpec):
+    """Raise ValueError naming the first shape error of a spec: an arrow
+    from or to a node it lacks, an arrow name it lacks, a path or exact
+    row whose consecutive arrows do not compose, or asserted-equal paths
+    with different ends."""
+    nodes, arrows = spec.nodes, spec.arrows
+    for src, dst, _ in arrows.values():
+        for node in (src, dst):
+            if node not in nodes:
+                raise ValueError(f"diagram {spec.name} has no node {node}")
+    rows = [("path", p) for pair in spec.path_equalities for p in pair]
+    rows += [("exact row", row) for row in spec.exact_rows]
+    for arrow in [a for _, row in rows for a in row] + list(spec.surjections):
+        if arrow not in arrows:
+            raise ValueError(f"diagram {spec.name} has no arrow {arrow}")
+    for kind, row in rows:
+        for f, g in zip(row, row[1:]):
+            if arrows[f][1] != arrows[g][0]:
+                raise ValueError(f"{kind} arrows {f} and {g} do not compose")
+    for a, b in spec.path_equalities:
+        names = f"paths {'*'.join(a)} and {'*'.join(b)}"
+        if arrows[a[0]][0] != arrows[b[0]][0]:
+            raise ValueError(f"{names} start at different nodes")
+        if arrows[a[-1]][1] != arrows[b[-1]][1]:
+            raise ValueError(f"{names} end at different nodes")
+
+
+def diagram_checks(spec: DiagramSpec) -> list:
+    """The checks of a diagram on class rows, declared and not run.  The
+    rows of an arrow are those of its map between the algebras of its two
+    nodes (class_images); every check applies them to the spanning rows
+    of the nodes and compares, lands or ranks them.  A malformed spec
+    raises ValueError (_refuse_malformed)."""
+    _refuse_malformed(spec)
     nodes = spec.nodes
 
     def table(arrow) -> dict:
@@ -416,56 +445,48 @@ def verify_diagram(spec: DiagramSpec) -> list:
         src, dst, _ = spec.arrows[arrow]
         return landed(table(arrow), nodes[src], nodes[dst], f"arrow {arrow}")
 
+    def check_paths(pair):
+        a, b = pair
+        rows = node_rows(nodes[spec.arrows[a[0]][0]])
+        for (label, x), (_, y) in zip(along(a, rows), along(b, rows)):
+            if x != y:
+                raise CheckFailure(f"paths {'*'.join(a)} and {'*'.join(b)} differ on {label}")
+
+    def check_exact(row):
+        inc, proj = row
+        (src, mid, _), out = spec.arrows[inc], spec.arrows[proj][1]
+        for label, image in along(row, node_rows(nodes[src])):
+            if image:
+                raise CheckFailure(f"{proj}({inc}({label})) != 0")
+        # ranks: injective inclusion, surjective projection, and
+        # ker(projection) = im(inclusion) by rank-nullity
+        r_src, r_mid, r_out = (node_span(nodes[name]).rank for name in (src, mid, out))
+        r_in, r_img = land(inc).rank, land(proj).rank
+        if r_in != r_src:
+            raise CheckFailure(f"{inc} is not injective ({r_in} < {r_src})")
+        if r_img != r_out:
+            raise CheckFailure(f"{proj} is not onto ({r_img} < {r_out})")
+        if r_in + r_img != r_mid:
+            raise CheckFailure(f"row not exact at {mid}: {r_in} + {r_img} != {r_mid}")
+
+    def check_surjective(arrow):
+        dst = spec.arrows[arrow][1]
+        if land(arrow).rank != node_span(nodes[dst]).rank:
+            raise CheckFailure(f"{arrow} is not onto {dst}")
+
     head = f"diagram/{spec.name}"
-    checks = [run_check(f"{head}/arrows-land-in-nodes", lambda: [land(a) for a in spec.arrows])]
-
-    for path_a, path_b in spec.path_equalities:
-        src = spec.arrows[path_a[0]][0]
-        if src != spec.arrows[path_b[0]][0]:
-            raise ValueError("paths start at different nodes")
-        a, b = "*".join(path_a), "*".join(path_b)
-
-        def check_paths(path_a=path_a, path_b=path_b, src=src, a=a, b=b):
-            rows = node_rows(nodes[src])
-            for (label, x), (_, y) in zip(along(path_a, rows), along(path_b, rows)):
-                if x != y:
-                    raise CheckFailure(f"paths {a} and {b} differ on {label}")
-
-        checks.append(run_check(f"{head}/path[{a}=={b}]", check_paths))
-
-    for inc, proj in spec.exact_rows:
-
-        def check_exact(inc=inc, proj=proj):
-            src, mid, _ = spec.arrows[inc]
-            mid2, out, _ = spec.arrows[proj]
-            if mid != mid2:
-                raise ValueError("exact row arrows do not compose")
-            for label, image in along((inc, proj), node_rows(nodes[src])):
-                if image:
-                    raise CheckFailure(f"{proj}({inc}({label})) != 0")
-            # ranks: injective inclusion, surjective projection, and
-            # ker(projection) = im(inclusion) by rank-nullity
-            r_src, r_mid, r_out = (node_span(nodes[name]).rank for name in (src, mid, out))
-            r_in, r_img = land(inc).rank, land(proj).rank
-            if r_in != r_src:
-                raise CheckFailure(f"{inc} is not injective ({r_in} < {r_src})")
-            if r_img != r_out:
-                raise CheckFailure(f"{proj} is not onto ({r_img} < {r_out})")
-            if r_in + r_img != r_mid:
-                raise CheckFailure(f"row not exact at {mid}: {r_in} + {r_img} != {r_mid}")
-
-        checks.append(run_check(f"{head}/exact-row[{inc},{proj}]", check_exact))
-
-    for arrow in spec.surjections:
-
-        def check_surjective(arrow=arrow):
-            dst = spec.arrows[arrow][1]
-            if land(arrow).rank != node_span(nodes[dst]).rank:
-                raise CheckFailure(f"{arrow} is not onto {dst}")
-
-        checks.append(run_check(f"{head}/onto[{arrow}]", check_surjective))
-
+    checks = [Check(f"{head}/arrows-land-in-nodes", list(spec.arrows), land)]
+    for a, b in spec.path_equalities:
+        checks.append(Check(f"{head}/path[{'*'.join(a)}=={'*'.join(b)}]", [(a, b)], check_paths))
+    checks += [Check(f"{head}/exact-row[{','.join(r)}]", [r], check_exact) for r in spec.exact_rows]
+    checks += [Check(f"{head}/onto[{a}]", [a], check_surjective) for a in spec.surjections]
     return checks
+
+
+def verify_diagram(spec: DiagramSpec) -> list:
+    """The CheckResults of the checks of a diagram (diagram_checks)."""
+    return run_checks(diagram_checks(spec))
+
 
 # ---------------------------------------------------------------------------
 # the standard diagrams

@@ -1,5 +1,7 @@
-"""Check results for the verification suites.
+"""Checks and their results for the verification suites.
 
+A Check is an id, its cases (cheap labels: ranks, degree pairs, arrow
+names) and a body of one case; run_checks runs each as one run_check.
 A check passes, fails, or errors; failures carry a human-readable witness
 (the offending pair, label, or identity), errors the type and message of
 an unexpected exception raised by the check body.  A cap hit inside a
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 
 from .perms import CapExceeded
 
@@ -47,6 +50,20 @@ def run_check(check_id: str, fn) -> CheckResult:
         return CheckResult(check_id, "error", witness=witness, wall_ms=ms)
     ms = 1000.0 * (time.perf_counter() - t0)
     return CheckResult(check_id, "pass", wall_ms=ms)
+
+
+# A declared check: run_checks calls body(case) for each case in order
+Check = namedtuple("Check", "check_id cases body")
+
+
+def run_checks(checks) -> list:
+    """The CheckResult of each check, in order; each runs through run_check."""
+
+    def run(check):
+        for case in check.cases:
+            check.body(case)
+
+    return [run_check(check.check_id, lambda: run(check)) for check in checks]
 
 
 class VerifyReport:

@@ -1,21 +1,24 @@
 """Named verification suites behind the command-line front end.
 
-Each suite bundles the executable theorem checks of one area into
-CheckResults.  Suites take the rank ceiling n_max and a deep flag; checks
-whose spec-level cap is lower than n_max stop at their own cap; the
+Each suite declares the executable theorem checks of one area as
+reporting.Check records and runs none; run_suite runs them through
+reporting.run_checks.  Suites take the rank ceiling n_max and a deep flag;
+checks whose spec-level cap is lower than n_max stop at their own cap; the
 cheap counting checks (Fibonacci dimensions, peak-set realization) always
 run to their stated caps, streaming the group and keeping no listing.
 
-A ranged check is an id, its cases (cheap labels: ranks, (type, rank)
-pairs, degree pairs) and a body of one case, registered by _add; only
-checks with no rank call run_check directly.  The checks of a map read
+Every check is an id, its cases (cheap labels: ranks, (type, rank)
+pairs, degree pairs) and a body of one case, declared by _add; a check
+with no rank has the one case it reads.  The checks of a map read
 its class rows: closed forms against rows applied to class coordinates,
 landing and spans through maps.landed and maps.node_span.
 """
 
 from __future__ import annotations
 
-from .reporting import CheckFailure, VerifyReport, run_check
+from functools import partial
+
+from .reporting import Check, CheckFailure, VerifyReport, run_checks
 
 ELEMENT_CAP = 5  # element-level exhaustive closed-form checks
 
@@ -30,17 +33,12 @@ def _ranks(lo: int, n_max: int, hard: int) -> range:
 
 
 def _add(checks: list, check_id: str, cases, body):
-    """Run body(case) for each case in order as the one check check_id.
+    """Declare the one check check_id, body(case) for each case in order.
     A check over no case checks nothing, so it gets no entry, just as a
     per-rank check gets none beyond its cap."""
     cases = list(cases)
-
-    def run():
-        for case in cases:
-            body(case)
-
     if cases:
-        checks.append(run_check(check_id, run))
+        checks.append(Check(check_id, cases, body))
 
 
 def _keyed(ranks: dict) -> list:
@@ -49,7 +47,7 @@ def _keyed(ranks: dict) -> list:
 
 
 def _add_per_rank(checks: list, suite: str, ranks, *named):
-    """For each rank n in order, run body(n) as the check f"{suite}/{name}/n={n}"
+    """For each rank n in order, declare body(n) as the check f"{suite}/{name}/n={n}"
     for each (name, body) of named, in the order given."""
     for n in ranks:
         for name, body in named:
@@ -163,8 +161,8 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
                 raise CheckFailure(f"descents disagree with lengths at {ctype}, {w}")
 
     _add(checks, "descents/length-oracle", bfs_cases, oracle)
-    checks.append(
-        run_check("descents/composition-associative-B3", lambda: _check_associative("B", 3))
+    _add(
+        checks, "descents/composition-associative-B3", [("B", 3)], lambda c: _check_associative(*c)
     )
 
     def involutions(n):
@@ -264,12 +262,12 @@ def suite_peaks(n_max: int, deep: bool = False) -> list:
 
     _add(checks, "peaks/projection-multiplicative", low_ranks, pi_multiplicative)
 
-    def noncommutative():
-        t = peakmod.peak_table(4)
+    def noncommutative(n):
+        t = peakmod.peak_table(n)
         if t.cell(1, 3) == t.cell(3, 1):
-            raise CheckFailure("expected noncommutativity witness missing in rank 4")
+            raise CheckFailure(f"expected noncommutativity witness missing in rank {n}")
 
-    checks.append(run_check("peaks/noncommutative-witness", noncommutative))
+    _add(checks, "peaks/noncommutative-witness", [4], noncommutative)
     _add(checks, "peaks/tables-build", low_ranks, peakmod.peak_table)
     return checks
 
@@ -330,7 +328,7 @@ def suite_chi(n_max: int, deep: bool = False) -> list:
     _add(checks, "chi/class-support-counts", low_ranks, support_counts)
 
     for n in range(3, _cap(n_max, ELEMENT_CAP) + 1):
-        checks.extend(maps.verify_diagram(maps.bd_triangles(n)))
+        checks.extend(maps.diagram_checks(maps.bd_triangles(n)))
     return checks
 
 
@@ -499,18 +497,18 @@ def suite_ideals(n_max: int, deep: bool = False) -> list:
 
     _add(checks, "ideals/dimension-obstruction", range(3, 21), no_intermediate_morphism)
 
-    def left_ideal_failure():
-        w = y_basis("A", 3, 0b10) * interior_peak_basis(3, 0b100)
-        if interior_peak_algebra(3).coords(w) is not None:
+    def left_ideal_failure(n):
+        w = y_basis("A", n, 0b10) * interior_peak_basis(n, 0b100)
+        if interior_peak_algebra(n).coords(w) is not None:
             raise CheckFailure("expected left-ideal failure witness is in the span")
         # the canonical ideal is likewise not a left ideal upstairs
         from .mr import t_basis
 
-        w = t_basis(3, (1, 1, 1)) * maps.x0_basis(3, 0)
-        if canonical_ideal_algebra(3).coords(w) is not None:
+        w = t_basis(n, (1, 1, 1)) * maps.x0_basis(n, 0)
+        if canonical_ideal_algebra(n).coords(w) is not None:
             raise CheckFailure("expected type-B left-ideal failure witness is in the span")
 
-    checks.append(run_check("ideals/left-ideal-failure-witness", left_ideal_failure))
+    _add(checks, "ideals/left-ideal-failure-witness", [3], left_ideal_failure)
     return checks
 
 
@@ -520,10 +518,10 @@ def suite_exactseq(n_max: int, deep: bool = False) -> list:
 
     checks = []
     for n in range(3, _cap(n_max, 5) + 1):
-        checks.extend(maps.verify_diagram(maps.bexact_diagram(n)))
-        checks.extend(maps.verify_diagram(maps.dexact_diagram(n)))
+        checks.extend(maps.diagram_checks(maps.bexact_diagram(n)))
+        checks.extend(maps.diagram_checks(maps.dexact_diagram(n)))
     for n in range(4, _cap(n_max, 6) + 1):
-        checks.extend(maps.verify_diagram(sbexact_diagram(n)))
+        checks.extend(maps.diagram_checks(sbexact_diagram(n)))
     return checks
 
 
@@ -550,13 +548,13 @@ def suite_commutative(n_max: int, deep: bool = False) -> list:
     _add_per_rank(checks, "commutative", type_d, ("type-d-images", comm.check_type_d_numbers))
     _add(checks, "commutative/peak-side-dimensions-to-8", range(2, 9), comm.check_wp_dimensions)
 
-    def loday():
-        if comm.loday_witness("p") != (4, "p_1"):
-            raise CheckFailure("peak-count non-containment witness moved")
-        if comm.loday_witness("pint") != (3, "p0_1"):
-            raise CheckFailure("interior non-containment witness moved")
+    def loday(case):
+        kind, want, what = case
+        if comm.loday_witness(kind) != want:
+            raise CheckFailure(f"{what} non-containment witness moved")
 
-    checks.append(run_check("commutative/not-in-descent-count-span", loday))
+    witnesses = [("p", (4, "p_1"), "peak-count"), ("pint", (3, "p0_1"), "interior")]
+    _add(checks, "commutative/not-in-descent-count-span", witnesses, loday)
     return checks
 
 
@@ -571,7 +569,7 @@ def suite_mr(n_max: int, deep: bool = False) -> list:
 
     _add(checks, "mr/signed-composition-counts", range(1, 9), counts)
 
-    def operators():
+    def operators(cap):
         a = (-2, 1, -1, -2, 2, 2, 3)
         if mr.segments(a) != [(-2,), (1,), (-1, -2), (2, 2, 3)]:
             raise CheckFailure("segment decomposition is wrong")
@@ -582,19 +580,19 @@ def suite_mr(n_max: int, deep: bool = False) -> list:
         b = (3, -2, -1, -2, 4, 2, -3, 1)
         if mr.tilde(b) != (3, -1, -3, -1, 4, 2, -1, -1, -1, 1):
             raise CheckFailure("segment complement operator is wrong")
-        for n in range(1, _cap(n_max, 6) + 1):
+        for n in range(1, cap + 1):
             for alpha in mr.signed_compositions(n):
                 if mr.tilde(mr.tilde(alpha)) != alpha:
                     raise CheckFailure(f"segment complement is not an involution at {alpha}")
 
-    checks.append(run_check("mr/operators", operators))
+    _add(checks, "mr/operators", [_cap(n_max, 6)], operators)
 
-    def orders():
+    def orders(cap):
         if not mr.leq((-2, 1, -3, 2, 5), (-2, 1, -1, -2, 2, 2, 3)):
             raise CheckFailure("refinement order example fails")
         if not mr.preceq((-2, 1, -1, -2, 2, 2, 3), (-2, 1, -3, 2, 1, 1, 3)):
             raise CheckFailure("flipped order example fails")
-        for n in range(1, _cap(n_max, 4) + 1):
+        for n in range(1, cap + 1):
             comps = mr.signed_compositions(n)
             for rel in (mr.leq, mr.preceq):
                 # each pair decided once, its up-set kept in order (dict keys)
@@ -610,13 +608,13 @@ def suite_mr(n_max: int, deep: bool = False) -> list:
                             if c not in ups[a]:
                                 raise CheckFailure(f"order not transitive at {a}, {b}, {c}")
 
-    checks.append(run_check("mr/order-axioms", orders))
+    _add(checks, "mr/order-axioms", [_cap(n_max, 4)], orders)
 
-    def recovery():
-        if mr.mr_class_of((-3, 4, 6, 1, 7, -5, -2, -8)) != (-1, 2, 2, -1, -2):
+    def recovery(w):
+        if mr.mr_class_of(w) != (-1, 2, 2, -1, -2):
             raise CheckFailure("class recovery example fails")
 
-    checks.append(run_check("mr/class-recovery", recovery))
+    _add(checks, "mr/class-recovery", [(-3, 4, 6, 1, 7, -5, -2, -8)], recovery)
 
     element_ranks = _ranks(1, n_max, ELEMENT_CAP)
     _add_per_rank(checks, "mr", element_ranks, ("partition", mr.check_t_partition))
@@ -726,8 +724,11 @@ def suite_hopf(n_max: int, deep: bool = False) -> list:
             hopf.check_singles(w)
 
     _add(checks, "hopf/coassociative-counit-singles", range(0, dmax + 1), singles)
-    checks.append(
-        run_check("hopf/peak-not-closed-witness", hopf.check_peak_not_closed_witness)
+    _add(
+        checks,
+        "hopf/peak-not-closed-witness",
+        [None],
+        lambda _: hopf.check_peak_not_closed_witness(),
     )
     theta_cap = _cap(n_max, 5)
     # (check, body, ceiling d, lo): body(d) checks the degrees up to d; it
@@ -771,17 +772,17 @@ def suite_words(n_max: int, deep: bool = False) -> list:
         range(1, _cap(n_max + 1, 5) + 1),
         lambda n: words.check_bracket_identity(n, trivial),
     )
-    checks.append(
-        run_check(
-            "words/right-action-law",
-            lambda: words.check_right_action(_cap(n_max, 3), nontrivial),
-        )
+    _add(
+        checks,
+        "words/right-action-law",
+        [_cap(n_max, 3)],
+        lambda n: words.check_right_action(n, nontrivial),
     )
-    checks.append(
-        run_check(
-            "words/algebra-morphism",
-            lambda: words.check_action_algebra_morphism(2, nontrivial),
-        )
+    _add(
+        checks,
+        "words/algebra-morphism",
+        [2],
+        lambda n: words.check_action_algebra_morphism(n, nontrivial),
     )
     degrees = [(p, q) for p, q in ((1, 1), (1, 2), (2, 1)) if p + q <= _cap(n_max + 1, 3)]
     _add(checks, "words/convolution", degrees, lambda pq: words.check_convolution(*pq, nontrivial))
@@ -804,24 +805,21 @@ SUITES = {
 }
 
 
-def _run_one(args) -> list:
-    name, n_max, deep = args
-    return SUITES[name](n_max, deep)
+def _run_one(name: str, n_max: int, deep: bool) -> list:
+    return run_checks(SUITES[name](n_max, deep))
 
 
 def run_suite(name: str, n_max: int, *, deep: bool = False, jobs: int = 1) -> VerifyReport:
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     names = list(SUITES) if name == "all" else [name]
-    report = VerifyReport(suite=name)
+    run = partial(_run_one, n_max=n_max, deep=deep)
     if len(names) > 1 and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_run_one, [(s, n_max, deep) for s in names]):
-                report.checks.extend(result)
+            results = list(pool.map(run, names))
     else:
-        for s in names:
-            report.checks.extend(SUITES[s](n_max, deep))
-    report.checks.sort(key=lambda c: c.check_id)
-    return report
+        results = map(run, names)
+    checks = [check for result in results for check in result]
+    return VerifyReport(name, sorted(checks, key=lambda c: c.check_id))

@@ -1,13 +1,16 @@
-"""How a verify check is registered and what a cap hit inside one does.
+"""How a verify check is declared and run, and what a cap hit inside one does.
 
-Every ranged check of peakalg.verify is registered by _add: an id, its
-cases, and a body of one case, run over the cases in order as a single
-run_check.  The low-ceiling reports are pinned by sha256, and a check that
-reaches past a cap set by PEAKALG_CAP stops the command with exit code 2
-instead of failing an identity.
+Every check of peakalg.verify is declared by _add as a reporting.Check:
+an id, its cases, and a body of one case.  Declaring runs no body;
+reporting.run_checks runs the body over the cases in order as a single
+run_check.  The checks a suite declares are the checks a run reports, and
+declaring every suite lists no group.  The low-ceiling reports are pinned
+by sha256, and a check that reaches past a cap set by PEAKALG_CAP stops
+the command with exit code 2 instead of failing an identity.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +20,7 @@ import pytest
 
 from peakalg import verify
 from peakalg.cli import main
-from peakalg.reporting import CheckFailure
+from peakalg.reporting import CheckFailure, run_checks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -41,6 +44,8 @@ def test_cases_run_in_order_as_one_check():
     seen = []
     checks = []
     verify._add(checks, "x/all", [(1, "a"), (2, "b"), (3, "c")], seen.append)
+    assert seen == []
+    checks = run_checks(checks)
     assert [(c.check_id, c.status) for c in checks] == [("x/all", "pass")]
     assert seen == [(1, "a"), (2, "b"), (3, "c")]
 
@@ -55,7 +60,8 @@ def test_the_first_failing_case_gives_the_witness():
 
     checks = []
     verify._add(checks, "x/fail", range(1, 6), body)
-    (check,) = checks
+    assert seen == []
+    (check,) = run_checks(checks)
     assert (check.status, check.witness) == ("fail", "fails at n=3")
     assert seen == [1, 2, 3]
 
@@ -67,7 +73,7 @@ def test_an_unexpected_exception_is_an_error():
 
     checks = []
     verify._add(checks, "x/error", [1, 2, 3], body)
-    (check,) = checks
+    (check,) = run_checks(checks)
     assert (check.status, check.witness) == ("error", "KeyError: 2")
 
 
@@ -79,6 +85,58 @@ def test_low_ceiling_report_is_pinned(n_max, capsys, monkeypatch):
     assert main(["verify", "--suite", "all", "--n-max", str(n_max), "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == LOW_CEILINGS[n_max]
+
+
+# ---------------------------------------------------------------------------
+# declaring is cheap and declares what a run reports
+
+
+def _declared(n_max: int, deep: bool = False) -> list:
+    return [c for suite in verify.SUITES.values() for c in suite(n_max, deep)]
+
+
+@pytest.mark.parametrize("n_max,deep", [(n, False) for n in range(6)] + [(5, True)])
+def test_the_declared_checks_are_the_checks_a_run_reports(n_max, deep):
+    declared = sorted(c.check_id for c in _declared(n_max, deep))
+    assert declared == [c.check_id for c in verify.run_suite("all", n_max, deep=deep).checks]
+
+
+# load peakalg.perms before the package body, make listing a group raise,
+# then declare every suite at n 5 with and without deep; a declared check
+# that lists a group, run, reports the raise
+LISTS_NO_GROUP = """
+import importlib.util, json, sys
+
+spec = importlib.util.find_spec("peakalg")
+package = sys.modules["peakalg"] = importlib.util.module_from_spec(spec)
+import peakalg.perms as perms
+
+
+def listed(group, n):
+    raise RuntimeError(f"listed {group}_{n}")
+
+
+perms.iter_group = perms.group_elements = listed
+spec.loader.exec_module(package)
+from peakalg import verify
+from peakalg.reporting import run_checks
+
+checks = [c for deep in (False, True) for s in verify.SUITES.values() for c in s(5, deep)]
+oracle = next(c for c in checks if c.check_id == "descents/length-oracle")
+(control,) = run_checks([oracle])
+print(json.dumps([len(checks), control.status, control.witness]))
+"""
+
+
+def test_declaring_every_suite_lists_no_group():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PEAKALG_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", LISTS_NO_GROUP], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    count = len(_declared(5)) + len(_declared(5, deep=True))
+    assert json.loads(done.stdout) == [count, "error", "RuntimeError: listed S_1"]
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +172,9 @@ def test_a_cap_hit_inside_a_check_exits_2(cap, suite, n_max, message, jobs):
     assert f"error: {message}" in done.stderr
 
 
-def test_partition_and_xy_inverse_lists_only_the_cases_it_checks(monkeypatch):
+def test_partition_and_xy_inverse_lists_only_the_cases_it_checks():
     # its body works every case it is given: type A to rank 6, B and D to 5
-    registered = {}
-
-    def record(checks, check_id, cases, body):
-        registered[check_id] = list(cases)
-
-    monkeypatch.setattr(verify, "_add", record)
-    verify.suite_descents(6)
+    registered = {c.check_id: c.cases for c in verify.suite_descents(6)}
     want = [("A", n) for n in range(1, 7)]
     want += [("B", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)]
     assert registered["descents/partition-and-xy-inverse"] == want

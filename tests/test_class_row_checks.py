@@ -40,7 +40,7 @@ from peakalg.peak import (
     peak_elements,
 )
 from peakalg.perms import GROUP_OF_TYPE, GeneratorSet, byte_word, fibonacci, interior_sparse_masks
-from peakalg.reporting import CheckFailure, run_check
+from peakalg.reporting import CheckFailure, run_check, run_checks
 
 from oracles import Echelon, descent_span_rank, members
 from test_compose_kernel import byte_products_wrong_on
@@ -351,7 +351,7 @@ def _replaced(check_id):
 def row_checks(n_max, suites=("chi", "phi", "psi", "ideals", "theta", "commutative")):
     """The same checks as the suites run them, on class rows."""
     checks = [c for s in suites for c in verify.SUITES[s](n_max) if _replaced(c.check_id)]
-    return sorted(checks, key=lambda c: c.check_id)
+    return sorted(run_checks(checks), key=lambda c: c.check_id)
 
 
 def verdicts(checks):
@@ -384,7 +384,7 @@ def test_verify_reads_no_element_level_span_helper():
 
 def _both_fail(check_id, n_max=4):
     suite = check_id.split("/")[0]
-    rows = [c for c in verify.SUITES[suite](n_max) if c.check_id == check_id]
+    rows = run_checks(c for c in verify.SUITES[suite](n_max) if c.check_id == check_id)
     reference = reference_checks(n_max, only=check_id)
     assert [c.status for c in rows + reference] == ["fail", "fail"], rows + reference
     return rows[0], reference[0]
@@ -470,11 +470,12 @@ def test_a_type_a_transform_value_off(monkeypatch, fresh_transform_rows):
 def test_a_wrong_byte_product_in_a_generator_row(monkeypatch, fresh_transform_rows):
     # 213 decreases, then increases: its class is in the generator of theta,
     # so its product with 132 enters the row of the class of 132
-    verify.SUITES["theta"](4)  # every other cache the suite reads, on the true kernel
+    run_checks(verify.SUITES["theta"](4))  # every other cache the suite reads, on the true kernel
     transform_coords.cache_clear()
     broken = byte_products_wrong_on((2, 1, 3), (1, 3, 2), (1, 2, 3))
     monkeypatch.setattr(algebra, "byte_products", broken)
-    (result,) = [c for c in verify.SUITES["theta"](4) if c.check_id == "theta/type-a-values"]
+    checks = verify.SUITES["theta"](4)
+    (result,) = run_checks(c for c in checks if c.check_id == "theta/type-a-values")
     label = descent_algebra("A", 3).label_of[byte_word((1, 3, 2))]
     assert result.status == "fail"
     assert result.witness == f"theta of the class {_text('A', 3, label)} leaves the span" == (

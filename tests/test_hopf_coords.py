@@ -1062,21 +1062,13 @@ def test_coproduct_closures_split_only_the_enumerated_families(monkeypatch, fres
     assert not per_element and not per_p
 
 
-def _verify_bodies(monkeypatch, n_max: int) -> dict:
-    """check id -> (cases, body) of the hopf suite, registered and not run."""
-    bodies = {}
-
-    def register(checks, check_id, cases, body):
-        bodies[check_id] = (list(cases), body)
-
-    monkeypatch.setattr(verify, "_add", register)
-    verify.suite_hopf(n_max)
-    monkeypatch.undo()
-    return bodies
+def _verify_bodies(n_max: int) -> dict:
+    """check id -> (cases, body) of the hopf suite, declared and not run."""
+    return {c.check_id: (c.cases, c.body) for c in verify.suite_hopf(n_max)}
 
 
 def test_the_verify_singles_loop_splits_each_element_once(monkeypatch, fresh_hopf_data):
-    cases, body = _verify_bodies(monkeypatch, 5)["hopf/coassociative-counit-singles"]
+    cases, body = _verify_bodies(5)["hopf/coassociative-counit-singles"]
     assert cases == list(range(0, 6))
     columns, per_element, per_p = _count_splits(monkeypatch)
     for n in cases:

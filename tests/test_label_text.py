@@ -15,7 +15,7 @@ from peakalg.bases import canonical_ideal_algebra, descent_algebra, structure_co
 from peakalg.commutative import i0_number_algebra, sol_algebra, wp_algebra, wp_interior_algebra
 from peakalg.mr import t_algebra
 from peakalg.peak import interior_peak_algebra, peak_algebra, peak_basis, peak_table
-from peakalg.reporting import CheckFailure
+from peakalg.reporting import CheckFailure, run_checks
 
 from oracles import members
 
@@ -88,6 +88,6 @@ def test_a_type_d_witness_writes_the_fork(monkeypatch):
         return form + peak_basis(n, 0) if (n, m, case) == (3, 0b100, "oneprime") else form
 
     monkeypatch.setattr(maps, "psi_on_y", off)
-    (result,) = [c for c in verify.SUITES["psi"](3) if c.check_id == "psi/closed-forms"]
+    (result,) = run_checks(c for c in verify.SUITES["psi"](3) if c.check_id == "psi/closed-forms")
     assert result.status == "fail"
     assert result.witness == "the Y closed form of sign forgetting fails at D_3, {1',2}"

@@ -19,6 +19,7 @@ from peakalg import algebra, bases, peak, perms, verify
 from peakalg.algebra import ClassAlgebra
 from peakalg.commutative import check_wp_dimensions
 from peakalg.perms import fibonacci, group_elements
+from peakalg.reporting import run_checks
 
 from oracles import members
 
@@ -169,7 +170,7 @@ def test_a_verify_run_lists_no_rank_above_its_own(monkeypatch, fresh):
 
     patch_everywhere(monkeypatch, "group_elements", spy)
     for suite in (verify.suite_descents, verify.suite_peaks, verify.suite_commutative):
-        assert all(check.ok for check in suite(5))
+        assert all(check.ok for check in run_checks(suite(5)))
     assert requested and max(n for _, n in requested) < 7
     assert not bound(bases.descent_algebra("A", 8))
 
@@ -185,7 +186,8 @@ def test_class_sum_ranks_match_elimination(n):
 
 
 def dimensions_witness() -> str:
-    (result,) = [c for c in verify.suite_peaks(1) if c.check_id == "peaks/dimensions-to-8"]
+    checks = verify.suite_peaks(1)
+    (result,) = run_checks(c for c in checks if c.check_id == "peaks/dimensions-to-8")
     assert result.status == "fail"
     return result.witness
 
@@ -218,7 +220,8 @@ def test_the_rank_8_peak_checks_enumerate_each_symmetric_group_once(monkeypatch,
         monkeypatch.setattr(owner, "iter_group", counted)
     ids = {"descents/peak-sets-realized", "peaks/dimensions-to-8"}
     suites = (verify.suite_descents, verify.suite_peaks)
-    assert [c.ok for s in suites for c in s(5) if c.check_id in ids] == [True, True]
+    results = run_checks([c for s in suites for c in s(5)])
+    assert [c.ok for c in results if c.check_id in ids] == [True, True]
     assert listed[peak] == {("S", n): 1 for n in range(1, 9)}
     assert not [n for _, n in listed[perms] if n > 5]
 

@@ -24,7 +24,7 @@ from peakalg.bases import (
     y_to_x_coords,
 )
 from peakalg.perms import GeneratorSet, mask_text
-from peakalg.reporting import CheckFailure
+from peakalg.reporting import CheckFailure, run_checks
 
 from oracles import members, reference_det
 
@@ -183,7 +183,7 @@ PAIRS = {
 def coordinate_check(check_id, n_max):
     """The result of one check of its suite, run at rank ceiling n_max."""
     suite = verify.SUITES[check_id.split("/")[0]]
-    (result,) = [c for c in suite(n_max) if c.check_id == check_id]
+    (result,) = run_checks(c for c in suite(n_max) if c.check_id == check_id)
     return result
 
 

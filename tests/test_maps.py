@@ -2,12 +2,15 @@ import pytest
 
 from peakalg.algebra import AlgElem, span_rank
 from peakalg.bases import (
+    descent_algebra,
     descent_coordinates,
     x_label_elements,
     y_basis,
     y_label_elements,
 )
 from peakalg.maps import (
+    DiagramSpec,
+    Node,
     bd_triangles,
     beta_map,
     beta2_map,
@@ -19,6 +22,7 @@ from peakalg.maps import (
     chi_on_x,
     chi_on_y,
     dexact_diagram,
+    diagram_checks,
     gamma_map,
     imchi_basis,
     interior_peak_generator,
@@ -250,6 +254,44 @@ def test_exact_sequence_diagrams():
             assert c.ok, (c.check_id, c.witness)
         for c in verify_diagram(dexact_diagram(n)):
             assert c.ok, (c.check_id, c.witness)
+
+
+def _bad_spec(extra_arrows=(), **asserted) -> DiagramSpec:
+    """Arrows f: A -> B, g: A -> C, h: B -> C and the extra arrows, with the
+    given assertions."""
+    nodes = {name: Node(name, descent_algebra("A", 2)) for name in "ABC"}
+    arrows = {"f": ("A", "B", phi), "g": ("A", "C", phi), "h": ("B", "C", phi)}
+    return DiagramSpec("bad", nodes, {**arrows, **dict(extra_arrows)}, **asserted)
+
+
+@pytest.mark.parametrize("declare", [diagram_checks, verify_diagram])
+@pytest.mark.parametrize(
+    "asserted,message",
+    [
+        ({"path_equalities": [(("f",), ("h",))]}, "paths f and h start at different nodes"),
+        ({"exact_rows": [("f", "g")]}, "exact row arrows f and g do not compose"),
+        ({"surjections": ["k"]}, "diagram bad has no arrow k"),
+        ({"exact_rows": [("f", "k")]}, "diagram bad has no arrow k"),
+        ({"path_equalities": [(("f", "h"), ("k",))]}, "diagram bad has no arrow k"),
+        ({"path_equalities": [(("f", "g"), ("f", "h"))]}, "path arrows f and g do not compose"),
+        ({"path_equalities": [(("f",), ("g",))]}, "paths f and g end at different nodes"),
+        ({"extra_arrows": {"e": ("A", "Z", phi)}}, "diagram bad has no node Z"),
+    ],
+    ids=[
+        "two-path-sources",
+        "row-not-composing",
+        "onto-unknown",
+        "row-unknown",
+        "path-unknown",
+        "path-not-composing",
+        "two-path-targets",
+        "arrow-to-unknown-node",
+    ],
+)
+def test_a_malformed_spec_is_refused_when_declared(declare, asserted, message):
+    # refused with the problem named, not reported as a failed or errored check
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        declare(_bad_spec(**asserted))
 
 
 def test_ker_beta2_labels():

@@ -123,16 +123,9 @@ def dict_check(groups) -> int:
 
 
 def square_check(n_max: int) -> tuple:
-    """(ranks, body) of theta/square-with-sign-forgetting, registered by
+    """(ranks, body) of theta/square-with-sign-forgetting, declared by
     verify.suite_theta and not run."""
-    bodies = {}
-
-    def register(checks, check_id, cases, body):
-        bodies[check_id] = (list(cases), body)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_add", register)
-        verify.suite_theta(n_max)
+    bodies = {c.check_id: (c.cases, c.body) for c in verify.suite_theta(n_max)}
     return bodies["theta/square-with-sign-forgetting"]
 
 
@@ -376,12 +369,10 @@ def test_a_perturbed_input_fails_with_the_dict_witness(perturbed, fresh_hopf_cac
 
 
 def order_axioms(n_max: int):
-    """mr/order-axioms as registered by verify.suite_mr, not run."""
-    bodies = {}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "run_check", lambda check_id, fn: bodies.setdefault(check_id, fn))
-        verify.suite_mr(n_max)
-    return bodies["mr/order-axioms"]
+    """mr/order-axioms as declared by verify.suite_mr, not run: its body
+    on its one case, the rank cap."""
+    (check,) = [c for c in verify.suite_mr(n_max) if c.check_id == "mr/order-axioms"]
+    return partial(check.body, *check.cases)
 
 
 def reference_order_axioms(n_max: int):

@@ -17,6 +17,7 @@ from peakalg.peak import (
     pi_map,
 )
 from peakalg.perms import fibonacci, identity, sparse_masks
+from peakalg.reporting import run_checks
 from peakalg.verify import suite_peaks
 
 
@@ -125,7 +126,7 @@ def test_two_sided_ideal_small():
 
 
 def test_peak_theorem_suite():
-    checks = suite_peaks(5)
+    checks = run_checks(suite_peaks(5))
     assert all(c.ok for c in checks), [(c.check_id, c.witness) for c in checks if not c.ok]
     ids = {c.check_id for c in checks}
     for n in (2, 3, 4, 5):

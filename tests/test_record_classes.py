@@ -7,7 +7,7 @@ GeneratorSet and PeakIndex validate on construction with fixed messages,
 and their len and membership count members of the mask, not fields.
 A tensor of the coproduct is a plain dict, which compares by value
 (hopf/generator-coproducts compares two), and the diagram records of maps
-are namedtuples.
+and the reporting.Check that a suite declares are namedtuples.
 CheckResults cross the --jobs process pool by pickle, and a VerifyReport
 holding them pickles too.
 No class of the package is a bare record: one whose body is a docstring,
@@ -24,7 +24,7 @@ from peakalg import maps
 from peakalg.algebra import AlgElem, CoordVector, add_multiple, express_in_span
 from peakalg.hopf import coproduct
 from peakalg.perms import GeneratorSet, PeakIndex
-from peakalg.reporting import CheckResult, VerifyReport, run_check
+from peakalg.reporting import Check, CheckResult, VerifyReport, run_check
 
 e12, e21 = AlgElem.monomial("S", 2, (1, 2)), AlgElem.monomial("S", 2, (2, 1))
 
@@ -152,6 +152,22 @@ def test_diagram_records_keep_their_fields_and_defaults():
         with pytest.raises(AttributeError):
             record.extra = 1
         assert getattr(record, field) is before
+
+
+def test_a_declared_check_keeps_its_fields():
+    assert Check._fields == ("check_id", "cases", "body")
+    assert Check._field_defaults == {}
+    cases = [1, 2]
+    check = Check("x/y", cases, print)
+    assert (check.check_id, check.cases, check.body) == ("x/y", cases, print)
+    assert Check(check_id="x/y", cases=cases, body=print) == check
+    for field in Check._fields:
+        before = getattr(check, field)
+        with pytest.raises(AttributeError):
+            setattr(check, field, before)
+        assert getattr(check, field) is before
+    with pytest.raises(AttributeError):
+        check.extra = 1
 
 
 def _is_docstring(stmt) -> bool:

@@ -14,7 +14,7 @@ import peakalg.verify
 from peakalg.algebra import AlgElem, elem_from_json
 from peakalg.cli import main
 from peakalg.perms import bfs_cap, enum_cap
-from peakalg.reporting import VerifyReport, run_check
+from peakalg.reporting import Check, VerifyReport, run_check
 
 
 def _raise_key_error():
@@ -52,9 +52,9 @@ def test_failure_is_not_an_error():
 
 def _suite_with_error(n_max, deep=False):
     return [
-        run_check("boom/ok", lambda: None),
-        run_check("boom/key-error", _raise_key_error),
-        run_check("boom/type-error", _raise_type_error),
+        Check("boom/ok", [None], lambda _: None),
+        Check("boom/key-error", [None], lambda _: _raise_key_error()),
+        Check("boom/type-error", [None], lambda _: _raise_type_error()),
     ]
 
 
