@@ -166,18 +166,11 @@ def comp_complement(parts, n: int | None = None) -> tuple:
 # structure constants
 
 
-def structure_constants(ctype: str, n: int, *, deep: bool = False) -> StructureTable:
+def structure_constants(ctype: str, n: int) -> StructureTable:
     """Full multiplication table of the descent algebra on the Y-basis.
     Raises if any product leaves the span: running this *is* the closure
-    check for the descent algebra.  Exhaustive caps: type A up to rank 6,
-    types B and D up to 4 (5 with deep=True)."""
-    from .perms import STRUCTURE_CAPS, CapExceeded
-
-    cap = STRUCTURE_CAPS[ctype][deep]
-    if n > cap:
-        raise CapExceeded(
-            f"structure constants for type {ctype} capped at rank {cap}"
-        )
+    check for the descent algebra.  Its callers cap the rank by
+    perms.STRUCTURE_CAPS; the group's enumeration cap bounds it here."""
     return descent_algebra(ctype, n).table(f"Sigma({ctype}_{n})[Y]")
 
 

@@ -7,8 +7,8 @@ denominator, an out-of-range number, a label with a member out of range,
 repeated or empty as in "{0,,2}", a signed composition with an empty part
 as in "(1,,2)", or a check that reaches a rank beyond an enumeration or
 BFS cap, among them; no report is written),
-3 a check raised an unexpected exception (its status in the report is
-"error").
+3 an unexpected exception, raised by a check (its status in the report is
+"error") or anywhere else (printed as "error: <Type>: <message>").
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def build_table(algebra: str, n: int, deep: bool = False):
     from .bases import structure_constants
 
     ctype = {"SigA": "A", "SigB": "B", "SigD": "D"}[algebra]
-    return structure_constants(ctype, n, deep=deep)
+    return structure_constants(ctype, n)
 
 
 def cmd_table(args) -> int:
@@ -81,12 +81,6 @@ def cmd_verify(args) -> int:
     if report.errored:
         return 3
     return 0 if report.passed else 1
-
-
-def _parse_alpha(text: str) -> tuple:
-    from .mr import comp_from_text
-
-    return comp_from_text(text)
 
 
 def _build_element(args):
@@ -114,9 +108,9 @@ def _build_element(args):
         mask = PeakIndex.parse(n, args.label or "{}", interior=kind == "Pint").mask
         return (peak_basis if kind == "P" else interior_peak_basis)(n, mask)
     if kind in ("T", "S", "Stilde"):
-        from .mr import mr_basis
+        from .mr import comp_from_text, mr_basis
 
-        return mr_basis(kind, n, _parse_alpha(args.alpha or f"({n})"))
+        return mr_basis(kind, n, comp_from_text(args.alpha or (f"({n})" if n else "()")))
     if kind in ("y", "x", "y0", "x0", "p", "pint"):
         from .commutative import graded_builder
 
@@ -229,7 +223,9 @@ def build_parser(suites=()) -> argparse.ArgumentParser:
     e.add_argument("--group", choices=("S", "B", "D"), default="S")
     e.add_argument("--n", type=_int_at_least(0), required=True)
     e.add_argument("--label", help="generator subset, e.g. \"{0,2}\" or \"{1',1}\"")
-    e.add_argument("--alpha", help="signed composition, e.g. \"(2,-1,1)\"")
+    e.add_argument(
+        "--alpha", help="signed composition, e.g. \"(2,-1,1)\"; default (n), or () at n 0"
+    )
     e.add_argument("--j", type=int, help="graded index for y/x/y0/x0/p/pint")
     e.add_argument("--out")
     e.set_defaults(func=cmd_export)
@@ -251,12 +247,12 @@ def main(argv=None) -> int:
     try:
         parse_cap_env()  # a malformed PEAKALG_CAP is a usage error
         return args.func(args)
-    except CapExceeded as exc:
+    except (ValueError, OSError) as exc:  # CapExceeded is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -176,16 +176,12 @@ def t_basis(n: int, alpha) -> AlgElem:
         raise ValueError(f"{alpha} is not a signed composition of {n}") from None
 
 
-def _interval_blocks(n: int, sizes) -> tuple:
-    """The tuples of value sets, one per interval, partitioning 1..n; each
-    block is increasing.  sizes may be any sequence of the interval sizes."""
-    return _blocks_of_sizes(n, tuple(sizes))
-
-
 @lru_cache(maxsize=None)
 def _blocks_of_sizes(n: int, sizes: tuple) -> tuple:
-    """_interval_blocks, listed once per composition: each block in turn
-    takes each subset of the values left, in lexicographic order."""
+    """The tuples of value sets, one per interval of the given sizes,
+    partitioning 1..n; each block is increasing.  Each block in turn takes
+    each subset of the values left, in lexicographic order, and the listing
+    is made once per composition."""
     listing = [((), tuple(range(1, n + 1)))]
     for k in sizes:
         listing = [
@@ -204,7 +200,7 @@ def _run_class_sum(n: int, alpha, reverse_negative: bool) -> AlgElem:
     if not is_signed_composition(alpha, n):
         raise ValueError(f"{alpha} is not a signed composition of {n}")
     terms = {}
-    for blocks in _interval_blocks(n, abs_comp(alpha)):
+    for blocks in _blocks_of_sizes(n, abs_comp(alpha)):
         word = []
         for part, block in zip(alpha, blocks):
             if part > 0:

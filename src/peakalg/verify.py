@@ -212,7 +212,7 @@ def suite_descents(n_max: int, deep: bool = False) -> list:
 
     def closure_table(case):
         ctype, n = case
-        table = bases.structure_constants(ctype, n, deep=deep)
+        table = bases.structure_constants(ctype, n)
         cells = (c for row in table.cells for cell in row for c in cell)
         if not all(isinstance(c, int) and c >= 0 for c in cells):
             raise CheckFailure(f"non-integer or negative constant in {table.name}")

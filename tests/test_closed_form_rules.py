@@ -164,7 +164,7 @@ def ref_s_basis(n, alpha):
     alpha = tuple(alpha)
     _ref_check(alpha, n)
     terms = {}
-    for blocks in mr._interval_blocks(n, [abs(a) for a in alpha]):
+    for blocks in mr._blocks_of_sizes(n, tuple(abs(a) for a in alpha)):
         word = []
         for part, block in zip(alpha, blocks):
             vals = sorted(block)
@@ -177,7 +177,7 @@ def ref_stilde_basis(n, alpha):
     alpha = tuple(alpha)
     _ref_check(alpha, n)
     terms = {}
-    for blocks in mr._interval_blocks(n, [abs(a) for a in alpha]):
+    for blocks in mr._blocks_of_sizes(n, tuple(abs(a) for a in alpha)):
         word = []
         for part, block in zip(alpha, blocks):
             if part > 0:
@@ -316,14 +316,12 @@ def test_class_sums_match_their_separate_statements():
 
 
 def test_interval_blocks_match_the_recursive_listing_in_order():
-    # every absolute composition of rank at most 6, as a list and as a
-    # tuple, and size lists that do not sum to the rank
+    # every absolute composition of rank at most 6, and size tuples that
+    # do not sum to the rank
     cases = {(n, tuple(map(abs, alpha))) for n in range(0, 7) for alpha in mr.signed_compositions(n)}
     cases |= {(3, (1, 1)), (3, (2, 0, 1)), (2, (3,)), (1, (0,))}
     for n, sizes in sorted(cases):
-        want = list(ref_interval_blocks(n, sizes))
-        assert list(mr._interval_blocks(n, list(sizes))) == want, (n, sizes)
-        assert list(mr._interval_blocks(n, sizes)) == want, (n, sizes)
+        assert list(mr._blocks_of_sizes(n, sizes)) == list(ref_interval_blocks(n, sizes)), (n, sizes)
 
 
 def test_orders_match_their_separate_statements_on_all_pairs():

@@ -1,7 +1,8 @@
 """Malformed input exits 2 and names its defect: a JSON coefficient with a
 zero denominator, a label or signed composition with an empty token, and
 a composition part that is not an integer.
-The empty label "{}" stays the empty set.  Every --map name of apply
+The empty label "{}" stays the empty set, and export at rank 0 defaults
+to the empty composition.  Every --map name of apply
 reads the function of peakalg.maps it names."""
 
 import json
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from peakalg import maps
-from peakalg.algebra import coeff_from_str, elem_to_json
+from peakalg.algebra import AlgElem, coeff_from_str, elem_to_json
 from peakalg.bases import y_basis
 from peakalg.cli import MAPS, main
 from peakalg.mr import comp_from_text
@@ -60,6 +61,12 @@ def test_a_composition_part_that_is_not_an_integer_exits_2(alpha, part, capsys):
 def test_the_empty_label_is_the_empty_set(label):
     assert GeneratorSet.parse("B", 3, label).mask == 0
     assert PeakIndex.parse(4, label).mask == 0
+
+
+@pytest.mark.parametrize("kind", ["T", "S", "Stilde"])
+def test_export_at_rank_0_defaults_to_the_empty_composition(kind, capsys):
+    assert main(["export", kind, "--n", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == elem_to_json(AlgElem.unit("B", 0))
 
 
 def test_labels_and_compositions_with_members_still_parse(capsys):

@@ -9,14 +9,11 @@ A tensor of the coproduct is a plain dict, which compares by value
 (hopf/generator-coproducts compares two), and the diagram records of maps
 and the reporting.Check that a suite declares are namedtuples.
 CheckResults cross the --jobs process pool by pickle, and a VerifyReport
-holding them pickles too.
-No class of the package is a bare record: one whose body is a docstring,
-__slots__ and an __init__ that only assigns fields is a namedtuple instead.
+holding them pickles too.  That no class of the package is a bare record
+(a namedtuple instead) is a rule of tests/test_source_rules.py.
 """
 
-import ast
 import pickle
-from pathlib import Path
 
 import pytest
 
@@ -168,59 +165,6 @@ def test_a_declared_check_keeps_its_fields():
         assert getattr(check, field) is before
     with pytest.raises(AttributeError):
         check.extra = 1
-
-
-def _is_docstring(stmt) -> bool:
-    return isinstance(stmt, ast.Expr) and isinstance(getattr(stmt.value, "value", None), str)
-
-
-def _sets_fields(stmt) -> bool:
-    """stmt assigns attributes of self and nothing else."""
-    if not isinstance(stmt, ast.Assign):
-        return False
-    targets = [t for target in stmt.targets for t in getattr(target, "elts", [target])]
-    return all(isinstance(t, ast.Attribute) and ast.unparse(t.value) == "self" for t in targets)
-
-
-def _is_bare_record(cls: ast.ClassDef) -> bool:
-    """The body of cls is only a docstring, __slots__ and an __init__ that
-    assigns fields of self."""
-    init = None
-    for stmt in cls.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
-            init = stmt
-        elif not _is_docstring(stmt) and ast.unparse(getattr(stmt, "targets", [stmt])[0]) != "__slots__":
-            return False
-    return init is not None and all(_is_docstring(s) or _sets_fields(s) for s in init.body)
-
-
-def _bare_records(source: str) -> list:
-    classes = (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef))
-    return [cls.name for cls in classes if _is_bare_record(cls)]
-
-
-RECORD = '''
-class Node:
-    """A node."""
-
-    __slots__ = ("name", "algebra", "rows")
-
-    def __init__(self, name, algebra, rows=None):
-        self.name, self.algebra, self.rows = name, algebra, rows
-'''
-
-
-def test_the_record_lint_tells_records_from_classes_with_behaviour():
-    method = RECORD + "\n    def __eq__(self, other):\n        return self.name == other.name\n"
-    checked = RECORD + "        if rows == []:\n            raise ValueError\n"
-    assert _bare_records(RECORD) == ["Node"]
-    assert _bare_records(method) == _bare_records(checked) == []
-
-
-def test_no_class_of_the_package_is_a_bare_record():
-    package = Path(__file__).resolve().parents[1] / "src" / "peakalg"
-    found = {path.name: _bare_records(path.read_text()) for path in sorted(package.glob("*.py"))}
-    assert {name: classes for name, classes in found.items() if classes} == {}
 
 
 def _fields(result: CheckResult) -> tuple:

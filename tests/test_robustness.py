@@ -1,7 +1,8 @@
 """The runner keeps its report when a check body raises, malformed size
 caps, JSON elements and numeric arguments are rejected with exit 2, a
-degree drop below its rank exits 2 naming the rank it needs, and
-`table --deep` reaches the structure constants."""
+degree drop below its rank exits 2 naming the rank it needs, any other
+exception exits 3, and `table --deep` lifts the cap on the structure
+constants."""
 
 import json
 import re
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import peakalg.bases
+import peakalg.peak
 import peakalg.verify
 from peakalg.algebra import AlgElem, elem_from_json
 from peakalg.cli import main
@@ -85,15 +87,31 @@ def test_wellformed_caps_accepted(monkeypatch):
 
 
 def test_table_passes_deep_through(monkeypatch, capsys):
-    seen = {}
+    """The CLI caps the rank, and --deep lifts its cap."""
+    seen = []
 
-    def fake(ctype, n, basis_kind="Y", *, deep=False):
-        seen.update(ctype=ctype, n=n, deep=deep)
+    def fake(ctype, n):
+        seen.append((ctype, n))
         return peakalg.bases.StructureTable(name="fake", labels=[], cells=[])
 
     monkeypatch.setattr(peakalg.bases, "structure_constants", fake)
+    assert main(["table", "--algebra", "SigB", "--n", "5", "--format", "csv"]) == 2
+    assert "table SigB is capped at n=4" in capsys.readouterr().err
+    assert seen == []
     assert main(["table", "--algebra", "SigB", "--n", "5", "--deep", "--format", "csv"]) == 0
-    assert seen == {"ctype": "B", "n": 5, "deep": True}
+    assert seen == [("B", 5)]
+
+
+@pytest.mark.parametrize("exc", [KeyError("x"), TypeError("boom")], ids=["KeyError", "TypeError"])
+def test_an_unexpected_exception_outside_a_check_exits_3(exc, monkeypatch, capsys):
+    def broken(n):
+        raise exc
+
+    monkeypatch.setattr(peakalg.peak, "peak_table", broken)
+    assert main(["table", "--algebra", "P", "--n", "3"]) == 3
+    assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
+    # malformed input stays a usage error
+    assert main(["export", "P", "--n", "5", "--label", "{2,-1}"]) == 2
 
 
 @pytest.mark.deep
