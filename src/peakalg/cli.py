@@ -71,8 +71,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_suite
+    from .verify import check_ids, run_suite
 
+    if args.list:
+        _write_out("\n".join(check_ids(args.suite, args.n_max, deep=args.deep)), args.out)
+        return 0
     report = run_suite(args.suite, args.n_max, deep=args.deep, jobs=args.jobs)
     if args.format == "json":
         _write_out(report.to_json(include_times=args.times), args.out)
@@ -83,16 +86,30 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+#: each export kind and the options it reads besides --n
+EXPORT_OPTIONS = {
+    "identity": ("group",),
+    **dict.fromkeys(("Y", "X"), ("group", "label")),
+    **dict.fromkeys(("Y0", "X0", "P", "Pint"), ("label",)),
+    **dict.fromkeys(("T", "S", "Stilde"), ("alpha",)),
+    **dict.fromkeys(("y", "x", "y0", "x0", "p", "pint"), ("j",)),
+}
+
+
 def _build_element(args):
     from .algebra import AlgElem
     from .perms import GeneratorSet, PeakIndex
 
     kind = args.kind
     n = args.n
+    for option in ("group", "label", "alpha", "j"):
+        if getattr(args, option) is not None and option not in EXPORT_OPTIONS[kind]:
+            raise ValueError(f"export {kind} does not read --{option}")
+    group = args.group or "S"
     if kind == "identity":
-        return AlgElem.unit(args.group, n)
+        return AlgElem.unit(group, n)
     if kind in ("Y", "X"):
-        ctype = {"S": "A", "B": "B", "D": "D"}[args.group]
+        ctype = {"S": "A", "B": "B", "D": "D"}[group]
         from .bases import x_basis, y_basis
 
         gs = GeneratorSet.parse(ctype, n, args.label or "{}")
@@ -111,13 +128,11 @@ def _build_element(args):
         from .mr import comp_from_text, mr_basis
 
         return mr_basis(kind, n, comp_from_text(args.alpha or (f"({n})" if n else "()")))
-    if kind in ("y", "x", "y0", "x0", "p", "pint"):
-        from .commutative import graded_builder
+    from .commutative import graded_builder  # y, x, y0, x0, p and pint
 
-        if args.j is None:
-            raise ValueError(f"kind {kind} needs --j")
-        return graded_builder(kind, n, args.j)
-    raise ValueError(f"unknown element kind {kind!r}")
+    if args.j is None:
+        raise ValueError(f"kind {kind} needs --j")
+    return graded_builder(kind, n, args.j)
 
 
 def cmd_export(args) -> int:
@@ -195,32 +210,13 @@ def build_parser(suites=()) -> argparse.ArgumentParser:
     v.add_argument("--jobs", type=_int_at_least(1), default=1)
     v.add_argument("--format", choices=("json", "pretty"), default="pretty")
     v.add_argument("--times", action="store_true", help="include wall times in JSON")
+    v.add_argument("--list", action="store_true", help="print the check IDs and run no check")
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("export", help="export a named element as JSON")
-    e.add_argument(
-        "kind",
-        choices=(
-            "identity",
-            "Y",
-            "X",
-            "Y0",
-            "X0",
-            "P",
-            "Pint",
-            "T",
-            "S",
-            "Stilde",
-            "y",
-            "x",
-            "y0",
-            "x0",
-            "p",
-            "pint",
-        ),
-    )
-    e.add_argument("--group", choices=("S", "B", "D"), default="S")
+    e.add_argument("kind", choices=list(EXPORT_OPTIONS))
+    e.add_argument("--group", choices=("S", "B", "D"), help="for identity, Y and X; default S")
     e.add_argument("--n", type=_int_at_least(0), required=True)
     e.add_argument("--label", help="generator subset, e.g. \"{0,2}\" or \"{1',1}\"")
     e.add_argument(

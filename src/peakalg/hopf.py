@@ -44,20 +44,19 @@ from .peak import interior_peak_algebra, peak_algebra, peak_basis, peak_coordina
 from .perms import (
     CapExceeded,
     Perm,
-    block_word,
+    block_columns,
     block_words,
     byte_decoder,
     byte_products,
-    byte_splits,
-    byte_table,
     byte_tables,
     byte_word,
     byte_words,
     group_elements,
     identity,
-    leg_splitter,
     members_of,
     packer,
+    pattern_runs,
+    split_stream,
     split_words,
 )
 from .reporting import CheckFailure
@@ -131,96 +130,114 @@ def coproduct_split(w: Perm, p: int):
     return tuple(left_pos + right_pos), tuple(w1), tuple(w2)
 
 
-def _shuffle_word(xi: Perm, p: int) -> tuple:
-    """(byte word of xi, whether xi increases on its first p and on its
-    other positions), read once per pattern and p by _shuffle_plan."""
-    return byte_word(xi), list(xi[:p]) == sorted(xi[:p]) and list(xi[p:]) == sorted(xi[p:])
-
-
 @lru_cache(maxsize=None)
-def _shuffle_plan(pattern: Perm) -> tuple:
-    """The byte words of the shuffles of the splits at p = 0..n of each w
-    with |w| = pattern, and whether each is a shuffle (_shuffle_word): xi
-    lists the positions (from 1) of the values at most p, then the others,
-    each in order, derived from the pattern apart from the byte split."""
+def _shuffle_plan(pattern: bytes) -> tuple:
+    """The shuffles xi_p of the splits at p = 0..n of each w whose |w| has
+    the byte word pattern, and whether each increases on its first p and on
+    its other positions: xi_p lists the positions (from 1) of the values at
+    most p, then the others, each in order, derived from the pattern apart
+    from the byte split."""
     positions = range(1, len(pattern) + 1)
-    return tuple(zip(*(
-        _shuffle_word(tuple(sorted(positions, key=lambda i: pattern[i - 1] > p)), p)
-        for p in range(len(pattern) + 1)
-    )))
+    xis = [tuple(sorted(positions, key=lambda i: pattern[i - 1] > p)) for p in range(len(pattern) + 1)]
+    increasing = [
+        list(xi[:p]) == sorted(xi[:p]) and list(xi[p:]) == sorted(xi[p:]) for p, xi in enumerate(xis)
+    ]
+    return tuple(xis), tuple(increasing)
 
 
-def _check_split_reassembly(w: Perm, word: bytes, lefts: list, rights: list):
-    xis, shuffled = _shuffle_plan(tuple(map(abs, w)))
-    # w * xi against the block pair, both as byte words
-    products = byte_products(xis, [byte_table(w)])
-    for p, (wxi, left, right, is_shuffle) in enumerate(zip(products, lefts, rights, shuffled)):
-        if wxi != block_word(left, right):
-            raise CheckFailure(f"factorization fails at w={w}, p={p}")
-        if not is_shuffle:
-            raise CheckFailure(f"factor is not a shuffle at w={w}, p={p}")
+# The three single identities of the split, on a stream of m words of rank
+# n (flat) and its blocks at p = 0..n (splits): each gives None, or the
+# witness of its first failure with {} for the word, named when m is 1.
 
 
-@lru_cache(maxsize=None)
-def _coassociativity_plan(n: int) -> tuple:
-    """For the pairs q <= p of rank n: their number, and the splitter of the
-    left blocks at p (rank p) at q, then of the right blocks at q (rank n - q)
-    at p - q, over the legs of an element (its left blocks at 0..n, then its
-    right blocks), that keeps the left blocks at q, then the right blocks at p."""
-    pairs = [(p, q) for p in range(n + 1) for q in range(p + 1)]
-    return len(pairs), leg_splitter(
-        [(p, p, q) for p, q in pairs] + [(n + 1 + q, n - q, p - q) for p, q in pairs],
-        [q for _, q in pairs] + [n + 1 + p for p, _ in pairs],
-    )
+def _factorization(m: int, n: int, flat: bytes, splits: list):
+    """w times the shuffle xi_p is the block pair at every p, so the block
+    pair times the inverse shuffle is w.  In a run of words that share |w|,
+    and so xi_p, column j of the words w * xi_p is column xi_p(j) of w."""
+    runs = [(_shuffle_plan(pattern), columns) for pattern, columns in pattern_runs(flat, n, m)]
+    # the columns of the words w * xi_p, for p = 0..n in turn, and whether each xi_p is a shuffle
+    gathers = ([cols[x - 1] for xi in xis for x in xi] for (xis, _), cols in runs)
+    got = list(map(b"".join, zip(*gathers)))
+    shuffled = list(map(all, zip(*(flags for (_, flags), _ in runs))))
+    for p, (lefts, rights) in enumerate(splits):
+        want = block_columns(lefts, rights, n, p)
+        if (len(lefts), len(rights)) != (p * m, (n - p) * m) or got[p * n : p * n + n] != want:
+            return f"factorization fails at w={{}}, p={p}"
+        if not shuffled[p]:
+            return f"factor is not a shuffle at w={{}}, p={p}"
+    return None
 
 
-def _check_coassociative(w: Perm, word: bytes, lefts: list, rights: list):
+def _coassociativity(m: int, n: int, flat: bytes, splits: list):
     """Splitting the left block of w at q <= p, and splitting w at q and
     then its right block at p - q, give the same triple.  Each side of
     coassociativity holds one triple per length signature (q, p - q, n - p),
     so this equals comparing the two sides as multisets, and is stronger when
-    a broken split gets the lengths wrong.  All legs split at once, each by its rank."""
-    n = len(w)
-    # the lengths of the left blocks, then, after -1, of the right blocks
-    if [*map(len, lefts), -1, *map(len, rights)] != [*range(n + 1), -1, *range(n, -1, -1)]:
-        raise CheckFailure(f"coassociativity fails at w={w}")
-    m, split = _coassociativity_plan(n)
-    # the left block at p split at q is (the left block at q, x), and the
-    # right block at q split at p - q is (x, the right block at p)
-    a, x, want = split(lefts + rights)
-    if x[:m] != a[m:] or a[:m] + x[m:] != want:
-        raise CheckFailure(f"coassociativity fails at w={w}")
+    a broken split gets the lengths wrong.  Each stream of legs splits at
+    once, on the tables of its rank."""
+    if [(len(a), len(b)) for a, b in splits] != [(p * m, (n - p) * m) for p in range(n + 1)]:
+        return "coassociativity fails at w={}"
+    again = [split_stream(rights, n - q) for q, (_, rights) in enumerate(splits)]
+    for p, (lefts, rights) in enumerate(splits):
+        # the left blocks at p split at q are (the left blocks at q, x),
+        # and the right blocks at q split at p - q are (x, the right blocks at p)
+        for q, (a, x) in enumerate(split_stream(lefts, p)):
+            if (a, x, rights) != (splits[q][0], *again[q][p - q]):
+                return "coassociativity fails at w={}"
+    return None
 
 
-def _check_counit(w: Perm, word: bytes, lefts: list, rights: list):
-    if (lefts[0], rights[0]) != (b"", word):
-        raise CheckFailure(f"counit (left) fails at w={w}")
-    if (lefts[-1], rights[-1]) != (word, b""):
-        raise CheckFailure(f"counit (right) fails at w={w}")
+def _counit(m: int, n: int, flat: bytes, splits: list):
+    """The two extreme splits are the unit tensors."""
+    if splits[0] != (b"", flat):
+        return "counit (left) fails at w={}"
+    return "counit (right) fails at w={}" if splits[-1] != (flat, b"") else None
+
+
+SINGLES = (_factorization, _coassociativity, _counit)
+STREAM_CHUNK = 256  # words per stream: long enough to share each split, short enough to stay small
+
+
+def _split_chunk(ws: list, n: int) -> tuple:
+    """The stream of the words ws of rank n, and its (left, right) blocks at p = 0..n."""
+    flat = b"".join(byte_words(ws, n))
+    return flat, split_stream(flat, n)
+
+
+def check_singles(ws, n: int, identities=SINGLES):
+    """Check the identities, by default all three, on the signed
+    permutations ws of rank n, on one split of the stream of each chunk of
+    them.  A chunk that fails is checked again one word at a time, so that
+    the witness names its first failing word, and the first identity that
+    this word fails, as when each word is checked alone."""
+
+    def failure(chunk):
+        flat, splits = _split_chunk(chunk, n)
+        return next(filter(None, (check(len(chunk), n, flat, splits) for check in identities)), None)
+
+    for start in range(0, len(ws), STREAM_CHUNK):
+        chunk = ws[start : start + STREAM_CHUNK]
+        if failure(chunk):
+            for w in chunk:
+                if witness := failure([w]):
+                    raise CheckFailure(witness.format(w))
+            raise CheckFailure(f"a stream of B_{n} fails where each of its words passes alone")
 
 
 def check_split_reassembly(w: Perm):
     """Certify the factorization at every split point: w times the shuffle
     is the block pair, so the block pair times the inverse shuffle is w."""
-    _check_split_reassembly(w, *byte_splits(w))
+    check_singles([w], len(w), SINGLES[:1])
 
 
 def check_coassociative(w: Perm):
     """(split left again) and (split right again) agree on w."""
-    _check_coassociative(w, *byte_splits(w))
+    check_singles([w], len(w), SINGLES[1:2])
 
 
 def check_counit(w: Perm):
     """The two extreme splits are the unit tensors."""
-    _check_counit(w, *byte_splits(w))
-
-
-def check_singles(w: Perm):
-    """The three checks above on one byte split of w."""
-    splits = byte_splits(w)
-    _check_split_reassembly(w, *splits)
-    _check_coassociative(w, *splits)
-    _check_counit(w, *splits)
+    check_singles([w], len(w), SINGLES[2:])
 
 
 def coproduct(a: AlgElem) -> dict:

@@ -24,7 +24,6 @@ import os
 import struct
 from collections import Counter
 from functools import lru_cache
-from operator import itemgetter
 
 Perm = tuple  # tuple[int, ...], one-line signed permutation
 
@@ -111,12 +110,12 @@ def compose(u: Perm, v: Perm) -> Perm:
     return tuple([u[j - 1] if j > 0 else -u[-j - 1] for j in v])
 
 
-# The composition kernel: byte_word(v).translate(byte_table(u)) is
-# byte_word(compose(u, v)), one C call whose result caches its hash; compose
-# stays as the oracle.  Each value is kept mod 256, so j and -j are the
-# bytes j and 256 - j, which stay apart below rank BYTE_RANK_LIMIT only, and
-# byte_decoder(n) reads a byte word back as the signed tuple.  Convolution,
-# the shuffle embeds, the split-reassembly check, the length oracle and the
+# The composition kernel: byte_word(v).translate(t), with t the byte table
+# of u (byte_tables), is byte_word(compose(u, v)), one C call whose result
+# caches its hash; compose stays as the oracle.  Each value is kept mod 256,
+# so j and -j are the bytes j and 256 - j, which stay apart below rank
+# BYTE_RANK_LIMIT only, and byte_decoder(n) reads a byte word back as the
+# signed tuple.  Convolution, the shuffle embeds, the length oracle and the
 # class algebras, whose members are byte words, multiply on it; products
 # that must stay tuples are keyed by their byte words and each distinct one
 # is decoded once.  A table read by a word of another rank gives a wrong
@@ -144,14 +143,9 @@ def byte_word(v: Perm) -> bytes:
     return _BYTE_STRUCTS[len(v)].pack(*v)
 
 
-def byte_table(u: Perm) -> bytes:
-    """The translation table whose entry j is u_j and entry 256 - j is
-    -u_j, mod 256; the other entries are left as the identity."""
-    return _word_table(byte_word(u))
-
-
 def _word_table(word: bytes) -> bytes:
-    """byte_table of the word that byte_word encodes as word."""
+    """The byte table of the word u whose byte word is word: entry j is u_j
+    and entry 256 - j is -u_j, mod 256, and the others are the identity."""
     n = len(word)
     return b"".join((b"\0", word, _IDENTITY_TABLE[n + 1 : 256 - n], word[::-1].translate(_NEGATED)))
 
@@ -192,11 +186,6 @@ def _lift_table(p: int) -> bytes:
     return bytes((b + p if 0 < b < 128 else b - p) % 256 for b in range(256))
 
 
-def block_word(left: bytes, right: bytes) -> bytes:
-    """The byte word of the block pair of two byte words (left, right)."""
-    return left + right.translate(_lift_table(len(left)))
-
-
 def block_words(lefts, rights, p: int) -> list:
     """The byte word of each block pair of byte words (u, v), u of rank p outer."""
     moved = [w.translate(_lift_table(p)) for w in rights]
@@ -215,10 +204,11 @@ def byte_products(words, tables, *, tables_outer: bool = False):
 
 # The split kernel.  The coproduct splits a signed permutation w at each p
 # into the values of absolute value at most p, kept in place, and the rest,
-# shifted down by p with their signs kept (hopf.coproduct_split).  On a byte
-# word each block is one translate through the byte strings of its rank n and
-# split point p (split_tables), which serve every word of rank n.  Only this
-# module reads them, and no split of any word is kept.
+# shifted down by p with their signs kept (hopf.coproduct_split).  Each block
+# is one translate through the byte strings of its rank n and split point p
+# (split_tables), of a byte word or of a stream, the byte words of rank n
+# joined, in which the blocks at p have p and n - p bytes, at fixed strides.
+# Only this module reads the tables or cuts a stream; no split is kept.
 
 
 @lru_cache(maxsize=None)
@@ -230,33 +220,43 @@ def split_tables(n: int) -> tuple:
     return tuple(zip(*((signed[2 * p :], _lift_table(-p), signed[: 2 * p]) for p in range(n + 1))))
 
 
-def _blocks(words, bigs, shifts, smalls) -> tuple:
+def split_words(words: list, n: int, p: int):
+    """The (left, right) block pairs at p of byte words of rank n."""
+    bigs, shifts, smalls = split_tables(n)
     # the identity table in place of None halves a left block's time
-    return (
-        list(map(bytes.translate, words, itertools.repeat(_IDENTITY_TABLE), bigs)),
-        list(map(bytes.translate, words, shifts, smalls)),
+    return zip(
+        map(bytes.translate, words, itertools.repeat(_IDENTITY_TABLE), itertools.repeat(bigs[p])),
+        map(bytes.translate, words, itertools.repeat(shifts[p]), itertools.repeat(smalls[p])),
     )
 
 
-def byte_splits(w: Perm) -> tuple:
-    """(byte_word(w), its left blocks, its right blocks) at p = 0..n, n the rank of w."""
-    word = byte_word(w)
-    return (word, *_blocks(itertools.repeat(word), *split_tables(len(w))))
+def split_stream(flat: bytes, n: int) -> list:
+    """(the left blocks, the right blocks) at each p = 0..n of the stream
+    flat of byte words of rank n, each a stream in the order of flat."""
+    return [
+        (flat.translate(_IDENTITY_TABLE, big), flat.translate(shift, small))
+        for big, shift, small in zip(*split_tables(n))
+    ]
 
 
-def split_words(words: list, n: int, p: int):
-    """The (left, right) block pairs at p of byte words of rank n."""
-    return zip(*_blocks(words, *(itertools.repeat(t[p]) for t in split_tables(n))))
+def block_columns(lefts: bytes, rights: bytes, n: int, p: int) -> list:
+    """The n columns of the block pairs at p of a stream of rank n, each in
+    stream order: of its left blocks, then of its right blocks lifted back by p."""
+    lifted = rights.translate(_lift_table(p))
+    return [lefts[j::p] for j in range(p)] + [lifted[j :: n - p] for j in range(n - p)]
 
 
-def leg_splitter(legs, kept):
-    """The function taking a list of byte words to (lefts, rights, the words
-    at the indices kept): for each (i, n, p) of legs in order, the blocks at
-    p of word i, of rank n.  legs and kept hold two entries or more."""
-    index, ranks, points = zip(*legs)
-    pick, keep = itemgetter(*index), itemgetter(*kept)
-    tables = [[split_tables(n)[k][p] for n, p in zip(ranks, points)] for k in range(3)]
-    return lambda words: (*_blocks(pick(words), *tables), list(keep(words)))
+def pattern_runs(flat: bytes, n: int, m: int) -> list:
+    """(the byte word of |w|, the n columns of the run) for each run of
+    consecutive words w that share |w| in the stream flat of m byte words
+    of rank n, in order."""
+    unsigned = flat.translate(_UNSIGNED)
+    patterns = [unsigned[i * n : i * n + n] for i in range(m)]
+    starts = [i for i in range(m) if not i or patterns[i] != patterns[i - 1]]
+    return [
+        (patterns[a], [flat[a * n + j : b * n : n] for j in range(n)])
+        for a, b in zip(starts, starts[1:] + [m])
+    ]
 
 
 def inverse(w: Perm) -> Perm:

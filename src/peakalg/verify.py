@@ -720,8 +720,7 @@ def suite_hopf(n_max: int, deep: bool = False) -> list:
     dmax = _cap(n_max, 6)
 
     def singles(n):
-        for w in group_elements("B", n):
-            hopf.check_singles(w)
+        hopf.check_singles(group_elements("B", n), n)
 
     _add(checks, "hopf/coassociative-counit-singles", range(0, dmax + 1), singles)
     _add(
@@ -809,10 +808,19 @@ def _run_one(name: str, n_max: int, deep: bool) -> list:
     return run_checks(SUITES[name](n_max, deep))
 
 
-def run_suite(name: str, n_max: int, *, deep: bool = False, jobs: int = 1) -> VerifyReport:
+def _suite_names(name: str) -> list:
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    names = list(SUITES) if name == "all" else [name]
+    return list(SUITES) if name == "all" else [name]
+
+
+def check_ids(name: str, n_max: int, *, deep: bool = False) -> list:
+    """The IDs of the checks that run_suite reports, in its order, with no check run."""
+    return sorted(c.check_id for suite in _suite_names(name) for c in SUITES[suite](n_max, deep))
+
+
+def run_suite(name: str, n_max: int, *, deep: bool = False, jobs: int = 1) -> VerifyReport:
+    names = _suite_names(name)
     run = partial(_run_one, n_max=n_max, deep=deep)
     if len(names) > 1 and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

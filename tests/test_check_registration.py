@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -95,10 +96,27 @@ def _declared(n_max: int, deep: bool = False) -> list:
     return [c for suite in verify.SUITES.values() for c in suite(n_max, deep)]
 
 
+@lru_cache(maxsize=None)
+def _reported(n_max: int, deep: bool) -> list:
+    """The check IDs of a run of every suite, in report order."""
+    return [c.check_id for c in verify.run_suite("all", n_max, deep=deep).checks]
+
+
 @pytest.mark.parametrize("n_max,deep", [(n, False) for n in range(6)] + [(5, True)])
 def test_the_declared_checks_are_the_checks_a_run_reports(n_max, deep):
     declared = sorted(c.check_id for c in _declared(n_max, deep))
-    assert declared == [c.check_id for c in verify.run_suite("all", n_max, deep=deep).checks]
+    assert declared == _reported(n_max, deep)
+
+
+@pytest.mark.parametrize("n_max,deep", [(n, False) for n in range(6)] + [(5, True)])
+def test_verify_list_prints_the_ids_a_run_reports_and_runs_none(n_max, deep, capsys, monkeypatch):
+    reported = _reported(n_max, deep)
+    monkeypatch.setattr(verify, "run_checks", lambda checks: pytest.fail("a check ran"))
+    argv = ["verify", "--list", "--n-max", str(n_max), *(["--deep"] if deep else [])]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == reported
+    hopf = verify.check_ids("hopf", n_max, deep=deep)
+    assert hopf == [check_id for check_id in reported if check_id.startswith("hopf/")]
 
 
 # load peakalg.perms before the package body, make listing a group raise,

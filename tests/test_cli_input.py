@@ -1,6 +1,7 @@
 """Malformed or misplaced CLI input exits 2 with a message that names it:
-sign forgetting on an element outside QB_n and QD_n, and a peak or
-generator label with a token that is not a member."""
+sign forgetting on an element outside QB_n and QD_n, a peak or generator
+label with a token that is not a member, and an export option that the
+kind exported does not read."""
 
 import json
 
@@ -64,3 +65,33 @@ def test_good_labels_still_parse(capsys):
     assert main(["export", "Pint", "--n", "4", "--label", "{ 3 }"]) == 0
     assert main(["export", "Y", "--group", "D", "--n", "3", "--label", "{1',2}"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["P", "--group", "B", "--n", "3"], "group"),
+        (["Pint", "--group", "S", "--n", "4"], "group"),
+        (["Y0", "--group", "S", "--n", "3"], "group"),
+        (["Y0", "--group", "B", "--n", "3"], "group"),
+        (["T", "--group", "B", "--n", "3"], "group"),
+        (["p", "--group", "S", "--n", "4", "--j", "0"], "group"),
+        (["T", "--n", "3", "--label", "{1}"], "label"),
+        (["identity", "--n", "3", "--label", "{}"], "label"),
+        (["y", "--n", "3", "--j", "1", "--label", "{1}"], "label"),
+        (["Y", "--n", "3", "--alpha", "(3)"], "alpha"),
+        (["P", "--n", "3", "--alpha", "(3)"], "alpha"),
+        (["X", "--n", "3", "--j", "1"], "j"),
+        (["S", "--n", "3", "--j", "1"], "j"),
+    ],
+)
+def test_an_export_option_the_kind_does_not_read_exits_2(argv, option, capsys):
+    assert main(["export", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: export {argv[0]} does not read --{option}" in captured.err
+
+
+def test_export_without_group_builds_in_the_symmetric_group(capsys):
+    assert main(["export", "Y", "--n", "3", "--label", "{1}"]) == 0
+    assert json.loads(capsys.readouterr().out)["group"] == "S"

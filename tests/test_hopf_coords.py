@@ -4,15 +4,16 @@ peakalg.hopf evaluates check_theta_hopf, check_delta_internal_compat,
 check_beta_via_coproduct, check_delta_closures, check_module_morphisms,
 the four concatenation checks, the two shuffle closures, the ideal/type-A
 isomorphism and the free-module check on coordinates read from cached
-Hopf data, and the per-element checks of the split (reassembly,
-coassociativity, counit) on byte words, split and with every leg split
-again on the split tables of its rank.  The element-level bodies they
-replaced live here as the reference: every group element of every basis
-element goes through coproduct_split and compose.  Both paths must agree,
-and the cached data must equal the binned element-level results cell by
-cell.
+Hopf data, and the checks of the split (reassembly, coassociativity,
+counit) on streams of byte words, split once per chunk and with every
+stream of legs split again on the split tables of its rank.  The
+element-level bodies they replaced live here as the reference: every
+group element of every basis element goes through coproduct_split and
+compose.  Both paths must agree, and the cached data must equal the
+binned element-level results cell by cell.
 """
 
+import random
 from collections import Counter
 from functools import lru_cache, partial
 from math import factorial
@@ -530,14 +531,22 @@ def test_both_shuffle_paths_pass(name, dmax):
 
 
 def run_singles(checks, nmax: int):
+    """Run each check on B_0 to B_nmax, one rank at a time: the rank check
+    hopf.check_singles on the listing of the rank, any other check on each
+    element in turn."""
     for n in range(nmax + 1):
-        for w in group_elements("B", n):
-            for check in checks:
-                check(w)
+        ws = group_elements("B", n)
+        for check in checks:
+            if check is hopf.check_singles:
+                check(ws, n)
+            else:
+                for w in ws:
+                    check(w)
 
 
-# path -> its checks: the reference bodies, the three per-w checks on the
-# byte split tables, and the fused check that splits each element once for all three
+# path -> its checks: the reference bodies, the three public checks, each on
+# the stream of one element, and the rank check that splits a stream of each
+# chunk of a rank once for all three
 SINGLES_PATHS = {
     "reference": list(SINGLES.values()),
     "split tables": [getattr(hopf, name) for name in SINGLES],
@@ -570,21 +579,20 @@ def test_the_singles_checks_keep_no_split_table(fresh_hopf_data):
     caches = _lru_caches(hopf, perms)
     patterns = sum(factorial(n) for n in range(6))
     assert caches["peakalg.perms.split_tables"].currsize == 6
-    assert caches["peakalg.hopf._coassociativity_plan"].currsize == 6
     assert caches["peakalg.hopf._shuffle_plan"].currsize == patterns
     del caches["peakalg.perms.group_elements"]  # the group listing itself
     assert sum(info.currsize for info in caches.values()) < len(group_elements("B", 5))
 
 
 def decoded_split(w, p: int) -> tuple:
-    """(shuffle, left block, right block) of w at p read off hopf's byte
-    split and shuffle plan, as tuples; past the rank every value stays on
-    the left, as in coproduct_split."""
+    """(shuffle, left block, right block) of w at p read off hopf's split
+    of the stream of w and its shuffle plan, as tuples; past the rank every
+    value stays on the left, as in coproduct_split."""
     if p > len(w):
         return identity(len(w)), w, ()
-    _, lefts, rights = hopf.byte_splits(w)
-    left, right = lefts[p], rights[p]
-    xi = hopf._shuffle_plan(tuple(map(abs, w)))[0][p]
+    _, splits = hopf._split_chunk([w], len(w))
+    left, right = splits[p]
+    xi = hopf._shuffle_plan(bytes(map(abs, w)))[0][p]
     return tuple(xi), byte_decoder(len(left))(left), byte_decoder(len(right))(right)
 
 
@@ -612,13 +620,12 @@ def test_clear_hopf_data_finds_the_split_table(fresh_hopf_data):
 
 def test_clear_hopf_data_finds_the_last_splits(fresh_hopf_data):
     # what one element's splits leave behind: the split tables of ranks 0
-    # to 2 (its own and its legs'), the shuffle plan of its pattern and the
-    # coassociativity plan of its rank
-    hopf.check_singles((2, -1))
-    left = (perms.split_tables, hopf._shuffle_plan, hopf._coassociativity_plan)
-    assert [cache.cache_info().currsize for cache in left] == [3, 1, 1]
+    # to 2 (its own and its legs') and the shuffle plan of its pattern
+    hopf.check_singles([(2, -1)], 2)
+    left = (perms.split_tables, hopf._shuffle_plan)
+    assert [cache.cache_info().currsize for cache in left] == [3, 1]
     clear_hopf_data()
-    assert [cache.cache_info().currsize for cache in left] == [0, 0, 0]
+    assert [cache.cache_info().currsize for cache in left] == [0, 0]
 
 
 def test_a_patched_finer_family_is_binned_afresh(monkeypatch, fresh_hopf_data):
@@ -824,14 +831,25 @@ def _patch_tables(monkeypatch, change):
 
 def _patch_splits(monkeypatch, change):
     """Replace the blocks of each element w that hopf splits, by change(word
-    of w, its left blocks, its right blocks)."""
-    real = hopf.byte_splits
+    of w, its left blocks, its right blocks): each element's blocks are cut
+    out of the streams of blocks at their strides, changed, and joined again
+    in order."""
+    real = hopf._split_chunk
 
-    def patched(w):
-        word, lefts, rights = real(w)
-        return (word, *change(word, lefts, rights))
+    def patched(ws, n):
+        flat, splits = real(ws, n)
+        changed = [
+            change(
+                flat[i * n : i * n + n],
+                [lefts[i * p : i * p + p] for p, (lefts, _) in enumerate(splits)],
+                [rights[i * (n - p) : (i + 1) * (n - p)] for p, (_, rights) in enumerate(splits)],
+            )
+            for i in range(len(ws))
+        ]
+        joined = [list(map(b"".join, zip(*blocks))) for blocks in zip(*changed)]
+        return flat, list(zip(*joined))
 
-    monkeypatch.setattr(hopf, "byte_splits", patched)
+    monkeypatch.setattr(hopf, "_split_chunk", patched)
 
 
 def _split_below(monkeypatch):
@@ -867,16 +885,16 @@ def _unshuffled_left(monkeypatch):
     def swapped(word, lefts, rights):
         return [swap(a) if p >= 2 else a for p, a in enumerate(lefts)], rights
 
+    def increasing(xi, p):
+        return list(xi[:p]) == sorted(xi[:p]) and list(xi[p:]) == sorted(xi[p:])
+
+    def swapped_plan(pattern):
+        xis = [swap(xi) if p >= 2 else xi for p, xi in enumerate(plan(pattern)[0])]
+        return xis, [increasing(xi, p) for p, xi in enumerate(xis)]
+
     plan = hopf._shuffle_plan
     _patch_splits(monkeypatch, swapped)
-    monkeypatch.setattr(
-        hopf,
-        "_shuffle_plan",
-        lambda pattern: tuple(zip(*(
-            hopf._shuffle_word(tuple(swap(xi)), p) if p >= 2 else (xi, ok)
-            for p, (xi, ok) in enumerate(zip(*plan(pattern)))
-        ))),
-    )
+    monkeypatch.setattr(hopf, "_shuffle_plan", swapped_plan)
 
 
 def _right_value_past_the_rank(monkeypatch):
@@ -928,6 +946,50 @@ def test_broken_split_fails_both_singles_paths(
             run_singles([getattr(hopf, name)], 5)
     with pytest.raises(CheckFailure, match=witness):
         run_singles([hopf.check_singles], 5)
+
+
+def test_the_rank_check_passes_on_b5_listed_in_a_shuffled_order(fresh_hopf_data):
+    # runs of a shared |w| are one word long here, so every column is
+    # gathered word by word
+    ws = list(group_elements("B", 5))
+    random.Random(43).shuffle(ws)
+    hopf.check_singles(ws, 5)
+
+
+def test_a_gather_that_reads_the_shuffle_at_p_minus_1_fails_the_factorization(
+    monkeypatch, fresh_hopf_data
+):
+    # the shuffle plan hands the gather xi_{p-1} at p > 0 and keeps the
+    # true shuffle flags: the first element whose shuffles at 0 and 1
+    # differ is (2, 1)
+    plan = hopf._shuffle_plan
+
+    def behind(pattern):
+        xis, shuffled = plan(pattern)
+        return xis[:1] + xis[:-1], shuffled
+
+    monkeypatch.setattr(hopf, "_shuffle_plan", behind)
+    with pytest.raises(CheckFailure, match=r"^factorization fails at w=\(2, 1\), p=1$"):
+        run_singles([hopf.check_singles], 5)
+    with pytest.raises(CheckFailure, match=r"^factorization fails at w=\(2, 1\), p=1$"):
+        run_singles([hopf.check_split_reassembly], 5)
+
+
+def test_one_broken_element_in_the_middle_of_a_chunk_is_named(monkeypatch, fresh_hopf_data):
+    ws = group_elements("B", 5)
+    index = hopf.STREAM_CHUNK + hopf.STREAM_CHUNK // 2 + 3
+    target = perms.byte_word(ws[index])
+
+    def change(word, lefts, rights):
+        # the right block at 2 of the one element, reversed
+        if word != target:
+            return lefts, rights
+        return lefts, [*rights[:2], rights[2][::-1], *rights[3:]]
+
+    _patch_splits(monkeypatch, change)
+    assert ws[index] == (-1, -4, 2, 3, 5)  # its right block at 2 is (-2, 1, 3)
+    with pytest.raises(CheckFailure, match=r"^factorization fails at w=\(-1, -4, 2, 3, 5\), p=2$"):
+        hopf.check_singles(ws, 5)
 
 
 def test_a_delete_set_that_keeps_the_next_value_fails_the_singles_and_the_closure(
@@ -1029,25 +1091,25 @@ def test_perturbed_t_class_transform_row_fails_the_type_b_rows(fresh_hopf_data):
 
 def _count_splits(monkeypatch) -> tuple:
     """Count by rank the byte words that split_words splits at one p (the
-    table path), the elements split at every p (byte_splits), and the calls
-    of the per-p coproduct_split."""
+    table path), the elements whose stream is split at every p
+    (_split_chunk), and the calls of the per-p coproduct_split."""
     columns, per_element, per_p = Counter(), Counter(), Counter()
-    split_words, splits, split = hopf.split_words, hopf.byte_splits, hopf.coproduct_split
+    split_words, splits, split = hopf.split_words, hopf._split_chunk, hopf.coproduct_split
 
     def counted_words(words, n, p):
         columns[n] += len(words)
         return split_words(words, n, p)
 
-    def counted_splits(w):
-        per_element[len(w)] += 1
-        return splits(w)
+    def counted_splits(ws, n):
+        per_element[n] += len(ws)
+        return splits(ws, n)
 
     def counted_split(w, p):
         per_p[len(w)] += 1
         return split(w, p)
 
     monkeypatch.setattr(hopf, "split_words", counted_words)
-    monkeypatch.setattr(hopf, "byte_splits", counted_splits)
+    monkeypatch.setattr(hopf, "_split_chunk", counted_splits)
     monkeypatch.setattr(hopf, "coproduct_split", counted_split)
     return columns, per_element, per_p
 
@@ -1073,15 +1135,15 @@ def test_the_verify_singles_loop_splits_each_element_once(monkeypatch, fresh_hop
     columns, per_element, per_p = _count_splits(monkeypatch)
     for n in cases:
         body(n)
-    # once for each element of B_n: its legs are split on the tables of
-    # their ranks, all at once, and kept nowhere
+    # once for each element of B_n, in the stream of its chunk: the streams
+    # of its legs are split on the tables of their ranks, and kept nowhere
     assert per_element == {n: factorial(n) << n for n in cases}
     assert not columns and not per_p
 
 
 def test_the_public_singles_checks_split_each_element_once(monkeypatch, fresh_hopf_data):
-    # each public check splits its element once, at every p together, and
-    # never one p at a time
+    # each public check splits the stream of its element once, at every p
+    # together, and never one p at a time
     sizes = {n: len(group_elements("B", n)) for n in range(4)}
     for name in SINGLES:
         columns, per_element, per_p = _count_splits(monkeypatch)
@@ -1094,9 +1156,9 @@ def test_the_public_singles_checks_split_each_element_once(monkeypatch, fresh_ho
 def test_the_singles_check_visits_each_element_of_b0_to_b5_once(monkeypatch):
     visited, check = [], hopf.check_singles
 
-    def recording(w):
-        visited.append(w)
-        check(w)
+    def recording(ws, n):
+        visited.extend(ws)
+        check(ws, n)
 
     monkeypatch.setattr(hopf, "check_singles", recording)
     report = verify.run_suite("hopf", 5)

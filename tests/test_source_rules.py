@@ -194,12 +194,11 @@ class Node:
 # v's byte word through a 256-byte table of u, and byte_decoder reads a
 # product back by the unpack of a struct.Struct.  A table read by a word
 # of another rank gives a wrong product silently, so only perms, behind its
-# rank checks, encodes or decodes.  The split tables cut and shift words by
-# translate, the leg splitter picks legs by itemgetter, the statistics
-# kernel reads columns as big ints (from_bytes) and writes lanes back
-# (to_bytes), and the tables of inverses are built by bytes.maketrans.
+# rank checks, encodes or decodes.  The split tables cut and shift words
+# and streams by translate, the statistics kernel reads columns as big ints
+# (from_bytes) and writes lanes back (to_bytes), and the tables of inverses
+# are built by bytes.maketrans.
 KERNEL = {
-    "itemgetter": (r"\bitemgetter\b", ("maps.py", "from operator import itemgetter\n")),
     "translate": (r"\.translate\b", ("hopf.py", "w = u.translate(t)\n")),
     "byte-table": (
         r"\b(bytes|bytearray)\(\s*range\(\s*256\s*\)",
@@ -231,6 +230,12 @@ RULES = [
     *(
         Rule(f"codec-{name}", re.compile(pattern), NOT_PERMS, "line", {}, control)
         for name, (pattern, control) in CODEC.items()
+    ),
+    # No module picks the legs of a split by itemgetter: a stream of words
+    # of one rank splits at fixed strides, and its legs split as streams.
+    Rule(
+        "kernel-itemgetter", re.compile(r"\bitemgetter\b"), ALL, "line", {},
+        ("maps.py", "from operator import itemgetter\n"),
     ),
     # Echelon in algebra is the one row reduction, on integers: any other
     # module's rows are ints, and a rational row is the core's to scale.
