@@ -199,13 +199,10 @@ def internal_product(a: AlgElem, b: AlgElem) -> AlgElem:
     byte products and each distinct product decoded once."""
     a._same_frame(b)
     words, tables = byte_words(b.terms, b.n), byte_tables(byte_words(a.terms, a.n), a.n)
-    # the inner loop runs over the smaller support
-    a_inner = len(a.terms) <= len(b.terms)
-    outer, inner = (b.terms, a.terms) if a_inner else (a.terms, b.terms)
-    products, out = byte_products(words, tables, tables_outer=not a_inner), {}
-    for c_out in outer.values():
-        for c_in, key in zip(inner.values(), products):
-            s = out.get(key, 0) + c_in * c_out
+    products, out = byte_products(words, tables), {}
+    for c_v in b.terms.values():
+        for c_u, key in zip(a.terms.values(), products):
+            s = out.get(key, 0) + c_u * c_v
             if s == 0:
                 out.pop(key, None)
             else:

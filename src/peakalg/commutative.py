@@ -125,16 +125,17 @@ def x_number(n: int, j: int) -> AlgElem:
 
 
 def y0_number(n: int, j: int) -> AlgElem:
-    """Sum of the ideal elements Y_{{0} u J} + Y_J over #J = j-1."""
-    if not 1 <= j <= n:
-        raise ValueError(f"index {j} out of range 1..{n}")
+    """Sum of the ideal elements Y_{{0} u J} + Y_J over #J = j-1 (the unit
+    in rank 0, which has no generator 0)."""
+    if not 1 <= j <= max(n, 1):
+        raise ValueError(f"index {j} out of range 1..{max(n, 1)}")
     return descent_algebra("B", n).element(y0_count_coords(n, j))
 
 
 def x0_number(n: int, j: int) -> AlgElem:
-    """Sum of the ideal elements X_{{0} u J} over #J = j-1."""
-    if not 1 <= j <= n:
-        raise ValueError(f"index {j} out of range 1..{n}")
+    """Sum of the ideal elements X_{{0} u J} over #J = j-1 (the unit in rank 0)."""
+    if not 1 <= j <= max(n, 1):
+        raise ValueError(f"index {j} out of range 1..{max(n, 1)}")
     return descent_algebra("B", n).element(x_count_coords(n, j, ideal=True))
 
 
@@ -146,9 +147,11 @@ def peak_number(n: int, j: int) -> AlgElem:
 
 
 def interior_peak_number(n: int, j: int) -> AlgElem:
-    """Interior p_j: sum of the permutations with j-1 interior peaks."""
-    if not 1 <= j <= (n + 1) // 2:
-        raise ValueError(f"index {j} out of range 1..{(n + 1) // 2}")
+    """Interior p_j: sum of the permutations with j-1 interior peaks (the
+    unit in rank 0, whose one permutation has none)."""
+    top = max((n + 1) // 2, 1)
+    if not 1 <= j <= top:
+        raise ValueError(f"index {j} out of range 1..{top}")
     return wp_interior_algebra(n).element({j - 1: 1})
 
 
@@ -330,18 +333,22 @@ def check_builder_relations(n: int):
             raise CheckFailure(f"interior p_{j} rewritten form fails at n={n}")
 
 
+def _ideal_labels(n: int, j: int) -> list:
+    """The labels {0} u J over the J of size j - 1 avoiding 0 (J alone in rank 0: no 0)."""
+    return [m | min(n, 1) for m in range(0, 1 << n, 2) if popcount(m) == j - 1]
+
+
 def x_count_coords(n: int, j: int, ideal: bool = False) -> dict:
     """Type-B class coordinates of x_j, the sum of the X_J over the labels
-    of size j, or, with ideal, of x0_j, the same over those containing 0."""
-    labels = (m for m in range(1 << n) if popcount(m) == j and (m & 1 or not ideal))
+    of size j, or, with ideal, of x0_j, the same over the labels {0} u J."""
+    labels = _ideal_labels(n, j) if ideal else (m for m in range(1 << n) if popcount(m) == j)
     return x_to_y_coords(dict.fromkeys(labels, 1))
 
 
 def y0_count_coords(n: int, j: int) -> dict:
-    """Type-B class coordinates of y0_j: the labels J and J u {0} over the
+    """Type-B class coordinates of y0_j: the labels J and {0} u J over the
     J of size j - 1 that avoid 0."""
-    masks = (m for m in range(0, 1 << n, 2) if popcount(m) == j - 1)
-    return {m | b: 1 for m in masks for b in (0, 1)}
+    return {m & ~b: 1 for m in _ideal_labels(n, j) for b in (1, 0)}
 
 
 def check_phi_number_forms(n: int):

@@ -192,13 +192,9 @@ def block_words(lefts, rights, p: int) -> list:
     return [u + v for u in lefts for v in moved]
 
 
-def byte_products(words, tables, *, tables_outer: bool = False):
+def byte_products(words, tables):
     """The byte products of each byte word v with each byte table of u,
-    byte_word(compose(u, v)), lazily: v outer and u inner, or u outer and
-    v inner when tables_outer."""
-    if tables_outer:  # each table once per word, against the words cycled
-        per_table = itertools.chain.from_iterable(itertools.repeat(t, len(words)) for t in tables)
-        return map(bytes.translate, itertools.cycle(words), per_table)
+    byte_word(compose(u, v)), lazily: v outer and u inner."""
     return itertools.starmap(bytes.translate, itertools.product(words, tables))
 
 

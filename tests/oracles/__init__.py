@@ -1,4 +1,4 @@
-"""Reference constructions that several test modules use as oracles.
+"""The element-level oracles of the tests, shared by several modules.
 
 The package does not call these: they restate, from the basis elements
 alone, facts the checks under test read from class coordinates.  The
@@ -6,6 +6,10 @@ elimination oracle is the sparse Fraction echelon form and the dense
 Fraction determinant that the integer core of peakalg.algebra replaced;
 it runs no code of that core.  A class algebra holds its members as byte
 words, and members decodes them here, not through peakalg.perms.
+
+The oracles of the verify checks live in the modules of this package by
+layer (rows, hopf, diagrams), the separate statements of the closed forms
+in forms, and registry maps each check ID to its oracle.
 """
 
 from fractions import Fraction
@@ -23,7 +27,7 @@ from peakalg.commutative import (
     y0_number,
     y_number,
 )
-from peakalg.hopf import FAMILIES, SHUFFLE_TARGETS, external_product
+from peakalg.hopf import FAMILIES, SHUFFLE_TARGETS, external_product, shuffles
 from peakalg.peak import interior_peak_algebra
 from peakalg.perms import compose, descent_mask, group_elements, interior_peak_mask, peak_mask, popcount
 from peakalg.reporting import CheckFailure
@@ -314,6 +318,36 @@ def reference_cube(alg: ClassAlgebra, left=None) -> dict:
                 raise ArithmeticError(f"class sums {l1} * {l2} leave the span")
             cube[(l1, l2)] = coords
     return cube
+
+
+def _accumulate(out: dict, key, c):
+    """out[key] += c, dropping the entry when it cancels."""
+    s = out.get(key, 0) + c
+    if s == 0:
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def reference_product(a: AlgElem, b: AlgElem) -> dict:
+    """The terms of a * b through compose, v of b outer and u of a inner."""
+    out: dict = {}
+    for v, cv in b.terms.items():
+        for w, cw in a.terms.items():
+            _accumulate(out, compose(w, v), cw * cv)
+    return out
+
+
+def reference_external_product(a: AlgElem, b: AlgElem) -> dict:
+    """The terms of the shuffle product a * b through compose."""
+    out: dict = {}
+    shs = shuffles(a.n, b.n)
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            base = block_embed(u, v)
+            for xi in shs:
+                _accumulate(out, compose(xi, base), cu * cv)
+    return out
 
 
 def in_label_order(cube: dict, labels) -> dict:

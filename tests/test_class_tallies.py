@@ -5,7 +5,7 @@ class under an element map with a tally (sign forgetting, the fold and
 the inclusion) and bins the counts over the target; hopf.shuffle_coords
 counts the byte products of each block pair of members with each
 shuffle.  Neither builds an element.  These tests hold both against the
-element-level builds of tests/oracles.py (a class sum pushed forward, or
+element-level builds of tests/oracles (a class sum pushed forward, or
 two class sums shuffled, then binned term by term), cell by cell and in
 order, for every table a verify run to rank 5 reads; they pin the
 failures (an image without a label, a shuffle counted twice) and that no

@@ -3,8 +3,8 @@
 byte_word(v).translate(byte_table(u)) is byte_word(compose(u, v)) in one C
 call, and byte_decoder(n) reads a byte word back as the signed tuple.  The
 enumerated cube of peakalg.algebra, internal_product and the shuffle
-product hopf.external_product run on it.  The reference copies below, and
-the |G|^2 cube of oracles.reference_cube, are compose-based forms, and the
+product hopf.external_product run on it.  The reference products and the
+|G|^2 cube of tests/oracles are compose-based forms, and the
 kernel must give the same products and binnings, down to dict order and
 the type of each value.  The enumerated cube is a closure certificate from
 a few generator rows and a count from one representative per class: it
@@ -22,10 +22,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import block_embed, in_label_order, members, reference_bin_classes, reference_cube
+from oracles import in_label_order, members, reference_bin_classes, reference_cube
+from oracles import reference_external_product, reference_product
 from peakalg import algebra, bases, hopf, mr, peak, perms
 from peakalg.algebra import AlgElem, ClassAlgebra, bin_classes, internal_product
-from peakalg.hopf import external_product, shuffles
+from peakalg.hopf import external_product
 from peakalg.perms import (
     byte_decoder,
     byte_tables,
@@ -44,43 +45,6 @@ from peakalg.perms import (
 def byte_table(u) -> bytes:
     """The byte table of the signed permutation u, built by the kernel."""
     return byte_tables([byte_word(u)], len(u))[0]
-
-
-# ---------------------------------------------------------------------------
-# reference copies: every product through compose
-
-
-def reference_external_product(a: AlgElem, b: AlgElem) -> dict:
-    out: dict = {}
-    shs = shuffles(a.n, b.n)
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            base = block_embed(u, v)
-            for xi in shs:
-                key = compose(xi, base)
-                s = out.get(key, 0) + cu * cv
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return out
-
-
-def reference_product(a: AlgElem, b: AlgElem) -> dict:
-    out: dict = {}
-    pairs = (
-        ((w, cw, v, cv) for v, cv in b.terms.items() for w, cw in a.terms.items())
-        if len(a.terms) <= len(b.terms)
-        else ((w, cw, v, cv) for w, cw in a.terms.items() for v, cv in b.terms.items())
-    )
-    for w, cw, v, cv in pairs:
-        key = compose(w, v)
-        s = out.get(key, 0) + cw * cv
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
 
 
 def typed(cube: dict) -> list:
@@ -289,8 +253,8 @@ def counting_byte_products(counts: list):
     """algebra.byte_products, appending 1 to counts for each product."""
     real = algebra.byte_products
 
-    def counted(words, tables, tables_outer=False):
-        for product in real(words, tables, tables_outer=tables_outer):
+    def counted(words, tables):
+        for product in real(words, tables):
             counts.append(1)
             yield product
 
@@ -404,12 +368,8 @@ def byte_products_wrong_on(u0, v0, product):
     """algebra.byte_products giving the byte word of product for (u0, v0)."""
     real, pair0 = algebra.byte_products, (byte_word(v0), byte_table(u0))
 
-    def broken(words, tables, tables_outer=False):
-        if tables_outer:
-            pairs = ((word, table) for table in tables for word in words)
-        else:
-            pairs = itertools.product(words, tables)
-        for pair, got in zip(pairs, real(words, tables, tables_outer=tables_outer)):
+    def broken(words, tables):
+        for pair, got in zip(itertools.product(words, tables), real(words, tables)):
             yield byte_word(product) if pair == pair0 else got
 
     return broken
@@ -451,10 +411,10 @@ def test_representatives_from_the_wrong_classes_give_another_cube(monkeypatch):
     w1, w2 = (alg.classes[lab][0] for lab in (0b10, 0b101))
     swap, real = {w1: w2, w2: w1}, algebra.byte_products
 
-    def swapped(words, tables, tables_outer=False):
+    def swapped(words, tables):
         if len(words) == 1 and words[0] in swap:
             words = [swap[words[0]]]
-        return real(words, tables, tables_outer=tables_outer)
+        return real(words, tables)
 
     monkeypatch.setattr(algebra, "byte_products", swapped)
     assert alg.cube != reference_cube(alg)

@@ -2,17 +2,20 @@
 
 Each mutation breaks one thing in bexact at n = 4 (a map, a kernel, a
 subspace), once in the rows form that maps.verify_diagram reads and once
-in the element-level form of the reference in test_diagram_rows; the
-check it breaks must fail under both.  A last test counts the calls of
+in the element-level form that the registered oracle of the check reads
+(tests/oracles/diagrams.py); the check it breaks must fail under both.  A last test counts the calls of
 the sign-forgetting map: its rows are built once per pair of algebras.
 """
+
+from functools import partial
 
 from peakalg import maps
 from peakalg.algebra import AlgElem
 from peakalg.bases import descent_algebra, x_basis, x_to_y_coords
 from peakalg.peak import interior_peak_coordinates, peak_algebra, pi_label
 
-from test_diagram_rows import RefNode, reference_spec, reference_verify_diagram
+from oracles.diagrams import RefNode, reference_spec
+from oracles.registry import ORACLES, both, normalized
 
 N = 4
 HEAD = f"diagram/bexact/n={N}"
@@ -24,16 +27,13 @@ def _pair():
     return spec, reference_spec(maps.bexact_diagram(N), N)
 
 
-def _status(checks, suffix):
-    (check,) = [c for c in checks if c.check_id == f"{HEAD}/{suffix}"]
-    return check
-
-
 def _both_fail(spec, ref, suffix):
-    rows, reference = maps.verify_diagram(spec), reference_verify_diagram(ref)
-    found = _status(rows, suffix), _status(reference, suffix)
+    """Every result of the rows form, and the results of the check of the
+    suffix and of its oracle on the element-level form ref, both failures."""
+    (check,) = [c for c in maps.diagram_checks(spec) if c.check_id == f"{HEAD}/{suffix}"]
+    found = both(check, partial(ORACLES[normalized(check.check_id)], ref))
     assert [c.status for c in found] == ["fail", "fail"], found
-    return rows, found
+    return maps.verify_diagram(spec), found
 
 
 def unsigned_pi(a):

@@ -1,14 +1,18 @@
 """A check whose rank range is empty checked nothing, so it gets no entry.
 
 At --n-max 0 and 1 the checks that start at a higher rank drop out of the
-report instead of passing vacuously; the checks that still run pass.
+report instead of passing vacuously; the checks that still run pass.  In
+rank 0 the ideal sums y0_1, x0_1 and interior p_1 are the unit, the one
+class that the tables list for each.
 """
 
 import json
 
 import pytest
 
+from peakalg.algebra import AlgElem, elem_from_json
 from peakalg.cli import main
+from peakalg.commutative import i0_number_algebra, wp_interior_algebra
 from peakalg.verify import run_suite
 
 # checks whose every rank range starts at 1 drop out at n_max 0 ...
@@ -80,3 +84,22 @@ def test_a_suite_with_nothing_to_check_does_not_print_pass(capsys):
     assert capsys.readouterr().out.strip() == "suite chi: no checks at these ranks"
     assert main(["verify", "--suite", "chi", "--n-max", "2"]) == 0
     assert capsys.readouterr().out.startswith("suite chi: PASS")
+
+
+@pytest.mark.parametrize(
+    "kind, table, ideal, name",
+    [
+        ("pint", "whp", wp_interior_algebra, "p0_1"),
+        ("y0", "solB", i0_number_algebra, "y0_1"),
+        ("x0", "solB", i0_number_algebra, "y0_1"),
+    ],
+)
+def test_the_rank_0_ideal_sums_are_the_classes_their_tables_list(kind, table, ideal, name, capsys):
+    assert main(["table", "--algebra", table, "--n", "0"]) == 0
+    assert name in capsys.readouterr().out.split()
+    assert main(["export", kind, "--n", "0", "--j", "1"]) == 0
+    exported = elem_from_json(json.loads(capsys.readouterr().out))
+    (label,) = [lab for lab in ideal(0).labels if ideal(0).text(lab) == name]
+    assert exported == ideal(0).element({label: 1}) == AlgElem.unit(exported.group, 0)
+    assert main(["export", kind, "--n", "0", "--j", "2"]) == 2
+    assert capsys.readouterr().err.strip() == "error: index 2 out of range 1..1"

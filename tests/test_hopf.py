@@ -35,7 +35,7 @@ from peakalg.perms import compose, group_elements, identity, inverse
 from peakalg.reporting import CheckFailure
 
 from oracles import add_multiple, block_embed
-from test_hopf_coords import componentwise_internal
+from oracles.hopf import componentwise_internal
 
 
 def test_shuffles_are_coset_representatives():

@@ -1,4 +1,4 @@
-"""The Hopf checks on class coordinates against their element-level form.
+"""The Hopf checks on class coordinates: the data and the mutations.
 
 peakalg.hopf evaluates check_theta_hopf, check_delta_internal_compat,
 check_beta_via_coproduct, check_delta_closures, check_module_morphisms,
@@ -6,11 +6,12 @@ the four concatenation checks, the two shuffle closures, the ideal/type-A
 isomorphism and the free-module check on coordinates read from cached
 Hopf data, and the checks of the split (reassembly, coassociativity,
 counit) on streams of byte words, split once per chunk and with every
-stream of legs split again on the split tables of its rank.  The
-element-level bodies they replaced live here as the reference: every
+stream of legs split again on the split tables of its rank.  Their
+element-level oracles are registered in tests/oracles/registry.py: every
 group element of every basis element goes through coproduct_split and
-compose.  Both paths must agree, and the cached data must equal the
-binned element-level results cell by cell.
+compose.  The cached data must equal the binned element-level results
+cell by cell, and each mutation must fail a check and not its oracle, or
+both.
 """
 
 import random
@@ -21,473 +22,34 @@ from math import factorial
 import pytest
 
 from peakalg import hopf, maps, mr, perms, verify
-from peakalg.algebra import AlgElem, ClassAlgebra, element_rows
-from peakalg.bases import (
-    _all_masks,
-    descent_algebra,
-    descent_coordinates,
-    subset_to_pseudo_comp,
-    x_basis,
-    y_to_x_coords,
-)
+from peakalg.algebra import ClassAlgebra, element_rows
+from peakalg.bases import _all_masks, descent_algebra, x_basis
 from peakalg.hopf import (
     FAMILIES,
     SHUFFLE_TARGETS,
-    concat_mask_ordinary,
     coproduct,
     coproduct_coords,
     external_product,
     shuffle_coords,
     transform_coords,
 )
-from peakalg.mr import signed_compositions, stilde_basis, t_algebra
-from peakalg.peak import (
-    interior_peak_algebra,
-    interior_peak_coordinates,
-    interior_peak_elements,
-    peak_algebra,
-    peak_coordinates,
-    peak_elements,
-)
-from peakalg.perms import byte_decoder, compose, group_elements, identity, inverse, mask_text
+from peakalg.mr import t_algebra
+from peakalg.perms import byte_decoder, group_elements, identity
 from peakalg.reporting import CheckFailure
 
-from oracles import (
-    bidegree,
-    block_embed,
-    descent_span_rank,
-    members,
-    pair_coords,
-    reference_map_tensor,
-)
+from oracles import members, pair_coords, reference_map_tensor
+from oracles.hopf import SINGLES as BODIES
+from oracles.hopf import reference_split
+from oracles.registry import ORACLES, declared_check
 
 # the families whose algebras are coarsenings of their finer family's
 COARSENINGS = ("I0", "Peak", "PeakIdeal")
 
-# ---------------------------------------------------------------------------
-# the element-level reference
-
-
-def x0_with_unit(n: int, jmask: int) -> AlgElem:
-    """X_{{0} u J} in rank n, and the unit in rank 0, which has no label 0."""
-    return maps.x0_basis(n, jmask) if n else AlgElem.unit("B", 0)
-
-
-def map_sides(t2: dict, group: str, f, g) -> dict:
-    """Apply linear maps to the two sides of a tensor of monomials of the
-    group (monomial by monomial, memoized per distinct monomial)."""
-    out: dict = {}
-    fcache: dict = {}
-    gcache: dict = {}
-    for (u, v), c in t2.items():
-        fu = fcache.get(u)
-        if fu is None:
-            fu = fcache[u] = f(AlgElem.monomial(group, len(u), u))
-        gv = gcache.get(v)
-        if gv is None:
-            gv = gcache[v] = g(AlgElem.monomial(group, len(v), v))
-        for u2, cu in fu.terms.items():
-            ccu = c * cu
-            for v2, cv in gv.terms.items():
-                key = (u2, v2)
-                s = out.get(key, 0) + ccu * cv
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return out
-
-
-def componentwise_internal(s: dict, t: dict) -> dict:
-    """Internal product in each tensor factor; mismatched bidegrees
-    annihilate."""
-    out: dict = {}
-    for (u, v), c in s.items():
-        for (u2, v2), c2 in t.items():
-            if len(u) != len(u2) or len(v) != len(v2):
-                continue
-            key = (compose(u, u2), compose(v, v2))
-            x = out.get(key, 0) + c * c2
-            if x == 0:
-                out.pop(key, None)
-            else:
-                out[key] = x
-    return out
-
-
-def tensor_coords(t2: dict, n: int, p: int, factory):
-    return pair_coords(bidegree(t2, p), factory(p), factory(n - p))
-
-
-def _double_y_to_x(coords: dict) -> dict:
-    """Moebius inversion on both labels of (maskL, maskR) -> c."""
-    by_right: dict = {}
-    for (ml, mr), c in coords.items():
-        by_right.setdefault(mr, {})[ml] = c
-    mid: dict = {}
-    for mr, vec in by_right.items():
-        for ml, c in y_to_x_coords(vec).items():
-            mid[(ml, mr)] = c
-    by_left: dict = {}
-    for (ml, mr), c in mid.items():
-        by_left.setdefault(ml, {})[mr] = c
-    out: dict = {}
-    for ml, vec in by_left.items():
-        for mr, c in y_to_x_coords(vec).items():
-            out[(ml, mr)] = c
-    return {k: c for k, c in out.items() if c}
-
-
-def tensor_i0_pair_coords(t2: dict, n: int, p: int):
-    """X-basis pair coordinates of a tensor of degree n restricted to the
-    canonical ideal on both sides (degree-0 sides count as the unit line)."""
-    ycoords = tensor_coords(t2, n, p, partial(descent_algebra, "B"))
-    if ycoords is None:
-        return None
-    xcoords = _double_y_to_x(ycoords)
-    q = n - p
-    for ml, mr in xcoords:
-        if (p > 0 and not ml & 1) or (q > 0 and not mr & 1):
-            return None
-    return xcoords
-
-
-def reference_delta_closures(dmax: int):
-    def in_classes(factory):
-        return partial(tensor_coords, factory=factory)
-
-    families = (
-        ("type-A", lambda n: [(f"mask {bin(m)}", x_basis("A", n, m)) for m in _all_masks("A", n)],
-         in_classes(partial(descent_algebra, "A"))),
-        ("type-B", lambda n: [(f"mask {bin(m)}", x_basis("B", n, m)) for m in _all_masks("B", n)],
-         in_classes(partial(descent_algebra, "B"))),
-        ("ideal", lambda n: [(f"mask {bin(m)}", maps.x0_basis(n, m)) for m in _all_masks("A", n)],
-         tensor_i0_pair_coords),
-        ("MR", lambda n: [(a, stilde_basis(n, a)) for a in signed_compositions(n)],
-         in_classes(t_algebra)),
-        ("peak", lambda n: [(bin(m), e) for m, e in peak_elements(n)], in_classes(peak_algebra)),
-        ("interior", lambda n: [(bin(m), e) for m, e in interior_peak_elements(n)],
-         in_classes(interior_peak_algebra)),
-    )
-    for n in range(1, dmax + 1):
-        for name, family, test in families:
-            for label, a in family(n):
-                t2 = coproduct(a)
-                if any(test(t2, n, p) is None for p in range(n + 1)):
-                    raise CheckFailure(f"{name} coproduct closure fails at {label}")
-
-
-def reference_theta_hopf(dmax: int):
-    theta, theta_pm = maps.theta, maps.theta_pm
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for a1 in signed_compositions(p):
-                for a2 in signed_compositions(q):
-                    left = theta_pm(external_product(stilde_basis(p, a1), stilde_basis(q, a2)))
-                    right = external_product(
-                        theta_pm(stilde_basis(p, a1)), theta_pm(stilde_basis(q, a2))
-                    )
-                    if left != right:
-                        raise CheckFailure(f"type-B transform breaks shuffles at {a1} * {a2}")
-            for m1 in _all_masks("A", p):
-                for m2 in _all_masks("A", q):
-                    left = theta(external_product(x_basis("A", p, m1), x_basis("A", q, m2)))
-                    right = external_product(
-                        theta(x_basis("A", p, m1)), theta(x_basis("A", q, m2))
-                    )
-                    if left != right:
-                        raise CheckFailure(
-                            f"transform breaks shuffles at {mask_text(m1)} * {mask_text(m2)}"
-                        )
-    for n in range(1, dmax + 1):
-        for alpha in signed_compositions(n):
-            a = stilde_basis(n, alpha)
-            if coproduct(theta_pm(a)) != map_sides(coproduct(a), "B", theta_pm, theta_pm):
-                raise CheckFailure(f"type-B transform breaks the coproduct at {alpha}")
-        for m in _all_masks("A", n):
-            a = x_basis("A", n, m)
-            if coproduct(theta(a)) != map_sides(coproduct(a), "S", theta, theta):
-                raise CheckFailure(f"transform breaks the coproduct at {mask_text(m)}")
-
-
-def reference_beta_via_coproduct(dmax: int):
-    for n in range(1, dmax + 1):
-        for m in _all_masks("B", n):
-            a = x_basis("B", n, m)
-            comp = bidegree(coproduct(a), 1)
-            out = AlgElem.zero("B", n - 1)
-            for (u, v), c in comp.items():
-                eta = 1 if u == (1,) else -1  # eta((1)) = 1, eta((-1)) = -1
-                out += AlgElem.monomial("B", n - 1, v, c * eta)
-            if out != maps.beta_map(a):
-                raise CheckFailure(f"coproduct form of the drop fails at mask {bin(m)}")
-
-
-def reference_module_morphisms(dmax: int):
-    def beta_graded(a):
-        return AlgElem.zero("B", 0) if a.n == 0 else maps.beta_map(a)
-
-    def pi_graded(a):
-        return AlgElem.zero("S", max(a.n - 2, 0)) if a.n < 2 else maps.pi_map(a)
-
-    def same(left, right):
-        # a vanishing drop has no home degree, so zeros compare loosely
-        return left == right or (not left and not right)
-
-    for p in range(0, dmax):
-        for q in range(1, dmax - p + 1):
-            for m1 in _all_masks("B", p):
-                a = x_basis("B", p, m1)
-                for m2 in _all_masks("A", q):
-                    m = maps.x0_basis(q, m2)
-                    if not same(
-                        beta_graded(external_product(a, m)),
-                        external_product(beta_graded(a), m),
-                    ):
-                        raise CheckFailure(
-                            f"drop is not a module morphism at masks {bin(m1)}, {bin(m2)}"
-                        )
-            for fm, pf in peak_elements(p) if p else [(0, AlgElem.unit("S", 0))]:
-                for gm, pg in interior_peak_elements(q):
-                    if not same(
-                        pi_graded(external_product(pf, pg)),
-                        external_product(pi_graded(pf), pg),
-                    ):
-                        raise CheckFailure(
-                            f"projection is not a module morphism at {bin(fm)}, {bin(gm)}"
-                        )
-
-
-def reference_delta_internal_compat(dmax: int):
-    for n in range(1, dmax + 1):
-        elems = [x_basis("A", n, m) for m in _all_masks("A", n)]
-        deltas = [coproduct(e) for e in elems]
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                if coproduct(a * b) != componentwise_internal(deltas[i], deltas[j]):
-                    raise CheckFailure(
-                        f"internal compatibility fails at degree {n}, pair ({i},{j})"
-                    )
-
-
-def reference_sola_star(dmax: int):
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for m1 in _all_masks("A", p):
-                for m2 in _all_masks("A", q):
-                    got = external_product(x_basis("A", p, m1), x_basis("A", q, m2))
-                    want = x_basis("A", p + q, concat_mask_ordinary(p, m1, m2))
-                    if got != want:
-                        raise CheckFailure(
-                            f"type-A concat fails at p={p}, q={q}, masks {bin(m1)},{bin(m2)}"
-                        )
-
-
-def reference_i0_star(dmax: int):
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for m1 in _all_masks("A", p):
-                for m2 in _all_masks("A", q):
-                    got = external_product(maps.x0_basis(p, m1), maps.x0_basis(q, m2))
-                    want_mask = (m1 | 1) | (1 << p) | (m2 << p)
-                    want = x_basis("B", p + q, want_mask)
-                    if got != want:
-                        raise CheckFailure(
-                            f"ideal concat fails at p={p}, q={q}, masks {bin(m1)},{bin(m2)}"
-                        )
-
-
-def reference_solb_module_star(dmax: int):
-    for p in range(0, dmax):
-        for q in range(1, dmax - p + 1):
-            for m1 in _all_masks("B", p):
-                for m2 in _all_masks("A", q):
-                    got = external_product(x_basis("B", p, m1), maps.x0_basis(q, m2))
-                    if p == 0:
-                        want_mask = m2 | 1
-                    else:
-                        want_mask = m1 | (1 << p) | (m2 << p)
-                    want = x_basis("B", p + q, want_mask)
-                    if got != want:
-                        raise CheckFailure(
-                            f"type-B module concat fails at p={p}, q={q}, "
-                            f"masks {bin(m1)},{bin(m2)}"
-                        )
-
-
-def reference_omega_star(dmax: int):
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for a1 in signed_compositions(p):
-                for a2 in signed_compositions(q):
-                    got = external_product(stilde_basis(p, a1), stilde_basis(q, a2))
-                    want = stilde_basis(p + q, a1 + a2)
-                    if got != want:
-                        raise CheckFailure(f"S-tilde concat fails at {a1} * {a2}")
-
-
-def reference_pint_star_closure(dmax: int):
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for fm, pf in interior_peak_elements(p):
-                for gm, pg in interior_peak_elements(q):
-                    prod = external_product(pf, pg)
-                    if interior_peak_coordinates(prod) is None:
-                        raise CheckFailure(
-                            f"interior shuffle closure fails at {bin(fm)} * {bin(gm)}"
-                        )
-
-
-def reference_peak_module_star(dmax: int):
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for fm, pf in peak_elements(p):
-                for gm, pg in interior_peak_elements(q):
-                    prod = external_product(pf, pg)
-                    if peak_coordinates(prod) is None:
-                        raise CheckFailure(
-                            f"peak module closure fails at {bin(fm)} * {bin(gm)}"
-                        )
-
-
-def reference_free_module(dmax: int):
-    for n in range(1, dmax + 1):
-        elems = []
-        for mask in _all_masks("B", n):
-            parts = subset_to_pseudo_comp(
-                [i for i in range(n) if mask >> i & 1], n
-            )
-            prod = x_basis("B", parts[0], 0)
-            for part in parts[1:]:
-                prod = external_product(prod, maps.x0_basis(part, 0))
-            if prod != x_basis("B", n, mask):
-                raise CheckFailure(f"monomial product is not X at mask {bin(mask)}")
-            elems.append(prod)
-        if descent_span_rank(elems, "B") != 1 << n:
-            raise CheckFailure(f"module monomials are dependent at degree {n}")
-
-
-def reference_i0_sola_isomorphism(dmax: int):
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for m1 in _all_masks("A", p):
-                for m2 in _all_masks("A", q):
-                    want = concat_mask_ordinary(p, m1, m2)
-                    got_a = external_product(x_basis("A", p, m1), x_basis("A", q, m2))
-                    coords_a = y_to_x_coords(descent_coordinates(got_a, "A"))
-                    got_i = external_product(maps.x0_basis(p, m1), maps.x0_basis(q, m2))
-                    coords_i = y_to_x_coords(descent_coordinates(got_i, "B"))
-                    if coords_a != {want: 1}:
-                        raise CheckFailure(f"type-A product constants differ at {bin(want)}")
-                    if coords_i != {want | 1: 1}:
-                        raise CheckFailure(f"ideal product constants differ at {bin(want)}")
-    for m in range(1, dmax + 1):
-        t_a = coproduct(x_basis("A", m, 0))
-        t_i = coproduct(maps.x0_basis(m, 0))
-        for i in range(m + 1):
-            j = m - i
-            comp_a = bidegree(t_a, i)
-            comp_i = bidegree(t_i, i)
-            want_a = {}
-            for u in x_basis("A", i, 0).terms:
-                for v in x_basis("A", j, 0).terms:
-                    want_a[(u, v)] = 1
-            want_i = {}
-            for u in x0_with_unit(i, 0).terms:
-                for v in x0_with_unit(j, 0).terms:
-                    want_i[(u, v)] = 1
-            if comp_a != want_a or comp_i != want_i:
-                raise CheckFailure(
-                    f"generator coproducts differ at degree {m}, split {i}+{j}"
-                )
-
-
-def reference_split(w, p):
-    """The per-p split as first written: one pass over w."""
-    left_pos, right_pos, w1, w2 = [], [], [], []
-    for i, v in enumerate(w, 1):
-        if -p <= v <= p:
-            left_pos.append(i)
-            w1.append(v)
-        else:
-            right_pos.append(i)
-            w2.append(v - p if v > 0 else v + p)
-    return tuple(left_pos + right_pos), tuple(w1), tuple(w2)
-
-
-def reference_split_reassembly(w):
-    for p in range(len(w) + 1):
-        xi, w1, w2 = hopf.coproduct_split(w, p)
-        try:
-            reassembled = compose(block_embed(w1, w2), inverse(xi))
-        except ValueError as error:  # blocks and shuffle of different ranks
-            raise CheckFailure(f"factorization fails at w={w}, p={p}: {error}") from None
-        if reassembled != w:
-            raise CheckFailure(f"factorization fails at w={w}, p={p}")
-        if list(xi[:p]) != sorted(xi[:p]) or list(xi[p:]) != sorted(xi[p:]):
-            raise CheckFailure(f"factor is not a shuffle at w={w}, p={p}")
-
-
-def reference_coassociative(w):
-    """The two iterated coproducts of w term by term: the term of degrees
-    (i, j, k) splits w at i + j and its left block at i on one side, w at
-    i and its right block at j on the other, and its three blocks have
-    those degrees."""
-    n = len(w)
-    left: dict = {}
-    right: dict = {}
-    for p in range(n + 1):
-        _, w1, w2 = hopf.coproduct_split(w, p)
-        for q in range(p + 1):
-            _, a, b = hopf.coproduct_split(w1, q)
-            left[(q, p - q)] = (a, b, w2)
-        for q in range(n - p + 1):
-            _, b, c = hopf.coproduct_split(w2, q)
-            right[(p, q)] = (w1, b, c)
-    degrees = {(i, j): (i, j, n - i - j) for i, j in left}
-    if left != right or {k: tuple(map(len, t)) for k, t in left.items()} != degrees:
-        raise CheckFailure(f"coassociativity fails at w={w}")
-
-
-def reference_counit(w):
-    n = len(w)
-    _, w1, w2 = hopf.coproduct_split(w, 0)
-    if w1 != () or w2 != w:
-        raise CheckFailure(f"counit (left) fails at w={w}")
-    _, w1, w2 = hopf.coproduct_split(w, n)
-    if w1 != w or w2 != ():
-        raise CheckFailure(f"counit (right) fails at w={w}")
-
-
-# per-element check name -> the body that split every leg again
-SINGLES = {
-    "check_split_reassembly": reference_split_reassembly,
-    "check_coassociative": reference_coassociative,
-    "check_counit": reference_counit,
-}
-
-
-# check name -> the element-level body it replaced
-PAIRS = {
-    "check_theta_hopf": reference_theta_hopf,
-    "check_delta_internal_compat": reference_delta_internal_compat,
-    "check_beta_via_coproduct": reference_beta_via_coproduct,
-    "check_delta_closures": reference_delta_closures,
-    "check_module_morphisms": reference_module_morphisms,
-}
-
-# the checks that read the shuffle tables in place of element-level
-# concatenation, closure, isomorphism and free-module loops
-SHUFFLE_PAIRS = {
-    "check_sola_star": reference_sola_star,
-    "check_i0_star": reference_i0_star,
-    "check_solb_module_star": reference_solb_module_star,
-    "check_omega_star": reference_omega_star,
-    "check_pint_star_closure": reference_pint_star_closure,
-    "check_peak_module_star": reference_peak_module_star,
-    "check_free_module": reference_free_module,
-    "check_i0_sola_isomorphism": reference_i0_sola_isomorphism,
-}
+# each public per-element check of the split, by name, and its reference
+# body, which splits every leg again
+SINGLES = dict(zip(("check_split_reassembly", "check_coassociative", "check_counit"), BODIES))
+# the oracle of hopf/coassociative-counit-singles: the three bodies on a rank
+SINGLES_ORACLE = ORACLES["hopf/coassociative-counit-singles"]
 
 
 def clear_hopf_data():
@@ -514,41 +76,30 @@ def fresh_hopf_data():
 
 
 # ---------------------------------------------------------------------------
-# both paths, and the data cell by cell
-
-
-@pytest.mark.parametrize("name", sorted(PAIRS))
-def test_both_paths_pass(name):
-    PAIRS[name](4)
-    getattr(hopf, name)(4)
-
-
-@pytest.mark.parametrize("dmax", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.deep)])
-@pytest.mark.parametrize("name", sorted(SHUFFLE_PAIRS))
-def test_both_shuffle_paths_pass(name, dmax):
-    SHUFFLE_PAIRS[name](dmax)
-    getattr(hopf, name)(dmax)
+# the singles paths, and the data cell by cell
 
 
 def run_singles(checks, nmax: int):
     """Run each check on B_0 to B_nmax, one rank at a time: the rank check
-    hopf.check_singles on the listing of the rank, any other check on each
-    element in turn."""
+    hopf.check_singles on the listing of the rank, the registered oracle on
+    the rank, any other check on each element in turn."""
     for n in range(nmax + 1):
         ws = group_elements("B", n)
         for check in checks:
             if check is hopf.check_singles:
                 check(ws, n)
+            elif check is SINGLES_ORACLE:
+                check(n)
             else:
                 for w in ws:
                     check(w)
 
 
-# path -> its checks: the reference bodies, the three public checks, each on
-# the stream of one element, and the rank check that splits a stream of each
-# chunk of a rank once for all three
+# path -> its checks: the registered oracle, the three public checks, each
+# on the stream of one element, and the rank check that splits a stream of
+# each chunk of a rank once for all three
 SINGLES_PATHS = {
-    "reference": list(SINGLES.values()),
+    "reference": [SINGLES_ORACLE],
     "split tables": [getattr(hopf, name) for name in SINGLES],
     "fused": [hopf.check_singles],
 }
@@ -754,7 +305,7 @@ def _broken_in_degree(f, degree):
 def test_broken_transform_fails_both_paths(name, degree, monkeypatch, fresh_hopf_data):
     monkeypatch.setattr(maps, name, _broken_in_degree(getattr(maps, name), degree))
     with pytest.raises(CheckFailure) as element_level:
-        reference_theta_hopf(3)
+        ORACLES["hopf/transform-morphisms"](3)
     with pytest.raises(CheckFailure) as coordinates:
         hopf.check_theta_hopf(3)
     assert str(coordinates.value) == str(element_level.value)
@@ -766,33 +317,38 @@ def test_broken_theta_pm_witness(monkeypatch, fresh_hopf_data):
         hopf.check_theta_hopf(3)
 
 
+def failing_body_and_passing_oracle(check_id: str):
+    """The check check_id, as verify declares it at the ceiling 3, fails
+    on the cached data; its element-level oracle reads no cache and passes."""
+    check = declared_check(check_id, 3)
+    with pytest.raises(CheckFailure):
+        check.body(*check.cases)
+    ORACLES[check_id](*check.cases)
+
+
 @pytest.mark.parametrize(
-    "family, check",
+    "family, check_id",
     [
-        ("OmegaB", hopf.check_theta_hopf),
-        ("SolA", hopf.check_delta_internal_compat),
-        ("SolB", hopf.check_beta_via_coproduct),
+        ("OmegaB", "hopf/transform-morphisms"),
+        ("SolA", "hopf/internal-coproduct-compat"),
+        ("SolB", "hopf/drop-via-coproduct"),
+    ],
+    ids=[
+        "OmegaB-check_theta_hopf",
+        "SolA-check_delta_internal_compat",
+        "SolB-check_beta_via_coproduct",
     ],
 )
-def test_perturbed_coproduct_coordinate_fails(family, check, fresh_hopf_data):
+def test_perturbed_coproduct_coordinate_fails(family, check_id, fresh_hopf_data):
     data = coproduct_coords(family, 3)
     alg = FAMILIES[family].algebra(3)
     lab = alg.labels[-1]
     key = next(k for k in data[lab] if k[0] == 1)
     data[lab][key] += 1
-    # the cell-by-cell comparison sees the change ...
+    # the cell-by-cell comparison sees the change, and so does the check
+    # that reads the data
     assert tensor_element(family, 3, data[lab]) != coproduct(dict(alg.basis)[lab])
-    # ... and so does the check that reads the data
-    with pytest.raises(CheckFailure):
-        check(3)
-    # the element-level reference does not read the cache
-    PAIRS[check.__name__](3)
-
-
-@pytest.mark.deep
-def test_theta_hopf_rank_5_against_the_element_level():
-    reference_theta_hopf(5)
-    hopf.check_theta_hopf(5)
+    failing_body_and_passing_oracle(check_id)
 
 
 def _perturb_first_cell(table: dict):
@@ -804,11 +360,8 @@ def _perturb_first_cell(table: dict):
 
 def test_perturbed_i0_shuffle_cell_fails(fresh_hopf_data):
     _perturb_first_cell(shuffle_coords("I0", "I0", 1, 2))
-    for name in ("check_i0_star", "check_i0_sola_isomorphism"):
-        with pytest.raises(CheckFailure):
-            getattr(hopf, name)(3)
-        # the element-level reference does not read the cache
-        SHUFFLE_PAIRS[name](3)
+    for check_id in ("hopf/concat-ideal", "hopf/ideal-type-a-isomorphism"):
+        failing_body_and_passing_oracle(check_id)
 
 
 def test_perturbed_i0_coproduct_cell_fails_the_isomorphism(fresh_hopf_data):
@@ -817,7 +370,7 @@ def test_perturbed_i0_coproduct_cell_fails_the_isomorphism(fresh_hopf_data):
     assert data != coproduct_coords("SolA", 2)
     with pytest.raises(CheckFailure, match="coproduct constants differ at degree 2"):
         hopf.check_i0_sola_isomorphism(3)
-    reference_i0_sola_isomorphism(3)
+    ORACLES["hopf/ideal-type-a-isomorphism"](3)
 
 
 def _patch_tables(monkeypatch, change):
@@ -944,8 +497,9 @@ def test_broken_split_fails_both_singles_paths(
             run_singles([SINGLES[name]], 5)
         with pytest.raises(CheckFailure, match=witness):
             run_singles([getattr(hopf, name)], 5)
-    with pytest.raises(CheckFailure, match=witness):
-        run_singles([hopf.check_singles], 5)
+    for check in (hopf.check_singles, SINGLES_ORACLE):
+        with pytest.raises(CheckFailure, match=witness):
+            run_singles([check], 5)
 
 
 def test_the_rank_check_passes_on_b5_listed_in_a_shuffled_order(fresh_hopf_data):
@@ -998,6 +552,7 @@ def test_a_delete_set_that_keeps_the_next_value_fails_the_singles_and_the_closur
     _left_keeps_the_next_value(monkeypatch)
     monkeypatch.setattr(hopf, "coproduct_split", decoded_split)
     checks = [*SINGLES.values(), *(getattr(hopf, name) for name in SINGLES), hopf.check_singles]
+    checks.append(SINGLES_ORACLE)
     for check in checks:
         with pytest.raises(CheckFailure, match=r"^\w.* at w=\(1,\)"):
             run_singles([check], 5)

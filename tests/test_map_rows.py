@@ -6,14 +6,15 @@ members of each class for the maps that carry a tally, once per (map,
 source, target) and keeps them in algebra.ROW_TABLES for
 the life of the process.  These tests pin that cache: a second call
 returns the same table, every cached table equals a fresh element-level
-build (tests/oracles.py: each class sum mapped, then binned), a failing
+build (tests/oracles: each class sum mapped, then binned), a failing
 build stores nothing and names each caller's own what, a full verify
 run builds each table once, a second run changes none, and no table holds
 the rows of a transform.
 
-The second half keeps the element-level form of mr.check_phi_images as
-the reference for the rows form, which reads sign forgetting's rows from
-the T-classes to the type-A descent classes.
+The second half breaks sign forgetting on the Mantaci-Reutenauer
+classes: mr.check_phi_images, which reads its rows from the T-classes to
+the type-A descent classes, and its registered element-level oracle must
+both fail.
 """
 
 import copy
@@ -28,6 +29,7 @@ from peakalg.reporting import CheckFailure
 from peakalg.verify import run_suite
 
 from oracles import members, reference_element_rows
+from oracles.registry import both_fail
 
 
 def clear_rows():
@@ -125,32 +127,9 @@ def test_a_second_run_changes_no_table(counted_builds):
 # sign forgetting on the Mantaci-Reutenauer classes
 
 
-def reference_phi_images(n):
-    """mr.check_phi_images at element level: sign forgetting of every S, T
-    and S-tilde class sum against its closed form."""
-    for alpha in mr.signed_compositions(n):
-        if maps.phi(mr.s_basis(n, alpha)) != mr.phi_on_s_formula(n, alpha):
-            raise CheckFailure(f"image of the S-class of {alpha} is wrong")
-        if maps.phi(mr.t_basis(n, alpha)) != mr.phi_on_t_formula(n, alpha):
-            raise CheckFailure(f"image of the T-class of {alpha} is wrong")
-        if maps.phi(mr.stilde_basis(n, alpha)) != mr.phi_on_stilde_formula(n, alpha):
-            raise CheckFailure(f"image of the S-tilde class of {alpha} is wrong")
-
-
 def both_witnesses(n):
-    """The witnesses of the rows form and of the element-level form."""
-    witnesses = []
-    for check in (mr.check_phi_images, reference_phi_images):
-        with pytest.raises(CheckFailure) as failure:
-            check(n)
-        witnesses.append(str(failure.value))
-    return witnesses
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_phi_images_pass_on_both_paths(n):
-    reference_phi_images(n)
-    mr.check_phi_images(n)
+    """The witnesses of mr/phi-images at rank n and of its oracle."""
+    return [result.witness for result in both_fail(f"mr/phi-images/n={n}", n)]
 
 
 def _phi_plus_on_one_t_class(alpha, extra):

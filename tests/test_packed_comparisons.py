@@ -2,12 +2,13 @@
 
 check_theta_hopf, check_delta_internal_compat and the verify check
 theta/square-with-sign-forgetting compare each side of an identity as one
-int, packed by perms.packer.  Their dict forms live here, each as groups of
-(key, witness, left, right) comparisons in the check's order, one group
-per packer the check makes.  The packed checks must compare as many pairs,
-labels and cells as the dict forms, fail with the same witness on the same
-broken input, and meet every compared coefficient inside the packer's
-bound.  The packer itself is tested on exhaustive small cases.
+int, packed by perms.packer.  Their dict forms are in tests/oracles/hopf.py,
+each as groups of (key, witness, left, right) comparisons in the check's
+order, one group per packer the check makes.  The packed checks must
+compare as many pairs, labels and cells as the dict forms, fail with the
+same witness on the same broken input, and meet every compared coefficient
+inside the packer's bound.  The packer itself is tested on exhaustive small
+cases.
 """
 
 from fractions import Fraction
@@ -17,109 +18,15 @@ from itertools import product
 import pytest
 
 from peakalg import algebra, hopf, maps, mr, perms, verify
-from peakalg.algebra import apply_rows, bilinear, class_images, first_unequal
+from peakalg.algebra import class_images, first_unequal
 from peakalg.bases import descent_algebra
-from peakalg.hopf import (
-    FAMILIES,
-    _x_coords,
-    coproduct_coords,
-    shuffle_coords,
-    transform_coords,
-)
-from peakalg.perms import mask_text, packer
+from peakalg.hopf import FAMILIES, coproduct_coords, shuffle_coords, transform_coords
+from peakalg.perms import packer
 from peakalg.reporting import CheckFailure, run_check
 
-from oracles import by_bidegree, reference_componentwise_internal, reference_map_tensor
-
-# ---------------------------------------------------------------------------
-# the dict forms
-
-
-SHUFFLE_TEXTS = {
-    "OmegaB": lambda a1, a2: f"type-B transform breaks shuffles at {a1} * {a2}",
-    "SolA": lambda m1, m2: f"transform breaks shuffles at {mask_text(m1)} * {mask_text(m2)}",
-}
-COPRODUCT_TEXTS = {
-    "OmegaB": lambda alpha: f"type-B transform breaks the coproduct at {alpha}",
-    "SolA": lambda m: f"transform breaks the coproduct at {mask_text(m)}",
-}
-
-
-def theta_hopf_groups(dmax: int):
-    """check_theta_hopf on dicts: per (p, q) and family the shuffle pairs,
-    then per degree and family the class labels of the coproduct half."""
-    bases = {f: {n: _x_coords(f, n) for n in range(1, dmax)} for f in SHUFFLE_TEXTS}
-    images = {
-        f: {n: {k: apply_rows(transform_coords(f, n), x) for k, x in b[n].items()} for n in b}
-        for f, b in bases.items()
-    }
-    for p in range(1, dmax):
-        for q in range(1, dmax - p + 1):
-            for family, text in SHUFFLE_TEXTS.items():
-                basis, image = bases[family], images[family]
-                group, table = [], shuffle_coords(family, family, p, q)
-                for k1, k2 in product(basis[p], basis[q]):
-                    prod = bilinear(table, basis[p][k1], basis[q][k2])
-                    left = apply_rows(transform_coords(family, p + q), prod)
-                    right = bilinear(table, image[p][k1], image[q][k2])
-                    group.append(((k1, k2), text(k1, k2), left, right))
-                yield group
-    for n in range(1, dmax + 1):
-        for family, text in COPRODUCT_TEXTS.items():
-            cop, rows = coproduct_coords(family, n), partial(transform_coords, family)
-            yield [
-                (
-                    lab,
-                    text(lab),
-                    apply_rows(cop, rows(n)[lab]),
-                    reference_map_tensor(cop[lab], n, rows),
-                )
-                for lab in FAMILIES[family].algebra(n).labels
-            ]
-
-
-def internal_compat_groups(dmax: int):
-    """check_delta_internal_compat on dicts: per degree the cube cells."""
-    for n in range(1, dmax + 1):
-        cop = coproduct_coords("SolA", n)
-        deltas = {lab: by_bidegree(t) for lab, t in cop.items()}
-        yield [
-            (
-                (a, b),
-                f"internal compatibility fails at degree {n}, {mask_text(a)} * {mask_text(b)}",
-                apply_rows(cop, prod),
-                reference_componentwise_internal(deltas[a], deltas[b], n),
-            )
-            for (a, b), prod in descent_algebra("A", n).cube.items()
-        ]
-
-
-def square_groups(ranks):
-    """theta/square-with-sign-forgetting on dicts: per rank the S-tilde labels."""
-    for n in ranks:
-        phi = class_images(maps.phi, mr.t_algebra(n), descent_algebra("A", n), "sign forgetting")
-        theta_pm, theta = transform_coords("OmegaB", n), transform_coords("SolA", n)
-        yield [
-            (
-                alpha,
-                f"transform square fails at {alpha}",
-                apply_rows(phi, apply_rows(theta_pm, a)),
-                apply_rows(theta, apply_rows(phi, a)),
-            )
-            for alpha, a in mr.t_coords("Stilde", n).items()
-        ]
-
-
-def dict_check(groups) -> int:
-    """Compare the groups in order: CheckFailure with the first failing
-    witness, or the number of comparisons."""
-    count = 0
-    for group in groups:
-        for _, witness, left, right in group:
-            if left != right:
-                raise CheckFailure(witness)
-            count += 1
-    return count
+from oracles.hopf import SHUFFLE_TEXTS, dict_check, internal_compat_groups, square_groups
+from oracles.hopf import theta_hopf_groups
+from oracles.registry import ORACLES
 
 
 def square_check(n_max: int) -> tuple:
@@ -375,24 +282,6 @@ def order_axioms(n_max: int):
     return partial(check.body, *check.cases)
 
 
-def reference_order_axioms(n_max: int):
-    """The loop as first written: each relation asked again for each axiom."""
-    for n in range(1, min(n_max, 4) + 1):
-        comps = mr.signed_compositions(n)
-        for rel in (mr.leq, mr.preceq):
-            for a in comps:
-                if not rel(a, a):
-                    raise CheckFailure(f"order not reflexive at {a}")
-            ups = {a: [b for b in comps if rel(a, b)] for a in comps}
-            for a in comps:
-                for b in ups[a]:
-                    if a != b and rel(b, a):
-                        raise CheckFailure(f"order not antisymmetric at {a}, {b}")
-                    for c in ups[b]:
-                        if not rel(a, c):
-                            raise CheckFailure(f"order not transitive at {a}, {b}, {c}")
-
-
 @pytest.mark.parametrize(
     "pair, witness",
     [
@@ -407,7 +296,7 @@ def test_a_dropped_order_pair_gives_the_parent_witness(pair, witness, monkeypatc
     leq = mr.leq
     monkeypatch.setattr(mr, "leq", lambda a, b: (a, b) != pair and leq(a, b))
     outcomes = []
-    for check in (order_axioms(4), partial(reference_order_axioms, 4)):
+    for check in (order_axioms(4), partial(ORACLES["mr/order-axioms"], 4)):
         try:
             check()
             outcomes.append(None)

@@ -14,7 +14,8 @@ appended to a module it reads, so no rule can pass by matching nothing.
 
 The rules that are not about where an idiom may appear are plain tests
 at the end: no dead names, the tracer's names, the shape of Echelon and
-exact_det, the suites' case loops and the empty runtime dependencies.
+exact_det, the suites' case loops, the one home of the test oracles and
+the empty runtime dependencies.
 """
 
 import ast
@@ -515,6 +516,30 @@ def test_no_suite_closure_is_a_lone_loop_over_its_own_cases():
     assert not found
 
 
+# ---------------------------------------------------------------------------
+# the element-level oracles have one home: tests/oracles
+
+ORACLE_NAME = re.compile(r"(reference_|ref_|_ref_)")
+
+
+def oracle_bodies(source: str) -> list:
+    """The top-level functions of a module's source named as oracles."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and ORACLE_NAME.match(node.name)
+    ]
+
+
+def test_no_test_module_outside_the_oracles_home_defines_an_oracle():
+    tests = {path.name: path.read_text() for path in (ROOT / "tests").glob("*.py")}
+    assert len(tests) > 40 and "test_oracles.py" in tests
+    assert {name: oracle_bodies(text) for name, text in tests.items() if oracle_bodies(text)} == {}
+    control = tests["test_map_coords.py"] + "\n\ndef reference_square(n):\n    pass\n"
+    assert oracle_bodies(control) == ["reference_square"]
+    assert "reference_square" in oracle_bodies((ROOT / "tests" / "oracles" / "rows.py").read_text())
+
+
 def test_runtime_dependencies_stay_empty():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
@@ -526,7 +551,7 @@ def test_runtime_dependencies_stay_empty():
 # function, class and module constant is referenced in src/ outside its own
 # definition, exported by __all__, imported by the acceptance module or
 # named by the benchmark's tracer.  A name that only a test calls belongs in
-# the test, or in tests/oracles.py when several tests use it as an oracle.
+# the test, or in tests/oracles when several tests use it as an oracle.
 
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 TRACER = ROOT / "perfbench" / "tracer.py"
